@@ -2,11 +2,12 @@
 //!
 //! The paper reports per-iteration costs of ~1e-5 s for OPTWIN and ~6e-6 s
 //! for ADWIN; the absolute numbers depend on the host, but the *shape* —
-//! both detectors ingest elements in the microsecond range, OPTWIN's cost is
-//! O(1) amortized and does not grow with the window — is what this benchmark
-//! verifies.
+//! every detector ingests elements in the microsecond range — is what this
+//! benchmark verifies. The flat-cost-in-`w_max` half of the claim is
+//! measured by the `perfbench` workspace (`detector.solo_ns_per_rec_w25k` /
+//! `_w10k`), which times ingest separately from cut-table precompute.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use optwin_baselines::{Adwin, Ddm, Ecdd, Eddm, Kswin, PageHinkley, Stepd};
 use optwin_core::{DriftDetector, Optwin, OptwinConfig};
@@ -124,30 +125,6 @@ fn bench_detectors(c: &mut Criterion) {
             black_box(d.add_batch(&stream)).drifts()
         });
     });
-    group.finish();
-
-    // OPTWIN cost as a function of w_max: amortized O(1) means the per-element
-    // cost should stay flat as the window bound grows.
-    let mut group = c.benchmark_group("optwin_cost_vs_w_max");
-    group.sample_size(10);
-    for w_max in [1_000usize, 4_000, 16_000] {
-        group.throughput(Throughput::Elements(stream.len() as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(w_max), &w_max, |b, &w_max| {
-            b.iter(|| {
-                let mut d = Optwin::new(
-                    OptwinConfig::builder()
-                        .robustness(0.5)
-                        .max_window(w_max)
-                        .build()
-                        .unwrap(),
-                )
-                .unwrap();
-                for &x in &stream {
-                    black_box(d.add_element(x));
-                }
-            });
-        });
-    }
     group.finish();
 }
 

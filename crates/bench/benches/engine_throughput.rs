@@ -4,9 +4,9 @@
 //!    interface),
 //! 2. **batched** — `add_batch` over the whole stream (amortized cut-table
 //!    prefetch, no per-element dispatch),
-//! 3. **sharded** — a [`DriftEngine`] ingesting interleaved multi-stream
-//!    record batches (batched per stream **and** fanned out across shards,
-//!    with a flush barrier per batch),
+//! 3. **sharded** — an [`EngineHandle`] ingesting interleaved multi-stream
+//!    record batches (batched per stream **and** fanned out across shards),
+//!    with `submit` + a `flush` barrier + a [`MemorySink`] drain per batch,
 //! 4. **pipelined** — the service API: [`EngineHandle::submit`] enqueues
 //!    every batch onto the bounded per-shard queues without waiting, and a
 //!    single shutdown barrier drains the engine at the end. The submitting
@@ -32,9 +32,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use optwin_baselines::DetectorSpec;
 use optwin_core::{DetectorExt, DriftDetector, Optwin, OptwinConfig};
-use optwin_engine::{
-    DriftEngine, EngineBuilder, EngineConfig, EngineHandle, EventSink, MemorySink, RebalancePolicy,
-};
+use optwin_engine::{EngineBuilder, EngineHandle, EventSink, MemorySink, RebalancePolicy};
 use optwin_stream::{DriftKind, DriftSchedule, ErrorStream, ErrorStreamConfig};
 
 const STREAM_LEN: usize = 20_000;
@@ -114,14 +112,20 @@ fn bench_sharded_engine(c: &mut Criterion) {
             &shards,
             |b, &shards| {
                 b.iter(|| {
-                    let mut engine =
-                        DriftEngine::with_factory(EngineConfig::with_shards(shards), |_| {
-                            Box::new(optwin(2_000)) as Box<dyn DriftDetector + Send>
-                        });
+                    let sink = Arc::new(MemorySink::new());
+                    let handle = EngineBuilder::new()
+                        .shards(shards)
+                        .factory(|_| Box::new(optwin(2_000)) as Box<dyn DriftDetector + Send>)
+                        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
+                        .build()
+                        .expect("valid engine");
                     let mut events = 0usize;
                     for batch in records.chunks(N_STREAMS as usize * 500) {
-                        events += engine.ingest_batch(batch).expect("factory-backed").len();
+                        handle.submit(batch).expect("engine running");
+                        handle.flush().expect("factory-backed");
+                        events += sink.drain().len();
                     }
+                    handle.shutdown().expect("clean drain");
                     black_box(events)
                 });
             },

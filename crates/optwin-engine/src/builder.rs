@@ -8,7 +8,7 @@ use optwin_baselines::DetectorSpec;
 use optwin_core::{DriftDetector, SnapshotEncoding};
 
 use crate::checkpoint::{self, CheckpointConfig, CheckpointPolicy, RecoveredLog, ReplayOp};
-use crate::engine::{EngineConfig, EngineError};
+use crate::error::EngineError;
 use crate::fleet::FleetConfig;
 use crate::handle::{
     spawn_engine, DetectorSource, EngineHandle, SharedDetectorFactory, StreamState,
@@ -22,6 +22,13 @@ use crate::sink::EventSink;
 /// consumer exerts backpressure within a few megabytes.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 65_536;
 
+/// The shard count [`EngineBuilder::new`] starts from: one shard per
+/// available CPU core (4 when the core count is unknown).
+#[must_use]
+pub fn default_shards() -> usize {
+    std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+}
+
 /// Builder for a running engine: shard count, default detector (a
 /// declarative [`DetectorSpec`] or a closure factory), warning policy, event
 /// sinks, queue capacity and an optional snapshot to restore.
@@ -34,9 +41,7 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 65_536;
 /// for heterogeneous ones — which makes every stream introspectable and
 /// every snapshot self-describing. The closure-factory and
 /// explicit-instance paths survive as escape hatches for custom detector
-/// types. The synchronous [`crate::DriftEngine`] facade is a thin wrapper
-/// over exactly this (a handle plus a [`crate::MemorySink`]). See the crate
-/// docs for a complete example.
+/// types. See the crate docs for a complete example.
 #[must_use]
 pub struct EngineBuilder {
     shards: usize,
@@ -85,14 +90,9 @@ impl EngineBuilder {
     /// available CPU core, warnings disabled, no sinks, no default detector,
     /// and a [`DEFAULT_QUEUE_CAPACITY`]-record queue per shard.
     pub fn new() -> Self {
-        Self::from_config(EngineConfig::default())
-    }
-
-    /// Starts a builder from an existing [`EngineConfig`].
-    pub fn from_config(config: EngineConfig) -> Self {
         Self {
-            shards: config.shards,
-            emit_warnings: config.emit_warnings,
+            shards: default_shards(),
+            emit_warnings: false,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             source: None,
             sinks: Vec::new(),
@@ -237,15 +237,8 @@ impl EngineBuilder {
 
     /// Installs an already-shared closure detector factory (useful when the
     /// caller keeps a clone). See [`EngineBuilder::factory`].
-    pub fn shared_factory(self, factory: SharedDetectorFactory) -> Self {
-        self.detector_source(DetectorSource::Closure(factory))
-    }
-
-    /// Installs a pre-assembled detector source (crate-internal; the public
-    /// surface is [`EngineBuilder::default_spec`] /
-    /// [`EngineBuilder::factory`]).
-    pub(crate) fn detector_source(mut self, source: DetectorSource) -> Self {
-        self.source = Some(source);
+    pub fn shared_factory(mut self, factory: SharedDetectorFactory) -> Self {
+        self.source = Some(DetectorSource::Closure(factory));
         self
     }
 
@@ -494,10 +487,6 @@ impl EngineBuilder {
             initial[shard_of(stream)].insert(stream, StreamState::with_spec(detector, Some(spec)));
         }
 
-        let config = EngineConfig {
-            shards: self.shards,
-            emit_warnings: self.emit_warnings,
-        };
         let checkpoint = match self.checkpoint {
             Some((dir, policy)) => {
                 std::fs::create_dir_all(&dir).map_err(|e| {
@@ -516,7 +505,7 @@ impl EngineBuilder {
         };
         let checkpointing = checkpoint.is_some();
         let handle = spawn_engine(
-            config,
+            self.emit_warnings,
             self.queue_capacity,
             self.source,
             self.sinks,

@@ -59,7 +59,7 @@ use serde::{Deserialize, Serialize};
 
 use optwin_core::SnapshotEncoding;
 
-use crate::engine::EngineError;
+use crate::error::EngineError;
 use crate::persist::{wire_version, EngineSnapshot, StreamStateSnapshot};
 
 /// Wire format version of a checkpoint directory (manifest + base + delta

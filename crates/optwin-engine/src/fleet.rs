@@ -25,7 +25,7 @@ use std::path::Path;
 
 use optwin_baselines::DetectorSpec;
 
-use crate::engine::EngineError;
+use crate::error::EngineError;
 
 /// A parsed fleet configuration: which detector spec each stream id runs,
 /// plus any warnings the (lenient) parse produced.

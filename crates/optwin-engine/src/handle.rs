@@ -18,6 +18,12 @@
 //! ride the same FIFO channels as the records, so when they return, every
 //! record previously submitted *by the calling thread* has been fully
 //! processed and the sinks have been flushed.
+//!
+//! Every control operation — flush, registration, the statistics queries,
+//! snapshots, checkpoints and rebalance migrations — is one primitive: a
+//! closure shipped to each target worker as [`ShardMsg::Barrier`], run there
+//! with `&mut` access to the [`Worker`], and answered over a reply channel
+//! (see `EngineHandle::barrier`).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -34,16 +40,15 @@ use optwin_core::{DriftDetector, DriftStatus, SnapshotEncoding};
 use crate::checkpoint::{
     CheckpointConfig, CheckpointReport, CheckpointState, Durability, WalWriter,
 };
-use crate::engine::{EngineConfig, EngineError, StreamSnapshot};
+use crate::error::{EngineError, StreamSnapshot};
 use crate::event::DriftEvent;
 use crate::hibernate::{DetectorSlot, HibernatedDetector, HibernationPolicy};
 use crate::persist::{wire_version, EngineSnapshot, StreamStateSnapshot};
 use crate::router::Router;
 use crate::sink::EventSink;
 
-/// A detector factory shared by every shard worker (and, for the blocking
-/// facade, the submitting side): builds a detector the first time a record
-/// for an unknown stream id arrives.
+/// A detector factory shared by every shard worker: builds a detector the
+/// first time a record for an unknown stream id arrives.
 pub type SharedDetectorFactory = Arc<dyn Fn(u64) -> Box<dyn DriftDetector + Send> + Send + Sync>;
 
 /// How the engine builds detectors for auto-registered (first-sight) stream
@@ -314,62 +319,20 @@ impl fmt::Display for RebalanceReport {
     }
 }
 
-/// Messages a worker accepts over its FIFO channel. Control messages ride
-/// the same queue as records, so every control operation doubles as a
-/// barrier for the records enqueued before it.
+/// Messages a worker accepts over its FIFO channel. Barriers ride the same
+/// queue as records, so each one runs only after every record enqueued
+/// before it has been processed.
 enum ShardMsg {
     /// A partition of a submitted batch (all records belong to this shard).
     Records(Vec<(u64, f64)>),
-    /// Register a stream with an explicit detector (and, when it was built
-    /// from a [`DetectorSpec`], the spec to record for introspection and
-    /// self-describing snapshots).
-    Register {
-        stream: u64,
-        detector: Box<dyn DriftDetector + Send>,
-        spec: Option<DetectorSpec>,
-        ack: Sender<Result<(), EngineError>>,
-    },
-    /// Flush the sinks and acknowledge (barrier).
-    Flush { ack: Sender<()> },
-    /// Report per-stream lifetime statistics and shard-level load (barrier).
-    Query { ack: Sender<ShardReport> },
-    /// Report only `(sum of current streams' lifetime records, stream
-    /// count)` — the cheap (two words, no per-stream allocation) probe
-    /// behind the auto-rebalance trigger, which runs on **every** flush
-    /// (barrier).
-    LoadProbe { ack: Sender<(u64, usize)> },
-    /// Serialize per-stream detector state in the given sequence layout
-    /// (barrier).
-    Snapshot {
-        encoding: SnapshotEncoding,
-        ack: Sender<Result<Vec<StreamStateSnapshot>, EngineError>>,
-    },
-    /// Remove the named streams' [`StreamState`]s and hand them back — the
-    /// outbound half of a migration. Sent only under the router write lock,
-    /// so it rides the FIFO queue behind every record previously routed to
-    /// this shard and acts as a per-stream barrier.
-    Extract {
-        streams: Vec<u64>,
-        ack: Sender<Vec<(u64, StreamState)>>,
-    },
-    /// Adopt migrated [`StreamState`]s — the inbound half of a migration.
-    Install {
-        states: Vec<(u64, StreamState)>,
-        ack: Sender<()>,
-    },
-    /// Checkpoint barrier: finalize the current WAL segment, rotate to the
-    /// segment of `generation + 1`, and capture the dirty streams' entries
-    /// (every stream when `full`) — clearing their dirty bits (barrier).
-    Checkpoint {
-        generation: u64,
-        full: bool,
-        ack: Sender<Result<Vec<StreamStateSnapshot>, EngineError>>,
-    },
+    /// A control operation, run on the worker thread with `&mut` access to
+    /// the worker; it sends its own reply.
+    Barrier(Box<dyn FnOnce(&mut Worker) + Send>),
     /// Exit the worker loop after draining everything queued before this.
     Shutdown,
 }
 
-/// One shard's answer to [`ShardMsg::Query`]: its streams plus its own load
+/// One shard's statistics query answer: its streams plus its own load
 /// counters (queue occupancy is accounted handle-side).
 pub(crate) struct ShardReport {
     streams: Vec<StreamSnapshot>,
@@ -577,20 +540,6 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn register(
-        &mut self,
-        stream: u64,
-        detector: Box<dyn DriftDetector + Send>,
-        spec: Option<DetectorSpec>,
-    ) -> Result<(), EngineError> {
-        if self.streams.contains_key(&stream) {
-            return Err(EngineError::DuplicateStream(stream));
-        }
-        self.streams
-            .insert(stream, StreamState::with_spec(detector, spec));
-        Ok(())
-    }
-
     /// Stages `records`, creating unknown streams through the default
     /// detector source (or recording [`EngineError::UnknownStream`] and
     /// skipping the record when there is none), runs every staged stream's
@@ -690,40 +639,38 @@ impl ShardState {
         self.batches += 1;
     }
 
+    /// One stream's statistics view.
+    fn stream_snapshot(&self, stream: u64, state: &StreamState) -> StreamSnapshot {
+        StreamSnapshot {
+            stream,
+            shard: self.shard_index,
+            elements: state.seq,
+            drifts: state.slot.drifts_detected(),
+            detector_seconds: state.seconds,
+            detector: state.slot.name(),
+            spec: state.spec.clone(),
+            hibernated: state.slot.is_hibernated(),
+            mem_bytes: state.slot.mem_bytes(),
+        }
+    }
+
     fn query(&self) -> ShardReport {
-        let mut resident_bytes = 0usize;
-        let mut hibernated_streams = 0usize;
-        let mut hibernated_bytes = 0usize;
-        let streams = self
+        let streams: Vec<StreamSnapshot> = self
             .streams
             .iter()
-            .map(|(&stream, state)| {
-                let mem_bytes = state.slot.mem_bytes();
-                resident_bytes += mem_bytes;
-                if state.slot.is_hibernated() {
-                    hibernated_streams += 1;
-                    hibernated_bytes += state.slot.hibernated_bytes();
-                }
-                StreamSnapshot {
-                    stream,
-                    shard: self.shard_index,
-                    elements: state.seq,
-                    drifts: state.slot.drifts_detected(),
-                    detector_seconds: state.seconds,
-                    detector: state.slot.name(),
-                    spec: state.spec.clone(),
-                    hibernated: state.slot.is_hibernated(),
-                    mem_bytes,
-                }
-            })
+            .map(|(&stream, state)| self.stream_snapshot(stream, state))
             .collect();
         ShardReport {
+            resident_bytes: streams.iter().map(|s| s.mem_bytes).sum(),
+            hibernated_streams: streams.iter().filter(|s| s.hibernated).count(),
+            hibernated_bytes: self
+                .streams
+                .values()
+                .map(|state| state.slot.hibernated_bytes())
+                .sum(),
             streams,
             records: self.records,
             batch_ewma_seconds: self.batch_ewma_seconds,
-            resident_bytes,
-            hibernated_streams,
-            hibernated_bytes,
             rehydrations: self.rehydrations,
         }
     }
@@ -817,6 +764,30 @@ impl ShardState {
         Ok(entries)
     }
 
+    /// Removes the named streams and hands their state back — the outbound
+    /// half of a migration.
+    fn extract(&mut self, streams: Vec<u64>) -> Vec<(u64, StreamState)> {
+        streams
+            .into_iter()
+            .filter_map(|stream| Some((stream, self.streams.remove(&stream)?)))
+            .collect()
+    }
+
+    /// Adopts migrated streams — the inbound half of a migration.
+    fn install(&mut self, states: Vec<(u64, StreamState)>) {
+        for (stream, mut state) in states {
+            debug_assert!(
+                !self.streams.contains_key(&stream),
+                "migration target already owns stream {stream}"
+            );
+            // A migrated stream's persisted `shard` field changed, so the
+            // next delta checkpoint must re-capture it here (the source
+            // shard no longer owns it at all).
+            state.dirty = true;
+            self.streams.insert(stream, state);
+        }
+    }
+
     /// The hibernation sweep, run at every flush barrier (before sinks
     /// flush): advances each stream's idleness counter and compresses the
     /// ones that crossed [`HibernationPolicy::cold_after_flushes`]. With
@@ -862,123 +833,98 @@ impl Drop for WorkerGuard {
     }
 }
 
-#[allow(clippy::needless_pass_by_value)]
-fn worker_loop(
-    shard_index: usize,
-    rx: Receiver<ShardMsg>,
-    queue: Arc<QueueState>,
-    mut shard: ShardState,
+/// A shard worker: the shard's state plus the sinks, detector source,
+/// warning flag and queue ledger the records path reads. Barrier closures
+/// receive `&mut Worker` on the worker thread.
+struct Worker {
+    shard: ShardState,
     source: Option<DetectorSource>,
     sinks: Vec<Arc<dyn EventSink>>,
     emit_warnings: bool,
-) {
-    let _guard = WorkerGuard {
-        queue: Arc::clone(&queue),
-    };
-    // Exiting when `recv` fails makes dropping the last handle an implicit
-    // shutdown: all senders gone, nothing can arrive anymore.
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Records(records) => {
-                {
-                    let mut depth = queue.depth.lock().unwrap_or_else(PoisonError::into_inner);
-                    depth[shard_index] = depth[shard_index].saturating_sub(records.len());
-                }
-                queue.space.notify_all();
-                // Log-then-apply: the batch lands in the write-ahead log
-                // before any detector sees it, so a crash mid-batch replays
-                // it in full. A WAL I/O failure degrades durability rather
-                // than availability — the error surfaces at the next
-                // barrier and logging stops until the next checkpoint
-                // rotates a fresh segment in.
-                if let Some(wal) = shard.wal.as_mut() {
-                    if let Err(error) = wal.append_records(&records) {
-                        queue.record_error(error);
-                        shard.wal = None;
+    queue: Arc<QueueState>,
+}
+
+impl Worker {
+    #[allow(clippy::needless_pass_by_value)]
+    fn run(mut self, rx: Receiver<ShardMsg>) {
+        let _guard = WorkerGuard {
+            queue: Arc::clone(&self.queue),
+        };
+        let shard_index = self.shard.shard_index;
+        // Exiting when `recv` fails makes dropping the last handle an
+        // implicit shutdown: all senders gone, nothing can arrive anymore.
+        while let Ok(msg) = rx.recv() {
+            match msg {
+                ShardMsg::Records(records) => {
+                    {
+                        let mut depth = self
+                            .queue
+                            .depth
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner);
+                        depth[shard_index] = depth[shard_index].saturating_sub(records.len());
                     }
-                }
-                let started = Instant::now();
-                shard.ingest(&records, source.as_ref(), &sinks, emit_warnings, &queue);
-                shard.note_batch(records.len(), started.elapsed().as_secs_f64());
-            }
-            ShardMsg::Register {
-                stream,
-                detector,
-                spec,
-                ack,
-            } => {
-                // Spec-carrying registrations are durable: the spec string
-                // replays the registration verbatim during recovery.
-                // Explicit-instance registrations (no spec) cannot be
-                // logged — their detector is an opaque closure product —
-                // so recovery relies on the next checkpoint capturing them.
-                let logged_spec = spec.clone();
-                let result = shard.register(stream, detector, spec);
-                if result.is_ok() {
-                    if let (Some(wal), Some(spec)) = (shard.wal.as_mut(), logged_spec) {
-                        if let Err(error) = wal.append_register(stream, &spec) {
-                            queue.record_error(error);
-                            shard.wal = None;
+                    self.queue.space.notify_all();
+                    // Log-then-apply: the batch lands in the write-ahead log
+                    // before any detector sees it, so a crash mid-batch
+                    // replays it in full. A WAL I/O failure degrades
+                    // durability rather than availability — the error
+                    // surfaces at the next barrier and logging stops until
+                    // the next checkpoint rotates a fresh segment in.
+                    if let Some(wal) = self.shard.wal.as_mut() {
+                        if let Err(error) = wal.append_records(&records) {
+                            self.queue.record_error(error);
+                            self.shard.wal = None;
                         }
                     }
-                }
-                let _ = ack.send(result);
-            }
-            ShardMsg::Flush { ack } => {
-                // Flush barriers double as the hibernation sweep points: a
-                // batch never ends mid-flush, so every stream's staging
-                // buffer is empty here.
-                shard.hibernation_sweep();
-                for sink in &sinks {
-                    sink.flush();
-                }
-                let _ = ack.send(());
-            }
-            ShardMsg::Query { ack } => {
-                let _ = ack.send(shard.query());
-            }
-            ShardMsg::LoadProbe { ack } => {
-                let load: u64 = shard.streams.values().map(|s| s.seq).sum();
-                let _ = ack.send((load, shard.streams.len()));
-            }
-            ShardMsg::Snapshot { encoding, ack } => {
-                let _ = ack.send(shard.snapshot(encoding));
-            }
-            ShardMsg::Extract { streams, ack } => {
-                let mut extracted = Vec::with_capacity(streams.len());
-                for stream in streams {
-                    if let Some(state) = shard.streams.remove(&stream) {
-                        extracted.push((stream, state));
-                    }
-                }
-                let _ = ack.send(extracted);
-            }
-            ShardMsg::Install { states, ack } => {
-                for (stream, mut state) in states {
-                    debug_assert!(
-                        !shard.streams.contains_key(&stream),
-                        "migration target already owns stream {stream}"
+                    let started = Instant::now();
+                    self.shard.ingest(
+                        &records,
+                        self.source.as_ref(),
+                        &self.sinks,
+                        self.emit_warnings,
+                        &self.queue,
                     );
-                    // A migrated stream's persisted `shard` field changed,
-                    // so the next delta checkpoint must re-capture it here
-                    // (the source shard no longer owns it at all).
-                    state.dirty = true;
-                    shard.streams.insert(stream, state);
+                    self.shard
+                        .note_batch(records.len(), started.elapsed().as_secs_f64());
                 }
-                let _ = ack.send(());
+                ShardMsg::Barrier(op) => op(&mut self),
+                ShardMsg::Shutdown => break,
             }
-            ShardMsg::Checkpoint {
-                generation,
-                full,
-                ack,
-            } => {
-                let _ = ack.send(shard.checkpoint_capture(generation, full));
-            }
-            ShardMsg::Shutdown => break,
+        }
+        self.flush_sinks();
+    }
+
+    fn flush_sinks(&self) {
+        for sink in &self.sinks {
+            sink.flush();
         }
     }
-    for sink in &sinks {
-        sink.flush();
+
+    /// Registers a stream with an explicit detector. Spec-carrying
+    /// registrations are durable: the spec string replays the registration
+    /// verbatim during recovery. Explicit-instance registrations (no spec)
+    /// cannot be logged — their detector is an opaque closure product — so
+    /// recovery relies on the next checkpoint capturing them.
+    fn register(
+        &mut self,
+        stream: u64,
+        detector: Box<dyn DriftDetector + Send>,
+        spec: Option<DetectorSpec>,
+    ) -> Result<(), EngineError> {
+        if self.shard.streams.contains_key(&stream) {
+            return Err(EngineError::DuplicateStream(stream));
+        }
+        if let (Some(wal), Some(spec)) = (self.shard.wal.as_mut(), &spec) {
+            if let Err(error) = wal.append_register(stream, spec) {
+                self.queue.record_error(error);
+                self.shard.wal = None;
+            }
+        }
+        self.shard
+            .streams
+            .insert(stream, StreamState::with_spec(detector, spec));
+        Ok(())
     }
 }
 
@@ -991,7 +937,7 @@ struct HandleShared {
     /// Worker join handles, taken by the first successful
     /// [`EngineHandle::shutdown`].
     workers: Mutex<Vec<JoinHandle<()>>>,
-    config: EngineConfig,
+    emit_warnings: bool,
     queue_capacity: usize,
     has_factory: bool,
     /// The sequence layout [`EngineHandle::snapshot`] writes —
@@ -1021,9 +967,8 @@ struct HandleShared {
 /// A cheaply-cloneable, thread-safe front door to a running engine.
 ///
 /// Obtained from [`crate::EngineBuilder::build`]. Clones share the same
-/// worker threads and queues; dropping the last clone (and any
-/// [`crate::DriftEngine`] facade holding one) lets the workers drain and
-/// exit on their own.
+/// worker threads and queues; dropping the last clone lets the workers
+/// drain and exit on their own.
 ///
 /// Queueing and barrier semantics: `submit` blocks on a full shard queue
 /// while [`EngineHandle::try_submit`] fails fast; [`EngineHandle::flush`],
@@ -1050,7 +995,8 @@ impl Clone for EngineHandle {
 impl std::fmt::Debug for EngineHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineHandle")
-            .field("config", &self.shared.config)
+            .field("shards", &self.senders.len())
+            .field("emit_warnings", &self.shared.emit_warnings)
             .field("queue_capacity", &self.shared.queue_capacity)
             .field("has_factory", &self.shared.has_factory)
             .field("closed", &self.shared.queue.closed.load(Ordering::SeqCst))
@@ -1065,7 +1011,7 @@ impl std::fmt::Debug for EngineHandle {
 /// stick.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_engine(
-    config: EngineConfig,
+    emit_warnings: bool,
     queue_capacity: usize,
     source: Option<DetectorSource>,
     sinks: Vec<Arc<dyn EventSink>>,
@@ -1075,23 +1021,23 @@ pub(crate) fn spawn_engine(
     hibernation: Option<HibernationPolicy>,
     checkpoint: Option<CheckpointConfig>,
 ) -> EngineHandle {
-    debug_assert_eq!(initial_streams.len(), config.shards);
+    let shards = initial_streams.len();
     let queue = Arc::new(QueueState {
-        depth: Mutex::new(vec![0; config.shards]),
+        depth: Mutex::new(vec![0; shards]),
         space: Condvar::new(),
         closed: AtomicBool::new(false),
         errors: Mutex::new(Vec::new()),
     });
     let router = Router::new(
-        config.shards,
+        shards,
         initial_streams
             .iter()
             .enumerate()
             .flat_map(|(shard, streams)| streams.keys().map(move |&stream| (stream, shard))),
     );
 
-    let mut senders = Vec::with_capacity(config.shards);
-    let mut workers = Vec::with_capacity(config.shards);
+    let mut senders = Vec::with_capacity(shards);
+    let mut workers = Vec::with_capacity(shards);
     for (shard_index, streams) in initial_streams.into_iter().enumerate() {
         let (tx, rx) = channel();
         let shard = ShardState {
@@ -1109,15 +1055,16 @@ pub(crate) fn spawn_engine(
                 .unwrap_or_default(),
             ..ShardState::default()
         };
-        let queue = Arc::clone(&queue);
-        let source = source.clone();
-        let sinks = sinks.clone();
-        let emit_warnings = config.emit_warnings;
+        let worker = Worker {
+            shard,
+            source: source.clone(),
+            sinks: sinks.clone(),
+            emit_warnings,
+            queue: Arc::clone(&queue),
+        };
         let worker = std::thread::Builder::new()
             .name(format!("optwin-shard-{shard_index}"))
-            .spawn(move || {
-                worker_loop(shard_index, rx, queue, shard, source, sinks, emit_warnings);
-            })
+            .spawn(move || worker.run(rx))
             .expect("failed to spawn engine shard worker");
         senders.push(tx);
         workers.push(worker);
@@ -1129,7 +1076,7 @@ pub(crate) fn spawn_engine(
             queue,
             router,
             workers: Mutex::new(workers),
-            config,
+            emit_warnings,
             queue_capacity,
             has_factory: source.is_some(),
             snapshot_encoding,
@@ -1145,12 +1092,6 @@ impl EngineHandle {
     #[must_use]
     pub fn num_shards(&self) -> usize {
         self.senders.len()
-    }
-
-    /// The engine configuration the handle was built with.
-    #[must_use]
-    pub fn config(&self) -> EngineConfig {
-        self.shared.config
     }
 
     /// Per-shard queue capacity, in records.
@@ -1335,21 +1276,12 @@ impl EngineHandle {
         detector: Box<dyn DriftDetector + Send>,
         spec: Option<DetectorSpec>,
     ) -> Result<(), EngineError> {
-        let (ack, response) = channel();
-        {
-            // Route-and-send under the router read lock so a concurrent
-            // rebalance cannot move the stream between lookup and enqueue.
-            let router = self.shared.router.read();
-            self.senders[router.shard_of(stream)]
-                .send(ShardMsg::Register {
-                    stream,
-                    detector,
-                    spec,
-                    ack,
-                })
-                .map_err(|_| EngineError::ChannelClosed)?;
-        }
-        response.recv().map_err(|_| EngineError::ChannelClosed)?
+        // Route-and-send under the router read lock so a concurrent
+        // rebalance cannot move the stream between lookup and enqueue.
+        let router = self.shared.router.read();
+        let shard = router.shard_of(stream);
+        let register = move |worker: &mut Worker| worker.register(stream, detector, spec);
+        self.barrier(router, [(shard, register)])?.remove(0)
     }
 
     /// The [`DetectorSpec`] a live stream is running, so operators can
@@ -1376,20 +1308,13 @@ impl EngineHandle {
     /// together with it), [`EngineError::ChannelClosed`] when the engine has
     /// shut down, or [`EngineError::Poisoned`] after a worker panic.
     pub fn flush(&self) -> Result<(), EngineError> {
-        let mut acks = Vec::with_capacity(self.senders.len());
-        {
-            let _router = self.shared.router.read();
-            for sender in &self.senders {
-                let (ack, response) = channel();
-                sender
-                    .send(ShardMsg::Flush { ack })
-                    .map_err(|_| EngineError::ChannelClosed)?;
-                acks.push(response);
-            }
-        }
-        for response in acks {
-            response.recv().map_err(|_| EngineError::ChannelClosed)?;
-        }
+        self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
+            // Flush barriers double as the hibernation sweep points: a
+            // batch never ends mid-flush, so every stream's staging buffer
+            // is empty here.
+            worker.shard.hibernation_sweep();
+            worker.flush_sinks();
+        })?;
         if let Some(error) = self.take_error() {
             return Err(error);
         }
@@ -1403,24 +1328,12 @@ impl EngineHandle {
         // one `u64` per shard so the per-flush cost stays flat in fleet
         // size.
         if let Some(threshold) = self.shared.auto_rebalance_threshold {
-            let mut acks = Vec::with_capacity(self.senders.len());
-            {
-                let _router = self.shared.router.read();
-                for sender in &self.senders {
-                    let (ack, response) = channel();
-                    sender
-                        .send(ShardMsg::LoadProbe { ack })
-                        .map_err(|_| EngineError::ChannelClosed)?;
-                    acks.push(response);
-                }
-            }
-            let mut loads = Vec::with_capacity(acks.len());
-            let mut active_streams = 0usize;
-            for response in acks {
-                let (load, streams) = response.recv().map_err(|_| EngineError::ChannelClosed)?;
-                loads.push(load as f64);
-                active_streams += streams;
-            }
+            let probes = self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
+                let streams = &worker.shard.streams;
+                (streams.values().map(|s| s.seq).sum::<u64>(), streams.len())
+            })?;
+            let loads: Vec<f64> = probes.iter().map(|&(load, _)| load as f64).collect();
+            let active_streams: usize = probes.iter().map(|&(_, streams)| streams).sum();
             let observed = imbalance(&loads);
             if observed > threshold {
                 // Hysteresis: a previous attempt at (no worse) imbalance
@@ -1467,6 +1380,54 @@ impl EngineHandle {
         Ok(())
     }
 
+    /// The one shard barrier: enqueues `op` on each listed shard — behind
+    /// every record already queued there — and returns the replies in list
+    /// order once every target worker has run its closure.
+    ///
+    /// `router` is the caller's router guard. It is held while the closures
+    /// are enqueued, so no rebalance can cut between routing and sending,
+    /// and dropped before the replies are awaited; pass a reference (or
+    /// `None` when the caller already holds the lock) to keep holding it.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::ChannelClosed`] when a target worker has exited.
+    fn barrier<G, R, F>(
+        &self,
+        router: G,
+        ops: impl IntoIterator<Item = (usize, F)>,
+    ) -> Result<Vec<R>, EngineError>
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut Worker) -> R + Send + 'static,
+    {
+        let mut replies = Vec::new();
+        for (shard, op) in ops {
+            let (reply, response) = channel();
+            self.senders[shard]
+                .send(ShardMsg::Barrier(Box::new(move |worker| {
+                    let _ = reply.send(op(worker));
+                })))
+                .map_err(|_| EngineError::ChannelClosed)?;
+            replies.push(response);
+        }
+        drop(router);
+        replies
+            .into_iter()
+            .map(|response| response.recv().map_err(|_| EngineError::ChannelClosed))
+            .collect()
+    }
+
+    /// [`EngineHandle::barrier`] with the same closure on every shard.
+    fn barrier_all<G, R, F>(&self, router: G, op: F) -> Result<Vec<R>, EngineError>
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut Worker) -> R + Clone + Send + 'static,
+    {
+        let ops = (0..self.senders.len()).map(|shard| (shard, op.clone()));
+        self.barrier(router, ops)
+    }
+
     /// Removes and returns the oldest pending ingestion error, discarding
     /// the rest. [`EngineHandle::flush`] calls this internally; it is public
     /// for callers that poll instead of flushing.
@@ -1491,20 +1452,9 @@ impl EngineHandle {
     /// all records submitted by this thread before the call). Indexed by
     /// shard.
     fn query_all(&self) -> Result<Vec<ShardReport>, EngineError> {
-        let mut acks = Vec::with_capacity(self.senders.len());
-        {
-            let _router = self.shared.router.read();
-            for sender in &self.senders {
-                let (ack, response) = channel();
-                sender
-                    .send(ShardMsg::Query { ack })
-                    .map_err(|_| EngineError::ChannelClosed)?;
-                acks.push(response);
-            }
-        }
-        acks.into_iter()
-            .map(|response| response.recv().map_err(|_| EngineError::ChannelClosed))
-            .collect()
+        self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
+            worker.shard.query()
+        })
     }
 
     /// Lifetime statistics for every registered stream, sorted by stream id.
@@ -1528,15 +1478,14 @@ impl EngineHandle {
     ///
     /// Returns [`EngineError::ChannelClosed`] when the engine has shut down.
     pub fn stream_stats(&self, stream: u64) -> Result<Option<StreamSnapshot>, EngineError> {
-        let (ack, response) = channel();
-        {
-            let router = self.shared.router.read();
-            self.senders[router.shard_of(stream)]
-                .send(ShardMsg::Query { ack })
-                .map_err(|_| EngineError::ChannelClosed)?;
-        }
-        let report = response.recv().map_err(|_| EngineError::ChannelClosed)?;
-        Ok(report.streams.into_iter().find(|s| s.stream == stream))
+        let router = self.shared.router.read();
+        let shard = router.shard_of(stream);
+        let lookup = move |worker: &mut Worker| {
+            let shard = &worker.shard;
+            let state = shard.streams.get(&stream)?;
+            Some(shard.stream_snapshot(stream, state))
+        };
+        Ok(self.barrier(router, [(shard, lookup)])?.remove(0))
     }
 
     /// Aggregate lifetime counters across all streams, including the
@@ -1620,18 +1569,10 @@ impl EngineHandle {
 
         // Load query under the write lock: the answer reflects exactly the
         // records that will have been processed before the migration cut.
-        let mut acks = Vec::with_capacity(nshards);
-        for sender in &self.senders {
-            let (ack, response) = channel();
-            sender
-                .send(ShardMsg::Query { ack })
-                .map_err(|_| EngineError::ChannelClosed)?;
-            acks.push(response);
-        }
+        let reports = self.barrier_all(&router, |worker: &mut Worker| worker.shard.query())?;
         // (stream, current shard, load in policy units)
         let mut streams: Vec<(u64, usize, f64)> = Vec::new();
-        for (shard, response) in acks.into_iter().enumerate() {
-            let report = response.recv().map_err(|_| EngineError::ChannelClosed)?;
+        for (shard, report) in reports.into_iter().enumerate() {
             for s in report.streams {
                 let load = match policy {
                     RebalancePolicy::Records => s.elements as f64,
@@ -1705,30 +1646,27 @@ impl EngineHandle {
             return Ok(report);
         }
 
-        // Extract every moved stream from its source shard (the message is
-        // a per-shard barrier: all previously routed records are already
-        // processed when it lands)...
+        // Extract every moved stream from its source shard (a per-shard
+        // barrier: all previously routed records are already processed when
+        // it runs)...
         let mut outgoing: Vec<Vec<u64>> = vec![Vec::new(); nshards];
         for &(stream, from, _) in &moves {
             outgoing[from].push(stream);
         }
-        let mut extract_acks = Vec::new();
-        for (shard, streams) in outgoing.into_iter().enumerate() {
-            if streams.is_empty() {
-                continue;
-            }
-            let (ack, response) = channel();
-            self.senders[shard]
-                .send(ShardMsg::Extract { streams, ack })
-                .map_err(|_| EngineError::ChannelClosed)?;
-            extract_acks.push(response);
-        }
-        let mut extracted: HashMap<u64, StreamState> = HashMap::new();
-        for response in extract_acks {
-            for (stream, state) in response.recv().map_err(|_| EngineError::ChannelClosed)? {
-                extracted.insert(stream, state);
-            }
-        }
+        let extract = outgoing
+            .into_iter()
+            .enumerate()
+            .filter(|(_, streams)| !streams.is_empty())
+            .map(|(shard, streams)| {
+                (shard, move |worker: &mut Worker| {
+                    worker.shard.extract(streams)
+                })
+            });
+        let mut extracted: HashMap<u64, StreamState> = self
+            .barrier(&router, extract)?
+            .into_iter()
+            .flatten()
+            .collect();
 
         // ... and install it on its destination.
         let mut incoming: Vec<Vec<(u64, StreamState)>> = (0..nshards).map(|_| Vec::new()).collect();
@@ -1737,20 +1675,16 @@ impl EngineHandle {
                 incoming[to].push((stream, state));
             }
         }
-        let mut install_acks = Vec::new();
-        for (shard, states) in incoming.into_iter().enumerate() {
-            if states.is_empty() {
-                continue;
-            }
-            let (ack, response) = channel();
-            self.senders[shard]
-                .send(ShardMsg::Install { states, ack })
-                .map_err(|_| EngineError::ChannelClosed)?;
-            install_acks.push(response);
-        }
-        for response in install_acks {
-            response.recv().map_err(|_| EngineError::ChannelClosed)?;
-        }
+        let install = incoming
+            .into_iter()
+            .enumerate()
+            .filter(|(_, states)| !states.is_empty())
+            .map(|(shard, states)| {
+                (shard, move |worker: &mut Worker| {
+                    worker.shard.install(states)
+                })
+            });
+        self.barrier(&router, install)?;
 
         // Only now does the routing table flip: every record submitted
         // after the write lock releases follows the new placement.
@@ -1820,40 +1754,26 @@ impl EngineHandle {
         // rotates to generation + 1 and returns its (dirty or full) entry
         // set. Holding the checkpoint lock serializes concurrent cuts;
         // the router read lock keeps the shard set stable underneath.
-        let mut acks = Vec::with_capacity(self.senders.len());
-        {
-            let _router = (!router_locked).then(|| self.shared.router.read());
-            for sender in &self.senders {
-                let (ack, response) = channel();
-                sender
-                    .send(ShardMsg::Checkpoint {
-                        generation,
-                        full,
-                        ack,
-                    })
-                    .map_err(|_| EngineError::ChannelClosed)?;
-                acks.push(response);
-            }
-        }
+        let router = (!router_locked).then(|| self.shared.router.read());
+        let captures = self.barrier_all(router, move |worker: &mut Worker| {
+            worker.shard.checkpoint_capture(generation, full)
+        });
         // Past the barrier, shards have already cleared dirty bits; any
         // failure before the manifest lands marks the state degraded so the
         // next checkpoint writes a full base instead of a (possibly
         // incomplete) delta.
-        let collected: Result<Vec<StreamStateSnapshot>, EngineError> = (|| {
-            let mut streams = Vec::new();
-            for response in acks {
-                streams.extend(response.recv().map_err(|_| EngineError::ChannelClosed)??);
+        let result = captures.and_then(|captures| {
+            let mut streams: Vec<StreamStateSnapshot> = Vec::new();
+            for capture in captures {
+                streams.extend(capture?);
             }
-            Ok(streams)
-        })();
-        let result = collected.and_then(|mut streams| {
             streams.sort_unstable_by_key(|entry| entry.stream);
             state.commit(
                 generation,
                 full,
                 streams,
                 self.senders.len(),
-                self.shared.config.emit_warnings,
+                self.shared.emit_warnings,
             )
         });
         if result.is_err() {
@@ -1910,26 +1830,18 @@ impl EngineHandle {
     ///
     /// As [`EngineHandle::snapshot`].
     pub fn snapshot_with(&self, encoding: SnapshotEncoding) -> Result<EngineSnapshot, EngineError> {
-        let mut acks = Vec::with_capacity(self.senders.len());
-        {
-            let _router = self.shared.router.read();
-            for sender in &self.senders {
-                let (ack, response) = channel();
-                sender
-                    .send(ShardMsg::Snapshot { encoding, ack })
-                    .map_err(|_| EngineError::ChannelClosed)?;
-                acks.push(response);
-            }
-        }
+        let shards = self.barrier_all(self.shared.router.read(), move |worker: &mut Worker| {
+            worker.shard.snapshot(encoding)
+        })?;
         let mut streams = Vec::new();
-        for response in acks {
-            streams.extend(response.recv().map_err(|_| EngineError::ChannelClosed)??);
+        for shard in shards {
+            streams.extend(shard?);
         }
         streams.sort_unstable_by_key(|s| s.stream);
         Ok(EngineSnapshot {
             version: wire_version(encoding),
             shards: self.senders.len(),
-            emit_warnings: self.shared.config.emit_warnings,
+            emit_warnings: self.shared.emit_warnings,
             streams,
         })
     }

@@ -45,7 +45,7 @@
 use optwin_baselines::DetectorSpec;
 use optwin_core::{DriftDetector, SnapshotEncoding};
 
-use crate::engine::EngineError;
+use crate::error::EngineError;
 
 /// When shard workers put idle streams to sleep.
 ///

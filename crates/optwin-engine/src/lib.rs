@@ -8,9 +8,10 @@
 //!   declarative [`optwin_baselines::DetectorSpec`]
 //!   ([`EngineBuilder::default_spec`], the canonical path) or a closure
 //!   factory (the escape hatch) — warning policy, event sinks and queue
-//!   capacity, then spawns **one long-lived worker thread per shard** (a
-//!   stream lives on shard `id % shards` for its whole life, so per-stream
-//!   order is preserved with no locking). Heterogeneous fleets mix specs
+//!   capacity, then spawns **one long-lived worker thread per shard**. Each
+//!   stream is owned by exactly one shard at a time — `id % shards` unless
+//!   a restore or a rebalance placed it elsewhere — so per-stream order is
+//!   preserved with no locking. Heterogeneous fleets mix specs
 //!   per stream via [`EngineBuilder::stream_spec`] /
 //!   [`EngineHandle::register_stream_spec`], and
 //!   [`EngineHandle::stream_spec`] reports what a live stream is running.
@@ -68,12 +69,10 @@
 //!   and resumes **bit-exactly** — same events, same `seq` numbers, and
 //!   hibernated streams recover still asleep (see [`checkpoint`]).
 //!
-//! The original synchronous API survives as a thin blocking wrapper:
-//! [`DriftEngine::ingest_batch`] is exactly `submit` + `flush` + drain of an
-//! internal [`MemorySink`], so it stays bit-identical to element-wise
-//! ingestion (the detector contract, enforced by
-//! `tests/detector_contract.rs`) while the heavy lifting happens on the
-//! shard workers.
+//! Batched ingestion through the shard workers stays bit-identical to
+//! element-wise ingestion (the detector contract, enforced by
+//! `tests/detector_contract.rs`): `submit` + `flush` + a [`MemorySink`]
+//! drain yields exactly the events a per-element fold would.
 //!
 //! # Quick start (service API)
 //!
@@ -120,28 +119,13 @@
 //! assert!(events.iter().all(|e| e.stream == 3));
 //! assert!(events.iter().any(|e| e.seq >= 2_000), "drift found after the shift");
 //! ```
-//!
-//! # Blocking wrapper
-//!
-//! ```
-//! use optwin_engine::{DriftEngine, EngineConfig};
-//! # use optwin_core::{DriftDetector, Optwin, OptwinConfig};
-//!
-//! let mut engine = DriftEngine::with_factory(EngineConfig::with_shards(2), |_| {
-//!     let config = OptwinConfig::builder().max_window(200).build().unwrap();
-//!     Box::new(Optwin::with_shared_table(config).unwrap()) as Box<dyn DriftDetector + Send>
-//! });
-//! let events = engine.ingest_batch(&[(1, 0.1), (2, 0.2), (1, 0.15)]).unwrap();
-//! assert!(events.is_empty());
-//! assert_eq!(engine.stream_count(), 2);
-//! ```
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
 mod builder;
 pub mod checkpoint;
-mod engine;
+mod error;
 mod event;
 mod fleet;
 mod handle;
@@ -151,12 +135,12 @@ pub mod replay;
 mod router;
 mod sink;
 
-pub use builder::{EngineBuilder, DEFAULT_QUEUE_CAPACITY};
+pub use builder::{default_shards, EngineBuilder, DEFAULT_QUEUE_CAPACITY};
 pub use checkpoint::{
     fsync_count, load_checkpoint_dir, CheckpointPolicy, CheckpointReport, Durability,
     CHECKPOINT_WIRE_VERSION,
 };
-pub use engine::{DriftEngine, EngineConfig, EngineError, StreamSnapshot};
+pub use error::{EngineError, StreamSnapshot};
 pub use event::DriftEvent;
 pub use fleet::FleetConfig;
 pub use handle::{

@@ -92,7 +92,7 @@ use optwin_baselines::DetectorSpec;
 use optwin_core::SnapshotEncoding;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::EngineError;
+use crate::error::EngineError;
 
 /// Current serialization format version of [`EngineSnapshot`].
 ///

@@ -22,7 +22,7 @@
 //! The driver is deterministic in [`ReplayConfig::seed`], so a replayed
 //! grid is exactly reproducible.
 
-use crate::engine::EngineError;
+use crate::error::EngineError;
 use crate::handle::EngineHandle;
 
 /// Configuration of a [`replay`] run.

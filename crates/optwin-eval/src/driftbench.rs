@@ -28,7 +28,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use optwin_baselines::DetectorSpec;
-use optwin_engine::{replay, EngineBuilder, EngineConfig, EventSink, MemorySink, ReplayConfig};
+use optwin_engine::{default_shards, replay, EngineBuilder, EventSink, MemorySink, ReplayConfig};
 use optwin_stream::{GeneratedScenario, ScenarioKind};
 
 use crate::metrics::{score_detections, AggregateMetrics, DetectionOutcome};
@@ -223,12 +223,13 @@ pub fn run_driftbench(config: &DriftbenchConfig) -> DriftbenchReport {
     let n_streams = cells.len() * config.seeds;
     let shards = config
         .shards
-        .unwrap_or_else(|| EngineConfig::default().shards)
+        .unwrap_or_else(default_shards)
         .clamp(1, n_streams);
     let stream_id = |cell: usize, seed: usize| (cell * config.seeds + seed) as u64;
 
     let sink = Arc::new(MemorySink::new());
-    let mut builder = EngineBuilder::from_config(EngineConfig::with_shards(shards))
+    let mut builder = EngineBuilder::new()
+        .shards(shards)
         .queue_capacity(DRIFTBENCH_QUEUE_CAPACITY)
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
     for (cell, &(_, d)) in cells.iter().enumerate() {

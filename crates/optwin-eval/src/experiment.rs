@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use optwin_baselines::{DetectorKind, DetectorSpec};
 use optwin_core::DriftDetector;
-use optwin_engine::{EngineBuilder, EngineConfig, EventSink, MemorySink, RebalancePolicy};
+use optwin_engine::{default_shards, EngineBuilder, EventSink, MemorySink, RebalancePolicy};
 use optwin_learners::{NaiveBayes, OnlineLearner};
 use optwin_stream::drift::MultiConceptStream;
 use optwin_stream::generators::{
@@ -440,9 +440,7 @@ fn run_table1_grid(
 
     // One engine stream per (spec, repetition) run.
     let n_streams = (entries.len() * repetitions).max(1);
-    let shards = shards
-        .unwrap_or_else(|| EngineConfig::default().shards)
-        .clamp(1, n_streams);
+    let shards = shards.unwrap_or_else(default_shards).clamp(1, n_streams);
     // Ids are consecutive *within* a repetition (`rep * entries + d`):
     // each submitted chunk carries one repetition's streams, and the engine
     // pins stream `id` to shard `id % shards`, so consecutive ids spread a
@@ -453,7 +451,8 @@ fn run_table1_grid(
     let stream_id = |d: usize, rep: usize| (rep * entries.len() + d) as u64;
 
     let sink = Arc::new(MemorySink::new());
-    let mut builder = EngineBuilder::from_config(EngineConfig::with_shards(shards))
+    let mut builder = EngineBuilder::new()
+        .shards(shards)
         .queue_capacity(TABLE1_QUEUE_CAPACITY)
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
     for (d, (_, spec)) in entries.iter().enumerate() {

@@ -107,7 +107,7 @@ fn feed(handle: &EngineHandle, from: usize, to: usize) -> Result<(), Box<dyn std
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let shards = optwin::EngineConfig::default().shards;
+    let shards = optwin::engine::default_shards();
     println!(
         "engine: {shards} shards, {N_STREAMS} streams x {ELEMENTS_PER_STREAM} elements \
          ({} records total), heterogeneous detectors per stream",

@@ -9,7 +9,7 @@
 //! |--------|----------|
 //! | [`core`] | the OPTWIN detector, the batch-first [`core::DriftDetector`] trait, optimal-cut tables and their process-wide registry |
 //! | [`baselines`] | ADWIN, DDM, EDDM, STEPD, ECDD, Page–Hinkley, KSWIN |
-//! | [`engine`] | the service-style multi-stream engine: [`engine::EngineBuilder`] → worker threads + [`engine::EngineHandle`], pluggable [`engine::EventSink`]s, snapshot/restore, and the blocking [`engine::DriftEngine`] facade |
+//! | [`engine`] | the service-style multi-stream engine: [`engine::EngineBuilder`] → worker threads + [`engine::EngineHandle`], pluggable [`engine::EventSink`]s, snapshot/restore, load-aware rebalancing, hibernation and checkpoints |
 //! | [`stream`] | MOA-style generators, drift composition, error streams |
 //! | [`learners`] | Naive Bayes, logistic regression, MLP, adaptive wrappers |
 //! | [`eval`] | drift metrics, experiment runners for every table/figure |
@@ -69,8 +69,8 @@ pub use optwin_core::{
     OptwinConfig, SnapshotEncoding,
 };
 pub use optwin_engine::{
-    load_checkpoint_dir, CallbackSink, CheckpointPolicy, CheckpointReport, DriftEngine, DriftEvent,
-    EngineBuilder, EngineConfig, EngineHandle, EngineSnapshot, EngineStats, EventSink, FleetConfig,
+    load_checkpoint_dir, CallbackSink, CheckpointPolicy, CheckpointReport, DriftEvent,
+    EngineBuilder, EngineHandle, EngineSnapshot, EngineStats, EventSink, FleetConfig,
     HibernationPolicy, JsonLinesSink, MemorySink, RebalancePolicy, RebalanceReport, ShardLoad,
 };
 pub use optwin_eval::{
@@ -96,15 +96,20 @@ mod tests {
 
     #[test]
     fn engine_reexports_are_usable() {
-        let mut engine = DriftEngine::with_factory(EngineConfig::with_shards(2), |_| {
-            Box::new(Adwin::with_defaults())
-        });
-        let events: Vec<DriftEvent> = engine
-            .ingest_batch(&[(1, 0.0), (2, 0.0), (1, 1.0)])
+        let sink = std::sync::Arc::new(MemorySink::new());
+        let handle: EngineHandle = EngineBuilder::new()
+            .shards(2)
+            .factory(|_| Box::new(Adwin::with_defaults()))
+            .sink(sink.clone())
+            .build()
             .unwrap();
+        handle.submit(&[(1, 0.0), (2, 0.0), (1, 1.0)]).unwrap();
+        handle.flush().unwrap();
+        let events: Vec<DriftEvent> = sink.drain();
         assert!(events.is_empty());
-        assert_eq!(engine.stream_count(), 2);
-        assert_eq!(engine.elements_ingested(), 3);
+        let stats: EngineStats = handle.stats().unwrap();
+        assert_eq!(stats.streams, 2);
+        assert_eq!(stats.elements, 3);
 
         // The batch contract and the table registry are visible through the
         // facade too.

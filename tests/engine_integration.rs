@@ -1,13 +1,17 @@
-//! End-to-end tests of the sharded multi-stream engine, run through the
+//! End-to-end tests of the sharded multi-stream engine over a mixed
+//! workload (all 8 detector kinds of the paper's line-up), run through the
 //! public facade exactly as a downstream user would.
 //!
-//! The headline test drives the acceptance workload for the batched
-//! ingestion refactor: a **1 M-element, 64-stream** mixed workload (all 8
-//! detector kinds of the paper's line-up) through a `DriftEngine` with ≥ 4
-//! shards, verified byte-identical to per-element scalar ingestion.
+//! The headline test drives the acceptance workload for batched ingestion:
+//! a **1 M-element, 64-stream** mixed workload through an 8-shard engine,
+//! one flush barrier per batch, verified identical to per-element scalar
+//! ingestion.
+
+use std::sync::Arc;
 
 use optwin::{
-    DetectorFactory, DetectorKind, DriftDetector, DriftEngine, DriftStatus, EngineConfig,
+    DetectorFactory, DetectorKind, DriftDetector, DriftEvent, DriftStatus, EngineBuilder,
+    EngineHandle, MemorySink,
 };
 
 /// Deterministic pseudo-random jitter in [-0.5, 0.5) (SplitMix64).
@@ -61,13 +65,35 @@ fn build_detector(stream: u64) -> Box<dyn DriftDetector + Send> {
     }
 }
 
+/// A factory-backed engine feeding a fresh [`MemorySink`].
+fn engine(shards: usize) -> (EngineHandle, Arc<MemorySink>) {
+    let sink = Arc::new(MemorySink::new());
+    let handle = EngineBuilder::new()
+        .shards(shards)
+        .factory(build_detector)
+        .sink(sink.clone())
+        .build()
+        .expect("valid engine");
+    (handle, sink)
+}
+
+/// Submits one batch, waits at a flush barrier and returns the batch's
+/// events sorted by `(stream, seq)`.
+fn ingest(handle: &EngineHandle, sink: &MemorySink, records: &[(u64, f64)]) -> Vec<DriftEvent> {
+    handle.submit(records).expect("engine running");
+    handle.flush().expect("factory-backed engine");
+    let mut events = sink.drain();
+    events.sort_unstable_by_key(|e| (e.stream, e.seq));
+    events
+}
+
 /// The acceptance workload: 1 M elements over 64 streams on an 8-shard
 /// engine, compared event-for-event against scalar per-element ingestion of
 /// every stream.
 #[test]
 fn one_million_elements_across_64_streams_match_scalar_ingestion() {
-    let mut engine = DriftEngine::with_factory(EngineConfig::with_shards(SHARDS), build_detector);
-    assert!(engine.num_shards() >= 4);
+    let (handle, sink) = engine(SHARDS);
+    assert!(handle.num_shards() >= 4);
 
     // Ingest in interleaved batches of 8 192 records (128 per stream).
     let per_stream_chunk = 128usize;
@@ -82,16 +108,15 @@ fn one_million_elements_across_64_streams_match_scalar_ingestion() {
                 records.push((stream, element(stream, i)));
             }
         }
-        engine_events.extend(
-            engine
-                .ingest_batch(&records)
-                .expect("factory-backed engine"),
-        );
+        engine_events.extend(ingest(&handle, &sink, &records));
         start = end;
     }
 
-    assert_eq!(engine.stream_count(), N_STREAMS as usize);
-    assert_eq!(engine.elements_ingested(), 1_000_000);
+    let stats = handle.stats().expect("engine running");
+    assert_eq!(stats.streams, N_STREAMS as usize);
+    assert_eq!(stats.elements, 1_000_000);
+    assert_eq!(stats.drifts, engine_events.len() as u64);
+    handle.shutdown().expect("clean shutdown");
 
     // Scalar reference: per-element ingestion, stream by stream.
     let mut expected = Vec::new();
@@ -104,14 +129,12 @@ fn one_million_elements_across_64_streams_match_scalar_ingestion() {
         }
     }
 
-    // Events arrive in batch-time order (sorted within each batch); compare
+    // Events arrive in batch order (sorted within each batch); compare
     // against the scalar reference as globally ordered sets.
     let mut got: Vec<(u64, u64)> = engine_events.iter().map(|e| (e.stream, e.seq)).collect();
     got.sort_unstable();
-    let mut expected_sorted = expected.clone();
-    expected_sorted.sort_unstable();
     assert_eq!(
-        got, expected_sorted,
+        got, expected,
         "engine events must match scalar ingestion exactly"
     );
 
@@ -124,15 +147,13 @@ fn one_million_elements_across_64_streams_match_scalar_ingestion() {
         "only {} of 64 streams saw a detection",
         streams_with_detection.len()
     );
-    assert_eq!(engine.drifts_detected(), engine_events.len() as u64);
 }
 
 /// Shard count must never change results — only wall-clock time.
 #[test]
 fn results_are_invariant_under_shard_count() {
     let run = |shards: usize| {
-        let mut engine =
-            DriftEngine::with_factory(EngineConfig::with_shards(shards), build_detector);
+        let (handle, sink) = engine(shards);
         let mut events = Vec::new();
         let mut records = Vec::new();
         for chunk_start in (0..4_000usize).step_by(500) {
@@ -142,7 +163,7 @@ fn results_are_invariant_under_shard_count() {
                     records.push((stream, element(stream, i)));
                 }
             }
-            events.extend(engine.ingest_batch(&records).unwrap());
+            events.extend(ingest(&handle, &sink, &records));
         }
         events
     };
@@ -156,10 +177,13 @@ fn results_are_invariant_under_shard_count() {
 /// Per-stream snapshots expose the counters the serving layer needs.
 #[test]
 fn stream_snapshots_report_lifetime_counters() {
-    let mut engine = DriftEngine::with_factory(EngineConfig::with_shards(4), build_detector);
-    let values: Vec<f64> = (0..2_000).map(|i| element(2, i)).collect();
-    engine.ingest_stream(2, &values).unwrap();
-    let snap = engine.stream_snapshot(2).expect("registered by factory");
+    let (handle, sink) = engine(4);
+    let records: Vec<(u64, f64)> = (0..2_000).map(|i| (2, element(2, i))).collect();
+    ingest(&handle, &sink, &records);
+    let snap = handle
+        .stream_stats(2)
+        .expect("engine running")
+        .expect("registered by factory");
     assert_eq!(snap.stream, 2);
     assert_eq!(snap.elements, 2_000);
     assert!(snap.detector_seconds >= 0.0);

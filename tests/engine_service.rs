@@ -5,8 +5,9 @@
 //!
 //! * **Submit equivalence** — 1 M elements over 64 mixed-detector streams
 //!   pushed through the non-blocking [`EngineHandle::submit`] path (bounded
-//!   per-shard queues, [`MemorySink`] fan-out) produce exactly the same
-//!   `DriftEvent`s as the synchronous [`DriftEngine::ingest_batch`] wrapper.
+//!   per-shard queues, [`MemorySink`] fan-out) produce exactly the
+//!   `DriftEvent`s of feeding every stream's detector directly through
+//!   [`DriftDetector::add_batch`], chunked differently.
 //! * **Snapshot/restore equivalence** — an engine snapshotted mid-stream and
 //!   restored (through its JSON form) into a fresh builder produces exactly
 //!   the events the uninterrupted engine produces for the remaining input.
@@ -17,9 +18,8 @@ use std::time::Duration;
 
 use optwin::engine::EngineError;
 use optwin::{
-    DetectorFactory, DetectorKind, DetectorSpec, DriftDetector, DriftEngine, DriftEvent,
-    EngineBuilder, EngineConfig, EngineHandle, EngineSnapshot, EventSink, MemorySink, Optwin,
-    OptwinConfig,
+    DetectorFactory, DetectorKind, DetectorSpec, DriftDetector, DriftEvent, DriftStatus,
+    EngineBuilder, EngineHandle, EngineSnapshot, EventSink, MemorySink, Optwin, OptwinConfig,
 };
 
 /// Deterministic pseudo-random jitter in [-0.5, 0.5) (SplitMix64).
@@ -94,8 +94,8 @@ fn canonical(mut events: Vec<DriftEvent>) -> Vec<DriftEvent> {
 
 /// The acceptance workload: 1 M elements over 64 streams submitted through
 /// the non-blocking handle with a deliberately small queue bound (so
-/// backpressure engages), compared event-for-event against the synchronous
-/// `ingest_batch` wrapper.
+/// backpressure engages), compared event-for-event against batched
+/// ingestion of every stream straight into its own detector.
 #[test]
 fn one_million_elements_via_submit_match_ingest_batch() {
     let per_stream_chunk = 128usize;
@@ -137,29 +137,29 @@ fn one_million_elements_via_submit_match_ingest_batch() {
     assert_eq!(stats.drifts, service_events.len() as u64);
     handle.shutdown().expect("clean shutdown");
 
-    // Blocking reference: the same records through the synchronous wrapper,
-    // with a different batching (the detector contract makes chunk
-    // boundaries irrelevant).
-    let mut engine = DriftEngine::with_factory(EngineConfig::with_shards(4), build_detector);
-    let mut reference_events = Vec::new();
-    let mut records = Vec::new();
-    let mut start = 0usize;
-    while start < ELEMENTS_PER_STREAM {
-        let end = (start + 500).min(ELEMENTS_PER_STREAM);
-        records.clear();
-        for stream in 0..N_STREAMS {
-            for i in start..end {
-                records.push((stream, element(stream, i)));
-            }
+    // Batch reference: each stream straight through its detector's
+    // `add_batch`, with a different chunking (the detector contract makes
+    // chunk boundaries irrelevant).
+    let mut expected = Vec::new();
+    for stream in 0..N_STREAMS {
+        let mut detector = build_detector(stream);
+        for start in (0..ELEMENTS_PER_STREAM).step_by(500) {
+            let end = (start + 500).min(ELEMENTS_PER_STREAM);
+            let values: Vec<f64> = (start..end).map(|i| element(stream, i)).collect();
+            let outcome = detector.add_batch(&values);
+            assert_eq!(outcome.len, values.len());
+            expected.extend(
+                outcome
+                    .drift_indices
+                    .iter()
+                    .map(|&k| (stream, (start + k) as u64)),
+            );
         }
-        reference_events.extend(engine.ingest_batch(&records).expect("factory-backed"));
-        start = end;
     }
-
+    let got: Vec<(u64, u64)> = service_events.iter().map(|e| (e.stream, e.seq)).collect();
     assert_eq!(
-        service_events,
-        canonical(reference_events),
-        "submit path must match ingest_batch bit-exactly"
+        got, expected,
+        "submit path must match add_batch ingestion bit-exactly"
     );
     // Every stream was injected with one genuine drift; the line-up detects
     // the vast majority of them.
@@ -567,6 +567,140 @@ fn handle_clones_feed_the_same_engine_from_multiple_threads() {
     handle.shutdown().expect("clean shutdown");
     // Events (if any) all belong to the four streams.
     assert!(sink.drain().iter().all(|e| (100..104).contains(&e.stream)));
+}
+
+/// Deterministic detector that warns one element before each drift and
+/// drifts every `period` elements.
+struct Periodic {
+    period: u64,
+    seen: u64,
+    drifts: u64,
+}
+
+impl Periodic {
+    fn boxed(period: u64) -> Box<dyn DriftDetector + Send> {
+        Box::new(Periodic {
+            period,
+            seen: 0,
+            drifts: 0,
+        })
+    }
+}
+
+impl DriftDetector for Periodic {
+    fn add_element(&mut self, _value: f64) -> DriftStatus {
+        self.seen += 1;
+        if self.seen.is_multiple_of(self.period) {
+            self.drifts += 1;
+            DriftStatus::Drift
+        } else if self.seen % self.period == self.period - 1 {
+            DriftStatus::Warning
+        } else {
+            DriftStatus::Stable
+        }
+    }
+    fn reset(&mut self) {}
+    fn name(&self) -> &'static str {
+        "periodic"
+    }
+    fn elements_seen(&self) -> u64 {
+        self.seen
+    }
+    fn drifts_detected(&self) -> u64 {
+        self.drifts
+    }
+}
+
+/// An engine with explicitly registered [`Periodic`] streams
+/// (`(stream, period)` pairs) and no factory.
+fn periodic_engine(streams: &[(u64, u64)], emit_warnings: bool) -> (EngineHandle, Arc<MemorySink>) {
+    let sink = Arc::new(MemorySink::new());
+    let handle = EngineBuilder::new()
+        .shards(test_shards())
+        .emit_warnings(emit_warnings)
+        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
+        .build()
+        .expect("valid engine");
+    for &(stream, period) in streams {
+        handle
+            .register_stream(stream, Periodic::boxed(period))
+            .expect("fresh id");
+    }
+    (handle, sink)
+}
+
+/// Event `seq` numbers count each stream's own elements, however the
+/// streams interleave across batches.
+#[test]
+fn events_carry_per_stream_sequence_numbers() {
+    let (handle, sink) = periodic_engine(&[(0, 10), (1, 25)], false);
+    let records: Vec<(u64, f64)> = (0..20).flat_map(|_| [(0, 0.0), (1, 0.0)]).collect();
+    for _ in 0..5 {
+        handle.submit(&records).expect("engine running");
+    }
+    handle.flush().expect("no ingestion errors");
+    let events = canonical(sink.drain());
+    let seqs = |stream: u64| -> Vec<u64> {
+        events
+            .iter()
+            .filter(|e| e.stream == stream)
+            .map(|e| e.seq)
+            .collect()
+    };
+    // Stream 0: 100 elements, a drift every 10; stream 1: every 25.
+    assert_eq!(seqs(0), vec![9, 19, 29, 39, 49, 59, 69, 79, 89, 99]);
+    assert_eq!(seqs(1), vec![24, 49, 74, 99]);
+    let stats = handle.stats().expect("engine running");
+    assert_eq!(stats.elements, 200);
+    assert_eq!(stats.drifts, 14);
+    handle.shutdown().expect("clean shutdown");
+}
+
+/// Warning events are opt-in through `EngineBuilder::emit_warnings`.
+#[test]
+fn warnings_are_opt_in() {
+    let records: Vec<(u64, f64)> = (0..30).map(|_| (5, 0.0)).collect();
+    let run = |emit_warnings: bool| {
+        let (handle, sink) = periodic_engine(&[(5, 10)], emit_warnings);
+        handle.submit(&records).expect("engine running");
+        handle.flush().expect("no ingestion errors");
+        handle.shutdown().expect("clean shutdown");
+        canonical(sink.drain())
+    };
+    let quiet = run(false);
+    assert_eq!(quiet.len(), 3);
+    assert!(quiet.iter().all(DriftEvent::is_drift));
+
+    let chatty = run(true);
+    assert_eq!(chatty.iter().filter(|e| e.is_drift()).count(), 3);
+    assert_eq!(chatty.iter().filter(|e| !e.is_drift()).count(), 3);
+    // Each warning precedes its drift: seq 8/9, 18/19, 28/29.
+    assert_eq!(chatty[0].seq, 8);
+    assert!(!chatty[0].is_drift());
+    assert_eq!(chatty[1].seq, 9);
+    assert!(chatty[1].is_drift());
+}
+
+/// Without a factory, records for an unknown stream are an error that
+/// ingests nothing for that stream; registering it makes it known.
+#[test]
+fn unknown_stream_without_factory_is_an_error() {
+    let (handle, _sink) = periodic_engine(&[], false);
+    assert!(!handle.has_factory());
+    handle.submit(&[(42, 0.5)]).expect("submit itself succeeds");
+    let err = handle.flush().expect_err("unknown stream must surface");
+    assert_eq!(err, EngineError::UnknownStream(42));
+    assert!(err.to_string().contains("42"));
+    assert_eq!(handle.stats().expect("engine running").elements, 0);
+    assert_eq!(handle.stream_stats(42).expect("engine running"), None);
+
+    handle
+        .register_stream(42, Periodic::boxed(5))
+        .expect("now registered");
+    handle.submit(&[(42, 0.5)]).expect("engine running");
+    handle.flush().expect("known stream");
+    assert_eq!(handle.stats().expect("engine running").elements, 1);
+    handle.shutdown().expect("clean shutdown");
 }
 
 /// The heterogeneous-fleet spec for a stream: all 8 detector kinds, tiled
