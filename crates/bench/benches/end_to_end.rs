@@ -4,11 +4,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use optwin_baselines::DetectorKind;
 use optwin_core::{Optwin, OptwinConfig};
-use optwin_eval::experiment::{run_detector_on_sequence, Table1Experiment};
+use optwin_eval::experiment::{paper_lineup, run_detector_on_sequence, Table1Experiment};
 use optwin_eval::nn_pipeline::{run_nn_pipeline, NnPipelineConfig};
-use optwin_eval::DetectorFactory;
 
 fn bench_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_cell");
@@ -17,15 +15,15 @@ fn bench_end_to_end(c: &mut Criterion) {
     // Pre-generate the stream once; the benchmark measures detector +
     // scoring cost, which is what varies between detectors.
     let (errors, schedule) = Table1Experiment::SuddenBinary.build_error_sequence(1, 20_000);
-    for kind in [
-        DetectorKind::OptwinRho(500),
-        DetectorKind::Adwin,
-        DetectorKind::Ddm,
-    ] {
-        group.bench_function(kind.label(), |b| {
-            let factory = DetectorFactory::with_optwin_window(4_000);
+    let lineup = paper_lineup(4_000);
+    for label in ["OPTWIN rho=0.5", "ADWIN", "DDM"] {
+        let (_, spec) = lineup
+            .iter()
+            .find(|(l, _)| l == label)
+            .expect("paper line-up label");
+        group.bench_function(label, |b| {
             b.iter(|| {
-                let mut detector = factory.build(kind);
+                let mut detector = spec.build().expect("paper line-up specs are valid");
                 black_box(run_detector_on_sequence(
                     detector.as_mut(),
                     &errors,

@@ -63,7 +63,9 @@ fn main() {
     config.base_seed = args.get_parsed("seed", config.base_seed);
     config.zipf_exponent = args.get_parsed("zipf", config.zipf_exponent);
     config.burst = args.get_parsed("burst", config.burst);
-    config.shards = args.get("shards").and_then(|v| v.parse().ok());
+    if args.get("shards").is_some() {
+        config.shards = Some(args.get_parsed("shards", 0));
+    }
 
     if let Some(name) = args.get("scenario") {
         if name != "all" {

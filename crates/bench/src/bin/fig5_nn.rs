@@ -91,15 +91,15 @@ fn main() {
     }
 
     if let Some(path) = args.get("json") {
-        match to_json(&outcomes) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("failed to write {path}: {e}");
-                } else {
-                    println!("wrote JSON results to {path}");
-                }
-            }
-            Err(e) => eprintln!("failed to serialise results: {e}"),
+        let written = to_json(&outcomes)
+            .map_err(|e| format!("failed to serialise results: {e}"))
+            .and_then(|json| {
+                std::fs::write(path, json).map_err(|e| format!("failed to write {path}: {e}"))
+            });
+        if let Err(e) = written {
+            eprintln!("{e}");
+            std::process::exit(1);
         }
+        println!("wrote JSON results to {path}");
     }
 }

@@ -11,8 +11,7 @@
 
 use optwin_bench::{Args, RunScale};
 use optwin_core::{CutTable, OptwinConfig};
-use optwin_eval::experiment::{run_detector_on_sequence, Table1Experiment};
-use optwin_eval::DetectorFactory;
+use optwin_eval::experiment::{paper_lineup, run_detector_on_sequence, Table1Experiment};
 
 fn run_figure(experiment: Table1Experiment, scale: &optwin_bench::RunScale) {
     let stream_len = scale
@@ -29,9 +28,11 @@ fn run_figure(experiment: Table1Experiment, scale: &optwin_bench::RunScale) {
         "{:<18} {:>4} {:>4} {:>4} {:>10}   detections",
         "Detector", "TP", "FP", "FN", "mean delay"
     );
-    let factory = DetectorFactory::with_optwin_window(scale.optwin_w_max);
-    for kind in experiment.applicable_detectors() {
-        let mut detector = factory.build(kind);
+    for (label, spec) in paper_lineup(scale.optwin_w_max) {
+        if spec.binary_only() && !experiment.binary_signal() {
+            continue;
+        }
+        let mut detector = spec.build().expect("paper line-up specs are valid");
         let run = run_detector_on_sequence(detector.as_mut(), &errors, &schedule);
         let delay = run
             .outcome
@@ -45,7 +46,7 @@ fn run_figure(experiment: Table1Experiment, scale: &optwin_bench::RunScale) {
         };
         println!(
             "{:<18} {:>4} {:>4} {:>4} {:>10}   {:?}{}",
-            kind.label(),
+            label,
             run.outcome.true_positives,
             run.outcome.false_positives,
             run.outcome.false_negatives,

@@ -8,10 +8,8 @@
 //! cargo run --release -p optwin-bench --bin significance -- --full
 //! ```
 
-use optwin_baselines::DetectorKind;
 use optwin_bench::{Args, RunScale};
-use optwin_eval::experiment::{run_table1_experiment, Table1Experiment};
-use optwin_eval::DetectorFactory;
+use optwin_eval::experiment::{paper_lineup, run_table1, Table1Experiment};
 use optwin_stats::tests::{wilcoxon_signed_rank, Alternative};
 
 fn main() {
@@ -24,17 +22,18 @@ fn main() {
     );
     println!();
 
-    let factory = DetectorFactory::with_optwin_window(scale.optwin_w_max);
+    let lineup = paper_lineup(scale.optwin_w_max);
     // Collect per-experiment F1 per detector.
     let mut f1_per_detector: std::collections::HashMap<String, Vec<f64>> =
         std::collections::HashMap::new();
     for experiment in Table1Experiment::all() {
-        let rows = run_table1_experiment(
+        let rows = run_table1(
             experiment,
-            &factory,
+            &lineup,
             scale.repetitions,
             scale.stream_len,
             scale.seed,
+            scale.shards,
         );
         for row in rows {
             f1_per_detector
@@ -46,21 +45,25 @@ fn main() {
     }
     println!();
 
-    let optwin_labels = [
-        DetectorKind::OptwinRho(100).label(),
-        DetectorKind::OptwinRho(500).label(),
-        DetectorKind::OptwinRho(1000).label(),
-    ];
-    let baseline_labels = [DetectorKind::Adwin.label(), DetectorKind::Stepd.label()];
+    // OPTWIN's line-up rows against the two real-valued baselines' rows.
+    let labels_of = |ids: &[&str]| -> Vec<&str> {
+        lineup
+            .iter()
+            .filter(|(_, spec)| ids.contains(&spec.id()))
+            .map(|(label, _)| label.as_str())
+            .collect()
+    };
+    let optwin_labels = labels_of(&["optwin"]);
+    let baseline_labels = labels_of(&["adwin", "stepd"]);
 
     println!(
         "{:<18} {:<10} {:>10} {:>12} {:>14}",
         "OPTWIN config", "baseline", "n pairs", "p-value", "significant?"
     );
     for optwin in &optwin_labels {
-        let optwin_f1 = &f1_per_detector[optwin];
+        let optwin_f1 = &f1_per_detector[*optwin];
         for baseline in &baseline_labels {
-            let baseline_f1 = &f1_per_detector[baseline];
+            let baseline_f1 = &f1_per_detector[*baseline];
             // The baselines only run on the experiments they support; pair up
             // the first `min(len)` experiments (ADWIN/STEPD run on all seven,
             // so in practice the lengths match).

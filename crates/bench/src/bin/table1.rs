@@ -3,9 +3,9 @@
 //! seven synthetic experiment configurations.
 //!
 //! The grid runs on the service-style engine: every `detector × repetition`
-//! run is one engine stream, record chunks are pipelined through
-//! `EngineHandle::submit` onto the shard workers (no per-chunk barrier), and
-//! the detections are read back from a `MemorySink` after one final flush.
+//! run is one engine stream, fed through `EngineHandle::submit` by the
+//! replay driver onto the shard workers, and the detections are read back
+//! from a `MemorySink` after one final flush (`optwin_eval::run_table1`).
 //!
 //! ```text
 //! cargo run --release -p optwin-bench --bin table1                 # quick run
@@ -13,7 +13,6 @@
 //! cargo run --release -p optwin-bench --bin table1 -- --experiment sudden-binary
 //! cargo run --release -p optwin-bench --bin table1 -- --detector adwin:delta=0.01
 //! cargo run --release -p optwin-bench --bin table1 -- --fleet configs/fleet_example.json
-//! cargo run --release -p optwin-bench --bin table1 -- --rebalance
 //! cargo run --release -p optwin-bench --bin table1 -- --json results/table1.json
 //! ```
 //!
@@ -22,19 +21,14 @@
 //! `<id>:<key>=<value>,...`); `--fleet <file>` replaces it with a whole
 //! configured fleet (a JSON map of `stream id → spec string`), one row per
 //! fleet entry. Binary-only detectors are skipped on the non-binary
-//! experiments, as in the paper. `--rebalance` inserts a load-aware shard
-//! rebalance at every repetition boundary — results are bit-identical with
-//! and without it; the flag exists to exercise (and time) the migration
-//! path on real workloads.
+//! experiments, as in the paper. A `--json` file that cannot be written
+//! exits with status 1.
 
 use optwin_baselines::DetectorSpec;
 use optwin_bench::{Args, RunScale};
 use optwin_engine::FleetConfig;
-use optwin_eval::experiment::{
-    run_table1_experiment_sharded, run_table1_fleet, run_table1_specs, Table1Experiment,
-};
+use optwin_eval::experiment::{paper_lineup, run_table1, Table1Experiment};
 use optwin_eval::report::{render_table1, to_json};
-use optwin_eval::DetectorFactory;
 
 fn experiment_by_name(name: &str) -> Option<Table1Experiment> {
     match name {
@@ -52,7 +46,6 @@ fn experiment_by_name(name: &str) -> Option<Table1Experiment> {
 fn main() {
     let args = Args::from_env();
     let scale = RunScale::from_args(&args);
-    let rebalance = args.has_flag("rebalance");
 
     let detector: Option<DetectorSpec> = args.get("detector").map(|text| {
         text.parse().unwrap_or_else(|e| {
@@ -93,7 +86,7 @@ fn main() {
 
     println!(
         "Table 1 reproduction — {} repetition(s) per experiment, seed {}, \
-         OPTWIN w_max {}, stream length {}, pipelined engine shards {}{}",
+         OPTWIN w_max {}, stream length {}, pipelined engine shards {}",
         scale.repetitions,
         scale.seed,
         scale.optwin_w_max,
@@ -103,92 +96,67 @@ fn main() {
         scale
             .shards
             .map_or_else(|| "auto".to_string(), |s| s.to_string()),
-        if rebalance {
-            ", rebalancing at repetition boundaries"
-        } else {
-            ""
-        },
     );
     println!();
 
-    if let Some(spec) = &detector {
-        println!("detector override: {spec}");
-        println!();
-    }
-    if let Some(fleet) = &fleet {
-        println!("fleet override: {} configured streams", fleet.streams.len());
-        for warning in &fleet.warnings {
-            println!("  warning: {warning}");
+    // The `(label, spec)` rows to run, and why an experiment can end up
+    // with none of them (binary-only detectors skip non-binary data).
+    let (detectors, skip_reason) = match (&detector, &fleet) {
+        (Some(spec), _) => {
+            println!("detector override: {spec}");
+            println!();
+            (
+                vec![(spec.to_string(), spec.clone())],
+                format!("`{}` only accepts binary error indicators", spec.id()),
+            )
         }
-        println!();
-    }
+        (None, Some(fleet)) => {
+            println!("fleet override: {} configured streams", fleet.streams.len());
+            for warning in &fleet.warnings {
+                println!("  warning: {warning}");
+            }
+            println!();
+            let entries = fleet
+                .streams
+                .iter()
+                .map(|(stream, spec)| (format!("#{stream} {}", spec.id()), spec.clone()))
+                .collect();
+            (entries, "every fleet entry is binary-only".to_string())
+        }
+        (None, None) => (
+            paper_lineup(scale.optwin_w_max),
+            "every detector is binary-only".to_string(),
+        ),
+    };
 
-    let factory = DetectorFactory::with_optwin_window(scale.optwin_w_max);
     let mut all_rows = Vec::new();
     for experiment in experiments {
-        let rows = match (&detector, &fleet) {
-            (Some(spec), _) => {
-                if spec.binary_only() && !experiment.binary_signal() {
-                    println!(
-                        "skipping {} — `{}` only accepts binary error indicators\n",
-                        experiment.label(),
-                        spec.id()
-                    );
-                    continue;
-                }
-                run_table1_specs(
-                    experiment,
-                    std::slice::from_ref(spec),
-                    scale.repetitions,
-                    scale.stream_len,
-                    scale.seed,
-                    scale.shards,
-                    rebalance,
-                )
-            }
-            (None, Some(fleet)) => {
-                let rows = run_table1_fleet(
-                    experiment,
-                    &fleet.streams,
-                    scale.repetitions,
-                    scale.stream_len,
-                    scale.seed,
-                    scale.shards,
-                    rebalance,
-                );
-                if rows.is_empty() {
-                    println!(
-                        "skipping {} — every fleet entry is binary-only\n",
-                        experiment.label()
-                    );
-                    continue;
-                }
-                rows
-            }
-            (None, None) => run_table1_experiment_sharded(
-                experiment,
-                &factory,
-                scale.repetitions,
-                scale.stream_len,
-                scale.seed,
-                scale.shards,
-                rebalance,
-            ),
-        };
+        let rows = run_table1(
+            experiment,
+            &detectors,
+            scale.repetitions,
+            scale.stream_len,
+            scale.seed,
+            scale.shards,
+        );
+        if rows.is_empty() {
+            println!("skipping {} — {skip_reason}\n", experiment.label());
+            continue;
+        }
         println!("{}", render_table1(&rows));
         all_rows.extend(rows);
     }
 
     if let Some(path) = args.get("json") {
-        match to_json(&all_rows) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("failed to write {path}: {e}");
-                } else {
-                    println!("wrote JSON results to {path}");
-                }
-            }
-            Err(e) => eprintln!("failed to serialise results: {e}"),
+        let written = to_json(&all_rows)
+            .map_err(|e| format!("failed to serialise results: {e}"))
+            .and_then(|json| {
+                std::fs::write(path, json).map_err(|e| format!("failed to write {path}: {e}"))
+            });
+        if let Err(e) = written {
+            eprintln!("{e}");
+            std::process::exit(1);
         }
+        println!("wrote JSON results to {path}");
     }
 }

@@ -7,11 +7,13 @@
 //! cargo run --release -p optwin-bench --bin table2 -- --full       # paper scale
 //! cargo run --release -p optwin-bench --bin table2 -- --realworld  # only the real-world columns
 //! ```
+//!
+//! A `--json` file that cannot be written exits with status 1.
 
 use optwin_bench::{Args, RunScale};
 use optwin_eval::classification::{run_classification_column, ClassificationExperiment};
+use optwin_eval::paper_lineup;
 use optwin_eval::report::{render_table2, to_json};
-use optwin_eval::DetectorFactory;
 
 fn main() {
     let args = Args::from_env();
@@ -41,25 +43,24 @@ fn main() {
     );
     println!();
 
-    let mut factory = DetectorFactory::with_optwin_window(scale.optwin_w_max);
+    let lineup = paper_lineup(scale.optwin_w_max);
     let mut all_rows = Vec::new();
     for experiment in experiments {
-        let rows =
-            run_classification_column(experiment, &mut factory, scale.stream_len, scale.seed);
+        let rows = run_classification_column(experiment, &lineup, scale.stream_len, scale.seed);
         println!("{}", render_table2(&rows));
         all_rows.extend(rows);
     }
 
     if let Some(path) = args.get("json") {
-        match to_json(&all_rows) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("failed to write {path}: {e}");
-                } else {
-                    println!("wrote JSON results to {path}");
-                }
-            }
-            Err(e) => eprintln!("failed to serialise results: {e}"),
+        let written = to_json(&all_rows)
+            .map_err(|e| format!("failed to serialise results: {e}"))
+            .and_then(|json| {
+                std::fs::write(path, json).map_err(|e| format!("failed to write {path}: {e}"))
+            });
+        if let Err(e) = written {
+            eprintln!("{e}");
+            std::process::exit(1);
         }
+        println!("wrote JSON results to {path}");
     }
 }

@@ -17,12 +17,25 @@
 //!
 //! All binaries accept `--repetitions`, `--stream-len`, and `--seed` flags so
 //! that quick smoke runs and full paper-scale runs (`--full`) use the same
-//! code path.
+//! code path. A flag value that does not parse, or a zero count, is a usage
+//! error: the binary names the flag and exits with status 2.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::str::FromStr;
+
+/// Count flags for which zero is meaningless: a run needs at least one
+/// repetition (or seed), a non-empty stream and a non-empty replay burst.
+const NONZERO_FLAGS: [&str; 4] = ["repetitions", "seeds", "stream-len", "burst"];
+
+/// Prints a usage error and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
 
 /// Minimal command-line flag parser shared by the reproduction binaries.
 ///
@@ -70,12 +83,38 @@ impl Args {
         self.values.get(name).map(String::as_str)
     }
 
-    /// Returns `--name` parsed as the requested type, or the default.
+    /// Returns `--name` parsed as the requested type, or `default` when the
+    /// flag is absent. A value that does not parse, or a zero `--repetitions`,
+    /// `--seeds`, `--stream-len` or `--burst`, is a usage error: the process
+    /// prints the flag and exits with status 2.
     #[must_use]
-    pub fn get_parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
+    pub fn get_parsed<T>(&self, name: &str, default: T) -> T
+    where
+        T: FromStr + Default + PartialEq,
+        T::Err: Display,
+    {
+        self.try_parsed(name)
+            .unwrap_or_else(|e| usage_error(&e))
             .unwrap_or(default)
+    }
+
+    /// `--name` parsed as `T` (`None` when absent), or the usage error for
+    /// an unparsable value or a zero count.
+    fn try_parsed<T>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T: FromStr + Default + PartialEq,
+        T::Err: Display,
+    {
+        let Some(text) = self.get(name) else {
+            return Ok(None);
+        };
+        let value: T = text
+            .parse()
+            .map_err(|e| format!("invalid --{name} `{text}`: {e}"))?;
+        if NONZERO_FLAGS.contains(&name) && value == T::default() {
+            return Err(format!("--{name} must be at least 1"));
+        }
+        Ok(Some(value))
     }
 
     /// `true` when the boolean flag `--name` was given.
@@ -105,26 +144,26 @@ impl RunScale {
     /// Derives the run scale from parsed arguments. Without `--full` the
     /// defaults are sized for a quick (< 1 min) laptop run; with `--full` the
     /// paper-scale settings (30 repetitions, 100 000-element streams,
-    /// `w_max = 25 000`) are used.
+    /// `w_max = 25 000`) are used. An unparsable value or a zero count is a
+    /// usage error (see [`Args::get_parsed`]).
     #[must_use]
     pub fn from_args(args: &Args) -> Self {
-        let full = args.has_flag("full");
-        let repetitions_default = if full { 30 } else { 5 };
-        let optwin_w_max_default = if full { 25_000 } else { 4_000 };
-        let stream_len = args.get("stream-len").and_then(|v| v.parse().ok()).or({
-            if full {
-                None
-            } else {
-                Some(20_000)
-            }
-        });
-        Self {
-            repetitions: args.get_parsed("repetitions", repetitions_default),
-            stream_len,
-            optwin_w_max: args.get_parsed("optwin-w-max", optwin_w_max_default),
-            seed: args.get_parsed("seed", 20_240_614),
-            shards: args.get("shards").and_then(|v| v.parse().ok()),
-        }
+        Self::try_from_args(args).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    fn try_from_args(args: &Args) -> Result<Self, String> {
+        let (repetitions, stream_len, optwin_w_max) = if args.has_flag("full") {
+            (30, None, 25_000)
+        } else {
+            (5, Some(20_000), 4_000)
+        };
+        Ok(Self {
+            repetitions: args.try_parsed("repetitions")?.unwrap_or(repetitions),
+            stream_len: args.try_parsed("stream-len")?.or(stream_len),
+            optwin_w_max: args.try_parsed("optwin-w-max")?.unwrap_or(optwin_w_max),
+            seed: args.try_parsed("seed")?.unwrap_or(20_240_614),
+            shards: args.try_parsed("shards")?,
+        })
     }
 }
 
@@ -182,5 +221,39 @@ mod tests {
         assert_eq!(scale.stream_len, Some(1_000));
         assert_eq!(scale.optwin_w_max, 500);
         assert_eq!(scale.shards, Some(8));
+    }
+
+    #[test]
+    fn unparsable_values_are_usage_errors_naming_the_flag() {
+        let args = args_of(&["--repetitions", "3x", "--stream-len", "4k", "--zipf", "x"]);
+        let err = args.try_parsed::<usize>("repetitions").unwrap_err();
+        assert!(err.starts_with("invalid --repetitions `3x`"), "{err}");
+        let err = args.try_parsed::<f64>("zipf").unwrap_err();
+        assert!(err.starts_with("invalid --zipf `x`"), "{err}");
+        let err = RunScale::try_from_args(&args).unwrap_err();
+        assert!(err.contains("--repetitions"), "{err}");
+        let err = RunScale::try_from_args(&args_of(&["--stream-len", "4k"])).unwrap_err();
+        assert!(err.starts_with("invalid --stream-len `4k`"), "{err}");
+        let err = RunScale::try_from_args(&args_of(&["--shards", "two"])).unwrap_err();
+        assert!(err.contains("--shards"), "{err}");
+    }
+
+    #[test]
+    fn zero_counts_are_usage_errors() {
+        for flag in NONZERO_FLAGS {
+            let args = args_of(&[&format!("--{flag}"), "0"]);
+            assert_eq!(
+                args.try_parsed::<usize>(flag),
+                Err(format!("--{flag} must be at least 1"))
+            );
+        }
+        for flag in ["--repetitions", "--stream-len"] {
+            let err = RunScale::try_from_args(&args_of(&[flag, "0"])).unwrap_err();
+            assert_eq!(err, format!("{flag} must be at least 1"));
+        }
+        // Zero stays valid where it means something: a seed, or the
+        // clamped shard count.
+        let scale = RunScale::try_from_args(&args_of(&["--seed", "0", "--shards", "0"])).unwrap();
+        assert_eq!((scale.seed, scale.shards), (0, Some(0)));
     }
 }

@@ -54,102 +54,6 @@ pub use page_hinkley::{PageHinkley, PageHinkleyConfig};
 pub use spec::{DetectorSpec, DETECTOR_IDS};
 pub use stepd::{Stepd, StepdConfig};
 
-/// Identifier for every detector the workspace ships, used by the evaluation
-/// harness and the benchmark binaries to iterate "all detectors" uniformly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DetectorKind {
-    /// OPTWIN with a given robustness ρ (×1000, to stay `Eq`/`Hash`; e.g.
-    /// `OptwinRho(100)` is ρ = 0.1).
-    OptwinRho(u32),
-    /// ADWIN.
-    Adwin,
-    /// DDM.
-    Ddm,
-    /// EDDM.
-    Eddm,
-    /// STEPD.
-    Stepd,
-    /// ECDD.
-    Ecdd,
-    /// Page–Hinkley (extension).
-    PageHinkley,
-    /// KSWIN (extension).
-    Kswin,
-}
-
-impl DetectorKind {
-    /// The display name used in tables (matches the paper's labels).
-    #[must_use]
-    pub fn label(&self) -> String {
-        match self {
-            DetectorKind::OptwinRho(milli) => {
-                format!("OPTWIN rho={:.1}", *milli as f64 / 1000.0)
-            }
-            DetectorKind::Adwin => "ADWIN".to_string(),
-            DetectorKind::Ddm => "DDM".to_string(),
-            DetectorKind::Eddm => "EDDM".to_string(),
-            DetectorKind::Stepd => "STEPD".to_string(),
-            DetectorKind::Ecdd => "ECDD".to_string(),
-            DetectorKind::PageHinkley => "PageHinkley".to_string(),
-            DetectorKind::Kswin => "KSWIN".to_string(),
-        }
-    }
-
-    /// Whether the detector only accepts binary error indicators.
-    #[must_use]
-    pub fn binary_only(&self) -> bool {
-        matches!(
-            self,
-            DetectorKind::Ddm | DetectorKind::Eddm | DetectorKind::Ecdd
-        )
-    }
-
-    /// The detector line-up used throughout the paper's Table 1 and Table 2
-    /// (three OPTWIN configurations plus the five baselines).
-    #[must_use]
-    pub fn paper_lineup() -> Vec<DetectorKind> {
-        vec![
-            DetectorKind::Adwin,
-            DetectorKind::Ddm,
-            DetectorKind::Eddm,
-            DetectorKind::Stepd,
-            DetectorKind::Ecdd,
-            DetectorKind::OptwinRho(100),
-            DetectorKind::OptwinRho(500),
-            DetectorKind::OptwinRho(1000),
-        ]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn labels_match_paper() {
-        assert_eq!(DetectorKind::Adwin.label(), "ADWIN");
-        assert_eq!(DetectorKind::OptwinRho(100).label(), "OPTWIN rho=0.1");
-        assert_eq!(DetectorKind::OptwinRho(1000).label(), "OPTWIN rho=1.0");
-    }
-
-    #[test]
-    fn binary_only_flags() {
-        assert!(DetectorKind::Ddm.binary_only());
-        assert!(DetectorKind::Eddm.binary_only());
-        assert!(DetectorKind::Ecdd.binary_only());
-        assert!(!DetectorKind::Adwin.binary_only());
-        assert!(!DetectorKind::Stepd.binary_only());
-        assert!(!DetectorKind::OptwinRho(500).binary_only());
-    }
-
-    #[test]
-    fn paper_lineup_has_eight_entries() {
-        let lineup = DetectorKind::paper_lineup();
-        assert_eq!(lineup.len(), 8);
-        assert!(lineup.contains(&DetectorKind::OptwinRho(500)));
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod test_util {
     //! Deterministic pseudo-random streams and contract helpers shared by

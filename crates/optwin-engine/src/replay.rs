@@ -1,8 +1,7 @@
 //! Multi-stream replay driver modelling production traffic.
 //!
-//! The Table 1 runner feeds every stream the same chunk in lock-step — a
-//! benchmark convenience, not what a fleet serving real users sees. In
-//! production, traffic across streams is heavily skewed (a few hot streams
+//! A fleet serving real users does not see every stream advance in
+//! lock-step: traffic across streams is heavily skewed (a few hot streams
 //! dominate) and arrives in interleaved bursts per stream, not in global
 //! rounds. [`replay`] reproduces that shape on top of the ordinary
 //! [`EngineHandle::submit`] ingestion path:
@@ -17,7 +16,9 @@
 //!   per-stream detection results are **bit-identical** to a sequential
 //!   feed (the engine's per-stream ordering contract) while the global
 //!   arrival order interleaves thousands of streams — exactly the traffic
-//!   the `driftbench` grid runs its detector fleet under.
+//!   the `driftbench` grid runs its detector fleet under. The Table 1 grid
+//!   goes through the same driver with a zero exponent (every stream
+//!   equally hot).
 //!
 //! The driver is deterministic in [`ReplayConfig::seed`], so a replayed
 //! grid is exactly reproducible.

@@ -9,14 +9,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use optwin_baselines::DetectorKind;
+use optwin_baselines::DetectorSpec;
 use optwin_core::DriftStatus;
 use optwin_learners::{NaiveBayes, OnlineLearner};
 use optwin_stream::realworld::{CovertypeLike, ElectricityLike};
 use optwin_stream::{DriftSchedule, InstanceStream};
 
 use crate::experiment::Table1Experiment;
-use crate::factory::DetectorFactory;
 
 /// One column group of Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -142,19 +141,24 @@ pub struct ClassificationOutcome {
     pub instances: usize,
 }
 
-/// Runs one Table 2 cell: Naive Bayes + the given detector (or none).
+/// Runs one Table 2 cell: Naive Bayes + the given `(label, spec)` detector
+/// (or none).
+///
+/// # Panics
+///
+/// Panics if the detector spec fails validation.
 #[must_use]
 pub fn run_classification_cell(
     experiment: ClassificationExperiment,
-    detector_kind: Option<DetectorKind>,
-    factory: &mut DetectorFactory,
+    detector: Option<&(String, DetectorSpec)>,
     stream_len: Option<usize>,
     seed: u64,
 ) -> ClassificationOutcome {
     let stream_len = stream_len.unwrap_or_else(|| experiment.default_stream_len());
     let mut stream = experiment.build_stream(seed, stream_len);
     let mut learner = NaiveBayes::new(&stream.schema(), stream.n_classes());
-    let mut detector = detector_kind.map(|kind| factory.build(kind));
+    let label = detector.map_or("No drift detector", |(label, _)| label.as_str());
+    let mut detector = detector.map(|(_, spec)| spec.build().expect("valid detector spec"));
 
     let mut correct = 0usize;
     let mut detections = 0usize;
@@ -178,35 +182,30 @@ pub fn run_classification_cell(
 
     ClassificationOutcome {
         experiment,
-        detector: detector_kind.map_or_else(|| "No drift detector".to_string(), |k| k.label()),
+        detector: label.to_string(),
         accuracy: correct as f64 / stream_len as f64,
         detections,
         instances: stream_len,
     }
 }
 
-/// Runs a full Table 2 column: the no-detector baseline plus every detector
-/// in the paper line-up.
+/// Runs a full Table 2 column: the no-detector baseline plus one row per
+/// `(label, spec)` detector (usually [`crate::paper_lineup`]).
+///
+/// # Panics
+///
+/// Panics if a detector spec fails validation.
 #[must_use]
 pub fn run_classification_column(
     experiment: ClassificationExperiment,
-    factory: &mut DetectorFactory,
+    detectors: &[(String, DetectorSpec)],
     stream_len: Option<usize>,
     seed: u64,
 ) -> Vec<ClassificationOutcome> {
-    let mut rows = vec![run_classification_cell(
-        experiment, None, factory, stream_len, seed,
-    )];
-    for kind in DetectorKind::paper_lineup() {
-        rows.push(run_classification_cell(
-            experiment,
-            Some(kind),
-            factory,
-            stream_len,
-            seed,
-        ));
-    }
-    rows
+    std::iter::once(None)
+        .chain(detectors.iter().map(Some))
+        .map(|detector| run_classification_cell(experiment, detector, stream_len, seed))
+        .collect()
 }
 
 #[cfg(test)]
@@ -239,18 +238,15 @@ mod tests {
 
     #[test]
     fn adaptation_improves_accuracy_on_drifting_stagger() {
-        let mut factory = DetectorFactory::with_optwin_window(1_000);
         let baseline = run_classification_cell(
             ClassificationExperiment::SuddenStagger,
             None,
-            &mut factory,
             Some(15_000),
             3,
         );
         let with_optwin = run_classification_cell(
             ClassificationExperiment::SuddenStagger,
-            Some(DetectorKind::OptwinRho(500)),
-            &mut factory,
+            Some(&crate::paper_lineup(1_000)[6]),
             Some(15_000),
             3,
         );
@@ -262,14 +258,14 @@ mod tests {
         );
         assert!(with_optwin.detections >= 1);
         assert_eq!(baseline.detector, "No drift detector");
+        assert_eq!(with_optwin.detector, "OPTWIN rho=0.5");
     }
 
     #[test]
     fn full_column_has_all_rows() {
-        let mut factory = DetectorFactory::with_optwin_window(500);
         let rows = run_classification_column(
             ClassificationExperiment::SuddenStagger,
-            &mut factory,
+            &crate::paper_lineup(500),
             Some(4_000),
             1,
         );

@@ -20,7 +20,9 @@
 //! Binary-only detectors (DDM / EDDM / ECDD — see
 //! [`DetectorSpec::binary_only`]) are skipped on the real-valued scenarios
 //! (`variance`, `heavy-tail`), mirroring how Table 1 restricts them to the
-//! binary error streams.
+//! binary error streams. Table 1 ([`run_table1`](crate::run_table1)) runs
+//! through the same engine → replay → flush → score loop, with a uniform
+//! traffic mix.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -28,13 +30,15 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use optwin_baselines::DetectorSpec;
-use optwin_engine::{default_shards, replay, EngineBuilder, EventSink, MemorySink, ReplayConfig};
-use optwin_stream::{GeneratedScenario, ScenarioKind};
+use optwin_engine::{
+    default_shards, replay, EngineBuilder, EventSink, MemorySink, ReplayConfig, ReplayReport,
+};
+use optwin_stream::{DriftSchedule, GeneratedScenario, ScenarioKind};
 
 use crate::metrics::{score_detections, AggregateMetrics, DetectionOutcome};
 
 /// Elements staged per engine queue slot before backpressure kicks in.
-const DRIFTBENCH_QUEUE_CAPACITY: usize = 256 * 1_024;
+const GRID_QUEUE_CAPACITY: usize = 256 * 1_024;
 
 /// Configuration of one driftbench run: which scenarios, which detectors,
 /// how many seeded repetitions, and how the replay traffic is shaped.
@@ -217,76 +221,31 @@ pub fn run_driftbench(config: &DriftbenchConfig) -> DriftbenchReport {
                 .collect()
         })
         .collect();
-
-    // One engine stream per (cell, seed); consecutive ids spread round-robin
-    // over the shard workers.
-    let n_streams = cells.len() * config.seeds;
-    let shards = config
-        .shards
-        .unwrap_or_else(default_shards)
-        .clamp(1, n_streams);
-    let stream_id = |cell: usize, seed: usize| (cell * config.seeds + seed) as u64;
-
-    let sink = Arc::new(MemorySink::new());
-    let mut builder = EngineBuilder::new()
-        .shards(shards)
-        .queue_capacity(DRIFTBENCH_QUEUE_CAPACITY)
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
-    for (cell, &(_, d)) in cells.iter().enumerate() {
-        for seed in 0..config.seeds {
-            builder = builder.stream_spec(stream_id(cell, seed), config.detectors[d].1.clone());
-        }
-    }
-    let handle = builder
-        .build()
-        .expect("specs are valid and stream ids unique by construction");
-
-    // Replay the whole fleet as Zipf-skewed production traffic; `replay`
-    // leaves records in flight, so one flush barrier drains everything
-    // before the sink is read back.
-    let data_ref = &data;
-    let sources: Vec<(u64, &[f64])> = cells
+    let runs: Vec<Vec<Run<'_>>> = data
         .iter()
-        .enumerate()
-        .flat_map(|(cell, &(s, _))| {
-            (0..config.seeds)
-                .map(move |seed| (stream_id(cell, seed), &data_ref[s][seed].values[..]))
-        })
+        .map(|seeds| seeds.iter().map(|g| (&g.values[..], &g.schedule)).collect())
         .collect();
-    let replay_config = ReplayConfig {
+
+    let grid: Vec<(&DetectorSpec, &[Run<'_>])> = cells
+        .iter()
+        .map(|&(s, d)| (&config.detectors[d].1, &runs[s][..]))
+        .collect();
+    let traffic = ReplayConfig {
         zipf_exponent: config.zipf_exponent,
         burst: config.burst,
         seed: config.base_seed,
     };
-    let report = replay(&handle, &sources, &replay_config).expect("engine running");
-    handle.flush().expect("all streams registered");
+    let (scores, report) = run_grid(&grid, config.shards, &traffic);
 
-    let mut detections: HashMap<u64, Vec<usize>> = HashMap::new();
-    for event in sink.drain() {
-        detections
-            .entry(event.stream)
-            .or_default()
-            .push(event.seq as usize);
-    }
-    handle.shutdown().expect("clean shutdown");
-
-    // Score every cell over its seeds, and accumulate the per-detector
+    // Aggregate every cell over its seeds, and accumulate the per-detector
     // roll-up alongside.
     let mut per_detector: Vec<Vec<DetectionOutcome>> = vec![Vec::new(); config.detectors.len()];
     let out_cells: Vec<DriftbenchCell> = cells
         .iter()
-        .enumerate()
-        .map(|(cell, &(s, d))| {
-            let outcomes: Vec<DetectionOutcome> = (0..config.seeds)
-                .map(|seed| {
-                    let run = detections
-                        .remove(&stream_id(cell, seed))
-                        .unwrap_or_default();
-                    score_detections(&data[s][seed].schedule, &run)
-                })
-                .collect();
-            per_detector[d].extend(outcomes.iter().cloned());
-            let metrics = AggregateMetrics::from_outcomes(&outcomes);
+        .zip(scores)
+        .map(|(&(s, d), score)| {
+            let metrics = AggregateMetrics::from_outcomes(&score.outcomes);
+            per_detector[d].extend(score.outcomes);
             DriftbenchCell {
                 scenario: config.scenarios[s].id().to_string(),
                 detector: config.detectors[d].0.clone(),
@@ -326,6 +285,99 @@ pub fn run_driftbench(config: &DriftbenchConfig) -> DriftbenchReport {
         cells: out_cells,
         by_detector,
     }
+}
+
+/// One seeded run of a grid cell: the values fed to the detector and their
+/// ground-truth drift schedule.
+pub(crate) type Run<'a> = (&'a [f64], &'a DriftSchedule);
+
+/// A scored grid cell.
+pub(crate) struct CellScore {
+    /// One scored outcome per run, in run order.
+    pub(crate) outcomes: Vec<DetectionOutcome>,
+    /// Seconds spent inside the cell's detectors, summed over its runs.
+    pub(crate) detector_seconds: f64,
+}
+
+/// The engine → replay → flush → score loop behind both grid runners
+/// ([`run_driftbench`] and [`run_table1`](crate::run_table1)).
+///
+/// Every `(spec, runs)` cell becomes one engine stream per run, numbered in
+/// cell-major order so consecutive ids spread round-robin over the shard
+/// workers. All streams are registered up front, fed concurrently by the
+/// [`replay()`] driver under `traffic`, flushed once, and each run's
+/// detections are scored against its schedule. `shards` is clamped to the
+/// stream count (`None` = one shard per CPU core).
+pub(crate) fn run_grid(
+    cells: &[(&DetectorSpec, &[Run<'_>])],
+    shards: Option<usize>,
+    traffic: &ReplayConfig,
+) -> (Vec<CellScore>, ReplayReport) {
+    let n_streams: usize = cells.iter().map(|(_, runs)| runs.len()).sum();
+    let shards = shards
+        .unwrap_or_else(default_shards)
+        .clamp(1, n_streams.max(1));
+
+    let sink = Arc::new(MemorySink::new());
+    let mut builder = EngineBuilder::new()
+        .shards(shards)
+        .queue_capacity(GRID_QUEUE_CAPACITY)
+        .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
+    let mut sources: Vec<(u64, &[f64])> = Vec::with_capacity(n_streams);
+    for &(spec, runs) in cells {
+        for &(values, _) in runs {
+            let id = sources.len() as u64;
+            builder = builder.stream_spec(id, spec.clone());
+            sources.push((id, values));
+        }
+    }
+    let handle = builder
+        .build()
+        .expect("specs are valid and stream ids unique by construction");
+
+    // `replay` leaves records in flight, so one flush barrier drains
+    // everything before the sink is read back.
+    let report = replay(&handle, &sources, traffic).expect("engine running");
+    handle.flush().expect("all streams registered");
+
+    // The sink preserves per-stream emission order (increasing seq), so
+    // grouping by stream yields sorted detection lists.
+    let mut detections: HashMap<u64, Vec<usize>> = HashMap::new();
+    for event in sink.drain() {
+        detections
+            .entry(event.stream)
+            .or_default()
+            .push(event.seq as usize);
+    }
+    let seconds: HashMap<u64, f64> = handle
+        .stream_snapshots()
+        .expect("engine running")
+        .into_iter()
+        .map(|s| (s.stream, s.detector_seconds))
+        .collect();
+    handle.shutdown().expect("clean shutdown");
+
+    let mut id = 0u64;
+    let scores = cells
+        .iter()
+        .map(|&(_, runs)| {
+            let mut detector_seconds = 0.0;
+            let outcomes = runs
+                .iter()
+                .map(|&(_, schedule)| {
+                    let run = detections.remove(&id).unwrap_or_default();
+                    detector_seconds += seconds.get(&id).copied().unwrap_or(0.0);
+                    id += 1;
+                    score_detections(schedule, &run)
+                })
+                .collect();
+            CellScore {
+                outcomes,
+                detector_seconds,
+            }
+        })
+        .collect();
+    (scores, report)
 }
 
 fn fp_per_10k(false_positives: usize, elements: usize) -> f64 {

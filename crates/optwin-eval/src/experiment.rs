@@ -14,14 +14,11 @@
 //! reporting the average detection delay, FP count, micro-averaged precision,
 //! recall and F1 per detector.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 
-use optwin_baselines::{DetectorKind, DetectorSpec};
-use optwin_core::DriftDetector;
-use optwin_engine::{default_shards, EngineBuilder, EventSink, MemorySink, RebalancePolicy};
+use optwin_baselines::DetectorSpec;
+use optwin_core::{DriftDetector, OptwinConfig};
+use optwin_engine::ReplayConfig;
 use optwin_learners::{NaiveBayes, OnlineLearner};
 use optwin_stream::drift::MultiConceptStream;
 use optwin_stream::generators::{
@@ -29,8 +26,32 @@ use optwin_stream::generators::{
 };
 use optwin_stream::{DriftKind, DriftSchedule, ErrorStream, ErrorStreamConfig, InstanceStream};
 
-use crate::factory::DetectorFactory;
+use crate::driftbench::{run_grid, Run};
 use crate::metrics::{score_detections, AggregateMetrics, DetectionOutcome};
+
+/// The detector line-up of the paper's Tables 1 and 2 as `(label, spec)`
+/// pairs: the five baselines at their reference defaults, then OPTWIN at
+/// ρ ∈ {0.1, 0.5, 1.0}. `optwin_w_max` caps OPTWIN's window (the paper uses
+/// 25 000; tests use smaller values to keep the cut tables cheap).
+#[must_use]
+pub fn paper_lineup(optwin_w_max: usize) -> Vec<(String, DetectorSpec)> {
+    let baselines = ["ADWIN", "DDM", "EDDM", "STEPD", "ECDD"].map(|label| {
+        let spec = DetectorSpec::default_for(label).expect("baseline ids are valid");
+        (label.to_string(), spec)
+    });
+    let optwin = [0.1, 0.5, 1.0].map(|rho| {
+        let config = OptwinConfig {
+            rho,
+            w_max: optwin_w_max,
+            ..OptwinConfig::default()
+        };
+        (
+            format!("OPTWIN rho={rho:.1}"),
+            DetectorSpec::Optwin { config },
+        )
+    });
+    baselines.into_iter().chain(optwin).collect()
+}
 
 /// One of the paper's Table 1 experiment configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -89,15 +110,6 @@ impl Table1Experiment {
             self,
             Table1Experiment::GradualNonBinary | Table1Experiment::SuddenNonBinary
         )
-    }
-
-    /// The detector line-up that is applicable to this experiment.
-    #[must_use]
-    pub fn applicable_detectors(&self) -> Vec<DetectorKind> {
-        DetectorKind::paper_lineup()
-            .into_iter()
-            .filter(|kind| self.binary_signal() || !kind.binary_only())
-            .collect()
     }
 
     /// Stream length used by the experiment. The error-stream experiments use
@@ -244,7 +256,7 @@ pub struct DetectionRun {
     pub detections: Vec<usize>,
     /// Scoring of those detections against the ground truth.
     pub outcome: DetectionOutcome,
-    /// Wall-clock seconds spent inside the detector (`add_element` only).
+    /// Wall-clock seconds spent inside the detector (`add_batch` only).
     pub detector_seconds: f64,
 }
 
@@ -280,274 +292,72 @@ pub struct Table1Aggregate {
     pub mean_detector_seconds: f64,
 }
 
-/// Number of elements per stream fed to the engine per `submit` call by the
-/// Table 1 runner. Large enough to amortize fan-out overhead, small enough
-/// to keep the record staging buffers cache-friendly.
-const TABLE1_BATCH: usize = 4_096;
+/// Table 1's replay traffic: every run stream equally hot, fed in bursts of
+/// 4 096 elements.
+const TABLE1_TRAFFIC: ReplayConfig = ReplayConfig {
+    zipf_exponent: 0.0,
+    burst: 4_096,
+    seed: 0,
+};
 
-/// Per-shard queue bound for the Table 1 runner, in records: a few
-/// submission chunks of headroom so generation pipelines ahead of detection
-/// without the queues growing unbounded.
-const TABLE1_QUEUE_CAPACITY: usize = 256 * 1_024;
-
-/// Runs the full (experiment × detector) grid for a number of repetitions,
-/// fanning the `detectors × repetitions` runs across engine shards. The
-/// paper line-up is resolved to declarative [`DetectorSpec`]s through
-/// [`DetectorFactory::spec_for`] and the grid is delegated to
-/// [`run_table1_specs`].
+/// Runs one Table 1 experiment for a `(label, spec)` detector line-up
+/// (usually [`paper_lineup`]) and aggregates one row per detector.
 ///
-/// `stream_len` overrides the experiment's default length (useful for tests
-/// and quick runs); pass `None` for the paper-scale streams. `shards` picks
-/// the engine shard count; `None` uses one shard per available CPU core.
-/// With `rebalance` the engine's stream placement is recomputed from
-/// observed load at a flush barrier after every repetition's traffic — the
-/// `--rebalance` CLI knob. Results are identical for every shard count,
-/// with and without rebalancing, and to the historical strictly sequential
-/// runner: each run is an isolated detector stream, the batch path is
-/// contractually equivalent to element-wise ingestion, and migrations
-/// preserve per-stream record order bit-exactly.
+/// Repetition `r` uses seed `base_seed + r`, and every detector sees the
+/// same sequences (as in MOA). Binary-only detectors
+/// ([`DetectorSpec::binary_only`]) are skipped on the non-binary
+/// experiments, as in the paper. `stream_len` overrides the experiment's
+/// default length (`None` = paper scale); `shards` picks the engine shard
+/// count (`None` = one per CPU core).
+///
+/// Each (detector, repetition) run is one engine stream, fed by the replay
+/// driver and scored after one flush — the loop
+/// [`run_driftbench`](crate::run_driftbench) uses. Results are identical
+/// for every shard count.
 ///
 /// # Panics
 ///
-/// Panics if the engine shuts down mid-run, which only happens when a
-/// detector panics on a worker thread.
+/// Panics if `repetitions` is zero, if a spec fails validation, or if the
+/// engine shuts down mid-run (a detector panicked on a worker thread).
 #[must_use]
-pub fn run_table1_experiment_sharded(
+pub fn run_table1(
     experiment: Table1Experiment,
-    factory: &DetectorFactory,
+    detectors: &[(String, DetectorSpec)],
     repetitions: usize,
     stream_len: Option<usize>,
     base_seed: u64,
     shards: Option<usize>,
-    rebalance: bool,
 ) -> Vec<Table1Aggregate> {
-    let entries: Vec<(String, DetectorSpec)> = experiment
-        .applicable_detectors()
-        .into_iter()
-        .map(|kind| (kind.label(), factory.spec_for(kind)))
-        .collect();
-    run_table1_grid(
-        experiment,
-        &entries,
-        repetitions,
-        stream_len,
-        base_seed,
-        shards,
-        rebalance,
-    )
-}
-
-/// Runs a Table 1 experiment for an arbitrary list of detector specs (the
-/// `--detector <spec>` CLI path): one engine stream per
-/// `(spec, repetition)` run, labelled by each spec's canonical string.
-///
-/// Binary-only specs (DDM, EDDM, ECDD) are only meaningful on experiments
-/// with [`Table1Experiment::binary_signal`]; the caller is expected to
-/// filter (as [`Table1Experiment::applicable_detectors`] does for the paper
-/// line-up).
-///
-/// # Panics
-///
-/// Panics if a spec fails validation or the engine shuts down mid-run.
-#[must_use]
-pub fn run_table1_specs(
-    experiment: Table1Experiment,
-    specs: &[DetectorSpec],
-    repetitions: usize,
-    stream_len: Option<usize>,
-    base_seed: u64,
-    shards: Option<usize>,
-    rebalance: bool,
-) -> Vec<Table1Aggregate> {
-    let entries: Vec<(String, DetectorSpec)> = specs
-        .iter()
-        .map(|spec| (spec.to_string(), spec.clone()))
-        .collect();
-    run_table1_grid(
-        experiment,
-        &entries,
-        repetitions,
-        stream_len,
-        base_seed,
-        shards,
-        rebalance,
-    )
-}
-
-/// Runs a Table 1 experiment for a configured fleet (the `--fleet <file>`
-/// CLI path): one engine stream per `(fleet entry, repetition)`, every
-/// stream running the detector its config entry names, rows labelled
-/// `#<id> <spec id>`.
-///
-/// Binary-only specs (DDM, EDDM, ECDD) are filtered out on non-binary
-/// experiments, matching the paper's treatment of those detectors.
-///
-/// # Panics
-///
-/// Panics if a spec fails validation or the engine shuts down mid-run.
-#[must_use]
-pub fn run_table1_fleet(
-    experiment: Table1Experiment,
-    fleet: &[(u64, DetectorSpec)],
-    repetitions: usize,
-    stream_len: Option<usize>,
-    base_seed: u64,
-    shards: Option<usize>,
-    rebalance: bool,
-) -> Vec<Table1Aggregate> {
-    let entries: Vec<(String, DetectorSpec)> = fleet
-        .iter()
-        .filter(|(_, spec)| experiment.binary_signal() || !spec.binary_only())
-        .map(|(stream, spec)| (format!("#{stream} {}", spec.id()), spec.clone()))
-        .collect();
-    run_table1_grid(
-        experiment,
-        &entries,
-        repetitions,
-        stream_len,
-        base_seed,
-        shards,
-        rebalance,
-    )
-}
-
-/// The shared spec-driven grid runner behind [`run_table1_experiment_sharded`]
-/// and [`run_table1_specs`].
-///
-/// The runner drives the service-style engine API end to end: an
-/// [`EngineBuilder`] spawns one worker per shard with a [`MemorySink`]
-/// attached, every `(label, spec)` × repetition run is pre-registered
-/// declaratively via [`EngineBuilder::stream_spec`], every record chunk is
-/// **pipelined** through [`optwin_engine::EngineHandle::submit`] (bounded
-/// queues provide backpressure; no per-chunk barrier), and a single final
-/// `flush` drains the queues before the sink is read back.
-fn run_table1_grid(
-    experiment: Table1Experiment,
-    entries: &[(String, DetectorSpec)],
-    repetitions: usize,
-    stream_len: Option<usize>,
-    base_seed: u64,
-    shards: Option<usize>,
-    rebalance: bool,
-) -> Vec<Table1Aggregate> {
+    assert!(repetitions > 0, "need at least one repetition");
     let stream_len = stream_len.unwrap_or_else(|| experiment.default_stream_len());
-
-    // Pre-generate the error sequences once per repetition so that every
-    // detector sees exactly the same data (as in MOA).
     let sequences: Vec<(Vec<f64>, DriftSchedule)> = (0..repetitions)
         .map(|r| experiment.build_error_sequence(base_seed + r as u64, stream_len))
         .collect();
-
-    // One engine stream per (spec, repetition) run.
-    let n_streams = (entries.len() * repetitions).max(1);
-    let shards = shards.unwrap_or_else(default_shards).clamp(1, n_streams);
-    // Ids are consecutive *within* a repetition (`rep * entries + d`):
-    // each submitted chunk carries one repetition's streams, and the engine
-    // pins stream `id` to shard `id % shards`, so consecutive ids spread a
-    // chunk round-robin over every shard worker. The transposed layout
-    // (`d * repetitions + rep`) would stride a chunk's ids by `repetitions`
-    // and collapse the fan-out onto `shards / gcd(repetitions, shards)`
-    // shards — fully sequential at the paper's 30 repetitions on 6 cores.
-    let stream_id = |d: usize, rep: usize| (rep * entries.len() + d) as u64;
-
-    let sink = Arc::new(MemorySink::new());
-    let mut builder = EngineBuilder::new()
-        .shards(shards)
-        .queue_capacity(TABLE1_QUEUE_CAPACITY)
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
-    for (d, (_, spec)) in entries.iter().enumerate() {
-        for rep in 0..repetitions {
-            builder = builder.stream_spec(stream_id(d, rep), spec.clone());
-        }
-    }
-    let handle = builder
-        .build()
-        .expect("specs are valid and stream ids unique by construction");
-
-    // Pipeline every repetition's sequence to all of its detector streams in
-    // chunks; the shard workers detect in parallel while the next chunks are
-    // being staged. Without `--rebalance` one flush at the very end is the
-    // only barrier; with it, every repetition boundary becomes a flush
-    // barrier followed by a load-aware rebalance (which must not change a
-    // single detection — verified by `rebalancing_grid_is_deterministic`).
-    let mut records: Vec<(u64, f64)> = Vec::with_capacity(TABLE1_BATCH * entries.len());
-    for (rep, (errors, _)) in sequences.iter().enumerate() {
-        for start in (0..errors.len()).step_by(TABLE1_BATCH) {
-            let chunk = &errors[start..(start + TABLE1_BATCH).min(errors.len())];
-            records.clear();
-            for d in 0..entries.len() {
-                let id = stream_id(d, rep);
-                records.extend(chunk.iter().map(|&e| (id, e)));
-            }
-            handle.submit(&records).expect("engine running");
-        }
-        if rebalance {
-            handle.flush().expect("all streams registered");
-            handle
-                .rebalance(RebalancePolicy::DetectorSeconds)
-                .expect("engine running");
-        }
-    }
-    handle.flush().expect("all streams registered");
-
-    // The sink preserves per-stream emission order (increasing seq), so
-    // grouping by stream yields sorted detection lists.
-    let mut detections: HashMap<u64, Vec<usize>> = HashMap::new();
-    for event in sink.drain() {
-        detections
-            .entry(event.stream)
-            .or_default()
-            .push(event.seq as usize);
-    }
-    let stats: HashMap<u64, f64> = handle
-        .stream_snapshots()
-        .expect("engine running")
-        .into_iter()
-        .map(|s| (s.stream, s.detector_seconds))
-        .collect();
-    handle.shutdown().expect("clean shutdown");
-
-    entries
+    let runs: Vec<Run<'_>> = sequences
         .iter()
-        .enumerate()
-        .map(|(d, (label, _))| {
-            let mut outcomes = Vec::with_capacity(repetitions);
-            let mut total_seconds = 0.0;
-            for (rep, (_, schedule)) in sequences.iter().enumerate() {
-                let id = stream_id(d, rep);
-                let run_detections = detections.remove(&id).unwrap_or_default();
-                outcomes.push(score_detections(schedule, &run_detections));
-                total_seconds += stats.get(&id).copied().unwrap_or(0.0);
-            }
-            Table1Aggregate {
-                experiment,
-                detector: label.clone(),
-                metrics: AggregateMetrics::from_outcomes(&outcomes),
-                mean_detector_seconds: total_seconds / repetitions.max(1) as f64,
-            }
+        .map(|(values, schedule)| (&values[..], schedule))
+        .collect();
+
+    let applicable: Vec<&(String, DetectorSpec)> = detectors
+        .iter()
+        .filter(|(_, spec)| experiment.binary_signal() || !spec.binary_only())
+        .collect();
+    let cells: Vec<(&DetectorSpec, &[Run<'_>])> = applicable
+        .iter()
+        .map(|(_, spec)| (spec, &runs[..]))
+        .collect();
+    let (scores, _) = run_grid(&cells, shards, &TABLE1_TRAFFIC);
+
+    applicable
+        .into_iter()
+        .zip(scores)
+        .map(|((label, _), score)| Table1Aggregate {
+            experiment,
+            detector: label.clone(),
+            metrics: AggregateMetrics::from_outcomes(&score.outcomes),
+            mean_detector_seconds: score.detector_seconds / repetitions as f64,
         })
         .collect()
-}
-
-/// Runs the full (experiment × detector) grid with the default shard count
-/// (one per CPU core). See [`run_table1_experiment_sharded`].
-#[must_use]
-pub fn run_table1_experiment(
-    experiment: Table1Experiment,
-    factory: &DetectorFactory,
-    repetitions: usize,
-    stream_len: Option<usize>,
-    base_seed: u64,
-) -> Vec<Table1Aggregate> {
-    run_table1_experiment_sharded(
-        experiment,
-        factory,
-        repetitions,
-        stream_len,
-        base_seed,
-        None,
-        false,
-    )
 }
 
 #[cfg(test)]
@@ -560,11 +370,42 @@ mod tests {
         assert!(Table1Experiment::SuddenBinary.binary_signal());
         assert!(!Table1Experiment::SuddenNonBinary.binary_signal());
         assert_eq!(Table1Experiment::Stagger.label(), "sudden STAGGER");
-        // Non-binary experiments exclude the binary-only detectors.
-        let kinds = Table1Experiment::GradualNonBinary.applicable_detectors();
-        assert!(!kinds.contains(&DetectorKind::Ddm));
-        assert!(kinds.contains(&DetectorKind::Adwin));
         assert_eq!(Table1Experiment::Agrawal.default_stream_len(), 100_000);
+    }
+
+    #[test]
+    fn paper_lineup_keeps_the_paper_labels_and_specs() {
+        let lineup = paper_lineup(777);
+        let labels: Vec<&str> = lineup.iter().map(|(label, _)| label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "ADWIN",
+                "DDM",
+                "EDDM",
+                "STEPD",
+                "ECDD",
+                "OPTWIN rho=0.1",
+                "OPTWIN rho=0.5",
+                "OPTWIN rho=1.0"
+            ]
+        );
+        let binary_only: Vec<bool> = lineup.iter().map(|(_, s)| s.binary_only()).collect();
+        assert_eq!(
+            binary_only,
+            [false, true, true, false, true, false, false, false]
+        );
+        for (label, spec) in &lineup {
+            spec.validate().expect("valid spec");
+            // The spec string round-trips, so rows are reproducible from
+            // their printed spec alone.
+            let parsed: DetectorSpec = spec.to_string().parse().unwrap();
+            assert_eq!(&parsed, spec, "{label}");
+        }
+        let DetectorSpec::Optwin { config } = &lineup[6].1 else {
+            panic!("wrong variant")
+        };
+        assert_eq!((config.rho, config.w_max), (0.5, 777));
     }
 
     #[test]
@@ -608,8 +449,7 @@ mod tests {
     #[test]
     fn run_detector_on_sequence_scores_consistently() {
         let (errors, schedule) = Table1Experiment::SuddenBinary.build_error_sequence(5, 5_000);
-        let factory = DetectorFactory::with_optwin_window(1_000);
-        let mut detector = factory.build(DetectorKind::OptwinRho(500));
+        let mut detector = paper_lineup(1_000)[6].1.build().unwrap();
         let run = run_detector_on_sequence(detector.as_mut(), &errors, &schedule);
         assert_eq!(
             run.outcome.true_positives + run.outcome.false_negatives,
@@ -619,125 +459,55 @@ mod tests {
     }
 
     #[test]
-    fn sharded_grid_is_deterministic_across_shard_counts() {
-        let run = |shards: Option<usize>, rebalance: bool| {
-            let factory = DetectorFactory::with_optwin_window(800);
-            run_table1_experiment_sharded(
+    fn grid_is_deterministic_across_shard_counts() {
+        let run = |shards: Option<usize>| {
+            run_table1(
                 Table1Experiment::SuddenBinary,
-                &factory,
+                &paper_lineup(800),
                 2,
                 Some(4_000),
                 7,
                 shards,
-                rebalance,
             )
         };
-        let sequential = run(Some(1), false);
-        let parallel = run(Some(4), false);
-        let auto = run(None, false);
-        let rebalanced = run(Some(4), true);
-        for (((a, b), c), d) in sequential.iter().zip(&parallel).zip(&auto).zip(&rebalanced) {
-            assert_eq!(a.detector, b.detector);
-            assert_eq!(a.metrics, b.metrics, "{}", a.detector);
-            assert_eq!(a.metrics, c.metrics, "{}", a.detector);
-            // Mid-run rebalancing must not change a single detection.
-            assert_eq!(a.metrics, d.metrics, "{}", a.detector);
+        let sequential = run(Some(1));
+        for other in [run(Some(4)), run(None)] {
+            assert_eq!(other.len(), sequential.len());
+            for (a, b) in sequential.iter().zip(&other) {
+                assert_eq!(a.detector, b.detector);
+                assert_eq!(a.metrics, b.metrics, "{}", a.detector);
+            }
         }
     }
 
     #[test]
-    fn fleet_runner_matches_spec_runner() {
-        // A fleet of one stream per spec reproduces the per-spec rows of
-        // `run_table1_specs` exactly (same engine path, same sequences),
-        // and binary-only fleet entries are filtered on non-binary
-        // experiments.
-        let specs: Vec<DetectorSpec> =
-            vec!["adwin".parse().unwrap(), "page_hinkley".parse().unwrap()];
-        let fleet: Vec<(u64, DetectorSpec)> = specs
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, s)| (i as u64 * 10, s))
-            .collect();
-        let by_spec = run_table1_specs(
-            Table1Experiment::SuddenBinary,
-            &specs,
-            2,
-            Some(3_000),
-            13,
-            Some(2),
-            false,
-        );
-        let by_fleet = run_table1_fleet(
-            Table1Experiment::SuddenBinary,
-            &fleet,
-            2,
-            Some(3_000),
-            13,
-            Some(2),
-            true,
-        );
-        assert_eq!(by_fleet.len(), by_spec.len());
-        for (f, s) in by_fleet.iter().zip(&by_spec) {
-            assert_eq!(f.metrics, s.metrics, "{} vs {}", f.detector, s.detector);
-        }
-        assert_eq!(by_fleet[0].detector, "#0 adwin");
-        assert_eq!(by_fleet[1].detector, "#10 page_hinkley");
-
-        let mixed: Vec<(u64, DetectorSpec)> =
-            vec![(1, "ddm".parse().unwrap()), (2, "adwin".parse().unwrap())];
-        let rows = run_table1_fleet(
+    fn binary_only_detectors_are_skipped_on_non_binary_experiments() {
+        let detectors: Vec<(String, DetectorSpec)> = ["ddm", "adwin"]
+            .map(|id| (id.to_string(), id.parse().unwrap()))
+            .to_vec();
+        let rows = run_table1(
             Table1Experiment::SuddenNonBinary,
-            &mixed,
+            &detectors,
             1,
             Some(2_000),
             5,
             Some(2),
-            false,
         );
-        assert_eq!(rows.len(), 1, "binary-only DDM filtered out");
-        assert_eq!(rows[0].detector, "#2 adwin");
-    }
-
-    #[test]
-    fn spec_runner_matches_lineup_runner_row() {
-        // Running a single spec through `run_table1_specs` must reproduce
-        // the corresponding line-up row exactly (same streams, same specs,
-        // same engine path).
-        let factory = DetectorFactory::with_optwin_window(800);
-        let lineup = run_table1_experiment_sharded(
-            Table1Experiment::SuddenBinary,
-            &factory,
-            2,
-            Some(4_000),
-            11,
-            Some(2),
-            false,
-        );
-        let spec = factory.spec_for(DetectorKind::OptwinRho(500));
-        let custom = run_table1_specs(
-            Table1Experiment::SuddenBinary,
-            std::slice::from_ref(&spec),
-            2,
-            Some(4_000),
-            11,
-            Some(2),
-            false,
-        );
-        assert_eq!(custom.len(), 1);
-        assert_eq!(custom[0].detector, spec.to_string());
-        let lineup_row = lineup
-            .iter()
-            .find(|r| r.detector == "OPTWIN rho=0.5")
-            .expect("line-up row present");
-        assert_eq!(custom[0].metrics, lineup_row.metrics);
+        assert_eq!(rows.len(), 1, "binary-only DDM skipped");
+        assert_eq!(rows[0].detector, "adwin");
     }
 
     #[test]
     fn small_scale_table1_grid_runs() {
-        let factory = DetectorFactory::with_optwin_window(1_000);
-        let rows =
-            run_table1_experiment(Table1Experiment::SuddenBinary, &factory, 2, Some(5_000), 42);
+        let lineup = paper_lineup(1_000);
+        let rows = run_table1(
+            Table1Experiment::SuddenBinary,
+            &lineup,
+            2,
+            Some(5_000),
+            42,
+            None,
+        );
         // All eight detectors apply to the binary experiment.
         assert_eq!(rows.len(), 8);
         for row in &rows {
@@ -756,5 +526,17 @@ mod tests {
             "recall = {}",
             optwin.metrics.recall
         );
+        // A one-entry line-up reproduces its row of the full line-up: every
+        // run is an isolated engine stream.
+        let alone = run_table1(
+            Table1Experiment::SuddenBinary,
+            &lineup[6..7],
+            2,
+            Some(5_000),
+            42,
+            Some(2),
+        );
+        assert_eq!(alone.len(), 1);
+        assert_eq!(alone[0].metrics, optwin.metrics);
     }
 }

@@ -5,13 +5,12 @@
 //! * [`metrics`] — scoring of drift detections against a ground-truth
 //!   schedule (TP / FP / FN, precision, recall, F1, detection delay), with
 //!   micro-averaged aggregation over repeated runs exactly as in Table 1.
-//! * [`factory`] — uniform construction of every detector in the paper's
-//!   line-up (three OPTWIN configurations plus the five baselines and the
-//!   extension detectors), with shared OPTWIN cut tables across repetitions.
-//! * [`experiment`] — the seven Table 1 experiment configurations (binary /
-//!   non-binary error streams with sudden / gradual drifts, and the STAGGER /
-//!   RandomRBF / AGRAWAL classification streams) and the runner that executes
-//!   a detector over them.
+//! * [`experiment`] — the paper's detector line-up as `(label, spec)` data
+//!   ([`paper_lineup`]: the five baselines plus OPTWIN at three ρ), the seven
+//!   Table 1 experiment configurations (binary / non-binary error streams
+//!   with sudden / gradual drifts, and the STAGGER / RandomRBF / AGRAWAL
+//!   classification streams) and [`run_table1`], which scores a line-up on
+//!   one of them.
 //! * [`classification`] — the Table 2 experiments: prequential Naive-Bayes
 //!   accuracy under each detector on synthetic and real-world-like streams.
 //! * [`nn_pipeline`] — the Figure 5 experiment: drift detection over the loss
@@ -22,7 +21,8 @@
 //! * [`driftbench`] — the adversarial scenario grid: every detector spec
 //!   kind plus composite cascades/ensembles across the full
 //!   [`optwin_stream::ScenarioKind`] catalogue, replayed through the sharded
-//!   engine and scored into a JSON-serialisable quality report.
+//!   engine and scored into a JSON-serialisable quality report. Its
+//!   engine → replay → flush → score loop also runs Table 1.
 //!
 //! ```
 //! use optwin_eval::metrics::score_detections;
@@ -42,7 +42,6 @@
 pub mod classification;
 pub mod driftbench;
 pub mod experiment;
-pub mod factory;
 pub mod metrics;
 pub mod nn_pipeline;
 pub mod report;
@@ -51,10 +50,6 @@ pub use classification::{ClassificationExperiment, ClassificationOutcome};
 pub use driftbench::{
     default_lineup, run_driftbench, DriftbenchCell, DriftbenchConfig, DriftbenchReport,
 };
-pub use experiment::{
-    run_table1_experiment, run_table1_experiment_sharded, run_table1_fleet, run_table1_specs,
-    DetectionRun, Table1Aggregate, Table1Experiment,
-};
-pub use factory::DetectorFactory;
+pub use experiment::{paper_lineup, run_table1, DetectionRun, Table1Aggregate, Table1Experiment};
 pub use metrics::{score_detections, AggregateMetrics, DetectionOutcome};
 pub use nn_pipeline::{NnPipelineConfig, NnPipelineOutcome};

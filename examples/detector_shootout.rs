@@ -7,12 +7,13 @@
 //! cargo run --release --example detector_shootout
 //! ```
 //!
-//! Generates one "sudden binary drift" stream (four drifts), runs all eight
-//! detectors of the paper's Table 1 line-up over it, and prints a compact
-//! comparison — a miniature, single-run version of the `table1` binary.
+//! Generates one "sudden binary drift" stream (one drift, halfway through),
+//! runs all eight detectors of the paper's Table 1 line-up over it, and
+//! prints a compact comparison — a miniature, single-run version of the
+//! `table1` binary.
 
 use optwin::eval::experiment::{run_detector_on_sequence, Table1Experiment};
-use optwin::{DetectorFactory, DetectorKind};
+use optwin::paper_lineup;
 
 fn main() {
     let experiment = Table1Experiment::SuddenBinary;
@@ -29,9 +30,8 @@ fn main() {
         "Detector", "TP", "FP", "FN", "P", "R", "F1", "mean delay"
     );
 
-    let factory = DetectorFactory::with_optwin_window(5_000);
-    for kind in DetectorKind::paper_lineup() {
-        let mut detector = factory.build(kind);
+    for (label, spec) in paper_lineup(5_000) {
+        let mut detector = spec.build().expect("paper line-up specs are valid");
         let run = run_detector_on_sequence(detector.as_mut(), &errors, &schedule);
         let delay = run
             .outcome
@@ -39,7 +39,7 @@ fn main() {
             .map_or_else(|| "-".to_string(), |d| format!("{d:.1}"));
         println!(
             "{:<18} {:>4} {:>4} {:>4} {:>7.0}% {:>7.0}% {:>7.0}% {:>12}",
-            kind.label(),
+            label,
             run.outcome.true_positives,
             run.outcome.false_positives,
             run.outcome.false_negatives,

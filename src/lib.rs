@@ -61,8 +61,8 @@ pub use optwin_stats as stats;
 pub use optwin_stream as stream;
 
 pub use optwin_baselines::{
-    Adwin, Cascade, CascadeConfig, Ddm, DetectorKind, DetectorSpec, Ecdd, Eddm, Ensemble,
-    EnsembleConfig, Kswin, PageHinkley, Stepd,
+    Adwin, Cascade, CascadeConfig, Ddm, DetectorSpec, Ecdd, Eddm, Ensemble, EnsembleConfig, Kswin,
+    PageHinkley, Stepd,
 };
 pub use optwin_core::{
     BatchOutcome, CutTable, CutTableRegistry, DetectorExt, DriftDetector, DriftStatus, Optwin,
@@ -74,7 +74,7 @@ pub use optwin_engine::{
     HibernationPolicy, JsonLinesSink, MemorySink, RebalancePolicy, RebalanceReport, ShardLoad,
 };
 pub use optwin_eval::{
-    default_lineup, run_driftbench, DetectorFactory, DriftbenchCell, DriftbenchConfig,
+    default_lineup, paper_lineup, run_driftbench, run_table1, DriftbenchCell, DriftbenchConfig,
     DriftbenchReport, Table1Experiment,
 };
 pub use optwin_learners::{AdaptiveLearner, NaiveBayes, OnlineLearner};
@@ -88,8 +88,8 @@ mod tests {
     fn facade_reexports_are_usable() {
         let detector = Optwin::with_defaults().unwrap();
         assert_eq!(detector.name(), "OPTWIN");
-        let kinds = DetectorKind::paper_lineup();
-        assert_eq!(kinds.len(), 8);
+        let lineup = paper_lineup(1_000);
+        assert_eq!(lineup.len(), 8);
         let schedule = DriftSchedule::every(100, 1_000, 1);
         assert_eq!(schedule.n_drifts(), 9);
     }

@@ -1,7 +1,7 @@
 //! Contract tests every detector in the workspace must satisfy, run through
 //! the public facade (`optwin` crate) exactly as a downstream user would.
 
-use optwin::{DetectorFactory, DetectorKind, DriftStatus};
+use optwin::{paper_lineup, DriftStatus};
 
 /// Chunk sizes the batch-equivalence checks slice the stream into: prime,
 /// power of two, and "everything at once".
@@ -29,9 +29,8 @@ fn bernoulli(i: u64, p: f64) -> f64 {
 /// Every detector must eventually detect a massive error-rate increase.
 #[test]
 fn all_detectors_catch_a_massive_shift() {
-    let factory = DetectorFactory::with_optwin_window(2_000);
-    for kind in DetectorKind::paper_lineup() {
-        let mut detector = factory.build(kind);
+    for (label, spec) in paper_lineup(2_000) {
+        let mut detector = spec.build().unwrap();
         let mut detected = false;
         for i in 0..30_000u64 {
             let p = if i < 15_000 { 0.05 } else { 0.70 };
@@ -40,11 +39,7 @@ fn all_detectors_catch_a_massive_shift() {
                 break;
             }
         }
-        assert!(
-            detected,
-            "{} missed a 5% -> 70% error-rate jump",
-            kind.label()
-        );
+        assert!(detected, "{label} missed a 5% -> 70% error-rate jump");
     }
 }
 
@@ -52,9 +47,8 @@ fn all_detectors_catch_a_massive_shift() {
 /// counters (they describe the detector's history, not its window).
 #[test]
 fn counters_and_reset_contract() {
-    let factory = DetectorFactory::with_optwin_window(500);
-    for kind in DetectorKind::paper_lineup() {
-        let mut detector = factory.build(kind);
+    for (_, spec) in paper_lineup(500) {
+        let mut detector = spec.build().unwrap();
         for i in 0..1_000u64 {
             detector.add_element(bernoulli(i, 0.2));
         }
@@ -80,14 +74,12 @@ fn counters_and_reset_contract() {
 /// fractional losses without panicking.
 #[test]
 fn input_domain_metadata_is_consistent() {
-    let factory = DetectorFactory::with_optwin_window(500);
-    for kind in DetectorKind::paper_lineup() {
-        let mut detector = factory.build(kind);
+    for (label, spec) in paper_lineup(500) {
+        let mut detector = spec.build().unwrap();
         assert_eq!(
             detector.supports_real_valued_input(),
-            !kind.binary_only(),
-            "{}",
-            kind.label()
+            !spec.binary_only(),
+            "{label}"
         );
         // Feeding fractional values must never panic, even for binary-only
         // detectors (they threshold internally).
@@ -101,9 +93,8 @@ fn input_domain_metadata_is_consistent() {
 /// exactly the drift indices and counters of an `add_element` fold over the
 /// same input, for every way of chunking the stream.
 fn assert_batch_equivalence_on(stream: &[f64], optwin_window: usize) {
-    let factory = DetectorFactory::with_optwin_window(optwin_window);
-    for kind in DetectorKind::paper_lineup() {
-        let mut scalar = factory.build(kind);
+    for (label, spec) in paper_lineup(optwin_window) {
+        let mut scalar = spec.build().unwrap();
         let mut expected_drifts = Vec::new();
         let mut expected_warnings = Vec::new();
         for (i, &x) in stream.iter().enumerate() {
@@ -116,7 +107,7 @@ fn assert_batch_equivalence_on(stream: &[f64], optwin_window: usize) {
 
         for &chunk in &CHUNK_SIZES {
             let chunk = chunk.min(stream.len());
-            let mut batched = factory.build(kind);
+            let mut batched = spec.build().unwrap();
             let mut drifts = Vec::new();
             let mut warnings = Vec::new();
             for (k, xs) in stream.chunks(chunk).enumerate() {
@@ -124,24 +115,17 @@ fn assert_batch_equivalence_on(stream: &[f64], optwin_window: usize) {
                 drifts.extend(outcome.drift_indices.iter().map(|&i| k * chunk + i));
                 warnings.extend(outcome.warning_indices.iter().map(|&i| k * chunk + i));
             }
-            assert_eq!(drifts, expected_drifts, "{} chunk {chunk}", kind.label());
-            assert_eq!(
-                warnings,
-                expected_warnings,
-                "{} chunk {chunk}",
-                kind.label()
-            );
+            assert_eq!(drifts, expected_drifts, "{label} chunk {chunk}");
+            assert_eq!(warnings, expected_warnings, "{label} chunk {chunk}");
             assert_eq!(
                 batched.elements_seen(),
                 scalar.elements_seen(),
-                "{} chunk {chunk}",
-                kind.label()
+                "{label} chunk {chunk}"
             );
             assert_eq!(
                 batched.drifts_detected(),
                 scalar.drifts_detected(),
-                "{} chunk {chunk}",
-                kind.label()
+                "{label} chunk {chunk}"
             );
         }
     }
@@ -186,15 +170,14 @@ fn batch_equals_scalar_on_real_valued_streams() {
 /// (full determinism, a prerequisite for reproducible experiments).
 #[test]
 fn determinism_across_identical_runs() {
-    let factory = DetectorFactory::with_optwin_window(800);
-    for kind in DetectorKind::paper_lineup() {
-        let mut a = factory.build(kind);
-        let mut b = factory.build(kind);
+    for (label, spec) in paper_lineup(800) {
+        let mut a = spec.build().unwrap();
+        let mut b = spec.build().unwrap();
         for i in 0..5_000u64 {
             let p = if i < 2_500 { 0.1 } else { 0.4 };
             let x = bernoulli(i, p);
-            assert_eq!(a.add_element(x), b.add_element(x), "{}", kind.label());
+            assert_eq!(a.add_element(x), b.add_element(x), "{label}");
         }
-        assert_eq!(a.drifts_detected(), b.drifts_detected(), "{}", kind.label());
+        assert_eq!(a.drifts_detected(), b.drifts_detected(), "{label}");
     }
 }

@@ -6,24 +6,23 @@ use optwin::eval::metrics::score_detections;
 use optwin::learners::AdaptiveLearner;
 use optwin::stream::drift::MultiConceptStream;
 use optwin::stream::generators::{Agrawal, AgrawalFunction};
-use optwin::{
-    DetectorFactory, DetectorKind, DriftSchedule, InstanceStream, NaiveBayes, Optwin, OptwinConfig,
-};
+use optwin::{paper_lineup, DriftSchedule, InstanceStream, NaiveBayes, Optwin, OptwinConfig};
 
 /// The headline qualitative claim of the paper on a miniature scale: OPTWIN
 /// reaches a higher F1 than ADWIN on the sudden binary drift experiment
 /// because it produces (almost) no false positives.
 #[test]
 fn optwin_beats_adwin_on_sudden_binary_f1() {
-    let factory = DetectorFactory::with_optwin_window(2_000);
+    let lineup = paper_lineup(2_000);
+    let spec_of = |label: &str| &lineup.iter().find(|(l, _)| l == label).unwrap().1;
     let experiment = Table1Experiment::SuddenBinary;
 
     let mut optwin_f1 = Vec::new();
     let mut adwin_f1 = Vec::new();
     for seed in 0..3u64 {
         let (errors, schedule) = experiment.build_error_sequence(seed, 10_000);
-        let mut optwin = factory.build(DetectorKind::OptwinRho(500));
-        let mut adwin = factory.build(DetectorKind::Adwin);
+        let mut optwin = spec_of("OPTWIN rho=0.5").build().unwrap();
+        let mut adwin = spec_of("ADWIN").build().unwrap();
         optwin_f1.push(
             run_detector_on_sequence(optwin.as_mut(), &errors, &schedule)
                 .outcome
@@ -89,18 +88,17 @@ fn agrawal_classification_pipeline_with_adaptation() {
 /// seed and improves on the no-detector baseline for a drifting stream.
 #[test]
 fn classification_cell_reproducibility_and_improvement() {
-    let mut factory = DetectorFactory::with_optwin_window(1_000);
+    let optwin = &paper_lineup(1_000)[6];
+    assert_eq!(optwin.0, "OPTWIN rho=0.5");
     let a = run_classification_cell(
         ClassificationExperiment::SuddenStagger,
-        Some(DetectorKind::OptwinRho(500)),
-        &mut factory,
+        Some(optwin),
         Some(10_000),
         9,
     );
     let b = run_classification_cell(
         ClassificationExperiment::SuddenStagger,
-        Some(DetectorKind::OptwinRho(500)),
-        &mut factory,
+        Some(optwin),
         Some(10_000),
         9,
     );
@@ -110,7 +108,6 @@ fn classification_cell_reproducibility_and_improvement() {
     let baseline = run_classification_cell(
         ClassificationExperiment::SuddenStagger,
         None,
-        &mut factory,
         Some(10_000),
         9,
     );
@@ -122,13 +119,12 @@ fn classification_cell_reproducibility_and_improvement() {
     );
 }
 
-/// Detectors are usable through the trait object returned by the factory and
-/// never report drifts on an all-zero (perfect learner) error stream.
+/// Detectors are usable through the trait object a spec builds and never
+/// report drifts on an all-zero (perfect learner) error stream.
 #[test]
 fn perfect_learner_never_triggers_any_detector() {
-    let factory = DetectorFactory::with_optwin_window(500);
-    for kind in DetectorKind::paper_lineup() {
-        let mut detector = factory.build(kind);
+    for (_, spec) in paper_lineup(500) {
+        let mut detector = spec.build().unwrap();
         for _ in 0..5_000 {
             let status = detector.add_element(0.0);
             assert_ne!(

@@ -13,13 +13,13 @@
 //!   the events the uninterrupted engine produces for the remaining input.
 
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use optwin::engine::EngineError;
 use optwin::{
-    DetectorFactory, DetectorKind, DetectorSpec, DriftDetector, DriftEvent, DriftStatus,
-    EngineBuilder, EngineHandle, EngineSnapshot, EventSink, MemorySink, Optwin, OptwinConfig,
+    paper_lineup, DetectorSpec, DriftDetector, DriftEvent, DriftStatus, EngineBuilder,
+    EngineHandle, EngineSnapshot, EventSink, MemorySink, Optwin, OptwinConfig,
 };
 
 /// Deterministic pseudo-random jitter in [-0.5, 0.5) (SplitMix64).
@@ -48,10 +48,13 @@ fn test_shards() -> usize {
         .unwrap_or(8)
 }
 
-/// The detector kind assigned to a stream: the full 8-kind paper line-up,
-/// tiled over the streams.
-fn kind_of(stream: u64) -> DetectorKind {
-    DetectorKind::paper_lineup()[(stream % 8) as usize]
+/// The detector spec assigned to a stream: the paper line-up, tiled over
+/// the streams, with a small OPTWIN window so the million-element run stays
+/// fast in debug builds.
+fn lineup_spec_of(stream: u64) -> &'static DetectorSpec {
+    static LINEUP: OnceLock<Vec<(String, DetectorSpec)>> = OnceLock::new();
+    let lineup = LINEUP.get_or_init(|| paper_lineup(600));
+    &lineup[(stream % lineup.len() as u64) as usize].1
 }
 
 /// The `i`-th element of a stream: every stream degrades at its own drift
@@ -61,27 +64,18 @@ fn element(stream: u64, i: usize) -> f64 {
     let drift_at = ELEMENTS_PER_STREAM / 2 + (stream as usize * 37) % 2_000;
     let p = if i < drift_at { 0.06 } else { 0.55 };
     let u = jitter(stream.wrapping_mul(0x9E37_79B9) ^ i as u64) + 0.5;
-    if kind_of(stream).binary_only() {
+    if lineup_spec_of(stream).binary_only() {
         f64::from(u < p)
     } else {
         (p + 0.4 * (u - 0.5)).clamp(0.0, 1.0)
     }
 }
 
-/// Builds the paper line-up detector for a stream, with a small OPTWIN
-/// window / KSWIN buffer so the million-element run stays fast in debug
-/// builds.
+/// Builds the paper line-up detector for a stream.
 fn build_detector(stream: u64) -> Box<dyn DriftDetector + Send> {
-    match kind_of(stream) {
-        DetectorKind::Kswin => Box::new(optwin::baselines::Kswin::new(
-            optwin::baselines::KswinConfig {
-                window_size: 120,
-                stat_size: 25,
-                alpha: 1e-4,
-            },
-        )),
-        kind => DetectorFactory::with_optwin_window(600).build(kind),
-    }
+    lineup_spec_of(stream)
+        .build()
+        .expect("paper line-up specs are valid")
 }
 
 /// Sorted `(stream, seq, is_drift)` view of an event list, the canonical

@@ -5,25 +5,34 @@
 use optwin::eval::experiment::{run_detector_on_sequence, Table1Experiment};
 use optwin::eval::nn_pipeline::{run_nn_pipeline, NnPipelineConfig};
 use optwin::stats::tests::{wilcoxon_signed_rank, Alternative};
-use optwin::{Adwin, DetectorFactory, DetectorKind, DriftDetector, Optwin, OptwinConfig};
+use optwin::{paper_lineup, Adwin, DriftDetector, Optwin, OptwinConfig};
+
+/// Builds the paper line-up detector with the given label, with OPTWIN's
+/// window capped at 2 000.
+fn lineup_detector(label: &str) -> Box<dyn DriftDetector + Send> {
+    let (_, spec) = paper_lineup(2_000)
+        .into_iter()
+        .find(|(l, _)| l == label)
+        .expect("paper line-up label");
+    spec.build().expect("valid spec")
+}
 
 /// §1 / §4: OPTWIN's false-positive count is (far) lower than ADWIN's, EDDM's
 /// and ECDD's on the sudden binary drift configuration.
 #[test]
 fn optwin_has_fewer_false_positives_than_noisy_baselines() {
-    let mut factory = DetectorFactory::with_optwin_window(2_000);
     let (errors, schedule) = Table1Experiment::SuddenBinary.build_error_sequence(11, 15_000);
 
-    let fp_of = |kind: DetectorKind, factory: &mut DetectorFactory| {
-        let mut d = factory.build(kind);
+    let fp_of = |label: &str| {
+        let mut d = lineup_detector(label);
         run_detector_on_sequence(d.as_mut(), &errors, &schedule)
             .outcome
             .false_positives
     };
 
-    let optwin_fp = fp_of(DetectorKind::OptwinRho(500), &mut factory);
-    let ecdd_fp = fp_of(DetectorKind::Ecdd, &mut factory);
-    let eddm_fp = fp_of(DetectorKind::Eddm, &mut factory);
+    let optwin_fp = fp_of("OPTWIN rho=0.5");
+    let ecdd_fp = fp_of("ECDD");
+    let eddm_fp = fp_of("EDDM");
     assert!(
         optwin_fp <= ecdd_fp,
         "OPTWIN FP {optwin_fp} vs ECDD FP {ecdd_fp}"
@@ -42,17 +51,16 @@ fn optwin_has_fewer_false_positives_than_noisy_baselines() {
 /// shows 75 → 28 → 18 elements for ρ = 0.1 / 0.5 / 1.0).
 #[test]
 fn larger_rho_means_smaller_delay_on_sudden_drift() {
-    let mut factory = DetectorFactory::with_optwin_window(2_000);
     let (errors, schedule) = Table1Experiment::SuddenBinary.build_error_sequence(5, 15_000);
-    let delay_of = |kind: DetectorKind, factory: &mut DetectorFactory| {
-        let mut d = factory.build(kind);
+    let delay_of = |label: &str| {
+        let mut d = lineup_detector(label);
         run_detector_on_sequence(d.as_mut(), &errors, &schedule)
             .outcome
             .mean_delay
             .unwrap_or(f64::INFINITY)
     };
-    let d_01 = delay_of(DetectorKind::OptwinRho(100), &mut factory);
-    let d_10 = delay_of(DetectorKind::OptwinRho(1000), &mut factory);
+    let d_01 = delay_of("OPTWIN rho=0.1");
+    let d_10 = delay_of("OPTWIN rho=1.0");
     assert!(
         d_10 <= d_01 + 1e-9,
         "rho=1.0 delay {d_10} should not exceed rho=0.1 delay {d_01}"
@@ -65,7 +73,6 @@ fn larger_rho_means_smaller_delay_on_sudden_drift() {
 /// not the full α = 0.05 significance, to keep the test fast and robust).
 #[test]
 fn f1_comparison_favours_optwin() {
-    let mut factory = DetectorFactory::with_optwin_window(2_000);
     let experiments = [
         Table1Experiment::SuddenBinary,
         Table1Experiment::GradualBinary,
@@ -77,15 +84,15 @@ fn f1_comparison_favours_optwin() {
     let mut stepd_f1 = Vec::new();
     for (i, exp) in experiments.iter().enumerate() {
         let (errors, schedule) = exp.build_error_sequence(100 + i as u64, 12_000);
-        let run_f1 = |kind: DetectorKind, factory: &mut DetectorFactory| {
-            let mut d = factory.build(kind);
+        let run_f1 = |label: &str| {
+            let mut d = lineup_detector(label);
             run_detector_on_sequence(d.as_mut(), &errors, &schedule)
                 .outcome
                 .f1()
         };
-        optwin_f1.push(run_f1(DetectorKind::OptwinRho(500), &mut factory));
-        adwin_f1.push(run_f1(DetectorKind::Adwin, &mut factory));
-        stepd_f1.push(run_f1(DetectorKind::Stepd, &mut factory));
+        optwin_f1.push(run_f1("OPTWIN rho=0.5"));
+        adwin_f1.push(run_f1("ADWIN"));
+        stepd_f1.push(run_f1("STEPD"));
     }
     let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
     assert!(mean(&optwin_f1) >= mean(&adwin_f1) - 1e-9);

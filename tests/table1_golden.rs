@@ -15,9 +15,8 @@
 
 use std::path::PathBuf;
 
-use optwin::eval::experiment::{run_table1_experiment_sharded, run_table1_fleet};
 use optwin::eval::report::render_table1;
-use optwin::{DetectorFactory, FleetConfig, Table1Experiment};
+use optwin::{paper_lineup, run_table1, FleetConfig, Table1Experiment};
 
 const REPETITIONS: usize = 2;
 const STREAM_LEN: usize = 4_000;
@@ -39,33 +38,32 @@ fn fixture_path() -> PathBuf {
 /// Renders the whole golden grid at the given shard count: one table per
 /// experiment for the paper line-up, then the example fleet.
 fn render_grid(shards: usize) -> String {
-    let factory = DetectorFactory::with_optwin_window(OPTWIN_W_MAX);
-    let mut out = String::new();
-    for experiment in Table1Experiment::all() {
-        let rows = run_table1_experiment_sharded(
+    let run = |experiment, detectors: &[(String, _)]| {
+        let rows = run_table1(
             experiment,
-            &factory,
+            detectors,
             REPETITIONS,
             Some(STREAM_LEN),
             SEED,
             Some(shards),
-            false,
         );
-        out.push_str(&render_table1(&rows));
+        render_table1(&rows)
+    };
+    let lineup = paper_lineup(OPTWIN_W_MAX);
+    let mut out = String::new();
+    for experiment in Table1Experiment::all() {
+        out.push_str(&run(experiment, &lineup));
         out.push('\n');
     }
+    // The fleet rows carry the `table1 --fleet` labels.
     let fleet = FleetConfig::from_path(repo_path(&["configs", "fleet_example.json"]))
         .expect("example fleet loads");
-    let rows = run_table1_fleet(
-        Table1Experiment::SuddenBinary,
-        &fleet.streams,
-        REPETITIONS,
-        Some(STREAM_LEN),
-        SEED,
-        Some(shards),
-        false,
-    );
-    out.push_str(&render_table1(&rows));
+    let entries: Vec<_> = fleet
+        .streams
+        .into_iter()
+        .map(|(stream, spec)| (format!("#{stream} {}", spec.id()), spec))
+        .collect();
+    out.push_str(&run(Table1Experiment::SuddenBinary, &entries));
     out
 }
 
