@@ -575,6 +575,72 @@ fn live_v4_snapshot_round_trips() {
     assert_eq!(late, expected_late);
 }
 
+/// One stream entry as the writer lays it out, minus the wall-clock
+/// `detector_seconds`: `(stream, seq, spec, shard, state as JSON text)`.
+type EntryKey = (u64, u64, Option<String>, Option<usize>, String);
+
+fn entry_keys(snapshot: &EngineSnapshot) -> Vec<EntryKey> {
+    snapshot
+        .streams
+        .iter()
+        .map(|s| {
+            (
+                s.stream,
+                s.seq,
+                s.spec.as_ref().map(ToString::to_string),
+                s.shard,
+                serde_json::to_string(&s.state).expect("value trees serialize"),
+            )
+        })
+        .collect()
+}
+
+/// Builds a fleet that checkpoints only on request, lets `feed` drive it,
+/// checkpoints once and returns the merged checkpoint — a v4
+/// [`EngineSnapshot`] produced by the same per-stream writer as
+/// [`EngineHandle::snapshot`], read back through its JSON files.
+fn checkpointed_capture(
+    name: &str,
+    shards: usize,
+    specs: &[(u64, DetectorSpec)],
+    feed: impl FnOnce(&EngineHandle),
+) -> EngineSnapshot {
+    let dir = std::env::temp_dir().join(format!(
+        "optwin-golden-writer-{}-{name}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut builder = EngineBuilder::new()
+        .shards(shards)
+        .checkpoint(&dir, CheckpointPolicy::every_flushes(0));
+    for (stream, spec) in specs {
+        builder = builder.stream_spec(*stream, spec.clone());
+    }
+    let handle = builder.build().expect("valid engine");
+    feed(&handle);
+    handle.checkpoint().expect("checkpoint writes");
+    handle.shutdown().expect("clean shutdown");
+    let snapshot = load_checkpoint_dir(&dir).expect("checkpoint loads");
+    let _ = std::fs::remove_dir_all(&dir);
+    snapshot
+}
+
+/// Pins the writer to the golden bytes: the corpus fleet captured live at
+/// [`CUT`] reproduces every stream's `{stream, seq, spec, shard, state}` in
+/// `v4.json` exactly, after a JSON round trip (only the wall-clock
+/// `detector_seconds` is skipped).
+#[test]
+fn live_writer_reproduces_golden_v4_entries() {
+    let specs: Vec<(u64, DetectorSpec)> = (0..STREAMS).map(|s| (s, spec_of(s))).collect();
+    let live = checkpointed_capture("corpus", 4, &specs, |handle| feed(handle, 0, CUT));
+    let golden = EngineSnapshot::from_json(
+        &std::fs::read_to_string(fixture_path(4)).expect("v4 fixture present"),
+    )
+    .expect("fixture parses");
+    assert_eq!(live.version, 4);
+    assert_eq!(entry_keys(&live), entry_keys(&golden));
+}
+
 // ---------------------------------------------------------------------------
 // Corruption fuzzing at the engine level
 // ---------------------------------------------------------------------------
@@ -842,6 +908,11 @@ mod cascade_fixture {
         fixtures_dir().join("v4-cascade.json")
     }
 
+    /// The same mid-escalation fleet in the v3 JSON-array layout.
+    fn v3_path() -> PathBuf {
+        fixtures_dir().join("v3-cascade.json")
+    }
+
     /// The pilot stream's spec: the stream whose mid-escalation moment
     /// decides the snapshot cut.
     const PILOT: &str = "cascade:guard=ddm,confirm=[optwin:w_max=600],replay=256,cooldown=256";
@@ -922,7 +993,9 @@ mod cascade_fixture {
         handle.flush().expect("no ingestion errors");
     }
 
-    /// Writes the composite fixture; see the module docs.
+    /// Writes the composite fixtures (see the module docs): the same
+    /// mid-escalation state in the v4 blob layout and the v3 JSON-array
+    /// layout.
     #[test]
     #[ignore = "regenerates the checked-in cascade fixture"]
     fn regenerate_cascade_fixture() {
@@ -932,23 +1005,26 @@ mod cascade_fixture {
         let snapshot = handle
             .snapshot_with(SnapshotEncoding::Binary)
             .expect("snapshot-capable");
+        let v3 = handle
+            .snapshot_with(SnapshotEncoding::Json)
+            .expect("snapshot-capable");
         handle.shutdown().expect("clean shutdown");
         assert_eq!(
             snapshot.version, 4,
             "composites must not bump the wire format"
         );
+        assert_eq!(v3.version, 3);
         assert_eq!(snapshot.stream_count(), specs().len());
         std::fs::create_dir_all(fixtures_dir()).expect("fixtures dir");
         std::fs::write(path(), snapshot.to_json()).expect("write fixture");
+        std::fs::write(v3_path(), v3.to_json()).expect("write fixture");
     }
 
-    /// The checked-in fixture parses with the unchanged v4 codec, restores
-    /// a fleet whose pilot cascade is verifiably mid-escalation, and the
-    /// resumed fleet's decisions are byte-identical to an uninterrupted
-    /// reference — the cascade confirms the pending drift exactly where it
-    /// always would have.
-    #[test]
-    fn cascade_fixture_restores_mid_escalation_bit_exact() {
+    /// Restores the checked-in fixture at `path` (which must self-report
+    /// `version`) and checks that the resumed fleet's decisions are
+    /// byte-identical to an uninterrupted reference — the cascade confirms
+    /// the pending drift exactly where it always would have.
+    fn assert_fixture_resumes_bit_exact(path: PathBuf, version: u64) {
         let cut = mid_escalation_cut();
         // Double-check what "mid-escalation" means at this cut: a live
         // confirmer with the drift still unconfirmed.
@@ -975,16 +1051,16 @@ mod cascade_fixture {
             "the fleet must confirm drifts after the cut"
         );
 
-        let text = std::fs::read_to_string(path()).unwrap_or_else(|e| {
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             panic!(
                 "missing fixture {} — run the ignored \
                  `regenerate_cascade_fixture` test to rebuild it: {e}",
-                path().display()
+                path.display()
             )
         });
         let snapshot = EngineSnapshot::from_json(&text).expect("fixture parses");
         assert_eq!(
-            snapshot.version, 4,
+            snapshot.version, version,
             "composite detectors must not bump the snapshot wire format"
         );
         assert_eq!(snapshot.stream_count(), specs().len());
@@ -994,8 +1070,41 @@ mod cascade_fixture {
         let events = canonical(sink.drain());
         restored.shutdown().expect("clean shutdown");
         assert_eq!(
-            events, expected,
-            "the mid-escalation fixture must resume with identical decisions"
+            events,
+            expected,
+            "the mid-escalation fixture {} must resume with identical decisions",
+            path.display()
         );
+    }
+
+    /// The checked-in v4 fixture parses with the unchanged v4 codec,
+    /// restores a fleet whose pilot cascade is verifiably mid-escalation,
+    /// and resumes bit-exactly.
+    #[test]
+    fn cascade_fixture_restores_mid_escalation_bit_exact() {
+        assert_fixture_resumes_bit_exact(path(), 4);
+    }
+
+    /// The JSON-array layout of the same state: nested guard, confirmer
+    /// and replay-ring arrays inside the composite states keep restoring
+    /// bit-exactly.
+    #[test]
+    fn v3_cascade_fixture_restores_mid_escalation_bit_exact() {
+        assert_fixture_resumes_bit_exact(v3_path(), 3);
+    }
+
+    /// Pins the writer to the golden bytes: the cascade fleet captured live
+    /// at its mid-escalation cut reproduces every stream's
+    /// `{stream, seq, spec, shard, state}` in `v4-cascade.json` exactly.
+    #[test]
+    fn live_writer_reproduces_golden_cascade_entries() {
+        let cut = mid_escalation_cut();
+        let live = checkpointed_capture("cascade", 2, &specs(), |handle| feed(handle, 0, cut));
+        let golden = EngineSnapshot::from_json(
+            &std::fs::read_to_string(path()).expect("cascade fixture present"),
+        )
+        .expect("fixture parses");
+        assert_eq!(live.version, 4);
+        assert_eq!(entry_keys(&live), entry_keys(&golden));
     }
 }
