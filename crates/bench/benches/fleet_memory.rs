@@ -28,7 +28,6 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use optwin_baselines::DetectorSpec;
-use optwin_core::SnapshotEncoding;
 use optwin_engine::{EngineBuilder, EngineHandle, HibernationPolicy};
 
 fn env_or(name: &str, default: usize) -> usize {
@@ -158,7 +157,7 @@ fn bench_fleet_memory(c: &mut Criterion) {
             detector.add_element(element(spec.id().len() as u64, i));
         }
         let blob = detector
-            .snapshot_state_encoded(SnapshotEncoding::Binary)
+            .snapshot_state()
             .expect("all shipped detectors snapshot");
         rehydrate.sample_size(20);
         rehydrate.bench_function(detector.name(), |b| {

@@ -1,21 +1,18 @@
-//! Snapshot wire-format comparison: **v3 JSON** number arrays vs the **v4
-//! compact binary** window encoding, on a 1 000-stream OPTWIN fleet at the
-//! paper's `w_max = 25 000` — the configuration the ROADMAP called out as
+//! Snapshot codec cost of the v4 compact binary window encoding — the
+//! only layout the engine writes — on a 1 000-stream OPTWIN fleet at the
+//! paper's `w_max = 25 000`, the configuration the ROADMAP called out as
 //! expensive to checkpoint.
 //!
-//! Two tiers, each for both layouts:
+//! Two tiers:
 //!
-//! * **encode** — `EngineHandle::snapshot_with(..)` + `to_json()`: the full
+//! * **encode** — `EngineHandle::snapshot()` + `to_json()`: the full
 //!   serialize path a checkpoint pays.
 //! * **decode** — `EngineSnapshot::from_json` + a factory-less
 //!   `EngineBuilder::restore(..).build()`: the full restore path a restart
 //!   pays (the spawned engine is shut down inside the iteration).
 //!
-//! The payload sizes of both layouts are printed up front — for binary
-//! error streams (the paper's input) the v4 windows bit-pack to ~1/8 byte
-//! per element, for real-valued loss streams they fall back to raw 8-byte
-//! frames (still well below the ~19 bytes JSON spends per
-//! full-precision float).
+//! The payload size is printed up front: on binary error streams (the
+//! paper's input) the windows bit-pack to ~1/8 byte per element.
 //!
 //! Fleet size and fill level scale down via `OPTWIN_SNAPSHOT_BENCH_STREAMS`
 //! / `OPTWIN_SNAPSHOT_BENCH_ELEMENTS` for small hosts.
@@ -23,7 +20,6 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use optwin_baselines::DetectorSpec;
-use optwin_core::SnapshotEncoding;
 use optwin_engine::{EngineBuilder, EngineHandle, EngineSnapshot};
 
 fn env_or(name: &str, default: usize) -> usize {
@@ -54,9 +50,8 @@ fn unit(i: u64) -> f64 {
 }
 
 /// Builds the fleet and fills every window: `streams` OPTWIN detectors at
-/// `w_max = 25_000`, fed `elements` values each — binary error indicators
-/// or real-valued losses.
-fn filled_fleet(streams: u64, elements: usize, binary: bool) -> EngineHandle {
+/// `w_max = 25_000`, fed `elements` binary error indicators each.
+fn filled_fleet(streams: u64, elements: usize) -> EngineHandle {
     let spec: DetectorSpec = "optwin:rho=0.5,w_max=25000".parse().expect("valid spec");
     let handle = EngineBuilder::new()
         .shards(4)
@@ -70,12 +65,7 @@ fn filled_fleet(streams: u64, elements: usize, binary: bool) -> EngineHandle {
         for stream in 0..streams {
             for i in start..(start + 500).min(elements) {
                 let u = unit(stream.wrapping_mul(0x00C0_FFEE) ^ i as u64);
-                let value = if binary {
-                    f64::from(u < 0.07)
-                } else {
-                    0.07 + 0.05 * (u - 0.5)
-                };
-                records.push((stream, value));
+                records.push((stream, f64::from(u < 0.07)));
             }
         }
         handle.submit(&records).expect("engine running");
@@ -88,60 +78,20 @@ fn bench_snapshot_codec(c: &mut Criterion) {
     let streams = n_streams();
     let elements = elements_per_stream();
 
-    // Size report: both layouts, both value profiles (the latency tiers
-    // below use the binary profile — the paper's input).
-    let real = filled_fleet(streams.min(64), elements, false);
-    let real_v3 = real
-        .snapshot_with(SnapshotEncoding::Json)
-        .expect("snapshot-capable")
-        .to_json();
-    let real_v4 = real.snapshot_compact().expect("snapshot-capable").to_json();
-    real.shutdown().expect("clean shutdown");
+    let handle = filled_fleet(streams, elements);
+    let json = handle.snapshot().expect("snapshot-capable").to_json();
     println!(
-        "real-valued losses, {} streams x {elements}: v3 = {} KiB, v4 = {} KiB ({:.1}%)",
-        streams.min(64),
-        real_v3.len() / 1024,
-        real_v4.len() / 1024,
-        real_v4.len() as f64 / real_v3.len() as f64 * 100.0
-    );
-    drop((real_v3, real_v4));
-
-    let handle = filled_fleet(streams, elements, true);
-    let v3_json = handle
-        .snapshot_with(SnapshotEncoding::Json)
-        .expect("snapshot-capable")
-        .to_json();
-    let v4_json = handle
-        .snapshot_compact()
-        .expect("snapshot-capable")
-        .to_json();
-    println!(
-        "binary error streams, {streams} streams x {elements} (w_max=25k): \
-         v3 = {} KiB, v4 = {} KiB ({:.1}%)",
-        v3_json.len() / 1024,
-        v4_json.len() / 1024,
-        v4_json.len() as f64 / v3_json.len() as f64 * 100.0
+        "binary error streams, {streams} streams x {elements} (w_max=25k): {} KiB",
+        json.len() / 1024
     );
 
     let total_elements = streams * elements as u64;
     let mut encode = c.benchmark_group(format!("snapshot_encode_{streams}_streams"));
     encode.throughput(Throughput::Elements(total_elements));
     encode.sample_size(10);
-    encode.bench_function("v3_json", |b| {
-        b.iter(|| {
-            let json = handle
-                .snapshot_with(SnapshotEncoding::Json)
-                .expect("snapshot-capable")
-                .to_json();
-            black_box(json.len())
-        });
-    });
     encode.bench_function("v4_binary", |b| {
         b.iter(|| {
-            let json = handle
-                .snapshot_compact()
-                .expect("snapshot-capable")
-                .to_json();
+            let json = handle.snapshot().expect("snapshot-capable").to_json();
             black_box(json.len())
         });
     });
@@ -149,25 +99,23 @@ fn bench_snapshot_codec(c: &mut Criterion) {
 
     let mut decode = c.benchmark_group(format!("snapshot_decode_{streams}_streams"));
     decode.throughput(Throughput::Elements(total_elements));
-    // Restoring a 1k-detector fleet takes tens of seconds per iteration on
-    // a laptop-class core (the v3 JSON parse dominates); keep the sample
-    // count low so the whole bench stays in single-digit minutes.
+    // Restoring a 1k-detector fleet rebuilds a thousand w_max = 25k
+    // windows per iteration; keep the sample count low so the whole bench
+    // stays short.
     decode.sample_size(3);
-    for (label, json) in [("v3_json", &v3_json), ("v4_binary", &v4_json)] {
-        decode.bench_function(label, |b| {
-            b.iter(|| {
-                let snapshot = EngineSnapshot::from_json(json).expect("well-formed JSON");
-                let restored = EngineBuilder::new()
-                    .shards(4)
-                    .restore(snapshot)
-                    .build()
-                    .expect("self-describing snapshot");
-                let streams = restored.stats().expect("engine running").streams;
-                restored.shutdown().expect("clean shutdown");
-                black_box(streams)
-            });
+    decode.bench_function("v4_binary", |b| {
+        b.iter(|| {
+            let snapshot = EngineSnapshot::from_json(&json).expect("well-formed JSON");
+            let restored = EngineBuilder::new()
+                .shards(4)
+                .restore(snapshot)
+                .build()
+                .expect("self-describing snapshot");
+            let streams = restored.stats().expect("engine running").streams;
+            restored.shutdown().expect("clean shutdown");
+            black_box(streams)
         });
-    }
+    });
     decode.finish();
     handle.shutdown().expect("clean shutdown");
 }

@@ -395,73 +395,28 @@ impl DriftDetector for Adwin {
                 .sum::<usize>()
     }
 
-    /// Serializes the exponential histogram verbatim — every bucket's
-    /// `(count, sum, variance)` triple per row — plus the raw window
-    /// aggregates and counters. The aggregates are *not* recomputed from the
-    /// buckets on restore: `total_variance` carries the rounding history of
-    /// every incremental update, and bit-exact resumption requires restoring
-    /// exactly that value.
+    /// Serializes the exponential histogram verbatim plus the raw window
+    /// aggregates and counters. The buckets are stored **columnar** —
+    /// per-row lengths plus one blob each for the flattened counts
+    /// (varints), sums and variances — so the integral columns compress far
+    /// below a nested JSON layout. The aggregates are *not* recomputed from
+    /// the buckets on restore: `total_variance` carries the rounding history
+    /// of every incremental update, and bit-exact resumption requires
+    /// restoring exactly that value.
     fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(optwin_core::SnapshotEncoding::Json)
-    }
-
-    /// [`Adwin::snapshot_state`] with an explicit layout for the bucket
-    /// rows. The JSON layout keeps the historical nested
-    /// `[[count, sum, variance], ..]` arrays; the binary layout stores the
-    /// same buckets **columnar** — per-row lengths plus one blob each for
-    /// the flattened counts (varints), sums and variances — so the integral
-    /// columns compress far below their JSON forms.
-    fn snapshot_state_encoded(
-        &self,
-        encoding: optwin_core::SnapshotEncoding,
-    ) -> Option<serde::Value> {
-        use optwin_core::snapshot::{f64_seq_value, u64_seq_value};
+        use optwin_core::snapshot::{encode_f64_seq, encode_u64_seq, float_value};
         use serde::Serialize as _;
-        let rows = match encoding {
-            optwin_core::SnapshotEncoding::Json => serde::Value::Array(
-                self.rows
-                    .iter()
-                    .map(|row| {
-                        serde::Value::Array(
-                            row.iter()
-                                .map(|b| {
-                                    serde::Value::Array(vec![
-                                        serde::Value::UInt(b.count),
-                                        serde::Value::Float(b.sum),
-                                        serde::Value::Float(b.variance),
-                                    ])
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-            optwin_core::SnapshotEncoding::Binary => {
-                let lens: Vec<u64> = self.rows.iter().map(|row| row.len() as u64).collect();
-                let buckets = self.rows.iter().flatten();
-                let counts: Vec<u64> = buckets.clone().map(|b| b.count).collect();
-                let sums: Vec<f64> = buckets.clone().map(|b| b.sum).collect();
-                let variances: Vec<f64> = buckets.map(|b| b.variance).collect();
-                serde::Value::Object(vec![
-                    (
-                        "row_lens".to_string(),
-                        u64_seq_value(optwin_core::SnapshotEncoding::Binary, &lens),
-                    ),
-                    (
-                        "counts".to_string(),
-                        u64_seq_value(optwin_core::SnapshotEncoding::Binary, &counts),
-                    ),
-                    (
-                        "sums".to_string(),
-                        f64_seq_value(optwin_core::SnapshotEncoding::Binary, &sums),
-                    ),
-                    (
-                        "variances".to_string(),
-                        f64_seq_value(optwin_core::SnapshotEncoding::Binary, &variances),
-                    ),
-                ])
-            }
-        };
+        let lens: Vec<u64> = self.rows.iter().map(|row| row.len() as u64).collect();
+        let buckets = self.rows.iter().flatten();
+        let counts: Vec<u64> = buckets.clone().map(|b| b.count).collect();
+        let sums: Vec<f64> = buckets.clone().map(|b| b.sum).collect();
+        let variances: Vec<f64> = buckets.map(|b| b.variance).collect();
+        let rows = serde::Value::Object(vec![
+            ("row_lens".to_string(), encode_u64_seq(&lens)),
+            ("counts".to_string(), encode_u64_seq(&counts)),
+            ("sums".to_string(), encode_f64_seq(&sums)),
+            ("variances".to_string(), encode_f64_seq(&variances)),
+        ]);
         Some(serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             ("rows".to_string(), rows),
@@ -469,10 +424,10 @@ impl DriftDetector for Adwin {
                 "total_count".to_string(),
                 serde::Value::UInt(self.total_count),
             ),
-            ("total_sum".to_string(), serde::Value::Float(self.total_sum)),
+            ("total_sum".to_string(), float_value(self.total_sum)),
             (
                 "total_variance".to_string(),
-                serde::Value::Float(self.total_variance),
+                float_value(self.total_variance),
             ),
             (
                 "elements_since_check".to_string(),
@@ -562,8 +517,8 @@ fn validated_bucket(
     })
 }
 
-/// Parses the historical JSON layout of `rows`: an array of rows, each an
-/// array of `[count, sum, variance]` triples.
+/// Parses the JSON layout of `rows` the retired v1–v3 writer produced: an
+/// array of rows, each an array of `[count, sum, variance]` triples.
 fn rows_from_nested(row_values: &[serde::Value]) -> Result<(Vec<Vec<Bucket>>, u64), CoreError> {
     if row_values.is_empty() {
         return Err(invalid("`rows` must contain at least one row"));
@@ -907,9 +862,7 @@ mod tests {
         for i in 0..2_000u64 {
             donor.add_element(bernoulli(i, 0.3));
         }
-        let state = donor
-            .snapshot_state_encoded(optwin_core::SnapshotEncoding::Binary)
-            .unwrap();
+        let state = donor.snapshot_state().unwrap();
         // The bucket rows become a columnar object of blob strings.
         let rows = state.get("rows").expect("rows present");
         assert!(rows.as_object().is_some(), "columnar layout");

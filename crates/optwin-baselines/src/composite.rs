@@ -51,8 +51,8 @@
 
 use std::collections::VecDeque;
 
-use optwin_core::snapshot::{check_version, f64_seq_field, f64_seq_value, field, invalid};
-use optwin_core::{BatchOutcome, CoreError, DriftDetector, DriftStatus, SnapshotEncoding};
+use optwin_core::snapshot::{check_version, encode_f64_seq, f64_seq_field, field, invalid};
+use optwin_core::{BatchOutcome, CoreError, DriftDetector, DriftStatus};
 
 use crate::spec::DetectorSpec;
 
@@ -410,19 +410,15 @@ impl DriftDetector for Cascade {
                 .map_or(0, |confirmer| confirmer.mem_footprint())
     }
 
-    fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(SnapshotEncoding::Json)
-    }
-
     /// Nested snapshot: the guard's (and, when live, the confirmer's) own
-    /// encoded state embedded as sub-objects, the replay ring in the
-    /// requested sequence layout, and a `null` confirmer as the persisted
-    /// dormant flag. `elements_seen` / `drifts_detected` stay top-level so
-    /// the engine's hibernation tier can audit sleeping cascades.
-    fn snapshot_state_encoded(&self, encoding: SnapshotEncoding) -> Option<serde::Value> {
-        let guard = self.guard.snapshot_state_encoded(encoding)?;
+    /// state embedded as sub-objects, the replay ring as a blob, and a
+    /// `null` confirmer as the persisted dormant flag. `elements_seen` /
+    /// `drifts_detected` stay top-level so the engine's hibernation tier can
+    /// audit sleeping cascades.
+    fn snapshot_state(&self) -> Option<serde::Value> {
+        let guard = self.guard.snapshot_state()?;
         let confirmer = match self.confirmer.as_ref() {
-            Some(confirmer) => confirmer.snapshot_state_encoded(encoding)?,
+            Some(confirmer) => confirmer.snapshot_state()?,
             None => serde::Value::Null,
         };
         use serde::Serialize as _;
@@ -445,7 +441,7 @@ impl DriftDetector for Cascade {
                 "stable_streak".to_string(),
                 serde::Value::UInt(u64::from(self.stable_streak)),
             ),
-            ("replay".to_string(), f64_seq_value(encoding, &replay)),
+            ("replay".to_string(), encode_f64_seq(&replay)),
             ("last_status".to_string(), self.last_status.to_value()),
             ("guard".to_string(), guard),
             ("confirmer".to_string(), confirmer),
@@ -691,15 +687,11 @@ impl DriftDetector for Ensemble {
     }
 
     fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(SnapshotEncoding::Json)
-    }
-
-    fn snapshot_state_encoded(&self, encoding: SnapshotEncoding) -> Option<serde::Value> {
         use serde::Serialize as _;
         let members = self
             .members
             .iter()
-            .map(|member| member.snapshot_state_encoded(encoding))
+            .map(|member| member.snapshot_state())
             .collect::<Option<Vec<_>>>()?;
         Some(serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),

@@ -13,7 +13,7 @@
 //! after at least `min_instances` (30) observations. On drift the statistics
 //! are reset.
 
-use optwin_core::snapshot::{check_version, field, float_field};
+use optwin_core::snapshot::{check_version, field, float_field, float_value};
 use optwin_core::{CoreError, DriftDetector, DriftStatus};
 
 /// Serialization format version of [`Ddm`]'s state snapshot.
@@ -172,22 +172,13 @@ impl DriftDetector for Ddm {
     /// recorded `p_min`/`s_min` minimums verbatim, so the restored detector
     /// evaluates exactly the same thresholds the original would have.
     fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(optwin_core::SnapshotEncoding::Json)
-    }
-
-    /// DDM's state is a handful of scalars — there is no sequence payload to
-    /// compress, so both encodings produce the identical value tree.
-    fn snapshot_state_encoded(
-        &self,
-        _encoding: optwin_core::SnapshotEncoding,
-    ) -> Option<serde::Value> {
         use serde::Serialize as _;
         Some(serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             ("n".to_string(), serde::Value::UInt(self.n)),
-            ("errors".to_string(), serde::Value::Float(self.errors)),
-            ("p_min".to_string(), serde::Value::Float(self.p_min)),
-            ("s_min".to_string(), serde::Value::Float(self.s_min)),
+            ("errors".to_string(), float_value(self.errors)),
+            ("p_min".to_string(), float_value(self.p_min)),
+            ("s_min".to_string(), float_value(self.s_min)),
             (
                 "elements_seen".to_string(),
                 serde::Value::UInt(self.elements_seen),

@@ -26,7 +26,7 @@
 
 use std::sync::{Arc, OnceLock, RwLock};
 
-use optwin_core::snapshot::{check_version, field, float_field, invalid};
+use optwin_core::snapshot::{check_version, field, float_field, float_value, invalid};
 use optwin_core::{CoreError, DriftDetector, DriftStatus};
 use optwin_stats::incremental::Ewma;
 
@@ -321,15 +321,6 @@ impl DriftDetector for Ecdd {
     /// *not* serialized: it is a pure, deterministic function of the
     /// configuration and refills identically on demand.
     fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(optwin_core::SnapshotEncoding::Json)
-    }
-
-    /// ECDD's state is a handful of scalars — there is no sequence payload
-    /// to compress, so both encodings produce the identical value tree.
-    fn snapshot_state_encoded(
-        &self,
-        _encoding: optwin_core::SnapshotEncoding,
-    ) -> Option<serde::Value> {
         use serde::Serialize as _;
         let (count, mean, z, pow_2t) = self.ewma.to_raw();
         Some(serde::Value::Object(vec![
@@ -337,14 +328,11 @@ impl DriftDetector for Ecdd {
             // λ shapes every serialized EWMA weight, so it is recorded and
             // validated on restore — restoring λ=0.2 state into a λ=0.05
             // detector would be statistically wrong with no error.
-            (
-                "lambda".to_string(),
-                serde::Value::Float(self.config.lambda),
-            ),
+            ("lambda".to_string(), float_value(self.config.lambda)),
             ("ewma_count".to_string(), serde::Value::UInt(count)),
-            ("ewma_mean".to_string(), serde::Value::Float(mean)),
-            ("ewma_z".to_string(), serde::Value::Float(z)),
-            ("ewma_pow_2t".to_string(), serde::Value::Float(pow_2t)),
+            ("ewma_mean".to_string(), float_value(mean)),
+            ("ewma_z".to_string(), float_value(z)),
+            ("ewma_pow_2t".to_string(), float_value(pow_2t)),
             (
                 "elements_seen".to_string(),
                 serde::Value::UInt(self.elements_seen),

@@ -12,7 +12,7 @@
 //! Detection only starts after `min_errors` (30) errors have been observed.
 //! On drift the statistics are reset.
 
-use optwin_core::snapshot::{check_version, field, float_field};
+use optwin_core::snapshot::{check_version, field, float_field, float_value};
 use optwin_core::{CoreError, DriftDetector, DriftStatus};
 
 /// Serialization format version of [`Eddm`]'s state snapshot.
@@ -195,15 +195,6 @@ impl DriftDetector for Eddm {
     /// Serializes the raw error-distance accumulators (Welford mean/M2, last
     /// error position, recorded maximum) verbatim for bit-exact resumption.
     fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(optwin_core::SnapshotEncoding::Json)
-    }
-
-    /// EDDM's state is a handful of scalars — there is no sequence payload
-    /// to compress, so both encodings produce the identical value tree.
-    fn snapshot_state_encoded(
-        &self,
-        _encoding: optwin_core::SnapshotEncoding,
-    ) -> Option<serde::Value> {
         use serde::Serialize as _;
         Some(serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
@@ -213,9 +204,9 @@ impl DriftDetector for Eddm {
                 "error_count".to_string(),
                 serde::Value::UInt(self.error_count),
             ),
-            ("dist_mean".to_string(), serde::Value::Float(self.dist_mean)),
-            ("dist_m2".to_string(), serde::Value::Float(self.dist_m2)),
-            ("max_stat".to_string(), serde::Value::Float(self.max_stat)),
+            ("dist_mean".to_string(), float_value(self.dist_mean)),
+            ("dist_m2".to_string(), float_value(self.dist_m2)),
+            ("max_stat".to_string(), float_value(self.max_stat)),
             (
                 "elements_seen".to_string(),
                 serde::Value::UInt(self.elements_seen),

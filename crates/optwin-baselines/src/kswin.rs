@@ -246,26 +246,17 @@ impl DriftDetector for Kswin {
                 * std::mem::size_of::<f64>()
     }
 
-    /// Serializes the buffered window contents verbatim plus the lifetime
-    /// counters — KSWIN's entire mutable state is the raw window.
+    /// Serializes the buffered window contents verbatim, as a compact
+    /// binary blob, plus the lifetime counters — KSWIN's entire mutable
+    /// state is the raw window.
     fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(optwin_core::SnapshotEncoding::Json)
-    }
-
-    /// [`Kswin::snapshot_state`] with an explicit window layout: the raw
-    /// window (the bulk of KSWIN's state at large `window_size`) serializes
-    /// as a JSON array or a compact binary blob.
-    fn snapshot_state_encoded(
-        &self,
-        encoding: optwin_core::SnapshotEncoding,
-    ) -> Option<serde::Value> {
         use serde::Serialize as _;
         let window: Vec<f64> = self.window.iter().copied().collect();
         Some(serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             (
                 "window".to_string(),
-                optwin_core::snapshot::f64_seq_value(encoding, &window),
+                optwin_core::snapshot::encode_f64_seq(&window),
             ),
             (
                 "elements_seen".to_string(),

@@ -97,57 +97,39 @@ pub(crate) mod test_util {
     }
 
     /// Asserts the snapshot contract for a detector: snapshotting at each of
-    /// `cuts` — in **both** the JSON and the compact binary layout — and
-    /// restoring into a freshly built instance yields *identical* decisions
-    /// and counters for the remaining stream (mirroring the OPTWIN
-    /// equivalence test in `optwin-core`).
+    /// `cuts` and restoring into a freshly built instance yields
+    /// *identical* decisions and counters for the remaining stream
+    /// (mirroring the OPTWIN equivalence test in `optwin-core`).
     pub(crate) fn assert_snapshot_equivalence<D: DriftDetector>(
         build: impl Fn() -> D,
         stream: &[f64],
         cuts: &[usize],
     ) {
-        use optwin_core::SnapshotEncoding;
         for &cut in cuts {
             assert!(cut <= stream.len(), "cut {cut} beyond stream");
-            let mut original = build();
-            original.add_batch(&stream[..cut]);
-            let json_state = original
+            let mut continued = build();
+            continued.add_batch(&stream[..cut]);
+            let state = continued
                 .snapshot_state()
-                .unwrap_or_else(|| panic!("{} must support snapshots", original.name()));
+                .unwrap_or_else(|| panic!("{} must support snapshots", continued.name()));
+            let mut restored = build();
+            restored
+                .restore_state(&state)
+                .unwrap_or_else(|e| panic!("restore at {cut} failed: {e}"));
+            assert_eq!(restored.elements_seen(), continued.elements_seen());
+            assert_eq!(restored.drifts_detected(), continued.drifts_detected());
+
+            let rest = &stream[cut..];
+            let a = continued.add_batch(rest);
+            let b = restored.add_batch(rest);
             assert_eq!(
-                Some(&json_state),
-                original
-                    .snapshot_state_encoded(SnapshotEncoding::Json)
-                    .as_ref(),
-                "{}: snapshot_state must be the JSON-encoded snapshot",
-                original.name()
+                a,
+                b,
+                "{}: divergence after restore at {cut}",
+                continued.name()
             );
-            let binary_state = original
-                .snapshot_state_encoded(SnapshotEncoding::Binary)
-                .unwrap_or_else(|| panic!("{} must support binary snapshots", original.name()));
-
-            for (layout, state) in [("json", &json_state), ("binary", &binary_state)] {
-                let mut continued = build();
-                continued.add_batch(&stream[..cut]);
-                let mut restored = build();
-                restored
-                    .restore_state(state)
-                    .unwrap_or_else(|e| panic!("{layout} restore at {cut} failed: {e}"));
-                assert_eq!(restored.elements_seen(), continued.elements_seen());
-                assert_eq!(restored.drifts_detected(), continued.drifts_detected());
-
-                let rest = &stream[cut..];
-                let a = continued.add_batch(rest);
-                let b = restored.add_batch(rest);
-                assert_eq!(
-                    a,
-                    b,
-                    "{}: divergence after {layout} restore at {cut}",
-                    continued.name()
-                );
-                assert_eq!(continued.elements_seen(), restored.elements_seen());
-                assert_eq!(continued.drifts_detected(), restored.drifts_detected());
-            }
+            assert_eq!(continued.elements_seen(), restored.elements_seen());
+            assert_eq!(continued.drifts_detected(), restored.drifts_detected());
         }
     }
 

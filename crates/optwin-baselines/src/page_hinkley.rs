@@ -7,7 +7,7 @@
 //! threshold `lambda`, a change is flagged. It is not part of the paper's
 //! baseline set but is a classic single-pass detector useful for ablations.
 
-use optwin_core::snapshot::{check_version, field, float_field};
+use optwin_core::snapshot::{check_version, field, float_field, float_value};
 use optwin_core::{CoreError, DriftDetector, DriftStatus};
 
 /// Serialization format version of [`PageHinkley`]'s state snapshot.
@@ -150,30 +150,18 @@ impl DriftDetector for PageHinkley {
 
     /// Serializes the raw running mean, cumulative statistic and its minimum
     /// verbatim (the minimum starts at `f64::MAX`, which is finite and
-    /// round-trips exactly).
+    /// round-trips exactly; a NaN input leaves NaN statistics, which
+    /// [`float_value`] keeps readable).
     fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(optwin_core::SnapshotEncoding::Json)
-    }
-
-    /// Page–Hinkley's state is a handful of scalars — there is no sequence
-    /// payload to compress, so both encodings produce the identical value
-    /// tree.
-    fn snapshot_state_encoded(
-        &self,
-        _encoding: optwin_core::SnapshotEncoding,
-    ) -> Option<serde::Value> {
         use serde::Serialize as _;
         Some(serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             ("n".to_string(), serde::Value::UInt(self.n)),
-            ("mean".to_string(), serde::Value::Float(self.mean)),
-            (
-                "cumulative".to_string(),
-                serde::Value::Float(self.cumulative),
-            ),
+            ("mean".to_string(), float_value(self.mean)),
+            ("cumulative".to_string(), float_value(self.cumulative)),
             (
                 "min_cumulative".to_string(),
-                serde::Value::Float(self.min_cumulative),
+                float_value(self.min_cumulative),
             ),
             (
                 "elements_seen".to_string(),
@@ -187,24 +175,15 @@ impl DriftDetector for PageHinkley {
         ]))
     }
 
+    /// Accepts non-finite statistics: a NaN or infinite input makes them
+    /// reachable live state, and restore must accept every state
+    /// [`PageHinkley::snapshot_state`] can emit.
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), CoreError> {
         check_version(state, SNAPSHOT_VERSION, "PageHinkley")?;
         let n: u64 = field(state, "n")?;
-        let finite = |name: &str, x: f64| {
-            if x.is_finite() {
-                Ok(())
-            } else {
-                Err(optwin_core::snapshot::invalid(format!(
-                    "{name} ({x}) must be finite"
-                )))
-            }
-        };
         let mean = float_field(state, "mean")?;
-        finite("mean", mean)?;
         let cumulative = float_field(state, "cumulative")?;
-        finite("cumulative", cumulative)?;
         let min_cumulative = float_field(state, "min_cumulative")?;
-        finite("min_cumulative", min_cumulative)?;
         let elements_seen: u64 = field(state, "elements_seen")?;
         let drifts_detected: u64 = field(state, "drifts_detected")?;
         let last_status: DriftStatus = field(state, "last_status")?;
@@ -337,17 +316,29 @@ mod tests {
         for i in 0..200u64 {
             donor.add_element(bernoulli(i, 0.2));
         }
-        let serde::Value::Object(mut fields) = donor.snapshot_state().unwrap() else {
+        // A missing field is rejected and nothing is assigned.
+        let serde::Value::Object(fields) = donor.snapshot_state().unwrap() else {
             panic!("snapshot must be an object")
         };
-        for (k, v) in &mut fields {
-            if k == "cumulative" {
-                *v = serde::Value::Float(f64::NAN);
-            }
-        }
+        let truncated: Vec<(String, serde::Value)> =
+            fields.into_iter().filter(|(k, _)| k != "mean").collect();
         let before = d.elements_seen();
-        let err = d.restore_state(&serde::Value::Object(fields)).unwrap_err();
-        assert!(err.to_string().contains("finite"), "{err}");
+        let err = d
+            .restore_state(&serde::Value::Object(truncated))
+            .unwrap_err();
+        assert!(err.to_string().contains("mean"), "{err}");
         assert_eq!(d.elements_seen(), before);
+
+        // One NaN input makes the statistics NaN. That is the detector's
+        // own state, so it restores and round-trips bit-exactly (the NaNs
+        // are blobs, so the value trees compare bitwise).
+        donor.add_element(f64::NAN);
+        assert!(donor.cumulative.is_nan());
+        let state = donor.snapshot_state().unwrap();
+        let mut restored = PageHinkley::with_defaults();
+        restored.restore_state(&state).unwrap();
+        assert_eq!(restored.snapshot_state(), Some(state));
+        let rest: Vec<f64> = (200..400u64).map(|i| bernoulli(i, 0.6)).collect();
+        assert_eq!(donor.add_batch(&rest), restored.add_batch(&rest));
     }
 }

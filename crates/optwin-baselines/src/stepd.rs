@@ -236,28 +236,19 @@ impl DriftDetector for Stepd {
         true
     }
 
-    /// Serializes the recent result window plus the integer "older" pool
-    /// counters. `recent_correct` is derived (the number of `true` entries in
-    /// the window), so it is recomputed on restore rather than trusted from
-    /// the wire.
+    /// Serializes the recent result window (a bit-packed blob, one bit per
+    /// buffered result) plus the integer "older" pool counters.
+    /// `recent_correct` is derived (the number of `true` entries in the
+    /// window), so it is recomputed on restore rather than trusted from the
+    /// wire.
     fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(optwin_core::SnapshotEncoding::Json)
-    }
-
-    /// [`Stepd::snapshot_state`] with an explicit window layout: the recent
-    /// result window serializes as a JSON bool array or a bit-packed binary
-    /// blob (one bit per buffered result).
-    fn snapshot_state_encoded(
-        &self,
-        encoding: optwin_core::SnapshotEncoding,
-    ) -> Option<serde::Value> {
         use serde::Serialize as _;
         let recent: Vec<bool> = self.recent.iter().copied().collect();
         Some(serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             (
                 "recent".to_string(),
-                optwin_core::snapshot::bool_seq_value(encoding, &recent),
+                optwin_core::snapshot::encode_bool_seq(&recent),
             ),
             (
                 "older_total".to_string(),

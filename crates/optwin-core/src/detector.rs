@@ -16,7 +16,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::snapshot::SnapshotEncoding;
 use crate::CoreError;
 
 /// Outcome of ingesting one element into a drift detector.
@@ -156,6 +155,13 @@ pub trait DriftDetector {
     /// [`serde::Value`] tree, or `None` if the detector does not support
     /// state snapshots.
     ///
+    /// This is the single write hook behind every engine snapshot,
+    /// hibernation blob and checkpoint. Shipped detectors write the wire-v4
+    /// layout of [`crate::snapshot`]: sequences as binary blobs, scalar
+    /// floats through [`crate::snapshot::float_value`]. A custom detector
+    /// may write any value tree its own [`DriftDetector::restore_state`]
+    /// reads back.
+    ///
     /// The contract is **exactness**: feeding a detector restored through
     /// [`DriftDetector::restore_state`] any further input must produce
     /// *identical* decisions (and counters) to feeding the original,
@@ -168,24 +174,6 @@ pub trait DriftDetector {
     /// overriding both this method and [`DriftDetector::restore_state`].
     fn snapshot_state(&self) -> Option<serde::Value> {
         None
-    }
-
-    /// [`DriftDetector::snapshot_state`] with an explicit layout for
-    /// sequence-shaped state: [`SnapshotEncoding::Json`] serializes windows
-    /// and bucket rows as plain JSON arrays (wire formats v1–v3), while
-    /// [`SnapshotEncoding::Binary`] embeds them as compact base64 binary
-    /// blobs (wire format v4; see [`crate::snapshot`]). Both layouts carry
-    /// the identical raw state — restores are bit-exact either way — and
-    /// [`DriftDetector::restore_state`] accepts both transparently.
-    ///
-    /// The default implementation ignores the encoding and returns
-    /// [`DriftDetector::snapshot_state`], so custom detectors that only
-    /// implement the JSON layout keep working inside v4 engine snapshots
-    /// (their state simply stays JSON-shaped). Every shipped detector
-    /// overrides this with a real binary layout.
-    fn snapshot_state_encoded(&self, encoding: SnapshotEncoding) -> Option<serde::Value> {
-        let _ = encoding;
-        self.snapshot_state()
     }
 
     /// Approximate resident memory footprint of this detector in bytes:
@@ -208,10 +196,10 @@ pub trait DriftDetector {
         std::mem::size_of_val(self)
     }
 
-    /// Restores state captured by [`DriftDetector::snapshot_state`] (or
-    /// [`DriftDetector::snapshot_state_encoded`], either layout) into this
-    /// detector, which must have been freshly constructed with the same
-    /// configuration as the snapshotted one.
+    /// Restores state captured by [`DriftDetector::snapshot_state`] into
+    /// this detector, which must have been freshly constructed with the same
+    /// configuration as the snapshotted one. Shipped detectors also read the
+    /// JSON-array layout the retired v1–v3 writer produced.
     ///
     /// # Errors
     ///
@@ -358,10 +346,6 @@ mod tests {
             drifts: 0,
         };
         assert!(d.snapshot_state().is_none());
-        // The encoded variant delegates to `snapshot_state` by default, for
-        // both encodings.
-        assert!(d.snapshot_state_encoded(SnapshotEncoding::Json).is_none());
-        assert!(d.snapshot_state_encoded(SnapshotEncoding::Binary).is_none());
         let err = d.restore_state(&serde::Value::Null).unwrap_err();
         assert!(matches!(err, CoreError::SnapshotUnsupported { .. }));
         assert!(err.to_string().contains("periodic"));

@@ -72,7 +72,6 @@ pub use detector::{BatchOutcome, DetectorExt, DriftDetector, DriftStatus};
 pub use error::CoreError;
 pub use optwin::Optwin;
 pub use registry::CutTableRegistry;
-pub use snapshot::SnapshotEncoding;
 pub use window::SplitWindow;
 
 /// Convenience result alias used throughout the crate.

@@ -389,11 +389,12 @@ const SNAPSHOT_VERSION: u64 = 1;
 
 /// Serializes a raw `WindowMoments` accumulator as a 4-element array.
 fn moments_to_value(raw: (u64, f64, f64, f64)) -> serde::Value {
+    use crate::snapshot::float_value;
     serde::Value::Array(vec![
         serde::Value::UInt(raw.0),
-        serde::Value::Float(raw.1),
-        serde::Value::Float(raw.2),
-        serde::Value::Float(raw.3),
+        float_value(raw.1),
+        float_value(raw.2),
+        float_value(raw.3),
     ])
 }
 
@@ -416,7 +417,7 @@ fn moments_from_value(value: &serde::Value, field: &str) -> Result<(u64, f64, f6
         // Non-finite accumulators restore verbatim: a window fed ±1e300
         // legitimately saturates its sum-of-squares to +inf, and restore
         // must accept every state `snapshot_state` can emit.
-        *slot = <f64 as serde::Deserialize>::from_value(&items[k + 1])
+        *slot = crate::snapshot::float_from_value(&items[k + 1])
             .map_err(|e| invalid(format!("`{field}[{}]`: {e}", k + 1)))?;
     }
     Ok((count, floats[0], floats[1], floats[2]))
@@ -540,21 +541,14 @@ impl DriftDetector for Optwin {
             + self.entry_scratch.capacity() * std::mem::size_of::<CutEntry>()
     }
 
-    /// Serializes the full mutable state: window contents, split point, the
-    /// two raw moment accumulators (bit-exact — see
+    /// Serializes the full mutable state: window contents (a compact binary
+    /// blob — the window can hold `w_max` elements), split point, the two
+    /// raw moment accumulators (bit-exact — see
     /// [`SplitWindow::from_state`]), the binary-content counter, and the
     /// lifetime counters. The immutable configuration and the cut table are
     /// *not* serialized; restoration happens into a detector constructed with
     /// the same configuration (`w_max` is embedded for validation).
     fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(crate::SnapshotEncoding::Json)
-    }
-
-    /// [`Optwin::snapshot_state`] with an explicit window layout: the
-    /// (potentially `w_max`-sized) window serializes as a JSON array or a
-    /// compact binary blob; everything else is scalar and identical in both
-    /// layouts.
-    fn snapshot_state_encoded(&self, encoding: crate::SnapshotEncoding) -> Option<serde::Value> {
         use serde::Serialize as _;
         Some(serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
@@ -564,7 +558,7 @@ impl DriftDetector for Optwin {
             ),
             (
                 "window".to_string(),
-                crate::snapshot::f64_seq_value(encoding, &self.window.to_vec()),
+                crate::snapshot::encode_f64_seq(&self.window.to_vec()),
             ),
             (
                 "split".to_string(),
@@ -1009,45 +1003,38 @@ mod tests {
             .collect();
 
         // Snapshot at several cut points, including right after a drift reset
-        // (~2_100) and mid-saturation, in both window layouts.
-        for encoding in [
-            crate::SnapshotEncoding::Json,
-            crate::SnapshotEncoding::Binary,
-        ] {
-            for &cut in &[0usize, 17, 1_000, 2_100, 4_500] {
-                let mut original = Optwin::new(small_config(0.5)).unwrap();
-                original.add_batch(&stream[..cut]);
-                let state = original
-                    .snapshot_state_encoded(encoding)
-                    .expect("OPTWIN supports snapshots");
-                if encoding == crate::SnapshotEncoding::Binary && cut > 0 {
-                    assert!(
-                        matches!(state.get("window"), Some(serde::Value::Str(_))),
-                        "binary layout embeds the window as a blob string"
-                    );
-                }
+        // (~2_100) and mid-saturation.
+        for &cut in &[0usize, 17, 1_000, 2_100, 4_500] {
+            let mut original = Optwin::new(small_config(0.5)).unwrap();
+            original.add_batch(&stream[..cut]);
+            let state = original
+                .snapshot_state()
+                .expect("OPTWIN supports snapshots");
+            assert!(
+                matches!(state.get("window"), Some(serde::Value::Str(_))),
+                "the window is embedded as a blob string"
+            );
 
-                // Round-trip the state value through the crate's own accessors
-                // to mimic what an engine-level persistence layer does.
-                let mut restored = Optwin::new(small_config(0.5)).unwrap();
-                restored.restore_state(&state).unwrap();
+            // Round-trip the state value through the crate's own accessors
+            // to mimic what an engine-level persistence layer does.
+            let mut restored = Optwin::new(small_config(0.5)).unwrap();
+            restored.restore_state(&state).unwrap();
 
-                assert_eq!(restored.window_len(), original.window_len());
-                assert_eq!(restored.elements_seen(), original.elements_seen());
-                assert_eq!(restored.drifts_detected(), original.drifts_detected());
+            assert_eq!(restored.window_len(), original.window_len());
+            assert_eq!(restored.elements_seen(), original.elements_seen());
+            assert_eq!(restored.drifts_detected(), original.drifts_detected());
 
-                let rest = &stream[cut..];
-                let a = original.add_batch(rest);
-                let b = restored.add_batch(rest);
-                assert_eq!(a, b, "divergence after restoring at {cut} ({encoding:?})");
-                assert_eq!(original.drifts_detected(), restored.drifts_detected());
-                assert_eq!(original.warnings_detected(), restored.warnings_detected());
-                assert_eq!(original.last_status(), restored.last_status());
-                assert_eq!(
-                    original.hist_mean().to_bits(),
-                    restored.hist_mean().to_bits()
-                );
-            }
+            let rest = &stream[cut..];
+            let a = original.add_batch(rest);
+            let b = restored.add_batch(rest);
+            assert_eq!(a, b, "divergence after restoring at {cut}");
+            assert_eq!(original.drifts_detected(), restored.drifts_detected());
+            assert_eq!(original.warnings_detected(), restored.warnings_detected());
+            assert_eq!(original.last_status(), restored.last_status());
+            assert_eq!(
+                original.hist_mean().to_bits(),
+                restored.hist_mean().to_bits()
+            );
         }
     }
 
@@ -1087,7 +1074,8 @@ mod tests {
         assert!(err.to_string().contains("version"));
 
         // Non-finite moment accumulators restore verbatim (saturation is a
-        // reachable live state, not corruption) and round-trip bit-exactly.
+        // reachable live state, not corruption) and round-trip bit-exactly,
+        // written back as one-element blobs since JSON has no NaN or inf.
         let serde::Value::Object(mut fields) = state.clone() else {
             panic!("snapshot must be an object")
         };
@@ -1104,11 +1092,13 @@ mod tests {
         other.restore_state(&saturated).unwrap();
         let round_tripped = other.snapshot_state().unwrap();
         let moments = round_tripped.get("new_moments").unwrap();
+        let (_, _, m2, m3) = moments_from_value(moments, "new_moments").unwrap();
+        assert_eq!(m2, f64::INFINITY);
+        assert!(m3.is_nan());
         let serde::Value::Array(items) = moments else {
             panic!("moments must be an array")
         };
-        assert!(matches!(items[2], serde::Value::Float(x) if x == f64::INFINITY));
-        assert!(matches!(items[3], serde::Value::Float(x) if x.is_nan()));
+        assert!(matches!(items[2], serde::Value::Str(_)));
 
         // A failure after the window has been parsed must leave the detector
         // untouched (no half-restored state): advance the detector past the

@@ -1,7 +1,8 @@
 //! Shared helpers for implementing
 //! [`DriftDetector::snapshot_state`](crate::DriftDetector::snapshot_state) /
 //! [`DriftDetector::restore_state`](crate::DriftDetector::restore_state),
-//! and the compact binary **window codec** behind snapshot wire format v4.
+//! and the compact binary **window codec** behind snapshot wire format v4,
+//! the only layout any writer produces.
 //!
 //! Every snapshot in the workspace is a JSON-shaped [`serde::Value`] object
 //! with a `version` field and one entry per piece of mutable state. These
@@ -16,9 +17,9 @@
 //! Detector windows (OPTWIN's [`crate::SplitWindow`], the KSWIN and STEPD
 //! buffers, ADWIN's bucket rows) dominate snapshot size: serialized as JSON
 //! number arrays they cost ~4–20 bytes per element, which balloons
-//! million-stream engine snapshots at large `w_max`. The
-//! [`SnapshotEncoding::Binary`] layout instead embeds each sequence as a
-//! base64 string wrapping a small binary frame:
+//! million-stream engine snapshots at large `w_max`. Writers therefore
+//! embed each sequence ([`encode_f64_seq`], [`encode_bool_seq`],
+//! [`encode_u64_seq`]) as a base64 string wrapping a small binary frame:
 //!
 //! ```text
 //! magic "OWB4" · kind u8 · scale u8 · count u32 LE · checksum u32 LE · payload
@@ -44,8 +45,9 @@
 //! checksum, and reproduces the original values **bit-exactly** (fixed-point
 //! eligibility is proven by round-tripping each value at encode time, so
 //! decode performs the identical IEEE operations). The `*_seq_field` readers
-//! accept both layouts — a JSON array (wire formats v1–v3) or a blob string
-//! (v4) — so every older snapshot keeps restoring unchanged.
+//! accept both layouts — a JSON array (written by the retired v1–v3 writer)
+//! or a blob string (v4) — so every older snapshot keeps restoring
+//! unchanged. Scalar `f64` state goes through [`float_value`].
 
 use crate::CoreError;
 
@@ -84,19 +86,48 @@ pub fn usize_field(state: &serde::Value, name: &'static str) -> Result<usize, Co
         .map_err(|_| invalid(format!("field `{name}` out of range for usize")))
 }
 
-/// [`field`] for an `f64` accumulator. Non-finite values are accepted:
-/// restore must round-trip every state its paired snapshot can emit, and a
-/// detector fed overflow-adversarial inputs (`±1e300`) legitimately runs
-/// with saturated `±inf` accumulators — bit-exact determinism holds either
-/// way, so rejecting them would conflate saturation with corruption (and
-/// strand a hibernated stream that can never rehydrate its own blob).
+/// A scalar `f64` as a snapshot value: a JSON number when finite, a
+/// one-element raw-`f64` blob otherwise — JSON has no NaN or ±inf, and the
+/// `null` its writer emits would make the snapshot unreadable.
+#[must_use]
+pub fn float_value(x: f64) -> serde::Value {
+    if x.is_finite() {
+        serde::Value::Float(x)
+    } else {
+        serde::Value::Str(frame(KIND_RAW_F64, 0, 1, &x.to_bits().to_le_bytes()))
+    }
+}
+
+/// Reads a scalar written by [`float_value`]: a JSON number or a
+/// one-element blob string.
+pub(crate) fn float_from_value(value: &serde::Value) -> Result<f64, String> {
+    match value {
+        serde::Value::Str(text) => match f64s_from_blob(text)?.as_slice() {
+            [x] => Ok(*x),
+            values => Err(format!(
+                "expected a one-element blob, found {} elements",
+                values.len()
+            )),
+        },
+        _ => <f64 as serde::Deserialize>::from_value(value).map_err(|e| e.to_string()),
+    }
+}
+
+/// [`field`] for an `f64` accumulator written by [`float_value`].
+/// Non-finite values are accepted: a detector fed `±1e300` or NaN
+/// legitimately runs with `inf`/NaN accumulators, and restore must
+/// round-trip every state its paired snapshot can emit.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidSnapshot`] when the field is missing or not
-/// a number.
+/// Returns [`CoreError::InvalidSnapshot`] when the field is missing, is
+/// neither a number nor a blob string, or the blob fails validation or
+/// does not hold exactly one element.
 pub fn float_field(state: &serde::Value, name: &'static str) -> Result<f64, CoreError> {
-    field(state, name)
+    let value = state
+        .get(name)
+        .ok_or_else(|| invalid(format!("missing field `{name}`")))?;
+    float_from_value(value).map_err(|e| invalid(format!("field `{name}`: {e}")))
 }
 
 /// Checks the snapshot's `version` field against the detector's current
@@ -118,23 +149,6 @@ pub fn check_version(
         )));
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot encoding selection
-// ---------------------------------------------------------------------------
-
-/// How sequence-shaped detector state (windows, bucket rows) is laid out in
-/// a snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotEncoding {
-    /// Plain JSON number arrays — human-readable, wire formats v1–v3.
-    #[default]
-    Json,
-    /// Compact base64-embedded binary blobs (see the module docs) — wire
-    /// format v4. Restores remain bit-exact either way; `restore_state`
-    /// accepts both layouts transparently.
-    Binary,
 }
 
 // ---------------------------------------------------------------------------
@@ -281,7 +295,7 @@ pub fn from_base64(text: &str) -> Result<Vec<u8>, CoreError> {
 
 /// Assembles a blob: header + payload, base64-encoded.
 fn frame(kind: u8, scale: u8, count: usize, payload: &[u8]) -> String {
-    let count = u32::try_from(count).expect("sequence length fits u32 (checked by the encoder)");
+    let count = u32::try_from(count).expect("a blob holds at most u32::MAX elements");
     let mut bytes = Vec::with_capacity(BLOB_HEADER_LEN + payload.len());
     bytes.extend_from_slice(&BLOB_MAGIC);
     bytes.push(kind);
@@ -456,14 +470,9 @@ fn delta_payload(ints: &[i64]) -> Vec<u8> {
 /// Encodes an `f64` sequence as a binary blob string, choosing the smallest
 /// applicable payload codec (bit-packed for pure 0/1 streams, fixed-point
 /// deltas for low-precision or monotone data, raw frames otherwise).
+/// Panics beyond `u32::MAX` elements, as do the other encoders.
 #[must_use]
 pub fn encode_f64_seq(values: &[f64]) -> serde::Value {
-    if u32::try_from(values.len()).is_err() {
-        // Absurdly long sequences stay on the JSON layout rather than
-        // overflowing the u32 count.
-        use serde::Serialize as _;
-        return values.to_value();
-    }
     let raw_len = values.len() * 8;
     let mut best: Option<(u8, u8, Vec<u8>)> = None;
     if values
@@ -585,10 +594,6 @@ fn bits_from_blob(blob: &Blob) -> Result<Vec<bool>, String> {
 /// Encodes a `bool` sequence as a bit-packed binary blob string.
 #[must_use]
 pub fn encode_bool_seq(values: &[bool]) -> serde::Value {
-    if u32::try_from(values.len()).is_err() {
-        use serde::Serialize as _;
-        return values.to_value();
-    }
     let payload = pack_bits(values, |&b| b);
     serde::Value::Str(frame(KIND_BITS_BOOL, 0, values.len(), &payload))
 }
@@ -607,10 +612,6 @@ fn bools_from_blob(text: &str) -> Result<Vec<bool>, String> {
 /// Encodes a `u64` sequence as a varint binary blob string.
 #[must_use]
 pub fn encode_u64_seq(values: &[u64]) -> serde::Value {
-    if u32::try_from(values.len()).is_err() {
-        use serde::Serialize as _;
-        return values.to_value();
-    }
     let mut payload = Vec::with_capacity(values.len() * 2);
     for &v in values {
         push_varint(&mut payload, v);
@@ -644,46 +645,8 @@ fn u64s_from_blob(text: &str) -> Result<Vec<u64>, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding-aware sequence values and dual-layout field readers
+// Dual-layout sequence readers
 // ---------------------------------------------------------------------------
-
-/// An `f64` sequence as a snapshot value: a JSON array under
-/// [`SnapshotEncoding::Json`], a binary blob string under
-/// [`SnapshotEncoding::Binary`].
-#[must_use]
-pub fn f64_seq_value(encoding: SnapshotEncoding, values: &[f64]) -> serde::Value {
-    match encoding {
-        SnapshotEncoding::Json => {
-            use serde::Serialize as _;
-            values.to_value()
-        }
-        SnapshotEncoding::Binary => encode_f64_seq(values),
-    }
-}
-
-/// A `bool` sequence as a snapshot value (see [`f64_seq_value`]).
-#[must_use]
-pub fn bool_seq_value(encoding: SnapshotEncoding, values: &[bool]) -> serde::Value {
-    match encoding {
-        SnapshotEncoding::Json => {
-            use serde::Serialize as _;
-            values.to_value()
-        }
-        SnapshotEncoding::Binary => encode_bool_seq(values),
-    }
-}
-
-/// A `u64` sequence as a snapshot value (see [`f64_seq_value`]).
-#[must_use]
-pub fn u64_seq_value(encoding: SnapshotEncoding, values: &[u64]) -> serde::Value {
-    match encoding {
-        SnapshotEncoding::Json => {
-            use serde::Serialize as _;
-            values.to_value()
-        }
-        SnapshotEncoding::Binary => encode_u64_seq(values),
-    }
-}
 
 /// Reads an `f64` sequence stored either as a JSON number array (wire
 /// formats v1–v3) or as a binary blob string (v4).
@@ -1010,24 +973,18 @@ mod tests {
     }
 
     #[test]
-    fn seq_values_honor_the_encoding() {
-        let values = vec![0.5, 0.25];
-        assert!(matches!(
-            f64_seq_value(SnapshotEncoding::Json, &values),
-            serde::Value::Array(_)
-        ));
-        assert!(matches!(
-            f64_seq_value(SnapshotEncoding::Binary, &values),
-            serde::Value::Str(_)
-        ));
-        assert!(matches!(
-            bool_seq_value(SnapshotEncoding::Json, &[true]),
-            serde::Value::Array(_)
-        ));
-        assert!(matches!(
-            u64_seq_value(SnapshotEncoding::Binary, &[1]),
-            serde::Value::Str(_)
-        ));
+    fn float_values_keep_finite_numbers_and_blob_the_rest() {
+        assert_eq!(float_value(0.25), serde::Value::Float(0.25));
+        assert_eq!(float_value(-0.0), serde::Value::Float(-0.0));
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let value = float_value(x);
+            assert!(matches!(value, serde::Value::Str(_)), "{x} must be a blob");
+            let back = float_field(&seq_state(value), "seq").unwrap();
+            assert_eq!(back.to_bits(), x.to_bits());
+        }
+        // A blob holding anything but one element is not a scalar.
+        let err = float_field(&seq_state(encode_f64_seq(&[1.5, 2.5])), "seq").unwrap_err();
+        assert!(err.to_string().contains("one-element"), "{err}");
     }
 
     /// Every corruption class the fuzzing satellite names must surface as a

@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use optwin_baselines::DetectorSpec;
-use optwin_core::{DriftDetector, SnapshotEncoding};
+use optwin_core::DriftDetector;
 
 use crate::checkpoint::{self, CheckpointConfig, CheckpointPolicy, RecoveredLog, ReplayOp};
 use crate::error::EngineError;
@@ -53,7 +53,6 @@ pub struct EngineBuilder {
     streams: Vec<(u64, Box<dyn DriftDetector + Send>)>,
     spec_streams: Vec<(u64, DetectorSpec)>,
     auto_rebalance: Option<f64>,
-    snapshot_encoding: SnapshotEncoding,
     hibernation: Option<HibernationPolicy>,
     checkpoint: Option<(PathBuf, CheckpointPolicy)>,
     recovered: Option<RecoveredLog>,
@@ -100,7 +99,6 @@ impl EngineBuilder {
             streams: Vec::new(),
             spec_streams: Vec::new(),
             auto_rebalance: None,
-            snapshot_encoding: SnapshotEncoding::Json,
             hibernation: None,
             checkpoint: None,
             recovered: None,
@@ -177,19 +175,6 @@ impl EngineBuilder {
     /// [`EngineHandle::rebalance`] calls remain available either way.
     pub fn auto_rebalance(mut self, threshold: f64) -> Self {
         self.auto_rebalance = Some(threshold);
-        self
-    }
-
-    /// Sets the sequence layout [`EngineHandle::snapshot`] writes:
-    /// [`SnapshotEncoding::Json`] (the default) produces the historical v3
-    /// wire format with windows as JSON number arrays;
-    /// [`SnapshotEncoding::Binary`] produces the v4 compact format with
-    /// windows as base64 binary blobs — several × smaller at large `w_max`,
-    /// still bit-exact on restore. Regardless of this knob,
-    /// [`EngineHandle::snapshot_compact`] always writes v4 and
-    /// [`EngineBuilder::restore`] accepts every version (v1–v4).
-    pub fn snapshot_encoding(mut self, encoding: SnapshotEncoding) -> Self {
-        self.snapshot_encoding = encoding;
         self
     }
 
@@ -511,7 +496,6 @@ impl EngineBuilder {
             self.sinks,
             initial,
             self.auto_rebalance,
-            self.snapshot_encoding,
             self.hibernation,
             checkpoint,
         );

@@ -57,10 +57,8 @@ use optwin_baselines::DetectorSpec;
 use optwin_core::snapshot as codec;
 use serde::{Deserialize, Serialize};
 
-use optwin_core::SnapshotEncoding;
-
 use crate::error::EngineError;
-use crate::persist::{wire_version, EngineSnapshot, StreamStateSnapshot};
+use crate::persist::{EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
 
 /// Wire format version of a checkpoint directory (manifest + base + delta
 /// overlays + WAL segments). v5 is a *directory* format: its base and the
@@ -753,7 +751,7 @@ impl CheckpointState {
         let entry_count = streams.len();
         let (name, contents) = if full {
             let snapshot = EngineSnapshot {
-                version: wire_version(SnapshotEncoding::Binary),
+                version: ENGINE_SNAPSHOT_VERSION,
                 shards,
                 emit_warnings,
                 streams,

@@ -35,7 +35,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use optwin_baselines::DetectorSpec;
-use optwin_core::{DriftDetector, DriftStatus, SnapshotEncoding};
+use optwin_core::{DriftDetector, DriftStatus};
 
 use crate::checkpoint::{
     CheckpointConfig, CheckpointReport, CheckpointState, Durability, WalWriter,
@@ -43,7 +43,7 @@ use crate::checkpoint::{
 use crate::error::{EngineError, StreamSnapshot};
 use crate::event::DriftEvent;
 use crate::hibernate::{DetectorSlot, HibernatedDetector, HibernationPolicy};
-use crate::persist::{wire_version, EngineSnapshot, StreamStateSnapshot};
+use crate::persist::{EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
 use crate::router::Router;
 use crate::sink::EventSink;
 
@@ -677,25 +677,21 @@ impl ShardState {
 
     /// Serializes one stream's persisted entry. A sleeping stream embeds
     /// its blob verbatim — snapshotting a mostly-cold fleet never
-    /// materializes its detectors. The blob is always wire-v4
-    /// binary-encoded state, which every restore path accepts regardless of
-    /// the requested encoding.
-    fn snapshot_entry(
-        &self,
-        stream: u64,
-        encoding: SnapshotEncoding,
-    ) -> Result<StreamStateSnapshot, EngineError> {
+    /// materializes its detectors; the blob holds the same wire-v4 state
+    /// the live detector would write.
+    fn snapshot_entry(&self, stream: u64) -> Result<StreamStateSnapshot, EngineError> {
         let state = &self.streams[&stream];
-        let detector_state =
-            match &state.slot {
-                DetectorSlot::Live(detector) => detector
-                    .snapshot_state_encoded(encoding)
+        let detector_state = match &state.slot {
+            DetectorSlot::Live(detector) => {
+                detector
+                    .snapshot_state()
                     .ok_or_else(|| EngineError::SnapshotUnsupported {
                         stream,
                         detector: detector.name().to_string(),
-                    })?,
-                DetectorSlot::Hibernated(sleeper) => sleeper.state_value(),
-            };
+                    })?
+            }
+            DetectorSlot::Hibernated(sleeper) => sleeper.state_value(),
+        };
         Ok(StreamStateSnapshot {
             stream,
             seq: state.seq,
@@ -708,14 +704,20 @@ impl ShardState {
         })
     }
 
+    /// Serializes the entries of the streams `keep` selects, in id order.
     fn snapshot(
         &self,
-        encoding: SnapshotEncoding,
+        keep: impl Fn(&StreamState) -> bool,
     ) -> Result<Vec<StreamStateSnapshot>, EngineError> {
-        let mut ids: Vec<u64> = self.streams.keys().copied().collect();
+        let mut ids: Vec<u64> = self
+            .streams
+            .iter()
+            .filter(|(_, state)| keep(state))
+            .map(|(&id, _)| id)
+            .collect();
         ids.sort_unstable();
         ids.into_iter()
-            .map(|stream| self.snapshot_entry(stream, encoding))
+            .map(|stream| self.snapshot_entry(stream))
             .collect()
     }
 
@@ -747,19 +749,12 @@ impl ShardState {
                 self.wal_durability,
             )?);
         }
-        let mut ids: Vec<u64> = self
-            .streams
-            .iter()
-            .filter(|(_, state)| full || state.dirty)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        let entries = ids
-            .iter()
-            .map(|&stream| self.snapshot_entry(stream, SnapshotEncoding::Binary))
-            .collect::<Result<Vec<_>, _>>()?;
-        for stream in ids {
-            self.streams.get_mut(&stream).expect("listed above").dirty = false;
+        let entries = self.snapshot(|state| full || state.dirty)?;
+        for entry in &entries {
+            self.streams
+                .get_mut(&entry.stream)
+                .expect("listed above")
+                .dirty = false;
         }
         Ok(entries)
     }
@@ -940,11 +935,6 @@ struct HandleShared {
     emit_warnings: bool,
     queue_capacity: usize,
     has_factory: bool,
-    /// The sequence layout [`EngineHandle::snapshot`] writes —
-    /// [`SnapshotEncoding::Json`] (wire v3) unless the builder opted into
-    /// compact binary (wire v4) via
-    /// [`crate::EngineBuilder::snapshot_encoding`].
-    snapshot_encoding: SnapshotEncoding,
     /// When set, [`EngineHandle::flush`] triggers a
     /// [`RebalancePolicy::Records`] rebalance whenever the shard record-load
     /// imbalance (`max / mean`) exceeds this threshold.
@@ -1017,7 +1007,6 @@ pub(crate) fn spawn_engine(
     sinks: Vec<Arc<dyn EventSink>>,
     initial_streams: Vec<HashMap<u64, StreamState>>,
     auto_rebalance_threshold: Option<f64>,
-    snapshot_encoding: SnapshotEncoding,
     hibernation: Option<HibernationPolicy>,
     checkpoint: Option<CheckpointConfig>,
 ) -> EngineHandle {
@@ -1079,7 +1068,6 @@ pub(crate) fn spawn_engine(
             emit_warnings,
             queue_capacity,
             has_factory: source.is_some(),
-            snapshot_encoding,
             auto_rebalance_threshold,
             futile_auto_rebalance: Mutex::new(None),
             checkpoint: checkpoint.map(|config| Mutex::new(CheckpointState::new(config))),
@@ -1788,16 +1776,16 @@ impl EngineHandle {
     /// [`crate::EngineBuilder::restore`] — with **no factory needed** when
     /// every stream was registered through a [`DetectorSpec`] (the snapshot
     /// then embeds `{spec, state}` per stream; see
-    /// [`EngineSnapshot::is_self_describing`]). Wire format v3 additionally
-    /// records each stream's **shard placement**, so a restore reproduces a
-    /// rebalanced (tuned) routing table instead of resetting to modulo.
+    /// [`EngineSnapshot::is_self_describing`]). Each entry also records the
+    /// stream's **shard placement**, so a restore reproduces a rebalanced
+    /// (tuned) routing table instead of resetting to modulo.
     ///
-    /// Writes the layout configured at build time
-    /// ([`crate::EngineBuilder::snapshot_encoding`], default: v3 JSON
-    /// arrays); [`EngineHandle::snapshot_compact`] always writes the v4
-    /// compact binary layout. All 8 shipped detector kinds (OPTWIN and
-    /// every baseline) implement state serialization with bit-exact
-    /// resumption, in both layouts.
+    /// Always writes wire format v4: detector windows and bucket rows are
+    /// embedded as base64 binary blobs (bit-packed / fixed-point-delta /
+    /// raw frames, whichever is smallest per sequence — see
+    /// [`optwin_core::snapshot`]). Every shipped detector kind (OPTWIN, the
+    /// baselines and the composites) implements state serialization with
+    /// bit-exact resumption.
     ///
     /// # Errors
     ///
@@ -1806,32 +1794,8 @@ impl EngineHandle {
     /// [`optwin_core::DriftDetector::snapshot_state`], or
     /// [`EngineError::ChannelClosed`] when the engine has shut down.
     pub fn snapshot(&self) -> Result<EngineSnapshot, EngineError> {
-        self.snapshot_with(self.shared.snapshot_encoding)
-    }
-
-    /// [`EngineHandle::snapshot`] in the **v4 compact binary** layout:
-    /// detector windows and bucket rows are embedded as base64 binary blobs
-    /// (bit-packed / fixed-point-delta / raw frames, whichever is smallest
-    /// per sequence — see [`optwin_core::snapshot`]) instead of JSON number
-    /// arrays. At the paper's large-`w_max` OPTWIN configurations this
-    /// shrinks fleet snapshots by several ×; restores remain bit-exact.
-    ///
-    /// # Errors
-    ///
-    /// As [`EngineHandle::snapshot`].
-    pub fn snapshot_compact(&self) -> Result<EngineSnapshot, EngineError> {
-        self.snapshot_with(SnapshotEncoding::Binary)
-    }
-
-    /// [`EngineHandle::snapshot`] with an explicit sequence layout (the
-    /// wire version follows it: v3 for JSON, v4 for binary).
-    ///
-    /// # Errors
-    ///
-    /// As [`EngineHandle::snapshot`].
-    pub fn snapshot_with(&self, encoding: SnapshotEncoding) -> Result<EngineSnapshot, EngineError> {
-        let shards = self.barrier_all(self.shared.router.read(), move |worker: &mut Worker| {
-            worker.shard.snapshot(encoding)
+        let shards = self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
+            worker.shard.snapshot(|_| true)
         })?;
         let mut streams = Vec::new();
         for shard in shards {
@@ -1839,11 +1803,20 @@ impl EngineHandle {
         }
         streams.sort_unstable_by_key(|s| s.stream);
         Ok(EngineSnapshot {
-            version: wire_version(encoding),
+            version: ENGINE_SNAPSHOT_VERSION,
             shards: self.senders.len(),
             emit_warnings: self.shared.emit_warnings,
             streams,
         })
+    }
+
+    /// Alias of [`EngineHandle::snapshot`], kept for existing callers.
+    ///
+    /// # Errors
+    ///
+    /// As [`EngineHandle::snapshot`].
+    pub fn snapshot_compact(&self) -> Result<EngineSnapshot, EngineError> {
+        self.snapshot()
     }
 
     /// Drains every queue, stops the workers and joins their threads. After

@@ -8,14 +8,13 @@
 //! trades that idle footprint for a compact blob: a shard worker that
 //! observes a stream ingesting nothing for
 //! [`HibernationPolicy::cold_after_flushes`] consecutive flush barriers
-//! serializes the detector's complete mutable state through the wire-v4
-//! compact binary codec
-//! ([`DriftDetector::snapshot_state_encoded`]
-//! with [`SnapshotEncoding::Binary`]), frees the live detector, and keeps
-//! only the blob plus a few cached counters. The next record for the stream
-//! rehydrates it transparently: a fresh detector is built from the stream's
-//! [`DetectorSpec`] and the blob is restored into it before the record is
-//! ingested.
+//! serializes the detector's complete mutable state through
+//! [`DriftDetector::snapshot_state`] — the same wire-v4 state every engine
+//! snapshot and checkpoint holds, with windows as compact binary blobs —
+//! frees the live detector, and keeps only the blob plus a few cached
+//! counters. The next record for the stream rehydrates it transparently: a
+//! fresh detector is built from the stream's [`DetectorSpec`] and the blob
+//! is restored into it before the record is ingested.
 //!
 //! The whole tier rides on the PR 5 snapshot contract: restores are
 //! **bit-exact**, so a fleet that hibernates and rehydrates emits byte-for-
@@ -43,7 +42,7 @@
 //! snapshot restore would.
 
 use optwin_baselines::DetectorSpec;
-use optwin_core::{DriftDetector, SnapshotEncoding};
+use optwin_core::DriftDetector;
 
 use crate::error::EngineError;
 
@@ -86,13 +85,12 @@ impl Default for HibernationPolicy {
 /// A sleeping detector: its complete mutable state compressed to a compact
 /// blob, plus the few counters queries need answered without waking it.
 pub(crate) struct HibernatedDetector {
-    /// The detector's wire-v4 ([`SnapshotEncoding::Binary`]) state value —
-    /// windows and bucket rows ride as base64 binary frames inside the
-    /// tree, so the blob is within a small factor of the raw state entropy
-    /// rather than of the live buffer capacity. Held as the value tree, not
-    /// re-serialized JSON text: JSON cannot represent non-finite floats
-    /// (`±inf` accumulators from overflow-adversarial inputs become
-    /// `null`), and the tier's contract is *bit*-exact rehydration.
+    /// The detector's wire-v4 state value — windows and bucket rows ride as
+    /// base64 binary frames inside the tree, so the blob is within a small
+    /// factor of the raw state entropy rather than of the live buffer
+    /// capacity. Held as the value tree rather than JSON text, so a sleep
+    /// and wake cycle never pays a text encode or parse; engine snapshots
+    /// and checkpoints embed the tree verbatim.
     blob: serde::Value,
     /// The detector's stable name (identity for queries and snapshot
     /// validation).
@@ -107,7 +105,7 @@ impl HibernatedDetector {
     /// Compresses `detector`'s state, or `None` when the detector does not
     /// support state snapshots (custom detectors stay resident).
     pub(crate) fn capture(detector: &dyn DriftDetector) -> Option<Self> {
-        let blob = detector.snapshot_state_encoded(SnapshotEncoding::Binary)?;
+        let blob = detector.snapshot_state()?;
         Some(Self {
             blob,
             name: detector.name(),

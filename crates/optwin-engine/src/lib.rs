@@ -39,10 +39,11 @@
 //!   into an [`EngineSnapshot`]; [`EngineBuilder::restore`] rebuilds a
 //!   fresh engine that makes **identical subsequent decisions**, so a
 //!   restarted process resumes mid-stream. Snapshots of spec-registered
-//!   streams embed `{spec, state, shard}` (wire format v3) and restore
-//!   with **zero caller-side factories**, reproducing a rebalanced
-//!   placement; all 8 shipped detector kinds serialize their state
-//!   bit-exactly. v1/v2 snapshots still load.
+//!   streams embed `{spec, state, shard}` (wire format v4, windows as
+//!   compact binary blobs) and restore with **zero caller-side
+//!   factories**, reproducing a rebalanced placement; every shipped
+//!   detector kind serializes its state bit-exactly. v1–v3 snapshots
+//!   still load.
 //! * Whole fleets load from config files: [`FleetConfig`] /
 //!   [`EngineBuilder::from_config_json`] turn a JSON map of
 //!   `stream id → spec string` into a fully registered engine.
@@ -147,10 +148,6 @@ pub use handle::{
     EngineHandle, EngineStats, RebalancePolicy, RebalanceReport, ShardLoad, SharedDetectorFactory,
 };
 pub use hibernate::HibernationPolicy;
-pub use persist::{wire_version, EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
+pub use persist::{EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
 pub use replay::{replay, ReplayConfig, ReplayReport};
 pub use sink::{CallbackSink, EventSink, JsonLinesSink, MemorySink};
-
-// Re-exported so engine users can pick a snapshot layout without depending
-// on `optwin-core` directly.
-pub use optwin_core::SnapshotEncoding;

@@ -41,18 +41,16 @@
 //!
 //! # Wire format v4: compact binary window payloads
 //!
-//! Since format version 4 the per-stream detector `state` may embed its
+//! Since format version 4 the per-stream detector `state` embeds its
 //! sequence-shaped payloads — OPTWIN/KSWIN windows, the STEPD result
-//! window, ADWIN's bucket columns — as compact base64 binary blobs (see
-//! [`optwin_core::snapshot`]) instead of JSON number arrays, shrinking
-//! large-window fleet snapshots by an order of magnitude while keeping
-//! restores **bit-exact** (the blobs carry the same raw accumulators; no
-//! recomputation happens on either side). The outer JSON structure is
-//! unchanged, and every detector's `restore_state` accepts both layouts, so
-//! a v4 reader loads v1–v3 snapshots unchanged and the layout is chosen
-//! purely at write time: [`crate::EngineHandle::snapshot_compact`] (or the
-//! [`crate::EngineBuilder::snapshot_encoding`] knob) writes v4,
-//! [`crate::EngineHandle::snapshot`] defaults to v3 JSON.
+//! window, ADWIN's bucket columns, composite replay rings — as compact
+//! base64 binary blobs (see [`optwin_core::snapshot`]) instead of JSON
+//! number arrays, shrinking large-window fleet snapshots by an order of
+//! magnitude while keeping restores **bit-exact** (the blobs carry the same
+//! raw accumulators; no recomputation happens on either side). The outer
+//! JSON structure is unchanged. v4 is the only layout any writer produces
+//! (snapshots, checkpoints, hibernation); every detector still reads the
+//! JSON arrays of the retired v1–v3 writer, so older snapshots keep loading.
 //!
 //! # Hibernated streams (no wire bump)
 //!
@@ -63,8 +61,8 @@
 //! to pre-hibernation output, and the embedded state is ordinary wire-v4
 //! binary-encoded detector state that **every** restore path already
 //! accepts — which is why hibernated entries require **no** wire version
-//! bump: they ride v3/v4 unchanged, and a reader that ignores the marker
-//! still restores correctly (awake).
+//! bump, and a reader that ignores the marker still restores correctly
+//! (awake).
 //!
 //! The snapshot deliberately excludes detector *configuration* beyond the
 //! spec string: restoration re-derives shared resources (e.g. OPTWIN cut
@@ -89,12 +87,12 @@
 //! hibernated entries applies to recovered fleets unchanged.
 
 use optwin_baselines::DetectorSpec;
-use optwin_core::SnapshotEncoding;
 use serde::{Deserialize, Serialize};
 
 use crate::error::EngineError;
 
-/// Current serialization format version of [`EngineSnapshot`].
+/// Serialization format version of every [`EngineSnapshot`] this crate
+/// writes; [`crate::EngineBuilder::restore`] reads v1–v4.
 ///
 /// * **v1** — per-stream `{seq, detector, state}`; restore requires a
 ///   factory.
@@ -105,25 +103,14 @@ use crate::error::EngineError;
 ///   placement-preserving (a rebalanced routing table survives a restart).
 ///   v1/v2 snapshots still parse and restore, defaulting to `id % shards`.
 /// * **v4** — detector states embed window/bucket payloads as compact
-///   binary blobs instead of JSON number arrays. v1–v3 snapshots still
-///   parse and restore unchanged; v3 remains the default *write* format
-///   ([`wire_version`]).
+///   binary blobs instead of JSON number arrays. The only layout written
+///   since the v1–v3 JSON-array writer was retired; v1–v3 snapshots still
+///   parse and restore unchanged.
 ///
 /// Wire **v5** is a checkpoint *directory* format
 /// ([`crate::checkpoint::CHECKPOINT_WIRE_VERSION`]) layered on top of v4
 /// snapshots — it does not bump this constant.
 pub const ENGINE_SNAPSHOT_VERSION: u64 = 4;
-
-/// The wire version written for a given sequence layout: v3 for
-/// [`SnapshotEncoding::Json`] (the historical number-array layout), v4 for
-/// [`SnapshotEncoding::Binary`] (compact blobs).
-#[must_use]
-pub fn wire_version(encoding: SnapshotEncoding) -> u64 {
-    match encoding {
-        SnapshotEncoding::Json => 3,
-        SnapshotEncoding::Binary => ENGINE_SNAPSHOT_VERSION,
-    }
-}
 
 /// The persisted state of one stream: its position, optionally the
 /// [`DetectorSpec`] it was registered with, and its detector's serialized

@@ -158,7 +158,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // sleeper still asleep — no detector is materialized until its next
     // record.
     let snapshotting = Instant::now();
-    let snapshot = handle.snapshot_compact()?;
+    let snapshot = handle.snapshot()?;
     handle.shutdown()?;
     let json = snapshot.to_json();
     println!(

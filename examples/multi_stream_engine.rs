@@ -30,11 +30,9 @@
 //! any factory** — the snapshot embeds each stream's
 //! `{spec, state, shard}`, so the restarted process rebuilds all 256
 //! heterogeneous detectors (and the tuned placement) from the JSON alone
-//! and produces exactly the events the original would have. The restart
-//! uses the **v4 compact binary** snapshot
-//! ([`EngineHandle::snapshot_compact`]): detector windows travel as
-//! bit-packed / fixed-point binary blobs instead of JSON number arrays,
-//! and both layouts' sizes are printed side by side.
+//! and produces exactly the events the original would have. The snapshot
+//! ([`EngineHandle::snapshot`]) is wire v4: detector windows travel as
+//! bit-packed / fixed-point binary blobs instead of JSON number arrays.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -161,10 +159,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         handle.rerouted_streams()
     );
 
-    // Snapshot the fleet in both wire layouts: v3 (JSON number arrays) for
-    // the size comparison, v4 (compact binary blobs) for the actual restart.
-    let v3_size = handle.snapshot()?.to_json().len();
-    let snapshot = handle.snapshot_compact()?;
+    // Snapshot the fleet for the restart (wire v4, compact binary blobs).
+    let snapshot = handle.snapshot()?;
     handle.shutdown()?;
     assert!(
         snapshot.is_self_describing(),
@@ -174,16 +170,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snapshot.records_placement(),
         "v3+ snapshots capture the (rebalanced) placement"
     );
-    assert_eq!(snapshot.version, 4, "snapshot_compact writes wire v4");
+    assert_eq!(snapshot.version, 4, "snapshot writes wire v4");
     let snapshot_json = snapshot.to_json();
     println!(
         "phase 1: {} elements in {phase1:.2?}; self-describing snapshot captured {} streams \
-         (v3 JSON: {} KiB, v4 binary: {} KiB — {:.0}% of v3)",
+         (v4 binary: {} KiB)",
         N_STREAMS as usize * ELEMENTS_PER_STREAM / 2,
         snapshot.stream_count(),
-        v3_size / 1024,
         snapshot_json.len() / 1024,
-        snapshot_json.len() as f64 / v3_size as f64 * 100.0,
     );
 
     // ---- Phase 2: a "restarted process" restores the snapshot from its

@@ -66,7 +66,7 @@ pub use optwin_baselines::{
 };
 pub use optwin_core::{
     BatchOutcome, CutTable, CutTableRegistry, DetectorExt, DriftDetector, DriftStatus, Optwin,
-    OptwinConfig, SnapshotEncoding,
+    OptwinConfig,
 };
 pub use optwin_engine::{
     load_checkpoint_dir, CallbackSink, CheckpointPolicy, CheckpointReport, DriftEvent,

@@ -10,11 +10,10 @@
 //!
 //! Equivalence is checked bit-exactly: beyond the drift/warning indices and
 //! lifetime counters, the full state snapshots of the batched and the scalar
-//! detector must agree with floats compared by `to_bits` (so even an
-//! identically-placed NaN accumulator or a `-0.0` vs `0.0` divergence in the
-//! window fails the property).
+//! detector must serialize to identical JSON text (so even a `-0.0` vs `0.0`
+//! divergence in the window fails the property).
 
-use optwin::{DetectorSpec, DriftDetector, DriftStatus, SnapshotEncoding};
+use optwin::{DetectorSpec, DriftDetector, DriftStatus};
 use proptest::prelude::*;
 
 /// Chunkings the batched detector replays the stream under.
@@ -68,25 +67,11 @@ fn arb_stream() -> impl Strategy<Value = Vec<f64>> {
     })
 }
 
-/// Structural equality with floats compared by bit pattern: `NaN == NaN`
-/// (same payload) and `-0.0 != 0.0`, which value equality on `f64` gets
-/// backwards for this purpose.
-fn value_bits_eq(a: &serde::Value, b: &serde::Value) -> bool {
-    use serde::Value;
-    match (a, b) {
-        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-        (Value::Array(xs), Value::Array(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| value_bits_eq(x, y))
-        }
-        (Value::Object(xs), Value::Object(ys)) => {
-            xs.len() == ys.len()
-                && xs
-                    .iter()
-                    .zip(ys)
-                    .all(|((ka, va), (kb, vb))| ka == kb && value_bits_eq(va, vb))
-        }
-        _ => a == b,
-    }
+/// A state tree as JSON text. Every float a shipped detector writes is a
+/// finite number, whose shortest form is unique to its bits (`-0.0`
+/// included), or a blob of raw bits, so equal text means bit-equal state.
+fn state_text(state: &serde::Value) -> String {
+    serde_json::to_string(state).expect("value trees serialize")
 }
 
 /// Folds the stream element-wise, returning the drift/warning indices.
@@ -154,7 +139,7 @@ proptest! {
                 );
                 if let (Some(a), Some(b)) = (scalar_state, batched_state) {
                     prop_assert!(
-                        value_bits_eq(&a, &b),
+                        state_text(&a) == state_text(&b),
                         "{} chunk {}: batched state diverges bit-wise from scalar state",
                         spec.id(),
                         chunk
@@ -168,8 +153,8 @@ proptest! {
 proptest! {
     /// The engine's hibernation tier in miniature, without the engine: after
     /// every chunk the detector is compressed exactly as a shard worker
-    /// would (wire-v4 binary state → compact JSON blob), dropped, and a
-    /// fresh instance is rebuilt from the spec and restored from the blob.
+    /// would (its wire-v4 state tree), dropped, and a fresh instance is
+    /// rebuilt from the spec and restored from the blob.
     /// For every detector kind and chunking, the cycled detector must make
     /// the exact decisions of a never-hibernated scalar fold and finish in
     /// the bit-identical state — even under adversarial values (signed
@@ -191,12 +176,10 @@ proptest! {
                     warnings.extend(outcome.warning_indices.iter().map(|&i| k * chunk + i));
 
                     // The hibernation cycle: compress to the wire-v4 state
-                    // tree a shard worker would hold (deliberately *not*
-                    // JSON text — JSON cannot carry the ±inf accumulators
-                    // these streams provoke), free the detector, wake a
-                    // fresh one.
+                    // tree a shard worker would hold, free the detector,
+                    // wake a fresh one.
                     let blob = cycled
-                        .snapshot_state_encoded(SnapshotEncoding::Binary)
+                        .snapshot_state()
                         .expect("all shipped detectors support state snapshots");
                     drop(cycled);
                     cycled = spec.build().expect("default specs are valid");
@@ -230,7 +213,7 @@ proptest! {
                 // JSON), compared bit-wise.
                 if let (Some(a), Some(b)) = (reference.snapshot_state(), cycled.snapshot_state()) {
                     prop_assert!(
-                        value_bits_eq(&a, &b),
+                        state_text(&a) == state_text(&b),
                         "{} cycle chunk {}: post-hibernation state diverges bit-wise",
                         spec.id(),
                         chunk

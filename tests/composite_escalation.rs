@@ -20,7 +20,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use optwin::core::{DriftDetector, DriftStatus, SnapshotEncoding};
+use optwin::core::{DriftDetector, DriftStatus};
 use optwin::{
     Cascade, CascadeConfig, DetectorSpec, DriftEvent, EngineBuilder, EngineHandle, EventSink,
     HibernationPolicy, MemorySink,
@@ -125,8 +125,8 @@ fn all_64_pairs_batch_ingestion_matches_element_fold() {
                 assert_eq!(batched.elements_seen(), folded.elements_seen());
                 assert_eq!(batched.drifts_detected(), folded.drifts_detected());
                 assert_eq!(
-                    batched.snapshot_state_encoded(SnapshotEncoding::Json),
-                    folded.snapshot_state_encoded(SnapshotEncoding::Json),
+                    batched.snapshot_state(),
+                    folded.snapshot_state(),
                     "{guard}→{confirm} chunk {chunk}: final state must be bit-identical"
                 );
             }
@@ -159,9 +159,8 @@ fn live_cascade_of(guard: &str, confirm: &str) -> Cascade {
 /// For every guard/confirmer pair, the stream is cut at the **first
 /// element on which the confirmer is live** — the exact middle of an
 /// escalation, dormant-confirmer flag down, replay ring warm — and the
-/// snapshot (both encodings) restores into a fresh cascade that emits an
-/// identical status for every remaining element and lands in bit-identical
-/// final state.
+/// snapshot restores into a fresh cascade that emits an identical status
+/// for every remaining element and lands in bit-identical final state.
 #[test]
 fn all_64_pairs_snapshot_mid_escalation_restores_bit_exact() {
     for (g, guard) in KINDS.iter().enumerate() {
@@ -185,37 +184,35 @@ fn all_64_pairs_snapshot_mid_escalation_restores_bit_exact() {
                 panic!("{guard}→{confirm}: the guard never escalated on the jump")
             });
 
-            for encoding in [SnapshotEncoding::Json, SnapshotEncoding::Binary] {
-                let state = original
-                    .snapshot_state_encoded(encoding)
-                    .expect("cascades are snapshot-capable");
-                let mut restored = live_cascade_of(guard, confirm);
-                restored
-                    .restore_state(&state)
-                    .expect("mid-escalation snapshot restores");
-                assert!(
-                    restored.is_escalated(),
-                    "{guard}→{confirm}: the live confirmer must survive the round-trip"
-                );
+            let state = original
+                .snapshot_state()
+                .expect("cascades are snapshot-capable");
+            let mut restored = live_cascade_of(guard, confirm);
+            restored
+                .restore_state(&state)
+                .expect("mid-escalation snapshot restores");
+            assert!(
+                restored.is_escalated(),
+                "{guard}→{confirm}: the live confirmer must survive the round-trip"
+            );
 
-                let mut replica = live_cascade_of(guard, confirm);
-                for &value in &stream[..cut] {
-                    replica.add_element(value);
-                }
-                for (i, &value) in stream[cut..].iter().enumerate() {
-                    assert_eq!(
-                        restored.add_element(value),
-                        replica.add_element(value),
-                        "{guard}→{confirm} ({encoding:?}): status diverged at element {}",
-                        cut + i
-                    );
-                }
+            let mut replica = live_cascade_of(guard, confirm);
+            for &value in &stream[..cut] {
+                replica.add_element(value);
+            }
+            for (i, &value) in stream[cut..].iter().enumerate() {
                 assert_eq!(
-                    restored.snapshot_state_encoded(SnapshotEncoding::Json),
-                    replica.snapshot_state_encoded(SnapshotEncoding::Json),
-                    "{guard}→{confirm} ({encoding:?}): final state must be bit-identical"
+                    restored.add_element(value),
+                    replica.add_element(value),
+                    "{guard}→{confirm}: status diverged at element {}",
+                    cut + i
                 );
             }
+            assert_eq!(
+                restored.snapshot_state(),
+                replica.snapshot_state(),
+                "{guard}→{confirm}: final state must be bit-identical"
+            );
         }
     }
 }

@@ -10,10 +10,7 @@
 
 use std::sync::Arc;
 
-use optwin::{
-    DetectorSpec, DriftEvent, EngineBuilder, EventSink, HibernationPolicy, MemorySink,
-    SnapshotEncoding,
-};
+use optwin::{DetectorSpec, DriftEvent, EngineBuilder, EventSink, HibernationPolicy, MemorySink};
 
 /// Deterministic pseudo-random jitter in [-0.5, 0.5) (SplitMix64).
 fn jitter(i: u64) -> f64 {
@@ -51,23 +48,11 @@ fn sorted(mut events: Vec<DriftEvent>) -> Vec<DriftEvent> {
     events
 }
 
-/// Bit-level equality of two snapshot value trees (`Float`s by `to_bits`,
-/// so `-0.0 != 0.0` and NaN payloads must match exactly).
-fn value_bits_eq(a: &serde::Value, b: &serde::Value) -> bool {
-    use serde::Value;
-    match (a, b) {
-        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-        (Value::Array(x), Value::Array(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(a, b)| value_bits_eq(a, b))
-        }
-        (Value::Object(x), Value::Object(y)) => {
-            x.len() == y.len()
-                && x.iter()
-                    .zip(y)
-                    .all(|((ka, va), (kb, vb))| ka == kb && value_bits_eq(va, vb))
-        }
-        _ => a == b,
-    }
+/// A state tree as JSON text: every float a shipped detector writes is a
+/// finite number, whose shortest form is unique to its bits, or a blob of
+/// raw bits, so equal text means bit-equal state.
+fn state_text(state: &serde::Value) -> String {
+    serde_json::to_string(state).expect("value trees serialize")
 }
 
 /// Builds a 24-stream mixed-kind engine; `policy` enables hibernation.
@@ -142,29 +127,14 @@ fn hibernating_fleet_is_bit_exact_with_never_sleeping_fleet() {
     }
 
     // Identical final state, blob or not: the hibernating engine's snapshot
-    // serves sleeping streams from their blobs. Compare after a JSON
-    // round-trip — the actual persistence path — which also normalizes the
-    // `UInt`-vs-`Int` representation of in-range counters (blob states have
-    // already been through JSON once; live states have not).
-    let round_trip = |snap: optwin::EngineSnapshot| {
-        optwin::EngineSnapshot::from_json(&snap.to_json()).expect("round-trip")
-    };
-    let hib_snap = round_trip(
-        hibernating
-            .snapshot_with(SnapshotEncoding::Binary)
-            .expect("snapshot"),
-    );
-    let ref_snap = round_trip(
-        reference
-            .snapshot_with(SnapshotEncoding::Binary)
-            .expect("snapshot"),
-    );
+    // serves sleeping streams from their blobs.
+    let hib_snap = hibernating.snapshot().expect("snapshot");
+    let ref_snap = reference.snapshot().expect("snapshot");
     assert_eq!(hib_snap.streams.len(), ref_snap.streams.len());
     for (h, r) in hib_snap.streams.iter().zip(&ref_snap.streams) {
-        assert_eq!(h.stream, r.stream);
-        assert_eq!(h.seq, r.seq);
+        assert_eq!((h.stream, h.seq), (r.stream, r.seq));
         assert!(
-            value_bits_eq(&h.state, &r.state),
+            state_text(&h.state) == state_text(&r.state),
             "stream {} ({}): hibernated state diverged from reference",
             h.stream,
             h.detector
@@ -259,7 +229,7 @@ fn sleeping_fleet_snapshots_and_restores_without_waking() {
     original.flush().expect("flush");
     original.flush().expect("flush");
     assert_eq!(original.stats().expect("stats").hibernated_streams(), 24);
-    let snapshot = original.snapshot_compact().expect("snapshot");
+    let snapshot = original.snapshot().expect("snapshot");
     assert!(snapshot.streams.iter().all(|s| s.hibernated));
     original.shutdown().expect("shutdown");
 
@@ -317,6 +287,50 @@ fn sleeping_fleet_snapshots_and_restores_without_waking() {
         "workload produced no events at all; the equivalence is vacuous"
     );
     first_half.clear();
+}
+
+/// One NaN input leaves a Page–Hinkley stream with NaN statistics — its own
+/// reachable state, not corruption. Forced to sleep at every barrier, the
+/// stream must keep waking, and end bit-identical to a stream that never
+/// sleeps.
+#[test]
+fn nan_fed_page_hinkley_stream_keeps_waking() {
+    let value = |i: u64| {
+        if i == 150 {
+            f64::NAN
+        } else {
+            0.1 + 0.05 * jitter(i)
+        }
+    };
+    let run = |policy: Option<HibernationPolicy>| {
+        let mut builder = EngineBuilder::new()
+            .shards(1)
+            .stream_spec(0, "page_hinkley".parse().expect("valid spec"));
+        if let Some(policy) = policy {
+            builder = builder.hibernation(policy);
+        }
+        let handle = builder.build().expect("valid engine");
+        for round in 0..4u64 {
+            let records: Vec<(u64, f64)> = (round * 100..(round + 1) * 100)
+                .map(|i| (0, value(i)))
+                .collect();
+            handle.submit(&records).expect("submit");
+            handle
+                .flush()
+                .expect("a NaN-fed stream must sleep and wake");
+        }
+        let rehydrations = handle.stats().expect("stats").rehydrations();
+        let stream = handle.snapshot().expect("snapshot").streams.remove(0);
+        handle.shutdown().expect("shutdown");
+        (rehydrations, stream.hibernated, state_text(&stream.state))
+    };
+    let (rehydrations, hibernated, state) = run(Some(HibernationPolicy::cold_after_flushes(0)));
+    assert_eq!(
+        (rehydrations, hibernated),
+        (3, true),
+        "asleep after every barrier"
+    );
+    assert_eq!(state, run(None).2);
 }
 
 /// Prints the per-kind memory audit behind the README's "Memory &

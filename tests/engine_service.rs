@@ -947,7 +947,6 @@ fn default_spec_and_register_stream_spec() {
 
 mod snapshot_property {
     use super::*;
-    use optwin::SnapshotEncoding;
     use proptest::prelude::*;
 
     /// One stream per `DetectorSpec` kind, with small windows so the
@@ -1007,9 +1006,8 @@ mod snapshot_property {
     proptest! {
         /// Snapshot → JSON → restore at an arbitrary cut point of an
         /// arbitrary bounded stream — over a fleet covering **all 8
-        /// detector kinds**, in **both** the v3-JSON and the v4-binary wire
-        /// layout — reproduces the uninterrupted engine's remaining events
-        /// exactly.
+        /// detector kinds**, in the v4 wire layout — reproduces the
+        /// uninterrupted engine's remaining events exactly.
         #[test]
         fn snapshot_round_trip_preserves_remaining_events(
             values in proptest::collection::vec(0.0f64..=1.0, 50..400),
@@ -1021,41 +1019,37 @@ mod snapshot_property {
             let records = fleet_records(&values);
             let record_cut = cut * 8;
 
-            // Uninterrupted reference (shared by both encodings).
+            // Uninterrupted reference.
             let (reference, reference_sink) = fleet_engine(shards, None);
             reference.submit(&records).expect("engine running");
             reference.flush().expect("no errors");
             let all_events = canonical(reference_sink.drain());
             reference.shutdown().expect("clean shutdown");
 
-            for encoding in [SnapshotEncoding::Json, SnapshotEncoding::Binary] {
-                // Interrupted at `cut`.
-                let (original, original_sink) = fleet_engine(shards, None);
-                original.submit(&records[..record_cut]).expect("engine running");
-                original.flush().expect("no errors");
-                let early = original_sink.drain();
-                let snapshot = original.snapshot_with(encoding).expect("snapshot-capable");
-                original.shutdown().expect("clean shutdown");
-                let expected_version =
-                    if encoding == SnapshotEncoding::Binary { 4 } else { 3 };
-                prop_assert_eq!(snapshot.version, expected_version);
-                prop_assert!(snapshot.is_self_describing());
+            // Interrupted at `cut`.
+            let (original, original_sink) = fleet_engine(shards, None);
+            original.submit(&records[..record_cut]).expect("engine running");
+            original.flush().expect("no errors");
+            let early = original_sink.drain();
+            let snapshot = original.snapshot().expect("snapshot-capable");
+            original.shutdown().expect("clean shutdown");
+            prop_assert_eq!(snapshot.version, 4);
+            prop_assert!(snapshot.is_self_describing());
 
-                let snapshot = EngineSnapshot::from_json(&snapshot.to_json())
-                    .expect("well-formed JSON");
-                let (restored, restored_sink) = fleet_engine(shards, Some(snapshot));
-                restored.submit(&records[record_cut..]).expect("engine running");
-                restored.flush().expect("no errors");
-                let late = restored_sink.drain();
-                restored.shutdown().expect("clean shutdown");
+            let snapshot = EngineSnapshot::from_json(&snapshot.to_json())
+                .expect("well-formed JSON");
+            let (restored, restored_sink) = fleet_engine(shards, Some(snapshot));
+            restored.submit(&records[record_cut..]).expect("engine running");
+            restored.flush().expect("no errors");
+            let late = restored_sink.drain();
+            restored.shutdown().expect("clean shutdown");
 
-                let mut stitched = early;
-                stitched.extend(late);
-                prop_assert!(
-                    canonical(stitched) == all_events,
-                    "stitched events diverge under {encoding:?} at cut {cut}"
-                );
-            }
+            let mut stitched = early;
+            stitched.extend(late);
+            prop_assert!(
+                canonical(stitched) == all_events,
+                "stitched events diverge at cut {cut}"
+            );
         }
     }
 }

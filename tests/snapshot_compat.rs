@@ -6,8 +6,12 @@
 //! checked-in fixture per wire format under `tests/fixtures/snapshots/` —
 //! must keep restoring **bit-exactly** forever: every fixture, restored
 //! into a fresh engine and fed the remaining stream, must produce exactly
-//! the drift decisions of an uninterrupted reference engine. Regenerate the
-//! corpus (only after a deliberate, versioned format change) with:
+//! the drift decisions of an uninterrupted reference engine. v4 is the only
+//! layout the engine still writes, and a live capture must reproduce the
+//! v4 fixtures entry for entry. The v1–v3 fixtures (and `v3-cascade.json`)
+//! are frozen output of the retired JSON-array writer: nothing regenerates
+//! them, and they pin the read path alone. Regenerate the v4 and v5
+//! fixtures (only after a deliberate, versioned format change) with:
 //!
 //! ```text
 //! cargo test --test snapshot_compat regenerate_golden_corpus -- --ignored
@@ -17,7 +21,8 @@
 //! flips, bad magic, count mismatches, invalid base64 — all must surface as
 //! [`EngineError::InvalidSnapshot`] with the stream and field named, never
 //! a panic) and guards the headline size win: the v4 snapshot of a fixed
-//! 64-stream fleet must stay at or below **40 %** of its v3 size.
+//! 64-stream fleet must stay at or below **41,749 bytes**, 40 % of the
+//! 104,373 bytes the retired v3 writer produced for it.
 //!
 //! Composite detectors add a fixture of their own: `v4-cascade.json`
 //! snapshots a cascade/ensemble fleet with the pilot cascade captured
@@ -37,7 +42,7 @@ use std::sync::Arc;
 use optwin::engine::EngineError;
 use optwin::{
     load_checkpoint_dir, CheckpointPolicy, DetectorSpec, DriftEvent, EngineBuilder, EngineHandle,
-    EngineSnapshot, EventSink, HibernationPolicy, MemorySink, SnapshotEncoding,
+    EngineSnapshot, EventSink, HibernationPolicy, MemorySink,
 };
 
 /// Deterministic pseudo-random jitter in [-0.5, 0.5) (SplitMix64).
@@ -197,40 +202,20 @@ fn reference_events() -> (Vec<DriftEvent>, Vec<DriftEvent>) {
 // Corpus regeneration (checked-in fixtures; run explicitly with --ignored)
 // ---------------------------------------------------------------------------
 
-/// Writes the four golden fixtures. v3 and v4 are genuine snapshots of the
-/// same engine state in both layouts; v2 and v1 are the historically exact
-/// reductions of the v3 payload (v2 predates `shard`, v1 predates `spec`),
-/// which is precisely how those writers laid out the wire.
+/// Writes the fixtures the live writer can still produce: `v4.json`,
+/// `v4-hibernated.json` and the `v5/` directory. `v1.json`–`v3.json` stay
+/// as the retired JSON-array writer left them (v3 a genuine snapshot, v2
+/// and v1 its historically exact reductions without `shard` and `spec`).
 #[test]
 #[ignore = "regenerates the checked-in golden corpus"]
 fn regenerate_golden_corpus() {
     let (handle, _sink) = build_fleet(None, false);
     feed(&handle, 0, CUT);
-    let v3 = handle
-        .snapshot_with(SnapshotEncoding::Json)
-        .expect("snapshot-capable");
-    let v4 = handle
-        .snapshot_with(SnapshotEncoding::Binary)
-        .expect("snapshot-capable");
+    let v4 = handle.snapshot().expect("snapshot-capable");
     handle.shutdown().expect("clean shutdown");
-    assert_eq!(v3.version, 3);
     assert_eq!(v4.version, 4);
-
-    let mut v2 = v3.clone();
-    v2.version = 2;
-    for stream in &mut v2.streams {
-        stream.shard = None;
-    }
-    let mut v1 = v2.clone();
-    v1.version = 1;
-    for stream in &mut v1.streams {
-        stream.spec = None;
-    }
-
     std::fs::create_dir_all(fixtures_dir()).expect("fixtures dir");
-    for (version, snapshot) in [(1, &v1), (2, &v2), (3, &v3), (4, &v4)] {
-        std::fs::write(fixture_path(version), snapshot.to_json()).expect("write fixture");
-    }
+    std::fs::write(fixture_path(4), v4.to_json()).expect("write fixture");
 
     // The hibernated variant: the same fleet run under the forced policy,
     // so every stream is asleep when the snapshot is taken. Deliberately
@@ -239,7 +224,7 @@ fn regenerate_golden_corpus() {
     let (handle, _sink) =
         build_fleet_with(None, false, Some(HibernationPolicy::cold_after_flushes(0)));
     feed(&handle, 0, CUT);
-    let hibernated = handle.snapshot_compact().expect("snapshot-capable");
+    let hibernated = handle.snapshot().expect("snapshot-capable");
     handle.shutdown().expect("clean shutdown");
     assert_eq!(hibernated.version, 4);
     assert!(hibernated.streams.iter().all(|s| s.hibernated));
@@ -562,7 +547,7 @@ fn live_v4_snapshot_round_trips() {
     let (_early, expected_late) = reference_events();
     let (handle, _sink) = build_fleet(None, false);
     feed(&handle, 0, CUT);
-    let snapshot = handle.snapshot_compact().expect("snapshot-capable");
+    let snapshot = handle.snapshot().expect("snapshot-capable");
     handle.shutdown().expect("clean shutdown");
     assert_eq!(snapshot.version, 4);
     assert!(snapshot.is_self_describing());
@@ -650,7 +635,7 @@ fn live_writer_reproduces_golden_v4_entries() {
 fn restore_error_after(mutate: impl Fn(&str) -> String) -> EngineError {
     let (handle, _sink) = build_fleet(None, false);
     feed(&handle, 0, 700);
-    let mut snapshot = handle.snapshot_compact().expect("snapshot-capable");
+    let mut snapshot = handle.snapshot().expect("snapshot-capable");
     handle.shutdown().expect("clean shutdown");
 
     let state = &mut snapshot
@@ -769,13 +754,14 @@ fn corrupted_v4_blobs_fail_restores_cleanly() {
 
 /// The headline claim of wire format v4, pinned as a regression test: for a
 /// fixed 64-stream heterogeneous fleet monitoring binary error streams (the
-/// paper's primary input), the v4 snapshot payload is at most **40 %** of
-/// the v3 payload. Both sizes are printed so CI logs track the ratio over
-/// time.
+/// paper's primary input), the v4 snapshot payload is at most 41,749 bytes,
+/// 40 % of the 104,373 bytes the retired v3 writer produced for the same
+/// fleet. The size is printed so CI logs track it over time.
 #[test]
 fn v4_snapshot_is_at_most_40_percent_of_v3() {
     const GUARD_STREAMS: u64 = 64;
     const GUARD_ELEMENTS: usize = 2_500;
+    const V4_GUARD_BYTES: usize = 41_749;
 
     let guard_spec = |stream: u64| -> DetectorSpec {
         let text = match stream % 8 {
@@ -791,10 +777,7 @@ fn v4_snapshot_is_at_most_40_percent_of_v3() {
         text.parse().expect("valid spec string")
     };
 
-    let sink = Arc::new(MemorySink::new());
-    let mut builder = EngineBuilder::new()
-        .shards(4)
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
+    let mut builder = EngineBuilder::new().shards(4);
     for stream in 0..GUARD_STREAMS {
         builder = builder.stream_spec(stream, guard_spec(stream));
     }
@@ -817,67 +800,18 @@ fn v4_snapshot_is_at_most_40_percent_of_v3() {
         handle.submit(&records).expect("engine running");
     }
     handle.flush().expect("no ingestion errors");
-
-    let v3 = handle
-        .snapshot_with(SnapshotEncoding::Json)
-        .expect("snapshot-capable")
-        .to_json();
-    let v4 = handle
-        .snapshot_compact()
-        .expect("snapshot-capable")
-        .to_json();
+    let v4 = handle.snapshot().expect("snapshot-capable").to_json();
+    handle.shutdown().expect("clean shutdown");
 
     println!(
-        "snapshot size guard: v3 = {} bytes, v4 = {} bytes, ratio = {:.1}%",
-        v3.len(),
-        v4.len(),
-        v4.len() as f64 / v3.len() as f64 * 100.0
+        "snapshot size guard: v4 = {} bytes (bound {V4_GUARD_BYTES})",
+        v4.len()
     );
     assert!(
-        v4.len() * 100 <= v3.len() * 40,
-        "v4 ({} bytes) exceeds 40% of v3 ({} bytes)",
-        v4.len(),
-        v3.len()
+        v4.len() <= V4_GUARD_BYTES,
+        "v4 ({} bytes) exceeds {V4_GUARD_BYTES} bytes",
+        v4.len()
     );
-
-    // The compact snapshot is not just small — it restores to the same
-    // engine: both layouts, fed the same suffix, emit identical events.
-    let run_suffix = |snapshot: EngineSnapshot| -> Vec<DriftEvent> {
-        let sink = Arc::new(MemorySink::new());
-        let restored = EngineBuilder::new()
-            .shards(3)
-            .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
-            .restore(snapshot)
-            .build()
-            .expect("valid engine");
-        let records: Vec<(u64, f64)> = (0..GUARD_STREAMS)
-            .flat_map(|stream| {
-                (0..300).map(move |i| {
-                    (
-                        stream,
-                        f64::from(
-                            jitter(stream.wrapping_mul(0xABCD_EF12) ^ (GUARD_ELEMENTS + i) as u64)
-                                + 0.5
-                                < 0.6,
-                        ),
-                    )
-                })
-            })
-            .collect();
-        restored.submit(&records).expect("engine running");
-        restored.flush().expect("no ingestion errors");
-        let events = canonical(sink.drain());
-        restored.shutdown().expect("clean shutdown");
-        events
-    };
-    let from_v3 = run_suffix(EngineSnapshot::from_json(&v3).expect("v3 parses"));
-    let from_v4 = run_suffix(EngineSnapshot::from_json(&v4).expect("v4 parses"));
-    assert_eq!(from_v3, from_v4, "both layouts restore the same engine");
-    assert!(
-        !from_v4.is_empty(),
-        "the 0.6-error suffix must trigger detections"
-    );
-    handle.shutdown().expect("clean shutdown");
 }
 
 // ---------------------------------------------------------------------------
@@ -891,8 +825,10 @@ fn v4_snapshot_is_at_most_40_percent_of_v3() {
 /// checked-in `v4-cascade.json` must keep restoring bit-exactly forever,
 /// and must keep self-reporting wire format **4**: composites serialize
 /// through the existing codec — nested child state inside the detector
-/// blob — and are explicitly *not* a format generation. Regenerate (only
-/// after a deliberate, versioned change) with:
+/// blob — and are explicitly *not* a format generation. `v3-cascade.json`
+/// holds the same state as frozen output of the retired JSON-array writer.
+/// Regenerate the v4 fixture (only after a deliberate, versioned change)
+/// with:
 ///
 /// ```text
 /// cargo test --test snapshot_compat regenerate_cascade_fixture -- --ignored
@@ -908,7 +844,8 @@ mod cascade_fixture {
         fixtures_dir().join("v4-cascade.json")
     }
 
-    /// The same mid-escalation fleet in the v3 JSON-array layout.
+    /// The same mid-escalation fleet in the v3 JSON-array layout — frozen
+    /// output of the retired writer, never regenerated.
     fn v3_path() -> PathBuf {
         fixtures_dir().join("v3-cascade.json")
     }
@@ -993,31 +930,22 @@ mod cascade_fixture {
         handle.flush().expect("no ingestion errors");
     }
 
-    /// Writes the composite fixtures (see the module docs): the same
-    /// mid-escalation state in the v4 blob layout and the v3 JSON-array
-    /// layout.
+    /// Writes the v4 composite fixture (see the module docs).
     #[test]
     #[ignore = "regenerates the checked-in cascade fixture"]
     fn regenerate_cascade_fixture() {
         let cut = mid_escalation_cut();
         let (handle, _sink) = build(None);
         feed(&handle, 0, cut);
-        let snapshot = handle
-            .snapshot_with(SnapshotEncoding::Binary)
-            .expect("snapshot-capable");
-        let v3 = handle
-            .snapshot_with(SnapshotEncoding::Json)
-            .expect("snapshot-capable");
+        let snapshot = handle.snapshot().expect("snapshot-capable");
         handle.shutdown().expect("clean shutdown");
         assert_eq!(
             snapshot.version, 4,
             "composites must not bump the wire format"
         );
-        assert_eq!(v3.version, 3);
         assert_eq!(snapshot.stream_count(), specs().len());
         std::fs::create_dir_all(fixtures_dir()).expect("fixtures dir");
         std::fs::write(path(), snapshot.to_json()).expect("write fixture");
-        std::fs::write(v3_path(), v3.to_json()).expect("write fixture");
     }
 
     /// Restores the checked-in fixture at `path` (which must self-report
