@@ -1,15 +1,22 @@
 //! Cost of building OPTWIN's pre-computed cut tables (§3.4: the ν, t_ppf and
-//! f_ppf values are computed once per window length, not per element), and an
-//! ablation over the robustness parameter ρ.
+//! f_ppf values are computed once per window length, not per element), an
+//! ablation over the robustness parameter ρ, and the paper fleet's set-up:
+//! a fresh registry serving `w_max` 10 000 and 25 000.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use optwin_core::{CutTable, OptwinConfig};
+use optwin_core::{CutTable, CutTableRegistry, OptwinConfig};
 
 fn bench_cut_tables(c: &mut Criterion) {
     let mut group = c.benchmark_group("cut_table_precompute");
     group.sample_size(10);
-    for (rho, w_max) in [(0.5, 1_000usize), (0.5, 4_000), (0.1, 4_000), (1.0, 4_000)] {
+    for (rho, w_max) in [
+        (0.5, 1_000usize),
+        (0.5, 4_000),
+        (0.1, 4_000),
+        (1.0, 4_000),
+        (0.5, 25_000),
+    ] {
         let label = format!("rho={rho}_wmax={w_max}");
         group.bench_with_input(
             BenchmarkId::from_parameter(label),
@@ -28,6 +35,30 @@ fn bench_cut_tables(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+
+    // The `optwin-paper` fleet's cold start: two paper-default
+    // configurations that differ only in w_max, each fetched from a fresh
+    // registry and fully precomputed.
+    let mut group = c.benchmark_group("cut_table_registry");
+    group.sample_size(10);
+    let configs: Vec<OptwinConfig> = [10_000, 25_000]
+        .into_iter()
+        .map(|w_max| OptwinConfig::builder().max_window(w_max).build().unwrap())
+        .collect();
+    group.bench_function("wmax=10000+25000", |b| {
+        b.iter(|| {
+            let registry = CutTableRegistry::new();
+            for config in &configs {
+                registry
+                    .get_or_build(config)
+                    .unwrap()
+                    .precompute_all()
+                    .unwrap();
+            }
+            registry.len()
+        });
+    });
     group.finish();
 
     // Single-entry lookup cost once cached (the per-element cost inside the

@@ -16,12 +16,26 @@
 //! guarantees detection — and falls back to ν = 0.5 while the window is too
 //! short for any split to satisfy the requirement (`|W| < w_proof`).
 //!
-//! Because ρ(ν) depends only on `|W|`, δ and ρ (never on the data), the split
-//! point and both critical values are pre-computed per window length, exactly
-//! as described in §3.4 of the paper. [`CutTable`] computes entries lazily,
-//! warm-starting each search from the neighbouring window length so that
-//! building the full `w_max = 25 000` table costs only a few probability
-//! point function evaluations per length.
+//! Because ρ(ν) depends only on `|W|`, δ and ρ (never on the data, and never
+//! on `w_max`), the split point and both critical values are pre-computed
+//! per window length, exactly as described in §3.4 of the paper. One
+//! [`CutTable`] therefore serves every `w_max`: it grows on demand to the
+//! largest window cap it is asked to cover, and each detector bounds its
+//! lookups by its own `w_max`.
+//!
+//! ## Cost
+//!
+//! An entry is not cheap. Each Equation 1 evaluation inverts two quantile
+//! functions (the F and the t distribution), and each inversion takes about
+//! a dozen Newton steps, each of which evaluates an incomplete-beta
+//! continued fraction. A length typically costs three evaluations: the split
+//! search warm-starts from the previous length's split and checks it and its
+//! right neighbour, and the warning confidence needs one more. That is six
+//! inversions per length (6.0 on average over the paper-default table).
+//! [`CutTable::precompute_all`] spreads the missing lengths over every
+//! available core in contiguous chunks, each chunk warm-starting its own
+//! searches; the lazy lookups compute on the calling thread. The entries do
+//! not depend on the path that computed them.
 //!
 //! ## A note on the F-test degrees of freedom
 //!
@@ -32,6 +46,8 @@
 //! `(|W_new|−1, |W_hist|−1)`, which is what this implementation uses — both
 //! for the runtime test and inside Equation 1.
 
+use std::fmt;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -66,13 +82,31 @@ pub struct CutEntry {
     pub f_warn: Option<f64>,
 }
 
+/// Stand-in for a slot whose entry is not computed yet. No real entry has
+/// `window_len == 0`: lengths start at `w_min >= 5`.
+const MISSING: CutEntry = CutEntry {
+    window_len: 0,
+    split: 0,
+    nu: 0.0,
+    exact: false,
+    t_crit: f64::INFINITY,
+    f_crit: f64::INFINITY,
+    df: 1.0,
+    t_warn: None,
+    f_warn: None,
+};
+
+/// Equation 1 evaluated at one split: the guaranteed-detectable shift ρ,
+/// the Welch degrees of freedom, and the t and f critical values.
+type Equation1 = (f64, f64, f64, f64);
+
 /// The value of Equation 1's right-hand side for a concrete integer split.
 ///
 /// `w` is the window length and `k` the number of elements in `W_hist`.
 /// Returns the guaranteed-detectable shift (in units of `σ_hist`) together
 /// with the Welch degrees of freedom and the two critical values, so callers
 /// can reuse them without re-evaluating the quantile functions.
-fn equation_one(w: usize, k: usize, delta_prime: f64) -> Result<(f64, f64, f64, f64)> {
+fn equation_one(w: usize, k: usize, delta_prime: f64) -> Result<Equation1> {
     debug_assert!(k >= 2 && w - k >= 2, "both sub-windows need >= 2 elements");
     let n_hist = k as f64;
     let n_new = (w - k) as f64;
@@ -106,23 +140,25 @@ const MIN_SUB_WINDOW: usize = 2;
 /// search then only probes a local neighbourhood before falling back to a
 /// full scan, which makes sequential table construction cheap.
 ///
-/// Returns `(split, exact)` where `exact` is `false` when no split satisfies
-/// the requirement and the ν = 0.5 fallback was applied.
+/// Returns the split together with Equation 1 evaluated at it, or `None`
+/// when no split satisfies the requirement (the caller then applies the
+/// ν = 0.5 fallback).
 fn optimal_split(
     w: usize,
     rho: f64,
     delta_prime: f64,
     hint: Option<usize>,
-) -> Result<(usize, bool)> {
+) -> Result<Option<(usize, Equation1)>> {
     let k_min = MIN_SUB_WINDOW;
     let k_max = w - MIN_SUB_WINDOW;
     if k_min > k_max {
-        return Ok((w / 2, false));
+        return Ok(None);
     }
 
-    let satisfies = |k: usize| -> Result<bool> {
-        let (r, _, _, _) = equation_one(w, k, delta_prime)?;
-        Ok(r <= rho)
+    // Equation 1 at split `k`, kept only when `k` is admissible.
+    let admissible = |k: usize| -> Result<Option<Equation1>> {
+        let eq = equation_one(w, k, delta_prime)?;
+        Ok((eq.0 <= rho).then_some(eq))
     };
 
     // Fast path: walk locally from the hint. The admissible region
@@ -130,11 +166,15 @@ fn optimal_split(
     // largest admissible k is characterised by ρ(k) ≤ rho < ρ(k+1).
     if let Some(h) = hint {
         let mut k = h.clamp(k_min, k_max);
-        if satisfies(k)? {
-            while k < k_max && satisfies(k + 1)? {
+        if let Some(mut eq) = admissible(k)? {
+            while k < k_max {
+                let Some(next) = admissible(k + 1)? else {
+                    break;
+                };
                 k += 1;
+                eq = next;
             }
-            return Ok((k, true));
+            return Ok(Some((k, eq)));
         }
         // The hint overshoots; walk down a bounded number of steps before
         // giving up and scanning.
@@ -144,8 +184,8 @@ fn optimal_split(
                 break;
             }
             down -= 1;
-            if satisfies(down)? {
-                return Ok((down, true));
+            if let Some(eq) = admissible(down)? {
+                return Ok(Some((down, eq)));
             }
         }
     }
@@ -157,11 +197,11 @@ fn optimal_split(
     // geometric grid to find a coarse bracket, then binary-search inside it.
     let mut probe = k_max;
     let mut last_bad = k_max + 1;
-    let mut found: Option<usize> = None;
+    let mut found = None;
     let mut step = 1usize;
     loop {
-        if satisfies(probe)? {
-            found = Some(probe);
+        if let Some(eq) = admissible(probe)? {
+            found = Some((probe, eq));
             break;
         }
         last_bad = probe;
@@ -174,48 +214,95 @@ fn optimal_split(
         step = (step * 2).min(32);
     }
 
-    let Some(lo_good) = found else {
-        // No admissible split at all: |W| < w_proof, fall back to ν = 0.5.
-        return Ok((w / 2, false));
+    // No admissible split at all: |W| < w_proof.
+    let Some(mut best) = found else {
+        return Ok(None);
     };
 
-    // Binary search for the boundary in (lo_good, last_bad).
-    let mut lo = lo_good;
+    // Binary search for the boundary in (best, last_bad).
     let mut hi = last_bad; // exclusive: known to violate (or k_max + 1)
-    while lo + 1 < hi {
-        let mid = lo + (hi - lo) / 2;
+    while best.0 + 1 < hi {
+        let mid = best.0 + (hi - best.0) / 2;
         if mid > k_max {
             break;
         }
-        if satisfies(mid)? {
-            lo = mid;
-        } else {
-            hi = mid;
+        match admissible(mid)? {
+            Some(eq) => best = (mid, eq),
+            None => hi = mid,
         }
     }
-    Ok((lo, true))
+    Ok(Some(best))
+}
+
+/// The configuration fields a cut table's entries depend on, compared
+/// bit-exactly so that `f64` parameters hash and compare reliably.
+///
+/// `w_max` is deliberately absent (Equation 1 never reads it). The registry
+/// interns tables by this key, and [`crate::Optwin::with_cut_table`] rejects
+/// a table whose key differs from its configuration's, so the two can never
+/// disagree about which tables are interchangeable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct TableKey {
+    delta_bits: u64,
+    warning_delta_bits: Option<u64>,
+    rho_bits: u64,
+    w_min: usize,
+}
+
+impl TableKey {
+    pub(crate) fn of(config: &OptwinConfig) -> Self {
+        Self {
+            delta_bits: config.delta.to_bits(),
+            warning_delta_bits: config.warning_delta.map(f64::to_bits),
+            rho_bits: config.rho.to_bits(),
+            w_min: config.w_min,
+        }
+    }
+}
+
+impl fmt::Display for TableKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "(δ = {}, warning δ = ", f64::from_bits(self.delta_bits))?;
+        match self.warning_delta_bits {
+            Some(bits) => write!(f, "{}", f64::from_bits(bits))?,
+            None => f.write_str("off")?,
+        }
+        write!(
+            f,
+            ", ρ = {}, w_min = {})",
+            f64::from_bits(self.rho_bits),
+            self.w_min
+        )
+    }
 }
 
 /// Lazily built, thread-safe lookup table of [`CutEntry`] values for every
 /// window length in `[w_min, w_max]`.
 ///
-/// The table is keyed by the OPTWIN configuration it was built from and can
-/// be shared between detector instances with [`Arc`] (e.g. when running the
-/// 30-repetition experiments of the paper, all repetitions reuse one table).
+/// The table is keyed by the configuration fields its entries depend on
+/// (δ, warning δ, ρ, `w_min`) and can be shared between detector instances
+/// with [`Arc`] (e.g. when running the 30-repetition experiments of the
+/// paper, all repetitions reuse one table). Detectors with different `w_max`
+/// share it too: the table grows to the largest `w_max` it serves, and
+/// entries never depend on how far it has grown.
 #[derive(Debug)]
 pub struct CutTable {
+    key: TableKey,
     delta_prime: f64,
     warning_delta_prime: Option<f64>,
     rho: f64,
     w_min: usize,
-    w_max: usize,
+    /// Slot `w - w_min` caches the entry for window length `w`. The vector
+    /// only ever grows, so an index valid once stays valid.
     cache: RwLock<Vec<Option<CutEntry>>>,
     /// Lazily computed proof window `w_proof`: the smallest window length at
-    /// which Equation 1 has a solution (`None` when even `w_max` has none).
+    /// which Equation 1 has a solution, stored with the length it was
+    /// searched up to (`None` when even that length has none).
     /// Admissibility is monotone in `|W|` (larger windows can only make a
     /// ρ-shift easier to certify), so lengths below `w_proof` take the
-    /// ν = 0.5 fallback without running the split search at all.
-    proof_window: RwLock<Option<Option<usize>>>,
+    /// ν = 0.5 fallback without running the split search at all, and a
+    /// found `w_proof` holds however far the table grows.
+    proof_window: RwLock<Option<(usize, Option<usize>)>>,
 }
 
 impl CutTable {
@@ -227,11 +314,11 @@ impl CutTable {
     pub fn new(config: &OptwinConfig) -> Result<Self> {
         config.validate()?;
         Ok(Self {
+            key: TableKey::of(config),
             delta_prime: config.delta_prime(),
             warning_delta_prime: config.warning_delta_prime(),
             rho: config.rho,
             w_min: config.w_min,
-            w_max: config.w_max,
             cache: RwLock::new(vec![None; config.w_max - config.w_min + 1]),
             proof_window: RwLock::new(None),
         })
@@ -252,16 +339,41 @@ impl CutTable {
         self.w_min
     }
 
-    /// Largest window length covered by the table.
+    /// Largest window length the table currently covers: the largest
+    /// `w_max` of any configuration it has served so far.
     #[must_use]
     pub fn w_max(&self) -> usize {
-        self.w_max
+        self.w_min + self.cache.read().len() - 1
     }
 
     /// The robustness parameter ρ the table was built for.
     #[must_use]
     pub fn rho(&self) -> f64 {
         self.rho
+    }
+
+    /// Prepares the table to serve a detector configured with `config`: the
+    /// configuration must have the table's (δ, warning δ, ρ, `w_min`), and
+    /// the table grows to cover `config.w_max` if it does not yet.
+    pub(crate) fn serve(&self, config: &OptwinConfig) -> Result<()> {
+        let wanted = TableKey::of(config);
+        if self.key != wanted {
+            return Err(CoreError::InvalidConfig {
+                field: "cut_table",
+                message: format!(
+                    "table built for {} does not match configuration {wanted}",
+                    self.key
+                ),
+            });
+        }
+        let len = config.w_max - self.w_min + 1;
+        if self.cache.read().len() < len {
+            let mut cache = self.cache.write();
+            if cache.len() < len {
+                cache.resize(len, None);
+            }
+        }
+        Ok(())
     }
 
     /// Returns the entry for window length `w`, computing and caching it (and
@@ -273,33 +385,15 @@ impl CutTable {
     /// `[w_min, w_max]`, or a wrapped statistics error if a quantile
     /// evaluation fails (practically unreachable for valid configurations).
     pub fn entry(&self, w: usize) -> Result<CutEntry> {
-        if w < self.w_min || w > self.w_max {
-            return Err(CoreError::InvalidConfig {
-                field: "window_len",
-                message: format!(
-                    "length {w} outside the table range [{}, {}]",
-                    self.w_min, self.w_max
-                ),
-            });
-        }
-        let idx = w - self.w_min;
-        if let Some(entry) = self.cache.read()[idx] {
+        let cached = w
+            .checked_sub(self.w_min)
+            .and_then(|idx| self.cache.read().get(idx).copied().flatten());
+        if let Some(entry) = cached {
             return Ok(entry);
         }
-        // Warm-start from the nearest cached neighbour below, if any.
-        let hint = {
-            let cache = self.cache.read();
-            cache[..idx]
-                .iter()
-                .rev()
-                .take(16)
-                .flatten()
-                .map(|e| e.split + (w - e.window_len))
-                .next()
-        };
-        let entry = self.compute_entry(w, hint)?;
-        self.cache.write()[idx] = Some(entry);
-        Ok(entry)
+        let mut out = Vec::with_capacity(1);
+        self.entries_range_into(w, w, &mut out)?;
+        Ok(out[0])
     }
 
     /// Returns the entries for every window length in `[lo, hi]` (both
@@ -333,76 +427,101 @@ impl CutTable {
     /// Same contract as [`CutTable::entries_range`]; on error the buffer
     /// contents are unspecified (but valid).
     pub fn entries_range_into(&self, lo: usize, hi: usize, out: &mut Vec<CutEntry>) -> Result<()> {
-        if lo > hi || lo < self.w_min || hi > self.w_max {
-            return Err(CoreError::InvalidConfig {
-                field: "window_len",
-                message: format!(
-                    "range [{lo}, {hi}] invalid for the table range [{}, {}]",
-                    self.w_min, self.w_max
-                ),
-            });
-        }
-        // One read-lock copies the cached slots into the output buffer;
-        // missing entries are marked with a `window_len == 0` placeholder (no
-        // real entry has one — lengths start at `w_min >= 1`).
+        // One read-lock copies the cached slots into the output buffer,
+        // with `MISSING` standing in for the entries still to compute.
         out.clear();
-        let missing = {
+        let (w_max, hint) = {
             let cache = self.cache.read();
+            let w_max = self.w_min + cache.len() - 1;
+            if lo > hi || lo < self.w_min || hi > w_max {
+                return Err(CoreError::InvalidConfig {
+                    field: "window_len",
+                    message: format!(
+                        "range [{lo}, {hi}] invalid for the table range [{}, {w_max}]",
+                        self.w_min
+                    ),
+                });
+            }
             let slots = &cache[lo - self.w_min..=hi - self.w_min];
-            let placeholder = CutEntry {
-                window_len: 0,
-                split: 0,
-                nu: 0.0,
-                exact: false,
-                t_crit: f64::INFINITY,
-                f_crit: f64::INFINITY,
-                df: 1.0,
-                t_warn: None,
-                f_warn: None,
-            };
-            out.extend(slots.iter().map(|slot| slot.unwrap_or(placeholder)));
-            slots.iter().filter(|e| e.is_none()).count()
+            out.extend(slots.iter().map(|slot| slot.unwrap_or(MISSING)));
+            if slots.iter().all(Option::is_some) {
+                return Ok(());
+            }
+            // Warm-start the first search from the nearest cached length
+            // below the range, if one is close.
+            let hint = cache[..lo - self.w_min]
+                .iter()
+                .rev()
+                .take(16)
+                .flatten()
+                .map(|e| e.split + (lo - e.window_len))
+                .next();
+            (w_max, hint)
         };
-        if missing == 0 {
-            return Ok(());
-        }
-        // Compute the missing entries outside any lock, warm-starting each
-        // search from its predecessor in the range, then publish the whole
-        // chunk under one write lock.
-        let mut hint: Option<usize> = None;
-        for (offset, slot) in out.iter_mut().enumerate() {
-            if slot.window_len == 0 {
-                let entry = self.compute_entry(lo + offset, hint)?;
-                *slot = entry;
-            }
-            hint = Some(slot.split + 1);
-        }
-        {
-            let mut cache = self.cache.write();
-            for (offset, entry) in out.iter().enumerate() {
-                cache[lo - self.w_min + offset] = Some(*entry);
-            }
-        }
+        // Compute outside any lock, then publish the whole range under one
+        // write lock.
+        let w_proof = self.proof_window(w_max)?;
+        self.fill(lo, w_proof, hint, out)?;
+        self.publish(lo, out);
         Ok(())
     }
 
     /// Eagerly computes every entry in `[w_min, w_max]`.
     ///
+    /// The missing lengths are split into one contiguous chunk per available
+    /// core (`std::thread::available_parallelism`), each filled on its own
+    /// scoped thread, and all of them are published under one write lock.
+    /// The entries are the same as a sequential fill's.
+    ///
     /// # Errors
     ///
     /// Propagates the first computation error encountered.
     pub fn precompute_all(&self) -> Result<()> {
-        let mut hint: Option<usize> = None;
-        for w in self.w_min..=self.w_max {
-            let idx = w - self.w_min;
-            if let Some(e) = self.cache.read()[idx] {
-                hint = Some(e.split + 1);
-                continue;
+        let mut slots: Vec<CutEntry> = self
+            .cache
+            .read()
+            .iter()
+            .map(|slot| slot.unwrap_or(MISSING))
+            .collect();
+        let missing: Vec<usize> = slots
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.window_len == 0)
+            .map(|(idx, _)| idx)
+            .collect();
+        let Some(&first) = missing.first() else {
+            return Ok(());
+        };
+        let w_proof = self.proof_window(self.w_min + slots.len() - 1)?;
+
+        // Chunk boundaries: each chunk starts at a missing slot and holds an
+        // equal share of the missing lengths.
+        let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let starts: Vec<usize> = missing
+            .iter()
+            .step_by(missing.len().div_ceil(threads))
+            .copied()
+            .collect();
+        std::thread::scope(|scope| {
+            let mut rest = slots.as_mut_slice();
+            let mut chunks = Vec::with_capacity(starts.len());
+            for &start in starts.iter().rev() {
+                let (head, chunk) = rest.split_at_mut(start);
+                // Warm-start from the slot before the chunk only when it is
+                // cached; otherwise an earlier chunk is still computing it.
+                let hint = head.last().filter(|e| e.window_len != 0);
+                let hint = hint.map(|e| e.split + 1);
+                rest = head;
+                let lo = self.w_min + start;
+                chunks.push(scope.spawn(move || self.fill(lo, w_proof, hint, chunk)));
             }
-            let entry = self.compute_entry(w, hint)?;
-            hint = Some(entry.split + 1);
-            self.cache.write()[idx] = Some(entry);
-        }
+            chunks.into_iter().try_for_each(|chunk| {
+                chunk
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+        })?;
+        self.publish(self.w_min + first, &slots[first..]);
         Ok(())
     }
 
@@ -410,6 +529,34 @@ impl CutTable {
     #[must_use]
     pub fn cached_entries(&self) -> usize {
         self.cache.read().iter().filter(|e| e.is_some()).count()
+    }
+
+    /// Computes the `MISSING` slots of `run`, which holds the entries for
+    /// lengths `lo, lo + 1, …`. Every split search warm-starts from its
+    /// predecessor's split; `hint` seeds the first.
+    fn fill(
+        &self,
+        lo: usize,
+        w_proof: Option<usize>,
+        mut hint: Option<usize>,
+        run: &mut [CutEntry],
+    ) -> Result<()> {
+        for (w, slot) in (lo..).zip(run.iter_mut()) {
+            if slot.window_len == 0 {
+                *slot = self.compute_entry(w, w_proof, hint)?;
+            }
+            hint = Some(slot.split + 1);
+        }
+        Ok(())
+    }
+
+    /// Caches the computed entries for lengths `lo, lo + 1, …` under one
+    /// write lock.
+    fn publish(&self, lo: usize, entries: &[CutEntry]) {
+        let mut cache = self.cache.write();
+        for (slot, entry) in cache[lo - self.w_min..].iter_mut().zip(entries) {
+            *slot = Some(*entry);
+        }
     }
 
     /// Whether Equation 1 has any admissible split for window length `w`
@@ -445,19 +592,21 @@ impl CutTable {
         Ok(false)
     }
 
-    /// Lazily computes the proof window (smallest `w` with a solution) by
-    /// bisection over `[w_min, w_max]`.
-    fn proof_window(&self) -> Result<Option<usize>> {
-        if let Some(cached) = *self.proof_window.read() {
-            return Ok(cached);
+    /// The proof window (smallest `w` with a solution) among lengths up to
+    /// `w_max`, found by bisection over `[w_min, w_max]` and cached.
+    fn proof_window(&self, w_max: usize) -> Result<Option<usize>> {
+        if let Some((searched_to, found)) = *self.proof_window.read() {
+            if found.is_some() || searched_to >= w_max {
+                return Ok(found);
+            }
         }
-        let result = if !self.solution_exists(self.w_max)? {
+        let found = if !self.solution_exists(w_max)? {
             None
         } else if self.solution_exists(self.w_min)? {
             Some(self.w_min)
         } else {
             let mut lo = self.w_min; // no solution
-            let mut hi = self.w_max; // solution
+            let mut hi = w_max; // solution
             while hi - lo > 1 {
                 let mid = lo + (hi - lo) / 2;
                 if self.solution_exists(mid)? {
@@ -468,26 +617,32 @@ impl CutTable {
             }
             Some(hi)
         };
-        *self.proof_window.write() = Some(result);
-        Ok(result)
+        *self.proof_window.write() = Some((w_max, found));
+        Ok(found)
     }
 
-    fn compute_entry(&self, w: usize, hint: Option<usize>) -> Result<CutEntry> {
-        let below_proof = match self.proof_window()? {
-            Some(w_proof) => w < w_proof,
-            None => true,
+    fn compute_entry(
+        &self,
+        w: usize,
+        w_proof: Option<usize>,
+        hint: Option<usize>,
+    ) -> Result<CutEntry> {
+        // Below the proof window Equation 1 has no solution: skip the search.
+        let chosen = match w_proof {
+            Some(w_proof) if w >= w_proof => optimal_split(w, self.rho, self.delta_prime, hint)?,
+            _ => None,
         };
-        let (split, exact) = if below_proof {
-            // Below the proof window: Equation 1 has no solution, use ν = 0.5.
-            (w / 2, false)
-        } else {
-            optimal_split(w, self.rho, self.delta_prime, hint)?
+        let (split, exact, (_, df, t_crit, f_crit)) = match chosen {
+            Some((split, eq)) => (split, true, eq),
+            None => {
+                // The ν = 0.5 fallback.
+                let split = (w / 2).clamp(
+                    MIN_SUB_WINDOW,
+                    w.saturating_sub(MIN_SUB_WINDOW).max(MIN_SUB_WINDOW),
+                );
+                (split, false, equation_one(w, split, self.delta_prime)?)
+            }
         };
-        let split = split.clamp(
-            MIN_SUB_WINDOW,
-            w.saturating_sub(MIN_SUB_WINDOW).max(MIN_SUB_WINDOW),
-        );
-        let (_, df, t_crit, f_crit) = equation_one(w, split, self.delta_prime)?;
         let (t_warn, f_warn) = match self.warning_delta_prime {
             Some(dw) => {
                 let (_, _, t_w, f_w) = equation_one(w, split, dw)?;
@@ -590,13 +745,18 @@ mod tests {
         let dp = 0.99_f64.powf(0.25);
         // Compute without a hint, then with deliberately wrong hints.
         for &w in &[200usize, 350, 500] {
-            let (k_ref, exact_ref) = optimal_split(w, 0.5, dp, None).unwrap();
+            let reference = optimal_split(w, 0.5, dp, None).unwrap();
+            let (k_ref, eq_ref) = reference.expect("w is above w_proof");
+            // The returned tuple is Equation 1 at the returned split.
+            assert_eq!(eq_ref, equation_one(w, k_ref, dp).unwrap());
             for hint in [Some(2), Some(w / 2), Some(w - 3), Some(k_ref)] {
-                let (k, exact) = optimal_split(w, 0.5, dp, hint).unwrap();
-                assert_eq!(k, k_ref, "w={w} hint={hint:?}");
-                assert_eq!(exact, exact_ref);
+                let found = optimal_split(w, 0.5, dp, hint).unwrap();
+                assert_eq!(found, reference, "w={w} hint={hint:?}");
             }
         }
+        // Below w_proof no split is admissible, with or without a hint.
+        assert_eq!(optimal_split(60, 0.1, dp, None).unwrap(), None);
+        assert_eq!(optimal_split(60, 0.1, dp, Some(40)).unwrap(), None);
     }
 
     #[test]
@@ -685,6 +845,72 @@ mod tests {
         assert_eq!(buf, table.entries_range(60, 70).unwrap());
         // Errors leave the buffer valid.
         assert!(table.entries_range_into(10, 20, &mut buf).is_err());
+    }
+
+    #[test]
+    fn parallel_precompute_matches_sequential_lookups() {
+        let parallel = CutTable::new(&config(0.5, 600)).unwrap();
+        parallel.precompute_all().unwrap();
+        let sequential = CutTable::new(&config(0.5, 600)).unwrap();
+        for w in 30..=600 {
+            assert_eq!(parallel.entry(w).unwrap(), sequential.entry(w).unwrap());
+        }
+    }
+
+    #[test]
+    fn one_table_grows_across_w_max() {
+        let small = config(0.5, 300);
+        let large = config(0.5, 700);
+        let table = CutTable::new(&small).unwrap();
+        table.precompute_all().unwrap();
+        assert_eq!(table.w_max(), 300);
+        assert!(table.entry(301).is_err());
+
+        // Serving a larger w_max grows the table and keeps what is cached;
+        // a smaller one never shrinks it.
+        table.serve(&large).unwrap();
+        assert_eq!(table.w_max(), 700);
+        assert_eq!(table.cached_entries(), 300 - 30 + 1);
+        table.serve(&small).unwrap();
+        assert_eq!(table.w_max(), 700);
+
+        // Growing first and filling later gives the entries a table built
+        // for the larger w_max has.
+        table.precompute_all().unwrap();
+        assert_eq!(table.cached_entries(), 700 - 30 + 1);
+        let fresh = CutTable::new(&large).unwrap();
+        fresh.precompute_all().unwrap();
+        assert_eq!(
+            table.entries_range(30, 700).unwrap(),
+            fresh.entries_range(30, 700).unwrap()
+        );
+    }
+
+    #[test]
+    fn serve_rejects_other_parameters() {
+        let table = CutTable::new(&config(0.5, 300)).unwrap();
+        let mut other_rho = config(0.5, 300);
+        other_rho.rho = 2.0;
+        let mut other_w_min = config(0.5, 300);
+        other_w_min.w_min = 31;
+        for other in [other_rho, other_w_min] {
+            let err = table.serve(&other).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::InvalidConfig {
+                        field: "cut_table",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
+        // A rejected configuration does not grow the table.
+        let mut bigger = config(0.5, 900);
+        bigger.rho = 2.0;
+        assert!(table.serve(&bigger).is_err());
+        assert_eq!(table.w_max(), 300);
     }
 
     #[test]

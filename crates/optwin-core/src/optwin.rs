@@ -98,9 +98,9 @@ impl Optwin {
 
     /// Creates a detector whose cut table is interned in the process-wide
     /// [`crate::CutTableRegistry`]: every detector built this way with an
-    /// equivalent `(δ, warning δ, ρ, w_min, w_max)` shares one table, which
-    /// is what the multi-stream engine relies on to run thousands of
-    /// detectors cheaply.
+    /// equal `(δ, warning δ, ρ, w_min)` shares one table, whatever its
+    /// `w_max`, which is what the multi-stream engine relies on to run
+    /// thousands of detectors cheaply.
     ///
     /// # Errors
     ///
@@ -113,29 +113,20 @@ impl Optwin {
 
     /// Creates a detector that shares a pre-built [`CutTable`].
     ///
-    /// Sharing the table across detectors with identical `(δ, ρ, w_min,
-    /// w_max)` avoids recomputing the per-window-length quantiles — the
+    /// Sharing the table across detectors with identical `(δ, warning δ, ρ,
+    /// w_min)` avoids recomputing the per-window-length quantiles — the
     /// evaluation harness does this when it runs the same configuration over
-    /// 30 stream repetitions.
+    /// 30 stream repetitions. A table built for a smaller `w_max` grows to
+    /// cover `config.w_max`.
     ///
     /// # Errors
     ///
     /// Returns [`crate::CoreError::InvalidConfig`] if the configuration is
-    /// invalid or does not match the table's range.
+    /// invalid, or with field `cut_table` if the table was built for another
+    /// δ, warning δ, ρ or `w_min`.
     pub fn with_cut_table(config: OptwinConfig, cut: Arc<CutTable>) -> Result<Self> {
         config.validate()?;
-        if cut.w_min() != config.w_min || cut.w_max() != config.w_max {
-            return Err(crate::CoreError::InvalidConfig {
-                field: "cut_table",
-                message: format!(
-                    "table range [{}, {}] does not match configuration [{}, {}]",
-                    cut.w_min(),
-                    cut.w_max(),
-                    config.w_min,
-                    config.w_max
-                ),
-            });
-        }
+        cut.serve(&config)?;
         let capacity = config.w_max;
         Ok(Self {
             config,
@@ -867,16 +858,66 @@ mod tests {
         assert_eq!(d1.drifts_detected(), d2.drifts_detected());
     }
 
+    /// Builds a detector for `config` on a table built for `table_config`.
+    fn on_table_for(config: OptwinConfig, table_config: &OptwinConfig) -> Result<Optwin> {
+        Optwin::with_cut_table(config, CutTable::shared(table_config).unwrap())
+    }
+
+    fn assert_cut_table_rejected(result: Result<Optwin>) {
+        match result {
+            Err(crate::CoreError::InvalidConfig { field, .. }) => assert_eq!(field, "cut_table"),
+            other => panic!("expected a cut_table rejection, got {other:?}"),
+        }
+    }
+
     #[test]
     fn mismatched_cut_table_rejected() {
-        let config_small = small_config(0.5);
-        let config_big = OptwinConfig::builder()
+        // A ρ = 0.5 detector must not run on a ρ = 2.0 table: that table's
+        // cuts leave W_new far smaller, so the detector would fire where its
+        // own table does not.
+        let config = small_config(0.5);
+        let table_config = small_config(2.0);
+        assert_cut_table_rejected(on_table_for(config, &table_config));
+    }
+
+    #[test]
+    fn cut_table_for_another_delta_rejected() {
+        let config = small_config(0.5);
+        let mut table_config = small_config(0.5);
+        table_config.delta = 0.999;
+        assert_cut_table_rejected(on_table_for(config, &table_config));
+    }
+
+    #[test]
+    fn cut_table_for_another_warning_delta_rejected() {
+        let config = small_config(0.5);
+        let mut table_config = small_config(0.5);
+        table_config.warning_delta = Some(0.9);
+        assert_cut_table_rejected(on_table_for(config.clone(), &table_config));
+        table_config.warning_delta = None;
+        assert_cut_table_rejected(on_table_for(config, &table_config));
+    }
+
+    #[test]
+    fn cut_table_for_another_w_min_rejected() {
+        let config = small_config(0.5);
+        let mut table_config = small_config(0.5);
+        table_config.w_min = 40;
+        assert_cut_table_rejected(on_table_for(config, &table_config));
+    }
+
+    #[test]
+    fn smaller_cut_table_is_grown_not_rejected() {
+        let config = OptwinConfig::builder()
             .robustness(0.5)
             .max_window(2_000)
             .build()
             .unwrap();
-        let table = CutTable::shared(&config_small).unwrap();
-        assert!(Optwin::with_cut_table(config_big, table).is_err());
+        let table = CutTable::shared(&small_config(0.5)).unwrap();
+        assert!(table.w_max() < 2_000);
+        let d = Optwin::with_cut_table(config, Arc::clone(&table)).unwrap();
+        assert!(Arc::ptr_eq(&d.cut_table(), &table));
+        assert_eq!(table.w_max(), 2_000);
     }
 
     #[test]

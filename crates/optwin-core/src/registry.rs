@@ -1,50 +1,27 @@
 //! Process-wide sharing of pre-computed [`CutTable`]s.
 //!
-//! A cut table depends only on `(δ, warning δ, ρ, w_min, w_max)` — never on
-//! the data — so every OPTWIN detector built from an equivalent
-//! configuration can share one table. The evaluation harness always did this
-//! by hand for its 30 repetitions; the multi-stream engine runs *thousands*
-//! of concurrent detectors, where per-detector tables would multiply both
-//! memory (a full `w_max = 25 000` table is ~2 MiB) and the one-off quantile
-//! computation. [`CutTableRegistry`] interns tables behind [`Arc`]s keyed by
-//! the relevant configuration fields; [`CutTableRegistry::global`] is the
+//! A cut table's entries depend only on `(δ, warning δ, ρ, w_min)` — never
+//! on the data, and never on `w_max` — so every OPTWIN detector built from a
+//! configuration with those four fields equal can share one table. The
+//! evaluation harness always did this by hand for its 30 repetitions; the
+//! multi-stream engine runs *thousands* of concurrent detectors, where
+//! per-detector tables would multiply both memory (a full `w_max = 25 000`
+//! table is ~2 MiB) and the one-off quantile computation.
+//! [`CutTableRegistry`] interns one table per key behind an [`Arc`], grown
+//! on demand to the largest `w_max` requested; each detector still bounds
+//! its lookups by its own `w_max`. [`CutTableRegistry::global`] is the
 //! process-wide instance the detector constructors use.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use crate::cut::CutTable;
+use crate::cut::{CutTable, TableKey};
 use crate::{OptwinConfig, Result};
 
-/// The configuration fields a cut table actually depends on, bit-exact so
-/// that `f64` parameters hash and compare reliably.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct TableKey {
-    delta_bits: u64,
-    warning_delta_bits: u64,
-    rho_bits: u64,
-    w_min: usize,
-    w_max: usize,
-}
-
-impl TableKey {
-    fn of(config: &OptwinConfig) -> Self {
-        Self {
-            delta_bits: config.delta.to_bits(),
-            // NaN is rejected by validation; 0 is outside (0,1), so the
-            // bit pattern of 0.0 is a safe "disabled" sentinel.
-            warning_delta_bits: config.warning_delta.unwrap_or(0.0).to_bits(),
-            rho_bits: config.rho.to_bits(),
-            w_min: config.w_min,
-            w_max: config.w_max,
-        }
-    }
-}
-
 /// An interning cache of [`CutTable`]s keyed by the configuration fields
-/// that determine their contents.
+/// that determine their contents: δ, warning δ, ρ and `w_min`.
 #[derive(Debug, Default)]
 pub struct CutTableRegistry {
     tables: Mutex<HashMap<TableKey, Arc<CutTable>>>,
@@ -65,7 +42,7 @@ impl CutTableRegistry {
     }
 
     /// Returns the shared table for `config`, building and interning it on
-    /// first use.
+    /// first use and growing it to cover `config.w_max`.
     ///
     /// # Errors
     ///
@@ -73,13 +50,11 @@ impl CutTableRegistry {
     /// invalid.
     pub fn get_or_build(&self, config: &OptwinConfig) -> Result<Arc<CutTable>> {
         config.validate()?;
-        let key = TableKey::of(config);
-        let mut tables = self.tables.lock();
-        if let Some(table) = tables.get(&key) {
-            return Ok(Arc::clone(table));
-        }
-        let table = CutTable::shared(config)?;
-        tables.insert(key, Arc::clone(&table));
+        let table = match self.tables.lock().entry(TableKey::of(config)) {
+            Entry::Occupied(slot) => Arc::clone(slot.get()),
+            Entry::Vacant(slot) => Arc::clone(slot.insert(CutTable::shared(config)?)),
+        };
+        table.serve(config)?;
         Ok(table)
     }
 
@@ -129,17 +104,22 @@ mod tests {
         let registry = CutTableRegistry::new();
         let base = registry.get_or_build(&config(0.5, 400)).unwrap();
         let other_rho = registry.get_or_build(&config(1.0, 400)).unwrap();
-        let other_window = registry.get_or_build(&config(0.5, 500)).unwrap();
         assert!(!Arc::ptr_eq(&base, &other_rho));
-        assert!(!Arc::ptr_eq(&base, &other_window));
-        assert_eq!(registry.len(), 3);
+        assert_eq!(registry.len(), 2);
+
+        // w_max is not part of the key: a larger window cap grows the one
+        // table instead of building another.
+        let other_window = registry.get_or_build(&config(0.5, 500)).unwrap();
+        assert!(Arc::ptr_eq(&base, &other_window));
+        assert_eq!(base.w_max(), 500);
+        assert_eq!(registry.len(), 2);
 
         // Warning confidence participates in the key (it changes entries).
         let mut no_warn = config(0.5, 400);
         no_warn.warning_delta = None;
         let warnless = registry.get_or_build(&no_warn).unwrap();
         assert!(!Arc::ptr_eq(&base, &warnless));
-        assert_eq!(registry.len(), 4);
+        assert_eq!(registry.len(), 3);
     }
 
     #[test]

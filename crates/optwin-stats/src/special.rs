@@ -293,6 +293,13 @@ pub fn inv_reg_lower_gamma(a: f64, p: f64) -> Result<f64> {
 /// Returns an error if `a <= 0`, `b <= 0`, or `x` is outside `[0, 1]`, or if
 /// the continued fraction fails to converge.
 pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> Result<f64> {
+    reg_inc_beta_given_ln_beta(a, b, x, ln_beta(a, b))
+}
+
+/// [`reg_inc_beta`] with `ln B(a, b)` supplied by the caller, so that
+/// [`inv_reg_inc_beta`] computes it once per inversion instead of once per
+/// Newton step. Same operations in the same order, hence the same bits.
+fn reg_inc_beta_given_ln_beta(a: f64, b: f64, x: f64, ln_beta_ab: f64) -> Result<f64> {
     if !(a > 0.0) || !a.is_finite() {
         return Err(StatsError::InvalidParameter {
             name: "a",
@@ -321,7 +328,7 @@ pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> Result<f64> {
         return Ok(1.0);
     }
 
-    let ln_front = a * x.ln() + b * (1.0 - x).ln() - ln_beta(a, b);
+    let ln_front = a * x.ln() + b * (1.0 - x).ln() - ln_beta_ab;
     let front = ln_front.exp();
 
     // The continued fraction converges fastest for x < (a + 1) / (a + b + 2);
@@ -436,9 +443,10 @@ pub fn inv_reg_inc_beta(a: f64, b: f64, p: f64) -> Result<f64> {
     // Bisection bracket maintained alongside Newton.
     let mut lo = 0.0_f64;
     let mut hi = 1.0_f64;
-    let afac = -ln_beta(a, b);
+    let ln_beta_ab = ln_beta(a, b);
+    let afac = -ln_beta_ab;
     for _ in 0..100 {
-        let err = reg_inc_beta(a, b, x)? - p;
+        let err = reg_inc_beta_given_ln_beta(a, b, x, ln_beta_ab)? - p;
         if err > 0.0 {
             hi = x;
         } else {
