@@ -6,11 +6,15 @@
 //! benchmark verifies. The flat-cost-in-`w_max` half of the claim is
 //! measured by the `perfbench` workspace (`detector.solo_ns_per_rec_w25k` /
 //! `_w10k`), which times ingest separately from cut-table precompute.
+//!
+//! Every row times ingestion only. OPTWIN's registry table is filled before
+//! the groups run, so building a detector inside a sample costs its window
+//! allocation and never a cut-table entry.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use optwin_baselines::{Adwin, Ddm, Ecdd, Eddm, Kswin, PageHinkley, Stepd};
-use optwin_core::{DriftDetector, Optwin, OptwinConfig};
+use optwin_core::{CutTableRegistry, DriftDetector, Optwin, OptwinConfig};
 use optwin_stream::{DriftKind, DriftSchedule, ErrorStream, ErrorStreamConfig};
 
 /// A stationary binary error stream (no drift), the worst case for OPTWIN
@@ -20,22 +24,28 @@ fn stationary_stream(len: usize) -> Vec<f64> {
     ErrorStream::new(ErrorStreamConfig::binary(DriftKind::Sudden, schedule), 99).collect_all()
 }
 
+/// The OPTWIN configuration both OPTWIN rows use.
+fn optwin_config() -> OptwinConfig {
+    OptwinConfig::builder()
+        .robustness(0.5)
+        .max_window(4_000)
+        .build()
+        .expect("valid config")
+}
+
 fn bench_detectors(c: &mut Criterion) {
     let stream = stationary_stream(20_000);
+    CutTableRegistry::global()
+        .get_or_build(&optwin_config())
+        .and_then(|table| table.precompute_all())
+        .expect("valid config");
     let mut group = c.benchmark_group("detector_ingest_20k_stationary");
     group.throughput(Throughput::Elements(stream.len() as u64));
     group.sample_size(10);
 
     group.bench_function("OPTWIN rho=0.5 (w_max=4k)", |b| {
         b.iter(|| {
-            let mut d = Optwin::new(
-                OptwinConfig::builder()
-                    .robustness(0.5)
-                    .max_window(4_000)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
+            let mut d = Optwin::new(optwin_config()).unwrap();
             for &x in &stream {
                 black_box(d.add_element(x));
             }
@@ -99,23 +109,14 @@ fn bench_detectors(c: &mut Criterion) {
     });
     group.finish();
 
-    // The batch-first hot paths: `add_batch` over the whole stream. OPTWIN
-    // shares a process-wide pre-warmed cut table (the engine's construction
-    // route), so this tier isolates the per-batch kernel cost rather than the
-    // one-off table build the scalar tier above pays every iteration.
+    // The batch-first hot paths: `add_batch` over the whole stream, on the
+    // same pre-filled table as the element-wise tier above.
     let mut group = c.benchmark_group("detector_ingest_20k_batched");
     group.throughput(Throughput::Elements(stream.len() as u64));
     group.sample_size(10);
     group.bench_function("OPTWIN rho=0.5 (w_max=4k) add_batch", |b| {
         b.iter(|| {
-            let mut d = Optwin::with_shared_table(
-                OptwinConfig::builder()
-                    .robustness(0.5)
-                    .max_window(4_000)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
+            let mut d = Optwin::new(optwin_config()).unwrap();
             black_box(d.add_batch(&stream)).drifts()
         });
     });

@@ -6,8 +6,9 @@
 //! The build environment has no network access, so the real crate cannot be
 //! fetched. This shim measures wall-clock time per iteration (after a short
 //! warm-up), reports mean / best times and derived throughput, and prints a
-//! plain-text table — no statistical outlier analysis, HTML reports, or
-//! baseline comparisons.
+//! plain-text table; its JSON report adds the median and the 10th / 90th
+//! percentiles of the samples. There is no statistical outlier analysis,
+//! HTML report, or baseline comparison.
 //!
 //! [`criterion`]: https://crates.io/crates/criterion
 
@@ -25,7 +26,20 @@ struct BenchRecord {
     mean_ns: u128,
     best_ns: u128,
     samples: usize,
+    /// Median, 10th and 90th percentile of the samples.
+    median_ns: u128,
+    p10_ns: u128,
+    p90_ns: u128,
     throughput: Option<Throughput>,
+}
+
+/// The `q`-quantile of ascending `sorted_ns`, interpolated linearly between
+/// the closest ranks (the NumPy / R default), rounded to whole nanoseconds.
+fn quantile_ns(sorted_ns: &[u128], q: f64) -> u128 {
+    let pos = q * (sorted_ns.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    let (a, b) = (sorted_ns[lo] as f64, sorted_ns[hi] as f64);
+    (a + (b - a) * (pos - lo as f64)).round() as u128
 }
 
 /// Process-wide registry of finished benchmarks, drained by
@@ -66,12 +80,15 @@ pub fn write_json_report(name: &str) {
     for (i, r) in records.iter().enumerate() {
         let mean_secs = r.mean_ns as f64 / 1e9;
         let mut entry = format!(
-            "    {{\"group\": \"{}\", \"name\": \"{}\", \"mean_ns\": {}, \"best_ns\": {}, \"samples\": {}",
+            "    {{\"group\": \"{}\", \"name\": \"{}\", \"mean_ns\": {}, \"best_ns\": {}, \"samples\": {}, \"median_ns\": {}, \"p10_ns\": {}, \"p90_ns\": {}",
             json_escape(&r.group),
             json_escape(&r.label),
             r.mean_ns,
             r.best_ns,
-            r.samples
+            r.samples,
+            r.median_ns,
+            r.p10_ns,
+            r.p90_ns
         );
         match r.throughput {
             Some(Throughput::Elements(n)) => {
@@ -225,6 +242,8 @@ fn report(group: &str, label: &str, samples: &[Duration], throughput: Option<Thr
         }
     }
     println!("{line}");
+    let mut sorted_ns: Vec<u128> = samples.iter().map(Duration::as_nanos).collect();
+    sorted_ns.sort_unstable();
     RECORDS
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -234,6 +253,9 @@ fn report(group: &str, label: &str, samples: &[Duration], throughput: Option<Thr
             mean_ns: mean.as_nanos(),
             best_ns: best.as_nanos(),
             samples: samples.len(),
+            median_ns: quantile_ns(&sorted_ns, 0.5),
+            p10_ns: quantile_ns(&sorted_ns, 0.1),
+            p90_ns: quantile_ns(&sorted_ns, 0.9),
             throughput,
         });
 }
@@ -427,5 +449,13 @@ mod tests {
         assert!(body.contains("\"bytes_per_sec\""));
         // The mean of 10 µs and 20 µs is 15 µs -> 1e8 elem/s.
         assert!(body.contains("\"mean_ns\": 15000"));
+        // Percentiles interpolate between the two samples; a single sample
+        // is its own median and percentiles.
+        assert!(body.contains(
+            "\"samples\": 2, \"median_ns\": 15000, \"p10_ns\": 11000, \"p90_ns\": 19000"
+        ));
+        assert!(body.contains(
+            "\"samples\": 1, \"median_ns\": 10000, \"p10_ns\": 10000, \"p90_ns\": 10000"
+        ));
     }
 }

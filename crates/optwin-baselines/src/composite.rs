@@ -155,20 +155,15 @@ impl Cascade {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] when either child spec fails
-    /// validation, `replay` is zero, or `cooldown` is zero.
+    /// Returns [`CoreError::InvalidConfig`] when the configuration fails
+    /// [`DetectorSpec::validate`]: a child spec is invalid, `replay` is zero
+    /// or above [`optwin_core::MAX_WINDOW`], `cooldown` is zero, or
+    /// composites nest deeper than two levels.
     pub fn new(config: CascadeConfig) -> Result<Self, CoreError> {
-        let bad = |field: &'static str, message: &str| CoreError::InvalidConfig {
-            field,
-            message: message.to_string(),
-        };
-        if config.replay == 0 {
-            return Err(bad("replay", "must be positive"));
+        DetectorSpec::Cascade {
+            config: config.clone(),
         }
-        if config.cooldown == 0 {
-            return Err(bad("cooldown", "must be positive"));
-        }
-        config.confirm.validate()?;
+        .validate()?;
         let guard = config.guard.build()?;
         let real_valued = !config.guard.binary_only() && !config.confirm.binary_only();
         Ok(Self {
@@ -523,32 +518,15 @@ impl Ensemble {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] when `members` is empty, `vote`
-    /// is outside `1..=members.len()`, `horizon` is zero, or any member
-    /// spec fails validation.
+    /// Returns [`CoreError::InvalidConfig`] when the configuration fails
+    /// [`DetectorSpec::validate`]: `members` is empty, `vote` is outside
+    /// `1..=members.len()`, `horizon` is zero, a member spec is invalid, or
+    /// composites nest deeper than two levels.
     pub fn new(config: EnsembleConfig) -> Result<Self, CoreError> {
-        if config.members.is_empty() {
-            return Err(CoreError::InvalidConfig {
-                field: "members",
-                message: "must name at least one member".to_string(),
-            });
+        DetectorSpec::Ensemble {
+            config: config.clone(),
         }
-        if config.vote == 0 || config.vote > config.members.len() {
-            return Err(CoreError::InvalidConfig {
-                field: "vote",
-                message: format!(
-                    "must lie in 1..={}, got {}",
-                    config.members.len(),
-                    config.vote
-                ),
-            });
-        }
-        if config.horizon == 0 {
-            return Err(CoreError::InvalidConfig {
-                field: "horizon",
-                message: "must be positive".to_string(),
-            });
-        }
+        .validate()?;
         let members = config
             .members
             .iter()
@@ -812,6 +790,17 @@ mod tests {
             ..CascadeConfig::default()
         };
         assert!(Cascade::new(zero_cooldown).is_err());
+        let oversized_replay = CascadeConfig {
+            replay: optwin_core::MAX_WINDOW + 1,
+            ..CascadeConfig::default()
+        };
+        assert!(matches!(
+            Cascade::new(oversized_replay),
+            Err(CoreError::InvalidConfig {
+                field: "replay",
+                ..
+            })
+        ));
 
         let no_members = EnsembleConfig {
             members: Vec::new(),

@@ -105,7 +105,10 @@ impl Kswin {
     pub fn new(config: KswinConfig) -> Self {
         assert!(config.stat_size > 0, "KSWIN stat_size must be positive");
         assert!(
-            config.window_size > 2 * config.stat_size,
+            config
+                .stat_size
+                .checked_mul(2)
+                .is_some_and(|twice| config.window_size > twice),
             "KSWIN window_size must exceed twice the stat_size"
         );
         assert!(

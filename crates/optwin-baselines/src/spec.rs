@@ -64,6 +64,7 @@
 use std::fmt;
 use std::str::FromStr;
 
+use optwin_core::config::check_window_size;
 use optwin_core::{CoreError, DriftDetector, DriftDirection, Optwin, OptwinConfig};
 
 use crate::composite::{Cascade, CascadeConfig, Ensemble, EnsembleConfig};
@@ -346,6 +347,7 @@ impl DetectorSpec {
                 if config.window_size == 0 {
                     return Err(invalid("window_size", "must be positive"));
                 }
+                check_window_size("window_size", config.window_size)?;
                 if !(config.alpha_drift > 0.0
                     && config.alpha_drift < config.alpha_warning
                     && config.alpha_warning < 1.0)
@@ -409,7 +411,9 @@ impl DetectorSpec {
                 if config.stat_size == 0 {
                     return Err(invalid("stat_size", "must be positive"));
                 }
-                if config.window_size <= 2 * config.stat_size {
+                check_window_size("window_size", config.window_size)?;
+                let twice = config.stat_size.checked_mul(2);
+                if twice.is_none_or(|twice| config.window_size <= twice) {
                     return Err(invalid(
                         "window_size",
                         format!(
@@ -439,6 +443,7 @@ impl DetectorSpec {
                 if config.replay == 0 {
                     return Err(invalid("replay", "must be positive"));
                 }
+                check_window_size("replay", config.replay)?;
                 if config.cooldown == 0 {
                     return Err(invalid("cooldown", "must be positive"));
                 }
@@ -492,7 +497,7 @@ impl DetectorSpec {
     pub fn build(&self) -> Result<Box<dyn DriftDetector + Send>, CoreError> {
         self.validate()?;
         Ok(match self {
-            DetectorSpec::Optwin { config } => Box::new(Optwin::with_shared_table(config.clone())?),
+            DetectorSpec::Optwin { config } => Box::new(Optwin::new(config.clone())?),
             DetectorSpec::Adwin { config } => Box::new(Adwin::new(config.clone())),
             DetectorSpec::Ddm { config } => Box::new(Ddm::new(*config)),
             DetectorSpec::Eddm { config } => Box::new(Eddm::new(*config)),
@@ -1051,6 +1056,33 @@ mod tests {
         let err = "frobnicate".parse::<DetectorSpec>().unwrap_err();
         assert!(err.to_string().contains("adwin"), "{err}");
         assert!(err.to_string().contains("page_hinkley"), "{err}");
+
+        // Oversized windows, each of which would abort on its up-front
+        // allocation, are rejected naming the field. In the last spec
+        // `2 * stat_size` overflows usize.
+        assert_rejects_field(&[
+            ("optwin:w_max=200000000", "w_max"),
+            ("optwin:w_min=200000000,w_max=200000001", "w_min"),
+            ("kswin:window_size=100000000000000", "window_size"),
+            ("stepd:window_size=100000000000000", "window_size"),
+            (
+                "kswin:window_size=10,stat_size=9223372036854775808",
+                "window_size",
+            ),
+        ]);
+    }
+
+    /// Asserts that every spec fails to parse with `InvalidConfig` naming
+    /// the given field.
+    fn assert_rejects_field(cases: &[(&str, &str)]) {
+        for &(bad, field) in cases {
+            match bad.parse::<DetectorSpec>() {
+                Err(CoreError::InvalidConfig { field: named, .. }) => {
+                    assert_eq!(named, field, "{bad}");
+                }
+                other => panic!("{bad}: expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1120,8 +1152,8 @@ mod tests {
             _ => unreachable!(),
         };
         let _ = spec.build().unwrap();
-        let a = Optwin::with_shared_table(config.clone()).unwrap();
-        let b = Optwin::with_shared_table(config).unwrap();
+        let a = Optwin::new(config.clone()).unwrap();
+        let b = Optwin::new(config).unwrap();
         assert!(std::sync::Arc::ptr_eq(&a.cut_table(), &b.cut_table()));
     }
 
@@ -1252,6 +1284,11 @@ mod tests {
         // The unknown-key error lists the composite keys.
         let err = "cascade:wake=now".parse::<DetectorSpec>().unwrap_err();
         assert!(err.to_string().contains("guard, confirm"), "{err}");
+        // An oversized replay ring is rejected before it is allocated.
+        assert_rejects_field(&[(
+            "cascade:guard=ddm,confirm=adwin,replay=100000000000000",
+            "replay",
+        )]);
     }
 
     #[test]

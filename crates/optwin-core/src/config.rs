@@ -2,6 +2,33 @@
 
 use crate::{CoreError, Result};
 
+/// Largest window any detector may be configured with: OPTWIN's `w_min` and
+/// `w_max`, KSWIN's and STEPD's `window_size`, and a cascade's `replay`.
+///
+/// Each of these sizes an allocation made when the detector is built, before
+/// any data arrives, so an unbounded value aborts the process on a failed
+/// allocation instead of returning an error. 2^22 = 4,194,304 elements is
+/// 168× the paper's `w_max` of 25,000. At the cap an OPTWIN cut table's slot
+/// vector takes ~370 MB (88 B per slot) and its window ring 32 MiB, so one
+/// detector's up-front allocations stay well under 1 GiB.
+pub const MAX_WINDOW: usize = 1 << 22;
+
+/// Checks one window size against [`MAX_WINDOW`].
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidConfig`] naming `field` when `size` exceeds
+/// [`MAX_WINDOW`].
+pub fn check_window_size(field: &'static str, size: usize) -> Result<()> {
+    if size > MAX_WINDOW {
+        return Err(CoreError::InvalidConfig {
+            field,
+            message: format!("must be at most {MAX_WINDOW}, got {size}"),
+        });
+    }
+    Ok(())
+}
+
 /// Which direction of change should be reported as a drift.
 ///
 /// The paper's Algorithm 1 is symmetric (any significant change in mean or
@@ -84,7 +111,7 @@ impl OptwinConfig {
     }
 
     /// Validates every field, returning a description of the first violation
-    /// found.
+    /// found. Window sizes above [`MAX_WINDOW`] are rejected.
     ///
     /// # Errors
     ///
@@ -131,6 +158,8 @@ impl OptwinConfig {
                 ),
             });
         }
+        check_window_size("w_min", self.w_min)?;
+        check_window_size("w_max", self.w_max)?;
         if !(self.eta >= 0.0) || !self.eta.is_finite() {
             return Err(CoreError::InvalidConfig {
                 field: "eta",

@@ -48,7 +48,6 @@
 
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -280,11 +279,12 @@ impl fmt::Display for TableKey {
 /// window length in `[w_min, w_max]`.
 ///
 /// The table is keyed by the configuration fields its entries depend on
-/// (δ, warning δ, ρ, `w_min`) and can be shared between detector instances
-/// with [`Arc`] (e.g. when running the 30-repetition experiments of the
-/// paper, all repetitions reuse one table). Detectors with different `w_max`
-/// share it too: the table grows to the largest `w_max` it serves, and
-/// entries never depend on how far it has grown.
+/// (δ, warning δ, ρ, `w_min`). [`crate::Optwin::new`] takes it from
+/// [`crate::CutTableRegistry`], which interns one table per key, so every
+/// detector with that key shares it, whatever its `w_max`: the table grows
+/// to the largest `w_max` it serves, and entries never depend on how far it
+/// has grown. [`CutTable::new`] builds a table outside the registry, for
+/// [`crate::Optwin::with_cut_table`] or to measure a cold build.
 #[derive(Debug)]
 pub struct CutTable {
     key: TableKey,
@@ -322,15 +322,6 @@ impl CutTable {
             cache: RwLock::new(vec![None; config.w_max - config.w_min + 1]),
             proof_window: RwLock::new(None),
         })
-    }
-
-    /// Creates the table and wraps it in an [`Arc`] for sharing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if the configuration is invalid.
-    pub fn shared(config: &OptwinConfig) -> Result<Arc<Self>> {
-        Ok(Arc::new(Self::new(config)?))
     }
 
     /// Smallest window length covered by the table.
@@ -666,6 +657,8 @@ impl CutTable {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::OptwinConfig;
 
@@ -691,6 +684,28 @@ mod tests {
         assert!(values[0] > min);
         assert!(values[values.len() - 1] > min);
         assert!(min > 0.0);
+    }
+
+    #[test]
+    fn equation_one_uses_welch_satterthwaite_degrees_of_freedom() {
+        // Eq. 2: the Welch–Satterthwaite df of two samples whose variances
+        // stand in the ratio the f-test tolerates, σ²_new = f·σ²_hist. The
+        // scale of σ²_hist cancels, so any value serves.
+        let dp = 0.99_f64.powf(0.25);
+        let var_hist = 2.5;
+        for (w, k) in [(40, 20), (300, 250), (1_000, 900), (5_000, 4_990)] {
+            let (rho, df, t_crit, f) = equation_one(w, k, dp).unwrap();
+            let (n_hist, n_new) = (k as f64, (w - k) as f64);
+            let (a, b) = (var_hist / n_hist, f * var_hist / n_new);
+            let welch = (a + b).powi(2) / (a * a / (n_hist - 1.0) + b * b / (n_new - 1.0));
+            assert!(
+                (df - welch.max(1.0)).abs() <= 1e-9 * welch,
+                "w={w} k={k}: {df} vs {welch}"
+            );
+            // ρ is the critical t times the standard error in σ_hist units.
+            let shift = t_crit * ((a + b) / var_hist).sqrt();
+            assert!((rho - shift).abs() <= 1e-12 * shift, "w={w} k={k}");
+        }
     }
 
     #[test]
@@ -779,7 +794,7 @@ mod tests {
 
     #[test]
     fn entries_are_cached_and_shared() {
-        let table = CutTable::shared(&config(0.5, 100)).unwrap();
+        let table = Arc::new(CutTable::new(&config(0.5, 100)).unwrap());
         assert_eq!(table.cached_entries(), 0);
         let a = table.entry(60).unwrap();
         let b = table.entry(60).unwrap();

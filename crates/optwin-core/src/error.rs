@@ -4,7 +4,7 @@ use std::fmt;
 
 use optwin_stats::StatsError;
 
-/// Errors produced by OPTWIN configuration and construction.
+/// Errors produced by detector configuration and construction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoreError {
     /// A configuration value is outside its valid domain.
@@ -32,7 +32,7 @@ impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoreError::InvalidConfig { field, message } => {
-                write!(f, "invalid OPTWIN configuration: `{field}` {message}")
+                write!(f, "invalid detector configuration: `{field}` {message}")
             }
             CoreError::Stats(e) => write!(f, "statistical routine failed: {e}"),
             CoreError::SnapshotUnsupported { detector } => {
@@ -72,7 +72,10 @@ mod tests {
             field: "delta",
             message: "must lie in (0, 1)".to_string(),
         };
-        assert!(e.to_string().contains("delta"));
+        assert_eq!(
+            e.to_string(),
+            "invalid detector configuration: `delta` must lie in (0, 1)"
+        );
         assert!(std::error::Error::source(&e).is_none());
 
         let e: CoreError = StatsError::InvalidProbability { value: 2.0 }.into();

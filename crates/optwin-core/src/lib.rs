@@ -66,7 +66,7 @@ pub mod registry;
 pub mod snapshot;
 pub mod window;
 
-pub use config::{DriftDirection, OptwinConfig, OptwinConfigBuilder};
+pub use config::{DriftDirection, OptwinConfig, OptwinConfigBuilder, MAX_WINDOW};
 pub use cut::{CutEntry, CutTable};
 pub use detector::{BatchOutcome, DetectorExt, DriftDetector, DriftStatus};
 pub use error::CoreError;

@@ -73,16 +73,19 @@ impl TestStatistics {
 }
 
 impl Optwin {
-    /// Creates a detector with the given configuration, building a private
-    /// cut table.
+    /// Creates a detector with the given configuration. Its cut table is
+    /// interned in the process-wide [`crate::CutTableRegistry`]: every
+    /// detector with an equal `(δ, warning δ, ρ, w_min)` shares one table,
+    /// whatever its `w_max`, so a table's entries are computed once per
+    /// process however many detectors (or engine streams) use it.
     ///
     /// # Errors
     ///
     /// Returns [`crate::CoreError::InvalidConfig`] if the configuration is
     /// invalid.
     pub fn new(config: OptwinConfig) -> Result<Self> {
-        let cut = CutTable::shared(&config)?;
-        Self::with_cut_table(config, cut)
+        let table = crate::CutTableRegistry::global().get_or_build(&config)?;
+        Self::with_cut_table(config, table)
     }
 
     /// Creates a detector with the paper's default configuration
@@ -96,28 +99,9 @@ impl Optwin {
         Self::new(OptwinConfig::default())
     }
 
-    /// Creates a detector whose cut table is interned in the process-wide
-    /// [`crate::CutTableRegistry`]: every detector built this way with an
-    /// equal `(δ, warning δ, ρ, w_min)` shares one table, whatever its
-    /// `w_max`, which is what the multi-stream engine relies on to run
-    /// thousands of detectors cheaply.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CoreError::InvalidConfig`] if the configuration is
-    /// invalid.
-    pub fn with_shared_table(config: OptwinConfig) -> Result<Self> {
-        let table = crate::CutTableRegistry::global().get_or_build(&config)?;
-        Self::with_cut_table(config, table)
-    }
-
-    /// Creates a detector that shares a pre-built [`CutTable`].
-    ///
-    /// Sharing the table across detectors with identical `(δ, warning δ, ρ,
-    /// w_min)` avoids recomputing the per-window-length quantiles — the
-    /// evaluation harness does this when it runs the same configuration over
-    /// 30 stream repetitions. A table built for a smaller `w_max` grows to
-    /// cover `config.w_max`.
+    /// Creates a detector on a caller-supplied [`CutTable`] instead of the
+    /// registry's, e.g. one kept outside the registry for measurement. A
+    /// table built for a smaller `w_max` grows to cover `config.w_max`.
     ///
     /// # Errors
     ///
@@ -522,10 +506,10 @@ impl DriftDetector for Optwin {
     }
 
     /// Struct size plus the eagerly allocated `w_max`-sized window ring and
-    /// the cut-entry scratch buffer. The shared `Arc<CutTable>` is excluded:
-    /// one table serves every detector built from the same configuration
-    /// (see [`Optwin::with_shared_table`]), so it is fleet-amortized cost,
-    /// not per-stream cost.
+    /// the cut-entry scratch buffer. The `Arc<CutTable>` is excluded:
+    /// [`Optwin::new`] takes it from the registry, which shares one table
+    /// among all detectors with the same `(δ, warning δ, ρ, w_min)`, so it is
+    /// fleet-amortized cost, not per-stream cost.
     fn mem_footprint(&self) -> usize {
         std::mem::size_of_val(self)
             + self.window.heap_bytes()
@@ -664,6 +648,53 @@ mod tests {
             .wrapping_mul(6_364_136_223_846_793_005)
             .wrapping_add(1_442_695_040_888_963_407);
         ((x >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+    }
+
+    /// OPTWIN's inline statistics against the textbook formulas, computed
+    /// from the two sub-window slices: Welch's t (Algorithm 1, line 14) and
+    /// the η-stabilised variance ratio (line 11).
+    #[test]
+    fn inline_statistics_match_textbook_welch_t_and_variance_ratio() {
+        use optwin_stats::descriptive::{mean, sample_variance};
+
+        let mut d = Optwin::new(small_config(0.5)).unwrap();
+        let w = 400;
+        let entry = d.cut.entry(w).unwrap();
+        // Non-binary values whose mean and spread both rise at the split.
+        for i in 0..w {
+            let noise = jitter(i as u64);
+            d.push_value(if i < entry.split {
+                0.2 + 0.05 * noise
+            } else {
+                0.5 + 0.3 * noise
+            });
+        }
+        d.window.set_split(entry.split);
+        let stats = d.compute_statistics(&entry);
+        // Every gate is open, so both lanes hold real statistics.
+        assert!(stats.direction_ok && stats.mean_margin_ok && stats.f_applicable);
+
+        let values = d.window.to_vec();
+        let (hist, new) = values.split_at(entry.split);
+        let (mean_hist, mean_new) = (mean(hist).unwrap(), mean(new).unwrap());
+        let (var_hist, var_new) = (
+            sample_variance(hist).unwrap(),
+            sample_variance(new).unwrap(),
+        );
+        let welch_t = (mean_new - mean_hist)
+            / (var_hist / hist.len() as f64 + var_new / new.len() as f64).sqrt();
+        let eta = d.config.eta;
+        let ratio = ((var_new.sqrt() + eta) / (var_hist.sqrt() + eta)).powi(2);
+        assert!(
+            (stats.t_value - welch_t).abs() <= 1e-9 * welch_t,
+            "t: {} vs {welch_t}",
+            stats.t_value
+        );
+        assert!(
+            (stats.f_value - ratio).abs() <= 1e-9 * ratio,
+            "f: {} vs {ratio}",
+            stats.f_value
+        );
     }
 
     #[test]
@@ -846,7 +877,7 @@ mod tests {
     #[test]
     fn shared_cut_table_between_detectors() {
         let config = small_config(0.5);
-        let table = CutTable::shared(&config).unwrap();
+        let table = Arc::new(CutTable::new(&config).unwrap());
         let mut d1 = Optwin::with_cut_table(config.clone(), Arc::clone(&table)).unwrap();
         let mut d2 = Optwin::with_cut_table(config, table).unwrap();
         // Identical inputs produce identical outputs.
@@ -860,7 +891,7 @@ mod tests {
 
     /// Builds a detector for `config` on a table built for `table_config`.
     fn on_table_for(config: OptwinConfig, table_config: &OptwinConfig) -> Result<Optwin> {
-        Optwin::with_cut_table(config, CutTable::shared(table_config).unwrap())
+        Optwin::with_cut_table(config, Arc::new(CutTable::new(table_config).unwrap()))
     }
 
     fn assert_cut_table_rejected(result: Result<Optwin>) {
@@ -913,7 +944,7 @@ mod tests {
             .max_window(2_000)
             .build()
             .unwrap();
-        let table = CutTable::shared(&small_config(0.5)).unwrap();
+        let table = Arc::new(CutTable::new(&small_config(0.5)).unwrap());
         assert!(table.w_max() < 2_000);
         let d = Optwin::with_cut_table(config, Arc::clone(&table)).unwrap();
         assert!(Arc::ptr_eq(&d.cut_table(), &table));
@@ -1025,9 +1056,13 @@ mod tests {
             .max_window(333)
             .build()
             .unwrap();
-        let d1 = Optwin::with_shared_table(config.clone()).unwrap();
-        let d2 = Optwin::with_shared_table(config).unwrap();
+        let d1 = Optwin::new(config.clone()).unwrap();
+        let d2 = Optwin::new(config.clone()).unwrap();
         assert!(Arc::ptr_eq(&d1.cut_table(), &d2.cut_table()));
+        let interned = crate::CutTableRegistry::global()
+            .get_or_build(&config)
+            .unwrap();
+        assert!(Arc::ptr_eq(&d1.cut_table(), &interned));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`CutTableRegistry`] interns one table per key behind an [`Arc`], grown
 //! on demand to the largest `w_max` requested; each detector still bounds
 //! its lookups by its own `w_max`. [`CutTableRegistry::global`] is the
-//! process-wide instance the detector constructors use.
+//! process-wide instance [`crate::Optwin::new`] uses.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -52,7 +52,7 @@ impl CutTableRegistry {
         config.validate()?;
         let table = match self.tables.lock().entry(TableKey::of(config)) {
             Entry::Occupied(slot) => Arc::clone(slot.get()),
-            Entry::Vacant(slot) => Arc::clone(slot.insert(CutTable::shared(config)?)),
+            Entry::Vacant(slot) => Arc::clone(slot.insert(Arc::new(CutTable::new(config)?))),
         };
         table.serve(config)?;
         Ok(table)

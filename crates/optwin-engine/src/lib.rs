@@ -94,7 +94,7 @@
 //!             .max_window(500)
 //!             .build()
 //!             .expect("valid config");
-//!         Box::new(Optwin::with_shared_table(config).expect("valid config"))
+//!         Box::new(Optwin::new(config).expect("valid config"))
 //!             as Box<dyn DriftDetector + Send>
 //!     })
 //!     .sink(Arc::clone(&sink) as Arc<dyn optwin_engine::EventSink>)

@@ -1,8 +1,8 @@
 //! Batch descriptive statistics over slices.
 //!
-//! These helpers are used by the hypothesis tests, by the evaluation harness
-//! (averaging metrics over repeated runs) and as the ground-truth oracle in
-//! property tests for the incremental accumulators.
+//! [`average_ranks`] serves the Wilcoxon signed-rank test; the moments are
+//! the ground-truth oracle in the property tests of the incremental
+//! accumulators and of OPTWIN's split window.
 
 /// Arithmetic mean of a slice. Returns `None` for an empty slice.
 #[must_use]
@@ -33,71 +33,6 @@ pub fn population_variance(values: &[f64]) -> Option<f64> {
     let m = mean(values)?;
     let ss: f64 = values.iter().map(|v| (v - m) * (v - m)).sum();
     Some(ss / values.len() as f64)
-}
-
-/// Unbiased sample standard deviation.
-#[must_use]
-pub fn sample_std(values: &[f64]) -> Option<f64> {
-    sample_variance(values).map(f64::sqrt)
-}
-
-/// Minimum of a slice, ignoring NaNs. Returns `None` for an empty slice.
-#[must_use]
-pub fn min(values: &[f64]) -> Option<f64> {
-    values
-        .iter()
-        .copied()
-        .filter(|v| !v.is_nan())
-        .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.min(v))))
-}
-
-/// Maximum of a slice, ignoring NaNs. Returns `None` for an empty slice.
-#[must_use]
-pub fn max(values: &[f64]) -> Option<f64> {
-    values
-        .iter()
-        .copied()
-        .filter(|v| !v.is_nan())
-        .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-}
-
-/// Median of a slice (interpolated for even lengths). Returns `None` for an
-/// empty slice. The input is not required to be sorted.
-#[must_use]
-pub fn median(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = sorted.len();
-    if n % 2 == 1 {
-        Some(sorted[n / 2])
-    } else {
-        Some(0.5 * (sorted[n / 2 - 1] + sorted[n / 2]))
-    }
-}
-
-/// Quantile of a slice using linear interpolation between closest ranks
-/// (the "type 7" definition used by NumPy and R by default).
-///
-/// `q` must lie in `[0, 1]`; returns `None` for an empty slice or invalid `q`.
-#[must_use]
-pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
-    if values.is_empty() || !(0.0..=1.0).contains(&q) {
-        return None;
-    }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = sorted.len();
-    if n == 1 {
-        return Some(sorted[0]);
-    }
-    let pos = q * (n - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Some(sorted[lo] + frac * (sorted[hi] - sorted[lo]))
 }
 
 /// Ranks of the values (1-based), with ties receiving the average rank.
@@ -139,7 +74,6 @@ mod tests {
         assert_eq!(mean(&xs), Some(5.0));
         assert!((population_variance(&xs).unwrap() - 4.0).abs() < 1e-12);
         assert!((sample_variance(&xs).unwrap() - 32.0 / 7.0).abs() < 1e-12);
-        assert!((sample_std(&xs).unwrap() - (32.0_f64 / 7.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -148,40 +82,6 @@ mod tests {
         assert_eq!(sample_variance(&[]), None);
         assert_eq!(sample_variance(&[1.0]), None);
         assert_eq!(population_variance(&[3.0]), Some(0.0));
-        assert_eq!(median(&[]), None);
-        assert_eq!(min(&[]), None);
-        assert_eq!(max(&[]), None);
-    }
-
-    #[test]
-    fn min_max_median() {
-        let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0];
-        assert_eq!(min(&xs), Some(1.0));
-        assert_eq!(max(&xs), Some(9.0));
-        assert_eq!(median(&xs), Some(3.0));
-        let even = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(median(&even), Some(2.5));
-    }
-
-    #[test]
-    fn min_max_skip_nan() {
-        let xs = [f64::NAN, 2.0, 5.0];
-        assert_eq!(min(&xs), Some(2.0));
-        assert_eq!(max(&xs), Some(5.0));
-    }
-
-    #[test]
-    fn quantile_type7() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(quantile(&xs, 0.0), Some(1.0));
-        assert_eq!(quantile(&xs, 1.0), Some(5.0));
-        assert_eq!(quantile(&xs, 0.5), Some(3.0));
-        assert_eq!(quantile(&xs, 0.25), Some(2.0));
-        // Interpolated value.
-        assert!((quantile(&xs, 0.1).unwrap() - 1.4).abs() < 1e-12);
-        assert_eq!(quantile(&xs, 1.5), None);
-        assert_eq!(quantile(&[], 0.5), None);
-        assert_eq!(quantile(&[42.0], 0.3), Some(42.0));
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! inverses (absolute error well below `1e-8` across the parameter ranges
 //! exercised by the workspace).
 
-use crate::special::{
-    erfc, inv_reg_inc_beta, inv_reg_lower_gamma, ln_beta, ln_gamma, reg_inc_beta, reg_lower_gamma,
-};
+use crate::special::{erfc, inv_reg_inc_beta, ln_beta, ln_gamma, reg_inc_beta};
 use crate::{Result, StatsError};
 
 /// Checks that `p` is a valid interior probability for a quantile lookup.
@@ -301,20 +299,6 @@ impl FisherF {
     pub fn df2(&self) -> f64 {
         self.df2
     }
-
-    /// Upper-tail p-value `P(F >= f)`.
-    #[must_use]
-    pub fn upper_tail_p_value(&self, f: f64) -> f64 {
-        if f <= 0.0 {
-            return 1.0;
-        }
-        // 1 − cdf(f) computed through the complementary beta argument to
-        // avoid cancellation for large f.
-        let x = self.df2 / (self.df2 + self.df1 * f);
-        reg_inc_beta(self.df2 / 2.0, self.df1 / 2.0, x)
-            .unwrap_or(f64::NAN)
-            .clamp(0.0, 1.0)
-    }
 }
 
 impl ContinuousDistribution for FisherF {
@@ -346,129 +330,6 @@ impl ContinuousDistribution for FisherF {
             return Ok(f64::INFINITY);
         }
         Ok(self.df2 * y / (self.df1 * (1.0 - y)))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Chi-squared
-// ---------------------------------------------------------------------------
-
-/// Chi-squared distribution with `df` degrees of freedom.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChiSquared {
-    df: f64,
-}
-
-impl ChiSquared {
-    /// Creates a chi-squared distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] unless `df` is positive and
-    /// finite.
-    pub fn new(df: f64) -> Result<Self> {
-        if !(df > 0.0) || !df.is_finite() {
-            return Err(StatsError::InvalidParameter {
-                name: "df",
-                value: df,
-                constraint: "degrees of freedom must be positive and finite",
-            });
-        }
-        Ok(Self { df })
-    }
-
-    /// The degrees of freedom.
-    #[must_use]
-    pub fn df(&self) -> f64 {
-        self.df
-    }
-}
-
-impl ContinuousDistribution for ChiSquared {
-    fn pdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        let k = self.df / 2.0;
-        ((k - 1.0) * x.ln() - x / 2.0 - k * 2.0_f64.ln() - ln_gamma(k)).exp()
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        reg_lower_gamma(self.df / 2.0, x / 2.0).unwrap_or(f64::NAN)
-    }
-
-    fn ppf(&self, p: f64) -> Result<f64> {
-        check_probability(p)?;
-        Ok(2.0 * inv_reg_lower_gamma(self.df / 2.0, p)?)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Beta
-// ---------------------------------------------------------------------------
-
-/// Beta distribution with shape parameters `(alpha, beta)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Beta {
-    alpha: f64,
-    beta: f64,
-}
-
-impl Beta {
-    /// Creates a beta distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] unless both shapes are
-    /// positive and finite.
-    pub fn new(alpha: f64, beta: f64) -> Result<Self> {
-        for (name, value) in [("alpha", alpha), ("beta", beta)] {
-            if !(value > 0.0) || !value.is_finite() {
-                return Err(StatsError::InvalidParameter {
-                    name,
-                    value,
-                    constraint: "shape parameter must be positive and finite",
-                });
-            }
-        }
-        Ok(Self { alpha, beta })
-    }
-}
-
-impl ContinuousDistribution for Beta {
-    fn pdf(&self, x: f64) -> f64 {
-        if !(0.0..=1.0).contains(&x) {
-            return 0.0;
-        }
-        if x == 0.0 || x == 1.0 {
-            // Density endpoints: finite only for shape parameters >= 1.
-            return match (self.alpha, self.beta) {
-                (a, _) if x == 0.0 && a < 1.0 => f64::INFINITY,
-                (_, b) if x == 1.0 && b < 1.0 => f64::INFINITY,
-                _ => 0.0,
-            };
-        }
-        ((self.alpha - 1.0) * x.ln() + (self.beta - 1.0) * (1.0 - x).ln()
-            - ln_beta(self.alpha, self.beta))
-        .exp()
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else if x >= 1.0 {
-            1.0
-        } else {
-            reg_inc_beta(self.alpha, self.beta, x).unwrap_or(f64::NAN)
-        }
-    }
-
-    fn ppf(&self, p: f64) -> Result<f64> {
-        check_probability(p)?;
-        inv_reg_inc_beta(self.alpha, self.beta, p)
     }
 }
 
@@ -524,15 +385,11 @@ mod tests {
     }
 
     #[test]
-    fn fisher_f_tail_and_round_trip() {
+    fn fisher_f_round_trip() {
         let f = FisherF::new(9.0, 9.0).unwrap();
-        // P(F >= 4.0) with (9, 9) df ≈ 0.0255.
-        assert!((f.upper_tail_p_value(4.0) - 0.0255).abs() < 1e-3);
-        assert_eq!(f.upper_tail_p_value(0.0), 1.0);
         for &p in &[0.05, 0.5, 0.9, 0.99] {
             let x = f.ppf(p).unwrap();
             assert!((f.cdf(x) - p).abs() < 1e-8, "p = {p}");
-            assert!((f.upper_tail_p_value(x) - (1.0 - p)).abs() < 1e-8);
         }
     }
 
@@ -553,34 +410,12 @@ mod tests {
     }
 
     #[test]
-    fn chi_squared_reference_values() {
-        let c = ChiSquared::new(2.0).unwrap();
-        // For df = 2 the cdf is 1 − exp(−x/2).
-        assert!((c.cdf(2.0) - (1.0 - (-1.0f64).exp())).abs() < 1e-10);
-        assert!((c.ppf(0.95).unwrap() - 5.9915).abs() < 1e-3);
-        let c = ChiSquared::new(10.0).unwrap();
-        assert!((c.ppf(0.95).unwrap() - 18.3070).abs() < 1e-3);
-    }
-
-    #[test]
-    fn beta_reference_values() {
-        let b = Beta::new(2.0, 2.0).unwrap();
-        assert!((b.cdf(0.5) - 0.5).abs() < 1e-10);
-        assert!((b.ppf(0.5).unwrap() - 0.5).abs() < 1e-9);
-        assert!((b.pdf(0.5) - 1.5).abs() < 1e-10);
-        assert_eq!(b.cdf(-1.0), 0.0);
-        assert_eq!(b.cdf(2.0), 1.0);
-    }
-
-    #[test]
     fn invalid_parameters_rejected() {
         assert!(StudentsT::new(0.0).is_err());
         assert!(StudentsT::new(f64::NAN).is_err());
         assert!(FisherF::new(-1.0, 5.0).is_err());
         assert!(FisherF::new(5.0, 0.0).is_err());
         assert!(Normal::new(0.0, 0.0).is_err());
-        assert!(ChiSquared::new(-2.0).is_err());
-        assert!(Beta::new(0.0, 1.0).is_err());
     }
 
     #[test]

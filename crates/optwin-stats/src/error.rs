@@ -33,13 +33,6 @@ pub enum StatsError {
         /// Number of iterations performed before giving up.
         iterations: usize,
     },
-    /// A root-finding bracket did not contain a sign change.
-    InvalidBracket {
-        /// Lower end of the bracket.
-        lo: f64,
-        /// Upper end of the bracket.
-        hi: f64,
-    },
 }
 
 impl fmt::Display for StatsError {
@@ -67,9 +60,6 @@ impl fmt::Display for StatsError {
                 f,
                 "`{routine}` failed to converge after {iterations} iterations"
             ),
-            StatsError::InvalidBracket { lo, hi } => {
-                write!(f, "bracket [{lo}, {hi}] does not contain a sign change")
-            }
         }
     }
 }
@@ -105,9 +95,6 @@ mod tests {
             iterations: 100,
         };
         assert!(e.to_string().contains("inv_inc_beta"));
-
-        let e = StatsError::InvalidBracket { lo: 0.0, hi: 1.0 };
-        assert!(e.to_string().contains("bracket"));
     }
 
     #[test]

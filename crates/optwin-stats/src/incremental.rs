@@ -5,8 +5,7 @@
 //! element. This module provides:
 //!
 //! * [`RunningMoments`] — Welford's online algorithm for count/mean/variance
-//!   with support for merging two accumulators (used when the optimal-cut
-//!   boundary moves elements between `W_hist` and `W_new`).
+//!   (the Naive Bayes learner's per-class Gaussian attributes).
 //! * [`WindowMoments`] — an add/remove accumulator based on shifted sums of
 //!   squares. Removal is exact in infinite precision; shifting by the first
 //!   observation keeps the floating-point cancellation negligible for the
@@ -16,8 +15,7 @@
 
 /// Welford online accumulator for count, mean, and variance.
 ///
-/// Adding elements is numerically stable; merging uses the parallel-variance
-/// (Chan et al.) formula.
+/// Adding elements is numerically stable.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningMoments {
     count: u64,
@@ -83,30 +81,6 @@ impl RunningMoments {
     #[must_use]
     pub fn sample_std(&self) -> f64 {
         self.sample_variance().sqrt()
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn population_std(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &RunningMoments) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
     }
 
     /// Resets the accumulator to the empty state.
@@ -279,16 +253,17 @@ impl WindowMoments {
     }
 }
 
-/// Exponentially weighted moving average with the variance of the EWMA
-/// statistic, as used by the ECDD detector (Ross et al., 2012).
+/// Exponentially weighted moving average, as used by the ECDD detector
+/// (Ross et al., 2012).
 ///
 /// The estimator tracks a Bernoulli (or bounded real) stream `x_t` and
 /// maintains:
 ///
 /// * `p̂_t` — the running (unweighted) mean estimate of the stream,
 /// * `z_t = (1 − λ) z_{t−1} + λ x_t` — the EWMA statistic,
-/// * the exact time-dependent standard deviation of `z_t` under the null
-///   hypothesis that the stream mean is constant.
+/// * `(1 − λ)^{2t}`, the time-dependent factor of `z_t`'s variance under the
+///   null hypothesis that the stream mean is constant (persisted with the
+///   rest of the state).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     lambda: f64,
@@ -357,25 +332,6 @@ impl Ewma {
         self.z
     }
 
-    /// Standard deviation of `z_t` under the null hypothesis that the stream
-    /// is i.i.d. Bernoulli with mean `p̂_t`:
-    ///
-    /// `σ_{Z_t}² = p̂(1−p̂) · λ/(2−λ) · (1 − (1−λ)^{2t})`
-    #[must_use]
-    pub fn z_std(&self) -> f64 {
-        let p = self.mean;
-        let var_x = (p * (1.0 - p)).max(0.0);
-        let factor = self.lambda / (2.0 - self.lambda) * (1.0 - self.one_minus_lambda_pow_2t);
-        (var_x * factor).max(0.0).sqrt()
-    }
-
-    /// Standard deviation of the individual observations under the Bernoulli
-    /// null (`sqrt(p̂(1−p̂))`).
-    #[must_use]
-    pub fn x_std(&self) -> f64 {
-        (self.mean * (1.0 - self.mean)).max(0.0).sqrt()
-    }
-
     /// Resets the estimator, keeping λ.
     pub fn reset(&mut self) {
         *self = Self::new(self.lambda);
@@ -426,43 +382,6 @@ mod tests {
             (acc.population_variance() - descriptive::population_variance(&xs).unwrap()).abs()
                 < 1e-12
         );
-    }
-
-    #[test]
-    fn running_moments_merge_matches_concatenation() {
-        let a = [0.1, 0.2, 0.35, 0.5];
-        let b = [0.9, 0.95, 1.0];
-        let mut acc_a = RunningMoments::new();
-        let mut acc_b = RunningMoments::new();
-        for &x in &a {
-            acc_a.push(x);
-        }
-        for &x in &b {
-            acc_b.push(x);
-        }
-        let mut merged = acc_a;
-        merged.merge(&acc_b);
-
-        let all: Vec<f64> = a.iter().chain(b.iter()).copied().collect();
-        assert_eq!(merged.count(), all.len() as u64);
-        assert!((merged.mean() - descriptive::mean(&all).unwrap()).abs() < 1e-12);
-        assert!(
-            (merged.sample_variance() - descriptive::sample_variance(&all).unwrap()).abs() < 1e-12
-        );
-    }
-
-    #[test]
-    fn running_moments_merge_with_empty() {
-        let mut acc = RunningMoments::new();
-        acc.push(1.0);
-        acc.push(2.0);
-        let empty = RunningMoments::new();
-        let mut merged = acc;
-        merged.merge(&empty);
-        assert_eq!(merged, acc);
-        let mut other = RunningMoments::new();
-        other.merge(&acc);
-        assert_eq!(other, acc);
     }
 
     #[test]
@@ -553,21 +472,6 @@ mod tests {
         }
         assert!((e.value() - 1.0).abs() < 1e-9);
         assert!((e.mean() - 1.0).abs() < 1e-12);
-        // Bernoulli variance of a constant stream is 0.
-        assert!(e.z_std() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_std_formula_limits() {
-        let mut e = Ewma::new(0.2);
-        // Alternating 0/1 stream: p ≈ 0.5.
-        for i in 0..10_000 {
-            e.push((i % 2) as f64);
-        }
-        assert!((e.mean() - 0.5).abs() < 1e-3);
-        // Asymptotic sigma_Z = sqrt(p(1-p) * λ/(2-λ)) = 0.5*sqrt(0.2/1.8)
-        let expected = 0.5 * (0.2_f64 / 1.8).sqrt();
-        assert!((e.z_std() - expected).abs() < 1e-3);
     }
 
     #[test]
@@ -602,7 +506,7 @@ mod tests {
             b.push(f64::from(i % 2));
         }
         assert_eq!(a.value().to_bits(), b.value().to_bits());
-        assert_eq!(a.z_std().to_bits(), b.z_std().to_bits());
+        assert_eq!(a, b);
     }
 }
 
@@ -645,32 +549,6 @@ mod prop_tests {
                 let batch_var = descriptive::population_variance(slice).unwrap();
                 prop_assert!((acc.population_variance() - batch_var).abs() < 1e-8);
             }
-        }
-
-        #[test]
-        fn merge_is_associative_enough(
-            a in proptest::collection::vec(0.0f64..1.0, 1..50),
-            b in proptest::collection::vec(0.0f64..1.0, 1..50),
-            c in proptest::collection::vec(0.0f64..1.0, 1..50),
-        ) {
-            let accumulate = |xs: &[f64]| {
-                let mut acc = RunningMoments::new();
-                for &x in xs {
-                    acc.push(x);
-                }
-                acc
-            };
-            let mut left = accumulate(&a);
-            left.merge(&accumulate(&b));
-            left.merge(&accumulate(&c));
-
-            let mut right = accumulate(&b);
-            right.merge(&accumulate(&c));
-            let mut right_total = accumulate(&a);
-            right_total.merge(&right);
-
-            prop_assert!((left.mean() - right_total.mean()).abs() < 1e-9);
-            prop_assert!((left.sample_variance() - right_total.sample_variance()).abs() < 1e-9);
         }
     }
 }

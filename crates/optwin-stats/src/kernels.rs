@@ -1,28 +1,26 @@
-//! Chunked, branch-hoisted kernels for the streaming accumulators.
+//! A branch-hoisted slice kernel for the window accumulator.
 //!
-//! The per-element entry points in [`crate::incremental`]
-//! ([`RunningMoments::push`], [`WindowMoments::add`], …) each carry a small
-//! amount of per-call control flow: the `shift_set` initialisation branch,
-//! the drained-to-empty check, the call/return overhead itself. None of it
-//! matters for a single element, but the detectors' batch paths fold whole
-//! slices through these accumulators, and a loop whose body contains
-//! data-dependent branches is opaque to the autovectorizer.
+//! The per-element [`WindowMoments::add`] carries a small amount of per-call
+//! control flow: the `shift_set` initialisation branch and the call/return
+//! overhead itself. None of it matters for a single element, but OPTWIN's
+//! batch path folds whole warm-up runs through the accumulator, and a loop
+//! whose body contains data-dependent branches is opaque to the
+//! autovectorizer.
 //!
-//! The slice kernels in this module hoist every branch out of the loop while
+//! [`WindowMoments::add_slice`] hoists every branch out of the loop while
 //! preserving the **sequential floating-point operation order** of the
-//! element-wise fold exactly. That invariant is what makes them safe to use
+//! element-wise fold exactly. That invariant is what makes it safe to use
 //! behind the workspace-wide *batch == scalar bit-exact* contract: floating
 //! point addition is not associative, so a kernel that reordered the
 //! `sum += d` chain (pairwise reduction, SIMD lanes across the dependency)
-//! would produce different bits. These kernels never reorder — they only
-//! remove per-element control flow, letting the compiler unroll and schedule
-//! the independent parts (`d = x - shift`, `d * d`) across iterations.
+//! would produce different bits. The kernel never reorders — it only removes
+//! per-element control flow, letting the compiler unroll and schedule the
+//! independent parts (`d = x - shift`, `d * d`) across iterations.
 //!
-//! Every kernel is accompanied by a test proving bit-exactness against the
-//! element-wise fold, including over adversarial values (signed zeros,
-//! subnormals, huge magnitudes).
+//! A test proves it bit-exact against the element-wise fold, including over
+//! adversarial values (signed zeros, subnormals, huge magnitudes).
 
-use crate::incremental::{RunningMoments, WindowMoments};
+use crate::incremental::WindowMoments;
 
 impl WindowMoments {
     /// Adds every element of `xs`, bit-identically to calling
@@ -51,68 +49,6 @@ impl WindowMoments {
             sum_sq += d * d;
         }
         self.set_bulk(self.count() + xs.len() as u64, sum, sum_sq);
-    }
-
-    /// Removes every element of `xs`, bit-identically to calling
-    /// [`WindowMoments::remove`] once per element in order.
-    ///
-    /// The count can only reach zero on the final element (each removal
-    /// drops it by exactly one), so the scalar path's drained-to-default
-    /// check is equivalent to a single check after the loop — which is where
-    /// this kernel performs it.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when `xs` is longer than the current count
-    /// (same contract as the scalar [`WindowMoments::remove`]).
-    pub fn remove_slice(&mut self, xs: &[f64]) {
-        debug_assert!(
-            xs.len() as u64 <= self.count(),
-            "removing {} elements from a WindowMoments holding {}",
-            xs.len(),
-            self.count()
-        );
-        if xs.is_empty() {
-            return;
-        }
-        let shift = self.shift_value();
-        let (mut sum, mut sum_sq) = self.sums();
-        for &x in xs {
-            let d = x - shift;
-            sum -= d;
-            sum_sq -= d * d;
-        }
-        let count = self.count().saturating_sub(xs.len() as u64);
-        if count == 0 {
-            self.reset();
-        } else {
-            self.set_bulk(count, sum, sum_sq);
-        }
-    }
-}
-
-impl RunningMoments {
-    /// Pushes every element of `xs`, bit-identically to calling
-    /// [`RunningMoments::push`] once per element in order.
-    ///
-    /// Welford's recurrence has a true loop-carried dependency through both
-    /// `mean` and `m2`, so this cannot vectorize across elements; the kernel
-    /// still removes the per-call overhead and keeps the state in registers
-    /// across the whole slice.
-    pub fn push_slice(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.push(x);
-        }
-    }
-
-    /// Merges every accumulator of `others` into `self`, bit-identically to
-    /// calling [`RunningMoments::merge`] once per accumulator in order (a
-    /// sequential left fold — **not** a pairwise tree reduction, which would
-    /// change the rounding).
-    pub fn merge_slice(&mut self, others: &[RunningMoments]) {
-        for other in others {
-            self.merge(other);
-        }
     }
 }
 
@@ -180,68 +116,5 @@ mod tests {
         let before = m.to_raw();
         m.add_slice(&[]);
         assert_eq!(m.to_raw(), before);
-    }
-
-    #[test]
-    fn window_remove_slice_is_bit_exact() {
-        let xs = adversarial();
-        for removed in [1usize, 7, xs.len() / 2, xs.len()] {
-            let mut scalar = WindowMoments::new();
-            let mut chunked = WindowMoments::new();
-            scalar.add_slice(&xs);
-            chunked.add_slice(&xs);
-            for &x in &xs[..removed] {
-                scalar.remove(x);
-            }
-            chunked.remove_slice(&xs[..removed]);
-            assert_eq!(
-                raw_bits(scalar.to_raw()),
-                raw_bits(chunked.to_raw()),
-                "removed = {removed}"
-            );
-        }
-        // Draining everything resets to the default state.
-        let mut m = WindowMoments::new();
-        m.add_slice(&xs);
-        m.remove_slice(&xs);
-        assert_eq!(m, WindowMoments::new());
-        let before = m.to_raw();
-        m.remove_slice(&[]);
-        assert_eq!(m.to_raw(), before);
-    }
-
-    #[test]
-    fn running_push_slice_is_bit_exact() {
-        let xs = adversarial();
-        let mut scalar = RunningMoments::new();
-        let mut chunked = RunningMoments::new();
-        for &x in &xs {
-            scalar.push(x);
-        }
-        for chunk in xs.chunks(9) {
-            chunked.push_slice(chunk);
-        }
-        assert_eq!(scalar, chunked);
-        assert_eq!(scalar.mean().to_bits(), chunked.mean().to_bits());
-    }
-
-    #[test]
-    fn running_merge_slice_is_bit_exact() {
-        let xs = adversarial();
-        let parts: Vec<RunningMoments> = xs
-            .chunks(11)
-            .map(|c| {
-                let mut m = RunningMoments::new();
-                m.push_slice(c);
-                m
-            })
-            .collect();
-        let mut scalar = RunningMoments::new();
-        for p in &parts {
-            scalar.merge(p);
-        }
-        let mut chunked = RunningMoments::new();
-        chunked.merge_slice(&parts);
-        assert_eq!(scalar, chunked);
     }
 }

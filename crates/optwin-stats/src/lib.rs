@@ -1,12 +1,13 @@
 //! Statistical substrate for the OPTWIN concept-drift reproduction.
 //!
-//! The OPTWIN paper relies on the probability point functions (PPF, i.e.
-//! inverse CDF) of the Student's *t*- and Fisher *F*-distributions, on Welch's
-//! unequal-variance *t*-test and the variance-ratio *f*-test, and — for the
-//! evaluation section — on the one-tailed Wilcoxon signed-rank test. The MOA
-//! baselines additionally need the normal distribution (ADWIN's
-//! normal-approximation cut, STEPD's equality-of-proportions test, ECDD's EWMA
-//! chart) and the two-sample Kolmogorov–Smirnov test (KSWIN extension).
+//! OPTWIN's optimal-cut table (Eq. 1–2 of the paper) needs the probability
+//! point functions (PPF, i.e. inverse CDF) of the Student's *t*- and Fisher
+//! *F*-distributions; `optwin-core` computes the Welch *t* and
+//! variance-ratio statistics it tests against them inline. The evaluation
+//! section adds the one-tailed Wilcoxon signed-rank test. The MOA baselines
+//! additionally need the normal distribution (ADWIN's normal-approximation
+//! cut, STEPD's equality-of-proportions test, ECDD's EWMA chart) and the
+//! two-sample Kolmogorov–Smirnov test (KSWIN extension).
 //!
 //! Everything in this crate is implemented from scratch on top of a small set
 //! of special functions (log-gamma, error function, regularized incomplete
@@ -16,18 +17,17 @@
 //! # Layout
 //!
 //! * [`special`] — special functions (`ln_gamma`, `erf`, incomplete
-//!   gamma/beta and their inverses).
+//!   gamma/beta, and the incomplete-beta inverse behind the t and F
+//!   quantiles).
 //! * [`dist`] — probability distributions with `pdf` / `cdf` / `ppf`
-//!   (normal, Student's t, Fisher F, chi-squared, beta).
-//! * [`tests`] — hypothesis tests (Welch t, variance-ratio F, equality of
-//!   proportions, Wilcoxon signed-rank, two-sample KS).
+//!   (normal, Student's t, Fisher F).
+//! * [`tests`] — hypothesis tests (equality of proportions, Wilcoxon
+//!   signed-rank, two-sample KS).
 //! * [`incremental`] — numerically careful streaming moments (Welford and
 //!   add/remove window accumulators) and EWMA estimators.
-//! * [`kernels`] — chunked, branch-hoisted slice kernels over the
-//!   incremental accumulators, bit-exact to the element-wise folds.
+//! * [`kernels`] — the branch-hoisted slice kernel behind OPTWIN's batch
+//!   path, bit-exact to the element-wise fold.
 //! * [`descriptive`] — batch descriptive statistics over slices.
-//! * [`roots`] — bracketing root finders (bisection, Brent) used by the
-//!   quantile inversions and by OPTWIN's optimal-cut search.
 //!
 //! # Example
 //!
@@ -54,7 +54,6 @@ pub mod dist;
 pub mod error;
 pub mod incremental;
 pub mod kernels;
-pub mod roots;
 pub mod special;
 pub mod tests;
 

@@ -1,5 +1,5 @@
-//! Special functions: log-gamma, error function, regularized incomplete
-//! gamma and beta functions, and their inverses.
+//! Special functions: log-gamma, error function, the regularized incomplete
+//! gamma and beta functions, and the inverse of the incomplete beta.
 //!
 //! These are the numerical primitives behind every distribution in
 //! [`crate::dist`]. The implementations follow the classical series /
@@ -204,86 +204,6 @@ fn gamma_continued_fraction(a: f64, x: f64) -> Result<f64> {
         routine: "gamma_continued_fraction",
         iterations: MAX_ITER,
     })
-}
-
-/// Inverse of the regularized lower incomplete gamma function: finds `x` with
-/// `P(a, x) = p`.
-///
-/// Uses the Wilson–Hilferty / series starting guesses followed by Halley
-/// iteration, as in the classical `invgammp` routine.
-///
-/// # Errors
-///
-/// Returns an error for `a <= 0` or `p` outside `[0, 1]`.
-pub fn inv_reg_lower_gamma(a: f64, p: f64) -> Result<f64> {
-    if !(a > 0.0) || !a.is_finite() {
-        return Err(StatsError::InvalidParameter {
-            name: "a",
-            value: a,
-            constraint: "shape parameter must be positive and finite",
-        });
-    }
-    if !(0.0..=1.0).contains(&p) {
-        return Err(StatsError::InvalidProbability { value: p });
-    }
-    if p == 0.0 {
-        return Ok(0.0);
-    }
-    if p == 1.0 {
-        return Ok(f64::INFINITY);
-    }
-
-    let gln = ln_gamma(a);
-    let a1 = a - 1.0;
-    let lna1 = if a > 1.0 { a1.ln() } else { 0.0 };
-    let afac = if a > 1.0 {
-        (a1 * (lna1 - 1.0) - gln).exp()
-    } else {
-        0.0
-    };
-
-    // Starting guess.
-    let mut x = if a > 1.0 {
-        let pp = if p < 0.5 { p } else { 1.0 - p };
-        let t = (-2.0 * pp.ln()).sqrt();
-        let mut x0 = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t;
-        if p < 0.5 {
-            x0 = -x0;
-        }
-        (a * (1.0 - 1.0 / (9.0 * a) - x0 / (3.0 * a.sqrt())).powi(3)).max(1e-300)
-    } else {
-        let t = 1.0 - a * (0.253 + a * 0.12);
-        if p < t {
-            (p / t).powf(1.0 / a)
-        } else {
-            1.0 - (1.0 - (p - t) / (1.0 - t)).ln()
-        }
-    };
-
-    for _ in 0..24 {
-        if x <= 0.0 {
-            return Ok(0.0);
-        }
-        let err = reg_lower_gamma(a, x)? - p;
-        let t = if a > 1.0 {
-            afac * (-(x - a1) + a1 * (x.ln() - lna1)).exp()
-        } else {
-            (-x + a1 * x.ln() - gln).exp()
-        };
-        if t == 0.0 {
-            break;
-        }
-        let u = err / t;
-        let dx = u / (1.0 - 0.5 * (u * ((a - 1.0) / x - 1.0)).min(1.0));
-        x -= dx;
-        if x <= 0.0 {
-            x = 0.5 * (x + dx);
-        }
-        if dx.abs() < 1e-12 * x.max(1e-12) {
-            break;
-        }
-    }
-    Ok(x)
 }
 
 /// Regularized incomplete beta function `I_x(a, b)`.
@@ -555,25 +475,6 @@ mod unit_tests {
         assert!(reg_lower_gamma(-1.0, 1.0).is_err());
         assert!(reg_lower_gamma(1.0, -1.0).is_err());
         assert!(reg_upper_gamma(0.0, 1.0).is_err());
-    }
-
-    #[test]
-    fn inv_reg_lower_gamma_round_trip() {
-        for &a in &[0.5, 1.0, 2.5, 10.0, 50.0] {
-            for &p in &[0.01, 0.1, 0.5, 0.9, 0.99] {
-                let x = inv_reg_lower_gamma(a, p).unwrap();
-                let back = reg_lower_gamma(a, x).unwrap();
-                assert!((back - p).abs() < 1e-8, "a={a} p={p} x={x} back={back}");
-            }
-        }
-    }
-
-    #[test]
-    fn inv_reg_lower_gamma_edges() {
-        assert_eq!(inv_reg_lower_gamma(2.0, 0.0).unwrap(), 0.0);
-        assert!(inv_reg_lower_gamma(2.0, 1.0).unwrap().is_infinite());
-        assert!(inv_reg_lower_gamma(2.0, -0.1).is_err());
-        assert!(inv_reg_lower_gamma(-2.0, 0.5).is_err());
     }
 
     #[test]

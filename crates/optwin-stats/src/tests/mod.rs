@@ -1,11 +1,7 @@
-//! Hypothesis tests used by OPTWIN, the baseline detectors and the
-//! evaluation harness.
+//! Hypothesis tests used by the baseline detectors and the evaluation
+//! harness. OPTWIN computes its Welch t and variance-ratio statistics inline
+//! (`optwin_core`), so none of them lives here.
 //!
-//! * [`welch_t_test`] / [`welch_t_test_from_stats`] — unequal-variance
-//!   (Welch) t-test, the mean-shift test OPTWIN applies to `W_hist` vs
-//!   `W_new` (Algorithm 1, line 14).
-//! * [`variance_ratio_test`] / [`variance_ratio_test_from_stats`] — the
-//!   F-test on the ratio of sample variances (Algorithm 1, line 11).
 //! * [`equal_proportions_test`] — the test of equal proportions used by the
 //!   STEPD baseline.
 //! * [`wilcoxon_signed_rank`] — the paired, one- or two-tailed Wilcoxon
@@ -16,12 +12,8 @@
 
 mod ks;
 mod proportions;
-mod variance_ratio;
-mod welch;
 mod wilcoxon;
 
 pub use ks::{ks_two_sample, ks_two_sample_sorted, KsTestResult};
 pub use proportions::{equal_proportions_test, ProportionsTestResult};
-pub use variance_ratio::{variance_ratio_test, variance_ratio_test_from_stats, FTestResult};
-pub use welch::{welch_degrees_of_freedom, welch_t_test, welch_t_test_from_stats, TTestResult};
 pub use wilcoxon::{wilcoxon_signed_rank, Alternative, WilcoxonResult};

@@ -151,7 +151,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // natural point to inspect per-shard load and re-pack the streams.
     // (With uniform traffic the modulo default is already near-balanced, so
     // the report usually shows few or no moves — the interesting numbers
-    // come from skewed fleets; see the engine_throughput Zipf tier.)
+    // come from skewed fleets; see perfbench's `fleet-zipf` workload and
+    // `tests/engine_rebalance.rs`.)
     print!("per-shard load after phase 1:\n{}", handle.stats()?);
     let report = handle.rebalance(RebalancePolicy::Records)?;
     println!(

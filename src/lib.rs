@@ -116,7 +116,13 @@ mod tests {
         let mut d = Optwin::with_defaults().unwrap();
         let outcome: BatchOutcome = d.add_batch(&[0.1, 0.2, 0.3]);
         assert_eq!(outcome.len, 3);
-        let config = OptwinConfig::builder().max_window(64).build().unwrap();
+        // A key of its own: the default key's table was just grown to the
+        // default w_max by `with_defaults`.
+        let config = OptwinConfig::builder()
+            .robustness(0.75)
+            .max_window(64)
+            .build()
+            .unwrap();
         let table: std::sync::Arc<CutTable> =
             CutTableRegistry::global().get_or_build(&config).unwrap();
         assert_eq!(table.w_max(), 64);

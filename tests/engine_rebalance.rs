@@ -440,6 +440,11 @@ fn fleet_config_builds_a_running_engine() {
         EngineBuilder::from_config_path("configs/no_such_fleet.json"),
         Err(EngineError::InvalidFleetConfig(_))
     ));
+    // An oversized window is a config error, not an allocation abort.
+    assert!(matches!(
+        EngineBuilder::from_config_json(r#"{"1": "optwin:w_max=200000000"}"#),
+        Err(EngineError::InvalidFleetConfig(message)) if message.contains("w_max")
+    ));
 
     let inline = EngineBuilder::from_config_json(r#"{"9": "ddm"}"#)
         .expect("inline config parses")

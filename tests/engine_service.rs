@@ -174,8 +174,7 @@ fn optwin_factory(w_max: usize) -> impl Fn(u64) -> Box<dyn DriftDetector + Send>
             .max_window(w_max)
             .build()
             .expect("valid config");
-        Box::new(Optwin::with_shared_table(config).expect("valid config"))
-            as Box<dyn DriftDetector + Send>
+        Box::new(Optwin::new(config).expect("valid config")) as Box<dyn DriftDetector + Send>
     }
 }
 
