@@ -7,9 +7,10 @@
 //! measured by the `perfbench` workspace (`detector.solo_ns_per_rec_w25k` /
 //! `_w10k`), which times ingest separately from cut-table precompute.
 //!
-//! Every row times ingestion only. OPTWIN's registry table is filled before
-//! the groups run, so building a detector inside a sample costs its window
-//! allocation and never a cut-table entry.
+//! Every row times ingestion only. OPTWIN's registry table is filled when
+//! the first detector is built, before the groups run, so building a
+//! detector inside a sample costs its window allocation and never a
+//! cut-table entry.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
@@ -37,7 +38,6 @@ fn bench_detectors(c: &mut Criterion) {
     let stream = stationary_stream(20_000);
     CutTableRegistry::global()
         .get_or_build(&optwin_config())
-        .and_then(|table| table.precompute_all())
         .expect("valid config");
     let mut group = c.benchmark_group("detector_ingest_20k_stationary");
     group.throughput(Throughput::Elements(stream.len() as u64));

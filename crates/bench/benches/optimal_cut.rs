@@ -27,11 +27,7 @@ fn bench_cut_tables(c: &mut Criterion) {
                     .max_window(w_max)
                     .build()
                     .unwrap();
-                b.iter(|| {
-                    let table = CutTable::new(&config).unwrap();
-                    table.precompute_all().unwrap();
-                    table.cached_entries()
-                });
+                b.iter(|| CutTable::new(&config).unwrap().w_max());
             },
         );
     }
@@ -39,7 +35,7 @@ fn bench_cut_tables(c: &mut Criterion) {
 
     // The `optwin-paper` fleet's cold start: two paper-default
     // configurations that differ only in w_max, each fetched from a fresh
-    // registry and fully precomputed.
+    // registry (the 25k request grows the 10k table).
     let mut group = c.benchmark_group("cut_table_registry");
     group.sample_size(10);
     let configs: Vec<OptwinConfig> = [10_000, 25_000]
@@ -50,19 +46,15 @@ fn bench_cut_tables(c: &mut Criterion) {
         b.iter(|| {
             let registry = CutTableRegistry::new();
             for config in &configs {
-                registry
-                    .get_or_build(config)
-                    .unwrap()
-                    .precompute_all()
-                    .unwrap();
+                registry.get_or_build(config).unwrap();
             }
             registry.len()
         });
     });
     group.finish();
 
-    // Single-entry lookup cost once cached (the per-element cost inside the
-    // detector).
+    // Single-entry lookup cost: a bounds-checked index into the complete
+    // table (the per-element cost inside the detector).
     let mut group = c.benchmark_group("cut_table_lookup");
     let config = OptwinConfig::builder()
         .robustness(0.5)
@@ -70,7 +62,6 @@ fn bench_cut_tables(c: &mut Criterion) {
         .build()
         .unwrap();
     let table = CutTable::new(&config).unwrap();
-    table.precompute_all().unwrap();
     group.bench_function("cached_entry", |b| {
         let mut w = 30usize;
         b.iter(|| {

@@ -151,7 +151,10 @@ pub struct Cascade {
 
 impl Cascade {
     /// Builds the cascade: the guard is constructed immediately, the
-    /// confirmer spec is validated but stays dormant.
+    /// confirmer spec is validated but stays dormant. Its OPTWIN cut tables
+    /// are taken from the registry here
+    /// ([`DetectorSpec::warm_cut_tables`]), so an escalation rebuilds the
+    /// confirmer without computing a cut-table entry.
     ///
     /// # Errors
     ///
@@ -165,6 +168,7 @@ impl Cascade {
         }
         .validate()?;
         let guard = config.guard.build()?;
+        config.confirm.warm_cut_tables()?;
         let real_valued = !config.guard.binary_only() && !config.confirm.binary_only();
         Ok(Self {
             guard,

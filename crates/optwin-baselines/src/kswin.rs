@@ -18,25 +18,34 @@
 //! depends only on order statistics — any permutation of tied values yields
 //! the same result — so this is decision-identical to re-sorting from scratch.
 
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use optwin_core::snapshot::{check_version, field, invalid};
-use optwin_core::{BatchOutcome, CoreError, DriftDetector, DriftStatus};
+use optwin_core::{CoreError, DriftDetector, DriftStatus};
 use optwin_stats::tests::ks_two_sample_sorted;
 
-/// Inserts `value` into ascending-sorted `xs`, keeping it sorted.
+/// The order of KSWIN's sorted mirrors: ascending, NaN last. Every other
+/// pair compares as `partial_cmp` does, so `-0.0` and `0.0` tie (the KS
+/// statistic cannot tell them apart). The incremental updates and the full
+/// rebuild share it, so a restored detector sorts NaNs as the live one did.
+fn by_value(x: &f64, y: &f64) -> Ordering {
+    x.partial_cmp(y)
+        .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
+}
+
+/// Inserts `value` into `xs` (sorted by [`by_value`]), keeping it sorted.
 fn insert_sorted(xs: &mut Vec<f64>, value: f64) {
-    let pos = xs.partition_point(|&x| x < value);
+    let pos = xs.partition_point(|x| by_value(x, &value) == Ordering::Less);
     xs.insert(pos, value);
 }
 
-/// Removes one element comparing equal to `value` from ascending-sorted `xs`.
+/// Removes one element tying with `value` under [`by_value`] from `xs`.
 /// Returns `false` when no such element exists (only possible when the
-/// mirrors have desynced, e.g. via NaN input); the caller then falls back to
-/// a full rebuild.
+/// mirrors have desynced); the caller then falls back to a full rebuild.
 fn remove_sorted(xs: &mut Vec<f64>, value: f64) -> bool {
-    let pos = xs.partition_point(|&x| x < value);
-    if pos < xs.len() && xs[pos] == value {
+    let pos = xs.partition_point(|x| by_value(x, &value) == Ordering::Less);
+    if pos < xs.len() && by_value(&xs[pos], &value) == Ordering::Equal {
         xs.remove(pos);
         true
     } else {
@@ -149,7 +158,6 @@ impl Kswin {
             .extend(self.window.iter().copied().take(split));
         self.recent_sorted
             .extend(self.window.iter().copied().skip(split));
-        let by_value = |x: &f64, y: &f64| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal);
         self.older_sorted.sort_by(by_value);
         self.recent_sorted.sort_by(by_value);
         self.sorted_valid = true;
@@ -207,18 +215,6 @@ impl Kswin {
 impl DriftDetector for Kswin {
     fn add_element(&mut self, value: f64) -> DriftStatus {
         self.step(value)
-    }
-
-    /// Native batch path: the per-element KS test is unavoidable (every
-    /// element can change the verdict), but the sorted-sample maintenance and
-    /// the sample buffers live on the detector, so the loop allocates
-    /// nothing.
-    fn add_batch(&mut self, values: &[f64]) -> BatchOutcome {
-        let mut outcome = BatchOutcome::with_len(values.len());
-        for (i, &value) in values.iter().enumerate() {
-            outcome.record(i, self.step(value));
-        }
-        outcome
     }
 
     fn reset(&mut self) {
@@ -302,6 +298,30 @@ impl DriftDetector for Kswin {
 mod tests {
     use super::*;
     use crate::test_util::jitter;
+
+    #[test]
+    fn nan_laden_stream_finishes_and_restores_like_the_live_detector() {
+        // One error in ten, and a NaN every 40 elements from element 1 000:
+        // both sorted samples soon hold NaNs, which once stalled the KS scan.
+        let stream: Vec<f64> = (0..6_000u64)
+            .map(|i| {
+                if i >= 1_000 && i % 40 == 0 {
+                    f64::NAN
+                } else {
+                    f64::from(u8::from(i % 10 == 0))
+                }
+            })
+            .collect();
+        let mut live = Kswin::with_defaults();
+        live.add_batch(&stream[..3_000]);
+        let mut restored = Kswin::with_defaults();
+        restored
+            .restore_state(&live.snapshot_state().unwrap())
+            .unwrap();
+        let rest = &stream[3_000..];
+        assert_eq!(live.add_batch(rest), restored.add_batch(rest));
+        assert_eq!(live.drifts_detected(), restored.drifts_detected());
+    }
 
     #[test]
     #[should_panic(expected = "window_size must exceed")]

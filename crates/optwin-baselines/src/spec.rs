@@ -65,7 +65,9 @@ use std::fmt;
 use std::str::FromStr;
 
 use optwin_core::config::check_window_size;
-use optwin_core::{CoreError, DriftDetector, DriftDirection, Optwin, OptwinConfig};
+use optwin_core::{
+    CoreError, CutTableRegistry, DriftDetector, DriftDirection, Optwin, OptwinConfig,
+};
 
 use crate::composite::{Cascade, CascadeConfig, Ensemble, EnsembleConfig};
 use crate::{
@@ -486,8 +488,9 @@ impl DetectorSpec {
 
     /// Validates the spec and constructs a ready-to-run boxed detector.
     /// OPTWIN instances share cut tables through the process-wide
-    /// [`optwin_core::CutTableRegistry`], so building thousands of
-    /// identically configured specs stays cheap.
+    /// [`CutTableRegistry`], so building thousands of identically configured
+    /// specs stays cheap; the first build of a configuration computes its
+    /// table (see [`DetectorSpec::warm_cut_tables`]).
     ///
     /// # Errors
     ///
@@ -508,6 +511,34 @@ impl DetectorSpec {
             DetectorSpec::Cascade { config } => Box::new(Cascade::new(config.clone())?),
             DetectorSpec::Ensemble { config } => Box::new(Ensemble::new(config.clone())?),
         })
+    }
+
+    /// Takes every OPTWIN cut table this spec can reach from the
+    /// process-wide [`CutTableRegistry`]: its own, a cascade's guard and
+    /// confirmer, and every ensemble member's. A table missing from the
+    /// registry, or shorter than the spec's `w_max`, is computed here, on the
+    /// calling thread, so building the detector later (or waking a cascade's
+    /// confirmer) computes no cut-table entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] when an OPTWIN configuration is
+    /// invalid.
+    pub fn warm_cut_tables(&self) -> Result<(), CoreError> {
+        match self {
+            DetectorSpec::Optwin { config } => {
+                CutTableRegistry::global().get_or_build(config)?;
+                Ok(())
+            }
+            DetectorSpec::Cascade { config } => {
+                config.guard.warm_cut_tables()?;
+                config.confirm.warm_cut_tables()
+            }
+            DetectorSpec::Ensemble { config } => {
+                config.members.iter().try_for_each(Self::warm_cut_tables)
+            }
+            _ => Ok(()),
+        }
     }
 
     /// A human-readable listing of the grammar — every detector id with its

@@ -8,9 +8,11 @@ use crate::{CoreError, Result};
 /// Each of these sizes an allocation made when the detector is built, before
 /// any data arrives, so an unbounded value aborts the process on a failed
 /// allocation instead of returning an error. 2^22 = 4,194,304 elements is
-/// 168× the paper's `w_max` of 25,000. At the cap an OPTWIN cut table's slot
-/// vector takes ~370 MB (88 B per slot) and its window ring 32 MiB, so one
-/// detector's up-front allocations stay well under 1 GiB.
+/// 168× the paper's `w_max` of 25,000. At the cap an OPTWIN cut table takes
+/// ~370 MB (88 B per entry) and its window ring 32 MiB, so one detector's
+/// up-front allocations stay well under 1 GiB. The table is computed in
+/// full when first served, and its fill time grows with `w_max`: the
+/// paper's 25,000 entries take about 0.55 s on two cores.
 pub const MAX_WINDOW: usize = 1 << 22;
 
 /// Checks one window size against [`MAX_WINDOW`].

@@ -18,10 +18,12 @@
 //!
 //! Because ρ(ν) depends only on `|W|`, δ and ρ (never on the data, and never
 //! on `w_max`), the split point and both critical values are pre-computed
-//! per window length, exactly as described in §3.4 of the paper. One
-//! [`CutTable`] therefore serves every `w_max`: it grows on demand to the
-//! largest window cap it is asked to cover, and each detector bounds its
-//! lookups by its own `w_max`.
+//! per window length, exactly as described in §3.4 of the paper. A
+//! [`CutTable`] is computed in full when it is built, for every length in
+//! `[w_min, w_max]`, and never changes afterwards. Tables are shared across
+//! `w_max` through [`crate::CutTableRegistry`]: a request for a longer window
+//! swaps in a longer copy, and each detector bounds its lookups by its own
+//! `w_max`.
 //!
 //! ## Cost
 //!
@@ -32,10 +34,10 @@
 //! search warm-starts from the previous length's split and checks it and its
 //! right neighbour, and the warning confidence needs one more. That is six
 //! inversions per length (6.0 on average over the paper-default table).
-//! [`CutTable::precompute_all`] spreads the missing lengths over every
-//! available core in contiguous chunks, each chunk warm-starting its own
-//! searches; the lazy lookups compute on the calling thread. The entries do
-//! not depend on the path that computed them.
+//! [`CutTable::new`] spreads the lengths over every available core in
+//! contiguous chunks, each chunk warm-starting its own searches, and growing
+//! a table computes only the lengths it adds. The entries do not depend on
+//! the path that computed them.
 //!
 //! ## A note on the F-test degrees of freedom
 //!
@@ -46,10 +48,7 @@
 //! `(|W_new|−1, |W_hist|−1)`, which is what this implementation uses — both
 //! for the runtime test and inside Equation 1.
 
-use std::fmt;
 use std::num::NonZeroUsize;
-
-use parking_lot::RwLock;
 
 use optwin_stats::dist::{ContinuousDistribution, FisherF, StudentsT};
 
@@ -80,20 +79,6 @@ pub struct CutEntry {
     /// Critical value of the f-test at the warning confidence, if enabled.
     pub f_warn: Option<f64>,
 }
-
-/// Stand-in for a slot whose entry is not computed yet. No real entry has
-/// `window_len == 0`: lengths start at `w_min >= 5`.
-const MISSING: CutEntry = CutEntry {
-    window_len: 0,
-    split: 0,
-    nu: 0.0,
-    exact: false,
-    t_crit: f64::INFINITY,
-    f_crit: f64::INFINITY,
-    df: 1.0,
-    t_warn: None,
-    f_warn: None,
-};
 
 /// Equation 1 evaluated at one split: the guaranteed-detectable shift ρ,
 /// the Welch degrees of freedom, and the t and f critical values.
@@ -233,95 +218,49 @@ fn optimal_split(
     Ok(Some(best))
 }
 
-/// The configuration fields a cut table's entries depend on, compared
-/// bit-exactly so that `f64` parameters hash and compare reliably.
+/// An immutable lookup table of [`CutEntry`] values, complete for every
+/// window length in `[w_min, w_max]` from construction.
 ///
-/// `w_max` is deliberately absent (Equation 1 never reads it). The registry
-/// interns tables by this key, and [`crate::Optwin::with_cut_table`] rejects
-/// a table whose key differs from its configuration's, so the two can never
-/// disagree about which tables are interchangeable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct TableKey {
-    delta_bits: u64,
-    warning_delta_bits: Option<u64>,
-    rho_bits: u64,
-    w_min: usize,
-}
-
-impl TableKey {
-    pub(crate) fn of(config: &OptwinConfig) -> Self {
-        Self {
-            delta_bits: config.delta.to_bits(),
-            warning_delta_bits: config.warning_delta.map(f64::to_bits),
-            rho_bits: config.rho.to_bits(),
-            w_min: config.w_min,
-        }
-    }
-}
-
-impl fmt::Display for TableKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(δ = {}, warning δ = ", f64::from_bits(self.delta_bits))?;
-        match self.warning_delta_bits {
-            Some(bits) => write!(f, "{}", f64::from_bits(bits))?,
-            None => f.write_str("off")?,
-        }
-        write!(
-            f,
-            ", ρ = {}, w_min = {})",
-            f64::from_bits(self.rho_bits),
-            self.w_min
-        )
-    }
-}
-
-/// Lazily built, thread-safe lookup table of [`CutEntry`] values for every
-/// window length in `[w_min, w_max]`.
-///
-/// The table is keyed by the configuration fields its entries depend on
-/// (δ, warning δ, ρ, `w_min`). [`crate::Optwin::new`] takes it from
-/// [`crate::CutTableRegistry`], which interns one table per key, so every
-/// detector with that key shares it, whatever its `w_max`: the table grows
-/// to the largest `w_max` it serves, and entries never depend on how far it
-/// has grown. [`CutTable::new`] builds a table outside the registry, for
-/// [`crate::Optwin::with_cut_table`] or to measure a cold build.
+/// [`CutTable::new`] computes every entry before it returns, so a lookup is
+/// a bounds-checked index that never computes anything. [`crate::Optwin::new`]
+/// takes its table from [`crate::CutTableRegistry`], which keeps one table
+/// per (δ, warning δ, ρ, `w_min`): every detector with that key shares it,
+/// whatever its `w_max`, and entries never depend on how far a table was
+/// grown.
 #[derive(Debug)]
 pub struct CutTable {
-    key: TableKey,
     delta_prime: f64,
     warning_delta_prime: Option<f64>,
     rho: f64,
     w_min: usize,
-    /// Slot `w - w_min` caches the entry for window length `w`. The vector
-    /// only ever grows, so an index valid once stays valid.
-    cache: RwLock<Vec<Option<CutEntry>>>,
-    /// Lazily computed proof window `w_proof`: the smallest window length at
-    /// which Equation 1 has a solution, stored with the length it was
-    /// searched up to (`None` when even that length has none).
-    /// Admissibility is monotone in `|W|` (larger windows can only make a
-    /// ρ-shift easier to certify), so lengths below `w_proof` take the
-    /// ν = 0.5 fallback without running the split search at all, and a
-    /// found `w_proof` holds however far the table grows.
-    proof_window: RwLock<Option<(usize, Option<usize>)>>,
+    /// `entries[w - w_min]` is the entry for window length `w`.
+    entries: Vec<CutEntry>,
 }
 
 impl CutTable {
-    /// Creates an empty table for the given configuration.
+    /// Builds the complete table for `config`: one entry per window length
+    /// in `[w_min, w_max]`, computed in parallel (see the module docs).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] if the configuration is invalid.
+    /// Returns [`CoreError::InvalidConfig`] if the configuration is invalid,
+    /// or a wrapped statistics error if a quantile evaluation fails
+    /// (practically unreachable for valid configurations).
     pub fn new(config: &OptwinConfig) -> Result<Self> {
         config.validate()?;
-        Ok(Self {
-            key: TableKey::of(config),
+        Self::empty(config).grown_to(config.w_max)
+    }
+
+    /// A table for `config`'s key that holds no entry yet: the starting
+    /// point [`CutTable::grown_to`] fills.
+    pub(crate) fn empty(config: &OptwinConfig) -> Self {
+        Self {
             delta_prime: config.delta_prime(),
             warning_delta_prime: config.warning_delta_prime(),
             rho: config.rho,
             w_min: config.w_min,
-            cache: RwLock::new(vec![None; config.w_max - config.w_min + 1]),
-            proof_window: RwLock::new(None),
-        })
+            entries: Vec::new(),
+        }
     }
 
     /// Smallest window length covered by the table.
@@ -330,11 +269,10 @@ impl CutTable {
         self.w_min
     }
 
-    /// Largest window length the table currently covers: the largest
-    /// `w_max` of any configuration it has served so far.
+    /// Largest window length covered by the table.
     #[must_use]
     pub fn w_max(&self) -> usize {
-        self.w_min + self.cache.read().len() - 1
+        self.w_min + self.entries.len() - 1
     }
 
     /// The robustness parameter ρ the table was built for.
@@ -343,211 +281,108 @@ impl CutTable {
         self.rho
     }
 
-    /// Prepares the table to serve a detector configured with `config`: the
-    /// configuration must have the table's (δ, warning δ, ρ, `w_min`), and
-    /// the table grows to cover `config.w_max` if it does not yet.
-    pub(crate) fn serve(&self, config: &OptwinConfig) -> Result<()> {
-        let wanted = TableKey::of(config);
-        if self.key != wanted {
-            return Err(CoreError::InvalidConfig {
-                field: "cut_table",
-                message: format!(
-                    "table built for {} does not match configuration {wanted}",
-                    self.key
-                ),
-            });
-        }
-        let len = config.w_max - self.w_min + 1;
-        if self.cache.read().len() < len {
-            let mut cache = self.cache.write();
-            if cache.len() < len {
-                cache.resize(len, None);
-            }
-        }
-        Ok(())
+    /// The entries for window lengths `w_min, w_min + 1, …, w_max`.
+    #[must_use]
+    pub fn entries(&self) -> &[CutEntry] {
+        &self.entries
     }
 
-    /// Returns the entry for window length `w`, computing and caching it (and
-    /// nothing else) on first use.
+    /// Returns the entry for window length `w`.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if `w` is outside
-    /// `[w_min, w_max]`, or a wrapped statistics error if a quantile
-    /// evaluation fails (practically unreachable for valid configurations).
+    /// `[w_min, w_max]`.
     pub fn entry(&self, w: usize) -> Result<CutEntry> {
-        let cached = w
-            .checked_sub(self.w_min)
-            .and_then(|idx| self.cache.read().get(idx).copied().flatten());
-        if let Some(entry) = cached {
-            return Ok(entry);
-        }
-        let mut out = Vec::with_capacity(1);
-        self.entries_range_into(w, w, &mut out)?;
-        Ok(out[0])
-    }
-
-    /// Returns the entries for every window length in `[lo, hi]` (both
-    /// inclusive), computing and caching any that are missing.
-    ///
-    /// This is the batch-ingestion fast path: one read-lock acquisition
-    /// covers the whole contiguous range instead of one per element, and
-    /// missing entries are computed in one pass with warm-started split
-    /// searches before a single write-lock stores them all.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if the range is empty or falls
-    /// outside `[w_min, w_max]`, or a wrapped statistics error from entry
-    /// computation (practically unreachable).
-    pub fn entries_range(&self, lo: usize, hi: usize) -> Result<Vec<CutEntry>> {
-        let mut out = Vec::new();
-        self.entries_range_into(lo, hi, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`CutTable::entries_range`] writing into a caller-owned buffer, which
-    /// is cleared and then filled with the entries for `[lo, hi]`.
-    ///
-    /// This is the allocation-free variant the detector batch path uses: one
-    /// scratch `Vec` per detector absorbs every prefetch chunk instead of a
-    /// fresh allocation per chunk.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CutTable::entries_range`]; on error the buffer
-    /// contents are unspecified (but valid).
-    pub fn entries_range_into(&self, lo: usize, hi: usize, out: &mut Vec<CutEntry>) -> Result<()> {
-        // One read-lock copies the cached slots into the output buffer,
-        // with `MISSING` standing in for the entries still to compute.
-        out.clear();
-        let (w_max, hint) = {
-            let cache = self.cache.read();
-            let w_max = self.w_min + cache.len() - 1;
-            if lo > hi || lo < self.w_min || hi > w_max {
-                return Err(CoreError::InvalidConfig {
-                    field: "window_len",
-                    message: format!(
-                        "range [{lo}, {hi}] invalid for the table range [{}, {w_max}]",
-                        self.w_min
-                    ),
-                });
-            }
-            let slots = &cache[lo - self.w_min..=hi - self.w_min];
-            out.extend(slots.iter().map(|slot| slot.unwrap_or(MISSING)));
-            if slots.iter().all(Option::is_some) {
-                return Ok(());
-            }
-            // Warm-start the first search from the nearest cached length
-            // below the range, if one is close.
-            let hint = cache[..lo - self.w_min]
-                .iter()
-                .rev()
-                .take(16)
-                .flatten()
-                .map(|e| e.split + (lo - e.window_len))
-                .next();
-            (w_max, hint)
-        };
-        // Compute outside any lock, then publish the whole range under one
-        // write lock.
-        let w_proof = self.proof_window(w_max)?;
-        self.fill(lo, w_proof, hint, out)?;
-        self.publish(lo, out);
-        Ok(())
-    }
-
-    /// Eagerly computes every entry in `[w_min, w_max]`.
-    ///
-    /// The missing lengths are split into one contiguous chunk per available
-    /// core (`std::thread::available_parallelism`), each filled on its own
-    /// scoped thread, and all of them are published under one write lock.
-    /// The entries are the same as a sequential fill's.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first computation error encountered.
-    pub fn precompute_all(&self) -> Result<()> {
-        let mut slots: Vec<CutEntry> = self
-            .cache
-            .read()
-            .iter()
-            .map(|slot| slot.unwrap_or(MISSING))
-            .collect();
-        let missing: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.window_len == 0)
-            .map(|(idx, _)| idx)
-            .collect();
-        let Some(&first) = missing.first() else {
-            return Ok(());
-        };
-        let w_proof = self.proof_window(self.w_min + slots.len() - 1)?;
-
-        // Chunk boundaries: each chunk starts at a missing slot and holds an
-        // equal share of the missing lengths.
-        let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let starts: Vec<usize> = missing
-            .iter()
-            .step_by(missing.len().div_ceil(threads))
+        w.checked_sub(self.w_min)
+            .and_then(|idx| self.entries.get(idx))
             .copied()
-            .collect();
-        std::thread::scope(|scope| {
-            let mut rest = slots.as_mut_slice();
-            let mut chunks = Vec::with_capacity(starts.len());
-            for &start in starts.iter().rev() {
-                let (head, chunk) = rest.split_at_mut(start);
-                // Warm-start from the slot before the chunk only when it is
-                // cached; otherwise an earlier chunk is still computing it.
-                let hint = head.last().filter(|e| e.window_len != 0);
-                let hint = hint.map(|e| e.split + 1);
-                rest = head;
-                let lo = self.w_min + start;
-                chunks.push(scope.spawn(move || self.fill(lo, w_proof, hint, chunk)));
-            }
-            chunks.into_iter().try_for_each(|chunk| {
-                chunk
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            .ok_or_else(|| CoreError::InvalidConfig {
+                field: "window_len",
+                message: format!(
+                    "window length {w} is outside the table range [{}, {}]",
+                    self.w_min,
+                    self.w_max()
+                ),
             })
-        })?;
-        self.publish(self.w_min + first, &slots[first..]);
+    }
+
+    /// Does nothing: a table is complete from construction. Kept only
+    /// because the frozen `perfbench/` workspace calls it.
+    ///
+    /// # Errors
+    ///
+    /// Never fails.
+    pub fn precompute_all(&self) -> Result<()> {
         Ok(())
     }
 
-    /// Number of entries currently cached (diagnostics).
+    /// Number of entries in the table, as `entries().len()`. Kept only
+    /// because the frozen `perfbench/` workspace calls it.
     #[must_use]
     pub fn cached_entries(&self) -> usize {
-        self.cache.read().iter().filter(|e| e.is_some()).count()
+        self.entries.len()
     }
 
-    /// Computes the `MISSING` slots of `run`, which holds the entries for
-    /// lengths `lo, lo + 1, …`. Every split search warm-starts from its
-    /// predecessor's split; `hint` seeds the first.
+    /// A copy of this table extended to cover `w_max`, which must exceed
+    /// the table's own. The entries it holds are copied; only the lengths
+    /// above its `w_max` are computed, split into one contiguous chunk per
+    /// available core (`std::thread::available_parallelism`), each filled on
+    /// its own scoped thread. The entries are the same as a sequential
+    /// fill's.
+    pub(crate) fn grown_to(&self, w_max: usize) -> Result<Self> {
+        let lo = self.w_min + self.entries.len();
+        // Admissibility is monotone in |W| (larger windows can only make a
+        // ρ-shift easier to certify), so once an entry is exact every longer
+        // length is at or above the proof window.
+        let w_proof = match self.entries.iter().find(|e| e.exact) {
+            Some(first) => Some(first.window_len),
+            None => self.proof_window(w_max)?,
+        };
+        let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let chunk = (w_max + 1 - lo).div_ceil(threads);
+        // Only the first chunk can warm-start from an existing entry; the
+        // others start with a full split search.
+        let first_hint = self.entries.last().map(|e| e.split + 1);
+        let chunks = std::thread::scope(|scope| {
+            let fills: Vec<_> = (lo..=w_max)
+                .step_by(chunk)
+                .map(|start| {
+                    let end = (start + chunk - 1).min(w_max);
+                    let hint = first_hint.filter(|_| start == lo);
+                    scope.spawn(move || self.fill(start, end, w_proof, hint))
+                })
+                .collect();
+            fills
+                .into_iter()
+                .map(|fill| {
+                    fill.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect::<Result<Vec<_>>>()
+        })?;
+        let mut entries = Vec::with_capacity(w_max + 1 - self.w_min);
+        entries.extend_from_slice(&self.entries);
+        entries.extend(chunks.into_iter().flatten());
+        Ok(Self { entries, ..*self })
+    }
+
+    /// Computes the entries for lengths `lo..=hi`. Every split search
+    /// warm-starts from its predecessor's split; `hint` seeds the first.
     fn fill(
         &self,
         lo: usize,
+        hi: usize,
         w_proof: Option<usize>,
         mut hint: Option<usize>,
-        run: &mut [CutEntry],
-    ) -> Result<()> {
-        for (w, slot) in (lo..).zip(run.iter_mut()) {
-            if slot.window_len == 0 {
-                *slot = self.compute_entry(w, w_proof, hint)?;
-            }
-            hint = Some(slot.split + 1);
-        }
-        Ok(())
-    }
-
-    /// Caches the computed entries for lengths `lo, lo + 1, …` under one
-    /// write lock.
-    fn publish(&self, lo: usize, entries: &[CutEntry]) {
-        let mut cache = self.cache.write();
-        for (slot, entry) in cache[lo - self.w_min..].iter_mut().zip(entries) {
-            *slot = Some(*entry);
-        }
+    ) -> Result<Vec<CutEntry>> {
+        (lo..=hi)
+            .map(|w| {
+                let entry = self.compute_entry(w, w_proof, hint)?;
+                hint = Some(entry.split + 1);
+                Ok(entry)
+            })
+            .collect()
     }
 
     /// Whether Equation 1 has any admissible split for window length `w`
@@ -583,33 +418,28 @@ impl CutTable {
         Ok(false)
     }
 
-    /// The proof window (smallest `w` with a solution) among lengths up to
-    /// `w_max`, found by bisection over `[w_min, w_max]` and cached.
+    /// The proof window `w_proof` (smallest length with a solution) among
+    /// lengths up to `w_max`, found by bisection over `[w_min, w_max]`;
+    /// `None` when even `w_max` has none. Lengths below it take the
+    /// ν = 0.5 fallback without running the split search at all.
     fn proof_window(&self, w_max: usize) -> Result<Option<usize>> {
-        if let Some((searched_to, found)) = *self.proof_window.read() {
-            if found.is_some() || searched_to >= w_max {
-                return Ok(found);
+        if !self.solution_exists(w_max)? {
+            return Ok(None);
+        }
+        if self.solution_exists(self.w_min)? {
+            return Ok(Some(self.w_min));
+        }
+        let mut lo = self.w_min; // no solution
+        let mut hi = w_max; // solution
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if self.solution_exists(mid)? {
+                hi = mid;
+            } else {
+                lo = mid;
             }
         }
-        let found = if !self.solution_exists(w_max)? {
-            None
-        } else if self.solution_exists(self.w_min)? {
-            Some(self.w_min)
-        } else {
-            let mut lo = self.w_min; // no solution
-            let mut hi = w_max; // solution
-            while hi - lo > 1 {
-                let mid = lo + (hi - lo) / 2;
-                if self.solution_exists(mid)? {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-            Some(hi)
-        };
-        *self.proof_window.write() = Some((w_max, found));
-        Ok(found)
+        Ok(Some(hi))
     }
 
     fn compute_entry(
@@ -793,13 +623,12 @@ mod tests {
     }
 
     #[test]
-    fn entries_are_cached_and_shared() {
+    fn table_is_complete_and_shared_from_construction() {
         let table = Arc::new(CutTable::new(&config(0.5, 100)).unwrap());
-        assert_eq!(table.cached_entries(), 0);
-        let a = table.entry(60).unwrap();
-        let b = table.entry(60).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(table.cached_entries(), 1);
+        assert_eq!(table.entries().len(), 100 - 30 + 1);
+        assert_eq!(table.cached_entries(), table.entries().len());
+        table.precompute_all().unwrap();
+        assert_eq!(table.entries().len(), 100 - 30 + 1);
 
         let clone = Arc::clone(&table);
         let handle = std::thread::spawn(move || clone.entry(80).unwrap());
@@ -808,13 +637,11 @@ mod tests {
     }
 
     #[test]
-    fn precompute_all_fills_every_entry() {
+    fn every_entry_is_well_formed() {
         let table = CutTable::new(&config(0.5, 120)).unwrap();
-        table.precompute_all().unwrap();
-        assert_eq!(table.cached_entries(), 120 - 30 + 1);
-        for w in 30..=120 {
-            let e = table.entry(w).unwrap();
+        for (w, e) in (30..=120).zip(table.entries()) {
             assert_eq!(e.window_len, w);
+            assert_eq!(*e, table.entry(w).unwrap());
             assert!(e.split >= MIN_SUB_WINDOW);
             assert!(e.split <= w - MIN_SUB_WINDOW);
             assert!(e.t_crit > 0.0);
@@ -827,114 +654,26 @@ mod tests {
     }
 
     #[test]
-    fn entries_range_matches_single_lookups() {
-        let table = CutTable::new(&config(0.5, 200)).unwrap();
-        // Prime a few entries so the range mixes cached and missing ones.
-        let _ = table.entry(50).unwrap();
-        let _ = table.entry(60).unwrap();
-        let range = table.entries_range(40, 80).unwrap();
-        assert_eq!(range.len(), 41);
-        for (offset, entry) in range.iter().enumerate() {
-            assert_eq!(*entry, table.entry(40 + offset).unwrap());
-        }
-        // Everything touched is now cached.
-        assert!(table.cached_entries() >= 41);
-    }
-
-    #[test]
-    fn entries_range_into_reuses_buffer_and_matches() {
-        let table = CutTable::new(&config(0.5, 200)).unwrap();
-        let _ = table.entry(55).unwrap();
-        let mut buf = Vec::new();
-        table.entries_range_into(40, 80, &mut buf).unwrap();
-        assert_eq!(buf.len(), 41);
-        for (offset, entry) in buf.iter().enumerate() {
-            assert_eq!(*entry, table.entry(40 + offset).unwrap());
-        }
-        // Refill with a fully cached range: the buffer is reused, no stale
-        // leftovers, same entries as the allocating variant.
-        let cap_before = buf.capacity();
-        table.entries_range_into(60, 70, &mut buf).unwrap();
-        assert_eq!(buf.len(), 11);
-        assert_eq!(buf.capacity(), cap_before);
-        assert_eq!(buf, table.entries_range(60, 70).unwrap());
-        // Errors leave the buffer valid.
-        assert!(table.entries_range_into(10, 20, &mut buf).is_err());
-    }
-
-    #[test]
-    fn parallel_precompute_matches_sequential_lookups() {
+    fn parallel_fill_matches_sequential_fill() {
         let parallel = CutTable::new(&config(0.5, 600)).unwrap();
-        parallel.precompute_all().unwrap();
-        let sequential = CutTable::new(&config(0.5, 600)).unwrap();
-        for w in 30..=600 {
-            assert_eq!(parallel.entry(w).unwrap(), sequential.entry(w).unwrap());
-        }
+        let empty = CutTable::empty(&config(0.5, 600));
+        let w_proof = empty.proof_window(600).unwrap();
+        let sequential = empty.fill(30, 600, w_proof, None).unwrap();
+        assert_eq!(parallel.entries(), sequential.as_slice());
     }
 
     #[test]
-    fn one_table_grows_across_w_max() {
-        let small = config(0.5, 300);
-        let large = config(0.5, 700);
-        let table = CutTable::new(&small).unwrap();
-        table.precompute_all().unwrap();
-        assert_eq!(table.w_max(), 300);
-        assert!(table.entry(301).is_err());
+    fn grown_table_matches_a_table_built_for_the_larger_w_max() {
+        let small = CutTable::new(&config(0.5, 300)).unwrap();
+        let grown = small.grown_to(700).unwrap();
+        assert_eq!(grown.w_max(), 700);
+        assert_eq!(&grown.entries()[..small.entries().len()], small.entries());
+        let fresh = CutTable::new(&config(0.5, 700)).unwrap();
+        assert_eq!(grown.entries(), fresh.entries());
 
-        // Serving a larger w_max grows the table and keeps what is cached;
-        // a smaller one never shrinks it.
-        table.serve(&large).unwrap();
-        assert_eq!(table.w_max(), 700);
-        assert_eq!(table.cached_entries(), 300 - 30 + 1);
-        table.serve(&small).unwrap();
-        assert_eq!(table.w_max(), 700);
-
-        // Growing first and filling later gives the entries a table built
-        // for the larger w_max has.
-        table.precompute_all().unwrap();
-        assert_eq!(table.cached_entries(), 700 - 30 + 1);
-        let fresh = CutTable::new(&large).unwrap();
-        fresh.precompute_all().unwrap();
-        assert_eq!(
-            table.entries_range(30, 700).unwrap(),
-            fresh.entries_range(30, 700).unwrap()
-        );
-    }
-
-    #[test]
-    fn serve_rejects_other_parameters() {
-        let table = CutTable::new(&config(0.5, 300)).unwrap();
-        let mut other_rho = config(0.5, 300);
-        other_rho.rho = 2.0;
-        let mut other_w_min = config(0.5, 300);
-        other_w_min.w_min = 31;
-        for other in [other_rho, other_w_min] {
-            let err = table.serve(&other).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CoreError::InvalidConfig {
-                        field: "cut_table",
-                        ..
-                    }
-                ),
-                "{err}"
-            );
-        }
-        // A rejected configuration does not grow the table.
-        let mut bigger = config(0.5, 900);
-        bigger.rho = 2.0;
-        assert!(table.serve(&bigger).is_err());
-        assert_eq!(table.w_max(), 300);
-    }
-
-    #[test]
-    fn entries_range_rejects_bad_ranges() {
-        let table = CutTable::new(&config(0.5, 100)).unwrap();
-        assert!(table.entries_range(29, 40).is_err());
-        assert!(table.entries_range(40, 101).is_err());
-        assert!(table.entries_range(60, 50).is_err());
-        assert!(table.entries_range(30, 100).is_ok());
+        // The source table is untouched: a grown copy replaces it.
+        assert_eq!(small.w_max(), 300);
+        assert!(small.entry(301).is_err());
     }
 
     #[test]
@@ -960,12 +699,11 @@ mod tests {
         // shrinks (Theorem 3.1 / §3.3 discussion).
         let first_exact = |rho: f64| -> usize {
             let table = CutTable::new(&config(rho, 3000)).unwrap();
-            for w in (30..=3000).step_by(10) {
-                if table.entry(w).unwrap().exact {
-                    return w;
-                }
-            }
-            usize::MAX
+            table
+                .entries()
+                .iter()
+                .find(|e| e.exact)
+                .map_or(usize::MAX, |e| e.window_len)
         };
         let w_proof_rho_1 = first_exact(1.0);
         let w_proof_rho_05 = first_exact(0.5);

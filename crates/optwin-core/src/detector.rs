@@ -117,10 +117,10 @@ pub trait DriftDetector {
     ///
     /// The default implementation folds [`DriftDetector::add_element`] over
     /// the slice. Implementations may override it with a faster native path
-    /// (OPTWIN amortizes cut-table lookups across the slice; see
-    /// `Optwin::add_batch`), but the override must be observationally
-    /// identical to the fold — same indices, same final state, same
-    /// counters.
+    /// (OPTWIN appends warm-up runs in bulk and indexes its complete cut
+    /// table per element; see `Optwin::add_batch`), but the override must
+    /// be observationally identical to the fold — same indices, same final
+    /// state, same counters.
     fn add_batch(&mut self, values: &[f64]) -> BatchOutcome {
         let mut outcome = BatchOutcome::with_len(values.len());
         for (i, &value) in values.iter().enumerate() {

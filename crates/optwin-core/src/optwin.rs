@@ -13,7 +13,9 @@ use crate::Result;
 /// See the crate-level documentation for the algorithm overview and
 /// [`OptwinConfig`] for the tunable parameters. The detector ingests one
 /// error observation per learner prediction via
-/// [`DriftDetector::add_element`]; each call costs amortized O(1).
+/// [`DriftDetector::add_element`]; each call costs amortized O(1). Its
+/// [`CutTable`] is complete for `[w_min, w_max]` before the constructor
+/// returns, so ingestion only indexes it.
 #[derive(Debug, Clone)]
 pub struct Optwin {
     config: OptwinConfig,
@@ -27,12 +29,6 @@ pub struct Optwin {
     elements_seen: u64,
     drifts_detected: u64,
     warnings_detected: u64,
-    /// Batch-path scratch: cut-table entries for window lengths
-    /// `entry_scratch_start + k`. The table is immutable, so cached entries
-    /// stay valid for the detector's lifetime; the buffer is transient state
-    /// and is not serialized.
-    entry_scratch: Vec<CutEntry>,
-    entry_scratch_start: usize,
 }
 
 /// The per-split test statistics consulted by both the drift and the warning
@@ -77,15 +73,28 @@ impl Optwin {
     /// interned in the process-wide [`crate::CutTableRegistry`]: every
     /// detector with an equal `(δ, warning δ, ρ, w_min)` shares one table,
     /// whatever its `w_max`, so a table's entries are computed once per
-    /// process however many detectors (or engine streams) use it.
+    /// process however many detectors (or engine streams) use it. The first
+    /// detector of a key (or of a larger `w_max` than its table covers)
+    /// computes the table in full, on this thread and the scoped threads it
+    /// spawns; ingestion never computes an entry.
     ///
     /// # Errors
     ///
     /// Returns [`crate::CoreError::InvalidConfig`] if the configuration is
     /// invalid.
     pub fn new(config: OptwinConfig) -> Result<Self> {
-        let table = crate::CutTableRegistry::global().get_or_build(&config)?;
-        Self::with_cut_table(config, table)
+        let cut = crate::CutTableRegistry::global().get_or_build(&config)?;
+        let capacity = config.w_max;
+        Ok(Self {
+            config,
+            cut,
+            window: SplitWindow::with_capacity(capacity),
+            non_binary_in_window: 0,
+            last_status: DriftStatus::Stable,
+            elements_seen: 0,
+            drifts_detected: 0,
+            warnings_detected: 0,
+        })
     }
 
     /// Creates a detector with the paper's default configuration
@@ -97,33 +106,6 @@ impl Optwin {
     /// for signature uniformity.
     pub fn with_defaults() -> Result<Self> {
         Self::new(OptwinConfig::default())
-    }
-
-    /// Creates a detector on a caller-supplied [`CutTable`] instead of the
-    /// registry's, e.g. one kept outside the registry for measurement. A
-    /// table built for a smaller `w_max` grows to cover `config.w_max`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CoreError::InvalidConfig`] if the configuration is
-    /// invalid, or with field `cut_table` if the table was built for another
-    /// δ, warning δ, ρ or `w_min`.
-    pub fn with_cut_table(config: OptwinConfig, cut: Arc<CutTable>) -> Result<Self> {
-        config.validate()?;
-        cut.serve(&config)?;
-        let capacity = config.w_max;
-        Ok(Self {
-            config,
-            cut,
-            window: SplitWindow::with_capacity(capacity),
-            non_binary_in_window: 0,
-            last_status: DriftStatus::Stable,
-            elements_seen: 0,
-            drifts_detected: 0,
-            warnings_detected: 0,
-            entry_scratch: Vec::new(),
-            entry_scratch_start: usize::MAX,
-        })
     }
 
     /// The configuration this detector was built with.
@@ -303,21 +285,13 @@ impl Optwin {
         }
     }
 
-    /// Pass-through entry used when the cut-table lookup fails (unreachable
-    /// for a validated configuration): midpoint split, infinite critical
-    /// values, so the tests never reject and the hot path never panics.
-    fn fallback_entry(w: usize) -> CutEntry {
-        CutEntry {
-            window_len: w,
-            split: w / 2,
-            nu: 0.5,
-            exact: false,
-            t_crit: f64::INFINITY,
-            f_crit: f64::INFINITY,
-            df: 1.0,
-            t_warn: None,
-            f_warn: None,
-        }
+    /// The cut-table entry for the current window length (Algorithm 1,
+    /// lines 7–10). The table covers `[w_min, w_max]` of this detector's
+    /// configuration, and evaluation only runs at window lengths in that
+    /// range, so the index never fails.
+    #[inline]
+    fn current_entry(&self) -> CutEntry {
+        self.cut.entries()[self.window.len() - self.config.w_min]
     }
 
     /// Applies the split and runs the drift/warning tests for the current
@@ -353,11 +327,6 @@ impl Optwin {
         self.last_status
     }
 }
-
-/// Number of cut-table entries prefetched per lock acquisition on the batch
-/// path. The window length advances by at most one per element, so a chunk
-/// of this size serves at least this many elements before the next lock.
-const ENTRY_PREFETCH: usize = 128;
 
 /// Serialization format version of [`Optwin`]'s state snapshot.
 const SNAPSHOT_VERSION: u64 = 1;
@@ -411,10 +380,7 @@ impl DriftDetector for Optwin {
         }
 
         // Optimal cut lookup and split maintenance (lines 7–10).
-        let entry = self
-            .cut
-            .entry(self.window.len())
-            .unwrap_or_else(|_| Self::fallback_entry(self.window.len()));
+        let entry = self.current_entry();
         self.evaluate_window(&entry)
     }
 
@@ -426,15 +392,12 @@ impl DriftDetector for Optwin {
     ///   one [`SplitWindow::push_slice`] (two `copy_from_slice` calls plus a
     ///   vectorizable moments kernel) and a branch-free non-binary count,
     ///   instead of a per-element `push_value` + length check.
-    /// * **Evaluate runs** — cut-table entries are prefetched in contiguous
-    ///   chunks (`ENTRY_PREFETCH` — 128 — per read-lock acquisition instead
-    ///   of one) into a scratch buffer that persists across batches, so
-    ///   steady-state ingestion allocates nothing and the shared-table lock
-    ///   is off the hot loop entirely.
+    /// * **Evaluate runs** — one element at a time, each reading its
+    ///   cut-table entry by index from the shared, immutable table: no lock,
+    ///   no allocation.
     fn add_batch(&mut self, values: &[f64]) -> BatchOutcome {
         let mut outcome = BatchOutcome::with_len(values.len());
         let w_min = self.config.w_min;
-        let w_max = self.config.w_max;
 
         let mut i = 0usize;
         while i < values.len() {
@@ -458,25 +421,7 @@ impl DriftDetector for Optwin {
             }
 
             self.push_value(values[i]);
-            let w = self.window.len();
-            let entry = if w >= self.entry_scratch_start
-                && w - self.entry_scratch_start < self.entry_scratch.len()
-            {
-                self.entry_scratch[w - self.entry_scratch_start]
-            } else {
-                let hi = (w + ENTRY_PREFETCH - 1).min(w_max);
-                match self.cut.entries_range_into(w, hi, &mut self.entry_scratch) {
-                    Ok(()) => {
-                        self.entry_scratch_start = w;
-                        self.entry_scratch[0]
-                    }
-                    Err(_) => {
-                        self.entry_scratch.clear();
-                        self.entry_scratch_start = usize::MAX;
-                        Self::fallback_entry(w)
-                    }
-                }
-            };
+            let entry = self.current_entry();
             outcome.record(i, self.evaluate_window(&entry));
             i += 1;
         }
@@ -505,15 +450,13 @@ impl DriftDetector for Optwin {
         true
     }
 
-    /// Struct size plus the eagerly allocated `w_max`-sized window ring and
-    /// the cut-entry scratch buffer. The `Arc<CutTable>` is excluded:
-    /// [`Optwin::new`] takes it from the registry, which shares one table
-    /// among all detectors with the same `(δ, warning δ, ρ, w_min)`, so it is
-    /// fleet-amortized cost, not per-stream cost.
+    /// Struct size plus the eagerly allocated `w_max`-sized window ring.
+    /// The `Arc<CutTable>` is excluded: [`Optwin::new`] takes it from the
+    /// registry, which shares one table among all detectors with the same
+    /// `(δ, warning δ, ρ, w_min)`, so it is fleet-amortized cost, not
+    /// per-stream cost.
     fn mem_footprint(&self) -> usize {
-        std::mem::size_of_val(self)
-            + self.window.heap_bytes()
-            + self.entry_scratch.capacity() * std::mem::size_of::<CutEntry>()
+        std::mem::size_of_val(self) + self.window.heap_bytes()
     }
 
     /// Serializes the full mutable state: window contents (a compact binary
@@ -877,9 +820,9 @@ mod tests {
     #[test]
     fn shared_cut_table_between_detectors() {
         let config = small_config(0.5);
-        let table = Arc::new(CutTable::new(&config).unwrap());
-        let mut d1 = Optwin::with_cut_table(config.clone(), Arc::clone(&table)).unwrap();
-        let mut d2 = Optwin::with_cut_table(config, table).unwrap();
+        let mut d1 = Optwin::new(config.clone()).unwrap();
+        let mut d2 = Optwin::new(config).unwrap();
+        assert!(Arc::ptr_eq(&d1.cut_table(), &d2.cut_table()));
         // Identical inputs produce identical outputs.
         for i in 0..2_000u64 {
             let base = if i < 1_000 { 0.1 } else { 0.5 };
@@ -887,68 +830,6 @@ mod tests {
             assert_eq!(d1.add_element(x), d2.add_element(x));
         }
         assert_eq!(d1.drifts_detected(), d2.drifts_detected());
-    }
-
-    /// Builds a detector for `config` on a table built for `table_config`.
-    fn on_table_for(config: OptwinConfig, table_config: &OptwinConfig) -> Result<Optwin> {
-        Optwin::with_cut_table(config, Arc::new(CutTable::new(table_config).unwrap()))
-    }
-
-    fn assert_cut_table_rejected(result: Result<Optwin>) {
-        match result {
-            Err(crate::CoreError::InvalidConfig { field, .. }) => assert_eq!(field, "cut_table"),
-            other => panic!("expected a cut_table rejection, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn mismatched_cut_table_rejected() {
-        // A ρ = 0.5 detector must not run on a ρ = 2.0 table: that table's
-        // cuts leave W_new far smaller, so the detector would fire where its
-        // own table does not.
-        let config = small_config(0.5);
-        let table_config = small_config(2.0);
-        assert_cut_table_rejected(on_table_for(config, &table_config));
-    }
-
-    #[test]
-    fn cut_table_for_another_delta_rejected() {
-        let config = small_config(0.5);
-        let mut table_config = small_config(0.5);
-        table_config.delta = 0.999;
-        assert_cut_table_rejected(on_table_for(config, &table_config));
-    }
-
-    #[test]
-    fn cut_table_for_another_warning_delta_rejected() {
-        let config = small_config(0.5);
-        let mut table_config = small_config(0.5);
-        table_config.warning_delta = Some(0.9);
-        assert_cut_table_rejected(on_table_for(config.clone(), &table_config));
-        table_config.warning_delta = None;
-        assert_cut_table_rejected(on_table_for(config, &table_config));
-    }
-
-    #[test]
-    fn cut_table_for_another_w_min_rejected() {
-        let config = small_config(0.5);
-        let mut table_config = small_config(0.5);
-        table_config.w_min = 40;
-        assert_cut_table_rejected(on_table_for(config, &table_config));
-    }
-
-    #[test]
-    fn smaller_cut_table_is_grown_not_rejected() {
-        let config = OptwinConfig::builder()
-            .robustness(0.5)
-            .max_window(2_000)
-            .build()
-            .unwrap();
-        let table = Arc::new(CutTable::new(&small_config(0.5)).unwrap());
-        assert!(table.w_max() < 2_000);
-        let d = Optwin::with_cut_table(config, Arc::clone(&table)).unwrap();
-        assert!(Arc::ptr_eq(&d.cut_table(), &table));
-        assert_eq!(table.w_max(), 2_000);
     }
 
     #[test]
@@ -1028,8 +909,8 @@ mod tests {
 
     #[test]
     fn add_batch_saturated_window_stays_equivalent() {
-        // Window pinned at w_max for most of the run: exercises the
-        // single-entry prefetch chunk and ring-buffer eviction.
+        // Window pinned at w_max for most of the run: exercises the last
+        // table entry and ring-buffer eviction.
         let config = OptwinConfig::builder()
             .robustness(0.5)
             .max_window(200)

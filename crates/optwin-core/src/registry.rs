@@ -1,30 +1,56 @@
-//! Process-wide sharing of pre-computed [`CutTable`]s.
+//! Process-wide sharing of [`CutTable`]s.
 //!
 //! A cut table's entries depend only on `(δ, warning δ, ρ, w_min)` — never
 //! on the data, and never on `w_max` — so every OPTWIN detector built from a
 //! configuration with those four fields equal can share one table. The
-//! evaluation harness always did this by hand for its 30 repetitions; the
 //! multi-stream engine runs *thousands* of concurrent detectors, where
 //! per-detector tables would multiply both memory (a full `w_max = 25 000`
 //! table is ~2 MiB) and the one-off quantile computation.
-//! [`CutTableRegistry`] interns one table per key behind an [`Arc`], grown
-//! on demand to the largest `w_max` requested; each detector still bounds
-//! its lookups by its own `w_max`. [`CutTableRegistry::global`] is the
-//! process-wide instance [`crate::Optwin::new`] uses.
+//! [`CutTableRegistry`] keeps one table per key behind an [`Arc`]. A table is
+//! computed in full when it is first served, and a request for a larger
+//! `w_max` swaps in a longer copy; each detector still bounds its lookups by
+//! its own `w_max`. [`CutTableRegistry::global`] is the process-wide
+//! instance [`crate::Optwin::new`] uses.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use crate::cut::{CutTable, TableKey};
+use crate::cut::CutTable;
 use crate::{OptwinConfig, Result};
+
+/// The configuration fields a cut table's entries depend on, compared
+/// bit-exactly so that `f64` parameters hash and compare reliably. `w_max`
+/// is deliberately absent: Equation 1 never reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct TableKey {
+    delta_bits: u64,
+    warning_delta_bits: Option<u64>,
+    rho_bits: u64,
+    w_min: usize,
+}
+
+impl TableKey {
+    fn of(config: &OptwinConfig) -> Self {
+        Self {
+            delta_bits: config.delta.to_bits(),
+            warning_delta_bits: config.warning_delta.map(f64::to_bits),
+            rho_bits: config.rho.to_bits(),
+            w_min: config.w_min,
+        }
+    }
+}
+
+/// One key's table. The slot has its own lock, so filling or growing one
+/// key's table never holds up a lookup of another key.
+type Slot = Arc<Mutex<Arc<CutTable>>>;
 
 /// An interning cache of [`CutTable`]s keyed by the configuration fields
 /// that determine their contents: δ, warning δ, ρ and `w_min`.
 #[derive(Debug, Default)]
 pub struct CutTableRegistry {
-    tables: Mutex<HashMap<TableKey, Arc<CutTable>>>,
+    tables: Mutex<HashMap<TableKey, Slot>>,
 }
 
 impl CutTableRegistry {
@@ -41,24 +67,37 @@ impl CutTableRegistry {
         GLOBAL.get_or_init(CutTableRegistry::new)
     }
 
-    /// Returns the shared table for `config`, building and interning it on
-    /// first use and growing it to cover `config.w_max`.
+    /// Returns the shared table for `config`, complete up to at least
+    /// `config.w_max`.
+    ///
+    /// The first request for a key computes its table; a request for a
+    /// larger `w_max` than the key's table covers builds a longer copy (the
+    /// held entries are copied, only the new lengths are computed) and swaps
+    /// it in. Both happen under that key's lock only, on the calling thread
+    /// and the scoped threads it spawns. Detectors holding the shorter table
+    /// keep using it: it still covers their `w_max`.
     ///
     /// # Errors
     ///
     /// Returns [`crate::CoreError::InvalidConfig`] if the configuration is
-    /// invalid.
+    /// invalid, or a wrapped statistics error if an entry cannot be computed
+    /// (practically unreachable for valid configurations).
     pub fn get_or_build(&self, config: &OptwinConfig) -> Result<Arc<CutTable>> {
         config.validate()?;
-        let table = match self.tables.lock().entry(TableKey::of(config)) {
-            Entry::Occupied(slot) => Arc::clone(slot.get()),
-            Entry::Vacant(slot) => Arc::clone(slot.insert(Arc::new(CutTable::new(config)?))),
-        };
-        table.serve(config)?;
-        Ok(table)
+        let slot = Arc::clone(
+            self.tables
+                .lock()
+                .entry(TableKey::of(config))
+                .or_insert_with(|| Arc::new(Mutex::new(Arc::new(CutTable::empty(config))))),
+        );
+        let mut table = slot.lock();
+        if table.w_max() < config.w_max {
+            *table = Arc::new(table.grown_to(config.w_max)?);
+        }
+        Ok(Arc::clone(&table))
     }
 
-    /// Number of distinct tables currently interned.
+    /// Number of distinct keys interned.
     #[must_use]
     pub fn len(&self) -> usize {
         self.tables.lock().len()
@@ -107,19 +146,32 @@ mod tests {
         assert!(!Arc::ptr_eq(&base, &other_rho));
         assert_eq!(registry.len(), 2);
 
-        // w_max is not part of the key: a larger window cap grows the one
-        // table instead of building another.
+        // w_max is not part of the key: a larger window cap grows the key's
+        // one table instead of adding another, and a smaller one is served
+        // from the grown table.
         let other_window = registry.get_or_build(&config(0.5, 500)).unwrap();
-        assert!(Arc::ptr_eq(&base, &other_window));
-        assert_eq!(base.w_max(), 500);
+        assert_eq!(other_window.w_max(), 500);
+        assert_eq!(
+            &other_window.entries()[..base.entries().len()],
+            base.entries()
+        );
         assert_eq!(registry.len(), 2);
+        let smaller = registry.get_or_build(&config(0.5, 400)).unwrap();
+        assert!(Arc::ptr_eq(&smaller, &other_window));
 
-        // Warning confidence participates in the key (it changes entries).
+        // δ, warning δ and w_min participate in the key (they change
+        // entries), so no detector runs on a table built for other values.
+        let mut other_delta = config(0.5, 400);
+        other_delta.delta = 0.999;
         let mut no_warn = config(0.5, 400);
         no_warn.warning_delta = None;
-        let warnless = registry.get_or_build(&no_warn).unwrap();
-        assert!(!Arc::ptr_eq(&base, &warnless));
-        assert_eq!(registry.len(), 3);
+        let mut other_w_min = config(0.5, 400);
+        other_w_min.w_min = 40;
+        for (i, other) in [other_delta, no_warn, other_w_min].iter().enumerate() {
+            let table = registry.get_or_build(other).unwrap();
+            assert!(!Arc::ptr_eq(&base, &table));
+            assert_eq!(registry.len(), 3 + i);
+        }
     }
 
     #[test]

@@ -213,6 +213,12 @@ impl EngineBuilder {
     /// escape hatch for custom detector types; prefer
     /// [`EngineBuilder::default_spec`] when the detector can be described
     /// declaratively. Replaces any previously installed default.
+    ///
+    /// The engine cannot see inside a closure, so [`EngineBuilder::build`]
+    /// fills no cut table for it: the first OPTWIN the factory builds is
+    /// built on a shard worker and computes its table there, holding up
+    /// every stream on that shard. Build one such detector before `build()`
+    /// to fill the table up front.
     pub fn factory<F>(self, factory: F) -> Self
     where
         F: Fn(u64) -> Box<dyn DriftDetector + Send> + Send + Sync + 'static,
@@ -325,6 +331,12 @@ impl EngineBuilder {
     /// (restoring and pre-registering streams into their owning shards) and
     /// returns the engine's front door.
     ///
+    /// Every OPTWIN cut table a spec here can reach is complete before the
+    /// workers start: pre-registered and restored streams build their
+    /// detectors now, and the default spec and streams restored asleep have
+    /// their tables filled through [`DetectorSpec::warm_cut_tables`]. Only a
+    /// closure [`EngineBuilder::factory`] can still fill a table on a worker.
+    ///
     /// # Errors
     ///
     /// * [`EngineError::ZeroShards`] / [`EngineError::ZeroQueueCapacity`]
@@ -353,8 +365,11 @@ impl EngineBuilder {
                 )));
             }
         }
+        // Streams the default spec auto-registers build their detectors on
+        // the shard workers, so its cut tables are filled here instead.
         if let Some(DetectorSource::Spec(spec)) = &self.source {
             spec.validate()
+                .and_then(|()| spec.warm_cut_tables())
                 .map_err(|e| EngineError::InvalidSpec(e.to_string()))?;
         }
 
@@ -399,6 +414,13 @@ impl EngineBuilder {
                             spec.detector_name(),
                             &stream_snapshot.state,
                         ) {
+                            // The sleeper wakes on a shard worker: fill the
+                            // cut tables its detector will take now.
+                            spec.warm_cut_tables().map_err(|e| {
+                                EngineError::InvalidSnapshot(format!(
+                                    "stream {stream}: embedded spec `{spec}`: {e}"
+                                ))
+                            })?;
                             let mut state = StreamState::asleep(sleeper, spec.clone());
                             state.restore_position(
                                 stream_snapshot.seq,

@@ -364,17 +364,19 @@ struct QueueState {
     /// Set when any worker exits (shutdown or panic): the engine no longer
     /// makes progress, so producers must stop waiting.
     closed: AtomicBool,
-    /// Ingestion-time errors recorded by workers (e.g. an unknown stream
-    /// with no factory), surfaced by [`EngineHandle::flush`].
-    errors: Mutex<Vec<EngineError>>,
+    /// The first ingestion-time error recorded by a worker since the last
+    /// [`EngineHandle::take_error`] (e.g. an unknown stream with no
+    /// factory), surfaced by [`EngineHandle::flush`]. Later errors are
+    /// dropped, so a flood of bad records cannot grow memory.
+    error: Mutex<Option<EngineError>>,
 }
 
 impl QueueState {
     fn record_error(&self, error: EngineError) {
-        self.errors
+        self.error
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(error);
+            .get_or_insert(error);
     }
 }
 
@@ -1015,7 +1017,7 @@ pub(crate) fn spawn_engine(
         depth: Mutex::new(vec![0; shards]),
         space: Condvar::new(),
         closed: AtomicBool::new(false),
-        errors: Mutex::new(Vec::new()),
+        error: Mutex::new(None),
     });
     let router = Router::new(
         shards,
@@ -1292,8 +1294,8 @@ impl EngineHandle {
     ///
     /// Returns the first ingestion error recorded since the last flush
     /// (e.g. [`EngineError::UnknownStream`] for records dropped by a
-    /// factory-less engine — any further pending errors are discarded
-    /// together with it), [`EngineError::ChannelClosed`] when the engine has
+    /// factory-less engine — only the first is kept, later ones are
+    /// discarded), [`EngineError::ChannelClosed`] when the engine has
     /// shut down, or [`EngineError::Poisoned`] after a worker panic.
     pub fn flush(&self) -> Result<(), EngineError> {
         self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
@@ -1416,24 +1418,18 @@ impl EngineHandle {
         self.barrier(router, ops)
     }
 
-    /// Removes and returns the oldest pending ingestion error, discarding
-    /// the rest. [`EngineHandle::flush`] calls this internally; it is public
-    /// for callers that poll instead of flushing.
+    /// Removes and returns the oldest pending ingestion error; any later
+    /// ones were discarded when they were recorded.
+    /// [`EngineHandle::flush`] calls this internally; it is public for
+    /// callers that poll instead of flushing.
     #[must_use]
     pub fn take_error(&self) -> Option<EngineError> {
-        let mut errors = self
-            .shared
+        self.shared
             .queue
-            .errors
+            .error
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if errors.is_empty() {
-            None
-        } else {
-            let first = errors.remove(0);
-            errors.clear();
-            Some(first)
-        }
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
     }
 
     /// Per-shard reports (streams plus shard load), as a barrier (reflects

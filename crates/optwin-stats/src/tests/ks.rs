@@ -63,9 +63,12 @@ pub fn ks_two_sample_sorted(a: &[f64], b: &[f64]) -> Result<KsTestResult> {
     let (mut i, mut j) = (0usize, 0usize);
     let mut d: f64 = 0.0;
     while i < n1 && j < n2 {
-        let x1 = a[i];
-        let x2 = b[j];
-        let x = x1.min(x2);
+        // `min` is NaN only when both heads are NaN. Neither loop below
+        // could then advance, so the scan ends here.
+        let x = a[i].min(b[j]);
+        if x.is_nan() {
+            break;
+        }
         while i < n1 && a[i] <= x {
             i += 1;
         }
@@ -184,6 +187,17 @@ mod tests {
         let permuted = ks_two_sample_sorted(&sa_perm, &sb).unwrap();
         assert_eq!(permuted.statistic.to_bits(), direct.statistic.to_bits());
         assert_eq!(permuted.p_value.to_bits(), direct.p_value.to_bits());
+    }
+
+    #[test]
+    fn sorted_variant_ends_the_scan_at_two_nan_heads() {
+        // NaN-last samples: once both heads are NaN the scan stops, with the
+        // distance found over the values before them.
+        let a = [0.1, 0.2, f64::NAN, f64::NAN];
+        let b = [0.15, f64::NAN];
+        let r = ks_two_sample_sorted(&a, &b).unwrap();
+        assert_eq!(r.statistic, 0.25);
+        assert!((0.0..=1.0).contains(&r.p_value));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! is observationally identical to an `add_element` fold. The deterministic
 //! contract tests exercise that on well-behaved streams; this property pushes
 //! the same contract through adversarial float values — signed zeros,
-//! subnormals, huge magnitudes that overflow squared sums to infinity, and
-//! long constant runs that drive every variance to exactly zero — for all
-//! eight `DetectorSpec` kinds.
+//! subnormals, huge magnitudes that overflow squared sums to infinity, NaN
+//! and ±inf, and long constant runs that drive every variance to exactly
+//! zero — for all eight `DetectorSpec` kinds. Every call must also return:
+//! a detector that loops on one of these values hangs the suite.
 //!
 //! Equivalence is checked bit-exactly: beyond the drift/warning indices and
 //! lifetime counters, the full state snapshots of the batched and the scalar
@@ -37,8 +38,8 @@ fn jitter(i: u64) -> f64 {
 
 /// Expands one segment seed into a run of adversarial values.
 fn segment_values(seed: u64, out: &mut Vec<f64>) {
-    let class = seed % 11;
-    let len = 1 + ((seed / 11) % 120) as usize;
+    let class = seed % 14;
+    let len = 1 + ((seed / 14) % 120) as usize;
     for j in 0..len as u64 {
         let v = match class {
             0 => 0.0,
@@ -51,6 +52,9 @@ fn segment_values(seed: u64, out: &mut Vec<f64>) {
             7 => -1e300,
             8 => 0.25, // long constant run, zero variance
             9 => 0.2 + 0.1 * jitter(seed.wrapping_add(j)),
+            10 => f64::NAN,
+            11 => f64::INFINITY,
+            12 => f64::NEG_INFINITY,
             _ => (seed.wrapping_add(j).wrapping_mul(37) % 11) as f64 / 10.0,
         };
         out.push(v);
@@ -158,7 +162,7 @@ proptest! {
     /// For every detector kind and chunking, the cycled detector must make
     /// the exact decisions of a never-hibernated scalar fold and finish in
     /// the bit-identical state — even under adversarial values (signed
-    /// zeros, subnormals, ±1e300, constant runs).
+    /// zeros, subnormals, ±1e300, NaN, ±inf, constant runs).
     #[test]
     fn forced_hibernation_cycles_preserve_bit_exactness(stream in arb_stream()) {
         for spec in DetectorSpec::all_defaults() {

@@ -6,15 +6,15 @@
 //! `split` as `u64`, `nu`, `exact` as `u64`, `t_crit`, `f_crit`, `df`,
 //! `t_warn` and `f_warn`. Floats enter as `to_bits()`, an absent warning
 //! value as `1`. The pinned hashes were taken from a sequential,
-//! one-table-per-`w_max` build, so they hold the shared, parallel and lazy
-//! fills to the exact bits of the original entries.
+//! one-table-per-`w_max` build, so they hold the shared and parallel fills
+//! to the exact bits of the original entries.
 //!
-//! The three fill paths:
-//! * a private table (`CutTable::new`) filled by `precompute_all`;
+//! The two fill routes:
+//! * a private table, computed in full by `CutTable::new`;
 //! * a fresh `CutTableRegistry` grown in increasing `w_max` order, where
-//!   configurations that differ only in `w_max` share one table;
-//! * a cold table filled lazily by `entries_range`, in chunks from the top
-//!   length down, so no chunk can warm-start from an entry below it.
+//!   configurations that differ only in `w_max` share one key, and a longer
+//!   copy of that key's table, computing only the added lengths, replaces
+//!   the shorter one.
 //!
 //! The paper-default pins (`w_max` 25 000 and 10 000) take a few seconds in
 //! a debug build and run in release with
@@ -22,8 +22,6 @@
 //! ```text
 //! cargo test --release --test cut_table_pins -- --ignored
 //! ```
-
-use std::sync::Arc;
 
 use optwin::core::CutEntry;
 use optwin::{CutTable, CutTableRegistry, OptwinConfig};
@@ -74,9 +72,9 @@ impl Pin {
 
     /// Hashes `table`'s entries over this pin's range and checks the pin.
     fn check(&self, table: &CutTable, path: &str) {
-        let entries = table.entries_range(table.w_min(), self.w_max).unwrap();
+        let entries = &table.entries()[..=self.w_max - table.w_min()];
         assert_eq!(
-            table_hash(&entries),
+            table_hash(entries),
             self.hash,
             "{path}: δ={} warning δ={:?} ρ={} w_max={}",
             self.delta,
@@ -113,51 +111,28 @@ fn table_hash(entries: &[CutEntry]) -> u64 {
 fn check_private_precompute(pins: &[Pin]) {
     for pin in pins {
         let table = CutTable::new(&pin.config()).unwrap();
-        table.precompute_all().unwrap();
-        pin.check(&table, "private precompute_all");
+        assert_eq!(table.w_max(), pin.w_max);
+        pin.check(&table, "private CutTable::new");
     }
 }
 
-/// Grows one fresh registry in increasing `w_max` order, precomputing after
-/// each step, and returns the tables in `pins` order.
-fn check_registry_growth(pins: &[Pin]) -> Vec<Arc<CutTable>> {
+/// Grows one fresh registry in increasing `w_max` order, checking each
+/// table as it is served, then checks every pin again on its key's final,
+/// fully grown table. Returns the registry.
+fn check_registry_growth(pins: &[Pin]) -> CutTableRegistry {
     let registry = CutTableRegistry::new();
-    let mut order: Vec<usize> = (0..pins.len()).collect();
-    order.sort_by_key(|&i| pins[i].w_max);
-    let mut tables = vec![None; pins.len()];
-    for i in order {
-        let table = registry.get_or_build(&pins[i].config()).unwrap();
-        table.precompute_all().unwrap();
-        pins[i].check(&table, "registry, just grown");
-        tables[i] = Some(table);
+    let mut order: Vec<&Pin> = pins.iter().collect();
+    order.sort_by_key(|pin| pin.w_max);
+    for pin in order {
+        let table = registry.get_or_build(&pin.config()).unwrap();
+        assert!(table.w_max() >= pin.w_max);
+        pin.check(&table, "registry, just grown");
     }
-    // Growing a shared table for a later w_max leaves earlier ranges intact.
-    let tables: Vec<Arc<CutTable>> = tables.into_iter().map(Option::unwrap).collect();
-    for (pin, table) in pins.iter().zip(&tables) {
-        pin.check(table, "registry, fully grown");
-    }
-    tables
-}
-
-fn check_cold_top_down_fill(pins: &[Pin]) {
-    const CHUNK: usize = 97;
     for pin in pins {
-        let config = pin.config();
-        let table = CutTable::new(&config).unwrap();
-        let mut chunks = Vec::new();
-        let mut hi = config.w_max;
-        loop {
-            let lo = hi.saturating_sub(CHUNK - 1).max(config.w_min);
-            chunks.push(table.entries_range(lo, hi).unwrap());
-            if lo == config.w_min {
-                break;
-            }
-            hi = lo - 1;
-        }
-        let entries: Vec<CutEntry> = chunks.into_iter().rev().flatten().collect();
-        assert_eq!(table_hash(&entries), pin.hash, "cold top-down fill");
-        pin.check(&table, "cold top-down fill, cached");
+        let table = registry.get_or_build(&pin.config()).unwrap();
+        pin.check(&table, "registry, fully grown");
     }
+    registry
 }
 
 #[test]
@@ -167,26 +142,17 @@ fn private_precompute_reproduces_pinned_tables() {
 
 #[test]
 fn registry_grown_across_w_max_reproduces_pinned_tables() {
-    let tables = check_registry_growth(&PINS);
-    // The two ρ = 0.5 configurations differ only in w_max: one table.
-    assert!(Arc::ptr_eq(&tables[0], &tables[1]));
-    assert_eq!(tables[0].w_max(), 2_000);
-    for (i, table) in tables.iter().enumerate().skip(2) {
-        for other in &tables[..i] {
-            assert!(!Arc::ptr_eq(table, other));
-        }
-    }
-}
-
-#[test]
-fn cold_top_down_range_fill_reproduces_pinned_tables() {
-    check_cold_top_down_fill(&PINS);
+    let registry = check_registry_growth(&PINS);
+    // The two ρ = 0.5 configurations differ only in w_max: one key.
+    assert_eq!(registry.len(), PINS.len() - 1);
+    let shared = registry.get_or_build(&PINS[1].config()).unwrap();
+    assert_eq!(shared.w_max(), 2_000);
 }
 
 #[test]
 #[ignore = "paper-default tables; run in release"]
 fn paper_default_tables_reproduce_pins() {
     check_private_precompute(&PAPER_PINS);
-    let tables = check_registry_growth(&PAPER_PINS);
-    assert!(Arc::ptr_eq(&tables[0], &tables[1]));
+    let registry = check_registry_growth(&PAPER_PINS);
+    assert_eq!(registry.len(), 1);
 }

@@ -680,10 +680,16 @@ fn warnings_are_opt_in() {
 fn unknown_stream_without_factory_is_an_error() {
     let (handle, _sink) = periodic_engine(&[], false);
     assert!(!handle.has_factory());
-    handle.submit(&[(42, 0.5)]).expect("submit itself succeeds");
+    // A second unknown id on the same shard, dropped after 42: the engine
+    // keeps only the first error, and the next flush starts clean.
+    let same_shard = 42 + test_shards() as u64;
+    handle
+        .submit(&[(42, 0.5), (same_shard, 0.5), (same_shard, 0.5)])
+        .expect("submit itself succeeds");
     let err = handle.flush().expect_err("unknown stream must surface");
     assert_eq!(err, EngineError::UnknownStream(42));
     assert!(err.to_string().contains("42"));
+    handle.flush().expect("later errors were discarded");
     assert_eq!(handle.stats().expect("engine running").elements, 0);
     assert_eq!(handle.stream_stats(42).expect("engine running"), None);
 
