@@ -21,7 +21,7 @@
 //! giving O(log |W|) amortized work per element.
 
 use optwin_core::snapshot::{check_version, field, float_field, invalid};
-use optwin_core::{BatchOutcome, CoreError, DriftDetector, DriftStatus};
+use optwin_core::{CoreError, DriftDetector, DriftStatus};
 
 /// Maximum number of buckets per row before two are merged into the next row
 /// (the `M` parameter of the paper; MOA uses 5).
@@ -322,40 +322,6 @@ impl DriftDetector for Adwin {
         }
         self.last_status = status;
         status
-    }
-
-    /// Native batch path exploiting ADWIN's `clock` parameter: between change
-    /// checks every element is a plain histogram insertion with a guaranteed
-    /// [`DriftStatus::Stable`] verdict, so whole runs of up to `clock`
-    /// elements are inserted in a tight loop and only the clock-boundary
-    /// element pays for the cut scan. Decisions are identical to the
-    /// element-wise fold by construction.
-    fn add_batch(&mut self, values: &[f64]) -> BatchOutcome {
-        let mut outcome = BatchOutcome::with_len(values.len());
-        let clock = self.config.clock;
-        let mut i = 0usize;
-        while i < values.len() {
-            // Elements until the next check are Stable by definition.
-            let until_check = (clock - self.elements_since_check) as usize;
-            let quiet = until_check.saturating_sub(1).min(values.len() - i);
-            for &value in &values[i..i + quiet] {
-                self.elements_seen += 1;
-                self.insert(value);
-            }
-            self.elements_since_check += quiet as u32;
-            if quiet > 0 {
-                self.last_status = DriftStatus::Stable;
-                outcome.record(i + quiet - 1, DriftStatus::Stable);
-            }
-            i += quiet;
-            // The next element (if any) lands on the clock boundary and runs
-            // the full scan through the scalar path.
-            if i < values.len() {
-                outcome.record(i, self.add_element(values[i]));
-                i += 1;
-            }
-        }
-        outcome
     }
 
     fn reset(&mut self) {

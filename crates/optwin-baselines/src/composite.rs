@@ -310,7 +310,7 @@ impl DriftDetector for Cascade {
     }
 
     /// Native batch path. The guard ingests the whole slice through its own
-    /// batch kernel first — exact because the cascade never mutates the
+    /// `add_batch` first — exact because the cascade never mutates the
     /// guard — and when it stayed entirely stable over a dormant cascade
     /// (the common case), the only remaining work is extending the replay
     /// ring. Otherwise the escalation protocol walks the elements using the
@@ -591,7 +591,7 @@ impl DriftDetector for Ensemble {
     }
 
     /// Native batch path: every member ingests the slice through its own
-    /// batch kernel, then the per-element vote evolution is replayed from
+    /// `add_batch`, then the per-element vote evolution is replayed from
     /// the members' outcome indices. Exact because members are independent
     /// and each member's batch path is contractually exact.
     fn add_batch(&mut self, values: &[f64]) -> BatchOutcome {

@@ -105,12 +105,21 @@ impl PageHinkley {
 impl DriftDetector for PageHinkley {
     fn add_element(&mut self, value: f64) -> DriftStatus {
         self.elements_seen += 1;
-        self.n += 1;
+        let n = self.n + 1;
         // Running (optionally fading) mean.
-        self.mean += (value - self.mean) / self.n as f64;
-        self.cumulative =
-            self.config.alpha * self.cumulative + (value - self.mean - self.config.delta);
-        self.min_cumulative = self.min_cumulative.min(self.cumulative);
+        let mean = self.mean + (value - self.mean) / n as f64;
+        let cumulative = self.config.alpha * self.cumulative + (value - mean - self.config.delta);
+        // A NaN or ±inf value would make the statistics non-finite for good,
+        // and `stat > λ` would never hold again. Such a value is counted but
+        // leaves the statistics alone.
+        if !(mean.is_finite() && cumulative.is_finite()) {
+            self.last_status = DriftStatus::Stable;
+            return self.last_status;
+        }
+        self.n = n;
+        self.mean = mean;
+        self.cumulative = cumulative;
+        self.min_cumulative = self.min_cumulative.min(cumulative);
 
         if self.n < self.config.min_instances {
             self.last_status = DriftStatus::Stable;
@@ -150,8 +159,8 @@ impl DriftDetector for PageHinkley {
 
     /// Serializes the raw running mean, cumulative statistic and its minimum
     /// verbatim (the minimum starts at `f64::MAX`, which is finite and
-    /// round-trips exactly; a NaN input leaves NaN statistics, which
-    /// [`float_value`] keeps readable).
+    /// round-trips exactly; [`float_value`] also keeps non-finite values
+    /// readable).
     fn snapshot_state(&self) -> Option<serde::Value> {
         use serde::Serialize as _;
         Some(serde::Value::Object(vec![
@@ -175,9 +184,9 @@ impl DriftDetector for PageHinkley {
         ]))
     }
 
-    /// Accepts non-finite statistics: a NaN or infinite input makes them
-    /// reachable live state, and restore must accept every state
-    /// [`PageHinkley::snapshot_state`] can emit.
+    /// Accepts non-finite statistics: before non-finite updates were
+    /// skipped, a NaN or infinite input made them live state, so snapshots
+    /// written then can hold them.
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), CoreError> {
         check_version(state, SNAPSHOT_VERSION, "PageHinkley")?;
         let n: u64 = field(state, "n")?;
@@ -329,16 +338,52 @@ mod tests {
         assert!(err.to_string().contains("mean"), "{err}");
         assert_eq!(d.elements_seen(), before);
 
-        // One NaN input makes the statistics NaN. That is the detector's
-        // own state, so it restores and round-trips bit-exactly (the NaNs
+        // A snapshot written before non-finite updates were skipped can hold
+        // NaN statistics. It restores and round-trips bit-exactly (the NaNs
         // are blobs, so the value trees compare bitwise).
-        donor.add_element(f64::NAN);
-        assert!(donor.cumulative.is_nan());
-        let state = donor.snapshot_state().unwrap();
+        let serde::Value::Object(mut fields) = donor.snapshot_state().unwrap() else {
+            panic!("snapshot must be an object")
+        };
+        for (key, value) in &mut fields {
+            if key == "mean" || key == "cumulative" {
+                *value = float_value(f64::NAN);
+            }
+        }
+        let state = serde::Value::Object(fields);
         let mut restored = PageHinkley::with_defaults();
         restored.restore_state(&state).unwrap();
+        assert!(restored.cumulative.is_nan());
         assert_eq!(restored.snapshot_state(), Some(state));
-        let rest: Vec<f64> = (200..400u64).map(|i| bernoulli(i, 0.6)).collect();
-        assert_eq!(donor.add_batch(&rest), restored.add_batch(&rest));
+    }
+
+    /// One NaN or ±inf must not silence the detector, alone or as a
+    /// cascade's guard. The stream has 10% errors, rising to 50% from
+    /// element 3,000, with the poison value at element 1,500; the poisoned
+    /// run must still catch that drift close to where its clean twin does.
+    #[test]
+    fn non_finite_value_does_not_silence_the_detector() {
+        use optwin_core::DetectorExt as _;
+        let clean: Vec<f64> = (0..6_000u64)
+            .map(|i| bernoulli(i, if i < 3_000 { 0.1 } else { 0.5 }))
+            .collect();
+        let first_after_drift = |drifts: Vec<usize>| drifts.into_iter().find(|&i| i >= 3_000);
+        for spec in [
+            "page_hinkley",
+            "cascade:guard=page_hinkley,confirm=[optwin:w_max=2000]",
+        ] {
+            let spec: crate::DetectorSpec = spec.parse().unwrap();
+            let clean_at = first_after_drift(spec.build().unwrap().scan(&clean))
+                .unwrap_or_else(|| panic!("{spec}: the clean stream's drift is missed"));
+            for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut stream = clean.clone();
+                stream[1_500] = poison;
+                let at = first_after_drift(spec.build().unwrap().scan(&stream));
+                let at = at.unwrap_or_else(|| panic!("{spec} went silent after {poison}"));
+                assert!(
+                    at.abs_diff(clean_at) <= 100,
+                    "{spec} after {poison}: drift at {at}, clean twin at {clean_at}"
+                );
+            }
+        }
     }
 }

@@ -106,9 +106,8 @@ impl Stepd {
         self.older_correct = 0;
     }
 
-    /// Window/counter maintenance shared by the scalar path and the batch
-    /// warm-up run: graduation of the oldest recent result plus the push,
-    /// without the proportions test.
+    /// Window/counter maintenance: graduation of the oldest recent result
+    /// plus the push, without the proportions test.
     #[inline]
     fn push_result(&mut self, correct: bool) {
         if self.recent.len() == self.config.window_size {
@@ -171,43 +170,6 @@ impl DriftDetector for Stepd {
         };
         self.last_status = status;
         status
-    }
-
-    /// Native batch path: elements ingested while the older pool is still
-    /// filling (`older_total < window_size`) cannot trigger the proportions
-    /// test, so whole warm-up runs — including the refill after every drift
-    /// restart — skip the test plumbing entirely and reduce to queue/counter
-    /// maintenance. The run length is computed in closed form from the
-    /// current state: the recent window first fills without graduations, then
-    /// each element graduates one result into the older pool.
-    fn add_batch(&mut self, values: &[f64]) -> optwin_core::BatchOutcome {
-        let mut outcome = optwin_core::BatchOutcome::with_len(values.len());
-        let window = self.config.window_size as u64;
-        let mut i = 0usize;
-        while i < values.len() {
-            if self.older_total < window {
-                let fill = (self.config.window_size - self.recent.len()) as u64;
-                // The `- 1` excludes the element whose graduation brings the
-                // older pool to `window_size`: that one runs the test.
-                let warm = (fill + (window - self.older_total)).saturating_sub(1);
-                let take = usize::try_from(warm)
-                    .unwrap_or(usize::MAX)
-                    .min(values.len() - i);
-                if take > 0 {
-                    for &value in &values[i..i + take] {
-                        self.push_result(value <= 0.0);
-                    }
-                    self.elements_seen += take as u64;
-                    self.last_status = DriftStatus::Stable;
-                    outcome.record(i + take - 1, DriftStatus::Stable);
-                    i += take;
-                    continue;
-                }
-            }
-            outcome.record(i, self.add_element(values[i]));
-            i += 1;
-        }
-        outcome
     }
 
     fn reset(&mut self) {

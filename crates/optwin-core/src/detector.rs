@@ -10,9 +10,11 @@
 //! required to be *observationally identical*: `add_batch(xs)` must report
 //! exactly the indices at which a fold of `add_element` over `xs` would have
 //! returned [`DriftStatus::Drift`] (and likewise for warnings), leaving the
-//! detector in the same state. The contract test-suite in
-//! `tests/detector_contract.rs` enforces this for every detector the
-//! workspace ships.
+//! detector in the same state. Every leaf detector uses the trait's default
+//! fold, so for them this holds by construction; only the composites in
+//! `optwin-baselines` override `add_batch`, to hand their boxed children
+//! whole slices. The contract test-suite in `tests/detector_contract.rs`
+//! enforces it for every detector the workspace ships.
 
 use serde::{Deserialize, Serialize};
 
@@ -116,11 +118,10 @@ pub trait DriftDetector {
     /// warning position within it.
     ///
     /// The default implementation folds [`DriftDetector::add_element`] over
-    /// the slice. Implementations may override it with a faster native path
-    /// (OPTWIN appends warm-up runs in bulk and indexes its complete cut
-    /// table per element; see `Optwin::add_batch`), but the override must
-    /// be observationally identical to the fold — same indices, same final
-    /// state, same counters.
+    /// the slice, and every leaf detector uses it. The composites (cascade
+    /// and ensemble) override it so a slice costs one virtual call per boxed
+    /// child instead of one per element. An override must be observationally
+    /// identical to the fold — same indices, same final state, same counters.
     fn add_batch(&mut self, values: &[f64]) -> BatchOutcome {
         let mut outcome = BatchOutcome::with_len(values.len());
         for (i, &value) in values.iter().enumerate() {
@@ -219,8 +220,7 @@ pub trait DriftDetector {
 pub trait DetectorExt: DriftDetector {
     /// Feeds a whole slice of observations, returning the (0-based) indices
     /// at which a drift was flagged. Delegates to
-    /// [`DriftDetector::add_batch`], so detectors with a native batch path
-    /// are scanned at full speed.
+    /// [`DriftDetector::add_batch`].
     fn scan(&mut self, values: &[f64]) -> Vec<usize> {
         self.add_batch(values).drift_indices
     }

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use crate::config::{DriftDirection, OptwinConfig};
 use crate::cut::{CutEntry, CutTable};
-use crate::detector::{BatchOutcome, DriftDetector, DriftStatus};
+use crate::detector::{DriftDetector, DriftStatus};
 use crate::window::SplitWindow;
 use crate::Result;
 
@@ -296,8 +296,7 @@ impl Optwin {
 
     /// Applies the split and runs the drift/warning tests for the current
     /// window against `entry` (Algorithm 1, lines 7–16), updating every
-    /// counter. Shared verbatim by the scalar and batch ingestion paths so
-    /// the two are identical by construction.
+    /// counter.
     #[inline]
     fn evaluate_window(&mut self, entry: &CutEntry) -> DriftStatus {
         self.window.set_split(entry.split);
@@ -382,50 +381,6 @@ impl DriftDetector for Optwin {
         // Optimal cut lookup and split maintenance (lines 7–10).
         let entry = self.current_entry();
         self.evaluate_window(&entry)
-    }
-
-    /// Native batch ingestion: identical decisions to the element-wise fold,
-    /// restructured into two run types so the per-element work is branch-free:
-    ///
-    /// * **Warm-up runs** — while the window stays below `w_min` even after
-    ///   the push, no evaluation can happen. The whole run is appended with
-    ///   one [`SplitWindow::push_slice`] (two `copy_from_slice` calls plus a
-    ///   vectorizable moments kernel) and a branch-free non-binary count,
-    ///   instead of a per-element `push_value` + length check.
-    /// * **Evaluate runs** — one element at a time, each reading its
-    ///   cut-table entry by index from the shared, immutable table: no lock,
-    ///   no allocation.
-    fn add_batch(&mut self, values: &[f64]) -> BatchOutcome {
-        let mut outcome = BatchOutcome::with_len(values.len());
-        let w_min = self.config.w_min;
-
-        let mut i = 0usize;
-        while i < values.len() {
-            let len = self.window.len();
-            if len + 1 < w_min {
-                // Warm-up run: every element in it leaves the window strictly
-                // below w_min, so the scalar path would record Stable for
-                // each. No eviction is possible (len < w_min − 1 < w_max).
-                let take = (w_min - 1 - len).min(values.len() - i);
-                let run = &values[i..i + take];
-                self.window.push_slice(run);
-                self.non_binary_in_window += run
-                    .iter()
-                    .map(|&v| usize::from(!Self::is_binary(v)))
-                    .sum::<usize>();
-                self.elements_seen += take as u64;
-                self.last_status = DriftStatus::Stable;
-                outcome.record(i + take - 1, DriftStatus::Stable);
-                i += take;
-                continue;
-            }
-
-            self.push_value(values[i]);
-            let entry = self.current_entry();
-            outcome.record(i, self.evaluate_window(&entry));
-            i += 1;
-        }
-        outcome
     }
 
     fn reset(&mut self) {
@@ -859,8 +814,8 @@ mod tests {
         assert!(hits[0] >= 1_000);
     }
 
-    /// The core tentpole guarantee: the native batch path makes byte-for-byte
-    /// the same decisions as the element-wise fold, across drift resets,
+    /// `add_batch` (the trait's default fold) makes byte-for-byte the same
+    /// decisions as calling `add_element` per element, across drift resets,
     /// window saturation and every batch split.
     #[test]
     fn add_batch_is_identical_to_element_fold() {

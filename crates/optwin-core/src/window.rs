@@ -126,32 +126,6 @@ impl SplitWindow {
         self.new.add(x);
     }
 
-    /// Appends every element of `xs` (oldest first) to `W_new`, bit-exactly
-    /// equivalent to calling [`SplitWindow::push`] once per element.
-    ///
-    /// This is the batch warm-up fast path: the ring copy collapses to at
-    /// most two `memcpy` segments and the sub-window accumulator is updated
-    /// with the branch-hoisted [`WindowMoments::add_slice`] kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the elements do not all fit; callers must evict first.
-    pub fn push_slice(&mut self, xs: &[f64]) {
-        let cap = self.buf.len();
-        assert!(
-            self.len + xs.len() <= cap,
-            "pushing {} elements into a window with {} free slots",
-            xs.len(),
-            cap - self.len
-        );
-        let start = self.wrap(self.head + self.len);
-        let first = xs.len().min(cap - start);
-        self.buf[start..start + first].copy_from_slice(&xs[..first]);
-        self.buf[..xs.len() - first].copy_from_slice(&xs[first..]);
-        self.len += xs.len();
-        self.new.add_slice(xs);
-    }
-
     /// Removes and returns the oldest element.
     ///
     /// Returns `None` if the window is empty. The element is removed from
@@ -387,41 +361,6 @@ mod tests {
         w.set_split(1);
         let (hist, _) = xs.split_at(1);
         assert!((w.hist_mean() - hist[0]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn push_slice_is_bit_exact_and_wraps() {
-        // Exercise the wrapped-ring case: advance head first, then bulk-push
-        // a slice that spans the wrap point.
-        let xs: Vec<f64> = (0..10).map(|i| 0.1 + 0.07 * f64::from(i)).collect();
-        let mut scalar = SplitWindow::with_capacity(8);
-        let mut bulk = SplitWindow::with_capacity(8);
-        for w in [&mut scalar, &mut bulk] {
-            w.push(9.0);
-            w.push(8.0);
-            w.push(7.0);
-            w.pop_front();
-            w.pop_front();
-            w.pop_front();
-        }
-        for &x in &xs[..6] {
-            scalar.push(x);
-        }
-        bulk.push_slice(&xs[..6]);
-        assert_eq!(bulk.to_vec(), scalar.to_vec());
-        assert_eq!(bulk.new_moments_raw(), scalar.new_moments_raw());
-        assert_eq!(bulk.len(), scalar.len());
-        // Empty slice is a no-op.
-        bulk.push_slice(&[]);
-        assert_eq!(bulk.to_vec(), scalar.to_vec());
-    }
-
-    #[test]
-    #[should_panic(expected = "free slots")]
-    fn push_slice_past_capacity_panics() {
-        let mut w = SplitWindow::with_capacity(3);
-        w.push(1.0);
-        w.push_slice(&[2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -224,33 +224,6 @@ impl WindowMoments {
             sum_sq,
         }
     }
-
-    // Raw-state accessors for the slice kernels in [`crate::kernels`], which
-    // hoist the per-element branches out of the hot loops while keeping the
-    // sequential update semantics bit-exact.
-
-    pub(crate) fn shift_is_set(&self) -> bool {
-        self.shift_set
-    }
-
-    pub(crate) fn set_shift(&mut self, shift: f64) {
-        self.shift = shift;
-        self.shift_set = true;
-    }
-
-    pub(crate) fn shift_value(&self) -> f64 {
-        self.shift
-    }
-
-    pub(crate) fn sums(&self) -> (f64, f64) {
-        (self.sum, self.sum_sq)
-    }
-
-    pub(crate) fn set_bulk(&mut self, count: u64, sum: f64, sum_sq: f64) {
-        self.count = count;
-        self.sum = sum;
-        self.sum_sq = sum_sq;
-    }
 }
 
 /// Exponentially weighted moving average, as used by the ECDD detector

@@ -25,8 +25,6 @@
 //!   signed-rank, two-sample KS).
 //! * [`incremental`] — numerically careful streaming moments (Welford and
 //!   add/remove window accumulators) and EWMA estimators.
-//! * [`kernels`] — the branch-hoisted slice kernel behind OPTWIN's batch
-//!   path, bit-exact to the element-wise fold.
 //! * [`descriptive`] — batch descriptive statistics over slices.
 //!
 //! # Example
@@ -53,7 +51,6 @@ pub mod descriptive;
 pub mod dist;
 pub mod error;
 pub mod incremental;
-pub mod kernels;
 pub mod special;
 pub mod tests;
 

@@ -289,10 +289,9 @@ fn sleeping_fleet_snapshots_and_restores_without_waking() {
     first_half.clear();
 }
 
-/// One NaN input leaves a Page–Hinkley stream with NaN statistics — its own
-/// reachable state, not corruption. Forced to sleep at every barrier, the
-/// stream must keep waking, and end bit-identical to a stream that never
-/// sleeps.
+/// A Page–Hinkley stream fed one NaN (counted, statistics left alone),
+/// forced to sleep at every barrier, must keep waking, and end
+/// bit-identical to a stream that never sleeps.
 #[test]
 fn nan_fed_page_hinkley_stream_keeps_waking() {
     let value = |i: u64| {

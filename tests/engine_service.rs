@@ -202,6 +202,23 @@ fn loss(stream: u64, i: usize) -> f64 {
     (base + 0.06 * jitter(stream << 32 | i as u64)).clamp(0.0, 1.0)
 }
 
+/// Submits elements `from..to` of [`loss`] for streams `0..streams` in
+/// 250-element steps, then flushes.
+fn feed_losses(handle: &EngineHandle, streams: u64, from: usize, to: usize) {
+    let mut records = Vec::new();
+    for start in (from..to).step_by(250) {
+        let end = (start + 250).min(to);
+        records.clear();
+        for stream in 0..streams {
+            for i in start..end {
+                records.push((stream, loss(stream, i)));
+            }
+        }
+        handle.submit(&records).expect("engine running");
+    }
+    handle.flush().expect("no ingestion errors");
+}
+
 /// The second acceptance test: snapshot mid-stream, restore into a fresh
 /// builder (through JSON, as a real restart would), feed the remaining
 /// elements — the events must be identical to an uninterrupted engine's,
@@ -211,20 +228,7 @@ fn snapshot_restore_produces_identical_remaining_events() {
     const STREAMS: u64 = 48;
     const TOTAL: usize = 8_000;
     const CUT: usize = 4_500; // past some per-stream drift points, before others
-    let feed = |handle: &EngineHandle, from: usize, to: usize| {
-        let mut records = Vec::new();
-        for start in (from..to).step_by(250) {
-            let end = (start + 250).min(to);
-            records.clear();
-            for stream in 0..STREAMS {
-                for i in start..end {
-                    records.push((stream, loss(stream, i)));
-                }
-            }
-            handle.submit(&records).expect("engine running");
-        }
-        handle.flush().expect("no ingestion errors");
-    };
+    let feed = |handle: &EngineHandle, from, to| feed_losses(handle, STREAMS, from, to);
 
     // Uninterrupted reference.
     let (reference, reference_sink) = optwin_engine(test_shards(), 800, None);
@@ -884,6 +888,92 @@ fn spec_less_snapshots_still_restore_behind_a_factory() {
     assert_eq!(stats.streams, 2);
     assert_eq!(stats.elements, 3);
     restored.shutdown().expect("clean shutdown");
+}
+
+/// Spec-less entries (a v1 snapshot) also restore declaratively, through
+/// the builder's default spec, and resume with the events of an
+/// uninterrupted run; a default spec that builds another detector kind is
+/// refused, naming the stream.
+#[test]
+fn spec_less_snapshots_restore_through_the_default_spec() {
+    const STREAMS: u64 = 12;
+    const TOTAL: usize = 6_000;
+    const CUT: usize = 4_500; // past some per-stream drift points, before others
+    let spec: DetectorSpec = "optwin:w_max=800".parse().expect("valid spec");
+    let build = |spec: &DetectorSpec, restore: Option<EngineSnapshot>| {
+        let sink = Arc::new(MemorySink::new());
+        let mut builder = EngineBuilder::new()
+            .shards(test_shards())
+            .default_spec(spec.clone())
+            .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
+        if let Some(snapshot) = restore {
+            builder = builder.restore(snapshot);
+        }
+        builder.build().map(|handle| (handle, sink))
+    };
+    let feed = |handle: &EngineHandle, from, to| feed_losses(handle, STREAMS, from, to);
+
+    let (reference, reference_sink) = build(&spec, None).expect("valid engine");
+    feed(&reference, 0, TOTAL);
+    let reference_events = canonical(reference_sink.drain());
+    reference.shutdown().expect("clean shutdown");
+
+    let (original, original_sink) = build(&spec, None).expect("valid engine");
+    feed(&original, 0, CUT);
+    let early_events = canonical(original_sink.drain());
+    let snapshot = original.snapshot().expect("OPTWIN supports snapshots");
+    original.shutdown().expect("clean shutdown");
+    assert!(snapshot.is_self_describing());
+
+    // Strip every entry's spec and downgrade the wire format to v1, as
+    // `spec_less_snapshots_still_restore_behind_a_factory` does.
+    let mut downgraded = snapshot;
+    downgraded.version = 1;
+    for stream in &mut downgraded.streams {
+        stream.spec = None;
+        stream.shard = None;
+    }
+    let v1 = EngineSnapshot::from_json(&downgraded.to_json()).expect("v1 parses");
+    assert_eq!(v1.version, 1);
+    assert!(v1.streams.iter().all(|s| s.spec.is_none()));
+
+    let (restored, restored_sink) =
+        build(&spec, Some(v1.clone())).expect("the default spec rebuilds spec-less entries");
+    assert_eq!(
+        restored.stream_spec(0).expect("engine running"),
+        Some(spec.clone())
+    );
+    feed(&restored, CUT, TOTAL);
+    let late_events = canonical(restored_sink.drain());
+    restored.shutdown().expect("clean shutdown");
+
+    let mut stitched = early_events;
+    stitched.extend(late_events);
+    assert_eq!(
+        canonical(stitched),
+        reference_events,
+        "a default-spec restore must resume with identical decisions"
+    );
+    assert!(
+        reference_events.iter().any(|e| (e.seq as usize) < CUT)
+            && reference_events.iter().any(|e| (e.seq as usize) >= CUT),
+        "test workload should drift on both sides of the cut"
+    );
+
+    // A default spec that builds another detector kind is refused.
+    let adwin: DetectorSpec = "adwin".parse().expect("valid spec");
+    let first = v1.streams[0].stream;
+    match build(&adwin, Some(v1)) {
+        Err(EngineError::InvalidSnapshot(message)) => {
+            assert!(
+                message.starts_with(&format!("stream {first}:")),
+                "{message}"
+            );
+            assert!(message.contains("ADWIN"), "{message}");
+        }
+        Err(other) => panic!("expected InvalidSnapshot, got {other}"),
+        Ok(_) => panic!("an ADWIN default spec must not restore OPTWIN state"),
+    }
 }
 
 /// A default spec auto-registers unknown streams (recording the spec), and
