@@ -1,11 +1,14 @@
 //! Cost of building OPTWIN's pre-computed cut tables (§3.4: the ν, t_ppf and
 //! f_ppf values are computed once per window length, not per element), an
-//! ablation over the robustness parameter ρ, and the paper fleet's set-up:
-//! a fresh registry serving `w_max` 10 000 and 25 000.
+//! ablation over the robustness parameter ρ, the paper fleet's set-up (a
+//! fresh registry serving `w_max` 10 000 and 25 000), and an engine's cold
+//! start on the paper-default OPTWIN spec.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use optwin_baselines::DetectorSpec;
 use optwin_core::{CutTable, CutTableRegistry, OptwinConfig};
+use optwin_engine::EngineBuilder;
 
 fn bench_cut_tables(c: &mut Criterion) {
     let mut group = c.benchmark_group("cut_table_precompute");
@@ -67,6 +70,31 @@ fn bench_cut_tables(c: &mut Criterion) {
         b.iter(|| {
             w = if w >= 4_000 { 30 } else { w + 1 };
             table.entry(w).unwrap()
+        });
+    });
+    group.finish();
+
+    // What a plain engine user waits for in a fresh process: from an empty
+    // process-wide registry, build a 2-shard engine with the paper-default
+    // OPTWIN spec (`build` fills its 25k table), feed one stream 1 000
+    // records, flush and shut down.
+    let mut group = c.benchmark_group("cold_start");
+    group.sample_size(10);
+    let spec: DetectorSpec = "optwin".parse().expect("valid spec");
+    let records: Vec<(u64, f64)> = (0..1_000)
+        .map(|i| (0, f64::from(u8::from(i % 10 == 0))))
+        .collect();
+    group.bench_function("engine_optwin_1000_records", |b| {
+        b.iter(|| {
+            CutTableRegistry::global().clear();
+            let engine = EngineBuilder::new()
+                .shards(2)
+                .default_spec(spec.clone())
+                .build()
+                .expect("valid engine");
+            engine.submit(&records).expect("engine running");
+            engine.flush().expect("no ingestion errors");
+            engine.shutdown().expect("clean shutdown");
         });
     });
     group.finish();

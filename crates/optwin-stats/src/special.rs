@@ -313,13 +313,28 @@ fn beta_continued_fraction(a: f64, b: f64, x: f64) -> Result<f64> {
 /// Inverse of the regularized incomplete beta function: finds `x` such that
 /// `I_x(a, b) = p`.
 ///
-/// Uses the Abramowitz & Stegun 26.5.22 starting approximation followed by
-/// damped Newton iterations with a bisection safeguard.
+/// Starts from Abramowitz & Stegun 26.5.22, which maps the normal quantile
+/// at `1 − p` to `x` when `a, b > 1` (a power-law tail estimate otherwise),
+/// and takes Newton steps inside a bisection bracket; a step that leaves
+/// the bracket is replaced by the bracket's midpoint. The search stops when
+/// a step moves `x` by less than `1e-14` (tested before the bracket, since
+/// a step that rounds back to `x` lands on the bracket end `x` just became)
+/// or when the bracket is narrower than that. From this start an F quantile
+/// at OPTWIN's confidences costs about three evaluations of `I_x(a, b)`.
+///
+/// A crate-private entry of the same loop takes the caller's start instead:
+/// [`crate::dist::StudentsT`] seeds it from Hill's approximation.
 ///
 /// # Errors
 ///
 /// Returns an error for invalid shape parameters or `p` outside `[0, 1]`.
 pub fn inv_reg_inc_beta(a: f64, b: f64, p: f64) -> Result<f64> {
+    inv_reg_inc_beta_from(a, b, p, f64::NAN)
+}
+
+/// [`inv_reg_inc_beta`] started at `seed`. A seed outside `(0, 1)`, NaN
+/// included, falls back to the A&S 26.5.22 start.
+pub(crate) fn inv_reg_inc_beta_from(a: f64, b: f64, p: f64, seed: f64) -> Result<f64> {
     if !(0.0..=1.0).contains(&p) {
         return Err(StatsError::InvalidProbability { value: p });
     }
@@ -330,35 +345,12 @@ pub fn inv_reg_inc_beta(a: f64, b: f64, p: f64) -> Result<f64> {
         return Ok(1.0);
     }
 
-    // Initial guess (A&S 26.5.22).
-    let mut x;
-    {
-        let pp = if p < 0.5 { p } else { 1.0 - p };
-        let t = (-2.0 * pp.ln()).sqrt();
-        let mut y = t - (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481));
-        if p < 0.5 {
-            y = -y;
-        }
-        let al = (y * y - 3.0) / 6.0;
-        let h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0));
-        let w = y * (al + h).sqrt() / h
-            - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h));
-        if a > 1.0 && b > 1.0 {
-            x = a / (a + b * (2.0 * w).exp());
-        } else {
-            let lna = (a / (a + b)).ln();
-            let lnb = (b / (a + b)).ln();
-            let t = (a * lna).exp() / a;
-            let u = (b * lnb).exp() / b;
-            let w = t + u;
-            if p < t / w {
-                x = (a * w * p).powf(1.0 / a);
-            } else {
-                x = 1.0 - (b * w * (1.0 - p)).powf(1.0 / b);
-            }
-        }
+    let mut x = if seed > 0.0 && seed < 1.0 {
+        seed
+    } else {
+        abramowitz_stegun_start(a, b, p)
     }
-    x = x.clamp(1e-300, 1.0 - 1e-16);
+    .clamp(1e-300, 1.0 - 1e-16);
 
     // Bisection bracket maintained alongside Newton.
     let mut lo = 0.0_f64;
@@ -366,6 +358,7 @@ pub fn inv_reg_inc_beta(a: f64, b: f64, p: f64) -> Result<f64> {
     let ln_beta_ab = ln_beta(a, b);
     let afac = -ln_beta_ab;
     for _ in 0..100 {
+        count_evaluation();
         let err = reg_inc_beta_given_ln_beta(a, b, x, ln_beta_ab)? - p;
         if err > 0.0 {
             hi = x;
@@ -375,6 +368,10 @@ pub fn inv_reg_inc_beta(a: f64, b: f64, p: f64) -> Result<f64> {
         let ln_pdf = (a - 1.0) * x.ln() + (b - 1.0) * (1.0 - x).ln() + afac;
         let pdf = ln_pdf.exp();
         let mut next = if pdf > 0.0 { x - err / pdf } else { f64::NAN };
+        // Converged, even if the step rounded back onto the bracket end `x`.
+        if (next - x).abs() < 1e-14 {
+            return Ok(next.clamp(lo, hi));
+        }
         if !next.is_finite() || next <= lo || next >= hi {
             next = 0.5 * (lo + hi);
         }
@@ -387,6 +384,52 @@ pub fn inv_reg_inc_beta(a: f64, b: f64, p: f64) -> Result<f64> {
     // Newton/bisection always makes progress; reaching this point means the
     // tolerance was not hit but the estimate is still inside the bracket.
     Ok(x)
+}
+
+/// The Abramowitz & Stegun 26.5.22 approximation to `x` with
+/// `I_x(a, b) = p`, as in Numerical Recipes' `invbetai`.
+fn abramowitz_stegun_start(a: f64, b: f64, p: f64) -> f64 {
+    if a > 1.0 && b > 1.0 {
+        // `y` is the normal quantile at 1 − p (A&S 26.2.22), so a small p
+        // maps to a small x.
+        let pp = if p < 0.5 { p } else { 1.0 - p };
+        let t = (-2.0 * pp.ln()).sqrt();
+        let mut y = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t;
+        if p < 0.5 {
+            y = -y;
+        }
+        let al = (y * y - 3.0) / 6.0;
+        let h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0));
+        let w = y * (al + h).sqrt() / h
+            - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h));
+        a / (a + b * (2.0 * w).exp())
+    } else {
+        let lna = (a / (a + b)).ln();
+        let lnb = (b / (a + b)).ln();
+        let t = (a * lna).exp() / a;
+        let u = (b * lnb).exp() / b;
+        let w = t + u;
+        if p < t / w {
+            (a * w * p).powf(1.0 / a)
+        } else {
+            1.0 - (b * w * (1.0 - p)).powf(1.0 / b)
+        }
+    }
+}
+
+/// Counts one evaluation of `I_x(a, b)` by the inversion loop in
+/// `INVERSION_EVALUATIONS` when built for tests; does nothing otherwise.
+fn count_evaluation() {
+    #[cfg(test)]
+    INVERSION_EVALUATIONS.with(|n| n.set(n.get() + 1));
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Evaluations of `I_x(a, b)` made by [`inv_reg_inc_beta_from`] on this
+    /// thread, so that tests can pin how fast an inversion converges.
+    pub(crate) static INVERSION_EVALUATIONS: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
-//! Cut-table pins: every entry of six `(δ, warning δ, ρ, w_max)` tables,
-//! bit for bit, through each way a table gets filled.
+//! Cut-table pins: every entry of eight `(δ, warning δ, ρ, w_max)` tables,
+//! the paper defaults (`w_max` 10 000 and 25 000) among them, bit for bit,
+//! through each way a table gets filled.
 //!
 //! Each table is reduced to one FNV-1a 64 hash over the little-endian bytes
 //! of, for each window length `w_min..=w_max` in order: `window_len` and
 //! `split` as `u64`, `nu`, `exact` as `u64`, `t_crit`, `f_crit`, `df`,
 //! `t_warn` and `f_warn`. Floats enter as `to_bits()`, an absent warning
-//! value as `1`. The pinned hashes were taken from a sequential,
-//! one-table-per-`w_max` build, so they hold the shared and parallel fills
-//! to the exact bits of the original entries.
+//! value as `1`. The hashes were last re-taken when the quantile solver
+//! stopped bisecting: the critical values and degrees of freedom moved in
+//! their last digits, and no `split` or `exact` flag changed.
 //!
 //! The two fill routes:
 //! * a private table, computed in full by `CutTable::new`;
@@ -15,13 +16,6 @@
 //!   configurations that differ only in `w_max` share one key, and a longer
 //!   copy of that key's table, computing only the added lengths, replaces
 //!   the shorter one.
-//!
-//! The paper-default pins (`w_max` 25 000 and 10 000) take a few seconds in
-//! a debug build and run in release with
-//!
-//! ```text
-//! cargo test --release --test cut_table_pins -- --ignored
-//! ```
 
 use optwin::core::CutEntry;
 use optwin::{CutTable, CutTableRegistry, OptwinConfig};
@@ -46,17 +40,17 @@ const fn pin(delta: f64, warning: Option<f64>, rho: f64, w_max: usize, hash: u64
 }
 
 const PINS: [Pin; 6] = [
-    pin(0.99, Some(0.95), 0.5, 2_000, 0xf71c_c837_c48a_31e5),
-    pin(0.99, Some(0.95), 0.5, 1_200, 0x971c_89d9_c9fe_4b61),
-    pin(0.99, Some(0.95), 1.0, 2_000, 0x69d6_e226_b414_9284),
-    pin(0.99, Some(0.95), 0.25, 1_500, 0x65e9_dd80_024b_6128),
-    pin(0.99, None, 0.5, 1_000, 0x8f44_6d00_86b3_0302),
-    pin(0.95, Some(0.9), 2.0, 1_000, 0xc1b3_0d14_8b7d_35ca),
+    pin(0.99, Some(0.95), 0.5, 2_000, 0x435e_4989_b760_eadb),
+    pin(0.99, Some(0.95), 0.5, 1_200, 0xace4_42aa_c58a_d7df),
+    pin(0.99, Some(0.95), 1.0, 2_000, 0xb1bb_1332_e677_f1d2),
+    pin(0.99, Some(0.95), 0.25, 1_500, 0xd45e_c4c1_5cf2_1585),
+    pin(0.99, None, 0.5, 1_000, 0x539f_c4e0_9652_7a0f),
+    pin(0.95, Some(0.9), 2.0, 1_000, 0x839e_2346_dd60_1ad4),
 ];
 
 const PAPER_PINS: [Pin; 2] = [
-    pin(0.99, Some(0.95), 0.5, 10_000, 0x5001_23a7_ecc6_3127),
-    pin(0.99, Some(0.95), 0.5, 25_000, 0x6a3b_a567_4d75_7a01),
+    pin(0.99, Some(0.95), 0.5, 10_000, 0x96d8_6fa4_e343_a04d),
+    pin(0.99, Some(0.95), 0.5, 25_000, 0x3495_059a_26a6_f298),
 ];
 
 impl Pin {
@@ -150,7 +144,6 @@ fn registry_grown_across_w_max_reproduces_pinned_tables() {
 }
 
 #[test]
-#[ignore = "paper-default tables; run in release"]
 fn paper_default_tables_reproduce_pins() {
     check_private_precompute(&PAPER_PINS);
     let registry = check_registry_growth(&PAPER_PINS);
