@@ -23,6 +23,8 @@
 use optwin_core::snapshot::{check_version, field, float_field, invalid};
 use optwin_core::{CoreError, DriftDetector, DriftStatus};
 
+use crate::DetectorSpec;
+
 /// Maximum number of buckets per row before two are merged into the next row
 /// (the `M` parameter of the paper; MOA uses 5).
 const MAX_BUCKETS_PER_ROW: usize = 5;
@@ -124,15 +126,14 @@ impl Adwin {
     ///
     /// # Panics
     ///
-    /// Panics if `delta` is not in `(0, 1)` or `clock` is zero.
+    /// Panics with [`DetectorSpec::validate`]'s error if `delta` is not in
+    /// `(0, 1)` or `clock` is zero.
     #[must_use]
     pub fn new(config: AdwinConfig) -> Self {
-        assert!(
-            config.delta > 0.0 && config.delta < 1.0,
-            "ADWIN delta must be in (0, 1), got {}",
-            config.delta
-        );
-        assert!(config.clock > 0, "ADWIN clock must be positive");
+        DetectorSpec::Adwin {
+            config: config.clone(),
+        }
+        .assert_valid();
         Self {
             config,
             rows: vec![Vec::new()],
@@ -150,19 +151,6 @@ impl Adwin {
     #[must_use]
     pub fn with_defaults() -> Self {
         Self::new(AdwinConfig::default())
-    }
-
-    /// Creates a detector with a custom confidence δ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta` is not in `(0, 1)`.
-    #[must_use]
-    pub fn with_delta(delta: f64) -> Self {
-        Self::new(AdwinConfig {
-            delta,
-            ..AdwinConfig::default()
-        })
     }
 
     /// Current window length.
@@ -192,19 +180,32 @@ impl Adwin {
     }
 
     /// Inserts a single-element bucket and compresses rows as needed.
-    fn insert(&mut self, value: f64) {
-        // New elements enter at the front of row 0.
-        self.rows[0].insert(0, Bucket::single(value));
-        self.total_count += 1;
+    ///
+    /// ADWIN's bound assumes bounded input. A value whose square, or whose
+    /// update of the window's sum or variance, is not finite would leave
+    /// `ε_cut` or a sub-window mean non-finite for good, so no cut would
+    /// ever be found again. Such a value is rejected: the window is left
+    /// untouched and `false` is returned. The square catches a value that
+    /// arrives into an empty window, which updates no variance.
+    fn insert(&mut self, value: f64) -> bool {
+        let count = self.total_count + 1;
         // Update total variance incrementally (Welford-style on the window
         // aggregate): contribution of the new point relative to the old mean.
-        if self.total_count > 1 {
-            let old_mean = (self.total_sum) / (self.total_count - 1) as f64;
+        let mut total_variance = self.total_variance;
+        if self.total_count > 0 {
+            let old_mean = self.total_sum / self.total_count as f64;
             let delta = value - old_mean;
-            self.total_variance +=
-                delta * delta * (self.total_count - 1) as f64 / self.total_count as f64;
+            total_variance += delta * delta * self.total_count as f64 / count as f64;
         }
-        self.total_sum += value;
+        let total_sum = self.total_sum + value;
+        if !((value * value).is_finite() && total_sum.is_finite() && total_variance.is_finite()) {
+            return false;
+        }
+        // New elements enter at the front of row 0.
+        self.rows[0].insert(0, Bucket::single(value));
+        self.total_count = count;
+        self.total_sum = total_sum;
+        self.total_variance = total_variance;
 
         // Compress: whenever a row exceeds MAX_BUCKETS_PER_ROW buckets, merge
         // its two oldest buckets into one bucket of the next row.
@@ -222,6 +223,7 @@ impl Adwin {
             self.rows[row + 1].insert(0, merged);
             row += 1;
         }
+        true
     }
 
     /// Removes the oldest bucket from the window.
@@ -309,7 +311,10 @@ impl Adwin {
 impl DriftDetector for Adwin {
     fn add_element(&mut self, value: f64) -> DriftStatus {
         self.elements_seen += 1;
-        self.insert(value);
+        if !self.insert(value) {
+            self.last_status = DriftStatus::Stable;
+            return self.last_status;
+        }
         self.elements_since_check += 1;
 
         let mut status = DriftStatus::Stable;
@@ -460,9 +465,9 @@ impl DriftDetector for Adwin {
 
 /// Shared bucket validation for both snapshot layouts: positive count and
 /// an overflow-checked running total. The float moments are accepted
-/// verbatim — a bucket fed `±1e300` legitimately saturates its sum or
-/// variance to `±inf`/NaN, and restore must round-trip every state its
-/// paired snapshot can emit.
+/// verbatim: before values that overflow the window were rejected, a
+/// bucket fed `±1e300` saturated its sum or variance to `±inf`/NaN, and
+/// snapshots written then must still restore bit-exactly.
 fn validated_bucket(
     count: u64,
     sum: f64,
@@ -593,9 +598,12 @@ mod tests {
     use crate::test_util::{bernoulli, jitter};
 
     #[test]
-    #[should_panic(expected = "delta must be in")]
+    #[should_panic(expected = "`delta` must lie in (0, 1)")]
     fn rejects_bad_delta() {
-        let _ = Adwin::with_delta(0.0);
+        let _ = Adwin::new(AdwinConfig {
+            delta: 0.0,
+            ..AdwinConfig::default()
+        });
     }
 
     #[test]
@@ -873,6 +881,85 @@ mod tests {
             restored.window_variance().to_bits(),
             donor.window_variance().to_bits()
         );
+    }
+
+    /// One poison value must not silence the detector. The stream has 10%
+    /// errors, rising to 50% from element 3,000. Each value arrives at
+    /// element 0, into an empty window, or at element 1,500; the poisoned
+    /// run must still catch the drift close to where its clean twin does.
+    #[test]
+    fn poison_value_does_not_silence_the_detector() {
+        let clean: Vec<f64> = (0..6_000u64)
+            .map(|i| bernoulli(i, if i < 3_000 { 0.1 } else { 0.5 }))
+            .collect();
+        let first_after_drift = |stream: &[f64]| {
+            let drifts = Adwin::with_defaults().add_batch(stream).drift_indices;
+            drifts.into_iter().find(|&i| i >= 3_000)
+        };
+        let clean_at = first_after_drift(&clean).expect("the clean stream's drift is missed");
+        for poison in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            1e300,
+            -1e300,
+            1e200,
+        ] {
+            for position in [0, 1_500] {
+                let mut stream = clean.clone();
+                stream[position] = poison;
+                let at = first_after_drift(&stream).unwrap_or_else(|| {
+                    panic!("ADWIN went silent after {poison} at element {position}")
+                });
+                assert!(
+                    at.abs_diff(clean_at) <= 100,
+                    "{poison} at element {position}: drift at {at}, clean twin at {clean_at}"
+                );
+            }
+        }
+    }
+
+    /// A snapshot written before overflowing values were rejected can hold
+    /// non-finite aggregates and bucket moments. It restores, and
+    /// re-snapshotting returns it bit-exactly (non-finite floats are blobs,
+    /// so the value trees compare bitwise).
+    #[test]
+    fn saturated_snapshot_round_trips() {
+        use optwin_core::snapshot::{encode_f64_seq, float_value};
+        let mut donor = Adwin::with_defaults();
+        for i in 0..200u64 {
+            donor.add_element(bernoulli(i, 0.3));
+        }
+        let mut variances: Vec<f64> = donor.rows.iter().flatten().map(|b| b.variance).collect();
+        variances[0] = f64::NAN;
+        let serde::Value::Object(mut fields) = donor.snapshot_state().unwrap() else {
+            panic!("snapshot must be an object")
+        };
+        for (key, value) in &mut fields {
+            match key.as_str() {
+                "total_sum" => *value = float_value(f64::INFINITY),
+                "total_variance" => *value = float_value(f64::NAN),
+                "rows" => {
+                    let serde::Value::Object(columns) = value else {
+                        panic!("rows must be columnar")
+                    };
+                    for (name, column) in columns {
+                        if name == "variances" {
+                            *column = encode_f64_seq(&variances);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        let state = serde::Value::Object(fields);
+        let mut restored = Adwin::with_defaults();
+        restored.restore_state(&state).unwrap();
+        assert!(restored.total_variance.is_nan());
+        assert_eq!(restored.total_sum, f64::INFINITY);
+        assert_eq!(restored.snapshot_state(), Some(state));
     }
 
     #[test]

@@ -16,6 +16,8 @@
 use optwin_core::snapshot::{check_version, field, float_field, float_value};
 use optwin_core::{CoreError, DriftDetector, DriftStatus};
 
+use crate::DetectorSpec;
+
 /// Serialization format version of [`Ddm`]'s state snapshot.
 const SNAPSHOT_VERSION: u64 = 1;
 
@@ -60,14 +62,11 @@ impl Ddm {
     ///
     /// # Panics
     ///
-    /// Panics if `drift_level <= warning_level` or either level is
-    /// non-positive.
+    /// Panics with [`DetectorSpec::validate`]'s error if either level is
+    /// non-finite or non-positive, or `drift_level <= warning_level`.
     #[must_use]
     pub fn new(config: DdmConfig) -> Self {
-        assert!(
-            config.warning_level > 0.0 && config.drift_level > config.warning_level,
-            "DDM levels must satisfy 0 < warning_level < drift_level"
-        );
+        DetectorSpec::Ddm { config }.assert_valid();
         Self {
             config,
             n: 0,

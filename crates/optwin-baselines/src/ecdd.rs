@@ -30,6 +30,8 @@ use optwin_core::snapshot::{check_version, field, float_field, float_value, inva
 use optwin_core::{CoreError, DriftDetector, DriftStatus};
 use optwin_stats::incremental::Ewma;
 
+use crate::DetectorSpec;
+
 /// Serialization format version of [`Ecdd`]'s state snapshot.
 const SNAPSHOT_VERSION: u64 = 1;
 
@@ -143,15 +145,12 @@ impl Ecdd {
     ///
     /// # Panics
     ///
-    /// Panics if `lambda` is outside `(0, 1]`, `arl0` is not at least 2, or
-    /// `warning_fraction` is outside `(0, 1]`.
+    /// Panics with [`DetectorSpec::validate`]'s error if `lambda` is outside
+    /// `(0, 1]`, `arl0` is non-finite or below 2, or `warning_fraction` is
+    /// outside `(0, 1]`.
     #[must_use]
     pub fn new(config: EcddConfig) -> Self {
-        assert!(
-            config.warning_fraction > 0.0 && config.warning_fraction <= 1.0,
-            "ECDD warning fraction must be in (0, 1]"
-        );
-        assert!(config.arl0 >= 2.0, "ECDD ARL0 must be at least 2");
+        DetectorSpec::Ecdd { config }.assert_valid();
         Self {
             ewma: Ewma::new(config.lambda),
             limit_cache: shared_limit_cache(config.lambda, config.arl0),
@@ -486,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "warning fraction")]
+    #[should_panic(expected = "`warning_fraction` must lie in (0, 1]")]
     fn rejects_bad_warning_fraction() {
         let _ = Ecdd::new(EcddConfig {
             warning_fraction: 0.0,
@@ -495,7 +494,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ARL0 must be at least")]
+    #[should_panic(expected = "`arl0` must be at least 2")]
     fn rejects_bad_arl0() {
         let _ = Ecdd::new(EcddConfig {
             arl0: 1.0,

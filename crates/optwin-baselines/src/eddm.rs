@@ -15,6 +15,8 @@
 use optwin_core::snapshot::{check_version, field, float_field, float_value};
 use optwin_core::{CoreError, DriftDetector, DriftStatus};
 
+use crate::DetectorSpec;
+
 /// Serialization format version of [`Eddm`]'s state snapshot.
 const SNAPSHOT_VERSION: u64 = 1;
 
@@ -65,13 +67,11 @@ impl Eddm {
     ///
     /// # Panics
     ///
-    /// Panics if the thresholds do not satisfy `0 < β < α <= 1`.
+    /// Panics with [`DetectorSpec::validate`]'s error if the thresholds do
+    /// not satisfy `0 < β < α <= 1`.
     #[must_use]
     pub fn new(config: EddmConfig) -> Self {
-        assert!(
-            config.beta > 0.0 && config.beta < config.alpha && config.alpha <= 1.0,
-            "EDDM thresholds must satisfy 0 < beta < alpha <= 1"
-        );
+        DetectorSpec::Eddm { config }.assert_valid();
         Self {
             config,
             n: 0,

@@ -25,6 +25,8 @@ use optwin_core::snapshot::{check_version, field, invalid};
 use optwin_core::{CoreError, DriftDetector, DriftStatus};
 use optwin_stats::tests::ks_two_sample_sorted;
 
+use crate::DetectorSpec;
+
 /// The order of KSWIN's sorted mirrors: ascending, NaN last. Every other
 /// pair compares as `partial_cmp` does, so `-0.0` and `0.0` tie (the KS
 /// statistic cannot tell them apart). The incremental updates and the full
@@ -108,22 +110,12 @@ impl Kswin {
     ///
     /// # Panics
     ///
-    /// Panics if `stat_size` is zero, `window_size <= 2 * stat_size`, or
-    /// `alpha` is outside `(0, 1)`.
+    /// Panics with [`DetectorSpec::validate`]'s error if `stat_size` is
+    /// zero, `window_size <= 2 * stat_size` or above
+    /// [`optwin_core::MAX_WINDOW`], or `alpha` is outside `(0, 1)`.
     #[must_use]
     pub fn new(config: KswinConfig) -> Self {
-        assert!(config.stat_size > 0, "KSWIN stat_size must be positive");
-        assert!(
-            config
-                .stat_size
-                .checked_mul(2)
-                .is_some_and(|twice| config.window_size > twice),
-            "KSWIN window_size must exceed twice the stat_size"
-        );
-        assert!(
-            config.alpha > 0.0 && config.alpha < 1.0,
-            "KSWIN alpha must lie in (0, 1)"
-        );
+        DetectorSpec::Kswin { config }.assert_valid();
         Self {
             window: VecDeque::with_capacity(config.window_size),
             older_sorted: Vec::with_capacity(config.window_size - config.stat_size),
@@ -324,7 +316,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "window_size must exceed")]
+    #[should_panic(expected = "`window_size` must exceed twice the stat_size")]
     fn rejects_window_smaller_than_slices() {
         let _ = Kswin::new(KswinConfig {
             window_size: 50,

@@ -10,6 +10,8 @@
 use optwin_core::snapshot::{check_version, field, float_field, float_value};
 use optwin_core::{CoreError, DriftDetector, DriftStatus};
 
+use crate::DetectorSpec;
+
 /// Serialization format version of [`PageHinkley`]'s state snapshot.
 const SNAPSHOT_VERSION: u64 = 1;
 
@@ -58,14 +60,12 @@ impl PageHinkley {
     ///
     /// # Panics
     ///
-    /// Panics if `lambda` is not positive or `alpha` is outside `(0, 1]`.
+    /// Panics with [`DetectorSpec::validate`]'s error if `delta` or
+    /// `lambda` is non-finite, `lambda` is not positive, or `alpha` or
+    /// `warning_fraction` is outside `(0, 1]`.
     #[must_use]
     pub fn new(config: PageHinkleyConfig) -> Self {
-        assert!(config.lambda > 0.0, "Page-Hinkley lambda must be positive");
-        assert!(
-            config.alpha > 0.0 && config.alpha <= 1.0,
-            "Page-Hinkley alpha must be in (0, 1]"
-        );
+        DetectorSpec::PageHinkley { config }.assert_valid();
         Self {
             config,
             n: 0,
@@ -214,7 +214,7 @@ mod tests {
     use crate::test_util::{bernoulli, jitter};
 
     #[test]
-    #[should_panic(expected = "lambda must be positive")]
+    #[should_panic(expected = "`lambda` must be positive")]
     fn rejects_bad_lambda() {
         let _ = PageHinkley::new(PageHinkleyConfig {
             lambda: 0.0,
@@ -362,7 +362,6 @@ mod tests {
     /// run must still catch that drift close to where its clean twin does.
     #[test]
     fn non_finite_value_does_not_silence_the_detector() {
-        use optwin_core::DetectorExt as _;
         let clean: Vec<f64> = (0..6_000u64)
             .map(|i| bernoulli(i, if i < 3_000 { 0.1 } else { 0.5 }))
             .collect();
@@ -372,12 +371,12 @@ mod tests {
             "cascade:guard=page_hinkley,confirm=[optwin:w_max=2000]",
         ] {
             let spec: crate::DetectorSpec = spec.parse().unwrap();
-            let clean_at = first_after_drift(spec.build().unwrap().scan(&clean))
+            let clean_at = first_after_drift(spec.build().unwrap().add_batch(&clean).drift_indices)
                 .unwrap_or_else(|| panic!("{spec}: the clean stream's drift is missed"));
             for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
                 let mut stream = clean.clone();
                 stream[1_500] = poison;
-                let at = first_after_drift(spec.build().unwrap().scan(&stream));
+                let at = first_after_drift(spec.build().unwrap().add_batch(&stream).drift_indices);
                 let at = at.unwrap_or_else(|| panic!("{spec} went silent after {poison}"));
                 assert!(
                     at.abs_diff(clean_at) <= 100,

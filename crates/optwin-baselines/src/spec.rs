@@ -286,9 +286,9 @@ impl DetectorSpec {
         }
     }
 
-    /// Validates every parameter, mirroring the constructor contracts of the
-    /// underlying detectors (which panic on violation — this is the
-    /// non-panicking front door).
+    /// Validates every parameter. The leaf baseline constructors check
+    /// their configs by this same rule, and panic where this returns an
+    /// error: this is the non-panicking front door.
     ///
     /// # Errors
     ///
@@ -483,6 +483,14 @@ impl DetectorSpec {
                 }
                 Ok(())
             }
+        }
+    }
+
+    /// Panics with [`DetectorSpec::validate`]'s error: the check every leaf
+    /// baseline constructor runs on its config.
+    pub(crate) fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
         }
     }
 
@@ -999,7 +1007,61 @@ impl serde::Deserialize for DetectorSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optwin_core::DriftStatus;
+    use optwin_core::{DriftStatus, MAX_WINDOW};
+
+    /// A raw constructor accepts exactly the configs `validate` accepts, and
+    /// panics with `validate`'s error on the rest: here an infinite level or
+    /// threshold, a warning fraction above 1, and windows above
+    /// `MAX_WINDOW`.
+    #[test]
+    fn constructors_reject_what_validate_rejects() {
+        let too_long = MAX_WINDOW + 1;
+        let specs = [
+            DetectorSpec::Ddm {
+                config: DdmConfig {
+                    drift_level: f64::INFINITY,
+                    ..DdmConfig::default()
+                },
+            },
+            DetectorSpec::PageHinkley {
+                config: PageHinkleyConfig {
+                    warning_fraction: 2.0,
+                    ..PageHinkleyConfig::default()
+                },
+            },
+            DetectorSpec::PageHinkley {
+                config: PageHinkleyConfig {
+                    lambda: f64::INFINITY,
+                    ..PageHinkleyConfig::default()
+                },
+            },
+            DetectorSpec::Stepd {
+                config: StepdConfig {
+                    window_size: too_long,
+                    ..StepdConfig::default()
+                },
+            },
+            DetectorSpec::Kswin {
+                config: KswinConfig {
+                    window_size: too_long,
+                    ..KswinConfig::default()
+                },
+            },
+        ];
+        for spec in specs {
+            let expected = spec.validate().expect_err("the config is invalid");
+            let panic = std::panic::catch_unwind(|| match spec {
+                DetectorSpec::Ddm { config } => drop(Ddm::new(config)),
+                DetectorSpec::PageHinkley { config } => drop(PageHinkley::new(config)),
+                DetectorSpec::Stepd { config } => drop(Stepd::new(config)),
+                DetectorSpec::Kswin { config } => drop(Kswin::new(config)),
+                _ => unreachable!("only the kinds listed above"),
+            })
+            .expect_err("the constructor must reject the config");
+            let message = panic.downcast_ref::<String>().expect("a formatted panic");
+            assert_eq!(*message, expected.to_string());
+        }
+    }
 
     #[test]
     fn defaults_for_every_id() {

@@ -14,6 +14,8 @@ use optwin_core::snapshot::{check_version, field, invalid};
 use optwin_core::{CoreError, DriftDetector, DriftStatus};
 use optwin_stats::tests::equal_proportions_test;
 
+use crate::DetectorSpec;
+
 /// Serialization format version of [`Stepd`]'s state snapshot.
 const SNAPSHOT_VERSION: u64 = 1;
 
@@ -59,17 +61,12 @@ impl Stepd {
     ///
     /// # Panics
     ///
-    /// Panics if `window_size` is zero or the significance levels are not in
-    /// `(0, 1)` with `alpha_drift < alpha_warning`.
+    /// Panics with [`DetectorSpec::validate`]'s error if `window_size` is
+    /// zero or above [`optwin_core::MAX_WINDOW`], or the significance levels
+    /// are not in `(0, 1)` with `alpha_drift < alpha_warning`.
     #[must_use]
     pub fn new(config: StepdConfig) -> Self {
-        assert!(config.window_size > 0, "STEPD window size must be positive");
-        assert!(
-            config.alpha_drift > 0.0
-                && config.alpha_drift < config.alpha_warning
-                && config.alpha_warning < 1.0,
-            "STEPD significance levels must satisfy 0 < alpha_drift < alpha_warning < 1"
-        );
+        DetectorSpec::Stepd { config }.assert_valid();
         Self {
             config,
             recent: VecDeque::with_capacity(config.window_size),
@@ -270,7 +267,7 @@ mod tests {
     use crate::test_util::bernoulli;
 
     #[test]
-    #[should_panic(expected = "window size must be positive")]
+    #[should_panic(expected = "`window_size` must be positive")]
     fn rejects_zero_window() {
         let _ = Stepd::new(StepdConfig {
             window_size: 0,
@@ -279,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "significance levels")]
+    #[should_panic(expected = "`alpha_drift` levels must satisfy")]
     fn rejects_inverted_alphas() {
         let _ = Stepd::new(StepdConfig {
             window_size: 30,

@@ -216,18 +216,6 @@ pub trait DriftDetector {
     }
 }
 
-/// Extension helpers available on every [`DriftDetector`].
-pub trait DetectorExt: DriftDetector {
-    /// Feeds a whole slice of observations, returning the (0-based) indices
-    /// at which a drift was flagged. Delegates to
-    /// [`DriftDetector::add_batch`].
-    fn scan(&mut self, values: &[f64]) -> Vec<usize> {
-        self.add_batch(values).drift_indices
-    }
-}
-
-impl<T: DriftDetector + ?Sized> DetectorExt for T {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,18 +259,6 @@ mod tests {
         assert!(DriftStatus::Warning.is_warning());
         assert!(!DriftStatus::Drift.is_warning());
         assert_eq!(DriftStatus::default(), DriftStatus::Stable);
-    }
-
-    #[test]
-    fn scan_reports_drift_indices() {
-        let mut d = Periodic {
-            period: 3,
-            seen: 0,
-            drifts: 0,
-        };
-        let hits = d.scan(&[0.0; 10]);
-        assert_eq!(hits, vec![2, 5, 8]);
-        assert_eq!(d.drifts_detected(), 3);
     }
 
     #[test]
@@ -374,8 +350,8 @@ mod tests {
         assert_eq!(d.add_element(0.0), DriftStatus::Stable);
         assert_eq!(d.add_element(0.0), DriftStatus::Drift);
         assert!(d.supports_real_valued_input());
-        // DetectorExt::scan is usable through the trait object too.
-        let hits = d.scan(&[0.0, 0.0, 0.0, 0.0]);
+        // add_batch is usable through the trait object too.
+        let hits = d.add_batch(&[0.0, 0.0, 0.0, 0.0]).drift_indices;
         assert_eq!(hits, vec![1, 3]);
     }
 }

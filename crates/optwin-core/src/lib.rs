@@ -68,7 +68,7 @@ pub mod window;
 
 pub use config::{DriftDirection, OptwinConfig, OptwinConfigBuilder, MAX_WINDOW};
 pub use cut::{CutEntry, CutTable};
-pub use detector::{BatchOutcome, DetectorExt, DriftDetector, DriftStatus};
+pub use detector::{BatchOutcome, DriftDetector, DriftStatus};
 pub use error::CoreError;
 pub use optwin::Optwin;
 pub use registry::CutTableRegistry;

@@ -529,7 +529,6 @@ impl DriftDetector for Optwin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::DetectorExt;
 
     fn small_config(rho: f64) -> OptwinConfig {
         OptwinConfig::builder()
@@ -801,7 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_helper_reports_indices() {
+    fn add_batch_reports_drift_indices() {
         let mut d = Optwin::new(small_config(1.0)).unwrap();
         let stream: Vec<f64> = (0..2_000u64)
             .map(|i| {
@@ -809,7 +808,7 @@ mod tests {
                 (base + 0.05 * jitter(i)).clamp(0.0, 1.0)
             })
             .collect();
-        let hits = d.scan(&stream);
+        let hits = d.add_batch(&stream).drift_indices;
         assert!(!hits.is_empty());
         assert!(hits[0] >= 1_000);
     }

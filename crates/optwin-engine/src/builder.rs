@@ -10,9 +10,7 @@ use optwin_core::DriftDetector;
 use crate::checkpoint::{self, CheckpointConfig, CheckpointPolicy, RecoveredLog, ReplayOp};
 use crate::error::EngineError;
 use crate::fleet::FleetConfig;
-use crate::handle::{
-    spawn_engine, DetectorSource, EngineHandle, SharedDetectorFactory, StreamState,
-};
+use crate::handle::{spawn_engine, DetectorSource, EngineHandle, StreamState};
 use crate::hibernate::{HibernatedDetector, HibernationPolicy};
 use crate::persist::EngineSnapshot;
 use crate::sink::EventSink;
@@ -219,17 +217,11 @@ impl EngineBuilder {
     /// built on a shard worker and computes its table there, holding up
     /// every stream on that shard. Build one such detector before `build()`
     /// to fill the table up front.
-    pub fn factory<F>(self, factory: F) -> Self
+    pub fn factory<F>(mut self, factory: F) -> Self
     where
         F: Fn(u64) -> Box<dyn DriftDetector + Send> + Send + Sync + 'static,
     {
-        self.shared_factory(Arc::new(factory))
-    }
-
-    /// Installs an already-shared closure detector factory (useful when the
-    /// caller keeps a clone). See [`EngineBuilder::factory`].
-    pub fn shared_factory(mut self, factory: SharedDetectorFactory) -> Self {
-        self.source = Some(DetectorSource::Closure(factory));
+        self.source = Some(DetectorSource::Closure(Arc::new(factory)));
         self
     }
 

@@ -47,10 +47,6 @@ use crate::persist::{EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSIO
 use crate::router::Router;
 use crate::sink::EventSink;
 
-/// A detector factory shared by every shard worker: builds a detector the
-/// first time a record for an unknown stream id arrives.
-pub type SharedDetectorFactory = Arc<dyn Fn(u64) -> Box<dyn DriftDetector + Send> + Send + Sync>;
-
 /// How the engine builds detectors for auto-registered (first-sight) stream
 /// ids: declaratively from a [`DetectorSpec`] — the canonical path, which
 /// also records the spec on the stream so snapshots are self-describing —
@@ -60,8 +56,9 @@ pub type SharedDetectorFactory = Arc<dyn Fn(u64) -> Box<dyn DriftDetector + Send
 pub(crate) enum DetectorSource {
     /// Every unknown stream gets `spec.build()` and records the spec.
     Spec(DetectorSpec),
-    /// Every unknown stream gets `factory(id)`; no spec is recorded.
-    Closure(SharedDetectorFactory),
+    /// Every unknown stream gets `factory(id)`; no spec is recorded. The
+    /// factory is shared by every shard worker.
+    Closure(Arc<dyn Fn(u64) -> Box<dyn DriftDetector + Send> + Send + Sync>),
 }
 
 impl DetectorSource {
@@ -1107,14 +1104,6 @@ impl EngineHandle {
     #[must_use]
     pub fn shard_of(&self, stream: u64) -> usize {
         self.shared.router.read().shard_of(stream)
-    }
-
-    /// `true` when `stream` has an explicit routing pin (placed by a
-    /// rebalance or a restored v3 snapshot) overriding the `id % shards`
-    /// default.
-    #[must_use]
-    pub fn is_rerouted(&self, stream: u64) -> bool {
-        self.shared.router.read().is_pinned(stream)
     }
 
     /// Number of streams currently routed away from their `id % shards`

@@ -144,9 +144,7 @@ pub use checkpoint::{
 pub use error::{EngineError, StreamSnapshot};
 pub use event::DriftEvent;
 pub use fleet::FleetConfig;
-pub use handle::{
-    EngineHandle, EngineStats, RebalancePolicy, RebalanceReport, ShardLoad, SharedDetectorFactory,
-};
+pub use handle::{EngineHandle, EngineStats, RebalancePolicy, RebalanceReport, ShardLoad};
 pub use hibernate::HibernationPolicy;
 pub use persist::{EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
 pub use replay::{replay, ReplayConfig, ReplayReport};

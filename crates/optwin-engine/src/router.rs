@@ -52,12 +52,6 @@ impl RouterTable {
         }
     }
 
-    /// `true` when `stream` has an explicit pin (restore or rebalance put it
-    /// somewhere the modulo default would not).
-    pub(crate) fn is_pinned(&self, stream: u64) -> bool {
-        self.pins.contains_key(&stream)
-    }
-
     /// Replaces the pin set wholesale with a freshly computed assignment
     /// (the rebalance path). Assignments equal to the modulo default are
     /// dropped so the table only stores genuine overrides.
@@ -120,7 +114,6 @@ mod tests {
         let table = router.read();
         for stream in 0..16u64 {
             assert_eq!(table.shard_of(stream), (stream % 4) as usize);
-            assert!(!table.is_pinned(stream));
         }
         assert_eq!(table.pin_count(), 0);
     }
@@ -130,11 +123,10 @@ mod tests {
         let router = Router::new(4, [(0, 3), (1, 1), (6, 0)]);
         let table = router.read();
         assert_eq!(table.shard_of(0), 3);
-        assert!(table.is_pinned(0));
-        // (1 % 4 == 1): the pin agrees with the default and is elided.
         assert_eq!(table.shard_of(1), 1);
-        assert!(!table.is_pinned(1));
         assert_eq!(table.shard_of(6), 0);
+        // (1 % 4 == 1): that pin agrees with the default and is elided, so
+        // only streams 0 and 6 hold a pin.
         assert_eq!(table.pin_count(), 2);
     }
 

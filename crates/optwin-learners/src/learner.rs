@@ -24,7 +24,7 @@ pub trait OnlineLearner {
 
     /// Per-class posterior scores (unnormalised is fine); the default
     /// implementation one-hot encodes the prediction. Learners that can do
-    /// better (Naive Bayes, logistic regression, MLP) override this.
+    /// better (Naive Bayes, MLP) override this.
     fn predict_scores(&self, instance: &Instance) -> Vec<f64> {
         let mut scores = vec![0.0; self.n_classes()];
         let label = self.predict(instance) as usize;

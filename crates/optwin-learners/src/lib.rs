@@ -8,8 +8,6 @@
 //!
 //! * [`NaiveBayes`] — mixed categorical/Gaussian Naive Bayes, resettable, the
 //!   work-horse of the Table 2 experiments.
-//! * [`MajorityClass`] — trivial baseline learner.
-//! * [`LogisticRegression`] — multiclass SGD softmax regression (extension).
 //! * [`Mlp`] — a small one-hidden-layer neural network trained by SGD; the
 //!   CNN stand-in used by the Figure 5 reproduction.
 //! * [`AdaptiveLearner`] — wraps any learner with any
@@ -39,14 +37,10 @@
 
 pub mod adaptive;
 pub mod learner;
-pub mod logistic;
-pub mod majority;
 pub mod mlp;
 pub mod naive_bayes;
 
 pub use adaptive::{AdaptiveLearner, AdaptiveReport};
 pub use learner::OnlineLearner;
-pub use logistic::LogisticRegression;
-pub use majority::MajorityClass;
 pub use mlp::{Mlp, MlpConfig, PrototypeTask};
 pub use naive_bayes::NaiveBayes;

@@ -169,7 +169,7 @@ impl OnlineLearner for NaiveBayes {
 mod tests {
     use super::*;
     use optwin_stream::generators::{
-        Agrawal, AgrawalFunction, Sea, SeaConcept, Stagger, StaggerConcept,
+        Agrawal, AgrawalFunction, RandomRbf, RandomRbfConfig, Stagger, StaggerConcept,
     };
     use optwin_stream::InstanceStream;
 
@@ -205,11 +205,13 @@ mod tests {
     }
 
     #[test]
-    fn learns_sea_reasonably() {
-        let mut stream = Sea::new(SeaConcept::Theta8, 3);
+    fn learns_random_rbf_reasonably() {
+        // Gaussian class models only approximate RandomRBF's multi-centroid
+        // classes: NB scores about 0.70 here, against 0.5 for chance.
+        let mut stream = RandomRbf::new(RandomRbfConfig::default(), 3);
         let mut nb = NaiveBayes::new(&stream.schema(), stream.n_classes());
         let acc = prequential_accuracy(&mut stream, &mut nb, 5_000);
-        assert!(acc > 0.8, "accuracy = {acc}");
+        assert!(acc > 0.6, "accuracy = {acc}");
     }
 
     #[test]
@@ -248,7 +250,7 @@ mod tests {
 
     #[test]
     fn scores_are_finite_and_ordered() {
-        let mut stream = Sea::new(SeaConcept::Theta9, 9);
+        let mut stream = RandomRbf::new(RandomRbfConfig::default(), 9);
         let mut nb = NaiveBayes::new(&stream.schema(), 2);
         for _ in 0..200 {
             let inst = stream.next_instance();

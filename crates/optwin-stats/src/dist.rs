@@ -44,41 +44,12 @@ pub trait ContinuousDistribution {
 // Normal
 // ---------------------------------------------------------------------------
 
-/// Normal (Gaussian) distribution `N(mean, std²)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std: f64,
-}
+/// The standard normal distribution `N(0, 1)`, as associated functions: the
+/// baselines need only its CDF and quantile.
+#[derive(Debug, Clone, Copy)]
+pub struct Normal;
 
 impl Normal {
-    /// Creates a normal distribution with the given mean and standard
-    /// deviation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] if `std` is not positive and
-    /// finite.
-    pub fn new(mean: f64, std: f64) -> Result<Self> {
-        if !(std > 0.0) || !std.is_finite() || !mean.is_finite() {
-            return Err(StatsError::InvalidParameter {
-                name: "std",
-                value: std,
-                constraint: "standard deviation must be positive and finite",
-            });
-        }
-        Ok(Self { mean, std })
-    }
-
-    /// The standard normal `N(0, 1)`.
-    #[must_use]
-    pub fn standard() -> Self {
-        Self {
-            mean: 0.0,
-            std: 1.0,
-        }
-    }
-
     /// Standard normal CDF `Φ(z)` — the form the baselines call directly.
     #[must_use]
     pub fn std_cdf(z: f64) -> f64 {
@@ -147,33 +118,6 @@ impl Normal {
         let e = Self::std_cdf(x) - p;
         let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
         Ok(x - u / (1.0 + x * u / 2.0))
-    }
-
-    /// The mean parameter.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// The standard-deviation parameter.
-    #[must_use]
-    pub fn std(&self) -> f64 {
-        self.std
-    }
-}
-
-impl ContinuousDistribution for Normal {
-    fn pdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.std;
-        (-0.5 * z * z).exp() / (self.std * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        Self::std_cdf((x - self.mean) / self.std)
-    }
-
-    fn ppf(&self, p: f64) -> Result<f64> {
-        Ok(self.mean + self.std * Self::std_ppf(p)?)
     }
 }
 
@@ -509,12 +453,6 @@ mod tests {
         assert!((Normal::std_ppf(0.975).unwrap() - 1.959964).abs() < 1e-6);
         assert!((Normal::std_ppf(0.5).unwrap()).abs() < 1e-9);
         assert!((Normal::std_ppf(1e-6).unwrap() + 4.753424).abs() < 1e-4);
-
-        let n = Normal::new(10.0, 2.0).unwrap();
-        assert!((n.cdf(10.0) - 0.5).abs() < 1e-12);
-        assert!((n.ppf(0.975).unwrap() - (10.0 + 2.0 * 1.959964)).abs() < 1e-5);
-        let peak = n.pdf(10.0);
-        assert!((peak - 1.0 / (2.0 * (2.0 * std::f64::consts::PI).sqrt())).abs() < 1e-12);
     }
 
     #[test]
@@ -523,7 +461,6 @@ mod tests {
         assert!(StudentsT::new(f64::NAN).is_err());
         assert!(FisherF::new(-1.0, 5.0).is_err());
         assert!(FisherF::new(5.0, 0.0).is_err());
-        assert!(Normal::new(0.0, 0.0).is_err());
     }
 
     #[test]
@@ -552,7 +489,5 @@ mod tests {
         assert!((integrate(&|x| t.pdf(x), -60.0, 60.0) - 1.0).abs() < 1e-4);
         let f = FisherF::new(6.0, 14.0).unwrap();
         assert!((integrate(&|x| f.pdf(x), 1e-9, 120.0) - 1.0).abs() < 1e-3);
-        let n = Normal::standard();
-        assert!((integrate(&|x| n.pdf(x), -10.0, 10.0) - 1.0).abs() < 1e-8);
     }
 }

@@ -1,107 +1,18 @@
 //! Concept-drift composition of instance streams.
 //!
-//! Mirrors MOA's `ConceptDriftStream`: two concept streams are combined so
-//! that, around a drift *position*, instances are increasingly drawn from the
-//! new concept according to a sigmoid of configurable *width*. A width of 1
-//! produces a sudden drift; the paper's gradual experiments use widths in the
-//! hundreds to thousands of instances.
-//!
-//! [`MultiConceptStream`] chains an arbitrary number of concepts with a
-//! regular drift schedule ("drift every 20 000 instances"), which is the
-//! layout used by the paper's Table 1/2 classification experiments.
+//! [`MultiConceptStream`] chains an arbitrary number of concepts along a
+//! [`DriftSchedule`] ("drift every 20 000 instances"), which is the layout
+//! used by the paper's Table 1/2 classification experiments. As in MOA,
+//! instances inside a transition zone are drawn from the new concept with a
+//! sigmoidally rising probability whose *width* is the schedule's: a width
+//! of 1 produces a sudden drift, and the paper's gradual experiments use
+//! widths in the hundreds to thousands of instances.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::instance::{FeatureKind, Instance, InstanceStream};
 use crate::schedule::DriftSchedule;
-
-/// Two concept streams joined by a (possibly gradual) drift.
-#[derive(Debug)]
-pub struct ConceptDriftStream<A, B> {
-    old: A,
-    new: B,
-    /// Centre of the transition, in instances from the start of this stream.
-    position: usize,
-    /// Width of the sigmoidal transition (1 = sudden).
-    width: usize,
-    index: usize,
-    rng: StdRng,
-}
-
-impl<A: InstanceStream, B: InstanceStream> ConceptDriftStream<A, B> {
-    /// Joins `old` and `new` with a drift centred at `position` and the given
-    /// transition `width` (use 1 for a sudden drift).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero or the two streams disagree on their schema
-    /// size or class count.
-    #[must_use]
-    pub fn new(old: A, new: B, position: usize, width: usize, seed: u64) -> Self {
-        assert!(width >= 1, "drift width must be at least 1");
-        assert_eq!(
-            old.n_classes(),
-            new.n_classes(),
-            "both concepts must have the same number of classes"
-        );
-        assert_eq!(
-            old.schema().len(),
-            new.schema().len(),
-            "both concepts must have the same number of attributes"
-        );
-        Self {
-            old,
-            new,
-            position,
-            width,
-            index: 0,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Probability of drawing from the *new* concept at stream index `i`
-    /// (MOA's sigmoid: `1 / (1 + e^{−4 (i − position) / width})`).
-    #[must_use]
-    pub fn new_concept_probability(&self, i: usize) -> f64 {
-        let x = -4.0 * (i as f64 - self.position as f64) / self.width as f64;
-        1.0 / (1.0 + x.exp())
-    }
-
-    /// Number of instances drawn so far.
-    #[must_use]
-    pub fn index(&self) -> usize {
-        self.index
-    }
-}
-
-impl<A: InstanceStream, B: InstanceStream> InstanceStream for ConceptDriftStream<A, B> {
-    fn next_instance(&mut self) -> Instance {
-        let p_new = if self.width <= 1 {
-            if self.index >= self.position {
-                1.0
-            } else {
-                0.0
-            }
-        } else {
-            self.new_concept_probability(self.index)
-        };
-        self.index += 1;
-        if self.rng.gen::<f64>() < p_new {
-            self.new.next_instance()
-        } else {
-            self.old.next_instance()
-        }
-    }
-
-    fn n_classes(&self) -> usize {
-        self.old.n_classes()
-    }
-
-    fn schema(&self) -> Vec<FeatureKind> {
-        self.old.schema()
-    }
-}
 
 /// A stream that cycles through a sequence of concepts according to a
 /// [`DriftSchedule`], drawing each instance from the concept active at the
@@ -210,46 +121,10 @@ impl InstanceStream for MultiConceptStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{Sea, SeaConcept, Stagger, StaggerConcept};
+    use crate::generators::{Stagger, StaggerConcept};
 
     #[test]
-    fn sudden_drift_switches_exactly_at_position() {
-        // Use two degenerate concepts that are easy to tell apart: SEA with
-        // extreme thresholds produce very different positive rates.
-        let old = Sea::new(SeaConcept::Theta7, 1);
-        let new = Sea::new(SeaConcept::Theta95, 2);
-        let mut s = ConceptDriftStream::new(old, new, 500, 1, 3);
-        let labels: Vec<u32> = (0..1_000).map(|_| s.next_instance().label).collect();
-        let rate_before: f64 = f64::from(labels[..500].iter().sum::<u32>()) / 500.0;
-        let rate_after: f64 = f64::from(labels[500..].iter().sum::<u32>()) / 500.0;
-        assert!(
-            rate_after > rate_before + 0.1,
-            "{rate_before} vs {rate_after}"
-        );
-    }
-
-    #[test]
-    fn sigmoid_probability_is_monotone_and_centred() {
-        let s = ConceptDriftStream::new(
-            Sea::new(SeaConcept::Theta7, 1),
-            Sea::new(SeaConcept::Theta95, 2),
-            1_000,
-            200,
-            3,
-        );
-        assert!(s.new_concept_probability(0) < 0.01);
-        assert!((s.new_concept_probability(1_000) - 0.5).abs() < 1e-12);
-        assert!(s.new_concept_probability(2_000) > 0.99);
-        let mut prev = 0.0;
-        for i in (0..2_000).step_by(50) {
-            let p = s.new_concept_probability(i);
-            assert!(p >= prev);
-            prev = p;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "same number of classes")]
+    #[should_panic(expected = "concepts must agree on class count")]
     fn rejects_mismatched_concepts() {
         struct ManyClasses;
         impl InstanceStream for ManyClasses {
@@ -263,7 +138,11 @@ mod tests {
                 vec![]
             }
         }
-        let _ = ConceptDriftStream::new(Sea::new(SeaConcept::Theta7, 1), ManyClasses, 10, 1, 0);
+        let concepts: Vec<Box<dyn InstanceStream + Send>> = vec![
+            Box::new(Stagger::new(StaggerConcept::SizeSmallAndColorRed, 1)),
+            Box::new(ManyClasses),
+        ];
+        let _ = MultiConceptStream::new(concepts, DriftSchedule::stationary(10), 0);
     }
 
     #[test]
@@ -307,8 +186,9 @@ mod tests {
     fn gradual_transition_mixes_concepts() {
         let schedule = DriftSchedule::new(vec![1_000], 600, 3_000);
         let concepts: Vec<Box<dyn InstanceStream + Send>> = vec![
-            Box::new(Sea::new(SeaConcept::Theta7, 1)),
-            Box::new(Sea::new(SeaConcept::Theta95, 2)),
+            // Positive rates 1/9 and 2/3.
+            Box::new(Stagger::new(StaggerConcept::SizeSmallAndColorRed, 1)),
+            Box::new(Stagger::new(StaggerConcept::SizeMediumOrLarge, 2)),
         ];
         let mut s = MultiConceptStream::new(concepts, schedule, 4);
         let labels: Vec<u32> = (0..3_000).map(|_| s.next_instance().label).collect();

@@ -3,22 +3,15 @@
 //! The paper's "Classification" experiments use three MOA generators —
 //! STAGGER, AGRAWAL and RandomRBF — with a sudden or gradual concept change
 //! every 20 000 instances. Each generator here exposes a *concept* parameter;
-//! switching the concept (via [`crate::drift::ConceptDriftStream`] or
-//! [`crate::drift::MultiConceptStream`]) is what produces the drift.
-//!
-//! SEA and Sine are additional classic generators provided as extensions for
-//! ablation experiments.
+//! switching the concept (via [`crate::drift::MultiConceptStream`]) is what
+//! produces the drift.
 
 mod agrawal;
 mod random_rbf;
-mod sea;
-mod sine;
 mod stagger;
 
 pub use agrawal::{Agrawal, AgrawalFunction};
 pub use random_rbf::{RandomRbf, RandomRbfConfig};
-pub use sea::{Sea, SeaConcept};
-pub use sine::{Sine, SineConcept};
 pub use stagger::{Stagger, StaggerConcept};
 
 #[cfg(test)]
@@ -44,14 +37,6 @@ mod tests {
         let c1 = collect_labels(RandomRbf::new(RandomRbfConfig::default(), 7), 200);
         let c2 = collect_labels(RandomRbf::new(RandomRbfConfig::default(), 7), 200);
         assert_eq!(c1, c2);
-
-        let d1 = collect_labels(Sea::new(SeaConcept::Theta8, 7), 200);
-        let d2 = collect_labels(Sea::new(SeaConcept::Theta8, 7), 200);
-        assert_eq!(d1, d2);
-
-        let e1 = collect_labels(Sine::new(SineConcept::Sine1, 7), 200);
-        let e2 = collect_labels(Sine::new(SineConcept::Sine1, 7), 200);
-        assert_eq!(e1, e2);
     }
 
     /// Different seeds should produce different instance sequences.

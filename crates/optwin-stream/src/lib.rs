@@ -5,12 +5,11 @@
 //! on, in pure Rust:
 //!
 //! * [`instance`] — the instance/feature model shared with the learners.
-//! * [`generators`] — synthetic concept generators: STAGGER, AGRAWAL,
-//!   RandomRBF (the paper's Table 1/2 datasets) plus SEA and Sine
-//!   (extensions).
-//! * [`drift`] — MOA's `ConceptDriftStream`: composes two concept streams
-//!   with a sudden or sigmoidal (gradual) transition, and a multi-concept
-//!   schedule helper that produces "drift every 20 000 instances" streams.
+//! * [`generators`] — synthetic concept generators: STAGGER, AGRAWAL and
+//!   RandomRBF (the paper's Table 1/2 datasets).
+//! * [`drift`] — [`MultiConceptStream`]: chains concept streams along a
+//!   drift schedule, with sudden or sigmoidal (gradual) transitions, to
+//!   produce "drift every 20 000 instances" streams.
 //! * [`error_stream`] — the "Concept Drift interface" experiments: direct
 //!   binary (Bernoulli) and non-binary (Gaussian) error streams with sudden
 //!   or gradual drifts, bypassing any learner.
@@ -47,7 +46,7 @@ pub mod realworld;
 pub mod scenario;
 pub mod schedule;
 
-pub use drift::{ConceptDriftStream, MultiConceptStream};
+pub use drift::MultiConceptStream;
 pub use error_stream::{DriftKind, ErrorStream, ErrorStreamConfig, SignalKind};
 pub use instance::{Feature, FeatureKind, Instance, InstanceStream};
 pub use scenario::{GeneratedScenario, ScenarioKind};

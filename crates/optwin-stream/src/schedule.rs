@@ -124,7 +124,7 @@ impl DriftSchedule {
     /// For sudden drifts (`width <= 1`) this is the drift position itself.
     /// For gradual drifts the generators begin sampling the new concept
     /// *before* the recorded start position (the sigmoid of
-    /// [`crate::drift::ConceptDriftStream`] is centred at
+    /// [`crate::drift::MultiConceptStream`] is centred at
     /// `position + width/2`, so its leading tail reaches back to roughly
     /// `position - width/2`), hence the transition window opens `width / 2`
     /// elements early — clamped so it never reaches at or before the

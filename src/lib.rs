@@ -10,8 +10,8 @@
 //! | [`core`] | the OPTWIN detector, the batch-first [`core::DriftDetector`] trait, optimal-cut tables and their process-wide registry |
 //! | [`baselines`] | ADWIN, DDM, EDDM, STEPD, ECDD, Page–Hinkley, KSWIN |
 //! | [`engine`] | the service-style multi-stream engine: [`engine::EngineBuilder`] → worker threads + [`engine::EngineHandle`], pluggable [`engine::EventSink`]s, snapshot/restore, load-aware rebalancing, hibernation and checkpoints |
-//! | [`stream`] | MOA-style generators, drift composition, error streams |
-//! | [`learners`] | Naive Bayes, logistic regression, MLP, adaptive wrappers |
+//! | [`stream`] | STAGGER, AGRAWAL and RandomRBF generators, multi-concept drift composition, error streams |
+//! | [`learners`] | Naive Bayes, MLP, adaptive wrappers |
 //! | [`eval`] | drift metrics, experiment runners for every table/figure |
 //! | [`stats`] | distributions, hypothesis tests, incremental statistics |
 //!
@@ -65,8 +65,7 @@ pub use optwin_baselines::{
     PageHinkley, Stepd,
 };
 pub use optwin_core::{
-    BatchOutcome, CutTable, CutTableRegistry, DetectorExt, DriftDetector, DriftStatus, Optwin,
-    OptwinConfig,
+    BatchOutcome, CutTable, CutTableRegistry, DriftDetector, DriftStatus, Optwin, OptwinConfig,
 };
 pub use optwin_engine::{
     load_checkpoint_dir, CallbackSink, CheckpointPolicy, CheckpointReport, DriftEvent,
