@@ -7,7 +7,7 @@
 //!
 //! * **encode** — `EngineHandle::snapshot()` + `to_json()`: the full
 //!   serialize path a checkpoint pays.
-//! * **decode** — `EngineSnapshot::from_json` + a factory-less
+//! * **decode** — `EngineSnapshot::from_json` + a self-describing
 //!   `EngineBuilder::restore(..).build()`: the full restore path a restart
 //!   pays (the spawned engine is shut down inside the iteration).
 //!

@@ -1224,6 +1224,7 @@ mod tests {
             );
             assert_eq!(detector.add_element(0.0), DriftStatus::Stable);
             assert_eq!(detector.elements_seen(), 1);
+            assert!(detector.snapshot_state().is_some(), "{}", spec.id());
         }
         // build() reports errors instead of panicking.
         let bad = DetectorSpec::Adwin {
@@ -1346,6 +1347,7 @@ mod tests {
                 "{text}"
             );
             detector.add_element(0.0);
+            assert!(detector.snapshot_state().is_some(), "{text}");
         }
         // Serde uses the same canonical string.
         use serde::{Deserialize as _, Serialize as _};

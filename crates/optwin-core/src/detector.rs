@@ -168,8 +168,8 @@ pub trait DriftDetector {
     /// *identical* decisions (and counters) to feeding the original,
     /// uninterrupted detector the same input. Configuration is deliberately
     /// *not* part of the state — restoration happens into a detector freshly
-    /// constructed with the same configuration (typically by the same
-    /// factory), so only the stream-dependent state crosses the snapshot.
+    /// constructed with the same configuration (typically from the same
+    /// spec), so only the stream-dependent state crosses the snapshot.
     ///
     /// The default implementation returns `None`; detectors opt in by
     /// overriding both this method and [`DriftDetector::restore_state`].

@@ -5,13 +5,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use optwin_baselines::DetectorSpec;
-use optwin_core::DriftDetector;
 
 use crate::checkpoint::{self, CheckpointConfig, CheckpointPolicy, RecoveredLog, ReplayOp};
 use crate::error::EngineError;
 use crate::fleet::FleetConfig;
-use crate::handle::{spawn_engine, DetectorSource, EngineHandle, StreamState};
-use crate::hibernate::{HibernatedDetector, HibernationPolicy};
+use crate::handle::{spawn_engine, EngineHandle, StreamState};
+use crate::hibernate::{DetectorSlot, HibernatedDetector, HibernationPolicy};
 use crate::persist::EngineSnapshot;
 use crate::sink::EventSink;
 
@@ -27,29 +26,27 @@ pub fn default_shards() -> usize {
     std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
 }
 
-/// Builder for a running engine: shard count, default detector (a
-/// declarative [`DetectorSpec`] or a closure factory), warning policy, event
-/// sinks, queue capacity and an optional snapshot to restore.
+/// Builder for a running engine: shard count, default [`DetectorSpec`],
+/// warning policy, event sinks, queue capacity and an optional snapshot to
+/// restore.
 ///
 /// [`EngineBuilder::build`] spawns one long-lived worker thread per shard
-/// and returns the cheaply-cloneable [`EngineHandle`] front door. The
-/// canonical construction path is declarative —
+/// and returns the cheaply-cloneable [`EngineHandle`] front door. Every
+/// detector enters the engine as a [`DetectorSpec`] —
 /// [`EngineBuilder::default_spec`] for homogeneous fleets,
 /// [`EngineBuilder::stream_spec`] / [`EngineHandle::register_stream_spec`]
 /// for heterogeneous ones — which makes every stream introspectable and
-/// every snapshot self-describing. The closure-factory and
-/// explicit-instance paths survive as escape hatches for custom detector
-/// types. See the crate docs for a complete example.
+/// every snapshot self-describing. See the crate docs for a complete
+/// example.
 #[must_use]
 pub struct EngineBuilder {
     shards: usize,
     emit_warnings: bool,
     queue_capacity: usize,
-    source: Option<DetectorSource>,
+    default_spec: Option<DetectorSpec>,
     sinks: Vec<Arc<dyn EventSink>>,
     restore: Option<EngineSnapshot>,
-    streams: Vec<(u64, Box<dyn DriftDetector + Send>)>,
-    spec_streams: Vec<(u64, DetectorSpec)>,
+    streams: Vec<(u64, DetectorSpec)>,
     auto_rebalance: Option<f64>,
     hibernation: Option<HibernationPolicy>,
     checkpoint: Option<(PathBuf, CheckpointPolicy)>,
@@ -68,16 +65,13 @@ impl std::fmt::Debug for EngineBuilder {
             .field("shards", &self.shards)
             .field("emit_warnings", &self.emit_warnings)
             .field("queue_capacity", &self.queue_capacity)
-            .field("has_factory", &self.source.is_some())
+            .field("default_spec", &self.default_spec)
             .field("sinks", &self.sinks.len())
             .field(
                 "restore_streams",
                 &self.restore.as_ref().map(EngineSnapshot::stream_count),
             )
-            .field(
-                "pre_registered",
-                &(self.streams.len() + self.spec_streams.len()),
-            )
+            .field("pre_registered", &self.streams.len())
             .finish()
     }
 }
@@ -91,11 +85,10 @@ impl EngineBuilder {
             shards: default_shards(),
             emit_warnings: false,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            source: None,
+            default_spec: None,
             sinks: Vec::new(),
             restore: None,
             streams: Vec::new(),
-            spec_streams: Vec::new(),
             auto_rebalance: None,
             hibernation: None,
             checkpoint: None,
@@ -183,11 +176,11 @@ impl EngineBuilder {
     /// a compact blob and frees the detector. The next record for such a
     /// stream rebuilds the detector from the stream's [`DetectorSpec`] and
     /// restores the blob — bit-exact, so the fleet's events and `seq`
-    /// numbers are byte-identical to a never-hibernating run. Only
-    /// spec-registered streams participate. Restoring a snapshot with
-    /// hibernated entries through a builder with this knob set re-creates
-    /// those streams still asleep (their detectors are never materialized);
-    /// without it they restore awake. Default: no hibernation.
+    /// numbers are byte-identical to a never-hibernating run. Restoring a
+    /// snapshot with hibernated entries through a builder with this knob
+    /// set re-creates those streams still asleep (their detectors are never
+    /// materialized); without it they restore awake. Default: no
+    /// hibernation.
     pub fn hibernation(mut self, policy: HibernationPolicy) -> Self {
         self.hibernation = Some(policy);
         self
@@ -196,32 +189,10 @@ impl EngineBuilder {
     /// Installs the default [`DetectorSpec`]: unknown stream ids
     /// auto-register on first sight with `spec.build()`, recording the spec
     /// so the stream is introspectable ([`EngineHandle::stream_spec`]) and
-    /// snapshots of it restore with no factory. This is the canonical
-    /// configuration path; the spec is validated at
-    /// [`EngineBuilder::build`]. Replaces any previously installed default
-    /// (spec or closure).
+    /// snapshots of it are self-describing. The spec is validated at
+    /// [`EngineBuilder::build`]. Replaces any previously installed default.
     pub fn default_spec(mut self, spec: DetectorSpec) -> Self {
-        self.source = Some(DetectorSource::Spec(spec));
-        self
-    }
-
-    /// Installs a closure detector factory: unknown stream ids auto-register
-    /// by calling it on first sight. The factory is shared by all shard
-    /// workers, hence `Send + Sync`. Streams it creates record no spec — an
-    /// escape hatch for custom detector types; prefer
-    /// [`EngineBuilder::default_spec`] when the detector can be described
-    /// declaratively. Replaces any previously installed default.
-    ///
-    /// The engine cannot see inside a closure, so [`EngineBuilder::build`]
-    /// fills no cut table for it: the first OPTWIN the factory builds is
-    /// built on a shard worker and computes its table there, holding up
-    /// every stream on that shard. Build one such detector before `build()`
-    /// to fill the table up front.
-    pub fn factory<F>(mut self, factory: F) -> Self
-    where
-        F: Fn(u64) -> Box<dyn DriftDetector + Send> + Send + Sync + 'static,
-    {
-        self.source = Some(DetectorSource::Closure(Arc::new(factory)));
+        self.default_spec = Some(spec);
         self
     }
 
@@ -232,24 +203,15 @@ impl EngineBuilder {
         self
     }
 
-    /// Pre-registers a stream with an explicit detector instance (duplicates
-    /// are rejected at build time). The stream records no [`DetectorSpec`];
-    /// prefer [`EngineBuilder::stream_spec`] when possible. Streams can also
-    /// be registered later via [`EngineHandle::register_stream`] /
+    /// Pre-registers a stream: at build time the spec is validated, its
+    /// detector constructed, and the spec recorded on the stream
+    /// (duplicates are rejected there). This is how heterogeneous fleets
+    /// are assembled from configuration — different specs for different
+    /// stream ids. Streams can also be registered later via
     /// [`EngineHandle::register_stream_spec`] or auto-registered by the
-    /// default spec/factory.
-    pub fn stream(mut self, stream: u64, detector: Box<dyn DriftDetector + Send>) -> Self {
-        self.streams.push((stream, detector));
-        self
-    }
-
-    /// Pre-registers a stream declaratively: at build time the spec is
-    /// validated, its detector constructed, and the spec recorded on the
-    /// stream. This is how heterogeneous fleets are assembled from
-    /// configuration — different specs for different stream ids, no
-    /// closures anywhere.
+    /// default spec.
     pub fn stream_spec(mut self, stream: u64, spec: DetectorSpec) -> Self {
-        self.spec_streams.push((stream, spec));
+        self.streams.push((stream, spec));
         self
     }
 
@@ -271,14 +233,19 @@ impl EngineBuilder {
     /// Recovers a crashed (or cleanly stopped) engine from a checkpoint
     /// directory written by [`EngineBuilder::checkpoint`]: loads the base
     /// snapshot, applies the delta overlays, and replays the write-ahead
-    /// log tail — record batches and declarative registrations the crash
-    /// caught after the last checkpoint. The recovered fleet makes
-    /// **bit-identical** subsequent decisions (same events, same `seq`)
-    /// to an uninterrupted run; hibernated streams recover still asleep
-    /// when the builder hibernates. Checkpointing continues into the same
-    /// directory (an initial full checkpoint is cut at build), under the
-    /// policy set by a preceding [`EngineBuilder::checkpoint`] call for
-    /// the same directory, or the default [`CheckpointPolicy`].
+    /// log tail — record batches and registrations the crash caught after
+    /// the last checkpoint. The recovered fleet makes **bit-identical**
+    /// subsequent decisions (same events, same `seq`) to an uninterrupted
+    /// run; hibernated streams recover still asleep when the builder
+    /// hibernates. Checkpointing continues into the same directory (an
+    /// initial full checkpoint is cut at build), under the policy set by a
+    /// preceding [`EngineBuilder::checkpoint`] call for the same directory,
+    /// or the default [`CheckpointPolicy`].
+    ///
+    /// The log holds every [`EngineHandle::register_stream_spec`] call, but
+    /// not the default spec's auto-registrations: a stream first seen after
+    /// the last checkpoint comes back through its replayed records, so this
+    /// builder must carry the same [`EngineBuilder::default_spec`].
     ///
     /// Replaces any [`EngineBuilder::restore`] snapshot.
     ///
@@ -302,14 +269,13 @@ impl EngineBuilder {
     }
 
     /// Restores every stream recorded in `snapshot` when the engine is
-    /// built. Streams whose snapshot embeds a [`DetectorSpec`] (wire format
-    /// v2+, spec-registered) are rebuilt from that spec — **no factory
-    /// required**. Spec-less streams (v1 snapshots, or streams registered
-    /// with explicit instances / a closure factory) are rebuilt through this
-    /// builder's default spec or factory, which must then be configured. In
-    /// both cases the serialized state is restored into the fresh detector,
-    /// so the new engine makes identical subsequent decisions to the
-    /// snapshotted one. The snapshot's shard count and warning policy are
+    /// built. Each stream is rebuilt from the [`DetectorSpec`] its entry
+    /// embeds (wire format v2+) — no configuration required. A v1 entry
+    /// embeds none: fill its [`crate::StreamStateSnapshot::spec`] before
+    /// restoring, or configure a default spec, which rebuilds every
+    /// spec-less entry. The serialized state is restored into the fresh
+    /// detector, so the new engine makes identical subsequent decisions to
+    /// the snapshotted one. The snapshot's shard count and warning policy are
     /// provenance, not constraints — this builder's settings win. Streams
     /// with a recorded shard placement (wire format v3) re-pin to
     /// `recorded_shard % shards`, reproducing a rebalanced routing table;
@@ -326,8 +292,7 @@ impl EngineBuilder {
     /// Every OPTWIN cut table a spec here can reach is complete before the
     /// workers start: pre-registered and restored streams build their
     /// detectors now, and the default spec and streams restored asleep have
-    /// their tables filled through [`DetectorSpec::warm_cut_tables`]. Only a
-    /// closure [`EngineBuilder::factory`] can still fill a table on a worker.
+    /// their tables filled through [`DetectorSpec::warm_cut_tables`].
     ///
     /// # Errors
     ///
@@ -336,10 +301,9 @@ impl EngineBuilder {
     /// * [`EngineError::InvalidSpec`] when the default spec or a
     ///   [`EngineBuilder::stream_spec`] spec fails validation,
     /// * [`EngineError::InvalidSnapshot`] when a snapshot stream has no
-    ///   embedded spec and no default spec/factory is configured, the
-    ///   snapshot's version is unsupported, a detector name does not match
-    ///   what the spec/factory builds, or a detector rejects its serialized
-    ///   state,
+    ///   embedded spec and no default spec is configured, the snapshot's
+    ///   version is unsupported, a detector name does not match what the
+    ///   spec builds, or a detector rejects its serialized state,
     /// * [`EngineError::DuplicateStream`] when a stream id is pre-registered
     ///   (or restored) twice.
     pub fn build(self) -> Result<EngineHandle, EngineError> {
@@ -359,7 +323,7 @@ impl EngineBuilder {
         }
         // Streams the default spec auto-registers build their detectors on
         // the shard workers, so its cut tables are filled here instead.
-        if let Some(DetectorSource::Spec(spec)) = &self.source {
+        if let Some(spec) = &self.default_spec {
             spec.validate()
                 .and_then(|()| spec.warm_cut_tables())
                 .map_err(|e| EngineError::InvalidSpec(e.to_string()))?;
@@ -375,14 +339,35 @@ impl EngineBuilder {
 
         if let Some(snapshot) = self.restore {
             snapshot.check_version()?;
-            for stream_snapshot in snapshot.streams {
-                let stream = stream_snapshot.stream;
+            for entry in snapshot.streams {
+                let stream = entry.stream;
+                if !seen.insert(stream) {
+                    return Err(EngineError::DuplicateStream(stream));
+                }
                 // v3 placement-preserving entry: land on the recorded shard
                 // (folded into the new shard count); older entries fall back
                 // to the modulo default.
-                let target = stream_snapshot
+                let target = entry
                     .shard
                     .map_or_else(|| shard_of(stream), |shard| shard % self.shards);
+                // A v1 entry embeds no spec: the default spec rebuilds it.
+                let Some(spec) = entry.spec.or_else(|| self.default_spec.clone()) else {
+                    return Err(EngineError::InvalidSnapshot(format!(
+                        "stream {stream} has no embedded detector spec; restoring it \
+                         requires a default spec"
+                    )));
+                };
+                if spec.detector_name() != entry.detector {
+                    return Err(EngineError::InvalidSnapshot(format!(
+                        "stream {stream}: snapshot was taken from a `{}` detector but the \
+                         spec `{spec}` builds `{}`",
+                        entry.detector,
+                        spec.detector_name()
+                    )));
+                }
+                let invalid = |e: &dyn std::fmt::Display| {
+                    EngineError::InvalidSnapshot(format!("stream {stream}: spec `{spec}`: {e}"))
+                };
                 // Hibernated entry restoring into a hibernating engine: keep
                 // the stream asleep — its state tree becomes the blob
                 // directly and no detector is materialized, so a snapshot of
@@ -390,100 +375,41 @@ impl EngineBuilder {
                 // footprint. Falls through to the awake path (always
                 // correct) when the entry lacks the counters the sleeper
                 // caches, or for a non-hibernating builder.
-                if self.hibernation.is_some() && stream_snapshot.hibernated {
-                    if let Some(spec) = &stream_snapshot.spec {
-                        if spec.detector_name() != stream_snapshot.detector {
-                            return Err(EngineError::InvalidSnapshot(format!(
-                                "stream {}: snapshot was taken from a `{}` detector but the \
-                                 embedded spec `{}` builds `{}`",
-                                stream,
-                                stream_snapshot.detector,
-                                spec,
-                                spec.detector_name()
-                            )));
-                        }
-                        if let Some(sleeper) = HibernatedDetector::from_persisted(
-                            spec.detector_name(),
-                            &stream_snapshot.state,
-                        ) {
-                            // The sleeper wakes on a shard worker: fill the
-                            // cut tables its detector will take now.
-                            spec.warm_cut_tables().map_err(|e| {
-                                EngineError::InvalidSnapshot(format!(
-                                    "stream {stream}: embedded spec `{spec}`: {e}"
-                                ))
-                            })?;
-                            let mut state = StreamState::asleep(sleeper, spec.clone());
-                            state.restore_position(
-                                stream_snapshot.seq,
-                                stream_snapshot.detector_seconds,
-                            );
-                            if !seen.insert(stream) {
-                                return Err(EngineError::DuplicateStream(stream));
-                            }
-                            initial[target].insert(stream, state);
-                            continue;
-                        }
-                    }
-                }
-                // v2 self-describing entry: rebuild from the embedded spec.
-                // Spec-less entry: fall back to the default spec/factory.
-                let (mut detector, spec) = match &stream_snapshot.spec {
-                    Some(spec) => {
-                        let detector = spec.build().map_err(|e| {
-                            EngineError::InvalidSnapshot(format!(
-                                "stream {stream}: embedded spec `{spec}`: {e}"
-                            ))
-                        })?;
-                        (detector, Some(spec.clone()))
-                    }
-                    None => match &self.source {
-                        Some(source) => source.make(stream).map_err(|e| {
-                            EngineError::InvalidSnapshot(format!("stream {stream}: {e}"))
-                        })?,
-                        None => {
-                            return Err(EngineError::InvalidSnapshot(format!(
-                                "stream {stream} has no embedded detector spec; restoring it \
-                                 requires a default spec or detector factory"
-                            )))
-                        }
-                    },
+                let sleeper = if self.hibernation.is_some() && entry.hibernated {
+                    HibernatedDetector::from_persisted(spec.detector_name(), &entry.state)
+                } else {
+                    None
                 };
-                if detector.name() != stream_snapshot.detector {
-                    return Err(EngineError::InvalidSnapshot(format!(
-                        "stream {}: snapshot was taken from a `{}` detector but the \
-                         spec/factory builds `{}`",
-                        stream,
-                        stream_snapshot.detector,
-                        detector.name()
-                    )));
-                }
-                detector
-                    .restore_state(&stream_snapshot.state)
-                    .map_err(|e| EngineError::InvalidSnapshot(format!("stream {stream}: {e}")))?;
-                let mut state = StreamState::with_spec(detector, spec);
-                state.restore_position(stream_snapshot.seq, stream_snapshot.detector_seconds);
-                if !seen.insert(stream) {
-                    return Err(EngineError::DuplicateStream(stream));
-                }
+                let slot = match sleeper {
+                    Some(sleeper) => {
+                        // The sleeper wakes on a shard worker: fill the cut
+                        // tables its detector will take now.
+                        spec.warm_cut_tables().map_err(|e| invalid(&e))?;
+                        DetectorSlot::Hibernated(sleeper)
+                    }
+                    None => {
+                        let mut detector = spec.build().map_err(|e| invalid(&e))?;
+                        detector.restore_state(&entry.state).map_err(|e| {
+                            EngineError::InvalidSnapshot(format!("stream {stream}: {e}"))
+                        })?;
+                        DetectorSlot::Live(detector)
+                    }
+                };
+                let mut state = StreamState::new(slot, spec);
+                state.restore_position(entry.seq, entry.detector_seconds);
                 initial[target].insert(stream, state);
             }
         }
 
-        for (stream, detector) in self.streams {
-            if !seen.insert(stream) {
-                return Err(EngineError::DuplicateStream(stream));
-            }
-            initial[shard_of(stream)].insert(stream, StreamState::new(detector));
-        }
-        for (stream, spec) in self.spec_streams {
+        for (stream, spec) in self.streams {
             let detector = spec
                 .build()
                 .map_err(|e| EngineError::InvalidSpec(format!("stream {stream}: {e}")))?;
             if !seen.insert(stream) {
                 return Err(EngineError::DuplicateStream(stream));
             }
-            initial[shard_of(stream)].insert(stream, StreamState::with_spec(detector, Some(spec)));
+            initial[shard_of(stream)]
+                .insert(stream, StreamState::new(DetectorSlot::Live(detector), spec));
         }
 
         let checkpoint = match self.checkpoint {
@@ -506,7 +432,7 @@ impl EngineBuilder {
         let handle = spawn_engine(
             self.emit_warnings,
             self.queue_capacity,
-            self.source,
+            self.default_spec,
             self.sinks,
             initial,
             self.auto_rebalance,

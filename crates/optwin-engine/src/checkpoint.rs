@@ -12,11 +12,12 @@
 //!   `{spec, seq, state, shard, hibernated}` entries — the same
 //!   [`StreamStateSnapshot`] the v4 format uses, so a delta of a 1 %-active
 //!   fleet costs ~1 % of a base snapshot.
-//! * Between checkpoints, every record batch (and every declarative
-//!   registration) a worker dequeues is first appended to a per-shard
-//!   **write-ahead log** segment — self-checksummed frames over the
-//!   [`optwin_core::snapshot`] WAL framing, so a torn tail from a crash
-//!   mid-append reads as clean EOF while real corruption fails loudly.
+//! * Between checkpoints, every record batch (and every
+//!   [`crate::EngineHandle::register_stream_spec`] registration) a worker
+//!   dequeues is first appended to a per-shard **write-ahead log** segment
+//!   — self-checksummed frames over the [`optwin_core::snapshot`] WAL
+//!   framing, so a torn tail from a crash mid-append reads as clean EOF
+//!   while real corruption fails loudly.
 //! * When the delta chain's cumulative size crosses
 //!   [`CheckpointPolicy::compact_ratio`] × the base size, the next
 //!   checkpoint **compacts**: it captures every stream into a fresh base
@@ -460,8 +461,9 @@ impl WalWriter {
 pub(crate) enum ReplayOp {
     /// A record batch, in its original submission order.
     Records(Vec<(u64, f64)>),
-    /// A declarative registration (explicit-instance registrations are not
-    /// durable — they have no spec to log).
+    /// A [`crate::EngineHandle::register_stream_spec`] registration. The
+    /// default spec's auto-registrations are not logged: their streams come
+    /// back through the replayed records.
     Register(u64, DetectorSpec),
 }
 

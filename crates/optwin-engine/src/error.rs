@@ -8,7 +8,7 @@ pub enum EngineError {
     /// A stream id was registered twice.
     DuplicateStream(u64),
     /// A record referenced a stream that is not registered and the engine
-    /// has no detector factory.
+    /// has no default spec.
     UnknownStream(u64),
     /// An engine was configured with zero shards.
     ZeroShards,
@@ -22,14 +22,6 @@ pub enum EngineError {
     ChannelClosed,
     /// Internal state was poisoned by a panicking thread.
     Poisoned,
-    /// A snapshot was requested but a stream's detector does not implement
-    /// state serialization.
-    SnapshotUnsupported {
-        /// The stream whose detector cannot be snapshotted.
-        stream: u64,
-        /// The detector's stable name.
-        detector: String,
-    },
     /// A persisted engine snapshot could not be restored.
     InvalidSnapshot(String),
     /// A [`optwin_baselines::DetectorSpec`] failed validation or could not
@@ -65,7 +57,7 @@ impl fmt::Display for EngineError {
             }
             EngineError::UnknownStream(id) => write!(
                 f,
-                "stream {id} is not registered and the engine has no detector factory"
+                "stream {id} is not registered and the engine has no default spec"
             ),
             EngineError::ZeroShards => write!(f, "engine needs at least one shard"),
             EngineError::ZeroQueueCapacity => {
@@ -80,10 +72,6 @@ impl fmt::Display for EngineError {
             EngineError::Poisoned => {
                 write!(f, "engine state was poisoned by a panicking worker thread")
             }
-            EngineError::SnapshotUnsupported { stream, detector } => write!(
-                f,
-                "stream {stream}: detector `{detector}` does not support state snapshots"
-            ),
             EngineError::InvalidSnapshot(message) => {
                 write!(f, "invalid engine snapshot: {message}")
             }
@@ -124,10 +112,9 @@ pub struct StreamSnapshot {
     pub detector_seconds: f64,
     /// The detector's stable name (e.g. `"OPTWIN"`).
     pub detector: &'static str,
-    /// The [`optwin_baselines::DetectorSpec`] the stream was registered
-    /// with, when registered declaratively (`None` for explicit-instance and
-    /// closure-factory streams).
-    pub spec: Option<optwin_baselines::DetectorSpec>,
+    /// The [`optwin_baselines::DetectorSpec`] the stream's detector was
+    /// built from.
+    pub spec: optwin_baselines::DetectorSpec,
     /// Whether the stream is currently hibernated: its detector compressed
     /// to a state blob, to be rehydrated transparently on the next record
     /// (see [`crate::HibernationPolicy`]).
@@ -146,19 +133,12 @@ mod tests {
     fn error_display_messages() {
         let cases: Vec<(EngineError, &str)> = vec![
             (EngineError::DuplicateStream(7), "already registered"),
-            (EngineError::UnknownStream(9), "no detector factory"),
+            (EngineError::UnknownStream(9), "no default spec"),
             (EngineError::ZeroShards, "at least one shard"),
             (EngineError::ZeroQueueCapacity, "at least one record"),
             (EngineError::QueueFull, "nothing was enqueued"),
             (EngineError::ChannelClosed, "shut down"),
             (EngineError::Poisoned, "poisoned"),
-            (
-                EngineError::SnapshotUnsupported {
-                    stream: 4,
-                    detector: "ADWIN".to_string(),
-                },
-                "ADWIN",
-            ),
             (
                 EngineError::InvalidSnapshot("bad version".to_string()),
                 "bad version",

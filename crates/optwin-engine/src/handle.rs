@@ -47,38 +47,6 @@ use crate::persist::{EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSIO
 use crate::router::Router;
 use crate::sink::EventSink;
 
-/// How the engine builds detectors for auto-registered (first-sight) stream
-/// ids: declaratively from a [`DetectorSpec`] — the canonical path, which
-/// also records the spec on the stream so snapshots are self-describing —
-/// or through an opaque closure (the escape hatch for custom detector
-/// types, which leaves no spec behind).
-#[derive(Clone)]
-pub(crate) enum DetectorSource {
-    /// Every unknown stream gets `spec.build()` and records the spec.
-    Spec(DetectorSpec),
-    /// Every unknown stream gets `factory(id)`; no spec is recorded. The
-    /// factory is shared by every shard worker.
-    Closure(Arc<dyn Fn(u64) -> Box<dyn DriftDetector + Send> + Send + Sync>),
-}
-
-impl DetectorSource {
-    /// Builds a detector (and the spec to record, if any) for `stream`.
-    pub(crate) fn make(
-        &self,
-        stream: u64,
-    ) -> Result<(Box<dyn DriftDetector + Send>, Option<DetectorSpec>), EngineError> {
-        match self {
-            DetectorSource::Spec(spec) => {
-                let detector = spec
-                    .build()
-                    .map_err(|e| EngineError::InvalidSpec(e.to_string()))?;
-                Ok((detector, Some(spec.clone())))
-            }
-            DetectorSource::Closure(factory) => Ok((factory(stream), None)),
-        }
-    }
-}
-
 /// Decay factor of the per-shard batch-latency EWMA: each new batch
 /// contributes 20 % — responsive to load shifts without jittering on a
 /// single slow batch.
@@ -361,9 +329,11 @@ struct QueueState {
     /// Set when any worker exits (shutdown or panic): the engine no longer
     /// makes progress, so producers must stop waiting.
     closed: AtomicBool,
+    /// Set when a worker exits by panic.
+    poisoned: AtomicBool,
     /// The first ingestion-time error recorded by a worker since the last
     /// [`EngineHandle::take_error`] (e.g. an unknown stream with no
-    /// factory), surfaced by [`EngineHandle::flush`]. Later errors are
+    /// default spec), surfaced by [`EngineHandle::flush`]. Later errors are
     /// dropped, so a flood of bad records cannot grow memory.
     error: Mutex<Option<EngineError>>,
 }
@@ -375,19 +345,27 @@ impl QueueState {
             .unwrap_or_else(PoisonError::into_inner)
             .get_or_insert(error);
     }
+
+    /// Why a worker no longer answers: [`EngineError::Poisoned`] when one
+    /// died by panic, [`EngineError::ChannelClosed`] after a shutdown.
+    fn worker_gone(&self) -> EngineError {
+        if self.poisoned.load(Ordering::SeqCst) {
+            EngineError::Poisoned
+        } else {
+            EngineError::ChannelClosed
+        }
+    }
 }
 
 /// Per-stream state owned by exactly one shard worker.
 pub(crate) struct StreamState {
     /// The detector — resident, or compressed to a hibernated blob.
     pub(crate) slot: DetectorSlot,
-    /// The spec the stream was registered with, when registered
-    /// declaratively (`None` for closure-factory and explicit-instance
-    /// registrations). Recorded so operators can introspect live streams
-    /// ([`EngineHandle::stream_spec`]) and snapshots are self-describing —
-    /// and, since the hibernation tier, so a sleeping stream's detector can
+    /// The spec the stream's detector was built from. Recorded so operators
+    /// can introspect live streams ([`EngineHandle::stream_spec`]),
+    /// snapshots are self-describing, and a sleeping stream's detector can
     /// be rebuilt on its next record.
-    pub(crate) spec: Option<DetectorSpec>,
+    pub(crate) spec: DetectorSpec,
     /// Elements ingested for this stream so far (the next element's sequence
     /// number).
     pub(crate) seq: u64,
@@ -412,34 +390,13 @@ pub(crate) struct StreamState {
 }
 
 impl StreamState {
-    pub(crate) fn new(detector: Box<dyn DriftDetector + Send>) -> Self {
-        Self::with_spec(detector, None)
-    }
-
-    pub(crate) fn with_spec(
-        detector: Box<dyn DriftDetector + Send>,
-        spec: Option<DetectorSpec>,
-    ) -> Self {
+    /// A stream at position 0. `slot` is hibernated only for a stream
+    /// restored asleep (see [`crate::EngineBuilder::hibernation`]): its
+    /// persisted state stays compressed until the stream's next record.
+    pub(crate) fn new(slot: DetectorSlot, spec: DetectorSpec) -> Self {
         Self {
-            slot: DetectorSlot::Live(detector),
+            slot,
             spec,
-            seq: 0,
-            seconds: 0.0,
-            staged: Vec::new(),
-            last_flush_seq: 0,
-            idle_flushes: 0,
-            dirty: true,
-        }
-    }
-
-    /// A stream restored from a snapshot *without* materializing its
-    /// detector: the persisted state stays compressed until the stream's
-    /// next record. Only reachable from a builder with hibernation
-    /// configured (see [`crate::EngineBuilder::hibernation`]).
-    pub(crate) fn asleep(sleeper: HibernatedDetector, spec: DetectorSpec) -> Self {
-        Self {
-            slot: DetectorSlot::Hibernated(sleeper),
-            spec: Some(spec),
             seq: 0,
             seconds: 0.0,
             staged: Vec::new(),
@@ -460,20 +417,13 @@ impl StreamState {
 
     /// Compresses the live detector into a hibernated blob, freeing the
     /// detector and the staging buffer. No-op (returning `false`) when the
-    /// stream is already asleep, has no spec to rebuild from, or runs a
-    /// detector without snapshot support.
+    /// stream is already asleep.
     fn hibernate(&mut self) -> bool {
         let DetectorSlot::Live(detector) = &self.slot else {
             return false;
         };
-        if self.spec.is_none() {
-            return false;
-        }
         debug_assert!(self.staged.is_empty(), "hibernating mid-batch");
-        let Some(sleeper) = HibernatedDetector::capture(detector.as_ref()) else {
-            return false;
-        };
-        self.slot = DetectorSlot::Hibernated(sleeper);
+        self.slot = DetectorSlot::Hibernated(HibernatedDetector::capture(detector.as_ref()));
         // Drop the staging buffer's capacity along with the detector: a
         // cold stream should cost its blob, not its last batch size.
         self.staged = Vec::new();
@@ -491,12 +441,7 @@ impl StreamState {
         let DetectorSlot::Hibernated(sleeper) = &self.slot else {
             return Ok(());
         };
-        let spec = self.spec.as_ref().ok_or_else(|| EngineError::Hibernation {
-            stream,
-            message: "hibernated stream has no spec to rebuild its detector from".to_string(),
-        })?;
-        let detector = sleeper.wake(stream, spec)?;
-        self.slot = DetectorSlot::Live(detector);
+        self.slot = DetectorSlot::Live(sleeper.wake(stream, &self.spec)?);
         Ok(())
     }
 }
@@ -539,15 +484,15 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Stages `records`, creating unknown streams through the default
-    /// detector source (or recording [`EngineError::UnknownStream`] and
-    /// skipping the record when there is none), runs every staged stream's
-    /// detector through its batch path, and emits the events — sorted by
-    /// `(stream, seq)` within this call — into the sinks.
+    /// Stages `records`, creating unknown streams from the default spec (or
+    /// recording [`EngineError::UnknownStream`] and skipping the record
+    /// when there is none), runs every staged stream's detector through its
+    /// batch path, and emits the events — sorted by `(stream, seq)` within
+    /// this call — into the sinks.
     fn ingest(
         &mut self,
         records: &[(u64, f64)],
-        source: Option<&DetectorSource>,
+        default_spec: Option<&DetectorSpec>,
         sinks: &[Arc<dyn EventSink>],
         emit_warnings: bool,
         queue: &QueueState,
@@ -556,13 +501,15 @@ impl ShardState {
         for &(stream, value) in records {
             let state = match self.streams.entry(stream) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => match source {
-                    Some(source) => match source.make(stream) {
-                        Ok((detector, spec)) => e.insert(StreamState::with_spec(detector, spec)),
+                std::collections::hash_map::Entry::Vacant(e) => match default_spec {
+                    Some(spec) => match spec.build() {
+                        Ok(detector) => {
+                            e.insert(StreamState::new(DetectorSlot::Live(detector), spec.clone()))
+                        }
                         Err(error) => {
                             // Unreachable for a builder-validated spec, but a
                             // worker must never panic over it.
-                            queue.record_error(error);
+                            queue.record_error(EngineError::InvalidSpec(error.to_string()));
                             continue;
                         }
                     },
@@ -678,36 +625,22 @@ impl ShardState {
     /// its blob verbatim — snapshotting a mostly-cold fleet never
     /// materializes its detectors; the blob holds the same wire-v4 state
     /// the live detector would write.
-    fn snapshot_entry(&self, stream: u64) -> Result<StreamStateSnapshot, EngineError> {
+    fn snapshot_entry(&self, stream: u64) -> StreamStateSnapshot {
         let state = &self.streams[&stream];
-        let detector_state = match &state.slot {
-            DetectorSlot::Live(detector) => {
-                detector
-                    .snapshot_state()
-                    .ok_or_else(|| EngineError::SnapshotUnsupported {
-                        stream,
-                        detector: detector.name().to_string(),
-                    })?
-            }
-            DetectorSlot::Hibernated(sleeper) => sleeper.state_value(),
-        };
-        Ok(StreamStateSnapshot {
+        StreamStateSnapshot {
             stream,
             seq: state.seq,
             detector: state.slot.name().to_string(),
             detector_seconds: state.seconds,
-            spec: state.spec.clone(),
+            spec: Some(state.spec.clone()),
             shard: Some(self.shard_index),
-            state: detector_state,
+            state: state.slot.state_value(),
             hibernated: state.slot.is_hibernated(),
-        })
+        }
     }
 
     /// Serializes the entries of the streams `keep` selects, in id order.
-    fn snapshot(
-        &self,
-        keep: impl Fn(&StreamState) -> bool,
-    ) -> Result<Vec<StreamStateSnapshot>, EngineError> {
+    fn snapshot(&self, keep: impl Fn(&StreamState) -> bool) -> Vec<StreamStateSnapshot> {
         let mut ids: Vec<u64> = self
             .streams
             .iter()
@@ -726,12 +659,10 @@ impl ShardState {
     /// dirty bits.
     ///
     /// Ordering matters for crash safety: the rotation happens *before*
-    /// the capture, so if the capture fails (or the handle side crashes
-    /// before the manifest lands) the finalized old segment is still ≥ the
-    /// last durable manifest generation and recovery replays it — nothing
-    /// processed is ever outside both the checkpoint and the log. Dirty
-    /// bits are cleared only after every entry serialized, so a failed
-    /// capture retries in full at the next barrier.
+    /// the capture, so if the handle side fails or crashes before the
+    /// manifest lands, the finalized old segment is still ≥ the last
+    /// durable manifest generation and recovery replays it — nothing
+    /// processed is ever outside both the checkpoint and the log.
     fn checkpoint_capture(
         &mut self,
         generation: u64,
@@ -748,7 +679,7 @@ impl ShardState {
                 self.wal_durability,
             )?);
         }
-        let entries = self.snapshot(|state| full || state.dirty)?;
+        let entries = self.snapshot(|state| full || state.dirty);
         for entry in &entries {
             self.streams
                 .get_mut(&entry.stream)
@@ -785,8 +716,8 @@ impl ShardState {
     /// The hibernation sweep, run at every flush barrier (before sinks
     /// flush): advances each stream's idleness counter and compresses the
     /// ones that crossed [`HibernationPolicy::cold_after_flushes`]. With
-    /// `cold_after_flushes == 0` every spec-registered stream hibernates at
-    /// every barrier, active or not — the forced mode equivalence tests use.
+    /// `cold_after_flushes == 0` every stream hibernates at every barrier,
+    /// active or not — the forced mode equivalence tests use.
     fn hibernation_sweep(&mut self) {
         let Some(policy) = self.hibernation else {
             return;
@@ -820,6 +751,7 @@ struct WorkerGuard {
 impl Drop for WorkerGuard {
     fn drop(&mut self) {
         if std::thread::panicking() {
+            self.queue.poisoned.store(true, Ordering::SeqCst);
             self.queue.record_error(EngineError::Poisoned);
         }
         self.queue.closed.store(true, Ordering::SeqCst);
@@ -827,12 +759,12 @@ impl Drop for WorkerGuard {
     }
 }
 
-/// A shard worker: the shard's state plus the sinks, detector source,
-/// warning flag and queue ledger the records path reads. Barrier closures
-/// receive `&mut Worker` on the worker thread.
+/// A shard worker: the shard's state plus the sinks, default spec, warning
+/// flag and queue ledger the records path reads. Barrier closures receive
+/// `&mut Worker` on the worker thread.
 struct Worker {
     shard: ShardState,
-    source: Option<DetectorSource>,
+    default_spec: Option<DetectorSpec>,
     sinks: Vec<Arc<dyn EventSink>>,
     emit_warnings: bool,
     queue: Arc<QueueState>,
@@ -874,7 +806,7 @@ impl Worker {
                     let started = Instant::now();
                     self.shard.ingest(
                         &records,
-                        self.source.as_ref(),
+                        self.default_spec.as_ref(),
                         &self.sinks,
                         self.emit_warnings,
                         &self.queue,
@@ -895,29 +827,27 @@ impl Worker {
         }
     }
 
-    /// Registers a stream with an explicit detector. Spec-carrying
-    /// registrations are durable: the spec string replays the registration
-    /// verbatim during recovery. Explicit-instance registrations (no spec)
-    /// cannot be logged — their detector is an opaque closure product — so
-    /// recovery relies on the next checkpoint capturing them.
+    /// Registers a stream with `detector`, built from `spec`. The
+    /// registration is durable: the WAL logs the spec string, and recovery
+    /// replays the registration verbatim.
     fn register(
         &mut self,
         stream: u64,
         detector: Box<dyn DriftDetector + Send>,
-        spec: Option<DetectorSpec>,
+        spec: DetectorSpec,
     ) -> Result<(), EngineError> {
         if self.shard.streams.contains_key(&stream) {
             return Err(EngineError::DuplicateStream(stream));
         }
-        if let (Some(wal), Some(spec)) = (self.shard.wal.as_mut(), &spec) {
-            if let Err(error) = wal.append_register(stream, spec) {
+        if let Some(wal) = self.shard.wal.as_mut() {
+            if let Err(error) = wal.append_register(stream, &spec) {
                 self.queue.record_error(error);
                 self.shard.wal = None;
             }
         }
         self.shard
             .streams
-            .insert(stream, StreamState::with_spec(detector, spec));
+            .insert(stream, StreamState::new(DetectorSlot::Live(detector), spec));
         Ok(())
     }
 }
@@ -933,7 +863,6 @@ struct HandleShared {
     workers: Mutex<Vec<JoinHandle<()>>>,
     emit_warnings: bool,
     queue_capacity: usize,
-    has_factory: bool,
     /// When set, [`EngineHandle::flush`] triggers a
     /// [`RebalancePolicy::Records`] rebalance whenever the shard record-load
     /// imbalance (`max / mean`) exceeds this threshold.
@@ -987,7 +916,6 @@ impl std::fmt::Debug for EngineHandle {
             .field("shards", &self.senders.len())
             .field("emit_warnings", &self.shared.emit_warnings)
             .field("queue_capacity", &self.shared.queue_capacity)
-            .field("has_factory", &self.shared.has_factory)
             .field("closed", &self.shared.queue.closed.load(Ordering::SeqCst))
             .finish()
     }
@@ -1002,7 +930,7 @@ impl std::fmt::Debug for EngineHandle {
 pub(crate) fn spawn_engine(
     emit_warnings: bool,
     queue_capacity: usize,
-    source: Option<DetectorSource>,
+    default_spec: Option<DetectorSpec>,
     sinks: Vec<Arc<dyn EventSink>>,
     initial_streams: Vec<HashMap<u64, StreamState>>,
     auto_rebalance_threshold: Option<f64>,
@@ -1014,6 +942,7 @@ pub(crate) fn spawn_engine(
         depth: Mutex::new(vec![0; shards]),
         space: Condvar::new(),
         closed: AtomicBool::new(false),
+        poisoned: AtomicBool::new(false),
         error: Mutex::new(None),
     });
     let router = Router::new(
@@ -1045,7 +974,7 @@ pub(crate) fn spawn_engine(
         };
         let worker = Worker {
             shard,
-            source: source.clone(),
+            default_spec: default_spec.clone(),
             sinks: sinks.clone(),
             emit_warnings,
             queue: Arc::clone(&queue),
@@ -1066,7 +995,6 @@ pub(crate) fn spawn_engine(
             workers: Mutex::new(workers),
             emit_warnings,
             queue_capacity,
-            has_factory: source.is_some(),
             auto_rebalance_threshold,
             futile_auto_rebalance: Mutex::new(None),
             checkpoint: checkpoint.map(|config| Mutex::new(CheckpointState::new(config))),
@@ -1085,15 +1013,6 @@ impl EngineHandle {
     #[must_use]
     pub fn queue_capacity(&self) -> usize {
         self.shared.queue_capacity
-    }
-
-    /// `true` when the engine auto-registers unknown streams through a
-    /// default detector source — either a [`DetectorSpec`] installed with
-    /// [`crate::EngineBuilder::default_spec`] or a closure factory installed
-    /// with [`crate::EngineBuilder::factory`].
-    #[must_use]
-    pub fn has_factory(&self) -> bool {
-        self.shared.has_factory
     }
 
     /// The shard records for `stream` currently route to — the routing
@@ -1130,8 +1049,8 @@ impl EngineHandle {
     /// [`EngineHandle::shutdown`] (or a worker death), or
     /// [`EngineError::Poisoned`] when internal state was poisoned by a
     /// panicking thread. Records referencing unknown streams are validated
-    /// on the worker: with a factory they auto-register, without one the
-    /// offending records are dropped and the error surfaces at the next
+    /// on the worker: with a default spec they auto-register, without one
+    /// the offending records are dropped and the error surfaces at the next
     /// [`EngineHandle::flush`].
     pub fn submit(&self, records: &[(u64, f64)]) -> Result<(), EngineError> {
         self.submit_inner(records, true)
@@ -1203,58 +1122,23 @@ impl EngineHandle {
         Ok(())
     }
 
-    /// Registers a stream with an explicit, caller-constructed detector
-    /// instance, blocking until the owning shard worker acknowledges (so a
-    /// subsequent [`EngineHandle::submit`] from this thread is guaranteed to
-    /// find the stream registered).
-    ///
-    /// This is the escape hatch for detector types the declarative layer
-    /// does not know about. The stream records **no [`DetectorSpec`]**:
-    /// [`EngineHandle::stream_spec`] reports `None` for it, and an
-    /// [`EngineHandle::snapshot`] containing it is not self-describing —
-    /// restoring that snapshot requires a factory
-    /// ([`crate::EngineBuilder::factory`]) able to rebuild the detector.
-    /// Prefer [`EngineHandle::register_stream_spec`] when the detector can
-    /// be described declaratively.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::DuplicateStream`] if the id is already
-    /// registered (the stream keeps its original detector), or
-    /// [`EngineError::ChannelClosed`] when the engine has shut down.
-    pub fn register_stream(
-        &self,
-        stream: u64,
-        detector: Box<dyn DriftDetector + Send>,
-    ) -> Result<(), EngineError> {
-        self.register_with(stream, detector, None)
-    }
-
-    /// Registers a stream declaratively: validates `spec`, builds its
-    /// detector, and records the spec on the stream — the canonical
-    /// registration path. Spec-registered streams are introspectable via
-    /// [`EngineHandle::stream_spec`] and make [`EngineHandle::snapshot`]
-    /// self-describing (restorable with zero caller-side factories).
+    /// Registers a stream: validates `spec`, builds its detector on the
+    /// calling thread, and records the spec on the stream, blocking until
+    /// the owning shard worker acknowledges (so a subsequent
+    /// [`EngineHandle::submit`] from this thread is guaranteed to find the
+    /// stream registered). The registration is write-ahead logged when the
+    /// engine checkpoints.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::InvalidSpec`] when the spec's parameters are
     /// out of range, [`EngineError::DuplicateStream`] if the id is already
-    /// registered, or [`EngineError::ChannelClosed`] when the engine has
-    /// shut down.
+    /// registered (the stream keeps its original detector), or
+    /// [`EngineError::ChannelClosed`] when the engine has shut down.
     pub fn register_stream_spec(&self, stream: u64, spec: DetectorSpec) -> Result<(), EngineError> {
         let detector = spec
             .build()
             .map_err(|e| EngineError::InvalidSpec(e.to_string()))?;
-        self.register_with(stream, detector, Some(spec))
-    }
-
-    fn register_with(
-        &self,
-        stream: u64,
-        detector: Box<dyn DriftDetector + Send>,
-        spec: Option<DetectorSpec>,
-    ) -> Result<(), EngineError> {
         // Route-and-send under the router read lock so a concurrent
         // rebalance cannot move the stream between lookup and enqueue.
         let router = self.shared.router.read();
@@ -1265,15 +1149,13 @@ impl EngineHandle {
 
     /// The [`DetectorSpec`] a live stream is running, so operators can
     /// introspect a fleet without bookkeeping on the side. Returns `None`
-    /// when the stream is not registered *or* was registered without a spec
-    /// (explicit instance / closure factory) — use
-    /// [`EngineHandle::stream_stats`] to distinguish the two.
+    /// when the stream is not registered.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::ChannelClosed`] when the engine has shut down.
     pub fn stream_spec(&self, stream: u64) -> Result<Option<DetectorSpec>, EngineError> {
-        Ok(self.stream_stats(stream)?.and_then(|s| s.spec))
+        Ok(self.stream_stats(stream)?.map(|s| s.spec))
     }
 
     /// Barrier: waits until every record submitted (by this thread) before
@@ -1282,9 +1164,9 @@ impl EngineHandle {
     /// # Errors
     ///
     /// Returns the first ingestion error recorded since the last flush
-    /// (e.g. [`EngineError::UnknownStream`] for records dropped by a
-    /// factory-less engine — only the first is kept, later ones are
-    /// discarded), [`EngineError::ChannelClosed`] when the engine has
+    /// (e.g. [`EngineError::UnknownStream`] for records dropped by an
+    /// engine without a default spec — only the first is kept, later ones
+    /// are discarded), [`EngineError::ChannelClosed`] when the engine has
     /// shut down, or [`EngineError::Poisoned`] after a worker panic.
     pub fn flush(&self) -> Result<(), EngineError> {
         self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
@@ -1370,7 +1252,8 @@ impl EngineHandle {
     ///
     /// # Errors
     ///
-    /// [`EngineError::ChannelClosed`] when a target worker has exited.
+    /// When a target worker has exited: [`EngineError::Poisoned`] if a
+    /// worker died by panic, [`EngineError::ChannelClosed`] otherwise.
     fn barrier<G, R, F>(
         &self,
         router: G,
@@ -1380,6 +1263,7 @@ impl EngineHandle {
         R: Send + 'static,
         F: FnOnce(&mut Worker) -> R + Send + 'static,
     {
+        let queue = &self.shared.queue;
         let mut replies = Vec::new();
         for (shard, op) in ops {
             let (reply, response) = channel();
@@ -1387,13 +1271,13 @@ impl EngineHandle {
                 .send(ShardMsg::Barrier(Box::new(move |worker| {
                     let _ = reply.send(op(worker));
                 })))
-                .map_err(|_| EngineError::ChannelClosed)?;
+                .map_err(|_| queue.worker_gone())?;
             replies.push(response);
         }
         drop(router);
         replies
             .into_iter()
-            .map(|response| response.recv().map_err(|_| EngineError::ChannelClosed))
+            .map(|response| response.recv().map_err(|_| queue.worker_gone()))
             .collect()
     }
 
@@ -1470,7 +1354,7 @@ impl EngineHandle {
     /// # Errors
     ///
     /// Returns [`EngineError::ChannelClosed`] when the engine has shut down,
-    /// or [`EngineError::Poisoned`] when queue accounting was poisoned.
+    /// or [`EngineError::Poisoned`] after a worker panic.
     pub fn stats(&self) -> Result<EngineStats, EngineError> {
         let reports = self.query_all()?;
         let depths: Vec<usize> = self
@@ -1689,10 +1573,9 @@ impl EngineHandle {
     ///
     /// Returns [`EngineError::Checkpoint`] when the engine was built
     /// without [`crate::EngineBuilder::checkpoint`] or when writing to the
-    /// checkpoint directory fails, [`EngineError::SnapshotUnsupported`]
-    /// when a dirty stream runs a custom detector without state
-    /// serialization, or [`EngineError::ChannelClosed`] when the engine
-    /// has shut down.
+    /// checkpoint directory fails, [`EngineError::ChannelClosed`] when the
+    /// engine has shut down, or [`EngineError::Poisoned`] after a worker
+    /// panic.
     pub fn checkpoint(&self) -> Result<CheckpointReport, EngineError> {
         self.run_checkpoint(false, false)
     }
@@ -1758,9 +1641,8 @@ impl EngineHandle {
     /// Serializes the state of every stream into an [`EngineSnapshot`], as
     /// a barrier: the snapshot reflects every record submitted by this
     /// thread before the call. Restore it with
-    /// [`crate::EngineBuilder::restore`] — with **no factory needed** when
-    /// every stream was registered through a [`DetectorSpec`] (the snapshot
-    /// then embeds `{spec, state}` per stream; see
+    /// [`crate::EngineBuilder::restore`], which needs no configuration: the
+    /// snapshot embeds `{spec, state}` per stream (see
     /// [`EngineSnapshot::is_self_describing`]). Each entry also records the
     /// stream's **shard placement**, so a restore reproduces a rebalanced
     /// (tuned) routing table instead of resetting to modulo.
@@ -1768,24 +1650,19 @@ impl EngineHandle {
     /// Always writes wire format v4: detector windows and bucket rows are
     /// embedded as base64 binary blobs (bit-packed / fixed-point-delta /
     /// raw frames, whichever is smallest per sequence — see
-    /// [`optwin_core::snapshot`]). Every shipped detector kind (OPTWIN, the
-    /// baselines and the composites) implements state serialization with
-    /// bit-exact resumption.
+    /// [`optwin_core::snapshot`]). Every [`DetectorSpec`] kind (OPTWIN, the
+    /// baselines and the composites) serializes its state with bit-exact
+    /// resumption.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::SnapshotUnsupported`] when a stream runs a
-    /// *custom* detector that does not implement
-    /// [`optwin_core::DriftDetector::snapshot_state`], or
-    /// [`EngineError::ChannelClosed`] when the engine has shut down.
+    /// Returns [`EngineError::ChannelClosed`] when the engine has shut
+    /// down, or [`EngineError::Poisoned`] after a worker panic.
     pub fn snapshot(&self) -> Result<EngineSnapshot, EngineError> {
         let shards = self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
             worker.shard.snapshot(|_| true)
         })?;
-        let mut streams = Vec::new();
-        for shard in shards {
-            streams.extend(shard?);
-        }
+        let mut streams: Vec<StreamStateSnapshot> = shards.into_iter().flatten().collect();
         streams.sort_unstable_by_key(|s| s.stream);
         Ok(EngineSnapshot {
             version: ENGINE_SNAPSHOT_VERSION,

@@ -22,10 +22,9 @@
 //! snapshots) to a fleet that never sleeps — enforced by
 //! `tests/engine_hibernation.rs` and the forced-cycle adversarial proptest.
 //!
-//! Only spec-registered streams hibernate: a closure-factory or
-//! explicit-instance stream has no declarative recipe to rebuild its
-//! detector from, so the sweep skips it (as it skips custom detectors
-//! without snapshot support). Hibernated streams stay first-class: they
+//! Every stream can hibernate: each carries the [`DetectorSpec`] its
+//! detector is rebuilt from, and every spec kind snapshots its state.
+//! Hibernated streams stay first-class: they
 //! migrate across shards during [`crate::EngineHandle::rebalance`] (the
 //! blob moves instead of the detector), appear in queries and stats with a
 //! `hibernated` flag, and persist inside engine snapshots *without being
@@ -56,8 +55,8 @@ pub struct HibernationPolicy {
     /// A stream is *cold* — and is compressed at the next sweep — once this
     /// many consecutive [`crate::EngineHandle::flush`] barriers have passed
     /// with no records for it. `0` is the forced mode used by equivalence
-    /// tests: **every** spec-registered stream hibernates at **every**
-    /// flush barrier, active or not.
+    /// tests: **every** stream hibernates at **every** flush barrier,
+    /// active or not.
     pub cold_after_flushes: u32,
 }
 
@@ -102,31 +101,29 @@ pub(crate) struct HibernatedDetector {
 }
 
 impl HibernatedDetector {
-    /// Compresses `detector`'s state, or `None` when the detector does not
-    /// support state snapshots (custom detectors stay resident).
-    pub(crate) fn capture(detector: &dyn DriftDetector) -> Option<Self> {
-        let blob = detector.snapshot_state()?;
-        Some(Self {
-            blob,
+    /// Compresses `detector`'s state.
+    pub(crate) fn capture(detector: &dyn DriftDetector) -> Self {
+        Self {
+            blob: live_state(detector),
             name: detector.name(),
             drifts_detected: detector.drifts_detected(),
-        })
+        }
     }
 
     /// Re-assembles a sleeper from a persisted snapshot entry: the restore
     /// path that keeps a hibernated stream asleep instead of materializing
     /// its detector. Returns `None` when the entry's state does not carry
-    /// the lifetime counters every shipped detector serializes (a custom
-    /// detector's opaque state) — the caller then falls back to an awake
-    /// restore, which is always correct.
+    /// the lifetime counters every shipped detector serializes — the
+    /// caller then falls back to an awake restore, which is always
+    /// correct.
     pub(crate) fn from_persisted(name: &'static str, state: &serde::Value) -> Option<Self> {
         let counter = |field: &str| match state.get(field) {
             Some(&serde::Value::UInt(n)) => Some(n),
             Some(&serde::Value::Int(n)) => u64::try_from(n).ok(),
             _ => None,
         };
-        // Both lifetime counters must be present: their absence marks an
-        // opaque custom-detector state this constructor cannot vouch for.
+        // Both lifetime counters must be present: their absence marks a
+        // state this constructor cannot vouch for.
         counter("elements_seen")?;
         let drifts_detected = counter("drifts_detected")?;
         Some(Self {
@@ -160,12 +157,6 @@ impl HibernatedDetector {
         Ok(detector)
     }
 
-    /// The blob's state value tree — how a sleeping stream embeds itself in
-    /// an engine snapshot without waking.
-    pub(crate) fn state_value(&self) -> serde::Value {
-        self.blob.clone()
-    }
-
     /// The detector's stable name.
     pub(crate) fn name(&self) -> &'static str {
         self.name
@@ -181,6 +172,14 @@ impl HibernatedDetector {
     pub(crate) fn blob_bytes(&self) -> usize {
         value_heap_bytes(&self.blob)
     }
+}
+
+/// A live detector's wire-v4 state. Every engine stream runs a detector
+/// built from a [`DetectorSpec`], and all ten spec kinds snapshot theirs.
+fn live_state(detector: &dyn DriftDetector) -> serde::Value {
+    detector
+        .snapshot_state()
+        .expect("every DetectorSpec kind snapshots its state")
 }
 
 /// Approximate heap footprint of a state value tree: container capacities
@@ -223,6 +222,16 @@ impl DetectorSlot {
         match self {
             DetectorSlot::Live(d) => d.name(),
             DetectorSlot::Hibernated(h) => h.name(),
+        }
+    }
+
+    /// The detector's wire-v4 state value. A sleeper returns its blob —
+    /// how a sleeping stream embeds itself in an engine snapshot without
+    /// waking.
+    pub(crate) fn state_value(&self) -> serde::Value {
+        match self {
+            DetectorSlot::Live(d) => live_state(d.as_ref()),
+            DetectorSlot::Hibernated(h) => h.blob.clone(),
         }
     }
 

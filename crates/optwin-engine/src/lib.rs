@@ -4,15 +4,14 @@
 //! turns the batch-first [`DriftDetector`](optwin_core::DriftDetector)
 //! contract into a serving-scale runtime with a service-style front door:
 //!
-//! * [`EngineBuilder`] configures shard count, the default detector — a
-//!   declarative [`optwin_baselines::DetectorSpec`]
-//!   ([`EngineBuilder::default_spec`], the canonical path) or a closure
-//!   factory (the escape hatch) — warning policy, event sinks and queue
-//!   capacity, then spawns **one long-lived worker thread per shard**. Each
-//!   stream is owned by exactly one shard at a time — `id % shards` unless
-//!   a restore or a rebalance placed it elsewhere — so per-stream order is
-//!   preserved with no locking. Heterogeneous fleets mix specs
-//!   per stream via [`EngineBuilder::stream_spec`] /
+//! * [`EngineBuilder`] configures shard count, the default
+//!   [`optwin_baselines::DetectorSpec`] for unknown stream ids
+//!   ([`EngineBuilder::default_spec`]), warning policy, event sinks and
+//!   queue capacity, then spawns **one long-lived worker thread per
+//!   shard**. Each stream is owned by exactly one shard at a time —
+//!   `id % shards` unless a restore or a rebalance placed it elsewhere — so
+//!   per-stream order is preserved with no locking. Heterogeneous fleets
+//!   mix specs per stream via [`EngineBuilder::stream_spec`] /
 //!   [`EngineHandle::register_stream_spec`], and
 //!   [`EngineHandle::stream_spec`] reports what a live stream is running.
 //! * [`EngineHandle`] — cheaply cloneable and thread-safe — is the front
@@ -38,12 +37,11 @@
 //! * [`EngineHandle::snapshot`] serializes every stream's detector state
 //!   into an [`EngineSnapshot`]; [`EngineBuilder::restore`] rebuilds a
 //!   fresh engine that makes **identical subsequent decisions**, so a
-//!   restarted process resumes mid-stream. Snapshots of spec-registered
-//!   streams embed `{spec, state, shard}` (wire format v4, windows as
-//!   compact binary blobs) and restore with **zero caller-side
-//!   factories**, reproducing a rebalanced placement; every shipped
-//!   detector kind serializes its state bit-exactly. v1–v3 snapshots
-//!   still load.
+//!   restarted process resumes mid-stream. Snapshots embed
+//!   `{spec, state, shard}` per stream (wire format v4, windows as compact
+//!   binary blobs) and restore with **no caller-side configuration**,
+//!   reproducing a rebalanced placement; every detector kind serializes
+//!   its state bit-exactly. v1–v3 snapshots still load.
 //! * Whole fleets load from config files: [`FleetConfig`] /
 //!   [`EngineBuilder::from_config_json`] turn a JSON map of
 //!   `stream id → spec string` into a fully registered engine.
@@ -79,24 +77,16 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use optwin_core::{DriftDetector, Optwin, OptwinConfig};
 //! use optwin_engine::{EngineBuilder, MemorySink};
 //!
-//! // Detections land in a shared sink; detectors are created on first
-//! // sight of a stream id (one shared cut table across all of them).
+//! // Detections land in a shared sink; detectors are built from the
+//! // default spec on first sight of a stream id (one shared cut table
+//! // across all of them).
 //! let sink = Arc::new(MemorySink::new());
 //! let handle = EngineBuilder::new()
 //!     .shards(4)
 //!     .queue_capacity(8_192)
-//!     .factory(|_stream| {
-//!         let config = OptwinConfig::builder()
-//!             .robustness(1.0)
-//!             .max_window(500)
-//!             .build()
-//!             .expect("valid config");
-//!         Box::new(Optwin::new(config).expect("valid config"))
-//!             as Box<dyn DriftDetector + Send>
-//!     })
+//!     .default_spec("optwin:rho=1.0,w_max=500".parse().expect("valid spec"))
 //!     .sink(Arc::clone(&sink) as Arc<dyn optwin_engine::EventSink>)
 //!     .build()
 //!     .expect("valid engine");

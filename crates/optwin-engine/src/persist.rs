@@ -12,20 +12,18 @@
 //!
 //! # Wire format v2: self-describing streams
 //!
-//! Since format version 2 every stream registered through a
-//! [`optwin_baselines::DetectorSpec`] (the builder's
-//! [`crate::EngineBuilder::default_spec`] / [`crate::EngineBuilder::stream_spec`]
-//! or the handle's [`crate::EngineHandle::register_stream_spec`]) records its
-//! spec in the snapshot as `{spec, state}`. Restoring such a snapshot needs
-//! **no caller-side factory at all**: the builder reconstructs each detector
-//! from its embedded spec and restores the serialized state into it.
+//! Since format version 2 every stream records the
+//! [`optwin_baselines::DetectorSpec`] its detector was built from (the
+//! builder's [`crate::EngineBuilder::default_spec`] /
+//! [`crate::EngineBuilder::stream_spec`] or the handle's
+//! [`crate::EngineHandle::register_stream_spec`]) in the snapshot as
+//! `{spec, state}`. Restoring such a snapshot needs **no caller-side
+//! configuration at all**: the builder reconstructs each detector from its
+//! embedded spec and restores the serialized state into it.
 //!
-//! Streams registered with an opaque detector instance (the closure-factory
-//! escape hatch or [`crate::EngineHandle::register_stream`]) have no spec to
-//! embed — their snapshot entry carries `state` only and restoring them
-//! still requires a factory, exactly like the v1 format. Version-1 snapshots
-//! (no `spec` entries at all) therefore keep loading behind a factory,
-//! unchanged.
+//! Version-1 snapshots carry no `spec` entries. They keep loading through
+//! the restoring builder's default spec, or through specs the caller fills
+//! into each [`StreamStateSnapshot::spec`] before restoring.
 //!
 //! # Wire format v3: placement-preserving streams
 //!
@@ -66,7 +64,7 @@
 //!
 //! The snapshot deliberately excludes detector *configuration* beyond the
 //! spec string: restoration re-derives shared resources (e.g. OPTWIN cut
-//! tables) from the spec or factory. Shard count and warning policy are
+//! tables) from the spec. Shard count and warning policy are
 //! recorded as provenance and do not constrain the restoring builder.
 //!
 //! # Wire format v5: checkpoint directories (built on v4)
@@ -83,7 +81,7 @@
 //! migration, cleared only when a checkpoint captures the stream — which is
 //! what makes the overlays sparse. Recovery merges base → overlays → WAL
 //! tail through the ordinary restore path of this module, so everything
-//! above about bit-exactness, factory-less spec restore, placement and
+//! above about bit-exactness, self-describing restore, placement and
 //! hibernated entries applies to recovered fleets unchanged.
 
 use optwin_baselines::DetectorSpec;
@@ -94,11 +92,11 @@ use crate::error::EngineError;
 /// Serialization format version of every [`EngineSnapshot`] this crate
 /// writes; [`crate::EngineBuilder::restore`] reads v1–v4.
 ///
-/// * **v1** — per-stream `{seq, detector, state}`; restore requires a
-///   factory.
-/// * **v2** — adds the optional per-stream `spec`, making restore
-///   factory-less for spec-registered streams. v1 snapshots still parse and
-///   restore (behind a factory).
+/// * **v1** — per-stream `{seq, detector, state}`; restore needs a default
+///   spec or caller-filled specs.
+/// * **v2** — adds the per-stream `spec`, making snapshots
+///   self-describing. v1 snapshots still parse and restore (through a
+///   default spec or caller-filled specs).
 /// * **v3** — adds the optional per-stream `shard`, making restore
 ///   placement-preserving (a rebalanced routing table survives a restart).
 ///   v1/v2 snapshots still parse and restore, defaulting to `id % shards`.
@@ -112,9 +110,8 @@ use crate::error::EngineError;
 /// snapshots — it does not bump this constant.
 pub const ENGINE_SNAPSHOT_VERSION: u64 = 4;
 
-/// The persisted state of one stream: its position, optionally the
-/// [`DetectorSpec`] it was registered with, and its detector's serialized
-/// internals.
+/// The persisted state of one stream: its position, the [`DetectorSpec`]
+/// its detector was built from, and its detector's serialized internals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamStateSnapshot {
     /// The stream id.
@@ -128,9 +125,10 @@ pub struct StreamStateSnapshot {
     /// Wall-clock seconds spent inside the detector (diagnostics; carried
     /// across restarts so lifetime stats stay meaningful).
     pub detector_seconds: f64,
-    /// The spec the stream was registered with, when it was registered
-    /// declaratively (`None` for closure-factory and explicit-instance
-    /// streams, and for every stream of a v1 snapshot).
+    /// The spec the stream's detector was built from. Every writer fills
+    /// it; it is `None` only in a parsed v1 snapshot, which predates specs.
+    /// Fill it before restoring such an entry, or restore through a default
+    /// spec ([`crate::EngineBuilder::restore`]).
     pub spec: Option<DetectorSpec>,
     /// The shard the stream lived on when the snapshot was taken (`None`
     /// for v1/v2 snapshots). Restores re-pin the stream to
@@ -238,7 +236,7 @@ impl EngineSnapshot {
     }
 
     /// `true` when every stream embeds its [`DetectorSpec`], i.e. the
-    /// snapshot restores with no factory configured.
+    /// snapshot restores with no default spec configured.
     #[must_use]
     pub fn is_self_describing(&self) -> bool {
         self.streams.iter().all(|s| s.spec.is_some())

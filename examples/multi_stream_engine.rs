@@ -2,7 +2,7 @@
 //! hundreds of model error streams with **heterogeneous detectors** (a
 //! different [`DetectorSpec`] per stream group), detections fanning out
 //! through pluggable sinks, and a snapshot/restore round trip demonstrating
-//! a **factory-less** mid-stream restart.
+//! a **self-describing** mid-stream restart.
 //!
 //! Run with:
 //!
@@ -27,7 +27,7 @@
 //! Halfway through, the engine's per-shard load is dumped, its placement
 //! rebalanced, and the engine snapshotted, torn down, and restored into
 //! a brand-new engine **without registering a single stream or configuring
-//! any factory** — the snapshot embeds each stream's
+//! a default spec** — the snapshot embeds each stream's
 //! `{spec, state, shard}`, so the restarted process rebuilds all 256
 //! heterogeneous detectors (and the tuned placement) from the JSON alone
 //! and produces exactly the events the original would have. The snapshot
@@ -182,7 +182,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- Phase 2: a "restarted process" restores the snapshot from its
-    // JSON form alone — no factory, no register calls, no knowledge of
+    // JSON form alone — no default spec, no register calls, no knowledge of
     // which stream ran which detector. The specs embedded in the snapshot
     // rebuild the whole heterogeneous fleet.
     let snapshot = optwin::engine::EngineSnapshot::from_json(&snapshot_json)?;
@@ -203,7 +203,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let phase2 = resumed.elapsed();
 
     println!(
-        "phase 2: factory-less restore, engine now reports {} elements total \
+        "phase 2: self-describing restore, engine now reports {} elements total \
          across {} streams ({phase2:.2?}); {} rerouted placements survived the restart",
         stats.elements,
         stats.streams,

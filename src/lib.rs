@@ -98,7 +98,7 @@ mod tests {
         let sink = std::sync::Arc::new(MemorySink::new());
         let handle: EngineHandle = EngineBuilder::new()
             .shards(2)
-            .factory(|_| Box::new(Adwin::with_defaults()))
+            .default_spec("adwin".parse().unwrap())
             .sink(sink.clone())
             .build()
             .unwrap();

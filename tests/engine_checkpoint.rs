@@ -4,8 +4,8 @@
 //!
 //! The headline property is **bit-exact resume**: an engine killed
 //! mid-ingest — by a real `std::process::abort()` in a re-executed child
-//! process, or by an in-process worker panic injected through a poisoned
-//! detector — recovers from its checkpoint directory and emits byte-for-byte
+//! process, or by an in-process worker panic injected through a panicking
+//! sink — recovers from its checkpoint directory and emits byte-for-byte
 //! the events (stream, `seq`, status) of an uninterrupted reference run, for
 //! all 8 shipped detector kinds, with hibernated streams recovering still
 //! asleep. The suite also proves delta-chain compaction equivalence under
@@ -18,10 +18,10 @@
 //! zero fsyncs, `Fsync` syncs every commit point and append barrier.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use optwin::core::snapshot::float_field;
-use optwin::core::{BatchOutcome, CoreError, DriftDetector, DriftStatus};
 use optwin::engine::{fsync_count, load_checkpoint_dir, CheckpointPolicy, Durability, EngineError};
 use optwin::{
     DetectorSpec, DriftEvent, EngineBuilder, EngineHandle, EventSink, HibernationPolicy, MemorySink,
@@ -251,82 +251,52 @@ fn crash_recovery_survives_process_kill() {
 }
 
 // ---------------------------------------------------------------------------
-// In-process crash: a poisoned detector panics a shard worker mid-batch
+// In-process crash: a panicking sink kills a shard worker mid-batch
 // ---------------------------------------------------------------------------
 
-/// Delegates to a real detector but panics once it has seen a configured
-/// number of elements — a worker-thread crash injected at a precise point
-/// in the stream, with the WAL already holding the fatal batch
-/// (log-then-apply).
+/// Panics on the first event at `seq ≥ PILL_SEQ` once armed — a
+/// worker-thread crash injected mid-batch. Sinks run on the worker after
+/// the write-ahead-log append, so the log already holds the fatal batch.
 struct PoisonPill {
-    inner: Box<dyn DriftDetector + Send>,
-    seen: usize,
-    panic_at: usize,
+    armed: AtomicBool,
 }
 
-impl DriftDetector for PoisonPill {
-    fn add_element(&mut self, value: f64) -> DriftStatus {
-        self.seen += 1;
-        assert!(self.seen != self.panic_at, "poison pill swallowed");
-        self.inner.add_element(value)
-    }
-    fn add_batch(&mut self, values: &[f64]) -> BatchOutcome {
-        // Element-wise on purpose: the panic must land mid-batch, and the
-        // detector contract guarantees batch == fold for the delegate.
-        let mut outcome = BatchOutcome::with_len(values.len());
-        for (i, &value) in values.iter().enumerate() {
-            outcome.record(i, self.add_element(value));
+const PILL_SEQ: u64 = 1_500;
+
+impl EventSink for PoisonPill {
+    fn emit(&self, event: &DriftEvent) {
+        if event.seq >= PILL_SEQ && self.armed.swap(false, Ordering::SeqCst) {
+            panic!("poison pill swallowed at {event:?}");
         }
-        outcome
-    }
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-    fn snapshot_state(&self) -> Option<serde::Value> {
-        self.inner.snapshot_state()
-    }
-    fn restore_state(&mut self, state: &serde::Value) -> Result<(), CoreError> {
-        self.inner.restore_state(state)
-    }
-    fn elements_seen(&self) -> u64 {
-        self.inner.elements_seen()
-    }
-    fn drifts_detected(&self) -> u64 {
-        self.inner.drifts_detected()
     }
 }
 
-/// A shard worker dies by panic in the middle of a batch; the engine
-/// reports [`EngineError::Poisoned`]; the directory recovers bit-exactly —
-/// including the poisoned stream itself, whose fatal batch was write-ahead
-/// logged before the detector saw it.
+/// A shard worker dies by panic in the middle of a batch; `flush` and
+/// `shutdown` report [`EngineError::Poisoned`]; the directory recovers
+/// bit-exactly — including the dead worker's streams, whose fatal batch
+/// was write-ahead logged before they saw it.
 #[test]
 fn poisoned_worker_recovery_is_bit_exact() {
+    /// A stream registered at runtime, by spec.
     const PILL: u64 = 100;
     let pill_spec: DetectorSpec = "adwin".parse().expect("valid spec");
+    let records_for = |from: usize, to: usize| -> Vec<(u64, f64)> {
+        (from..to)
+            .flat_map(|i| (0..STREAMS).chain([PILL]).map(move |s| (s, element(s, i))))
+            .collect()
+    };
 
-    // Reference: the identical fleet plus a healthy stream 100.
+    // Reference: the identical fleet, never crashing.
     let reference = {
         let (handle, sink) = build_fleet(None, None);
         handle
             .register_stream_spec(PILL, pill_spec.clone())
             .expect("fresh stream id");
-        let feed_all = |from: usize, to: usize| {
-            let mut records = Vec::new();
-            for i in from..to {
-                for stream in 0..STREAMS {
-                    records.push((stream, element(stream, i)));
-                }
-                records.push((PILL, element(PILL, i)));
-            }
-            handle.submit(&records).expect("engine running");
-            handle.flush().expect("no ingestion errors");
-        };
         for start in (0..TOTAL).step_by(500) {
-            feed_all(start, (start + 500).min(TOTAL));
+            handle
+                .submit(&records_for(start, (start + 500).min(TOTAL)))
+                .expect("engine running");
+            handle.flush().expect("no ingestion errors");
         }
         let events = canonical(sink.drain());
         handle.shutdown().expect("clean shutdown");
@@ -334,83 +304,132 @@ fn poisoned_worker_recovery_is_bit_exact() {
     };
 
     let dir = scratch_dir("poisoned-worker");
-    let (handle, _sink) = build_fleet(Some((&dir, CheckpointPolicy::every_flushes(1))), None);
-    // Registered with an explicit instance (no spec): durability comes from
-    // the delta checkpoints capturing its serialized state, not the WAL.
+    let pill = Arc::new(PoisonPill {
+        armed: AtomicBool::new(false),
+    });
+    let builder = EngineBuilder::new()
+        .shards(4)
+        .sink(Arc::clone(&pill) as Arc<dyn EventSink>)
+        .checkpoint(&dir, CheckpointPolicy::every_flushes(1));
+    let handle = (0..STREAMS)
+        .fold(builder, |builder, s| builder.stream_spec(s, spec_of(s)))
+        .build()
+        .expect("valid engine");
     handle
-        .register_stream(
-            PILL,
-            Box::new(PoisonPill {
-                inner: pill_spec.build().expect("valid spec"),
-                seen: 0,
-                panic_at: 1_600,
-            }),
-        )
+        .register_stream_spec(PILL, pill_spec)
         .expect("fresh stream id");
-
-    let mut records = Vec::new();
     for start in (0..1_500).step_by(500) {
-        records.clear();
-        for i in start..start + 500 {
-            for stream in 0..STREAMS {
-                records.push((stream, element(stream, i)));
-            }
-            records.push((PILL, element(PILL, i)));
-        }
-        handle.submit(&records).expect("engine running");
+        handle
+            .submit(&records_for(start, start + 500))
+            .expect("engine running");
         handle.flush().expect("no ingestion errors");
     }
-    // The fatal window: stream 100's worker dies at its 1,600th element,
-    // mid-way through this batch. Every shard logged its partition before
-    // applying it, so nothing here is lost.
-    records.clear();
-    for i in 1_500..1_700 {
-        for stream in 0..STREAMS {
-            records.push((stream, element(stream, i)));
-        }
-        records.push((PILL, element(PILL, i)));
-    }
-    handle.submit(&records).expect("engine running");
-    let error = handle
-        .shutdown()
-        .expect_err("the poisoned worker must surface");
-    assert!(
-        matches!(error, EngineError::Poisoned),
-        "expected Poisoned, got {error:?}"
-    );
+    // The fatal window: the first drift at `PILL_SEQ` or later kills its
+    // worker mid-batch. Every shard logged its partition before applying
+    // it, so nothing here is lost.
+    pill.armed.store(true, Ordering::SeqCst);
+    handle
+        .submit(&records_for(1_500, 1_700))
+        .expect("engine running");
+    assert_eq!(handle.flush(), Err(EngineError::Poisoned));
+    assert_eq!(handle.shutdown(), Err(EngineError::Poisoned));
 
-    // Recovery: spec-registered streams rebuild from their embedded specs;
-    // the pill stream has none and comes back through the factory — as the
-    // healthy detector it always claimed to be.
+    // Recovery needs no configuration: every stream, the one registered at
+    // runtime included, rebuilds from its checkpointed spec.
     let sink = Arc::new(MemorySink::new());
     let recovered = EngineBuilder::new()
         .shards(4)
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
-        .factory(|_stream| "adwin".parse::<DetectorSpec>().unwrap().build().unwrap())
         .recover_from_dir(&dir)
         .expect("recoverable directory")
         .build()
         .expect("valid engine");
-    let mut records = Vec::new();
     for start in (1_700..TOTAL).step_by(500) {
-        records.clear();
-        for i in start..(start + 500).min(TOTAL) {
-            for stream in 0..STREAMS {
-                records.push((stream, element(stream, i)));
-            }
-            records.push((PILL, element(PILL, i)));
-        }
-        recovered.submit(&records).expect("engine running");
+        recovered
+            .submit(&records_for(start, (start + 500).min(TOTAL)))
+            .expect("engine running");
         recovered.flush().expect("no ingestion errors");
     }
     let events = canonical(sink.drain());
     recovered.shutdown().expect("clean shutdown");
 
-    let expected: Vec<DriftEvent> = reference.into_iter().filter(|e| e.seq >= 1_500).collect();
+    let expected: Vec<DriftEvent> = reference
+        .into_iter()
+        .filter(|e| e.seq >= PILL_SEQ)
+        .collect();
     assert!(!expected.is_empty(), "the workload must drift after 1500");
     assert_eq!(
         events, expected,
         "recovery after a worker panic must resume bit-exactly"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A registration that only the write-ahead log holds — made after the
+/// build's initial checkpoint, with no checkpoint after it — survives a
+/// crash: recovery with no default spec brings the stream back with its
+/// spec, and it resumes bit-exactly.
+#[test]
+fn wal_only_registration_survives_a_crash() {
+    const LATE: u64 = 100;
+    let spec = spec_of(LATE);
+    let feed = |handle: &EngineHandle, from: usize, to: usize| {
+        let records: Vec<(u64, f64)> = (from..to).map(|i| (LATE, element(LATE, i))).collect();
+        handle.submit(&records).expect("engine running");
+    };
+
+    let reference = {
+        let (handle, sink) = build_fleet(None, None);
+        handle
+            .register_stream_spec(LATE, spec.clone())
+            .expect("fresh stream id");
+        feed(&handle, 0, TOTAL);
+        handle.flush().expect("no ingestion errors");
+        let events = canonical(sink.drain());
+        handle.shutdown().expect("clean shutdown");
+        events
+    };
+
+    let dir = scratch_dir("wal-only-registration");
+    let (handle, _sink) = build_fleet(Some((&dir, CheckpointPolicy::every_flushes(0))), None);
+    handle
+        .register_stream_spec(LATE, spec.clone())
+        .expect("fresh stream id");
+    feed(&handle, 0, CRASH);
+    // The stats barrier proves the worker logged both; no checkpoint
+    // follows.
+    let _ = handle.stats().expect("engine running");
+    handle.shutdown().expect("clean shutdown");
+    let checkpointed = load_checkpoint_dir(&dir).expect("loadable directory");
+    assert!(
+        checkpointed.streams.iter().all(|s| s.stream != LATE),
+        "only the write-ahead log may hold the late stream"
+    );
+
+    let sink = Arc::new(MemorySink::new());
+    let recovered = EngineBuilder::new()
+        .shards(4)
+        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
+        .recover_from_dir(&dir)
+        .expect("recoverable directory")
+        .build()
+        .expect("valid engine");
+    assert_eq!(
+        recovered.stream_spec(LATE).expect("engine running"),
+        Some(spec)
+    );
+    feed(&recovered, CRASH, TOTAL);
+    recovered.flush().expect("no ingestion errors");
+    let events = canonical(sink.drain());
+    recovered.shutdown().expect("clean shutdown");
+
+    assert!(
+        events.iter().any(|e| e.seq as usize >= CRASH),
+        "the late stream must drift after the crash"
+    );
+    assert_eq!(
+        events, reference,
+        "a WAL-only registration must resume bit-exactly"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -59,23 +59,22 @@ fn build_detector(stream: u64) -> Box<dyn DriftDetector + Send> {
         .expect("paper line-up specs are valid")
 }
 
-/// A factory-backed engine feeding a fresh [`MemorySink`].
+/// An engine with every stream pre-registered by its spec, feeding a fresh
+/// [`MemorySink`].
 fn engine(shards: usize) -> (EngineHandle, Arc<MemorySink>) {
     let sink = Arc::new(MemorySink::new());
-    let handle = EngineBuilder::new()
-        .shards(shards)
-        .factory(build_detector)
-        .sink(sink.clone())
-        .build()
-        .expect("valid engine");
-    (handle, sink)
+    let builder = (0..N_STREAMS).fold(
+        EngineBuilder::new().shards(shards).sink(sink.clone()),
+        |builder, stream| builder.stream_spec(stream, spec_of(stream).clone()),
+    );
+    (builder.build().expect("valid engine"), sink)
 }
 
 /// Submits one batch, waits at a flush barrier and returns the batch's
 /// events sorted by `(stream, seq)`.
 fn ingest(handle: &EngineHandle, sink: &MemorySink, records: &[(u64, f64)]) -> Vec<DriftEvent> {
     handle.submit(records).expect("engine running");
-    handle.flush().expect("factory-backed engine");
+    handle.flush().expect("no ingestion errors");
     let mut events = sink.drain();
     events.sort_unstable_by_key(|e| (e.stream, e.seq));
     events
@@ -177,7 +176,7 @@ fn stream_snapshots_report_lifetime_counters() {
     let snap = handle
         .stream_stats(2)
         .expect("engine running")
-        .expect("registered by factory");
+        .expect("pre-registered");
     assert_eq!(snap.stream, 2);
     assert_eq!(snap.elements, 2_000);
     assert!(snap.detector_seconds >= 0.0);

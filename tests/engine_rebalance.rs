@@ -226,7 +226,7 @@ fn v3_snapshot_round_trips_rebalanced_placement() {
         .sink(Arc::clone(&restored_sink) as Arc<dyn EventSink>)
         .restore(snapshot)
         .build()
-        .expect("self-describing snapshot needs no factory");
+        .expect("self-describing snapshot needs no configuration");
     let restored_placement: Vec<usize> = (0..SKEW_STREAMS).map(|s| restored.shard_of(s)).collect();
     assert_eq!(
         restored_placement, placement,

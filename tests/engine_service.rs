@@ -12,14 +12,14 @@
 //!   restored (through its JSON form) into a fresh builder produces exactly
 //!   the events the uninterrupted engine produces for the remaining input.
 
-use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use optwin::engine::EngineError;
 use optwin::{
-    paper_lineup, DetectorSpec, DriftDetector, DriftEvent, DriftStatus, EngineBuilder,
-    EngineHandle, EngineSnapshot, EventSink, MemorySink, Optwin, OptwinConfig,
+    paper_lineup, DetectorSpec, DriftDetector, DriftEvent, EngineBuilder, EngineHandle,
+    EngineSnapshot, EventSink, MemorySink,
 };
 
 /// Deterministic pseudo-random jitter in [-0.5, 0.5) (SplitMix64).
@@ -98,13 +98,16 @@ fn one_million_elements_via_submit_match_ingest_batch() {
     // Service path: pipelined submits, one flush at the end.
     let shards = test_shards();
     let sink = Arc::new(MemorySink::new());
-    let handle = EngineBuilder::new()
+    let builder = EngineBuilder::new()
         .shards(shards)
         // Two chunks of headroom per shard: submission regularly outruns
         // detection, so the bounded queue genuinely blocks.
         .queue_capacity((chunk_records * 2 / shards).max(1))
-        .factory(build_detector)
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
+        .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
+    let handle = (0..N_STREAMS)
+        .fold(builder, |builder, stream| {
+            builder.stream_spec(stream, lineup_spec_of(stream).clone())
+        })
         .build()
         .expect("valid engine");
     assert_eq!(handle.num_shards(), shards);
@@ -166,19 +169,15 @@ fn one_million_elements_via_submit_match_ingest_batch() {
     );
 }
 
-/// OPTWIN factory shared by the snapshot tests: snapshot-capable and cheap.
-fn optwin_factory(w_max: usize) -> impl Fn(u64) -> Box<dyn DriftDetector + Send> + Clone {
-    move |_stream| {
-        let config = OptwinConfig::builder()
-            .robustness(0.5)
-            .max_window(w_max)
-            .build()
-            .expect("valid config");
-        Box::new(Optwin::new(config).expect("valid config")) as Box<dyn DriftDetector + Send>
-    }
+/// The OPTWIN spec shared by the snapshot tests: cheap at a small window.
+fn optwin_spec(w_max: usize) -> DetectorSpec {
+    format!("optwin:rho=0.5,w_max={w_max}")
+        .parse()
+        .expect("valid spec")
 }
 
-/// Builds an OPTWIN-backed service engine and returns its handle and sink.
+/// Builds an OPTWIN-backed service engine (unknown ids auto-register from
+/// the default spec) and returns its handle and sink.
 fn optwin_engine(
     shards: usize,
     w_max: usize,
@@ -187,7 +186,7 @@ fn optwin_engine(
     let sink = Arc::new(MemorySink::new());
     let mut builder = EngineBuilder::new()
         .shards(shards)
-        .factory(optwin_factory(w_max))
+        .default_spec(optwin_spec(w_max))
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
     if let Some(snapshot) = restore {
         builder = builder.restore(snapshot);
@@ -272,18 +271,17 @@ fn snapshot_restore_produces_identical_remaining_events() {
     );
 }
 
-/// Unknown streams auto-register through the factory on the submit path;
-/// without a factory the records are dropped and the error surfaces at
+/// Unknown streams auto-register through the default spec on the submit
+/// path; without one the records are dropped and the error surfaces at
 /// flush.
 #[test]
 fn unknown_stream_handling_on_the_submit_path() {
-    // With a factory: auto-registration on first sight.
+    // With a default spec: auto-registration on first sight.
     let (handle, _sink) = optwin_engine(3, 200, None);
-    assert!(handle.has_factory());
     handle
         .submit(&[(10, 0.1), (11, 0.2), (10, 0.3)])
         .expect("engine running");
-    handle.flush().expect("no errors with a factory");
+    handle.flush().expect("no errors with a default spec");
     let stats = handle.stats().expect("engine running");
     assert_eq!(stats.streams, 2);
     assert_eq!(stats.elements, 3);
@@ -297,12 +295,12 @@ fn unknown_stream_handling_on_the_submit_path() {
     );
     handle.shutdown().expect("clean shutdown");
 
-    // Without a factory: the offending records are dropped, the rest are
-    // ingested, and flush reports the error.
+    // Without a default spec: the offending records are dropped, the rest
+    // are ingested, and flush reports the error.
     let sink = Arc::new(MemorySink::new());
     let handle = EngineBuilder::new()
         .shards(2)
-        .stream(1, optwin_factory(200)(1))
+        .stream_spec(1, optwin_spec(200))
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
         .build()
         .expect("valid engine");
@@ -323,12 +321,12 @@ fn unknown_stream_handling_on_the_submit_path() {
 /// restored) and at runtime registration.
 #[test]
 fn duplicate_streams_are_rejected_everywhere() {
-    let factory = optwin_factory(100);
+    let spec = optwin_spec(100);
     // Builder-level.
     let err = EngineBuilder::new()
         .shards(2)
-        .stream(5, factory(5))
-        .stream(5, factory(5))
+        .stream_spec(5, spec.clone())
+        .stream_spec(5, spec.clone())
         .build()
         .expect_err("duplicate pre-registration");
     assert_eq!(err, EngineError::DuplicateStream(5));
@@ -336,17 +334,17 @@ fn duplicate_streams_are_rejected_everywhere() {
     // Runtime registration against a pre-registered stream.
     let handle = EngineBuilder::new()
         .shards(2)
-        .stream(5, factory(5))
+        .stream_spec(5, spec.clone())
         .build()
         .expect("valid engine");
     assert_eq!(
         handle
-            .register_stream(5, factory(5))
+            .register_stream_spec(5, spec.clone())
             .expect_err("duplicate runtime registration"),
         EngineError::DuplicateStream(5)
     );
     handle
-        .register_stream(6, factory(6))
+        .register_stream_spec(6, spec.clone())
         .expect("new id is fine");
     handle.shutdown().expect("clean shutdown");
 
@@ -358,9 +356,8 @@ fn duplicate_streams_are_rejected_everywhere() {
     donor.shutdown().expect("clean shutdown");
     let err = EngineBuilder::new()
         .shards(2)
-        .factory(factory.clone())
         .restore(snapshot)
-        .stream(5, factory(5))
+        .stream_spec(5, spec)
         .build()
         .expect_err("restored id collides with pre-registered id");
     assert_eq!(err, EngineError::DuplicateStream(5));
@@ -383,108 +380,52 @@ fn builder_rejects_degenerate_configurations() {
             .expect_err("no capacity"),
         EngineError::ZeroQueueCapacity
     );
-    // Restoring without a factory is refused.
+    // A spec-less (v1-style) entry without a default spec is refused.
     let (donor, _sink) = optwin_engine(2, 100, None);
     donor.submit(&[(1, 0.5)]).expect("engine running");
     donor.flush().expect("no errors");
-    let snapshot = donor.snapshot().expect("snapshot-capable");
+    let mut snapshot = donor.snapshot().expect("snapshot-capable");
     donor.shutdown().expect("clean shutdown");
+    for entry in &mut snapshot.streams {
+        entry.spec = None;
+    }
     let err = EngineBuilder::new()
         .shards(2)
         .restore(snapshot.clone())
         .build()
-        .expect_err("restore requires a factory");
+        .expect_err("a spec-less restore requires a default spec");
     assert!(matches!(err, EngineError::InvalidSnapshot(_)));
-    assert!(err.to_string().contains("factory"));
-    // A factory building a *different* detector kind is refused by name.
+    assert!(err.to_string().contains("default spec"), "{err}");
+    // A default spec building a *different* detector kind is refused by
+    // name.
     let err = EngineBuilder::new()
         .shards(2)
-        .factory(|_| Box::new(optwin::Adwin::with_defaults()) as Box<dyn DriftDetector + Send>)
+        .default_spec("adwin".parse().expect("valid spec"))
         .restore(snapshot)
         .build()
         .expect_err("detector kind mismatch");
     assert!(err.to_string().contains("OPTWIN"));
 }
 
-/// A custom detector without snapshot support, standing in for downstream
-/// detector types outside the shipped line-up (every shipped kind — OPTWIN
-/// and all 7 baselines — now serializes its state).
-struct Opaque {
-    seen: u64,
-}
-
-impl DriftDetector for Opaque {
-    fn add_element(&mut self, _value: f64) -> optwin::DriftStatus {
-        self.seen += 1;
-        optwin::DriftStatus::Stable
-    }
-    fn reset(&mut self) {}
-    fn name(&self) -> &'static str {
-        "opaque"
-    }
-    fn elements_seen(&self) -> u64 {
-        self.seen
-    }
-    fn drifts_detected(&self) -> u64 {
-        0
-    }
-}
-
-/// Snapshotting an engine whose detectors cannot serialize state reports
-/// which stream is at fault.
-#[test]
-fn snapshot_unsupported_detectors_are_reported() {
-    let sink = Arc::new(MemorySink::new());
-    let handle = EngineBuilder::new()
-        .shards(2)
-        .factory(|_| Box::new(Opaque { seen: 0 }) as Box<dyn DriftDetector + Send>)
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
-        .build()
-        .expect("valid engine");
-    handle.submit(&[(3, 0.0)]).expect("engine running");
-    handle.flush().expect("no errors");
-    let err = handle
-        .snapshot()
-        .expect_err("the custom detector has no snapshot support");
-    assert_eq!(
-        err,
-        EngineError::SnapshotUnsupported {
-            stream: 3,
-            detector: "opaque".to_string(),
-        }
-    );
-    handle.shutdown().expect("clean shutdown");
-}
-
-/// A detector that blocks inside `add_batch` until the test releases it,
-/// used to hold a worker busy so queue bounds can be observed
+/// A sink whose first `flush` parks its worker inside the flush barrier
+/// until the test releases it, so queue bounds can be observed
 /// deterministically.
-struct GateDetector {
-    gate: Receiver<()>,
-    seen: u64,
+struct ParkingSink {
+    /// Taken by the first `flush`: it reports the park on the sender, then
+    /// waits on the receiver.
+    park: Mutex<Option<(Sender<()>, Receiver<()>)>>,
 }
 
-impl DriftDetector for GateDetector {
-    fn add_element(&mut self, _value: f64) -> optwin::DriftStatus {
-        self.seen += 1;
-        optwin::DriftStatus::Stable
-    }
-    fn add_batch(&mut self, values: &[f64]) -> optwin::BatchOutcome {
-        // Block until released (bounded so a broken test fails instead of
-        // hanging forever).
-        let _ = self.gate.recv_timeout(Duration::from_secs(30));
-        self.seen += values.len() as u64;
-        optwin::BatchOutcome::with_len(values.len())
-    }
-    fn reset(&mut self) {}
-    fn name(&self) -> &'static str {
-        "gate"
-    }
-    fn elements_seen(&self) -> u64 {
-        self.seen
-    }
-    fn drifts_detected(&self) -> u64 {
-        0
+impl EventSink for ParkingSink {
+    fn emit(&self, _event: &DriftEvent) {}
+
+    fn flush(&self) {
+        let park = self.park.lock().expect("not poisoned").take();
+        if let Some((parked, release)) = park {
+            parked.send(()).expect("the test is waiting");
+            // Bounded so a broken test fails instead of hanging forever.
+            let _ = release.recv_timeout(Duration::from_secs(30));
+        }
     }
 }
 
@@ -493,32 +434,42 @@ impl DriftDetector for GateDetector {
 /// down.
 #[test]
 fn try_submit_backpressure_and_shutdown_errors() {
-    let (release, gate) = channel::<()>();
+    let (parked_tx, parked) = channel();
+    let (release, release_rx) = channel();
     let handle = EngineBuilder::new()
         .shards(1)
         .queue_capacity(4)
-        .stream(0, Box::new(GateDetector { gate, seen: 0 }))
+        .stream_spec(0, "adwin".parse().expect("valid spec"))
+        .sink(Arc::new(ParkingSink {
+            park: Mutex::new(Some((parked_tx, release_rx))),
+        }))
         .build()
         .expect("valid engine");
 
+    // Park the worker inside a flush barrier.
+    let flusher = {
+        let handle = handle.clone();
+        std::thread::spawn(move || handle.flush())
+    };
+    parked.recv().expect("the worker parks");
+    // One batch fills the queue (4/4) while the worker is parked; the next
+    // must be rejected without enqueuing anything.
     let batch: Vec<(u64, f64)> = (0..4).map(|_| (0u64, 0.5)).collect();
-    // First batch: the worker dequeues it and blocks inside the detector.
-    handle.submit(&batch).expect("engine running");
-    // Second batch: wait until it occupies the (now otherwise empty) queue.
-    while handle.try_submit(&batch) == Err(EngineError::QueueFull) {
-        std::thread::yield_now();
-    }
-    // Queue is full (4/4) and the worker is stuck on batch one: a third
-    // batch must be rejected without enqueuing anything.
+    handle
+        .try_submit(&batch)
+        .expect("an empty queue admits a full batch");
     assert_eq!(handle.try_submit(&batch), Err(EngineError::QueueFull));
     assert_eq!(handle.try_submit(&[(0, 0.1)]), Err(EngineError::QueueFull));
 
-    // Release both batches and drain.
-    release.send(()).expect("worker is waiting");
-    release.send(()).expect("worker will wait again");
+    // Release the worker and drain.
+    release.send(()).expect("the worker is parked");
+    flusher
+        .join()
+        .expect("no panics")
+        .expect("no ingestion errors");
     handle.flush().expect("no ingestion errors");
     let stats = handle.stats().expect("engine running");
-    assert_eq!(stats.elements, 8, "exactly the two admitted batches ran");
+    assert_eq!(stats.elements, 4, "exactly the admitted batch ran");
 
     // Shutdown: all further operations fail with ChannelClosed, on every
     // clone.
@@ -566,51 +517,9 @@ fn handle_clones_feed_the_same_engine_from_multiple_threads() {
     assert!(sink.drain().iter().all(|e| (100..104).contains(&e.stream)));
 }
 
-/// Deterministic detector that warns one element before each drift and
-/// drifts every `period` elements.
-struct Periodic {
-    period: u64,
-    seen: u64,
-    drifts: u64,
-}
-
-impl Periodic {
-    fn boxed(period: u64) -> Box<dyn DriftDetector + Send> {
-        Box::new(Periodic {
-            period,
-            seen: 0,
-            drifts: 0,
-        })
-    }
-}
-
-impl DriftDetector for Periodic {
-    fn add_element(&mut self, _value: f64) -> DriftStatus {
-        self.seen += 1;
-        if self.seen.is_multiple_of(self.period) {
-            self.drifts += 1;
-            DriftStatus::Drift
-        } else if self.seen % self.period == self.period - 1 {
-            DriftStatus::Warning
-        } else {
-            DriftStatus::Stable
-        }
-    }
-    fn reset(&mut self) {}
-    fn name(&self) -> &'static str {
-        "periodic"
-    }
-    fn elements_seen(&self) -> u64 {
-        self.seen
-    }
-    fn drifts_detected(&self) -> u64 {
-        self.drifts
-    }
-}
-
-/// An engine with explicitly registered [`Periodic`] streams
-/// (`(stream, period)` pairs) and no factory.
-fn periodic_engine(streams: &[(u64, u64)], emit_warnings: bool) -> (EngineHandle, Arc<MemorySink>) {
+/// An engine with `streams` registered by the `ddm` spec and no default
+/// spec.
+fn ddm_engine(streams: &[u64], emit_warnings: bool) -> (EngineHandle, Arc<MemorySink>) {
     let sink = Arc::new(MemorySink::new());
     let handle = EngineBuilder::new()
         .shards(test_shards())
@@ -618,21 +527,50 @@ fn periodic_engine(streams: &[(u64, u64)], emit_warnings: bool) -> (EngineHandle
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
         .build()
         .expect("valid engine");
-    for &(stream, period) in streams {
+    for &stream in streams {
         handle
-            .register_stream(stream, Periodic::boxed(period))
+            .register_stream_spec(stream, ddm_spec())
             .expect("fresh id");
     }
     (handle, sink)
+}
+
+fn ddm_spec() -> DetectorSpec {
+    "ddm".parse().expect("valid spec")
+}
+
+/// A binary error stream whose error rate jumps from 5 % to 60 % at a
+/// per-stream point, so DDM warns and then drifts.
+fn ddm_values(stream: u64, len: usize) -> Vec<f64> {
+    let drift_at = 150 + 40 * stream as usize;
+    (0..len)
+        .map(|i| {
+            let p = if i < drift_at { 0.05 } else { 0.6 };
+            f64::from(jitter(stream << 32 | i as u64) + 0.5 < p)
+        })
+        .collect()
+}
+
+/// `(drift seqs, warning seqs)` of a DDM fed `values` directly through
+/// `add_batch`.
+fn ddm_reference(values: &[f64]) -> (Vec<u64>, Vec<u64>) {
+    let outcome = ddm_spec().build().expect("valid spec").add_batch(values);
+    let seqs = |indices: &[usize]| indices.iter().map(|&i| i as u64).collect();
+    (seqs(&outcome.drift_indices), seqs(&outcome.warning_indices))
 }
 
 /// Event `seq` numbers count each stream's own elements, however the
 /// streams interleave across batches.
 #[test]
 fn events_carry_per_stream_sequence_numbers() {
-    let (handle, sink) = periodic_engine(&[(0, 10), (1, 25)], false);
-    let records: Vec<(u64, f64)> = (0..20).flat_map(|_| [(0, 0.0), (1, 0.0)]).collect();
-    for _ in 0..5 {
+    const LEN: usize = 400;
+    let (handle, sink) = ddm_engine(&[0, 1], false);
+    let values = [ddm_values(0, LEN), ddm_values(1, LEN)];
+    // The two streams interleave within every 40-record batch.
+    for start in (0..LEN).step_by(20) {
+        let records: Vec<(u64, f64)> = (start..start + 20)
+            .flat_map(|i| [(0, values[0][i]), (1, values[1][i])])
+            .collect();
         handle.submit(&records).expect("engine running");
     }
     handle.flush().expect("no ingestion errors");
@@ -644,46 +582,52 @@ fn events_carry_per_stream_sequence_numbers() {
             .map(|e| e.seq)
             .collect()
     };
-    // Stream 0: 100 elements, a drift every 10; stream 1: every 25.
-    assert_eq!(seqs(0), vec![9, 19, 29, 39, 49, 59, 69, 79, 89, 99]);
-    assert_eq!(seqs(1), vec![24, 49, 74, 99]);
+    let expected = [ddm_reference(&values[0]).0, ddm_reference(&values[1]).0];
+    assert!(expected.iter().all(|drifts| !drifts.is_empty()));
+    assert_eq!(seqs(0), expected[0]);
+    assert_eq!(seqs(1), expected[1]);
     let stats = handle.stats().expect("engine running");
-    assert_eq!(stats.elements, 200);
-    assert_eq!(stats.drifts, 14);
+    assert_eq!(stats.elements, 2 * LEN as u64);
+    assert_eq!(stats.drifts, (expected[0].len() + expected[1].len()) as u64);
     handle.shutdown().expect("clean shutdown");
 }
 
 /// Warning events are opt-in through `EngineBuilder::emit_warnings`.
 #[test]
 fn warnings_are_opt_in() {
-    let records: Vec<(u64, f64)> = (0..30).map(|_| (5, 0.0)).collect();
+    let values = ddm_values(5, 400);
+    let records: Vec<(u64, f64)> = values.iter().map(|&v| (5, v)).collect();
     let run = |emit_warnings: bool| {
-        let (handle, sink) = periodic_engine(&[(5, 10)], emit_warnings);
+        let (handle, sink) = ddm_engine(&[5], emit_warnings);
         handle.submit(&records).expect("engine running");
         handle.flush().expect("no ingestion errors");
         handle.shutdown().expect("clean shutdown");
         canonical(sink.drain())
     };
+    let (drifts, warnings) = ddm_reference(&values);
+    assert!(!drifts.is_empty() && !warnings.is_empty(), "DDM warns");
+    let seqs = |events: &[DriftEvent], drift: bool| -> Vec<u64> {
+        events
+            .iter()
+            .filter(|e| e.is_drift() == drift)
+            .map(|e| e.seq)
+            .collect()
+    };
+
     let quiet = run(false);
-    assert_eq!(quiet.len(), 3);
     assert!(quiet.iter().all(DriftEvent::is_drift));
+    assert_eq!(seqs(&quiet, true), drifts);
 
     let chatty = run(true);
-    assert_eq!(chatty.iter().filter(|e| e.is_drift()).count(), 3);
-    assert_eq!(chatty.iter().filter(|e| !e.is_drift()).count(), 3);
-    // Each warning precedes its drift: seq 8/9, 18/19, 28/29.
-    assert_eq!(chatty[0].seq, 8);
-    assert!(!chatty[0].is_drift());
-    assert_eq!(chatty[1].seq, 9);
-    assert!(chatty[1].is_drift());
+    assert_eq!(seqs(&chatty, true), drifts);
+    assert_eq!(seqs(&chatty, false), warnings);
 }
 
-/// Without a factory, records for an unknown stream are an error that
+/// Without a default spec, records for an unknown stream are an error that
 /// ingests nothing for that stream; registering it makes it known.
 #[test]
 fn unknown_stream_without_factory_is_an_error() {
-    let (handle, _sink) = periodic_engine(&[], false);
-    assert!(!handle.has_factory());
+    let (handle, _sink) = ddm_engine(&[], false);
     // A second unknown id on the same shard, dropped after 42: the engine
     // keeps only the first error, and the next flush starts clean.
     let same_shard = 42 + test_shards() as u64;
@@ -698,7 +642,7 @@ fn unknown_stream_without_factory_is_an_error() {
     assert_eq!(handle.stream_stats(42).expect("engine running"), None);
 
     handle
-        .register_stream(42, Periodic::boxed(5))
+        .register_stream_spec(42, ddm_spec())
         .expect("now registered");
     handle.submit(&[(42, 0.5)]).expect("engine running");
     handle.flush().expect("known stream");
@@ -740,7 +684,7 @@ fn spec_element(stream: u64, i: usize) -> f64 {
 /// The tentpole acceptance test: a heterogeneous fleet covering **all 8
 /// detector kinds** is assembled purely from specs, snapshotted mid-stream
 /// through `EngineHandle::snapshot()`, and restored through
-/// `EngineBuilder::restore()` with **no factory and no `register_stream`
+/// `EngineBuilder::restore()` with **no default spec and no registration
 /// calls** — the v2 snapshot is self-describing — after which the restored
 /// engine produces bit-exact identical remaining events.
 #[test]
@@ -802,7 +746,7 @@ fn heterogeneous_spec_fleet_restores_without_any_factory() {
     );
 
     // Restore through JSON into a differently-sharded engine with NO
-    // factory, NO default spec, and NO stream registration of any kind.
+    // default spec and NO stream registration of any kind.
     let snapshot = EngineSnapshot::from_json(&snapshot.to_json()).expect("well-formed JSON");
     let restored_sink = Arc::new(MemorySink::new());
     let restored = EngineBuilder::new()
@@ -810,7 +754,7 @@ fn heterogeneous_spec_fleet_restores_without_any_factory() {
         .sink(Arc::clone(&restored_sink) as Arc<dyn EventSink>)
         .restore(snapshot)
         .build()
-        .expect("self-describing snapshot needs no factory");
+        .expect("self-describing snapshot needs no configuration");
     // The restored fleet is still introspectable — specs survived the trip.
     for stream in 0..STREAMS {
         assert_eq!(
@@ -843,51 +787,6 @@ fn heterogeneous_spec_fleet_restores_without_any_factory() {
         "only {} of 16 streams saw a detection",
         streams_with_detection.len()
     );
-}
-
-/// v1 snapshots (and v2 snapshots of closure-factory streams, which embed
-/// no specs) still load — behind a factory, exactly as before the v2
-/// format.
-#[test]
-fn spec_less_snapshots_still_restore_behind_a_factory() {
-    let (donor, _sink) = optwin_engine(2, 200, None);
-    donor
-        .submit(&[(1, 0.1), (2, 0.2), (1, 0.3)])
-        .expect("engine running");
-    donor.flush().expect("no errors");
-    let snapshot = donor.snapshot().expect("snapshot-capable");
-    donor.shutdown().expect("clean shutdown");
-    // Closure-factory streams record no spec.
-    assert!(!snapshot.is_self_describing());
-    assert!(snapshot.streams.iter().all(|s| s.spec.is_none()));
-
-    // Downgrade the wire format to v1 (the v1 payload is the v3 payload
-    // minus the spec entries — already absent/null here — and the shard
-    // placements).
-    let mut downgraded = snapshot.clone();
-    downgraded.version = 1;
-    for stream in &mut downgraded.streams {
-        stream.shard = None;
-    }
-    let v1 = EngineSnapshot::from_json(&downgraded.to_json()).expect("v1 parses");
-    assert_eq!(v1.version, 1);
-    assert!(!v1.records_placement());
-
-    // Without a factory the restore is refused, naming the problem.
-    let err = EngineBuilder::new()
-        .shards(2)
-        .restore(v1.clone())
-        .build()
-        .expect_err("spec-less restore requires a factory");
-    assert!(err.to_string().contains("spec"), "{err}");
-    assert!(err.to_string().contains("factory"), "{err}");
-
-    // Behind a factory it restores fine and resumes.
-    let (restored, _restored_sink) = optwin_engine(3, 200, Some(v1));
-    let stats = restored.stats().expect("engine running");
-    assert_eq!(stats.streams, 2);
-    assert_eq!(stats.elements, 3);
-    restored.shutdown().expect("clean shutdown");
 }
 
 /// Spec-less entries (a v1 snapshot) also restore declaratively, through
@@ -925,8 +824,8 @@ fn spec_less_snapshots_restore_through_the_default_spec() {
     original.shutdown().expect("clean shutdown");
     assert!(snapshot.is_self_describing());
 
-    // Strip every entry's spec and downgrade the wire format to v1, as
-    // `spec_less_snapshots_still_restore_behind_a_factory` does.
+    // Strip every entry's spec and drop its placement, then downgrade the
+    // wire format to v1.
     let mut downgraded = snapshot;
     downgraded.version = 1;
     for stream in &mut downgraded.streams {
@@ -988,7 +887,6 @@ fn default_spec_and_register_stream_spec() {
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
         .build()
         .expect("valid engine");
-    assert!(handle.has_factory());
 
     // Auto-registration on first sight records the default spec.
     handle
@@ -1001,7 +899,7 @@ fn default_spec_and_register_stream_spec() {
         .expect("running")
         .expect("registered");
     assert_eq!(stats.detector, "ADWIN");
-    assert_eq!(stats.spec, Some(spec.clone()));
+    assert_eq!(stats.spec, spec);
 
     // Declarative runtime registration with a different spec.
     let kswin: DetectorSpec = "kswin:window_size=90,stat_size=20".parse().expect("valid");
@@ -1009,7 +907,7 @@ fn default_spec_and_register_stream_spec() {
         .register_stream_spec(42, kswin.clone())
         .expect("valid spec registers");
     assert_eq!(handle.stream_spec(42).expect("running"), Some(kswin));
-    // Unknown stream / spec-less queries report None.
+    // Unknown streams report None.
     assert_eq!(handle.stream_spec(999).expect("running"), None);
 
     // An invalid spec is rejected before anything is registered.
@@ -1061,7 +959,7 @@ mod snapshot_property {
     }
 
     /// An 8-kind fleet engine: freshly spec-registered, or restored from a
-    /// snapshot with no factory (the snapshot is self-describing).
+    /// snapshot with no default spec (the snapshot is self-describing).
     fn fleet_engine(
         shards: usize,
         restore: Option<EngineSnapshot>,

@@ -137,13 +137,12 @@ fn v5_scratch_copy(name: &str) -> PathBuf {
     scratch
 }
 
-fn build_fleet(restore: Option<EngineSnapshot>, factory: bool) -> (EngineHandle, Arc<MemorySink>) {
-    build_fleet_with(restore, factory, None)
+fn build_fleet(restore: Option<EngineSnapshot>) -> (EngineHandle, Arc<MemorySink>) {
+    build_fleet_with(restore, None)
 }
 
 fn build_fleet_with(
     restore: Option<EngineSnapshot>,
-    factory: bool,
     hibernation: Option<HibernationPolicy>,
 ) -> (EngineHandle, Arc<MemorySink>) {
     let sink = Arc::new(MemorySink::new());
@@ -152,11 +151,6 @@ fn build_fleet_with(
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
     if let Some(policy) = hibernation {
         builder = builder.hibernation(policy);
-    }
-    if factory {
-        // The v1 fixture embeds no specs; restoring it needs a factory that
-        // knows the fleet layout — exactly the pre-v2 contract.
-        builder = builder.factory(|stream| spec_of(stream).build().expect("valid spec"));
     }
     match restore {
         Some(snapshot) => builder = builder.restore(snapshot),
@@ -191,7 +185,7 @@ fn canonical(mut events: Vec<DriftEvent>) -> Vec<DriftEvent> {
 
 /// The uninterrupted reference: the full run's events, split at [`CUT`].
 fn reference_events() -> (Vec<DriftEvent>, Vec<DriftEvent>) {
-    let (handle, sink) = build_fleet(None, false);
+    let (handle, sink) = build_fleet(None);
     feed(&handle, 0, TOTAL);
     let events = canonical(sink.drain());
     handle.shutdown().expect("clean shutdown");
@@ -209,7 +203,7 @@ fn reference_events() -> (Vec<DriftEvent>, Vec<DriftEvent>) {
 #[test]
 #[ignore = "regenerates the checked-in golden corpus"]
 fn regenerate_golden_corpus() {
-    let (handle, _sink) = build_fleet(None, false);
+    let (handle, _sink) = build_fleet(None);
     feed(&handle, 0, CUT);
     let v4 = handle.snapshot().expect("snapshot-capable");
     handle.shutdown().expect("clean shutdown");
@@ -221,8 +215,7 @@ fn regenerate_golden_corpus() {
     // so every stream is asleep when the snapshot is taken. Deliberately
     // still wire format v4 — hibernation adds one optional key per sleeping
     // stream, not a format generation.
-    let (handle, _sink) =
-        build_fleet_with(None, false, Some(HibernationPolicy::cold_after_flushes(0)));
+    let (handle, _sink) = build_fleet_with(None, Some(HibernationPolicy::cold_after_flushes(0)));
     feed(&handle, 0, CUT);
     let hibernated = handle.snapshot().expect("snapshot-capable");
     handle.shutdown().expect("clean shutdown");
@@ -305,15 +298,18 @@ fn golden_corpus_restores_bit_exact() {
                 path.display()
             )
         });
-        let snapshot = EngineSnapshot::from_json(&text)
+        let mut snapshot = EngineSnapshot::from_json(&text)
             .unwrap_or_else(|e| panic!("fixture v{version} must parse: {e}"));
         assert_eq!(snapshot.version, version, "fixture v{version} self-reports");
         assert_eq!(snapshot.stream_count(), STREAMS as usize);
         assert_eq!(snapshot.is_self_describing(), version >= 2);
         assert_eq!(snapshot.records_placement(), version >= 3);
 
-        // v1 predates embedded specs: restore needs the fleet factory.
-        let (restored, sink) = build_fleet(Some(snapshot), version == 1);
+        // v1 predates embedded specs: the caller fills in the fleet's.
+        for entry in &mut snapshot.streams {
+            entry.spec.get_or_insert_with(|| spec_of(entry.stream));
+        }
+        let (restored, sink) = build_fleet(Some(snapshot));
         let stats = restored.stats().expect("engine running");
         assert_eq!(stats.streams, STREAMS as usize, "v{version}");
         assert_eq!(stats.elements, STREAMS * CUT as u64, "v{version}");
@@ -373,11 +369,8 @@ fn hibernated_fixture_restores_on_both_load_paths() {
     );
 
     // Load path 1: a hibernating builder keeps the fleet asleep...
-    let (restored, sink) = build_fleet_with(
-        Some(snapshot.clone()),
-        false,
-        Some(HibernationPolicy::default()),
-    );
+    let (restored, sink) =
+        build_fleet_with(Some(snapshot.clone()), Some(HibernationPolicy::default()));
     let stats = restored.stats().expect("engine running");
     assert_eq!(stats.hibernated_streams(), STREAMS as usize);
     assert_eq!(stats.elements, STREAMS * CUT as u64);
@@ -395,7 +388,7 @@ fn hibernated_fixture_restores_on_both_load_paths() {
     );
 
     // Load path 2: a plain builder materializes every detector eagerly.
-    let (restored, sink) = build_fleet(Some(snapshot), false);
+    let (restored, sink) = build_fleet(Some(snapshot));
     let stats = restored.stats().expect("engine running");
     assert_eq!(stats.hibernated_streams(), 0);
     feed(&restored, CUT, TOTAL);
@@ -545,7 +538,7 @@ fn corrupted_v5_fixture_fails_recovery_cleanly() {
 #[test]
 fn live_v4_snapshot_round_trips() {
     let (_early, expected_late) = reference_events();
-    let (handle, _sink) = build_fleet(None, false);
+    let (handle, _sink) = build_fleet(None);
     feed(&handle, 0, CUT);
     let snapshot = handle.snapshot().expect("snapshot-capable");
     handle.shutdown().expect("clean shutdown");
@@ -553,7 +546,7 @@ fn live_v4_snapshot_round_trips() {
     assert!(snapshot.is_self_describing());
 
     let snapshot = EngineSnapshot::from_json(&snapshot.to_json()).expect("well-formed JSON");
-    let (restored, sink) = build_fleet(Some(snapshot), false);
+    let (restored, sink) = build_fleet(Some(snapshot));
     feed(&restored, CUT, TOTAL);
     let late = canonical(sink.drain());
     restored.shutdown().expect("clean shutdown");
@@ -633,7 +626,7 @@ fn live_writer_reproduces_golden_v4_entries() {
 /// Applies `mutate` to the OPTWIN stream's `window` blob inside a freshly
 /// taken v4 snapshot and returns the restore error the builder reports.
 fn restore_error_after(mutate: impl Fn(&str) -> String) -> EngineError {
-    let (handle, _sink) = build_fleet(None, false);
+    let (handle, _sink) = build_fleet(None);
     feed(&handle, 0, 700);
     let mut snapshot = handle.snapshot().expect("snapshot-capable");
     handle.shutdown().expect("clean shutdown");
