@@ -20,9 +20,9 @@
 //! described by a [`DetectorSpec`] string (`<id>` or
 //! `<id>:<key>=<value>,...`); `--fleet <file>` replaces it with a whole
 //! configured fleet (a JSON map of `stream id → spec string`), one row per
-//! fleet entry. Binary-only detectors are skipped on the non-binary
-//! experiments, as in the paper. A `--json` file that cannot be written
-//! exits with status 1.
+//! fleet entry. A spec the grammar rejects, in either, exits with status 2.
+//! Binary-only detectors are skipped on the non-binary experiments, as in
+//! the paper. A `--json` file that cannot be written exits with status 1.
 
 use optwin_baselines::DetectorSpec;
 use optwin_bench::{Args, RunScale};
@@ -55,10 +55,8 @@ fn main() {
         })
     });
 
-    // Lenient load: fleet files come from external config producers, so
-    // unknown spec keys surface as printed warnings instead of a hard exit.
     let fleet: Option<FleetConfig> = args.get("fleet").map(|path| {
-        FleetConfig::from_path_lenient(path).unwrap_or_else(|e| {
+        FleetConfig::from_path(path).unwrap_or_else(|e| {
             eprintln!("cannot load --fleet `{path}`: {e}");
             eprintln!("{}", DetectorSpec::grammar_help());
             std::process::exit(2);
@@ -112,9 +110,6 @@ fn main() {
         }
         (None, Some(fleet)) => {
             println!("fleet override: {} configured streams", fleet.streams.len());
-            for warning in &fleet.warnings {
-                println!("  warning: {warning}");
-            }
             println!();
             let entries = fleet
                 .streams

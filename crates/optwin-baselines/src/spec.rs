@@ -727,8 +727,8 @@ fn strip_brackets(s: &str) -> &str {
     inner.trim()
 }
 
-/// Parses a nested spec value (optionally bracketed) with the strict
-/// grammar; leniency only ever applies to the top-level key set.
+/// Parses a nested spec value (optionally bracketed) with the full
+/// grammar.
 fn parse_nested(key: &'static str, value: &str) -> Result<DetectorSpec, CoreError> {
     let inner = strip_brackets(value);
     inner
@@ -741,71 +741,14 @@ impl FromStr for DetectorSpec {
 
     /// Parses `<id>` or `<id>:<key>=<value>,...`. Unspecified keys keep the
     /// detector's reference defaults; the assembled spec is validated before
-    /// it is returned. Unknown keys are an error — use
-    /// [`DetectorSpec::parse_lenient`] to skip them instead.
+    /// it is returned. Unknown keys are an error.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse_internal(s, false).map(|(spec, _)| spec)
-    }
-}
-
-/// Why a `key=value` override could not be applied: the key does not exist
-/// on this detector (recoverable in lenient mode), or its value is invalid
-/// (always fatal).
-enum FieldError {
-    /// The key is not a field of the detector's config.
-    Unknown {
-        /// Comma-separated list of the keys the detector does accept.
-        valid_keys: &'static str,
-    },
-    /// The key exists but its value failed to parse or validate.
-    Invalid(CoreError),
-}
-
-impl From<CoreError> for FieldError {
-    fn from(error: CoreError) -> Self {
-        FieldError::Invalid(error)
-    }
-}
-
-impl DetectorSpec {
-    /// Parses the spec grammar like [`FromStr`], but **skips unknown keys**,
-    /// returning them as human-readable warnings instead of erroring — the
-    /// forward-compatible mode for configuration produced by external (or
-    /// newer) tools whose specs may carry keys this build does not know.
-    ///
-    /// Everything else stays strict: unknown detector ids, malformed
-    /// `key=value` pairs, unparsable values and out-of-range parameters are
-    /// still errors (a typo in a *value* silently changing behaviour is not
-    /// forward compatibility).
-    ///
-    /// ```
-    /// use optwin_baselines::DetectorSpec;
-    ///
-    /// let (spec, warnings) =
-    ///     DetectorSpec::parse_lenient("adwin:delta=0.01,future_knob=7").unwrap();
-    /// assert_eq!(spec.id(), "adwin");
-    /// assert_eq!(warnings.len(), 1);
-    /// assert!(warnings[0].contains("future_knob"));
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] under the same conditions as
-    /// [`FromStr`], minus the unknown-key case.
-    pub fn parse_lenient(s: &str) -> Result<(Self, Vec<String>), CoreError> {
-        Self::parse_internal(s, true)
-    }
-
-    /// The shared grammar parser behind [`FromStr`] (strict) and
-    /// [`DetectorSpec::parse_lenient`].
-    fn parse_internal(s: &str, lenient: bool) -> Result<(Self, Vec<String>), CoreError> {
         let s = s.trim();
         let (id, params) = match s.split_once(':') {
             Some((id, params)) => (id.trim(), Some(params)),
             None => (s, None),
         };
         let mut spec = Self::default_for(id)?;
-        let mut warnings = Vec::new();
 
         if let Some(params) = params {
             if params.trim().is_empty() {
@@ -824,23 +767,7 @@ impl DetectorSpec {
                 };
                 let (key, value) = (key.trim(), value.trim());
                 explicit_warning_delta |= key == "warning_delta";
-                match spec.set_field(key, value) {
-                    Ok(()) => {}
-                    Err(FieldError::Unknown { valid_keys }) if lenient => warnings.push(format!(
-                        "unknown key `{key}` for `{}` ignored; valid keys: {valid_keys}",
-                        spec.id()
-                    )),
-                    Err(FieldError::Unknown { valid_keys }) => {
-                        return Err(invalid(
-                            "detector",
-                            format!(
-                                "unknown key `{key}` for `{}`; valid keys: {valid_keys}",
-                                spec.id()
-                            ),
-                        ))
-                    }
-                    Err(FieldError::Invalid(error)) => return Err(error),
-                }
+                spec.set_field(key, value)?;
             }
             // OPTWIN's warning confidence defaults to 0.95, which only makes
             // sense below the drift confidence. When the user overrides
@@ -857,12 +784,20 @@ impl DetectorSpec {
             }
         }
         spec.validate()?;
-        Ok((spec, warnings))
+        Ok(spec)
     }
+}
 
+impl DetectorSpec {
     /// Applies one `key=value` override from the textual grammar.
-    fn set_field(&mut self, key: &str, value: &str) -> Result<(), FieldError> {
-        let unknown = |keys: &'static str| FieldError::Unknown { valid_keys: keys };
+    fn set_field(&mut self, key: &str, value: &str) -> Result<(), CoreError> {
+        let id = self.id();
+        let unknown = |valid_keys: &str| {
+            invalid(
+                "detector",
+                format!("unknown key `{key}` for `{id}`; valid keys: {valid_keys}"),
+            )
+        };
         match self {
             DetectorSpec::Optwin { config } => match key {
                 "delta" => config.delta = parse_num("delta", value)?,
@@ -878,8 +813,7 @@ impl DetectorSpec {
                             return Err(invalid(
                                 "direction",
                                 format!("expected `degradation_only` or `both`, got `{other}`"),
-                            )
-                            .into())
+                            ))
                         }
                     }
                 }
@@ -967,10 +901,7 @@ impl DetectorSpec {
                     for part in split_top_level(strip_brackets(value), '|')? {
                         let part = part.trim();
                         if part.is_empty() {
-                            return Err(FieldError::Invalid(invalid(
-                                "members",
-                                "has an empty member entry",
-                            )));
+                            return Err(invalid("members", "has an empty member entry"));
                         }
                         members.push(parse_nested("members", part)?);
                     }
@@ -1175,39 +1106,6 @@ mod tests {
                 }
                 other => panic!("{bad}: expected InvalidConfig, got {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn parse_lenient_skips_unknown_keys_with_warnings() {
-        // Unknown keys become warnings; known keys still apply.
-        let (spec, warnings) =
-            DetectorSpec::parse_lenient("adwin:delta=0.01,future_knob=7,clock=16,vendor.tag=x")
-                .unwrap();
-        let DetectorSpec::Adwin { config } = &spec else {
-            panic!("wrong variant")
-        };
-        assert_eq!(config.delta, 0.01);
-        assert_eq!(config.clock, 16);
-        assert_eq!(warnings.len(), 2);
-        assert!(warnings[0].contains("future_knob"), "{warnings:?}");
-        assert!(warnings[0].contains("valid keys"), "{warnings:?}");
-        assert!(warnings[1].contains("vendor.tag"), "{warnings:?}");
-
-        // A fully known spec parses warning-free and identically to FromStr.
-        let (lenient, warnings) = DetectorSpec::parse_lenient("kswin:stat_size=10").unwrap();
-        assert!(warnings.is_empty());
-        assert_eq!(lenient, "kswin:stat_size=10".parse().unwrap());
-
-        // Everything else stays strict: ids, pair shape, values, ranges.
-        for bad in [
-            "frobnicate",
-            "adwin:delta",     // malformed pair
-            "adwin:delta=abc", // unparsable value
-            "adwin:delta=2.0", // out of range
-            "page_hinkley:delta=nan",
-        ] {
-            assert!(DetectorSpec::parse_lenient(bad).is_err(), "{bad}");
         }
     }
 

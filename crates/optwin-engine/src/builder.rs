@@ -8,7 +8,6 @@ use optwin_baselines::DetectorSpec;
 
 use crate::checkpoint::{self, CheckpointConfig, CheckpointPolicy, RecoveredLog, ReplayOp};
 use crate::error::EngineError;
-use crate::fleet::FleetConfig;
 use crate::handle::{spawn_engine, EngineHandle, StreamState};
 use crate::hibernate::{DetectorSlot, HibernatedDetector, HibernationPolicy};
 use crate::persist::EngineSnapshot;
@@ -47,7 +46,6 @@ pub struct EngineBuilder {
     sinks: Vec<Arc<dyn EventSink>>,
     restore: Option<EngineSnapshot>,
     streams: Vec<(u64, DetectorSpec)>,
-    auto_rebalance: Option<f64>,
     hibernation: Option<HibernationPolicy>,
     checkpoint: Option<(PathBuf, CheckpointPolicy)>,
     recovered: Option<RecoveredLog>,
@@ -89,48 +87,10 @@ impl EngineBuilder {
             sinks: Vec::new(),
             restore: None,
             streams: Vec::new(),
-            auto_rebalance: None,
             hibernation: None,
             checkpoint: None,
             recovered: None,
         }
-    }
-
-    /// Starts a builder pre-loaded with a fleet configuration: a JSON map
-    /// of `stream id → spec string`, e.g.
-    /// `{"0": "optwin:rho=0.5", "1": "adwin:delta=0.002"}`. Every entry is
-    /// pre-registered declaratively (as [`EngineBuilder::stream_spec`]
-    /// would), so the built engine is fully config-driven — no closures,
-    /// no code changes per fleet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InvalidFleetConfig`] for malformed JSON, a
-    /// non-object top level, an unparsable stream id or spec string, or a
-    /// duplicate stream id.
-    pub fn from_config_json(text: &str) -> Result<Self, EngineError> {
-        Ok(Self::from_fleet(FleetConfig::from_json(text)?))
-    }
-
-    /// [`EngineBuilder::from_config_json`], reading the JSON from a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InvalidFleetConfig`] when the file cannot be
-    /// read, plus every error `from_config_json` reports.
-    pub fn from_config_path(path: impl AsRef<Path>) -> Result<Self, EngineError> {
-        Ok(Self::from_fleet(FleetConfig::from_path(path)?))
-    }
-
-    /// Pre-registers every stream of an already-parsed [`FleetConfig`]
-    /// (warnings, if any, are the caller's to surface).
-    pub fn from_fleet(fleet: FleetConfig) -> Self {
-        fleet
-            .streams
-            .into_iter()
-            .fold(Self::new(), |builder, (stream, spec)| {
-                builder.stream_spec(stream, spec)
-            })
     }
 
     /// Sets the shard (worker thread) count. Validated at
@@ -154,18 +114,6 @@ impl EngineBuilder {
     /// this many unprocessed records. Zero is rejected at build time.
     pub fn queue_capacity(mut self, records: usize) -> Self {
         self.queue_capacity = records;
-        self
-    }
-
-    /// Enables automatic load-aware rebalancing: every
-    /// [`EngineHandle::flush`] checks the shard record-load imbalance
-    /// (hottest shard over mean) and, when it exceeds `threshold`, runs a
-    /// [`crate::RebalancePolicy::Records`] rebalance at that flush barrier.
-    /// `threshold` must exceed 1.0 (1.0 = perfectly balanced); values
-    /// around 1.25–2.0 are sensible. Validated at build time. Explicit
-    /// [`EngineHandle::rebalance`] calls remain available either way.
-    pub fn auto_rebalance(mut self, threshold: f64) -> Self {
-        self.auto_rebalance = Some(threshold);
         self
     }
 
@@ -207,7 +155,8 @@ impl EngineBuilder {
     /// detector constructed, and the spec recorded on the stream
     /// (duplicates are rejected there). This is how heterogeneous fleets
     /// are assembled from configuration — different specs for different
-    /// stream ids. Streams can also be registered later via
+    /// stream ids (a [`crate::FleetConfig`] file's entries, for instance).
+    /// Streams can also be registered later via
     /// [`EngineHandle::register_stream_spec`] or auto-registered by the
     /// default spec.
     pub fn stream_spec(mut self, stream: u64, spec: DetectorSpec) -> Self {
@@ -224,7 +173,9 @@ impl EngineBuilder {
     /// write-ahead log. [`EngineBuilder::build`] creates the directory and
     /// cuts an initial full checkpoint, so the WAL is active from the first
     /// record; after a crash, [`EngineBuilder::recover_from_dir`] resumes
-    /// bit-exactly from the same directory.
+    /// bit-exactly from the same directory. A directory that already holds
+    /// a checkpoint is resumed that way or not at all: `build` refuses to
+    /// write a fresh engine over it.
     pub fn checkpoint(mut self, dir: impl AsRef<Path>, policy: CheckpointPolicy) -> Self {
         self.checkpoint = Some((dir.as_ref().to_path_buf(), policy));
         self
@@ -245,7 +196,11 @@ impl EngineBuilder {
     /// The log holds every [`EngineHandle::register_stream_spec`] call, but
     /// not the default spec's auto-registrations: a stream first seen after
     /// the last checkpoint comes back through its replayed records, so this
-    /// builder must carry the same [`EngineBuilder::default_spec`].
+    /// builder must carry the same [`EngineBuilder::default_spec`]. Without
+    /// it, `build` fails with [`EngineError::UnknownStream`] and leaves the
+    /// directory as it was, so a retry with the spec still recovers.
+    /// Records an engine dropped as [`EngineError::UnknownStream`] are not
+    /// logged, so they never fail a recovery.
     ///
     /// Replaces any [`EngineBuilder::restore`] snapshot.
     ///
@@ -305,7 +260,15 @@ impl EngineBuilder {
     ///   version is unsupported, a detector name does not match what the
     ///   spec builds, or a detector rejects its serialized state,
     /// * [`EngineError::DuplicateStream`] when a stream id is pre-registered
-    ///   (or restored) twice.
+    ///   (or restored) twice,
+    /// * [`EngineError::Checkpoint`] when the checkpoint directory cannot be
+    ///   created, or already holds a checkpoint this builder does not
+    ///   recover,
+    /// * the first error the recovery replay hit (such as
+    ///   [`EngineError::UnknownStream`] for records of a default-spec stream
+    ///   recovered without that default spec). Nothing in the directory
+    ///   changes then, so a retry with the right configuration still
+    ///   recovers every record.
     pub fn build(self) -> Result<EngineHandle, EngineError> {
         if self.shards == 0 {
             return Err(EngineError::ZeroShards);
@@ -313,11 +276,16 @@ impl EngineBuilder {
         if self.queue_capacity == 0 {
             return Err(EngineError::ZeroQueueCapacity);
         }
-        if let Some(threshold) = self.auto_rebalance {
-            // Written so NaN also lands in the error branch.
-            if threshold <= 1.0 || !threshold.is_finite() {
-                return Err(EngineError::InvalidRebalanceThreshold(format!(
-                    "must be a finite ratio above 1.0 (1.0 = perfectly balanced), got {threshold}"
+        // A fresh engine's generation-0 base would replace an existing
+        // checkpoint, and its stale WAL segments would then replay into the
+        // wrong state at the next recovery.
+        if let Some((dir, _)) = &self.checkpoint {
+            let recovering = self.recovered.as_ref().is_some_and(|log| &log.dir == dir);
+            if !recovering && dir.join(checkpoint::MANIFEST_FILE).exists() {
+                return Err(EngineError::Checkpoint(format!(
+                    "{} already holds a checkpoint; resume it with \
+                     EngineBuilder::recover_from_dir or choose an empty directory",
+                    dir.display()
                 )));
             }
         }
@@ -435,7 +403,6 @@ impl EngineBuilder {
             self.default_spec,
             self.sinks,
             initial,
-            self.auto_rebalance,
             self.hibernation,
             checkpoint,
         );
@@ -458,6 +425,9 @@ impl EngineBuilder {
                     }
                 }
             }
+            // A replay error fails the build here, before the checkpoint
+            // below prunes the log the dropped records exist in.
+            handle.settle()?;
         }
 
         // The initial full checkpoint: a barrier behind any replayed
@@ -467,9 +437,6 @@ impl EngineBuilder {
         // the same way.
         if checkpointing {
             handle.run_checkpoint(true, false)?;
-            if let Some(error) = handle.take_error() {
-                return Err(error);
-            }
         }
         Ok(handle)
     }

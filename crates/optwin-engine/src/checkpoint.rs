@@ -468,9 +468,10 @@ pub(crate) enum ReplayOp {
 }
 
 /// The uncheckpointed tail recovered from a checkpoint directory: the
-/// logged operations in replay order, plus the generation the next
-/// checkpoint must use (past every generation present on disk).
+/// directory, the logged operations in replay order, and the generation
+/// the next checkpoint must use (past every generation present on disk).
 pub(crate) struct RecoveredLog {
+    pub(crate) dir: PathBuf,
     pub(crate) ops: Vec<ReplayOp>,
     pub(crate) next_generation: u64,
 }
@@ -654,6 +655,7 @@ pub(crate) fn load_recovery(dir: &Path) -> Result<(EngineSnapshot, RecoveredLog)
     Ok((
         snapshot,
         RecoveredLog {
+            dir: dir.to_path_buf(),
             ops,
             next_generation: max_generation + 1,
         },
@@ -682,7 +684,8 @@ pub(crate) struct CheckpointConfig {
 pub(crate) struct CheckpointState {
     pub(crate) dir: PathBuf,
     pub(crate) policy: CheckpointPolicy,
-    /// Generation of the next checkpoint to take.
+    /// Generation of the next checkpoint to take. A failed checkpoint
+    /// advances it too, since its capture already rotated the logs.
     pub(crate) next_generation: u64,
     /// Filename of the current base (`None` until the first checkpoint).
     pub(crate) base_file: Option<String>,

@@ -30,8 +30,6 @@ pub enum EngineError {
     /// A fleet configuration file (JSON map of stream id → spec string)
     /// could not be read or parsed.
     InvalidFleetConfig(String),
-    /// An auto-rebalance threshold was not a finite ratio above 1.0.
-    InvalidRebalanceThreshold(String),
     /// A hibernated stream could not be rehydrated (corrupt or mismatched
     /// state blob). The stream stays asleep; its pending records are
     /// dropped and the error is reported through the usual drain path.
@@ -80,9 +78,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::InvalidFleetConfig(message) => {
                 write!(f, "invalid fleet config: {message}")
-            }
-            EngineError::InvalidRebalanceThreshold(message) => {
-                write!(f, "invalid auto-rebalance threshold: {message}")
             }
             EngineError::Hibernation { stream, message } => {
                 write!(f, "stream {stream}: hibernation failure: {message}")
@@ -150,10 +145,6 @@ mod tests {
             (
                 EngineError::InvalidFleetConfig("expected a JSON object".to_string()),
                 "fleet config",
-            ),
-            (
-                EngineError::InvalidRebalanceThreshold("got 0.5".to_string()),
-                "0.5",
             ),
             (
                 EngineError::Hibernation {

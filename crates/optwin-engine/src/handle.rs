@@ -61,8 +61,8 @@ pub struct ShardLoad {
     pub streams: usize,
     /// Lifetime records of the streams **currently placed** on this shard
     /// (migrated streams carry their history with them) — the
-    /// placement-attributed load [`EngineStats::imbalance`] and the
-    /// auto-rebalance trigger act on.
+    /// placement-attributed load [`EngineStats::imbalance`] and
+    /// [`EngineHandle::rebalance`] act on.
     pub stream_records: u64,
     /// Lifetime records this *worker* has processed (history stays with the
     /// worker that did the work, so this diverges from `stream_records`
@@ -118,7 +118,7 @@ impl EngineStats {
             &self
                 .shards
                 .iter()
-                .map(|s| s.stream_records as f64)
+                .map(|s| s.stream_records)
                 .collect::<Vec<_>>(),
         )
     }
@@ -219,41 +219,25 @@ impl fmt::Display for EngineStats {
 }
 
 /// `max / mean` of a load vector (1.0 when the total load is zero).
-fn imbalance(loads: &[f64]) -> f64 {
-    let total: f64 = loads.iter().sum();
-    if loads.is_empty() || total <= 0.0 {
-        return 1.0;
+fn imbalance(loads: &[u64]) -> f64 {
+    let total: u64 = loads.iter().sum();
+    match loads.iter().max() {
+        Some(&max) if total > 0 => max as f64 * loads.len() as f64 / total as f64,
+        _ => 1.0,
     }
-    let max = loads.iter().copied().fold(0.0f64, f64::max);
-    max * loads.len() as f64 / total
-}
-
-/// The observed per-stream quantity a rebalance packs into bins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RebalancePolicy {
-    /// Balance lifetime records ingested per stream — the right default for
-    /// skewed traffic (a few hot streams, many cold ones).
-    #[default]
-    Records,
-    /// Balance wall-clock seconds observed inside each stream's detector —
-    /// accounts for heterogeneous per-element detector cost (e.g. large
-    /// OPTWIN windows next to cheap DDM streams).
-    DetectorSeconds,
 }
 
 /// What a [`EngineHandle::rebalance`] call did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RebalanceReport {
-    /// The policy the plan was computed under.
-    pub policy: RebalancePolicy,
     /// Streams considered.
     pub streams: usize,
     /// Streams actually migrated to a different shard.
     pub moved: usize,
-    /// Per-shard load (in policy units) under the old placement.
-    pub load_before: Vec<f64>,
-    /// Per-shard load (in policy units) under the new placement.
-    pub load_after: Vec<f64>,
+    /// Per-shard lifetime records of the streams under the old placement.
+    pub load_before: Vec<u64>,
+    /// Per-shard lifetime records of the streams under the new placement.
+    pub load_after: Vec<u64>,
 }
 
 impl RebalanceReport {
@@ -274,8 +258,7 @@ impl fmt::Display for RebalanceReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "rebalance({:?}): moved {}/{} streams, imbalance {:.2} -> {:.2}",
-            self.policy,
+            "rebalance: moved {}/{} streams, imbalance {:.2} -> {:.2}",
             self.moved,
             self.streams,
             self.imbalance_before(),
@@ -484,20 +467,18 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Stages `records`, creating unknown streams from the default spec (or
-    /// recording [`EngineError::UnknownStream`] and skipping the record
-    /// when there is none), runs every staged stream's detector through its
-    /// batch path, and emits the events — sorted by `(stream, seq)` within
-    /// this call — into the sinks.
-    fn ingest(
+    /// Stages `records` on their streams, creating unknown streams from the
+    /// default spec (or recording [`EngineError::UnknownStream`] and
+    /// skipping the record when there is none). Returns whether every
+    /// record was staged.
+    fn stage(
         &mut self,
         records: &[(u64, f64)],
         default_spec: Option<&DetectorSpec>,
-        sinks: &[Arc<dyn EventSink>],
-        emit_warnings: bool,
         queue: &QueueState,
-    ) {
+    ) -> bool {
         self.batch_order.clear();
+        let mut all_staged = true;
         for &(stream, value) in records {
             let state = match self.streams.entry(stream) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
@@ -510,11 +491,13 @@ impl ShardState {
                             // Unreachable for a builder-validated spec, but a
                             // worker must never panic over it.
                             queue.record_error(EngineError::InvalidSpec(error.to_string()));
+                            all_staged = false;
                             continue;
                         }
                     },
                     None => {
                         queue.record_error(EngineError::UnknownStream(stream));
+                        all_staged = false;
                         continue;
                     }
                 },
@@ -524,7 +507,13 @@ impl ShardState {
             }
             state.staged.push(value);
         }
+        all_staged
+    }
 
+    /// Runs every staged stream's detector through its batch path and
+    /// emits the events — sorted by `(stream, seq)` within this call —
+    /// into the sinks.
+    fn apply(&mut self, sinks: &[Arc<dyn EventSink>], emit_warnings: bool, queue: &QueueState) {
         self.events.clear();
         for &stream in &self.batch_order {
             let state = self.streams.get_mut(&stream).expect("staged above");
@@ -791,28 +780,42 @@ impl Worker {
                         depth[shard_index] = depth[shard_index].saturating_sub(records.len());
                     }
                     self.queue.space.notify_all();
+                    let started = Instant::now();
+                    let all_staged =
+                        self.shard
+                            .stage(&records, self.default_spec.as_ref(), &self.queue);
+                    let mut seconds = started.elapsed().as_secs_f64();
                     // Log-then-apply: the batch lands in the write-ahead log
                     // before any detector sees it, so a crash mid-batch
-                    // replays it in full. A WAL I/O failure degrades
-                    // durability rather than availability — the error
-                    // surfaces at the next barrier and logging stops until
-                    // the next checkpoint rotates a fresh segment in.
+                    // replays it in full. Records no stream took stay out:
+                    // they changed nothing, and replaying them would fail
+                    // every recovery with the error they already raised. A
+                    // WAL I/O failure degrades durability rather than
+                    // availability — the error surfaces at the next barrier
+                    // and logging stops until the next checkpoint rotates a
+                    // fresh segment in.
                     if let Some(wal) = self.shard.wal.as_mut() {
-                        if let Err(error) = wal.append_records(&records) {
+                        let logged = if all_staged {
+                            wal.append_records(&records)
+                        } else {
+                            let streams = &self.shard.streams;
+                            let staged: Vec<(u64, f64)> = records
+                                .iter()
+                                .filter(|(stream, _)| streams.contains_key(stream))
+                                .copied()
+                                .collect();
+                            wal.append_records(&staged)
+                        };
+                        if let Err(error) = logged {
                             self.queue.record_error(error);
                             self.shard.wal = None;
                         }
                     }
                     let started = Instant::now();
-                    self.shard.ingest(
-                        &records,
-                        self.default_spec.as_ref(),
-                        &self.sinks,
-                        self.emit_warnings,
-                        &self.queue,
-                    );
                     self.shard
-                        .note_batch(records.len(), started.elapsed().as_secs_f64());
+                        .apply(&self.sinks, self.emit_warnings, &self.queue);
+                    seconds += started.elapsed().as_secs_f64();
+                    self.shard.note_batch(records.len(), seconds);
                 }
                 ShardMsg::Barrier(op) => op(&mut self),
                 ShardMsg::Shutdown => break,
@@ -863,18 +866,6 @@ struct HandleShared {
     workers: Mutex<Vec<JoinHandle<()>>>,
     emit_warnings: bool,
     queue_capacity: usize,
-    /// When set, [`EngineHandle::flush`] triggers a
-    /// [`RebalancePolicy::Records`] rebalance whenever the shard record-load
-    /// imbalance (`max / mean`) exceeds this threshold.
-    auto_rebalance_threshold: Option<f64>,
-    /// Auto-rebalance hysteresis: after a triggered rebalance whose plan
-    /// could not improve the placement (`moved == 0` — e.g. fewer active
-    /// streams than shards makes the threshold structurally unreachable),
-    /// records `(imbalance, active streams)` of the futile attempt. Further
-    /// triggers are suppressed until the imbalance worsens or the stream
-    /// population changes, so flush-per-batch callers do not pay a full
-    /// plan computation on every flush forever.
-    futile_auto_rebalance: Mutex<Option<(f64, usize)>>,
     /// Durability bookkeeping for the checkpoint subsystem (wire v5):
     /// the target directory, the policy, the next generation number and
     /// the overlay-chain accounting driving base/delta decisions. `None`
@@ -926,14 +917,12 @@ impl std::fmt::Debug for EngineHandle {
 /// the per-shard placement of restored and pre-registered streams; it seeds
 /// the routing table, so non-modulo placements (a restored v3 snapshot)
 /// stick.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_engine(
     emit_warnings: bool,
     queue_capacity: usize,
     default_spec: Option<DetectorSpec>,
     sinks: Vec<Arc<dyn EventSink>>,
     initial_streams: Vec<HashMap<u64, StreamState>>,
-    auto_rebalance_threshold: Option<f64>,
     hibernation: Option<HibernationPolicy>,
     checkpoint: Option<CheckpointConfig>,
 ) -> EngineHandle {
@@ -995,8 +984,6 @@ pub(crate) fn spawn_engine(
             workers: Mutex::new(workers),
             emit_warnings,
             queue_capacity,
-            auto_rebalance_threshold,
-            futile_auto_rebalance: Mutex::new(None),
             checkpoint: checkpoint.map(|config| Mutex::new(CheckpointState::new(config))),
         }),
     }
@@ -1179,51 +1166,6 @@ impl EngineHandle {
         if let Some(error) = self.take_error() {
             return Err(error);
         }
-        // The flush barrier is the designated rebalance point: with the
-        // queues just drained, migrations are cheap and cheap to reason
-        // about. A no-op when the load is within threshold (or when no plan
-        // improves on the current placement). The trigger probes the sum of
-        // per-*stream* records under the *current* placement (migrated
-        // streams carry their history with them — per-worker lifetime
-        // counters would keep re-triggering on a long-fixed warm-up skew),
-        // one `u64` per shard so the per-flush cost stays flat in fleet
-        // size.
-        if let Some(threshold) = self.shared.auto_rebalance_threshold {
-            let probes = self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
-                let streams = &worker.shard.streams;
-                (streams.values().map(|s| s.seq).sum::<u64>(), streams.len())
-            })?;
-            let loads: Vec<f64> = probes.iter().map(|&(load, _)| load as f64).collect();
-            let active_streams: usize = probes.iter().map(|&(_, streams)| streams).sum();
-            let observed = imbalance(&loads);
-            if observed > threshold {
-                // Hysteresis: a previous attempt at (no worse) imbalance
-                // with the same stream population produced no improving
-                // plan — skip until something changed.
-                let futile = *self
-                    .shared
-                    .futile_auto_rebalance
-                    .lock()
-                    .map_err(|_| EngineError::Poisoned)?;
-                let skip = matches!(
-                    futile,
-                    Some((imbalance, streams))
-                        if streams == active_streams && observed <= imbalance + 1e-9
-                );
-                if !skip {
-                    let report = self.rebalance(RebalancePolicy::Records)?;
-                    *self
-                        .shared
-                        .futile_auto_rebalance
-                        .lock()
-                        .map_err(|_| EngineError::Poisoned)? = if report.moved == 0 {
-                        Some((observed, active_streams))
-                    } else {
-                        None
-                    };
-                }
-            }
-        }
         // Checkpoint cadence rides the same barrier: with the queues
         // drained, the dirty sets are exact and the capture is a clean
         // cut. `every_flushes == 0` disables the automatic cadence
@@ -1289,6 +1231,14 @@ impl EngineHandle {
     {
         let ops = (0..self.senders.len()).map(|shard| (shard, op.clone()));
         self.barrier(router, ops)
+    }
+
+    /// A barrier with no work of its own: returns the first ingestion error
+    /// recorded since the last [`EngineHandle::take_error`], once every
+    /// record queued before the call has been processed.
+    pub(crate) fn settle(&self) -> Result<(), EngineError> {
+        self.barrier_all(self.shared.router.read(), |_: &mut Worker| {})?;
+        self.take_error().map_or(Ok(()), Err)
     }
 
     /// Removes and returns the oldest pending ingestion error; any later
@@ -1396,14 +1346,14 @@ impl EngineHandle {
         })
     }
 
-    /// Recomputes the stream placement from observed load and migrates the
-    /// moved streams' state between shard workers — detector, spec, `seq`
-    /// counter, lifetime stats — atomically with respect to every other
-    /// handle operation.
+    /// Recomputes the stream placement from each stream's lifetime records
+    /// and migrates the moved streams' state between shard workers —
+    /// detector, spec, `seq` counter, lifetime stats — atomically with
+    /// respect to every other handle operation.
     ///
     /// The plan is greedy bin-packing (longest-processing-time): streams
-    /// sorted by observed load (policy units; ties by id) are assigned one
-    /// by one to the least-loaded shard. The call acts as its own barrier —
+    /// sorted by lifetime records (ties by id) are assigned one by one to
+    /// the least-loaded shard. The call acts as its own barrier —
     /// the migration messages ride the same FIFO queues as records, and the
     /// router's write lock excludes concurrent submits — so per-stream
     /// record order, and therefore every future [`DriftEvent`] and its
@@ -1420,26 +1370,22 @@ impl EngineHandle {
     ///
     /// Returns [`EngineError::ChannelClosed`] when the engine has shut
     /// down.
-    pub fn rebalance(&self, policy: RebalancePolicy) -> Result<RebalanceReport, EngineError> {
+    pub fn rebalance(&self) -> Result<RebalanceReport, EngineError> {
         let nshards = self.senders.len();
         let mut router = self.shared.router.write();
 
         // Load query under the write lock: the answer reflects exactly the
         // records that will have been processed before the migration cut.
         let reports = self.barrier_all(&router, |worker: &mut Worker| worker.shard.query())?;
-        // (stream, current shard, load in policy units)
-        let mut streams: Vec<(u64, usize, f64)> = Vec::new();
+        // (stream, current shard, lifetime records)
+        let mut streams: Vec<(u64, usize, u64)> = Vec::new();
         for (shard, report) in reports.into_iter().enumerate() {
             for s in report.streams {
-                let load = match policy {
-                    RebalancePolicy::Records => s.elements as f64,
-                    RebalancePolicy::DetectorSeconds => s.detector_seconds,
-                };
-                streams.push((s.stream, shard, load));
+                streams.push((s.stream, shard, s.elements));
             }
         }
 
-        let mut load_before = vec![0.0; nshards];
+        let mut load_before = vec![0; nshards];
         for &(_, shard, load) in &streams {
             load_before[shard] += load;
         }
@@ -1447,23 +1393,19 @@ impl EngineHandle {
         // Greedy LPT: heaviest stream first onto the least-loaded shard
         // (ties by lowest shard index). Deterministic for a given load
         // vector. Streams with **no observed load stay put** — packing them
-        // by LPT would dump every zero onto one shard (adding 0.0 never
+        // by LPT would dump every zero onto one shard (adding 0 never
         // advances the minimum), and there is no evidence to justify moving
         // them anyway.
-        streams.sort_unstable_by(|a, b| {
-            b.2.partial_cmp(&a.2)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        let mut load_after = vec![0.0; nshards];
+        streams.sort_unstable_by_key(|&(stream, _, load)| (std::cmp::Reverse(load), stream));
+        let mut load_after = vec![0; nshards];
         let mut assignment: Vec<(u64, usize)> = Vec::with_capacity(streams.len());
         let mut moves: Vec<(u64, usize, usize)> = Vec::new(); // (stream, from, to)
         for &(stream, current, load) in &streams {
-            let target = if load > 0.0 {
+            let target = if load > 0 {
                 load_after
                     .iter()
                     .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                    .min_by_key(|&(_, &shard_load)| shard_load)
                     .map_or(0, |(i, _)| i)
             } else {
                 current
@@ -1479,9 +1421,8 @@ impl EngineHandle {
         // placement (e.g. loads {3,3}|{2,2,2} re-pack to {3,2,2}|{3,2}): a
         // plan that does not *strictly* lower the hottest shard is
         // discarded and the current placement kept — so rebalance never
-        // makes things worse and an auto-rebalance loop cannot thrash.
-        let max_of = |loads: &[f64]| loads.iter().copied().fold(0.0f64, f64::max);
-        if !moves.is_empty() && max_of(&load_after) >= max_of(&load_before) {
+        // makes things worse and repeated calls cannot thrash.
+        if !moves.is_empty() && load_after.iter().max() >= load_before.iter().max() {
             moves.clear();
             assignment.clear();
             assignment.extend(
@@ -1493,7 +1434,6 @@ impl EngineHandle {
         }
 
         let report = RebalanceReport {
-            policy,
             streams: streams.len(),
             moved: moves.len(),
             load_before,
@@ -1617,7 +1557,10 @@ impl EngineHandle {
         // Past the barrier, shards have already cleared dirty bits; any
         // failure before the manifest lands marks the state degraded so the
         // next checkpoint writes a full base instead of a (possibly
-        // incomplete) delta.
+        // incomplete) delta. The workers have also rotated their logs to
+        // `generation + 1`, so the next attempt takes the generation after
+        // it: reusing this one would re-create, and so truncate, the
+        // segments holding every record logged since.
         let result = captures.and_then(|captures| {
             let mut streams: Vec<StreamStateSnapshot> = Vec::new();
             for capture in captures {
@@ -1634,6 +1577,7 @@ impl EngineHandle {
         });
         if result.is_err() {
             state.degraded = true;
+            state.next_generation = generation + 1;
         }
         result
     }

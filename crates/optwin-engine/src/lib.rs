@@ -27,13 +27,11 @@
 //!   implementation.
 //! * Stream placement is a first-class **routing table**: streams route to
 //!   `id % shards` by default, and [`EngineHandle::rebalance`] recomputes
-//!   the placement from *observed* load ([`RebalancePolicy`]: lifetime
-//!   records or detector seconds), migrating each moved stream's state
-//!   between workers at a barrier — event streams and per-stream `seq`
-//!   stay bit-exact. [`EngineHandle::stats`] exposes the per-shard load
-//!   (records, queue occupancy, batch-latency EWMA) behind the decision,
-//!   and [`EngineBuilder::auto_rebalance`] triggers the whole cycle
-//!   automatically at flush barriers past an imbalance threshold.
+//!   the placement from each stream's lifetime records, migrating each
+//!   moved stream's state between workers at a barrier — event streams and
+//!   per-stream `seq` stay bit-exact. [`EngineHandle::stats`] exposes the
+//!   per-shard load (records, queue occupancy, batch-latency EWMA) behind
+//!   the decision.
 //! * [`EngineHandle::snapshot`] serializes every stream's detector state
 //!   into an [`EngineSnapshot`]; [`EngineBuilder::restore`] rebuilds a
 //!   fresh engine that makes **identical subsequent decisions**, so a
@@ -42,9 +40,9 @@
 //!   binary blobs) and restore with **no caller-side configuration**,
 //!   reproducing a rebalanced placement; every detector kind serializes
 //!   its state bit-exactly. v1–v3 snapshots still load.
-//! * Whole fleets load from config files: [`FleetConfig`] /
-//!   [`EngineBuilder::from_config_json`] turn a JSON map of
-//!   `stream id → spec string` into a fully registered engine.
+//! * Whole fleets load from config files: [`FleetConfig`] parses a JSON
+//!   map of `stream id → spec string`, and [`EngineBuilder::stream_spec`]
+//!   registers each entry.
 //! * Production-shaped traffic replays through the [`replay()`] driver:
 //!   Zipf-skewed, burst-interleaved arrivals across thousands of streams,
 //!   submitted through the ordinary [`EngineHandle::submit`] path with
@@ -134,7 +132,7 @@ pub use checkpoint::{
 pub use error::{EngineError, StreamSnapshot};
 pub use event::DriftEvent;
 pub use fleet::FleetConfig;
-pub use handle::{EngineHandle, EngineStats, RebalancePolicy, RebalanceReport, ShardLoad};
+pub use handle::{EngineHandle, EngineStats, RebalanceReport, ShardLoad};
 pub use hibernate::HibernationPolicy;
 pub use persist::{EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
 pub use replay::{replay, ReplayConfig, ReplayReport};

@@ -41,7 +41,7 @@ use std::time::Instant;
 use optwin::engine::{
     CallbackSink, EngineBuilder, EngineHandle, EventSink, JsonLinesSink, MemorySink,
 };
-use optwin::{DetectorSpec, DriftEvent, RebalancePolicy};
+use optwin::{DetectorSpec, DriftEvent};
 
 const N_STREAMS: u64 = 256;
 const ELEMENTS_PER_STREAM: usize = 10_000;
@@ -154,7 +154,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // come from skewed fleets; see perfbench's `fleet-zipf` workload and
     // `tests/engine_rebalance.rs`.)
     print!("per-shard load after phase 1:\n{}", handle.stats()?);
-    let report = handle.rebalance(RebalancePolicy::Records)?;
+    let report = handle.rebalance()?;
     println!(
         "{report}; {} streams now rerouted",
         handle.rerouted_streams()

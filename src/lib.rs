@@ -70,7 +70,7 @@ pub use optwin_core::{
 pub use optwin_engine::{
     load_checkpoint_dir, CallbackSink, CheckpointPolicy, CheckpointReport, DriftEvent,
     EngineBuilder, EngineHandle, EngineSnapshot, EngineStats, EventSink, FleetConfig,
-    HibernationPolicy, JsonLinesSink, MemorySink, RebalancePolicy, RebalanceReport, ShardLoad,
+    HibernationPolicy, JsonLinesSink, MemorySink, RebalanceReport, ShardLoad,
 };
 pub use optwin_eval::{
     default_lineup, paper_lineup, run_driftbench, run_table1, DriftbenchCell, DriftbenchConfig,

@@ -984,6 +984,317 @@ fn torn_wal_tail_recovers_cleanly() {
 }
 
 // ---------------------------------------------------------------------------
+// Failures around the directory: a failed write, a failed recovery, a
+// fresh build over an old checkpoint
+// ---------------------------------------------------------------------------
+
+/// A checkpoint whose write fails after its capture barrier leaves the
+/// engine degraded: the capture already cleared every dirty bit, so the
+/// next checkpoint must write a full base. A directory in place of the
+/// overlay's temp file makes the write fail, even for a process running
+/// as root, which permission bits would not stop. Only stream 0 sees
+/// records between the failure and the heal, so a delta heal would
+/// capture stream 0 alone while garbage collection drops the log holding
+/// the other streams' records. A stop before the heal and a stop after it
+/// both recover bit-exactly.
+#[test]
+fn failed_checkpoint_write_heals_with_a_full_base() {
+    /// Every stream is fed `0..FAILED` before the failed write.
+    const FAILED: usize = 1_000;
+    /// Stream 0 is fed `FAILED..HEALED` before the heal; the other streams
+    /// get theirs after it.
+    const HEALED: usize = 1_500;
+    let feed = |handle: &EngineHandle, streams: std::ops::Range<u64>, from: usize, to: usize| {
+        let records: Vec<(u64, f64)> = streams
+            .flat_map(|s| (from..to).map(move |i| (s, element(s, i))))
+            .collect();
+        handle.submit(&records).expect("engine running");
+        handle.flush().expect("no ingestion errors");
+    };
+    let reference = reference_events_from(0);
+
+    for heal in [false, true] {
+        let dir = scratch_dir(if heal {
+            "failed-write-healed"
+        } else {
+            "failed-write-stopped"
+        });
+        let policy = CheckpointPolicy::every_flushes(0).compact_ratio(f64::INFINITY);
+        let (handle, _sink) = build_fleet(Some((&dir, policy)), None);
+        feed(&handle, 0..STREAMS, 0, FAILED);
+        // The build wrote base 0, so checkpoint 1 is a delta overlay.
+        let blocker = dir.join("delta-1.tmp");
+        std::fs::create_dir(&blocker).expect("fresh directory");
+        let error = handle
+            .checkpoint()
+            .expect_err("the overlay's temp file is a directory");
+        assert!(
+            matches!(&error, EngineError::Checkpoint(m) if m.contains("delta-1.tmp")),
+            "got {error:?}"
+        );
+        feed(&handle, 0..1, FAILED, HEALED);
+        if heal {
+            std::fs::remove_dir(&blocker).expect("the blocker is an empty directory");
+            let report = handle.checkpoint().expect("the write path is clear again");
+            assert!(
+                report.full,
+                "the checkpoint after a failed write must be a full base"
+            );
+            feed(&handle, 1..STREAMS, FAILED, HEALED);
+        } else {
+            for segment in ["wal-1-0.log", "wal-2-0.log"] {
+                assert!(dir.join(segment).exists(), "{segment} must survive");
+            }
+        }
+        handle.shutdown().expect("clean shutdown");
+
+        // Before the heal only the build's base is committed; the healed
+        // base covers every record fed before it.
+        let coverage = |stream: u64| match (heal, stream) {
+            (false, _) => 0,
+            (true, 0) => HEALED,
+            (true, _) => FAILED,
+        };
+        for entry in load_checkpoint_dir(&dir).expect("loadable").streams {
+            assert_eq!(
+                entry.seq,
+                coverage(entry.stream) as u64,
+                "stream {} checkpoint coverage",
+                entry.stream
+            );
+        }
+
+        let sink = Arc::new(MemorySink::new());
+        let recovered = EngineBuilder::new()
+            .shards(4)
+            .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
+            .recover_from_dir(&dir)
+            .expect("recoverable directory")
+            .build()
+            .expect("valid engine");
+        feed(&recovered, 0..1, HEALED, TOTAL);
+        feed(
+            &recovered,
+            1..STREAMS,
+            if heal { HEALED } else { FAILED },
+            TOTAL,
+        );
+        let events = canonical(sink.drain());
+        recovered.shutdown().expect("clean shutdown");
+        let expected: Vec<DriftEvent> = reference
+            .iter()
+            .filter(|e| e.seq as usize >= coverage(e.stream))
+            .cloned()
+            .collect();
+        assert_eq!(
+            events, expected,
+            "recovery after a failed checkpoint write (healed: {heal}) must be bit-exact"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Checkpoints that keep failing lose no logged record. Each failed
+/// capture already rotated the logs, so the next attempt must rotate past
+/// those segments, not re-create them empty. A directory in place of the
+/// manifest's temp file fails every commit.
+#[test]
+fn repeated_checkpoint_failures_keep_the_log() {
+    let dir = scratch_dir("repeated-failures");
+    let (handle, _sink) = build_fleet(Some((&dir, CheckpointPolicy::every_flushes(0))), None);
+    let blocker = dir.join("MANIFEST.tmp");
+    std::fs::create_dir(&blocker).expect("fresh directory");
+    for (from, to) in [(0, 500), (500, 1_000), (1_000, COVERED)] {
+        feed_flushing(&handle, from, to);
+        let error = handle.checkpoint().expect_err("the manifest cannot land");
+        assert!(matches!(error, EngineError::Checkpoint(_)), "got {error:?}");
+    }
+    feed_wal_only(&handle, COVERED, CRASH);
+    handle.shutdown().expect("clean shutdown");
+    std::fs::remove_dir(&blocker).expect("the blocker is an empty directory");
+
+    assert_eq!(
+        recover_and_finish(&dir, CRASH),
+        reference_events_from(0),
+        "everything since the build's base must replay from the log"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file of a directory with its bytes, sorted by name.
+fn dir_contents(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("readable directory")
+        .map(|entry| {
+            let path = entry.expect("readable entry").path();
+            let name = path.file_name().expect("a file name");
+            let bytes = std::fs::read(&path).expect("readable file");
+            (name.to_string_lossy().into_owned(), bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A recovery without the default spec that auto-registered a stream after
+/// the last checkpoint fails on the replay, before the build's initial
+/// checkpoint can prune the log: the directory keeps every byte, and a
+/// retry with the spec recovers the stream bit-exactly.
+#[test]
+fn failed_recovery_leaves_the_directory_intact() {
+    const LATE: u64 = 42;
+    /// Records of the late stream that only the write-ahead log holds.
+    const LOGGED: usize = 500;
+    let ddm: DetectorSpec = "ddm".parse().expect("valid spec");
+    let feed = |handle: &EngineHandle, from: usize, to: usize| {
+        let records: Vec<(u64, f64)> = (from..to).map(|i| (LATE, element(LATE, i))).collect();
+        handle.submit(&records).expect("engine running");
+    };
+
+    let reference = {
+        let sink = Arc::new(MemorySink::new());
+        let handle = EngineBuilder::new()
+            .shards(4)
+            .default_spec(ddm.clone())
+            .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
+            .build()
+            .expect("valid engine");
+        feed(&handle, 0, TOTAL);
+        handle.flush().expect("no ingestion errors");
+        let events = canonical(sink.drain());
+        handle.shutdown().expect("clean shutdown");
+        events
+    };
+
+    let dir = scratch_dir("failed-recovery");
+    let handle = EngineBuilder::new()
+        .shards(4)
+        .default_spec(ddm.clone())
+        .checkpoint(&dir, CheckpointPolicy::every_flushes(0))
+        .build()
+        .expect("valid engine");
+    feed(&handle, 0, LOGGED);
+    // The stats barrier proves the worker logged the records; no
+    // checkpoint follows.
+    let _ = handle.stats().expect("engine running");
+    handle.shutdown().expect("clean shutdown");
+    let before = dir_contents(&dir);
+
+    let error = EngineBuilder::new()
+        .shards(4)
+        .recover_from_dir(&dir)
+        .expect("recoverable directory")
+        .build()
+        .expect_err("the replayed stream needs the default spec");
+    assert_eq!(error, EngineError::UnknownStream(LATE));
+    let after = dir_contents(&dir);
+    let names = |files: &[(String, Vec<u8>)]| -> Vec<String> {
+        files.iter().map(|(name, _)| name.clone()).collect()
+    };
+    assert_eq!(
+        names(&after),
+        names(&before),
+        "a failed recovery must keep every file"
+    );
+    assert!(
+        after == before,
+        "a failed recovery must leave every file's bytes unchanged"
+    );
+
+    let sink = Arc::new(MemorySink::new());
+    let recovered = EngineBuilder::new()
+        .shards(4)
+        .default_spec(ddm)
+        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
+        .recover_from_dir(&dir)
+        .expect("recoverable directory")
+        .build()
+        .expect("the default spec brings the stream back");
+    assert_eq!(
+        recovered
+            .stream_stats(LATE)
+            .expect("engine running")
+            .map(|s| s.elements),
+        Some(LOGGED as u64)
+    );
+    feed(&recovered, LOGGED, TOTAL);
+    recovered.flush().expect("no ingestion errors");
+    let events = canonical(sink.drain());
+    recovered.shutdown().expect("clean shutdown");
+    assert!(!events.is_empty(), "the late stream must drift");
+    assert_eq!(
+        events, reference,
+        "the retried recovery must resume bit-exactly"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Records an engine without a default spec drops as unknown stay out of
+/// the write-ahead log: the engine reported them once, and a recovery with
+/// the same configuration must not fail on them again. The unknown
+/// stream's records share a batch, and a shard, with registered streams
+/// whose records must still replay bit-exactly.
+#[test]
+fn dropped_unknown_records_do_not_fail_recovery() {
+    /// Routed by modulo to the shard of streams 3 and 7.
+    const UNKNOWN: u64 = 99;
+    let dir = scratch_dir("dropped-unknown");
+    let (handle, _sink) = build_fleet(Some((&dir, CheckpointPolicy::every_flushes(0))), None);
+    feed_flushing(&handle, 0, COVERED);
+    handle.checkpoint().expect("writable directory");
+    let mut records = Vec::new();
+    for i in COVERED..CRASH {
+        records.extend((0..STREAMS).map(|stream| (stream, element(stream, i))));
+        records.push((UNKNOWN, 0.5));
+    }
+    handle.submit(&records).expect("engine running");
+    assert_eq!(handle.flush(), Err(EngineError::UnknownStream(UNKNOWN)));
+    handle.shutdown().expect("clean shutdown");
+
+    assert_eq!(
+        recover_and_finish(&dir, CRASH),
+        reference_events_from(COVERED),
+        "a recovery with the original configuration must resume bit-exactly"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh build over a directory that already holds a checkpoint is
+/// refused, naming the recovery entry point, instead of writing an empty
+/// base over it. The old checkpoint is untouched and still recovers
+/// bit-exactly.
+#[test]
+fn fresh_build_refuses_an_existing_checkpoint() {
+    let dir = scratch_dir("fresh-over-existing");
+    let (handle, _sink) = build_fleet(Some((&dir, CheckpointPolicy::every_flushes(1))), None);
+    feed_flushing(&handle, 0, COVERED);
+    feed_wal_only(&handle, COVERED, CRASH);
+    handle.shutdown().expect("clean shutdown");
+    let checkpointed = load_checkpoint_dir(&dir).expect("loadable directory");
+
+    let error = EngineBuilder::new()
+        .shards(4)
+        .checkpoint(&dir, CheckpointPolicy::default())
+        .build()
+        .expect_err("the directory already holds a checkpoint");
+    assert!(
+        matches!(&error, EngineError::Checkpoint(m) if m.contains("recover_from_dir")),
+        "got {error:?}"
+    );
+    assert_eq!(
+        load_checkpoint_dir(&dir).expect("loadable directory"),
+        checkpointed
+    );
+
+    assert_eq!(
+        recover_and_finish(&dir, CRASH),
+        reference_events_from(COVERED),
+        "the refused build must leave the checkpoint recoverable"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
 // Durability levels: the fsync flag is honored (call-count probe)
 // ---------------------------------------------------------------------------
 

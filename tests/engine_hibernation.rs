@@ -395,9 +395,7 @@ fn hibernated_streams_migrate_across_shards_intact() {
     // Everything asleep, then rebalance: blobs — not detectors — migrate.
     handle.flush().expect("flush");
     assert_eq!(handle.stats().expect("stats").hibernated_streams(), 24);
-    let report = handle
-        .rebalance(optwin::RebalancePolicy::Records)
-        .expect("rebalance");
+    let report = handle.rebalance().expect("rebalance");
     assert!(report.moved > 0, "skewed load should trigger moves");
     let stats = handle.stats().expect("stats");
     assert_eq!(

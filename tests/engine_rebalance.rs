@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use optwin::engine::EngineError;
 use optwin::{
-    DetectorSpec, DriftEvent, EngineBuilder, EngineHandle, EngineSnapshot, EventSink, MemorySink,
-    RebalancePolicy,
+    DetectorSpec, DriftEvent, EngineBuilder, EngineHandle, EngineSnapshot, EventSink, FleetConfig,
+    MemorySink,
 };
 
 /// Deterministic pseudo-random jitter in [-0.5, 0.5) (SplitMix64).
@@ -85,9 +85,9 @@ fn skewed_engine(shards: usize) -> (EngineHandle, Arc<MemorySink>) {
     (handle, sink)
 }
 
-/// The skewed-load acceptance test: rebalancing mid-run (both policies, at
-/// flush barriers) moves streams, reduces the record-load imbalance, and
-/// changes **nothing** about the emitted events.
+/// The skewed-load acceptance test: rebalancing mid-run (at flush
+/// barriers) moves streams, reduces the record-load imbalance, and changes
+/// **nothing** about the emitted events.
 #[test]
 fn skewed_load_rebalance_is_bit_exact_and_balances() {
     let shards = test_shards();
@@ -105,36 +105,23 @@ fn skewed_load_rebalance_is_bit_exact_and_balances() {
     // Rebalanced run: four segments, a rebalance at each boundary.
     let (rebalanced, rebalanced_sink) = skewed_engine(shards);
     let mut moved_total = 0;
-    for (k, bounds) in [
+    for (from, to) in [
         (0, 1_500),
         (1_500, 3_000),
         (3_000, 4_500),
         (4_500, SKEW_TOTAL),
-    ]
-    .iter()
-    .enumerate()
-    {
+    ] {
         rebalanced
-            .submit(&skewed_chunk(bounds.0, bounds.1))
+            .submit(&skewed_chunk(from, to))
             .expect("engine running");
         rebalanced.flush().expect("no ingestion errors");
-        // Alternate the policies but end on Records: the final assertion
-        // below compares *record*-load imbalance against the static run, and
-        // only a record-based final plan optimizes that quantity — a
-        // timing-based (DetectorSeconds) final plan depends on wall-clock
-        // noise and can legitimately leave record counts skewed.
-        let policy = if k % 2 == 0 {
-            RebalancePolicy::DetectorSeconds
-        } else {
-            RebalancePolicy::Records
-        };
-        let report = rebalanced.rebalance(policy).expect("engine running");
+        let report = rebalanced.rebalance().expect("engine running");
         assert_eq!(report.streams, SKEW_STREAMS as usize);
         moved_total += report.moved;
-        if policy == RebalancePolicy::Records && shards > 1 {
+        if shards > 1 {
             // The greedy plan can never be worse than what it replaces.
             assert!(
-                report.imbalance_after() <= report.imbalance_before() + 1e-9,
+                report.load_after.iter().max() <= report.load_before.iter().max(),
                 "{report}"
             );
         }
@@ -204,9 +191,7 @@ fn v3_snapshot_round_trips_rebalanced_placement() {
         .submit(&skewed_chunk(0, CUT))
         .expect("engine running");
     original.flush().expect("no ingestion errors");
-    original
-        .rebalance(RebalancePolicy::Records)
-        .expect("engine running");
+    original.rebalance().expect("engine running");
     let placement: Vec<usize> = (0..SKEW_STREAMS).map(|s| original.shard_of(s)).collect();
     let rerouted = original.rerouted_streams();
     let early_events = canonical(original_sink.drain());
@@ -273,9 +258,7 @@ fn v2_snapshots_restore_with_modulo_placement() {
         .submit(&skewed_chunk(0, CUT))
         .expect("engine running");
     original.flush().expect("no ingestion errors");
-    original
-        .rebalance(RebalancePolicy::Records)
-        .expect("engine running");
+    original.rebalance().expect("engine running");
     let early_events = canonical(original_sink.drain());
     let snapshot = original.snapshot().expect("snapshot-capable");
     original.shutdown().expect("clean shutdown");
@@ -311,57 +294,6 @@ fn v2_snapshots_restore_with_modulo_placement() {
     let mut stitched = early_events;
     stitched.extend(late_events);
     assert_eq!(canonical(stitched), reference_events);
-}
-
-/// `EngineBuilder::auto_rebalance` triggers migrations at flush barriers
-/// once the imbalance threshold is crossed, and rejects degenerate
-/// thresholds at build time.
-#[test]
-fn auto_rebalance_triggers_at_flush_barriers() {
-    for bad in [1.0, 0.5, f64::NAN, f64::INFINITY] {
-        let err = EngineBuilder::new()
-            .shards(2)
-            .auto_rebalance(bad)
-            .build()
-            .expect_err("degenerate threshold");
-        assert!(
-            matches!(err, EngineError::InvalidRebalanceThreshold(_)),
-            "{bad}: {err}"
-        );
-    }
-
-    let shards = test_shards();
-    let sink = Arc::new(MemorySink::new());
-    let spec: DetectorSpec = "optwin:rho=0.5,w_max=400".parse().expect("valid spec");
-    let handle = EngineBuilder::new()
-        .shards(shards)
-        .default_spec(spec)
-        .auto_rebalance(1.2)
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
-        .build()
-        .expect("valid engine");
-
-    // One scorching stream plus a cold tail: modulo placement leaves shard
-    // 0 with nearly all the load.
-    let mut records: Vec<(u64, f64)> = Vec::new();
-    for i in 0..4_000usize {
-        records.push((0, 0.1 + 0.05 * jitter(i as u64)));
-        if i % 20 == 0 {
-            for stream in 1..8u64 {
-                records.push((stream, 0.1));
-            }
-        }
-    }
-    handle.submit(&records).expect("engine running");
-    handle.flush().expect("flush runs the auto-rebalance");
-    if shards > 1 {
-        assert!(
-            handle.rerouted_streams() > 0,
-            "auto-rebalance must have moved something at imbalance {:.2}",
-            handle.stats().expect("engine running").imbalance()
-        );
-    }
-    handle.shutdown().expect("clean shutdown");
 }
 
 /// Per-shard load is observable from the handle: record counts, queue
@@ -406,19 +338,31 @@ fn stats_expose_per_shard_load_and_render() {
     handle.shutdown().expect("clean shutdown");
 }
 
+/// A builder registering each stream of a parsed fleet config.
+fn fleet_builder(fleet: FleetConfig) -> EngineBuilder {
+    fleet
+        .streams
+        .into_iter()
+        .fold(EngineBuilder::new(), |builder, (stream, spec)| {
+            builder.stream_spec(stream, spec)
+        })
+}
+
 /// A fleet config file builds a fully registered engine with zero code —
-/// `EngineBuilder::from_config_path` / `from_config_json`.
+/// `FleetConfig::from_path` / `from_json`, one `stream_spec` per entry.
 #[test]
 fn fleet_config_builds_a_running_engine() {
     // Integration tests run with the package root as CWD, so the
     // checked-in example config (also smoke-run by CI) resolves directly.
     let sink = Arc::new(MemorySink::new());
-    let handle = EngineBuilder::from_config_path("configs/fleet_example.json")
-        .expect("checked-in example config parses")
-        .shards(2)
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
-        .build()
-        .expect("valid engine");
+    let handle = fleet_builder(
+        FleetConfig::from_path("configs/fleet_example.json")
+            .expect("checked-in example config parses"),
+    )
+    .shards(2)
+    .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
+    .build()
+    .expect("valid engine");
     let stats = handle.stats().expect("engine running");
     assert_eq!(stats.streams, 6);
     assert_eq!(
@@ -437,20 +381,20 @@ fn fleet_config_builds_a_running_engine() {
     handle.shutdown().expect("clean shutdown");
 
     assert!(matches!(
-        EngineBuilder::from_config_path("configs/no_such_fleet.json"),
+        FleetConfig::from_path("configs/no_such_fleet.json"),
         Err(EngineError::InvalidFleetConfig(_))
     ));
     // An oversized window is a config error, not an allocation abort.
     assert!(matches!(
-        EngineBuilder::from_config_json(r#"{"1": "optwin:w_max=200000000"}"#),
+        FleetConfig::from_json(r#"{"1": "optwin:w_max=200000000"}"#),
         Err(EngineError::InvalidFleetConfig(message)) if message.contains("w_max")
     ));
 
-    let inline = EngineBuilder::from_config_json(r#"{"9": "ddm"}"#)
-        .expect("inline config parses")
-        .shards(1)
-        .build()
-        .expect("valid engine");
+    let inline =
+        fleet_builder(FleetConfig::from_json(r#"{"9": "ddm"}"#).expect("inline config parses"))
+            .shards(1)
+            .build()
+            .expect("valid engine");
     assert_eq!(
         inline
             .stream_spec(9)
@@ -476,8 +420,8 @@ mod churn_property {
         /// Register a stream id declaratively (may collide — both engines
         /// must agree on the outcome).
         Register(u64),
-        /// Rebalance under one of the two policies.
-        Rebalance(bool),
+        /// Rebalance.
+        Rebalance,
         /// Flush barrier.
         Flush,
     }
@@ -506,7 +450,7 @@ mod churn_property {
             prop_oneof![
                 (0u64..1_000).prop_map(Op::Submit),
                 (0u64..12).prop_map(Op::Register),
-                (0u8..2).prop_map(|p| Op::Rebalance(p == 0)),
+                (0u8..2).prop_map(|_| Op::Rebalance),
                 (0u8..2).prop_map(|_| Op::Flush),
             ],
             2..24,
@@ -534,13 +478,8 @@ mod churn_property {
                         .expect("valid spec");
                     register_outcomes.push(handle.register_stream_spec(*stream, kswin).is_ok());
                 }
-                Op::Rebalance(records) => {
-                    let policy = if *records {
-                        RebalancePolicy::Records
-                    } else {
-                        RebalancePolicy::DetectorSeconds
-                    };
-                    handle.rebalance(policy).expect("engine running");
+                Op::Rebalance => {
+                    handle.rebalance().expect("engine running");
                 }
                 Op::Flush => handle.flush().expect("no ingestion errors"),
             }
