@@ -329,15 +329,6 @@ impl DriftDetector for Adwin {
         status
     }
 
-    fn reset(&mut self) {
-        let config = self.config.clone();
-        let elements_seen = self.elements_seen;
-        let drifts = self.drifts_detected;
-        *self = Self::new(config);
-        self.elements_seen = elements_seen;
-        self.drifts_detected = drifts;
-    }
-
     fn name(&self) -> &'static str {
         "ADWIN"
     }
@@ -348,10 +339,6 @@ impl DriftDetector for Adwin {
 
     fn drifts_detected(&self) -> u64 {
         self.drifts_detected
-    }
-
-    fn supports_real_valued_input(&self) -> bool {
-        true
     }
 
     /// Struct size plus the exponential histogram's heap: the row spine and
@@ -374,7 +361,7 @@ impl DriftDetector for Adwin {
     /// the buckets on restore: `total_variance` carries the rounding history
     /// of every incremental update, and bit-exact resumption requires
     /// restoring exactly that value.
-    fn snapshot_state(&self) -> Option<serde::Value> {
+    fn snapshot_state(&self) -> serde::Value {
         use optwin_core::snapshot::{encode_f64_seq, encode_u64_seq, float_value};
         use serde::Serialize as _;
         let lens: Vec<u64> = self.rows.iter().map(|row| row.len() as u64).collect();
@@ -388,7 +375,7 @@ impl DriftDetector for Adwin {
             ("sums".to_string(), encode_f64_seq(&sums)),
             ("variances".to_string(), encode_f64_seq(&variances)),
         ]);
-        Some(serde::Value::Object(vec![
+        serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             ("rows".to_string(), rows),
             (
@@ -413,7 +400,7 @@ impl DriftDetector for Adwin {
                 serde::Value::UInt(self.drifts_detected),
             ),
             ("last_status".to_string(), self.last_status.to_value()),
-        ]))
+        ])
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), CoreError> {
@@ -692,19 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_window_keeps_counters() {
-        let mut a = Adwin::with_defaults();
-        for i in 0..500u64 {
-            a.add_element(bernoulli(i, 0.3));
-        }
-        let seen = a.elements_seen();
-        a.reset();
-        assert_eq!(a.window_len(), 0);
-        assert_eq!(a.elements_seen(), seen);
-        assert_eq!(a.name(), "ADWIN");
-    }
-
-    #[test]
     fn add_batch_matches_element_fold() {
         let stream: Vec<f64> = (0..8_000u64)
             .map(|i| {
@@ -770,7 +744,7 @@ mod tests {
         for i in 0..200u64 {
             donor.add_element(bernoulli(i, 0.3));
         }
-        let state = donor.snapshot_state().unwrap();
+        let state = donor.snapshot_state();
 
         // Tampered total_count no longer matches the buckets.
         let serde::Value::Object(mut fields) = state.clone() else {
@@ -836,7 +810,7 @@ mod tests {
         for i in 0..2_000u64 {
             donor.add_element(bernoulli(i, 0.3));
         }
-        let state = donor.snapshot_state().unwrap();
+        let state = donor.snapshot_state();
         // The bucket rows become a columnar object of blob strings.
         let rows = state.get("rows").expect("rows present");
         assert!(rows.as_object().is_some(), "columnar layout");
@@ -934,7 +908,7 @@ mod tests {
         }
         let mut variances: Vec<f64> = donor.rows.iter().flatten().map(|b| b.variance).collect();
         variances[0] = f64::NAN;
-        let serde::Value::Object(mut fields) = donor.snapshot_state().unwrap() else {
+        let serde::Value::Object(mut fields) = donor.snapshot_state() else {
             panic!("snapshot must be an object")
         };
         for (key, value) in &mut fields {
@@ -959,7 +933,7 @@ mod tests {
         restored.restore_state(&state).unwrap();
         assert!(restored.total_variance.is_nan());
         assert_eq!(restored.total_sum, f64::INFINITY);
-        assert_eq!(restored.snapshot_state(), Some(state));
+        assert_eq!(restored.snapshot_state(), state);
     }
 
     #[test]

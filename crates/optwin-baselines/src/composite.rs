@@ -146,7 +146,6 @@ pub struct Cascade {
     /// Lifetime dormant→escalated transitions.
     escalations: u64,
     last_status: DriftStatus,
-    real_valued: bool,
 }
 
 impl Cascade {
@@ -169,7 +168,6 @@ impl Cascade {
         .validate()?;
         let guard = config.guard.build()?;
         config.confirm.warm_cut_tables()?;
-        let real_valued = !config.guard.binary_only() && !config.confirm.binary_only();
         Ok(Self {
             guard,
             confirmer: None,
@@ -182,7 +180,6 @@ impl Cascade {
             drifts_detected: 0,
             escalations: 0,
             last_status: DriftStatus::Stable,
-            real_valued,
         })
     }
 
@@ -330,9 +327,9 @@ impl DriftDetector for Cascade {
             if !values.is_empty() {
                 self.last_status = DriftStatus::Stable;
             }
-            return BatchOutcome::with_len(values.len());
+            return BatchOutcome::default();
         }
-        let mut outcome = BatchOutcome::with_len(values.len());
+        let mut outcome = BatchOutcome::default();
         let mut drifts = guard_outcome.drift_indices.iter().copied().peekable();
         let mut warnings = guard_outcome.warning_indices.iter().copied().peekable();
         let mut i = 0;
@@ -370,14 +367,6 @@ impl DriftDetector for Cascade {
         outcome
     }
 
-    fn reset(&mut self) {
-        self.guard.reset();
-        self.confirmer = None;
-        self.replay.clear();
-        self.stable_streak = 0;
-        self.last_status = DriftStatus::Stable;
-    }
-
     fn name(&self) -> &'static str {
         "CASCADE"
     }
@@ -388,10 +377,6 @@ impl DriftDetector for Cascade {
 
     fn drifts_detected(&self) -> u64 {
         self.drifts_detected
-    }
-
-    fn supports_real_valued_input(&self) -> bool {
-        self.real_valued
     }
 
     /// Struct size plus the replay ring at capacity, the guard's full
@@ -414,15 +399,15 @@ impl DriftDetector for Cascade {
     /// `null` confirmer as the persisted dormant flag. `elements_seen` /
     /// `drifts_detected` stay top-level so the engine's hibernation tier can
     /// audit sleeping cascades.
-    fn snapshot_state(&self) -> Option<serde::Value> {
-        let guard = self.guard.snapshot_state()?;
+    fn snapshot_state(&self) -> serde::Value {
+        let guard = self.guard.snapshot_state();
         let confirmer = match self.confirmer.as_ref() {
-            Some(confirmer) => confirmer.snapshot_state()?,
+            Some(confirmer) => confirmer.snapshot_state(),
             None => serde::Value::Null,
         };
         use serde::Serialize as _;
         let replay: Vec<f64> = self.replay.iter().copied().collect();
-        Some(serde::Value::Object(vec![
+        serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             (
                 "elements_seen".to_string(),
@@ -444,7 +429,7 @@ impl DriftDetector for Cascade {
             ("last_status".to_string(), self.last_status.to_value()),
             ("guard".to_string(), guard),
             ("confirmer".to_string(), confirmer),
-        ]))
+        ])
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), CoreError> {
@@ -512,7 +497,6 @@ pub struct Ensemble {
     elements_seen: u64,
     drifts_detected: u64,
     last_status: DriftStatus,
-    real_valued: bool,
 }
 
 impl Ensemble {
@@ -536,7 +520,6 @@ impl Ensemble {
             .iter()
             .map(DetectorSpec::build)
             .collect::<Result<Vec<_>, _>>()?;
-        let real_valued = config.members.iter().all(|m| !m.binary_only());
         Ok(Self {
             drift_ttls: vec![0; members.len()],
             members,
@@ -546,7 +529,6 @@ impl Ensemble {
             elements_seen: 0,
             drifts_detected: 0,
             last_status: DriftStatus::Stable,
-            real_valued,
         })
     }
 
@@ -590,55 +572,6 @@ impl DriftDetector for Ensemble {
         self.verdict(warning_votes)
     }
 
-    /// Native batch path: every member ingests the slice through its own
-    /// `add_batch`, then the per-element vote evolution is replayed from
-    /// the members' outcome indices. Exact because members are independent
-    /// and each member's batch path is contractually exact.
-    fn add_batch(&mut self, values: &[f64]) -> BatchOutcome {
-        let len = values.len();
-        let n = self.members.len();
-        // One status row per member: 0 = stable, 1 = warning, 2 = drift.
-        let mut grid = vec![0u8; n * len];
-        for (m, member) in self.members.iter_mut().enumerate() {
-            let outcome = member.add_batch(values);
-            let row = &mut grid[m * len..(m + 1) * len];
-            for &i in &outcome.warning_indices {
-                row[i] = 1;
-            }
-            for &i in &outcome.drift_indices {
-                row[i] = 2;
-            }
-        }
-        let mut outcome = BatchOutcome::with_len(len);
-        for i in 0..len {
-            self.elements_seen += 1;
-            let mut warning_votes = 0usize;
-            for (m, ttl) in self.drift_ttls.iter_mut().enumerate() {
-                match grid[m * len + i] {
-                    2 => {
-                        *ttl = self.horizon;
-                        warning_votes += 1;
-                    }
-                    1 => {
-                        *ttl = ttl.saturating_sub(1);
-                        warning_votes += 1;
-                    }
-                    _ => *ttl = ttl.saturating_sub(1),
-                }
-            }
-            outcome.record(i, self.verdict(warning_votes));
-        }
-        outcome
-    }
-
-    fn reset(&mut self) {
-        for member in &mut self.members {
-            member.reset();
-        }
-        self.drift_ttls.fill(0);
-        self.last_status = DriftStatus::Stable;
-    }
-
     fn name(&self) -> &'static str {
         "ENSEMBLE"
     }
@@ -649,10 +582,6 @@ impl DriftDetector for Ensemble {
 
     fn drifts_detected(&self) -> u64 {
         self.drifts_detected
-    }
-
-    fn supports_real_valued_input(&self) -> bool {
-        self.real_valued
     }
 
     /// Struct size plus the member and vote tables and every member's own
@@ -668,14 +597,14 @@ impl DriftDetector for Ensemble {
                 .sum::<usize>()
     }
 
-    fn snapshot_state(&self) -> Option<serde::Value> {
+    fn snapshot_state(&self) -> serde::Value {
         use serde::Serialize as _;
         let members = self
             .members
             .iter()
             .map(|member| member.snapshot_state())
-            .collect::<Option<Vec<_>>>()?;
-        Some(serde::Value::Object(vec![
+            .collect();
+        serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             (
                 "elements_seen".to_string(),
@@ -696,7 +625,7 @@ impl DriftDetector for Ensemble {
                 ),
             ),
             ("members".to_string(), serde::Value::Array(members)),
-        ]))
+        ])
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), CoreError> {
@@ -828,9 +757,11 @@ mod tests {
         let d = Cascade::new(CascadeConfig::default()).unwrap();
         assert_eq!(d.name(), "CASCADE");
         // DDM guard is binary-only, so the cascade is too.
-        assert!(!d.supports_real_valued_input());
-        let real = Cascade::new(cascade_config("adwin", "kswin")).unwrap();
-        assert!(real.supports_real_valued_input());
+        let spec = |config| DetectorSpec::Cascade { config };
+        assert!(spec(CascadeConfig::default()).binary_only());
+        let real = spec(cascade_config("adwin", "kswin"));
+        real.build().unwrap();
+        assert!(!real.binary_only());
     }
 
     #[test]
@@ -922,7 +853,7 @@ mod tests {
             }
         }
         let cut = cut.expect("the shift must escalate the cascade");
-        let state = d.snapshot_state().unwrap();
+        let state = d.snapshot_state();
         assert!(
             !matches!(state.get("confirmer"), Some(serde::Value::Null)),
             "live confirmer must serialize its state"
@@ -936,7 +867,7 @@ mod tests {
 
         // A dormant cascade round-trips its `null` confirmer.
         let fresh = Cascade::new(cascade_config("ddm", "optwin:w_max=500")).unwrap();
-        let state = fresh.snapshot_state().unwrap();
+        let state = fresh.snapshot_state();
         assert!(matches!(state.get("confirmer"), Some(serde::Value::Null)));
     }
 
@@ -977,7 +908,7 @@ mod tests {
         .unwrap();
         let stream = drifting_stream(1_000, 400);
         donor.add_batch(&stream);
-        let state = donor.snapshot_state().unwrap();
+        let state = donor.snapshot_state();
         // A smaller replay capacity rejects the oversized ring.
         let mut small = Cascade::new(CascadeConfig {
             replay: 16,
@@ -992,19 +923,23 @@ mod tests {
     fn ensemble_votes_k_of_n() {
         let mut d = Ensemble::new(EnsembleConfig::default()).unwrap();
         assert_eq!(d.name(), "ENSEMBLE");
-        assert!(!d.supports_real_valued_input(), "ddm member is binary-only");
+        let spec = |config| DetectorSpec::Ensemble { config };
+        assert!(
+            spec(EnsembleConfig::default()).binary_only(),
+            "ddm member is binary-only"
+        );
         let stream = drifting_stream(6_000, 3_000);
         let outcome = d.add_batch(&stream);
         assert!(outcome.has_drift(), "2-of-3 must confirm the jump");
         assert!(outcome.drift_indices[0] >= 3_000, "no false positive");
 
-        let real = Ensemble::new(EnsembleConfig {
+        let real = spec(EnsembleConfig {
             vote: 1,
             members: vec!["adwin".parse().unwrap(), "kswin".parse().unwrap()],
             ..EnsembleConfig::default()
-        })
-        .unwrap();
-        assert!(real.supports_real_valued_input());
+        });
+        real.build().unwrap();
+        assert!(!real.binary_only());
     }
 
     #[test]
@@ -1052,7 +987,7 @@ mod tests {
             ..EnsembleConfig::default()
         })
         .unwrap();
-        let state = donor.snapshot_state().unwrap();
+        let state = donor.snapshot_state();
         let err = d.restore_state(&state).unwrap_err();
         assert!(err.to_string().contains("member states"), "{err}");
     }

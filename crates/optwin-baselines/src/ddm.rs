@@ -146,11 +146,6 @@ impl DriftDetector for Ddm {
         status
     }
 
-    fn reset(&mut self) {
-        self.restart();
-        self.last_status = DriftStatus::Stable;
-    }
-
     fn name(&self) -> &'static str {
         "DDM"
     }
@@ -163,16 +158,12 @@ impl DriftDetector for Ddm {
         self.drifts_detected
     }
 
-    fn supports_real_valued_input(&self) -> bool {
-        false
-    }
-
     /// Serializes the raw binomial accumulators (`n`, error count) and the
     /// recorded `p_min`/`s_min` minimums verbatim, so the restored detector
     /// evaluates exactly the same thresholds the original would have.
-    fn snapshot_state(&self) -> Option<serde::Value> {
+    fn snapshot_state(&self) -> serde::Value {
         use serde::Serialize as _;
-        Some(serde::Value::Object(vec![
+        serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             ("n".to_string(), serde::Value::UInt(self.n)),
             ("errors".to_string(), float_value(self.errors)),
@@ -187,7 +178,7 @@ impl DriftDetector for Ddm {
                 serde::Value::UInt(self.drifts_detected),
             ),
             ("last_status".to_string(), self.last_status.to_value()),
-        ]))
+        ])
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), CoreError> {
@@ -331,7 +322,9 @@ mod tests {
     #[test]
     fn binary_only_metadata() {
         let d = Ddm::with_defaults();
-        assert!(!d.supports_real_valued_input());
+        assert!(crate::DetectorSpec::default_for("ddm")
+            .unwrap()
+            .binary_only());
         assert_eq!(d.name(), "DDM");
         let (p_min, s_min) = d.minimums();
         assert_eq!(p_min, f64::MAX);
@@ -389,7 +382,7 @@ mod tests {
         for i in 0..100u64 {
             donor.add_element(bernoulli(i, 0.2));
         }
-        let serde::Value::Object(mut fields) = donor.snapshot_state().unwrap() else {
+        let serde::Value::Object(mut fields) = donor.snapshot_state() else {
             panic!("snapshot must be an object")
         };
         for (k, v) in &mut fields {
@@ -404,7 +397,7 @@ mod tests {
 
         // An error count outside [0, n] is rejected: p = errors/n would be
         // negative or above one.
-        let serde::Value::Object(mut fields) = donor.snapshot_state().unwrap() else {
+        let serde::Value::Object(mut fields) = donor.snapshot_state() else {
             panic!("snapshot must be an object")
         };
         for (k, v) in &mut fields {
@@ -414,16 +407,5 @@ mod tests {
         }
         let err = d.restore_state(&serde::Value::Object(fields)).unwrap_err();
         assert!(err.to_string().contains("errors"), "{err}");
-    }
-
-    #[test]
-    fn manual_reset() {
-        let mut d = Ddm::with_defaults();
-        for i in 0..100u64 {
-            d.add_element(bernoulli(i, 0.3));
-        }
-        d.reset();
-        assert_eq!(d.error_rate(), 0.0);
-        assert_eq!(d.elements_seen(), 100);
     }
 }

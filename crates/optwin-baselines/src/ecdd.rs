@@ -101,7 +101,7 @@ const MAX_SHARED_LIMIT_CACHES: usize = 64;
 /// rate, so sharing the cache changes no decision — it only deduplicates the
 /// expensive Chernoff calibration (a golden-section search inside a binary
 /// search, ~10⁵ transcendental evaluations per miss) across fleets of
-/// detectors, clones and resets.
+/// detectors and clones.
 ///
 /// The registry is bounded at [`MAX_SHARED_LIMIT_CACHES`] entries: when a
 /// new calibration would exceed the cap, the oldest-interned entry is
@@ -294,11 +294,6 @@ impl DriftDetector for Ecdd {
         status
     }
 
-    fn reset(&mut self) {
-        self.ewma.reset();
-        self.last_status = DriftStatus::Stable;
-    }
-
     fn name(&self) -> &'static str {
         "ECDD"
     }
@@ -311,18 +306,14 @@ impl DriftDetector for Ecdd {
         self.drifts_detected
     }
 
-    fn supports_real_valued_input(&self) -> bool {
-        false
-    }
-
     /// Serializes the raw EWMA accumulator (count, running mean, `z`,
     /// `(1−λ)^{2t}`) and the lifetime counters. The control-limit cache is
     /// *not* serialized: it is a pure, deterministic function of the
     /// configuration and refills identically on demand.
-    fn snapshot_state(&self) -> Option<serde::Value> {
+    fn snapshot_state(&self) -> serde::Value {
         use serde::Serialize as _;
         let (count, mean, z, pow_2t) = self.ewma.to_raw();
-        Some(serde::Value::Object(vec![
+        serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             // λ shapes every serialized EWMA weight, so it is recorded and
             // validated on restore — restoring λ=0.2 state into a λ=0.05
@@ -341,7 +332,7 @@ impl DriftDetector for Ecdd {
                 serde::Value::UInt(self.drifts_detected),
             ),
             ("last_status".to_string(), self.last_status.to_value()),
-        ]))
+        ])
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), CoreError> {
@@ -471,17 +462,17 @@ mod tests {
     }
 
     #[test]
-    fn diagnostics_and_reset() {
+    fn diagnostics_and_metadata() {
         let mut d = Ecdd::with_defaults();
         for i in 0..1_000u64 {
             d.add_element(bernoulli(i, 0.3));
         }
         assert!((d.error_rate() - 0.3).abs() < 0.1);
         assert!(d.ewma_value() >= 0.0 && d.ewma_value() <= 1.0);
-        d.reset();
-        assert_eq!(d.ewma_value(), 0.0);
         assert_eq!(d.name(), "ECDD");
-        assert!(!d.supports_real_valued_input());
+        assert!(crate::DetectorSpec::default_for("ecdd")
+            .unwrap()
+            .binary_only());
     }
 
     #[test]
@@ -545,7 +536,7 @@ mod tests {
         for i in 0..500u64 {
             donor.add_element(bernoulli(i, 0.2));
         }
-        let serde::Value::Object(mut fields) = donor.snapshot_state().unwrap() else {
+        let serde::Value::Object(mut fields) = donor.snapshot_state() else {
             panic!("snapshot must be an object")
         };
         for (k, v) in &mut fields {
@@ -558,7 +549,7 @@ mod tests {
 
         // A λ mismatch between snapshotter and restorer is rejected: the
         // serialized EWMA weights are a function of λ.
-        let state = donor.snapshot_state().unwrap();
+        let state = donor.snapshot_state();
         let mut other = Ecdd::new(EcddConfig {
             lambda: 0.05,
             ..EcddConfig::default()

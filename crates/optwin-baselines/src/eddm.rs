@@ -171,11 +171,6 @@ impl DriftDetector for Eddm {
         status
     }
 
-    fn reset(&mut self) {
-        self.restart();
-        self.last_status = DriftStatus::Stable;
-    }
-
     fn name(&self) -> &'static str {
         "EDDM"
     }
@@ -188,15 +183,11 @@ impl DriftDetector for Eddm {
         self.drifts_detected
     }
 
-    fn supports_real_valued_input(&self) -> bool {
-        false
-    }
-
     /// Serializes the raw error-distance accumulators (Welford mean/M2, last
     /// error position, recorded maximum) verbatim for bit-exact resumption.
-    fn snapshot_state(&self) -> Option<serde::Value> {
+    fn snapshot_state(&self) -> serde::Value {
         use serde::Serialize as _;
-        Some(serde::Value::Object(vec![
+        serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             ("n".to_string(), serde::Value::UInt(self.n)),
             ("last_error_at".to_string(), self.last_error_at.to_value()),
@@ -216,7 +207,7 @@ impl DriftDetector for Eddm {
                 serde::Value::UInt(self.drifts_detected),
             ),
             ("last_status".to_string(), self.last_status.to_value()),
-        ]))
+        ])
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), CoreError> {
@@ -321,15 +312,15 @@ mod tests {
     }
 
     #[test]
-    fn metadata_and_reset() {
+    fn metadata() {
         let mut d = Eddm::with_defaults();
         assert_eq!(d.name(), "EDDM");
-        assert!(!d.supports_real_valued_input());
+        assert!(crate::DetectorSpec::default_for("eddm")
+            .unwrap()
+            .binary_only());
         for i in 0..200u64 {
             d.add_element(bernoulli(i, 0.2));
         }
-        d.reset();
-        assert_eq!(d.mean_error_distance(), 0.0);
         assert_eq!(d.elements_seen(), 200);
     }
 
@@ -379,7 +370,7 @@ mod tests {
             donor.add_element(bernoulli(i, 0.2));
         }
         // An inconsistent error position is rejected.
-        let serde::Value::Object(mut fields) = donor.snapshot_state().unwrap() else {
+        let serde::Value::Object(mut fields) = donor.snapshot_state() else {
             panic!("snapshot must be an object")
         };
         for (k, v) in &mut fields {

@@ -97,7 +97,7 @@ pub struct Kswin {
     /// elements).
     recent_sorted: Vec<f64>,
     /// Whether the sorted mirrors reflect the current window contents. False
-    /// after construction, reset, restore and drift truncation; the next
+    /// after construction, restore and drift truncation; the next
     /// full-window step rebuilds them.
     sorted_valid: bool,
     elements_seen: u64,
@@ -209,12 +209,6 @@ impl DriftDetector for Kswin {
         self.step(value)
     }
 
-    fn reset(&mut self) {
-        self.window.clear();
-        self.sorted_valid = false;
-        self.last_status = DriftStatus::Stable;
-    }
-
     fn name(&self) -> &'static str {
         "KSWIN"
     }
@@ -240,10 +234,10 @@ impl DriftDetector for Kswin {
     /// Serializes the buffered window contents verbatim, as a compact
     /// binary blob, plus the lifetime counters — KSWIN's entire mutable
     /// state is the raw window.
-    fn snapshot_state(&self) -> Option<serde::Value> {
+    fn snapshot_state(&self) -> serde::Value {
         use serde::Serialize as _;
         let window: Vec<f64> = self.window.iter().copied().collect();
-        Some(serde::Value::Object(vec![
+        serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             (
                 "window".to_string(),
@@ -258,7 +252,7 @@ impl DriftDetector for Kswin {
                 serde::Value::UInt(self.drifts_detected),
             ),
             ("last_status".to_string(), self.last_status.to_value()),
-        ]))
+        ])
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), CoreError> {
@@ -307,9 +301,7 @@ mod tests {
         let mut live = Kswin::with_defaults();
         live.add_batch(&stream[..3_000]);
         let mut restored = Kswin::with_defaults();
-        restored
-            .restore_state(&live.snapshot_state().unwrap())
-            .unwrap();
+        restored.restore_state(&live.snapshot_state()).unwrap();
         let rest = &stream[3_000..];
         assert_eq!(live.add_batch(rest), restored.add_batch(rest));
         assert_eq!(live.drifts_detected(), restored.drifts_detected());
@@ -401,15 +393,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_metadata() {
-        let mut d = Kswin::with_defaults();
-        for i in 0..500u64 {
-            d.add_element(0.5 + 0.1 * jitter(i));
-        }
-        d.reset();
-        assert_eq!(d.window_len(), 0);
+    fn metadata() {
+        let d = Kswin::with_defaults();
         assert_eq!(d.name(), "KSWIN");
-        assert!(d.supports_real_valued_input());
+        assert!(!crate::DetectorSpec::default_for("kswin")
+            .unwrap()
+            .binary_only());
     }
 
     #[test]
@@ -492,7 +481,7 @@ mod tests {
         for i in 0..500u64 {
             donor.add_element(0.5 + 0.1 * jitter(i));
         }
-        let state = donor.snapshot_state().unwrap();
+        let state = donor.snapshot_state();
         // A restoring configuration with a smaller window rejects the
         // oversized buffer.
         let mut small = Kswin::new(KswinConfig {

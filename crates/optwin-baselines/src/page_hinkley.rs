@@ -140,11 +140,6 @@ impl DriftDetector for PageHinkley {
         status
     }
 
-    fn reset(&mut self) {
-        self.restart();
-        self.last_status = DriftStatus::Stable;
-    }
-
     fn name(&self) -> &'static str {
         "PageHinkley"
     }
@@ -161,9 +156,9 @@ impl DriftDetector for PageHinkley {
     /// verbatim (the minimum starts at `f64::MAX`, which is finite and
     /// round-trips exactly; [`float_value`] also keeps non-finite values
     /// readable).
-    fn snapshot_state(&self) -> Option<serde::Value> {
+    fn snapshot_state(&self) -> serde::Value {
         use serde::Serialize as _;
-        Some(serde::Value::Object(vec![
+        serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             ("n".to_string(), serde::Value::UInt(self.n)),
             ("mean".to_string(), float_value(self.mean)),
@@ -181,7 +176,7 @@ impl DriftDetector for PageHinkley {
                 serde::Value::UInt(self.drifts_detected),
             ),
             ("last_status".to_string(), self.last_status.to_value()),
-        ]))
+        ])
     }
 
     /// Accepts non-finite statistics: before non-finite updates were
@@ -287,7 +282,9 @@ mod tests {
     fn metadata() {
         let d = PageHinkley::with_defaults();
         assert_eq!(d.name(), "PageHinkley");
-        assert!(d.supports_real_valued_input());
+        assert!(!crate::DetectorSpec::default_for("page_hinkley")
+            .unwrap()
+            .binary_only());
         assert_eq!(d.statistic(), 0.0);
     }
 
@@ -326,7 +323,7 @@ mod tests {
             donor.add_element(bernoulli(i, 0.2));
         }
         // A missing field is rejected and nothing is assigned.
-        let serde::Value::Object(fields) = donor.snapshot_state().unwrap() else {
+        let serde::Value::Object(fields) = donor.snapshot_state() else {
             panic!("snapshot must be an object")
         };
         let truncated: Vec<(String, serde::Value)> =
@@ -341,7 +338,7 @@ mod tests {
         // A snapshot written before non-finite updates were skipped can hold
         // NaN statistics. It restores and round-trips bit-exactly (the NaNs
         // are blobs, so the value trees compare bitwise).
-        let serde::Value::Object(mut fields) = donor.snapshot_state().unwrap() else {
+        let serde::Value::Object(mut fields) = donor.snapshot_state() else {
             panic!("snapshot must be an object")
         };
         for (key, value) in &mut fields {
@@ -353,7 +350,7 @@ mod tests {
         let mut restored = PageHinkley::with_defaults();
         restored.restore_state(&state).unwrap();
         assert!(restored.cumulative.is_nan());
-        assert_eq!(restored.snapshot_state(), Some(state));
+        assert_eq!(restored.snapshot_state(), state);
     }
 
     /// One NaN or ±inf must not silence the detector, alone or as a

@@ -169,11 +169,6 @@ impl DriftDetector for Stepd {
         status
     }
 
-    fn reset(&mut self) {
-        self.restart();
-        self.last_status = DriftStatus::Stable;
-    }
-
     fn name(&self) -> &'static str {
         "STEPD"
     }
@@ -191,19 +186,15 @@ impl DriftDetector for Stepd {
         std::mem::size_of_val(self) + self.recent.capacity() * std::mem::size_of::<bool>()
     }
 
-    fn supports_real_valued_input(&self) -> bool {
-        true
-    }
-
     /// Serializes the recent result window (a bit-packed blob, one bit per
     /// buffered result) plus the integer "older" pool counters.
     /// `recent_correct` is derived (the number of `true` entries in the
     /// window), so it is recomputed on restore rather than trusted from the
     /// wire.
-    fn snapshot_state(&self) -> Option<serde::Value> {
+    fn snapshot_state(&self) -> serde::Value {
         use serde::Serialize as _;
         let recent: Vec<bool> = self.recent.iter().copied().collect();
-        Some(serde::Value::Object(vec![
+        serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             (
                 "recent".to_string(),
@@ -226,7 +217,7 @@ impl DriftDetector for Stepd {
                 serde::Value::UInt(self.drifts_detected),
             ),
             ("last_status".to_string(), self.last_status.to_value()),
-        ]))
+        ])
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), CoreError> {
@@ -344,16 +335,16 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_metadata() {
+    fn metadata() {
         let mut d = Stepd::with_defaults();
         for i in 0..200u64 {
             d.add_element(bernoulli(i, 0.2));
         }
-        d.reset();
-        assert_eq!(d.overall_accuracy(), 0.0);
         assert_eq!(d.elements_seen(), 200);
         assert_eq!(d.name(), "STEPD");
-        assert!(d.supports_real_valued_input());
+        assert!(!crate::DetectorSpec::default_for("stepd")
+            .unwrap()
+            .binary_only());
     }
 
     #[test]
@@ -399,7 +390,7 @@ mod tests {
         for i in 0..200u64 {
             donor.add_element(bernoulli(i, 0.2));
         }
-        let state = donor.snapshot_state().unwrap();
+        let state = donor.snapshot_state();
         // A smaller restoring window rejects the oversized recent buffer.
         let mut small = Stepd::new(StepdConfig {
             window_size: 5,

@@ -10,11 +10,19 @@
 //! required to be *observationally identical*: `add_batch(xs)` must report
 //! exactly the indices at which a fold of `add_element` over `xs` would have
 //! returned [`DriftStatus::Drift`] (and likewise for warnings), leaving the
-//! detector in the same state. Every leaf detector uses the trait's default
-//! fold, so for them this holds by construction; only the composites in
-//! `optwin-baselines` override `add_batch`, to hand their boxed children
-//! whole slices. The contract test-suite in `tests/detector_contract.rs`
-//! enforces it for every detector the workspace ships.
+//! detector in the same state. Every detector but one uses the trait's
+//! default fold, so for them this holds by construction. The exception is
+//! the cascade in `optwin-baselines`: it hands its guard the whole slice and
+//! skips a dormant stretch in bulk, which keeps its stable path several
+//! times cheaper than plain OPTWIN. The contract test-suite in
+//! `tests/detector_contract.rs` enforces the equivalence for every detector
+//! the workspace ships.
+//!
+//! Every detector also snapshots its state ([`DriftDetector::snapshot_state`]
+//! and [`DriftDetector::restore_state`]): the engine's hibernation tier,
+//! snapshots and checkpoints are built on that pair. Which inputs a
+//! detector accepts is not part of the trait; `DetectorSpec::binary_only`
+//! in `optwin-baselines` answers that for every spec.
 
 use serde::{Deserialize, Serialize};
 
@@ -56,27 +64,13 @@ impl DriftStatus {
 /// global stream position add their own offset.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BatchOutcome {
-    /// Number of elements that were ingested.
-    pub len: usize,
     /// Batch indices at which [`DriftStatus::Drift`] was reported.
     pub drift_indices: Vec<usize>,
     /// Batch indices at which [`DriftStatus::Warning`] was reported.
     pub warning_indices: Vec<usize>,
-    /// The status reported for the final element (`Stable` for an empty
-    /// batch).
-    pub last_status: DriftStatus,
 }
 
 impl BatchOutcome {
-    /// Creates an empty outcome for a batch of `len` elements.
-    #[must_use]
-    pub fn with_len(len: usize) -> Self {
-        Self {
-            len,
-            ..Self::default()
-        }
-    }
-
     /// Number of drifts flagged in the batch.
     #[must_use]
     pub fn drifts(&self) -> usize {
@@ -89,8 +83,8 @@ impl BatchOutcome {
         !self.drift_indices.is_empty()
     }
 
-    /// Records the status of the element at `index`, maintaining all
-    /// invariants. Intended for `add_batch` implementations.
+    /// Records the status of the element at `index`. Intended for
+    /// `add_batch` implementations.
     #[inline]
     pub fn record(&mut self, index: usize, status: DriftStatus) {
         match status {
@@ -98,7 +92,6 @@ impl BatchOutcome {
             DriftStatus::Warning => self.warning_indices.push(index),
             DriftStatus::Stable => {}
         }
-        self.last_status = status;
     }
 }
 
@@ -118,43 +111,31 @@ pub trait DriftDetector {
     /// warning position within it.
     ///
     /// The default implementation folds [`DriftDetector::add_element`] over
-    /// the slice, and every leaf detector uses it. The composites (cascade
-    /// and ensemble) override it so a slice costs one virtual call per boxed
-    /// child instead of one per element. An override must be observationally
-    /// identical to the fold — same indices, same final state, same counters.
+    /// the slice, and every detector but the cascade uses it. The cascade
+    /// overrides it to feed its guard the whole slice and to extend its
+    /// replay ring in bulk while dormant. An override must be
+    /// observationally identical to the fold — same indices, same final
+    /// state, same counters.
     fn add_batch(&mut self, values: &[f64]) -> BatchOutcome {
-        let mut outcome = BatchOutcome::with_len(values.len());
+        let mut outcome = BatchOutcome::default();
         for (i, &value) in values.iter().enumerate() {
             outcome.record(i, self.add_element(value));
         }
         outcome
     }
 
-    /// Resets the detector to its initial state (as right after
-    /// construction), discarding all buffered observations.
-    fn reset(&mut self);
-
     /// A short, stable, human-readable name (e.g. `"OPTWIN"`, `"ADWIN"`).
     fn name(&self) -> &'static str;
 
-    /// Total number of elements ingested since construction (not reset by
-    /// drift detections).
+    /// Total number of elements ingested since construction (drift
+    /// detections do not reset it).
     fn elements_seen(&self) -> u64;
 
     /// Number of drifts flagged since construction.
     fn drifts_detected(&self) -> u64;
 
-    /// `true` if the detector accepts real-valued (non-binary) inputs.
-    ///
-    /// DDM, EDDM and ECDD are only defined for binary error streams; OPTWIN,
-    /// ADWIN and STEPD accept arbitrary bounded real values.
-    fn supports_real_valued_input(&self) -> bool {
-        true
-    }
-
     /// Serializes the detector's complete mutable state into a JSON-shaped
-    /// [`serde::Value`] tree, or `None` if the detector does not support
-    /// state snapshots.
+    /// [`serde::Value`] tree.
     ///
     /// This is the single write hook behind every engine snapshot,
     /// hibernation blob and checkpoint. Shipped detectors write the wire-v4
@@ -170,12 +151,7 @@ pub trait DriftDetector {
     /// *not* part of the state — restoration happens into a detector freshly
     /// constructed with the same configuration (typically from the same
     /// spec), so only the stream-dependent state crosses the snapshot.
-    ///
-    /// The default implementation returns `None`; detectors opt in by
-    /// overriding both this method and [`DriftDetector::restore_state`].
-    fn snapshot_state(&self) -> Option<serde::Value> {
-        None
-    }
+    fn snapshot_state(&self) -> serde::Value;
 
     /// Approximate resident memory footprint of this detector in bytes:
     /// the size of the detector struct itself plus every heap buffer it
@@ -204,16 +180,9 @@ pub trait DriftDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::SnapshotUnsupported`] when the detector does not
-    /// implement snapshots (the default), or [`CoreError::InvalidSnapshot`]
-    /// when the value tree does not describe a valid state for this
-    /// detector's configuration.
-    fn restore_state(&mut self, state: &serde::Value) -> std::result::Result<(), CoreError> {
-        let _ = state;
-        Err(CoreError::SnapshotUnsupported {
-            detector: self.name(),
-        })
-    }
+    /// Returns [`CoreError::InvalidSnapshot`] when the value tree does not
+    /// describe a valid state for this detector's configuration.
+    fn restore_state(&mut self, state: &serde::Value) -> std::result::Result<(), CoreError>;
 }
 
 #[cfg(test)]
@@ -238,9 +207,6 @@ mod tests {
                 DriftStatus::Stable
             }
         }
-        fn reset(&mut self) {
-            self.seen = 0;
-        }
         fn name(&self) -> &'static str {
             "periodic"
         }
@@ -249,6 +215,15 @@ mod tests {
         }
         fn drifts_detected(&self) -> u64 {
             self.drifts
+        }
+        fn snapshot_state(&self) -> serde::Value {
+            serde::Value::UInt(self.seen)
+        }
+        fn restore_state(&mut self, state: &serde::Value) -> Result<(), CoreError> {
+            self.seen = u64::from_value(state).map_err(|e| CoreError::InvalidSnapshot {
+                message: e.to_string(),
+            })?;
+            Ok(())
         }
     }
 
@@ -281,11 +256,9 @@ mod tests {
                 expected.push(i);
             }
         }
-        assert_eq!(outcome.len, xs.len());
         assert_eq!(outcome.drift_indices, expected);
         assert_eq!(outcome.drifts(), 3);
         assert!(outcome.has_drift());
-        assert_eq!(outcome.last_status, DriftStatus::Stable);
         assert_eq!(batched.elements_seen(), scalar.elements_seen());
         assert_eq!(batched.drifts_detected(), scalar.drifts_detected());
     }
@@ -305,26 +278,12 @@ mod tests {
 
     #[test]
     fn batch_outcome_record_tracks_statuses() {
-        let mut o = BatchOutcome::with_len(3);
+        let mut o = BatchOutcome::default();
         o.record(0, DriftStatus::Stable);
         o.record(1, DriftStatus::Warning);
         o.record(2, DriftStatus::Drift);
         assert_eq!(o.warning_indices, vec![1]);
         assert_eq!(o.drift_indices, vec![2]);
-        assert_eq!(o.last_status, DriftStatus::Drift);
-    }
-
-    #[test]
-    fn snapshot_defaults_are_unsupported() {
-        let mut d = Periodic {
-            period: 2,
-            seen: 0,
-            drifts: 0,
-        };
-        assert!(d.snapshot_state().is_none());
-        let err = d.restore_state(&serde::Value::Null).unwrap_err();
-        assert!(matches!(err, CoreError::SnapshotUnsupported { .. }));
-        assert!(err.to_string().contains("periodic"));
     }
 
     #[test]
@@ -349,7 +308,6 @@ mod tests {
         });
         assert_eq!(d.add_element(0.0), DriftStatus::Stable);
         assert_eq!(d.add_element(0.0), DriftStatus::Drift);
-        assert!(d.supports_real_valued_input());
         // add_batch is usable through the trait object too.
         let hits = d.add_batch(&[0.0, 0.0, 0.0, 0.0]).drift_indices;
         assert_eq!(hits, vec![1, 3]);

@@ -16,11 +16,6 @@ pub enum CoreError {
     },
     /// An underlying statistical routine failed.
     Stats(StatsError),
-    /// A detector was asked for a state snapshot it does not implement.
-    SnapshotUnsupported {
-        /// The detector's stable name.
-        detector: &'static str,
-    },
     /// A serialized detector state could not be restored.
     InvalidSnapshot {
         /// Human-readable description of the mismatch.
@@ -35,9 +30,6 @@ impl fmt::Display for CoreError {
                 write!(f, "invalid detector configuration: `{field}` {message}")
             }
             CoreError::Stats(e) => write!(f, "statistical routine failed: {e}"),
-            CoreError::SnapshotUnsupported { detector } => {
-                write!(f, "detector `{detector}` does not support state snapshots")
-            }
             CoreError::InvalidSnapshot { message } => {
                 write!(f, "invalid detector snapshot: {message}")
             }
@@ -49,9 +41,7 @@ impl std::error::Error for CoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CoreError::Stats(e) => Some(e),
-            CoreError::InvalidConfig { .. }
-            | CoreError::SnapshotUnsupported { .. }
-            | CoreError::InvalidSnapshot { .. } => None,
+            CoreError::InvalidConfig { .. } | CoreError::InvalidSnapshot { .. } => None,
         }
     }
 }
@@ -82,12 +72,10 @@ mod tests {
         assert!(e.to_string().contains("statistical"));
         assert!(std::error::Error::source(&e).is_some());
 
-        let e = CoreError::SnapshotUnsupported { detector: "ADWIN" };
-        assert!(e.to_string().contains("ADWIN"));
-        assert!(std::error::Error::source(&e).is_none());
         let e = CoreError::InvalidSnapshot {
             message: "missing field `split`".to_string(),
         };
         assert!(e.to_string().contains("split"));
+        assert!(std::error::Error::source(&e).is_none());
     }
 }

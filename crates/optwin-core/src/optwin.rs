@@ -383,12 +383,6 @@ impl DriftDetector for Optwin {
         self.evaluate_window(&entry)
     }
 
-    fn reset(&mut self) {
-        self.window.clear();
-        self.non_binary_in_window = 0;
-        self.last_status = DriftStatus::Stable;
-    }
-
     fn name(&self) -> &'static str {
         "OPTWIN"
     }
@@ -399,10 +393,6 @@ impl DriftDetector for Optwin {
 
     fn drifts_detected(&self) -> u64 {
         self.drifts_detected
-    }
-
-    fn supports_real_valued_input(&self) -> bool {
-        true
     }
 
     /// Struct size plus the eagerly allocated `w_max`-sized window ring.
@@ -421,9 +411,9 @@ impl DriftDetector for Optwin {
     /// lifetime counters. The immutable configuration and the cut table are
     /// *not* serialized; restoration happens into a detector constructed with
     /// the same configuration (`w_max` is embedded for validation).
-    fn snapshot_state(&self) -> Option<serde::Value> {
+    fn snapshot_state(&self) -> serde::Value {
         use serde::Serialize as _;
-        Some(serde::Value::Object(vec![
+        serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             (
                 "w_max".to_string(),
@@ -462,7 +452,7 @@ impl DriftDetector for Optwin {
                 "warnings_detected".to_string(),
                 serde::Value::UInt(self.warnings_detected),
             ),
-        ]))
+        ])
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<()> {
@@ -787,19 +777,6 @@ mod tests {
     }
 
     #[test]
-    fn manual_reset_clears_window_but_not_counters() {
-        let mut d = Optwin::new(small_config(0.5)).unwrap();
-        for i in 0..100u64 {
-            d.add_element(0.2 + 0.01 * jitter(i));
-        }
-        assert_eq!(d.elements_seen(), 100);
-        d.reset();
-        assert_eq!(d.window_len(), 0);
-        assert_eq!(d.elements_seen(), 100);
-        assert_eq!(d.last_status(), DriftStatus::Stable);
-    }
-
-    #[test]
     fn add_batch_reports_drift_indices() {
         let mut d = Optwin::new(small_config(1.0)).unwrap();
         let stream: Vec<f64> = (0..2_000u64)
@@ -876,8 +853,7 @@ mod tests {
         for &x in &stream {
             scalar.add_element(x);
         }
-        let outcome = batched.add_batch(&stream);
-        assert_eq!(outcome.len, stream.len());
+        batched.add_batch(&stream);
         assert_eq!(batched.window_len(), scalar.window_len());
         assert_eq!(batched.drifts_detected(), scalar.drifts_detected());
         assert!((batched.hist_mean() - scalar.hist_mean()).abs() < 1e-15);
@@ -918,9 +894,7 @@ mod tests {
         for &cut in &[0usize, 17, 1_000, 2_100, 4_500] {
             let mut original = Optwin::new(small_config(0.5)).unwrap();
             original.add_batch(&stream[..cut]);
-            let state = original
-                .snapshot_state()
-                .expect("OPTWIN supports snapshots");
+            let state = original.snapshot_state();
             assert!(
                 matches!(state.get("window"), Some(serde::Value::Str(_))),
                 "the window is embedded as a blob string"
@@ -967,7 +941,7 @@ mod tests {
         )
         .unwrap();
         other.add_batch(&[0.1, 0.2, 0.3]);
-        let state = other.snapshot_state().unwrap();
+        let state = other.snapshot_state();
         let err = d.restore_state(&state).unwrap_err();
         assert!(err.to_string().contains("w_max"));
         // Tampered version.
@@ -1001,7 +975,7 @@ mod tests {
         }
         let saturated = serde::Value::Object(fields);
         other.restore_state(&saturated).unwrap();
-        let round_tripped = other.snapshot_state().unwrap();
+        let round_tripped = other.snapshot_state();
         let moments = round_tripped.get("new_moments").unwrap();
         let (_, _, m2, m3) = moments_from_value(moments, "new_moments").unwrap();
         assert_eq!(m2, f64::INFINITY);
@@ -1038,7 +1012,6 @@ mod tests {
     fn metadata_accessors() {
         let d = Optwin::with_defaults().unwrap();
         assert_eq!(d.name(), "OPTWIN");
-        assert!(d.supports_real_valued_input());
         assert_eq!(d.config().w_max, 25_000);
         assert_eq!(d.window_len(), 0);
         assert_eq!(d.last_status(), DriftStatus::Stable);

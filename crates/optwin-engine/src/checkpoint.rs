@@ -555,7 +555,12 @@ pub(crate) fn read_manifest(dir: &Path) -> Result<Manifest, EngineError> {
 /// version.
 pub fn load_checkpoint_dir(dir: impl AsRef<Path>) -> Result<EngineSnapshot, EngineError> {
     let dir = dir.as_ref();
-    let manifest = read_manifest(dir)?;
+    merge_overlays(dir, &read_manifest(dir)?)
+}
+
+/// The base snapshot `manifest` names, with its delta overlays applied in
+/// manifest order.
+fn merge_overlays(dir: &Path, manifest: &Manifest) -> Result<EngineSnapshot, EngineError> {
     let bad = |message: String| EngineError::InvalidSnapshot(message);
 
     let base_path = dir.join(&manifest.base);
@@ -621,18 +626,15 @@ pub fn load_checkpoint_dir(dir: impl AsRef<Path>) -> Result<EngineSnapshot, Engi
 /// at every migration).
 pub(crate) fn load_recovery(dir: &Path) -> Result<(EngineSnapshot, RecoveredLog), EngineError> {
     let manifest = read_manifest(dir)?;
-    let snapshot = load_checkpoint_dir(dir)?;
+    let snapshot = merge_overlays(dir, &manifest)?;
 
     let mut segments: Vec<(u64, usize)> = Vec::new();
     let mut max_generation = manifest.generation;
-    let entries = fs::read_dir(dir).map_err(|e| {
+    let unreadable = |e: std::io::Error| {
         EngineError::InvalidSnapshot(format!("reading checkpoint dir {}: {e}", dir.display()))
-    })?;
-    for entry in entries {
-        let entry = entry.map_err(|e| {
-            EngineError::InvalidSnapshot(format!("reading checkpoint dir {}: {e}", dir.display()))
-        })?;
-        let name = entry.file_name();
+    };
+    for entry in fs::read_dir(dir).map_err(unreadable)? {
+        let name = entry.map_err(unreadable)?.file_name();
         let Some((generation, shard)) = name.to_str().and_then(parse_wal_segment_name) else {
             continue;
         };

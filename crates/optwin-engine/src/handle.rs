@@ -1154,7 +1154,9 @@ impl EngineHandle {
     /// (e.g. [`EngineError::UnknownStream`] for records dropped by an
     /// engine without a default spec — only the first is kept, later ones
     /// are discarded), [`EngineError::ChannelClosed`] when the engine has
-    /// shut down, or [`EngineError::Poisoned`] after a worker panic.
+    /// shut down, or [`EngineError::Poisoned`] after a worker panic. An
+    /// ingestion error does not skip the checkpoint cadence; a failed
+    /// automatic checkpoint is returned in its place.
     pub fn flush(&self) -> Result<(), EngineError> {
         self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
             // Flush barriers double as the hibernation sweep points: a
@@ -1163,13 +1165,13 @@ impl EngineHandle {
             worker.shard.hibernation_sweep();
             worker.flush_sinks();
         })?;
-        if let Some(error) = self.take_error() {
-            return Err(error);
-        }
+        let ingest_error = self.take_error();
         // Checkpoint cadence rides the same barrier: with the queues
         // drained, the dirty sets are exact and the capture is a clean
-        // cut. `every_flushes == 0` disables the automatic cadence
-        // (explicit [`EngineHandle::checkpoint`] calls only).
+        // cut. It runs even when ingestion dropped records, or a flood of
+        // those would keep the log growing without a checkpoint.
+        // `every_flushes == 0` disables the automatic cadence (explicit
+        // [`EngineHandle::checkpoint`] calls only).
         if let Some(state) = &self.shared.checkpoint {
             let due = {
                 let mut state = state.lock().map_err(|_| EngineError::Poisoned)?;
@@ -1180,7 +1182,7 @@ impl EngineHandle {
                 self.run_checkpoint(false, false)?;
             }
         }
-        Ok(())
+        ingest_error.map_or(Ok(()), Err)
     }
 
     /// The one shard barrier: enqueues `op` on each listed shard — behind

@@ -23,7 +23,7 @@
 //! `tests/engine_hibernation.rs` and the forced-cycle adversarial proptest.
 //!
 //! Every stream can hibernate: each carries the [`DetectorSpec`] its
-//! detector is rebuilt from, and every spec kind snapshots its state.
+//! detector is rebuilt from, and every detector snapshots its state.
 //! Hibernated streams stay first-class: they
 //! migrate across shards during [`crate::EngineHandle::rebalance`] (the
 //! blob moves instead of the detector), appear in queries and stats with a
@@ -104,7 +104,7 @@ impl HibernatedDetector {
     /// Compresses `detector`'s state.
     pub(crate) fn capture(detector: &dyn DriftDetector) -> Self {
         Self {
-            blob: live_state(detector),
+            blob: detector.snapshot_state(),
             name: detector.name(),
             drifts_detected: detector.drifts_detected(),
         }
@@ -174,14 +174,6 @@ impl HibernatedDetector {
     }
 }
 
-/// A live detector's wire-v4 state. Every engine stream runs a detector
-/// built from a [`DetectorSpec`], and all ten spec kinds snapshot theirs.
-fn live_state(detector: &dyn DriftDetector) -> serde::Value {
-    detector
-        .snapshot_state()
-        .expect("every DetectorSpec kind snapshots its state")
-}
-
 /// Approximate heap footprint of a state value tree: container capacities
 /// plus string capacities, recursively.
 fn value_heap_bytes(value: &serde::Value) -> usize {
@@ -230,7 +222,7 @@ impl DetectorSlot {
     /// waking.
     pub(crate) fn state_value(&self) -> serde::Value {
         match self {
-            DetectorSlot::Live(d) => live_state(d.as_ref()),
+            DetectorSlot::Live(d) => d.snapshot_state(),
             DetectorSlot::Hibernated(h) => h.blob.clone(),
         }
     }

@@ -43,8 +43,8 @@ fn all_detectors_catch_a_massive_shift() {
     }
 }
 
-/// Counters must be monotone and reset() must not clear the lifetime
-/// counters (they describe the detector's history, not its window).
+/// The lifetime counters are monotone: drift detections reset a detector's
+/// window, never its history.
 #[test]
 fn counters_and_reset_contract() {
     for (_, spec) in paper_lineup(500) {
@@ -54,31 +54,27 @@ fn counters_and_reset_contract() {
         }
         assert_eq!(detector.elements_seen(), 1_000, "{}", detector.name());
         let drifts_before = detector.drifts_detected();
-        detector.reset();
-        assert_eq!(detector.elements_seen(), 1_000, "{}", detector.name());
-        assert_eq!(
-            detector.drifts_detected(),
-            drifts_before,
-            "{}",
-            detector.name()
-        );
-        // Still usable after reset.
         for i in 0..100u64 {
             detector.add_element(bernoulli(i, 0.2));
         }
         assert_eq!(detector.elements_seen(), 1_100, "{}", detector.name());
+        assert!(
+            detector.drifts_detected() >= drifts_before,
+            "{}",
+            detector.name()
+        );
     }
 }
 
-/// Binary-only detectors must say so; real-valued detectors must accept
-/// fractional losses without panicking.
+/// The spec names exactly the binary-only detectors (DDM, EDDM, ECDD);
+/// every detector must accept fractional losses without panicking.
 #[test]
 fn input_domain_metadata_is_consistent() {
     for (label, spec) in paper_lineup(500) {
         let mut detector = spec.build().unwrap();
         assert_eq!(
-            detector.supports_real_valued_input(),
-            !spec.binary_only(),
+            spec.binary_only(),
+            matches!(detector.name(), "DDM" | "EDDM" | "ECDD"),
             "{label}"
         );
         // Feeding fractional values must never panic, even for binary-only

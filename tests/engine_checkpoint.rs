@@ -1259,6 +1259,55 @@ fn dropped_unknown_records_do_not_fail_recovery() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A flush that returns an ingestion error still counts toward the
+/// checkpoint cadence. With no default spec, every flush below carries a
+/// record for an unknown stream and returns `UnknownStream`; each must
+/// still cut its checkpoint, so the log stays bounded, and a crash after
+/// them must recover bit-exactly.
+#[test]
+fn flushes_with_ingestion_errors_keep_the_checkpoint_cadence() {
+    const UNKNOWN: u64 = 99;
+    const CHUNK: usize = 250;
+    let dir = scratch_dir("unknown-cadence");
+    let (handle, _sink) = build_fleet(Some((&dir, CheckpointPolicy::every_flushes(1))), None);
+    let mut records = Vec::new();
+    for start in (0..COVERED).step_by(CHUNK) {
+        records.clear();
+        for stream in 0..STREAMS {
+            records.extend((start..start + CHUNK).map(|i| (stream, element(stream, i))));
+        }
+        records.push((UNKNOWN, 0.5));
+        handle.submit(&records).expect("engine running");
+        assert_eq!(handle.flush(), Err(EngineError::UnknownStream(UNKNOWN)));
+    }
+    let checkpointed = load_checkpoint_dir(&dir).expect("loadable directory");
+    assert_eq!(checkpointed.streams.len(), STREAMS as usize);
+    for stream in &checkpointed.streams {
+        assert_eq!(stream.seq, COVERED as u64, "stream {}", stream.stream);
+    }
+    // A record takes at least its 8-byte value in the log, so a log that
+    // still held the last flush's records would be larger than this.
+    let wal_bytes: u64 = std::fs::read_dir(&dir)
+        .expect("readable directory")
+        .map(|entry| entry.expect("readable entry"))
+        .filter(|entry| entry.file_name().to_string_lossy().starts_with("wal-"))
+        .map(|entry| entry.metadata().expect("readable metadata").len())
+        .sum();
+    assert!(
+        wal_bytes < (8 * CHUNK) as u64 * STREAMS,
+        "the log holds {wal_bytes} B after a checkpoint at every flush"
+    );
+
+    feed_wal_only(&handle, COVERED, CRASH);
+    handle.shutdown().expect("clean shutdown");
+    assert_eq!(
+        recover_and_finish(&dir, CRASH),
+        reference_events_from(COVERED),
+        "a recovery after the erroring flushes must resume bit-exactly"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A fresh build over a directory that already holds a checkpoint is
 /// refused, naming the recovery entry point, instead of writing an empty
 /// base over it. The old checkpoint is untouched and still recovers
