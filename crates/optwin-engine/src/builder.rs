@@ -109,9 +109,9 @@ impl EngineBuilder {
     }
 
     /// Sets the per-shard queue capacity in records (default
-    /// [`DEFAULT_QUEUE_CAPACITY`]). [`EngineHandle::submit`] blocks — and
-    /// [`EngineHandle::try_submit`] fails fast — while a target shard holds
-    /// this many unprocessed records. Zero is rejected at build time.
+    /// [`DEFAULT_QUEUE_CAPACITY`]). [`EngineHandle::submit`] blocks while a
+    /// target shard holds this many unprocessed records. Zero is rejected at
+    /// build time.
     pub fn queue_capacity(mut self, records: usize) -> Self {
         self.queue_capacity = records;
         self

@@ -14,9 +14,6 @@ pub enum EngineError {
     ZeroShards,
     /// An engine was configured with a zero-record queue capacity.
     ZeroQueueCapacity,
-    /// `try_submit` found a target shard's queue at capacity; nothing was
-    /// enqueued.
-    QueueFull,
     /// The engine has shut down (or a worker died): no further work is
     /// accepted.
     ChannelClosed,
@@ -60,9 +57,6 @@ impl fmt::Display for EngineError {
             EngineError::ZeroShards => write!(f, "engine needs at least one shard"),
             EngineError::ZeroQueueCapacity => {
                 write!(f, "engine queue capacity must be at least one record")
-            }
-            EngineError::QueueFull => {
-                write!(f, "a shard queue is at capacity; nothing was enqueued")
             }
             EngineError::ChannelClosed => {
                 write!(f, "the engine has shut down and accepts no further work")
@@ -131,7 +125,6 @@ mod tests {
             (EngineError::UnknownStream(9), "no default spec"),
             (EngineError::ZeroShards, "at least one shard"),
             (EngineError::ZeroQueueCapacity, "at least one record"),
-            (EngineError::QueueFull, "nothing was enqueued"),
             (EngineError::ChannelClosed, "shut down"),
             (EngineError::Poisoned, "poisoned"),
             (

@@ -12,8 +12,7 @@
 //! the submitting thread never sees them.
 //!
 //! Backpressure is accounted in **records, per shard**: `submit` blocks
-//! while a target shard's queue is at capacity, [`EngineHandle::try_submit`]
-//! instead fails fast with [`EngineError::QueueFull`] and enqueues nothing.
+//! while a target shard's queue is at capacity.
 //! [`EngineHandle::flush`] and [`EngineHandle::shutdown`] are barriers: they
 //! ride the same FIFO channels as the records, so when they return, every
 //! record previously submitted *by the calling thread* has been fully
@@ -36,6 +35,7 @@ use std::time::Instant;
 
 use optwin_baselines::DetectorSpec;
 use optwin_core::{DriftDetector, DriftStatus};
+use parking_lot::RwLock;
 
 use crate::checkpoint::{
     CheckpointConfig, CheckpointReport, CheckpointState, Durability, WalWriter,
@@ -44,7 +44,7 @@ use crate::error::{EngineError, StreamSnapshot};
 use crate::event::DriftEvent;
 use crate::hibernate::{DetectorSlot, HibernatedDetector, HibernationPolicy};
 use crate::persist::{EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
-use crate::router::Router;
+use crate::router::RouterTable;
 use crate::sink::EventSink;
 
 /// Decay factor of the per-shard batch-latency EWMA: each new batch
@@ -90,8 +90,8 @@ pub struct ShardLoad {
 }
 
 /// Aggregate lifetime counters across all streams of an engine, plus the
-/// per-shard and per-stream load breakdown that makes imbalance observable
-/// from the handle.
+/// per-shard load breakdown that makes imbalance observable from the
+/// handle. Per-stream counts are in [`EngineHandle::stream_snapshots`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EngineStats {
     /// Number of registered streams.
@@ -102,8 +102,6 @@ pub struct EngineStats {
     pub drifts: u64,
     /// Per-shard load (indexed by shard).
     pub shards: Vec<ShardLoad>,
-    /// Lifetime records per stream, sorted by stream id.
-    pub stream_records: Vec<(u64, u64)>,
 }
 
 impl EngineStats {
@@ -167,8 +165,8 @@ fn fmt_bytes(bytes: usize) -> String {
 }
 
 impl fmt::Display for EngineStats {
-    /// Compact multi-line dump for CLIs: aggregate counters, one line per
-    /// shard, and the hottest streams.
+    /// Compact multi-line dump for CLIs: aggregate counters and one line per
+    /// shard.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
@@ -197,22 +195,6 @@ impl fmt::Display for EngineStats {
                 shard.hibernated_streams,
                 fmt_bytes(shard.hibernated_bytes)
             )?;
-        }
-        // Top-k selection, not a full sort: stats() carries one entry per
-        // stream and fleets are large.
-        let mut hottest: Vec<(u64, u64)> = self.stream_records.clone();
-        let by_heat = |a: &(u64, u64), b: &(u64, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
-        if hottest.len() > 5 {
-            hottest.select_nth_unstable_by(4, by_heat);
-            hottest.truncate(5);
-        }
-        hottest.sort_unstable_by(by_heat);
-        if !hottest.is_empty() {
-            write!(f, "  hottest streams:")?;
-            for (stream, records) in hottest {
-                write!(f, " #{stream} ({records})")?;
-            }
-            writeln!(f)?;
         }
         Ok(())
     }
@@ -280,30 +262,11 @@ enum ShardMsg {
     Shutdown,
 }
 
-/// One shard's statistics query answer: its streams plus its own load
-/// counters (queue occupancy is accounted handle-side).
-pub(crate) struct ShardReport {
-    streams: Vec<StreamSnapshot>,
-    /// Lifetime records this worker has ingested.
-    records: u64,
-    /// EWMA of per-batch processing latency, seconds.
-    batch_ewma_seconds: f64,
-    /// Resident detector bytes across the shard's streams.
-    resident_bytes: usize,
-    /// Streams currently hibernated.
-    hibernated_streams: usize,
-    /// Bytes held in hibernated state blobs.
-    hibernated_bytes: usize,
-    /// Lifetime rehydrations performed by this worker.
-    rehydrations: u64,
-}
-
 /// Queue accounting shared between producers and workers.
 ///
 /// The channels themselves are unbounded; boundedness comes from this
-/// record-level ledger, which lets `try_submit` reserve space on *all*
-/// target shards atomically (a partial enqueue would break the
-/// all-or-nothing contract).
+/// record-level ledger, on which `submit` reserves room on every target
+/// shard under one lock.
 struct QueueState {
     /// Records currently queued per shard.
     depth: Mutex<Vec<usize>>,
@@ -429,9 +392,11 @@ impl StreamState {
     }
 }
 
-/// A shard: a disjoint set of streams processed sequentially by one worker.
-#[derive(Default)]
-struct ShardState {
+/// A shard worker: a disjoint set of streams processed sequentially on one
+/// thread, plus the sinks, default spec, warning flag and queue ledger the
+/// records path reads. Barrier closures receive `&mut Worker` on the worker
+/// thread.
+struct Worker {
     /// This shard's index (for [`StreamSnapshot::shard`]).
     shard_index: usize,
     streams: HashMap<u64, StreamState>,
@@ -464,25 +429,24 @@ struct ShardState {
     /// (the error surfaces at the next flush; durability degrades to the
     /// last checkpoint until a new one rotates segments successfully).
     wal: Option<WalWriter>,
+    default_spec: Option<DetectorSpec>,
+    sinks: Vec<Arc<dyn EventSink>>,
+    emit_warnings: bool,
+    queue: Arc<QueueState>,
 }
 
-impl ShardState {
+impl Worker {
     /// Stages `records` on their streams, creating unknown streams from the
     /// default spec (or recording [`EngineError::UnknownStream`] and
     /// skipping the record when there is none). Returns whether every
     /// record was staged.
-    fn stage(
-        &mut self,
-        records: &[(u64, f64)],
-        default_spec: Option<&DetectorSpec>,
-        queue: &QueueState,
-    ) -> bool {
+    fn stage(&mut self, records: &[(u64, f64)]) -> bool {
         self.batch_order.clear();
         let mut all_staged = true;
         for &(stream, value) in records {
             let state = match self.streams.entry(stream) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => match default_spec {
+                std::collections::hash_map::Entry::Vacant(e) => match &self.default_spec {
                     Some(spec) => match spec.build() {
                         Ok(detector) => {
                             e.insert(StreamState::new(DetectorSlot::Live(detector), spec.clone()))
@@ -490,13 +454,14 @@ impl ShardState {
                         Err(error) => {
                             // Unreachable for a builder-validated spec, but a
                             // worker must never panic over it.
-                            queue.record_error(EngineError::InvalidSpec(error.to_string()));
+                            self.queue
+                                .record_error(EngineError::InvalidSpec(error.to_string()));
                             all_staged = false;
                             continue;
                         }
                     },
                     None => {
-                        queue.record_error(EngineError::UnknownStream(stream));
+                        self.queue.record_error(EngineError::UnknownStream(stream));
                         all_staged = false;
                         continue;
                     }
@@ -513,7 +478,7 @@ impl ShardState {
     /// Runs every staged stream's detector through its batch path and
     /// emits the events — sorted by `(stream, seq)` within this call —
     /// into the sinks.
-    fn apply(&mut self, sinks: &[Arc<dyn EventSink>], emit_warnings: bool, queue: &QueueState) {
+    fn apply(&mut self) {
         self.events.clear();
         for &stream in &self.batch_order {
             let state = self.streams.get_mut(&stream).expect("staged above");
@@ -521,7 +486,7 @@ impl ShardState {
                 if let Err(error) = state.rehydrate(stream) {
                     // Keep the blob intact and drop this batch's records for
                     // the stream; the next batch retries the wake.
-                    queue.record_error(error);
+                    self.queue.record_error(error);
                     state.staged.clear();
                     continue;
                 }
@@ -540,7 +505,7 @@ impl ShardState {
                     seq: state.seq + i as u64,
                     status: DriftStatus::Drift,
                 }));
-            if emit_warnings {
+            if self.emit_warnings {
                 self.events
                     .extend(outcome.warning_indices.iter().map(|&i| DriftEvent {
                         stream,
@@ -555,7 +520,7 @@ impl ShardState {
 
         self.events.sort_unstable_by_key(|e| (e.stream, e.seq));
         for event in &self.events {
-            for sink in sinks {
+            for sink in &self.sinks {
                 sink.emit(event);
             }
         }
@@ -589,25 +554,26 @@ impl ShardState {
         }
     }
 
-    fn query(&self) -> ShardReport {
-        let streams: Vec<StreamSnapshot> = self
-            .streams
-            .iter()
-            .map(|(&stream, state)| self.stream_snapshot(stream, state))
-            .collect();
-        ShardReport {
-            resident_bytes: streams.iter().map(|s| s.mem_bytes).sum(),
-            hibernated_streams: streams.iter().filter(|s| s.hibernated).count(),
-            hibernated_bytes: self
-                .streams
-                .values()
-                .map(|state| state.slot.hibernated_bytes())
-                .sum(),
-            streams,
+    /// This shard's [`ShardLoad`] (its queue depth is the handle's to fill)
+    /// and its streams' drift total, summed in one pass over its streams.
+    fn load(&self) -> (ShardLoad, u64) {
+        let mut load = ShardLoad {
+            shard: self.shard_index,
+            streams: self.streams.len(),
             records: self.records,
             batch_ewma_seconds: self.batch_ewma_seconds,
             rehydrations: self.rehydrations,
+            ..ShardLoad::default()
+        };
+        let mut drifts = 0;
+        for state in self.streams.values() {
+            load.stream_records += state.seq;
+            load.resident_bytes += state.slot.mem_bytes();
+            load.hibernated_streams += usize::from(state.slot.is_hibernated());
+            load.hibernated_bytes += state.slot.hibernated_bytes();
+            drifts += state.slot.drifts_detected();
         }
+        (load, drifts)
     }
 
     /// Serializes one stream's persisted entry. A sleeping stream embeds
@@ -729,43 +695,12 @@ impl ShardState {
             }
         }
     }
-}
 
-/// Marks the engine closed when the worker exits — normally *or* by panic —
-/// so producers blocked on backpressure wake up instead of hanging.
-struct WorkerGuard {
-    queue: Arc<QueueState>,
-}
-
-impl Drop for WorkerGuard {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.queue.poisoned.store(true, Ordering::SeqCst);
-            self.queue.record_error(EngineError::Poisoned);
-        }
-        self.queue.closed.store(true, Ordering::SeqCst);
-        self.queue.space.notify_all();
-    }
-}
-
-/// A shard worker: the shard's state plus the sinks, default spec, warning
-/// flag and queue ledger the records path reads. Barrier closures receive
-/// `&mut Worker` on the worker thread.
-struct Worker {
-    shard: ShardState,
-    default_spec: Option<DetectorSpec>,
-    sinks: Vec<Arc<dyn EventSink>>,
-    emit_warnings: bool,
-    queue: Arc<QueueState>,
-}
-
-impl Worker {
     #[allow(clippy::needless_pass_by_value)]
     fn run(mut self, rx: Receiver<ShardMsg>) {
         let _guard = WorkerGuard {
             queue: Arc::clone(&self.queue),
         };
-        let shard_index = self.shard.shard_index;
         // Exiting when `recv` fails makes dropping the last handle an
         // implicit shutdown: all senders gone, nothing can arrive anymore.
         while let Ok(msg) = rx.recv() {
@@ -777,13 +712,12 @@ impl Worker {
                             .depth
                             .lock()
                             .unwrap_or_else(PoisonError::into_inner);
-                        depth[shard_index] = depth[shard_index].saturating_sub(records.len());
+                        depth[self.shard_index] =
+                            depth[self.shard_index].saturating_sub(records.len());
                     }
                     self.queue.space.notify_all();
                     let started = Instant::now();
-                    let all_staged =
-                        self.shard
-                            .stage(&records, self.default_spec.as_ref(), &self.queue);
+                    let all_staged = self.stage(&records);
                     let mut seconds = started.elapsed().as_secs_f64();
                     // Log-then-apply: the batch lands in the write-ahead log
                     // before any detector sees it, so a crash mid-batch
@@ -794,11 +728,11 @@ impl Worker {
                     // availability — the error surfaces at the next barrier
                     // and logging stops until the next checkpoint rotates a
                     // fresh segment in.
-                    if let Some(wal) = self.shard.wal.as_mut() {
+                    if let Some(wal) = self.wal.as_mut() {
                         let logged = if all_staged {
                             wal.append_records(&records)
                         } else {
-                            let streams = &self.shard.streams;
+                            let streams = &self.streams;
                             let staged: Vec<(u64, f64)> = records
                                 .iter()
                                 .filter(|(stream, _)| streams.contains_key(stream))
@@ -808,14 +742,13 @@ impl Worker {
                         };
                         if let Err(error) = logged {
                             self.queue.record_error(error);
-                            self.shard.wal = None;
+                            self.wal = None;
                         }
                     }
                     let started = Instant::now();
-                    self.shard
-                        .apply(&self.sinks, self.emit_warnings, &self.queue);
+                    self.apply();
                     seconds += started.elapsed().as_secs_f64();
-                    self.shard.note_batch(records.len(), seconds);
+                    self.note_batch(records.len(), seconds);
                 }
                 ShardMsg::Barrier(op) => op(&mut self),
                 ShardMsg::Shutdown => break,
@@ -839,19 +772,35 @@ impl Worker {
         detector: Box<dyn DriftDetector + Send>,
         spec: DetectorSpec,
     ) -> Result<(), EngineError> {
-        if self.shard.streams.contains_key(&stream) {
+        if self.streams.contains_key(&stream) {
             return Err(EngineError::DuplicateStream(stream));
         }
-        if let Some(wal) = self.shard.wal.as_mut() {
+        if let Some(wal) = self.wal.as_mut() {
             if let Err(error) = wal.append_register(stream, &spec) {
                 self.queue.record_error(error);
-                self.shard.wal = None;
+                self.wal = None;
             }
         }
-        self.shard
-            .streams
+        self.streams
             .insert(stream, StreamState::new(DetectorSlot::Live(detector), spec));
         Ok(())
+    }
+}
+
+/// Marks the engine closed when the worker exits — normally *or* by panic —
+/// so producers blocked on backpressure wake up instead of hanging.
+struct WorkerGuard {
+    queue: Arc<QueueState>,
+}
+
+impl Drop for WorkerGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.queue.poisoned.store(true, Ordering::SeqCst);
+            self.queue.record_error(EngineError::Poisoned);
+        }
+        self.queue.closed.store(true, Ordering::SeqCst);
+        self.queue.space.notify_all();
     }
 }
 
@@ -860,7 +809,7 @@ struct HandleShared {
     queue: Arc<QueueState>,
     /// The stream → shard routing table. Read-locked by every send path,
     /// write-locked by [`EngineHandle::rebalance`] (see [`crate::router`]).
-    router: Router,
+    router: RwLock<RouterTable>,
     /// Worker join handles, taken by the first successful
     /// [`EngineHandle::shutdown`].
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -879,12 +828,11 @@ struct HandleShared {
 /// worker threads and queues; dropping the last clone lets the workers
 /// drain and exit on their own.
 ///
-/// Queueing and barrier semantics: `submit` blocks on a full shard queue
-/// while [`EngineHandle::try_submit`] fails fast; [`EngineHandle::flush`],
-/// the query methods and [`EngineHandle::snapshot`] ride the same FIFO
-/// channels as the records, so each acts as a barrier for everything this
-/// thread submitted before it; [`EngineHandle::shutdown`] additionally
-/// drains the queues and joins the workers.
+/// Queueing and barrier semantics: `submit` blocks on a full shard queue;
+/// [`EngineHandle::flush`], the query methods and [`EngineHandle::snapshot`]
+/// ride the same FIFO channels as the records, so each acts as a barrier for
+/// everything this thread submitted before it; [`EngineHandle::shutdown`]
+/// additionally drains the queues and joins the workers.
 pub struct EngineHandle {
     /// Per-clone channel senders (`mpsc::Sender` is `Sync`, so a single
     /// handle may also be shared by reference across threads).
@@ -934,7 +882,7 @@ pub(crate) fn spawn_engine(
         poisoned: AtomicBool::new(false),
         error: Mutex::new(None),
     });
-    let router = Router::new(
+    let router = RouterTable::new(
         shards,
         initial_streams
             .iter()
@@ -946,10 +894,16 @@ pub(crate) fn spawn_engine(
     let mut workers = Vec::with_capacity(shards);
     for (shard_index, streams) in initial_streams.into_iter().enumerate() {
         let (tx, rx) = channel();
-        let shard = ShardState {
+        let worker = Worker {
             shard_index,
             streams,
+            batch_order: Vec::new(),
+            events: Vec::new(),
+            records: 0,
+            batches: 0,
+            batch_ewma_seconds: 0.0,
             hibernation,
+            rehydrations: 0,
             // Workers start with the WAL *inactive* even when checkpointing
             // is configured: logging begins at the first checkpoint barrier
             // (the builder runs a full one right after spawn), so recovery
@@ -959,10 +913,7 @@ pub(crate) fn spawn_engine(
                 .as_ref()
                 .map(|c| c.policy.durability)
                 .unwrap_or_default(),
-            ..ShardState::default()
-        };
-        let worker = Worker {
-            shard,
+            wal: None,
             default_spec: default_spec.clone(),
             sinks: sinks.clone(),
             emit_warnings,
@@ -980,7 +931,7 @@ pub(crate) fn spawn_engine(
         senders,
         shared: Arc::new(HandleShared {
             queue,
-            router,
+            router: RwLock::new(router),
             workers: Mutex::new(workers),
             emit_warnings,
             queue_capacity,
@@ -1027,37 +978,17 @@ impl EngineHandle {
     /// Records are partitioned by `stream % shards`; per-stream order is the
     /// submission order (across all clones, submission order is whatever
     /// order the `submit` calls won the internal reservation). **Blocks**
-    /// while a target shard's queue is at capacity; use
-    /// [`EngineHandle::try_submit`] to fail fast instead.
+    /// while a target shard's queue is at capacity.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::ChannelClosed`] after
-    /// [`EngineHandle::shutdown`] (or a worker death), or
-    /// [`EngineError::Poisoned`] when internal state was poisoned by a
-    /// panicking thread. Records referencing unknown streams are validated
-    /// on the worker: with a default spec they auto-register, without one
-    /// the offending records are dropped and the error surfaces at the next
-    /// [`EngineHandle::flush`].
+    /// [`EngineHandle::shutdown`], or [`EngineError::Poisoned`] once a
+    /// worker has died by panic, as every barrier does. Records referencing
+    /// unknown streams are validated on the worker: with a default spec they
+    /// auto-register, without one the offending records are dropped and the
+    /// error surfaces at the next [`EngineHandle::flush`].
     pub fn submit(&self, records: &[(u64, f64)]) -> Result<(), EngineError> {
-        self.submit_inner(records, true)
-    }
-
-    /// Non-blocking [`EngineHandle::submit`]: if any target shard's queue
-    /// lacks room for its partition, returns [`EngineError::QueueFull`]
-    /// **without enqueuing anything** (space is reserved on all shards
-    /// atomically), so the caller can retry the whole batch later or shed
-    /// load.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::QueueFull`] on backpressure; otherwise as
-    /// [`EngineHandle::submit`].
-    pub fn try_submit(&self, records: &[(u64, f64)]) -> Result<(), EngineError> {
-        self.submit_inner(records, false)
-    }
-
-    fn submit_inner(&self, records: &[(u64, f64)], block: bool) -> Result<(), EngineError> {
         if records.is_empty() {
             return Ok(());
         }
@@ -1071,13 +1002,13 @@ impl EngineHandle {
             parts[router.shard_of(record.0)].push(record);
         }
 
+        let queue = &self.shared.queue;
         {
-            let queue = &self.shared.queue;
             let capacity = self.shared.queue_capacity;
             let mut depth = queue.depth.lock().map_err(|_| EngineError::Poisoned)?;
             loop {
                 if queue.closed.load(Ordering::SeqCst) {
-                    return Err(EngineError::ChannelClosed);
+                    return Err(queue.worker_gone());
                 }
                 // A partition larger than the whole capacity is admitted once
                 // its shard's queue is empty, so oversized batches make
@@ -1087,9 +1018,6 @@ impl EngineHandle {
                 });
                 if fits {
                     break;
-                }
-                if !block {
-                    return Err(EngineError::QueueFull);
                 }
                 depth = queue.space.wait(depth).map_err(|_| EngineError::Poisoned)?;
             }
@@ -1104,7 +1032,7 @@ impl EngineHandle {
             }
             self.senders[i]
                 .send(ShardMsg::Records(part))
-                .map_err(|_| EngineError::ChannelClosed)?;
+                .map_err(|_| queue.worker_gone())?;
         }
         Ok(())
     }
@@ -1162,7 +1090,7 @@ impl EngineHandle {
             // Flush barriers double as the hibernation sweep points: a
             // batch never ends mid-flush, so every stream's staging buffer
             // is empty here.
-            worker.shard.hibernation_sweep();
+            worker.hibernation_sweep();
             worker.flush_sinks();
         })?;
         let ingest_error = self.take_error();
@@ -1245,10 +1173,7 @@ impl EngineHandle {
 
     /// Removes and returns the oldest pending ingestion error; any later
     /// ones were discarded when they were recorded.
-    /// [`EngineHandle::flush`] calls this internally; it is public for
-    /// callers that poll instead of flushing.
-    #[must_use]
-    pub fn take_error(&self) -> Option<EngineError> {
+    fn take_error(&self) -> Option<EngineError> {
         self.shared
             .queue
             .error
@@ -1257,26 +1182,20 @@ impl EngineHandle {
             .take()
     }
 
-    /// Per-shard reports (streams plus shard load), as a barrier (reflects
-    /// all records submitted by this thread before the call). Indexed by
-    /// shard.
-    fn query_all(&self) -> Result<Vec<ShardReport>, EngineError> {
-        self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
-            worker.shard.query()
-        })
-    }
-
     /// Lifetime statistics for every registered stream, sorted by stream id.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::ChannelClosed`] when the engine has shut down.
     pub fn stream_snapshots(&self) -> Result<Vec<StreamSnapshot>, EngineError> {
-        let mut snapshots: Vec<StreamSnapshot> = self
-            .query_all()?
-            .into_iter()
-            .flat_map(|report| report.streams)
-            .collect();
+        let shards = self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
+            worker
+                .streams
+                .iter()
+                .map(|(&stream, state)| worker.stream_snapshot(stream, state))
+                .collect::<Vec<_>>()
+        })?;
+        let mut snapshots: Vec<StreamSnapshot> = shards.into_iter().flatten().collect();
         snapshots.sort_unstable_by_key(|s| s.stream);
         Ok(snapshots)
     }
@@ -1290,62 +1209,43 @@ impl EngineHandle {
         let router = self.shared.router.read();
         let shard = router.shard_of(stream);
         let lookup = move |worker: &mut Worker| {
-            let shard = &worker.shard;
-            let state = shard.streams.get(&stream)?;
-            Some(shard.stream_snapshot(stream, state))
+            let state = worker.streams.get(&stream)?;
+            Some(worker.stream_snapshot(stream, state))
         };
         Ok(self.barrier(router, [(shard, lookup)])?.remove(0))
     }
 
     /// Aggregate lifetime counters across all streams, including the
     /// per-shard load breakdown (records ingested, instantaneous queue
-    /// occupancy, batch-latency EWMA) and per-stream record counts — the
-    /// observability surface behind [`EngineHandle::rebalance`]. `Display`
-    /// renders it as a compact table for CLI dumps.
+    /// occupancy, batch-latency EWMA, memory) — the observability surface
+    /// behind [`EngineHandle::rebalance`]. Each worker sums its own streams,
+    /// so the handle merges one value per shard; per-stream counts are in
+    /// [`EngineHandle::stream_snapshots`]. `Display` renders it as a compact
+    /// table for CLI dumps.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::ChannelClosed`] when the engine has shut down,
     /// or [`EngineError::Poisoned`] after a worker panic.
     pub fn stats(&self) -> Result<EngineStats, EngineError> {
-        let reports = self.query_all()?;
-        let depths: Vec<usize> = self
+        let loads = self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
+            worker.load()
+        })?;
+        let depths = self
             .shared
             .queue
             .depth
             .lock()
-            .map_err(|_| EngineError::Poisoned)?
-            .clone();
-        let mut stream_records: Vec<(u64, u64)> = reports
-            .iter()
-            .flat_map(|report| report.streams.iter().map(|s| (s.stream, s.elements)))
-            .collect();
-        stream_records.sort_unstable();
-        Ok(EngineStats {
-            streams: stream_records.len(),
-            elements: stream_records.iter().map(|&(_, n)| n).sum(),
-            drifts: reports
-                .iter()
-                .flat_map(|report| report.streams.iter().map(|s| s.drifts))
-                .sum(),
-            shards: reports
-                .iter()
-                .enumerate()
-                .map(|(shard, report)| ShardLoad {
-                    shard,
-                    streams: report.streams.len(),
-                    stream_records: report.streams.iter().map(|s| s.elements).sum(),
-                    records: report.records,
-                    queue_depth: depths.get(shard).copied().unwrap_or(0),
-                    batch_ewma_seconds: report.batch_ewma_seconds,
-                    resident_bytes: report.resident_bytes,
-                    hibernated_streams: report.hibernated_streams,
-                    hibernated_bytes: report.hibernated_bytes,
-                    rehydrations: report.rehydrations,
-                })
-                .collect(),
-            stream_records,
-        })
+            .map_err(|_| EngineError::Poisoned)?;
+        let mut stats = EngineStats::default();
+        for (mut load, drifts) in loads {
+            load.queue_depth = depths[load.shard];
+            stats.streams += load.streams;
+            stats.elements += load.stream_records;
+            stats.drifts += drifts;
+            stats.shards.push(load);
+        }
+        Ok(stats)
     }
 
     /// Recomputes the stream placement from each stream's lifetime records
@@ -1378,13 +1278,21 @@ impl EngineHandle {
 
         // Load query under the write lock: the answer reflects exactly the
         // records that will have been processed before the migration cut.
-        let reports = self.barrier_all(&router, |worker: &mut Worker| worker.shard.query())?;
+        let shards = self.barrier_all(&router, |worker: &mut Worker| {
+            worker
+                .streams
+                .iter()
+                .map(|(&stream, state)| (stream, state.seq))
+                .collect::<Vec<_>>()
+        })?;
         // (stream, current shard, lifetime records)
         let mut streams: Vec<(u64, usize, u64)> = Vec::new();
-        for (shard, report) in reports.into_iter().enumerate() {
-            for s in report.streams {
-                streams.push((s.stream, shard, s.elements));
-            }
+        for (shard, loads) in shards.into_iter().enumerate() {
+            streams.extend(
+                loads
+                    .into_iter()
+                    .map(|(stream, load)| (stream, shard, load)),
+            );
         }
 
         let mut load_before = vec![0; nshards];
@@ -1456,11 +1364,7 @@ impl EngineHandle {
             .into_iter()
             .enumerate()
             .filter(|(_, streams)| !streams.is_empty())
-            .map(|(shard, streams)| {
-                (shard, move |worker: &mut Worker| {
-                    worker.shard.extract(streams)
-                })
-            });
+            .map(|(shard, streams)| (shard, move |worker: &mut Worker| worker.extract(streams)));
         let mut extracted: HashMap<u64, StreamState> = self
             .barrier(&router, extract)?
             .into_iter()
@@ -1478,11 +1382,7 @@ impl EngineHandle {
             .into_iter()
             .enumerate()
             .filter(|(_, states)| !states.is_empty())
-            .map(|(shard, states)| {
-                (shard, move |worker: &mut Worker| {
-                    worker.shard.install(states)
-                })
-            });
+            .map(|(shard, states)| (shard, move |worker: &mut Worker| worker.install(states)));
         self.barrier(&router, install)?;
 
         // Only now does the routing table flip: every record submitted
@@ -1554,7 +1454,7 @@ impl EngineHandle {
         // the router read lock keeps the shard set stable underneath.
         let router = (!router_locked).then(|| self.shared.router.read());
         let captures = self.barrier_all(router, move |worker: &mut Worker| {
-            worker.shard.checkpoint_capture(generation, full)
+            worker.checkpoint_capture(generation, full)
         });
         // Past the barrier, shards have already cleared dirty bits; any
         // failure before the manifest lands marks the state degraded so the
@@ -1606,7 +1506,7 @@ impl EngineHandle {
     /// down, or [`EngineError::Poisoned`] after a worker panic.
     pub fn snapshot(&self) -> Result<EngineSnapshot, EngineError> {
         let shards = self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
-            worker.shard.snapshot(|_| true)
+            worker.snapshot(|_| true)
         })?;
         let mut streams: Vec<StreamStateSnapshot> = shards.into_iter().flatten().collect();
         streams.sort_unstable_by_key(|s| s.stream);

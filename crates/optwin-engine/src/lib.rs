@@ -16,9 +16,8 @@
 //!   [`EngineHandle::stream_spec`] reports what a live stream is running.
 //! * [`EngineHandle`] — cheaply cloneable and thread-safe — is the front
 //!   door: [`EngineHandle::submit`] partitions a `(stream id, value)` record
-//!   batch onto bounded per-shard queues and **returns immediately**;
-//!   [`EngineHandle::try_submit`] fails fast with
-//!   [`EngineError::QueueFull`] for backpressure-aware callers;
+//!   batch onto bounded per-shard queues and **returns immediately**,
+//!   blocking only while a target queue is full;
 //!   [`EngineHandle::flush`] and [`EngineHandle::shutdown`] are barriers
 //!   that drain the queues (the latter also joins the workers).
 //! * Detections leave through pluggable [`EventSink`]s: [`MemorySink`]
@@ -31,7 +30,8 @@
 //!   moved stream's state between workers at a barrier — event streams and
 //!   per-stream `seq` stay bit-exact. [`EngineHandle::stats`] exposes the
 //!   per-shard load (records, queue occupancy, batch-latency EWMA) behind
-//!   the decision.
+//!   the decision, each shard summing its own streams;
+//!   [`EngineHandle::stream_snapshots`] is the per-stream view.
 //! * [`EngineHandle::snapshot`] serializes every stream's detector state
 //!   into an [`EngineSnapshot`]; [`EngineBuilder::restore`] rebuilds a
 //!   fresh engine that makes **identical subsequent decisions**, so a

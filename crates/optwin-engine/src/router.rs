@@ -1,8 +1,8 @@
 //! The stream → shard routing table.
 //!
 //! Historically a stream was pinned to shard `id % shards` by arithmetic
-//! scattered through the submit path. [`Router`] turns that placement into a
-//! first-class, *rebalanceable* table owned by the engine: the routing
+//! scattered through the submit path. [`RouterTable`] turns that placement
+//! into a first-class, *rebalanceable* table owned by the engine: the routing
 //! function stays total (any stream id always routes somewhere — unknown ids
 //! fall back to the modulo default, so first-sight auto-registration keeps
 //! working with zero writes on the hot path) while **pins** recorded by
@@ -12,7 +12,8 @@
 //!
 //! # Locking protocol
 //!
-//! The table is guarded by a readers–writer lock with a strict discipline:
+//! The handle holds the table behind a readers–writer lock with a strict
+//! discipline:
 //!
 //! * Every handle operation that **sends messages to shard workers** (submit,
 //!   register, flush, query, snapshot, shutdown) holds the *read* lock across
@@ -31,8 +32,6 @@
 
 use std::collections::HashMap;
 
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-
 /// The routing state: the shard count plus explicit per-stream pins.
 ///
 /// Streams without a pin route to `id % shards` — the engine's historical
@@ -43,6 +42,17 @@ pub(crate) struct RouterTable {
 }
 
 impl RouterTable {
+    /// A table over `shards` shards with the given initial pins (restored
+    /// or pre-registered placements; modulo-equal entries are elided).
+    pub(crate) fn new(shards: usize, pins: impl IntoIterator<Item = (u64, usize)>) -> Self {
+        let mut table = Self {
+            shards,
+            pins: HashMap::new(),
+        };
+        table.repin(pins);
+        table
+    }
+
     /// The shard records for `stream` route to.
     #[inline]
     pub(crate) fn shard_of(&self, stream: u64) -> usize {
@@ -71,47 +81,13 @@ impl RouterTable {
     }
 }
 
-/// Shared, lock-protected routing table (see the module docs for the
-/// locking protocol).
-pub(crate) struct Router {
-    table: RwLock<RouterTable>,
-}
-
-impl Router {
-    /// A router over `shards` shards with the given initial pins (restored
-    /// or pre-registered placements; modulo-equal entries are elided).
-    pub(crate) fn new(shards: usize, pins: impl IntoIterator<Item = (u64, usize)>) -> Self {
-        let mut table = RouterTable {
-            shards,
-            pins: HashMap::new(),
-        };
-        table.repin(pins);
-        Self {
-            table: RwLock::new(table),
-        }
-    }
-
-    /// Read access for the send paths: holds off rebalances for the duration
-    /// of the guard.
-    pub(crate) fn read(&self) -> RwLockReadGuard<'_, RouterTable> {
-        self.table.read()
-    }
-
-    /// Exclusive access for a rebalance: excludes every send path for the
-    /// duration of the guard.
-    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, RouterTable> {
-        self.table.write()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn unpinned_streams_route_by_modulo() {
-        let router = Router::new(4, []);
-        let table = router.read();
+        let table = RouterTable::new(4, []);
         for stream in 0..16u64 {
             assert_eq!(table.shard_of(stream), (stream % 4) as usize);
         }
@@ -120,8 +96,7 @@ mod tests {
 
     #[test]
     fn pins_override_the_default_and_modulo_pins_are_elided() {
-        let router = Router::new(4, [(0, 3), (1, 1), (6, 0)]);
-        let table = router.read();
+        let table = RouterTable::new(4, [(0, 3), (1, 1), (6, 0)]);
         assert_eq!(table.shard_of(0), 3);
         assert_eq!(table.shard_of(1), 1);
         assert_eq!(table.shard_of(6), 0);
@@ -132,13 +107,9 @@ mod tests {
 
     #[test]
     fn repin_replaces_the_whole_pin_set() {
-        let router = Router::new(2, [(5, 0)]);
-        {
-            let mut table = router.write();
-            assert_eq!(table.shard_of(5), 0);
-            table.repin([(8, 1), (9, 1)]);
-        }
-        let table = router.read();
+        let mut table = RouterTable::new(2, [(5, 0)]);
+        assert_eq!(table.shard_of(5), 0);
+        table.repin([(8, 1), (9, 1)]);
         // The old pin is gone; stream 5 is back on its modulo shard.
         assert_eq!(table.shard_of(5), 1);
         assert_eq!(table.shard_of(8), 1);

@@ -271,8 +271,8 @@ impl EventSink for PoisonPill {
     }
 }
 
-/// A shard worker dies by panic in the middle of a batch; `flush` and
-/// `shutdown` report [`EngineError::Poisoned`]; the directory recovers
+/// A shard worker dies by panic in the middle of a batch; `flush`, `submit`
+/// and `shutdown` report [`EngineError::Poisoned`]; the directory recovers
 /// bit-exactly — including the dead worker's streams, whose fatal batch
 /// was write-ahead logged before they saw it.
 #[test]
@@ -332,6 +332,8 @@ fn poisoned_worker_recovery_is_bit_exact() {
         .submit(&records_for(1_500, 1_700))
         .expect("engine running");
     assert_eq!(handle.flush(), Err(EngineError::Poisoned));
+    // Ingestion names the same cause as the barriers, and enqueues nothing.
+    assert_eq!(handle.submit(&[(0, 0.5)]), Err(EngineError::Poisoned));
     assert_eq!(handle.shutdown(), Err(EngineError::Poisoned));
 
     // Recovery needs no configuration: every stream, the one registered at

@@ -70,6 +70,36 @@ fn build_fleet(policy: Option<HibernationPolicy>) -> (optwin::EngineHandle, Arc<
     (builder.build().expect("valid engine"), sink)
 }
 
+/// Each shard's load in `stats` equals the sums over that shard's
+/// `stream_snapshots()` entries, and the engine's drift total equals theirs.
+fn assert_shard_loads_match_streams(handle: &optwin::EngineHandle, stats: &optwin::EngineStats) {
+    let snapshots = handle.stream_snapshots().expect("snapshots");
+    assert_eq!(stats.shards.len(), handle.num_shards());
+    for load in &stats.shards {
+        let own: Vec<_> = snapshots.iter().filter(|s| s.shard == load.shard).collect();
+        assert_eq!(
+            (
+                load.streams,
+                load.stream_records,
+                load.resident_bytes,
+                load.hibernated_streams
+            ),
+            (
+                own.len(),
+                own.iter().map(|s| s.elements).sum(),
+                own.iter().map(|s| s.mem_bytes).sum(),
+                own.iter().filter(|s| s.hibernated).count()
+            ),
+            "shard {}: (streams, records, resident bytes, hibernated)",
+            load.shard
+        );
+    }
+    assert_eq!(
+        stats.drifts,
+        snapshots.iter().map(|s| s.drifts).sum::<u64>()
+    );
+}
+
 /// Drives `handle` through `rounds` bursty rounds: each round feeds only the
 /// streams active that round (each stream idles two rounds out of five, at
 /// a per-stream phase), then flushes — twice, so with `cold_after_flushes`
@@ -162,6 +192,7 @@ fn hibernation_frees_memory_and_stats_account_for_it() {
     handle.flush().expect("flush");
     let live = handle.stats().expect("stats");
     assert_eq!(live.hibernated_streams(), 0);
+    assert_shard_loads_match_streams(&handle, &live);
     let live_bytes = live.resident_bytes();
     assert!(live_bytes > 0);
 
@@ -174,6 +205,7 @@ fn hibernation_frees_memory_and_stats_account_for_it() {
         "whole fleet should be asleep"
     );
     assert!(cold.hibernated_bytes() > 0);
+    assert_shard_loads_match_streams(&handle, &cold);
     assert!(
         cold.resident_bytes() < live_bytes / 2,
         "hibernation saved too little: {} -> {}",

@@ -12,7 +12,7 @@
 //!   restored (through its JSON form) into a fresh builder produces exactly
 //!   the events the uninterrupted engine produces for the remaining input.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -428,11 +428,11 @@ impl EventSink for ParkingSink {
     }
 }
 
-/// `try_submit` fails fast — atomically, enqueuing nothing — when a shard
-/// queue is at capacity, and `submit`/`flush` error once the engine is shut
+/// `submit` blocks while a shard queue is at capacity and goes through once
+/// the worker drains it, and `submit`/`flush` error once the engine is shut
 /// down.
 #[test]
-fn try_submit_backpressure_and_shutdown_errors() {
+fn submit_backpressure_and_shutdown_errors() {
     let (parked_tx, parked) = channel();
     let (release, release_rx) = channel();
     let handle = EngineBuilder::new()
@@ -452,30 +452,47 @@ fn try_submit_backpressure_and_shutdown_errors() {
     };
     parked.recv().expect("the worker parks");
     // One batch fills the queue (4/4) while the worker is parked; the next
-    // must be rejected without enqueuing anything.
+    // must wait for room.
     let batch: Vec<(u64, f64)> = (0..4).map(|_| (0u64, 0.5)).collect();
     handle
-        .try_submit(&batch)
+        .submit(&batch)
         .expect("an empty queue admits a full batch");
-    assert_eq!(handle.try_submit(&batch), Err(EngineError::QueueFull));
-    assert_eq!(handle.try_submit(&[(0, 0.1)]), Err(EngineError::QueueFull));
+    let (returned_tx, returned) = channel();
+    let producer = {
+        let handle = handle.clone();
+        let batch = batch.clone();
+        std::thread::spawn(move || {
+            let result = handle.submit(&batch);
+            returned_tx.send(()).expect("the test is waiting");
+            result
+        })
+    };
+    assert_eq!(
+        returned.recv_timeout(Duration::from_millis(200)),
+        Err(RecvTimeoutError::Timeout),
+        "a second full batch must wait while the queue holds 4/4"
+    );
 
-    // Release the worker and drain.
+    // Release the worker: the queue drains and the waiting batch goes in.
     release.send(()).expect("the worker is parked");
+    producer
+        .join()
+        .expect("no panics")
+        .expect("admitted once the queue drains");
     flusher
         .join()
         .expect("no panics")
         .expect("no ingestion errors");
     handle.flush().expect("no ingestion errors");
     let stats = handle.stats().expect("engine running");
-    assert_eq!(stats.elements, 4, "exactly the admitted batch ran");
+    assert_eq!(stats.elements, 8, "both batches ran");
 
     // Shutdown: all further operations fail with ChannelClosed, on every
     // clone.
     let clone = handle.clone();
     handle.shutdown().expect("clean shutdown");
     assert_eq!(handle.submit(&batch), Err(EngineError::ChannelClosed));
-    assert_eq!(clone.try_submit(&batch), Err(EngineError::ChannelClosed));
+    assert_eq!(clone.submit(&batch), Err(EngineError::ChannelClosed));
     assert_eq!(clone.flush(), Err(EngineError::ChannelClosed));
     assert!(clone.stats().is_err());
     // Idempotent.
