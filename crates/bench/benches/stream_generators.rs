@@ -1,5 +1,6 @@
-//! Throughput of the stream substrate: synthetic generators and the
-//! Naive-Bayes prequential loop that feeds the classification experiments.
+//! Throughput of the stream substrate: synthetic generators, the
+//! Naive-Bayes prequential loop that feeds the classification experiments,
+//! and the driftbench scenario catalogue.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
@@ -7,7 +8,7 @@ use optwin_learners::{NaiveBayes, OnlineLearner};
 use optwin_stream::generators::{
     Agrawal, AgrawalFunction, RandomRbf, RandomRbfConfig, Stagger, StaggerConcept,
 };
-use optwin_stream::InstanceStream;
+use optwin_stream::{InstanceStream, ScenarioKind};
 
 const N: usize = 10_000;
 
@@ -63,5 +64,19 @@ fn bench_generators(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_generators);
+/// Generation cost of each driftbench scenario: the fixed cost every
+/// driftbench cell pays before the engine sees a record.
+fn bench_scenarios(c: &mut Criterion) {
+    let mut group = c.benchmark_group("driftbench_scenario_generation_20k");
+    group.throughput(Throughput::Elements(20_000));
+    group.sample_size(10);
+    for scenario in ScenarioKind::all() {
+        group.bench_function(scenario.id(), |b| {
+            b.iter(|| black_box(scenario.generate(20_000, 42)).values.len());
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_generators, bench_scenarios);
 criterion_main!(benches);

@@ -2,7 +2,7 @@
 //! plus representative cascade/ensemble composites, across the full
 //! adversarial scenario catalogue (abrupt, gradual, recurring concepts, slow
 //! ramps, seasonal oscillation, variance-only drift, heavy-tailed noise),
-//! replayed as Zipf-skewed production traffic through the sharded engine.
+//! each seeded run one stream of the sharded engine.
 //!
 //! ```text
 //! cargo run --release -p optwin-bench --bin driftbench                  # quick grid
@@ -52,7 +52,17 @@ fn render_cells(title: &str, cells: &[&DriftbenchCell]) -> String {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&[&[
+        "full",
+        "seeds",
+        "stream-len",
+        "optwin-w-max",
+        "seed",
+        "shards",
+        "scenario",
+        "detector",
+        "json",
+    ]]);
     let full = args.has_flag("full");
 
     let seeds = args.get_parsed("seeds", if full { 10 } else { 5 });
@@ -61,8 +71,6 @@ fn main() {
 
     let mut config = DriftbenchConfig::full(seeds, stream_len, optwin_w_max);
     config.base_seed = args.get_parsed("seed", config.base_seed);
-    config.zipf_exponent = args.get_parsed("zipf", config.zipf_exponent);
-    config.burst = args.get_parsed("burst", config.burst);
     if args.get("shards").is_some() {
         config.shards = Some(args.get_parsed("shards", 0));
     }
@@ -98,23 +106,16 @@ fn main() {
 
     println!(
         "driftbench — {} scenario(s) × {} detector(s) × {} seed(s), stream length {}, \
-         Zipf exponent {}, base seed {}",
+         base seed {}",
         config.scenarios.len(),
         config.detectors.len(),
         config.seeds,
         config.stream_len,
-        config.zipf_exponent,
         config.base_seed,
     );
     println!();
 
     let report = run_driftbench(&config);
-    println!(
-        "replayed {} records in {} bursts across {} engine streams\n",
-        report.replay_records,
-        report.replay_bursts,
-        report.cells.len() * config.seeds,
-    );
 
     for scenario in &config.scenarios {
         let rows: Vec<&DriftbenchCell> = report

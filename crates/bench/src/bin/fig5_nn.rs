@@ -39,7 +39,14 @@ fn print_outcome(label: &str, o: &NnPipelineOutcome) {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&[&[
+        "full",
+        "batches",
+        "fine-tune",
+        "seed",
+        "optwin-w-max",
+        "json",
+    ]]);
     let full = args.has_flag("full");
     let config = NnPipelineConfig {
         total_batches: args.get_parsed("batches", if full { 60_000 } else { 8_000 }),

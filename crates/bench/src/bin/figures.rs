@@ -96,7 +96,7 @@ fn run_nu_curves(scale: &optwin_bench::RunScale) {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&[RunScale::FLAGS, &["figure"]]);
     let scale = RunScale::from_args(&args);
     match args.get("figure") {
         Some("2") => run_figure(Table1Experiment::SuddenBinary, &scale),

@@ -13,7 +13,7 @@ use optwin_eval::experiment::{paper_lineup, run_table1, Table1Experiment};
 use optwin_stats::tests::{wilcoxon_signed_rank, Alternative};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&[RunScale::FLAGS]);
     let scale = RunScale::from_args(&args);
     println!(
         "Wilcoxon signed-rank comparison of per-experiment F1 scores \

@@ -3,9 +3,9 @@
 //! seven synthetic experiment configurations.
 //!
 //! The grid runs on the service-style engine: every `detector × repetition`
-//! run is one engine stream, fed through `EngineHandle::submit` by the
-//! replay driver onto the shard workers, and the detections are read back
-//! from a `MemorySink` after one final flush (`optwin_eval::run_table1`).
+//! run is one engine stream, fed in order through `EngineHandle::submit`
+//! onto the shard workers, and the detections are read back from a
+//! `MemorySink` after one final flush (`optwin_eval::run_table1`).
 //!
 //! ```text
 //! cargo run --release -p optwin-bench --bin table1                 # quick run
@@ -44,7 +44,10 @@ fn experiment_by_name(name: &str) -> Option<Table1Experiment> {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&[
+        RunScale::FLAGS,
+        &["detector", "fleet", "experiment", "json"],
+    ]);
     let scale = RunScale::from_args(&args);
 
     let detector: Option<DetectorSpec> = args.get("detector").map(|text| {

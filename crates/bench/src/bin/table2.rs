@@ -16,7 +16,7 @@ use optwin_eval::paper_lineup;
 use optwin_eval::report::{render_table2, to_json};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&[RunScale::FLAGS, &["realworld", "synthetic", "json"]]);
     let scale = RunScale::from_args(&args);
 
     let experiments: Vec<ClassificationExperiment> = if args.has_flag("realworld") {

@@ -2,7 +2,8 @@
 //!
 //! This crate hosts:
 //!
-//! * **Reproduction binaries**, one per table/figure of the paper:
+//! * **Binaries**, one per table/figure of the paper and one for the
+//!   adversarial scenario grid:
 //!   * `table1` — drift-identification statistics on the seven synthetic
 //!     configurations (Table 1),
 //!   * `table2` — Naive-Bayes accuracy per detector per dataset (Table 2),
@@ -10,15 +11,18 @@
 //!     and the optimal-cut ν(|W|) curves (§3.3 discussion),
 //!   * `fig5_nn` — the neural-network pipeline comparison (Figure 5),
 //!   * `significance` — the one-tailed Wilcoxon signed-rank comparison of F1
-//!     scores (§4.1).
+//!     scores (§4.1),
+//!   * `driftbench` — detection quality per scenario × detector cell.
 //! * **Criterion benches** for the runtime claims of §3.4 (per-element
-//!   detector cost, optimal-cut table construction, generator throughput,
-//!   end-to-end experiment cost).
+//!   detector cost, optimal-cut table construction, generator and scenario
+//!   throughput, end-to-end experiment cost).
 //!
-//! All binaries accept `--repetitions`, `--stream-len`, and `--seed` flags so
-//! that quick smoke runs and full paper-scale runs (`--full`) use the same
-//! code path. A flag value that does not parse, or a zero count, is a usage
-//! error: the binary names the flag and exits with status 2.
+//! `table1`, `table2`, `figures` and `significance` share the [`RunScale`]
+//! flags ([`RunScale::FLAGS`]: `--repetitions`, `--stream-len`, `--seed`, …)
+//! so that quick smoke runs and full paper-scale runs (`--full`) use the
+//! same code path. Each binary declares the flags it reads: an undeclared
+//! flag, a flag value that does not parse, or a zero count is a usage error,
+//! and the binary names the flag and exits with status 2.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -28,8 +32,8 @@ use std::fmt::Display;
 use std::str::FromStr;
 
 /// Count flags for which zero is meaningless: a run needs at least one
-/// repetition (or seed), a non-empty stream and a non-empty replay burst.
-const NONZERO_FLAGS: [&str; 4] = ["repetitions", "seeds", "stream-len", "burst"];
+/// repetition (or seed) and a non-empty stream.
+const NONZERO_FLAGS: [&str; 3] = ["repetitions", "seeds", "stream-len"];
 
 /// Prints a usage error and exits with status 2.
 fn usage_error(message: &str) -> ! {
@@ -39,9 +43,9 @@ fn usage_error(message: &str) -> ! {
 
 /// Minimal command-line flag parser shared by the reproduction binaries.
 ///
-/// Flags are of the form `--name value` or boolean `--name`; anything else is
-/// ignored. This avoids a CLI dependency while keeping the binaries
-/// scriptable.
+/// Flags are of the form `--name value` or boolean `--name`; other
+/// arguments are ignored. This avoids a CLI dependency while keeping the
+/// binaries scriptable.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     values: HashMap<String, String>,
@@ -71,10 +75,32 @@ impl Args {
         Self { values, flags }
     }
 
-    /// Parses the process's own command line.
+    /// Parses the process's own command line. `flags` lists every flag
+    /// name the binary reads, usually [`RunScale::FLAGS`] plus its own; any
+    /// other `--name` is a usage error: the process names it and exits with
+    /// status 2.
     #[must_use]
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+    pub fn from_env(flags: &[&[&str]]) -> Self {
+        let args = Self::parse(std::env::args().skip(1));
+        args.check_declared(flags)
+            .unwrap_or_else(|e| usage_error(&e));
+        args
+    }
+
+    /// The usage error naming every flag that is in none of `flags`.
+    fn check_declared(&self, flags: &[&[&str]]) -> Result<(), String> {
+        let mut unknown: Vec<&str> = self
+            .values
+            .keys()
+            .chain(&self.flags)
+            .map(String::as_str)
+            .filter(|name| !flags.iter().any(|list| list.contains(name)))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort_unstable();
+        Err(format!("unknown flag --{}", unknown.join(", --")))
     }
 
     /// Returns the string value of `--name`, if present.
@@ -85,8 +111,8 @@ impl Args {
 
     /// Returns `--name` parsed as the requested type, or `default` when the
     /// flag is absent. A value that does not parse, or a zero `--repetitions`,
-    /// `--seeds`, `--stream-len` or `--burst`, is a usage error: the process
-    /// prints the flag and exits with status 2.
+    /// `--seeds` or `--stream-len`, is a usage error: the process prints the
+    /// flag and exits with status 2.
     #[must_use]
     pub fn get_parsed<T>(&self, name: &str, default: T) -> T
     where
@@ -141,6 +167,16 @@ pub struct RunScale {
 }
 
 impl RunScale {
+    /// The flags [`RunScale::from_args`] reads.
+    pub const FLAGS: &'static [&'static str] = &[
+        "full",
+        "repetitions",
+        "stream-len",
+        "optwin-w-max",
+        "seed",
+        "shards",
+    ];
+
     /// Derives the run scale from parsed arguments. Without `--full` the
     /// defaults are sized for a quick (< 1 min) laptop run; with `--full` the
     /// paper-scale settings (30 repetitions, 100 000-element streams,
@@ -225,17 +261,39 @@ mod tests {
 
     #[test]
     fn unparsable_values_are_usage_errors_naming_the_flag() {
-        let args = args_of(&["--repetitions", "3x", "--stream-len", "4k", "--zipf", "x"]);
+        let args = args_of(&["--repetitions", "3x", "--stream-len", "4k", "--rho", "x"]);
         let err = args.try_parsed::<usize>("repetitions").unwrap_err();
         assert!(err.starts_with("invalid --repetitions `3x`"), "{err}");
-        let err = args.try_parsed::<f64>("zipf").unwrap_err();
-        assert!(err.starts_with("invalid --zipf `x`"), "{err}");
+        let err = args.try_parsed::<f64>("rho").unwrap_err();
+        assert!(err.starts_with("invalid --rho `x`"), "{err}");
         let err = RunScale::try_from_args(&args).unwrap_err();
         assert!(err.contains("--repetitions"), "{err}");
         let err = RunScale::try_from_args(&args_of(&["--stream-len", "4k"])).unwrap_err();
         assert!(err.starts_with("invalid --stream-len `4k`"), "{err}");
         let err = RunScale::try_from_args(&args_of(&["--shards", "two"])).unwrap_err();
         assert!(err.contains("--shards"), "{err}");
+    }
+
+    #[test]
+    fn undeclared_flags_are_usage_errors_naming_the_flag() {
+        let args = args_of(&["--stream_len", "4000", "--full", "--zipf", "1.1"]);
+        assert_eq!(
+            args.check_declared(&[RunScale::FLAGS]),
+            Err("unknown flag --stream_len, --zipf".to_string())
+        );
+        assert_eq!(
+            args.check_declared(&[RunScale::FLAGS, &["zipf", "stream_len"]]),
+            Ok(())
+        );
+        // Every flag the run scale reads is declared by its list, so a
+        // binary passing it accepts each of them.
+        let every: Vec<String> = RunScale::FLAGS
+            .iter()
+            .flat_map(|flag| [format!("--{flag}"), "1".to_string()])
+            .collect();
+        let args = Args::parse(every);
+        assert_eq!(args.check_declared(&[RunScale::FLAGS]), Ok(()));
+        assert!(RunScale::try_from_args(&args).is_ok());
     }
 
     #[test]

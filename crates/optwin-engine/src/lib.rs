@@ -43,11 +43,6 @@
 //! * Whole fleets load from config files: [`FleetConfig`] parses a JSON
 //!   map of `stream id → spec string`, and [`EngineBuilder::stream_spec`]
 //!   registers each entry.
-//! * Production-shaped traffic replays through the [`replay()`] driver:
-//!   Zipf-skewed, burst-interleaved arrivals across thousands of streams,
-//!   submitted through the ordinary [`EngineHandle::submit`] path with
-//!   per-stream order (and therefore every detection) bit-exact versus a
-//!   sequential feed — the ingestion layer of the `driftbench` suite.
 //! * Million-stream fleets fit in memory through the **hibernation tier**
 //!   ([`EngineBuilder::hibernation`], [`HibernationPolicy`]): streams idle
 //!   across consecutive flush barriers have their detector state compressed
@@ -120,7 +115,6 @@ mod fleet;
 mod handle;
 pub mod hibernate;
 mod persist;
-pub mod replay;
 mod router;
 mod sink;
 
@@ -135,5 +129,4 @@ pub use fleet::FleetConfig;
 pub use handle::{EngineHandle, EngineStats, RebalanceReport, ShardLoad};
 pub use hibernate::HibernationPolicy;
 pub use persist::{EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
-pub use replay::{replay, ReplayConfig, ReplayReport};
 pub use sink::{CallbackSink, EventSink, JsonLinesSink, MemorySink};

@@ -5,9 +5,9 @@
 //! [`ScenarioKind`] catalogue — including the
 //! adversarial workloads where the *correct* behaviour is to stay silent
 //! (seasonal oscillation, heavy-tailed noise) — and runs every scenario ×
-//! detector × seed cell through the sharded engine via the Zipf-skewed
-//! [`optwin_engine::replay()`] driver, so the benchmark exercises the exact
-//! production ingestion path rather than a bespoke loop.
+//! detector × seed cell as one stream of the sharded engine, submitted
+//! through [`EngineHandle::submit`](optwin_engine::EngineHandle::submit) like
+//! any production record.
 //!
 //! The output is a [`DriftbenchReport`]: one [`DriftbenchCell`] per
 //! applicable (scenario, detector) pair carrying micro-averaged
@@ -21,8 +21,7 @@
 //! [`DetectorSpec::binary_only`]) are skipped on the real-valued scenarios
 //! (`variance`, `heavy-tail`), mirroring how Table 1 restricts them to the
 //! binary error streams. Table 1 ([`run_table1`](crate::run_table1)) runs
-//! through the same engine → replay → flush → score loop, with a uniform
-//! traffic mix.
+//! through the same engine → submit → flush → score loop.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,9 +29,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use optwin_baselines::DetectorSpec;
-use optwin_engine::{
-    default_shards, replay, EngineBuilder, EventSink, MemorySink, ReplayConfig, ReplayReport,
-};
+use optwin_engine::{default_shards, EngineBuilder, EventSink, MemorySink};
 use optwin_stream::{DriftSchedule, GeneratedScenario, ScenarioKind};
 
 use crate::metrics::{score_detections, AggregateMetrics, DetectionOutcome};
@@ -40,8 +37,12 @@ use crate::metrics::{score_detections, AggregateMetrics, DetectionOutcome};
 /// Elements staged per engine queue slot before backpressure kicks in.
 const GRID_QUEUE_CAPACITY: usize = 256 * 1_024;
 
+/// Records per `submit` call: a run's values go to the engine in chunks of
+/// this size.
+const GRID_CHUNK: usize = 4_096;
+
 /// Configuration of one driftbench run: which scenarios, which detectors,
-/// how many seeded repetitions, and how the replay traffic is shaped.
+/// how many seeded repetitions of which length, and on how many shards.
 #[derive(Debug, Clone)]
 pub struct DriftbenchConfig {
     /// Scenarios to run (usually [`ScenarioKind::all`]).
@@ -57,11 +58,6 @@ pub struct DriftbenchConfig {
     /// Engine shard count (`None` → one per CPU core, clamped to the stream
     /// count).
     pub shards: Option<usize>,
-    /// Zipf exponent of the replay traffic mix (see
-    /// [`ReplayConfig::zipf_exponent`]).
-    pub zipf_exponent: f64,
-    /// Records per replay burst.
-    pub burst: usize,
 }
 
 impl DriftbenchConfig {
@@ -76,8 +72,6 @@ impl DriftbenchConfig {
             stream_len,
             base_seed: 1_000,
             shards: None,
-            zipf_exponent: 1.1,
-            burst: 256,
         }
     }
 }
@@ -149,12 +143,6 @@ pub struct DriftbenchReport {
     pub stream_len: usize,
     /// Seeded repetitions per cell.
     pub seeds: usize,
-    /// Zipf exponent of the replay traffic.
-    pub zipf_exponent: f64,
-    /// Total records the replay driver pushed through the engine.
-    pub replay_records: u64,
-    /// Total bursts the replay driver submitted.
-    pub replay_bursts: u64,
     /// One cell per applicable (scenario, detector) pair, scenario-major in
     /// line-up order.
     pub cells: Vec<DriftbenchCell>,
@@ -177,11 +165,12 @@ impl DriftbenchReport {
 ///
 /// Every applicable cell becomes `seeds` engine streams (detectors skip
 /// scenarios they cannot read — see [`DetectorSpec::binary_only`]); all
-/// streams are pre-registered declaratively, fed concurrently by the
-/// Zipf-skewed [`replay()`] driver, flushed once, and scored with
-/// [`score_detections`] against each scenario's ground-truth schedule. The
-/// whole pipeline is seeded, so repeated calls with the same config return
-/// bit-identical reports.
+/// streams are pre-registered declaratively, fed one after another, flushed
+/// once, and scored with [`score_detections`] against each scenario's
+/// ground-truth schedule. A detection depends only on its own stream's
+/// values in order, so the scores are those of a detector fed each run
+/// directly. The whole pipeline is seeded, so repeated calls with the same
+/// config return bit-identical reports.
 ///
 /// # Panics
 ///
@@ -230,12 +219,7 @@ pub fn run_driftbench(config: &DriftbenchConfig) -> DriftbenchReport {
         .iter()
         .map(|&(s, d)| (&config.detectors[d].1, &runs[s][..]))
         .collect();
-    let traffic = ReplayConfig {
-        zipf_exponent: config.zipf_exponent,
-        burst: config.burst,
-        seed: config.base_seed,
-    };
-    let (scores, report) = run_grid(&grid, config.shards, &traffic);
+    let scores = run_grid(&grid, config.shards);
 
     // Aggregate every cell over its seeds, and accumulate the per-detector
     // roll-up alongside.
@@ -279,9 +263,6 @@ pub fn run_driftbench(config: &DriftbenchConfig) -> DriftbenchReport {
     DriftbenchReport {
         stream_len: config.stream_len,
         seeds: config.seeds,
-        zipf_exponent: config.zipf_exponent,
-        replay_records: report.records,
-        replay_bursts: report.bursts,
         cells: out_cells,
         by_detector,
     }
@@ -299,20 +280,21 @@ pub(crate) struct CellScore {
     pub(crate) detector_seconds: f64,
 }
 
-/// The engine → replay → flush → score loop behind both grid runners
+/// The engine → submit → flush → score loop behind both grid runners
 /// ([`run_driftbench`] and [`run_table1`](crate::run_table1)).
 ///
 /// Every `(spec, runs)` cell becomes one engine stream per run, numbered in
 /// cell-major order so consecutive ids spread round-robin over the shard
-/// workers. All streams are registered up front, fed concurrently by the
-/// [`replay()`] driver under `traffic`, flushed once, and each run's
-/// detections are scored against its schedule. `shards` is clamped to the
-/// stream count (`None` = one shard per CPU core).
+/// workers. All streams are registered up front; each run's values are then
+/// submitted in order, run after run, in chunks of `GRID_CHUNK` records,
+/// while the shard queues keep every worker busy. One flush drains the
+/// queues, and each run's detections are scored against its schedule.
+/// `shards` is clamped to the stream count (`None` = one shard per CPU
+/// core).
 pub(crate) fn run_grid(
     cells: &[(&DetectorSpec, &[Run<'_>])],
     shards: Option<usize>,
-    traffic: &ReplayConfig,
-) -> (Vec<CellScore>, ReplayReport) {
+) -> Vec<CellScore> {
     let n_streams: usize = cells.iter().map(|(_, runs)| runs.len()).sum();
     let shards = shards
         .unwrap_or_else(default_shards)
@@ -323,21 +305,27 @@ pub(crate) fn run_grid(
         .shards(shards)
         .queue_capacity(GRID_QUEUE_CAPACITY)
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
-    let mut sources: Vec<(u64, &[f64])> = Vec::with_capacity(n_streams);
+    let mut sources: Vec<&[f64]> = Vec::with_capacity(n_streams);
     for &(spec, runs) in cells {
         for &(values, _) in runs {
-            let id = sources.len() as u64;
-            builder = builder.stream_spec(id, spec.clone());
-            sources.push((id, values));
+            builder = builder.stream_spec(sources.len() as u64, spec.clone());
+            sources.push(values);
         }
     }
     let handle = builder
         .build()
         .expect("specs are valid and stream ids unique by construction");
 
-    // `replay` leaves records in flight, so one flush barrier drains
-    // everything before the sink is read back.
-    let report = replay(&handle, &sources, traffic).expect("engine running");
+    // `submit` returns once the records are queued, so one flush barrier
+    // drains everything before the sink is read back.
+    let mut records: Vec<(u64, f64)> = Vec::with_capacity(GRID_CHUNK);
+    for (id, values) in (0u64..).zip(&sources) {
+        for chunk in values.chunks(GRID_CHUNK) {
+            records.clear();
+            records.extend(chunk.iter().map(|&v| (id, v)));
+            handle.submit(&records).expect("engine running");
+        }
+    }
     handle.flush().expect("all streams registered");
 
     // The sink preserves per-stream emission order (increasing seq), so
@@ -358,7 +346,7 @@ pub(crate) fn run_grid(
     handle.shutdown().expect("clean shutdown");
 
     let mut id = 0u64;
-    let scores = cells
+    cells
         .iter()
         .map(|&(_, runs)| {
             let mut detector_seconds = 0.0;
@@ -376,8 +364,7 @@ pub(crate) fn run_grid(
                 detector_seconds,
             }
         })
-        .collect();
-    (scores, report)
+        .collect()
 }
 
 fn fp_per_10k(false_positives: usize, elements: usize) -> f64 {
@@ -387,6 +374,7 @@ fn fp_per_10k(false_positives: usize, elements: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::run_detector_on_sequence;
 
     fn small_config() -> DriftbenchConfig {
         DriftbenchConfig {
@@ -399,8 +387,6 @@ mod tests {
             stream_len: 3_000,
             base_seed: 7,
             shards: Some(2),
-            zipf_exponent: 1.1,
-            burst: 128,
         }
     }
 
@@ -431,6 +417,34 @@ mod tests {
                 cell.metrics.true_positives + cell.metrics.false_negatives,
                 n_drifts * config.seeds,
                 "TP+FN must partition the true drifts in {cell:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn grid_scores_equal_a_direct_detector_feed() {
+        let config = small_config();
+        let report = run_driftbench(&config);
+        for cell in &report.cells {
+            let scenario: ScenarioKind = cell.scenario.parse().expect("known id");
+            let (_, spec) = config
+                .detectors
+                .iter()
+                .find(|(label, _)| *label == cell.detector)
+                .expect("line-up label");
+            let outcomes: Vec<DetectionOutcome> = (0..config.seeds)
+                .map(|r| {
+                    let run = scenario.generate(config.stream_len, config.base_seed + r as u64);
+                    let mut detector = spec.build().expect("valid spec");
+                    run_detector_on_sequence(detector.as_mut(), &run.values, &run.schedule).outcome
+                })
+                .collect();
+            assert_eq!(
+                cell.metrics,
+                AggregateMetrics::from_outcomes(&outcomes),
+                "{}/{}",
+                cell.scenario,
+                cell.detector
             );
         }
     }

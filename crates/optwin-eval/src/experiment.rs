@@ -18,7 +18,6 @@ use serde::{Deserialize, Serialize};
 
 use optwin_baselines::DetectorSpec;
 use optwin_core::{DriftDetector, OptwinConfig};
-use optwin_engine::ReplayConfig;
 use optwin_learners::{NaiveBayes, OnlineLearner};
 use optwin_stream::drift::MultiConceptStream;
 use optwin_stream::generators::{
@@ -292,14 +291,6 @@ pub struct Table1Aggregate {
     pub mean_detector_seconds: f64,
 }
 
-/// Table 1's replay traffic: every run stream equally hot, fed in bursts of
-/// 4 096 elements.
-const TABLE1_TRAFFIC: ReplayConfig = ReplayConfig {
-    zipf_exponent: 0.0,
-    burst: 4_096,
-    seed: 0,
-};
-
 /// Runs one Table 1 experiment for a `(label, spec)` detector line-up
 /// (usually [`paper_lineup`]) and aggregates one row per detector.
 ///
@@ -310,8 +301,8 @@ const TABLE1_TRAFFIC: ReplayConfig = ReplayConfig {
 /// default length (`None` = paper scale); `shards` picks the engine shard
 /// count (`None` = one per CPU core).
 ///
-/// Each (detector, repetition) run is one engine stream, fed by the replay
-/// driver and scored after one flush — the loop
+/// Each (detector, repetition) run is one engine stream, submitted in order
+/// and scored after one flush — the loop
 /// [`run_driftbench`](crate::run_driftbench) uses. Results are identical
 /// for every shard count.
 ///
@@ -346,7 +337,7 @@ pub fn run_table1(
         .iter()
         .map(|(_, spec)| (spec, &runs[..]))
         .collect();
-    let (scores, _) = run_grid(&cells, shards, &TABLE1_TRAFFIC);
+    let scores = run_grid(&cells, shards);
 
     applicable
         .into_iter()
@@ -477,6 +468,29 @@ mod tests {
                 assert_eq!(a.detector, b.detector);
                 assert_eq!(a.metrics, b.metrics, "{}", a.detector);
             }
+        }
+    }
+
+    #[test]
+    fn grid_scores_equal_a_direct_detector_feed() {
+        let experiment = Table1Experiment::GradualBinary;
+        let lineup = paper_lineup(800);
+        let rows = run_table1(experiment, &lineup, 2, Some(4_000), 7, Some(2));
+        assert_eq!(rows.len(), lineup.len());
+        for ((label, spec), row) in lineup.iter().zip(&rows) {
+            assert_eq!(&row.detector, label);
+            let outcomes: Vec<DetectionOutcome> = (0..2)
+                .map(|r| {
+                    let (errors, schedule) = experiment.build_error_sequence(7 + r, 4_000);
+                    let mut detector = spec.build().expect("valid spec");
+                    run_detector_on_sequence(detector.as_mut(), &errors, &schedule).outcome
+                })
+                .collect();
+            assert_eq!(
+                row.metrics,
+                AggregateMetrics::from_outcomes(&outcomes),
+                "{label}"
+            );
         }
     }
 

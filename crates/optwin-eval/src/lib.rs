@@ -20,9 +20,9 @@
 //!   records used by the benchmark binaries.
 //! * [`driftbench`] — the adversarial scenario grid: every detector spec
 //!   kind plus composite cascades/ensembles across the full
-//!   [`optwin_stream::ScenarioKind`] catalogue, replayed through the sharded
+//!   [`optwin_stream::ScenarioKind`] catalogue, fed through the sharded
 //!   engine and scored into a JSON-serialisable quality report. Its
-//!   engine → replay → flush → score loop also runs Table 1.
+//!   engine → submit → flush → score loop also runs Table 1.
 //!
 //! ```
 //! use optwin_eval::metrics::score_detections;
