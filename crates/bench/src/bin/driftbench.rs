@@ -64,6 +64,8 @@ fn main() {
         "json",
     ]]);
     let full = args.has_flag("full");
+    // Read before the run, so a `--json` missing its path fails at once.
+    let json_path = args.get("json");
 
     let seeds = args.get_parsed("seeds", if full { 10 } else { 5 });
     let stream_len = args.get_parsed("stream-len", if full { 50_000 } else { 20_000 });
@@ -146,7 +148,7 @@ fn main() {
         render_cells("── all scenarios (per-detector roll-up) ──", &rollup)
     );
 
-    if let Some(path) = args.get("json") {
+    if let Some(path) = json_path {
         match serde_json::to_string_pretty(&report) {
             Ok(json) => {
                 if let Err(e) = std::fs::write(path, json) {

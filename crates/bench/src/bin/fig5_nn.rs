@@ -48,6 +48,8 @@ fn main() {
         "json",
     ]]);
     let full = args.has_flag("full");
+    // Read before the run, so a `--json` missing its path fails at once.
+    let json_path = args.get("json");
     let config = NnPipelineConfig {
         total_batches: args.get_parsed("batches", if full { 60_000 } else { 8_000 }),
         fine_tune_batches: args.get_parsed("fine-tune", if full { 1_800 } else { 250 }),
@@ -97,7 +99,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = args.get("json") {
+    if let Some(path) = json_path {
         let written = to_json(&outcomes)
             .map_err(|e| format!("failed to serialise results: {e}"))
             .and_then(|json| {

@@ -49,6 +49,8 @@ fn main() {
         &["detector", "fleet", "experiment", "json"],
     ]);
     let scale = RunScale::from_args(&args);
+    // Read before the run, so a `--json` missing its path fails at once.
+    let json_path = args.get("json");
 
     let detector: Option<DetectorSpec> = args.get("detector").map(|text| {
         text.parse().unwrap_or_else(|e| {
@@ -145,7 +147,7 @@ fn main() {
         all_rows.extend(rows);
     }
 
-    if let Some(path) = args.get("json") {
+    if let Some(path) = json_path {
         let written = to_json(&all_rows)
             .map_err(|e| format!("failed to serialise results: {e}"))
             .and_then(|json| {

@@ -18,6 +18,8 @@ use optwin_eval::report::{render_table2, to_json};
 fn main() {
     let args = Args::from_env(&[RunScale::FLAGS, &["realworld", "synthetic", "json"]]);
     let scale = RunScale::from_args(&args);
+    // Read before the run, so a `--json` missing its path fails at once.
+    let json_path = args.get("json");
 
     let experiments: Vec<ClassificationExperiment> = if args.has_flag("realworld") {
         vec![
@@ -51,7 +53,7 @@ fn main() {
         all_rows.extend(rows);
     }
 
-    if let Some(path) = args.get("json") {
+    if let Some(path) = json_path {
         let written = to_json(&all_rows)
             .map_err(|e| format!("failed to serialise results: {e}"))
             .and_then(|json| {

@@ -21,8 +21,10 @@
 //! flags ([`RunScale::FLAGS`]: `--repetitions`, `--stream-len`, `--seed`, …)
 //! so that quick smoke runs and full paper-scale runs (`--full`) use the
 //! same code path. Each binary declares the flags it reads: an undeclared
-//! flag, a flag value that does not parse, or a zero count is a usage error,
-//! and the binary names the flag and exits with status 2.
+//! flag, an argument that is neither a flag nor a flag's value, a switch
+//! given a value, a value flag given none, a flag value that does not
+//! parse, or a zero count is a usage error, and the binary names the
+//! argument and exits with status 2.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -43,13 +45,17 @@ fn usage_error(message: &str) -> ! {
 
 /// Minimal command-line flag parser shared by the reproduction binaries.
 ///
-/// Flags are of the form `--name value` or boolean `--name`; other
-/// arguments are ignored. This avoids a CLI dependency while keeping the
-/// binaries scriptable.
+/// Flags are of the form `--name value` or boolean `--name`; any other
+/// argument is a usage error. Whether a flag takes a value is known only to
+/// the code that reads it, so [`Args::has_flag`] rejects a switch that was
+/// given a value and [`Args::get`] a value flag that was given none. This
+/// avoids a CLI dependency while keeping the binaries scriptable.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
+    /// Arguments that are neither a flag nor a flag's value.
+    positional: Vec<String>,
 }
 
 impl Args {
@@ -58,6 +64,7 @@ impl Args {
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
         let mut values = HashMap::new();
         let mut flags = Vec::new();
+        let mut positional = Vec::new();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             if let Some(name) = arg.strip_prefix("--") {
@@ -70,15 +77,21 @@ impl Args {
                 } else {
                     flags.push(name.to_string());
                 }
+            } else {
+                positional.push(arg);
             }
         }
-        Self { values, flags }
+        Self {
+            values,
+            flags,
+            positional,
+        }
     }
 
     /// Parses the process's own command line. `flags` lists every flag
     /// name the binary reads, usually [`RunScale::FLAGS`] plus its own; any
-    /// other `--name` is a usage error: the process names it and exits with
-    /// status 2.
+    /// other `--name`, and any argument that is not a flag's value, is a
+    /// usage error: the process names it and exits with status 2.
     #[must_use]
     pub fn from_env(flags: &[&[&str]]) -> Self {
         let args = Self::parse(std::env::args().skip(1));
@@ -87,8 +100,14 @@ impl Args {
         args
     }
 
-    /// The usage error naming every flag that is in none of `flags`.
+    /// The usage error naming the first argument that is not a flag or a
+    /// flag's value, or every flag that is in none of `flags`.
     fn check_declared(&self, flags: &[&[&str]]) -> Result<(), String> {
+        if let Some(arg) = self.positional.first() {
+            return Err(format!(
+                "unexpected argument `{arg}` (arguments are --flag or --flag value)"
+            ));
+        }
         let mut unknown: Vec<&str> = self
             .values
             .keys()
@@ -103,10 +122,21 @@ impl Args {
         Err(format!("unknown flag --{}", unknown.join(", --")))
     }
 
-    /// Returns the string value of `--name`, if present.
+    /// Returns the string value of `--name`, if present. `--name` given
+    /// without a value is a usage error: the process names the flag and
+    /// exits with status 2.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.values.get(name).map(String::as_str)
+        self.try_get(name).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// `--name`'s value (`None` when absent), or the usage error for a
+    /// value flag given without one.
+    fn try_get(&self, name: &str) -> Result<Option<&str>, String> {
+        if self.flags.iter().any(|f| f == name) {
+            return Err(format!("--{name} needs a value"));
+        }
+        Ok(self.values.get(name).map(String::as_str))
     }
 
     /// Returns `--name` parsed as the requested type, or `default` when the
@@ -131,7 +161,7 @@ impl Args {
         T: FromStr + Default + PartialEq,
         T::Err: Display,
     {
-        let Some(text) = self.get(name) else {
+        let Some(text) = self.try_get(name)? else {
             return Ok(None);
         };
         let value: T = text
@@ -143,10 +173,21 @@ impl Args {
         Ok(Some(value))
     }
 
-    /// `true` when the boolean flag `--name` was given.
+    /// `true` when the boolean flag `--name` was given. A value after it
+    /// (`--full 1`) is a usage error: the process names the flag and exits
+    /// with status 2.
     #[must_use]
     pub fn has_flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
+        self.try_has_flag(name).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// Whether the switch `--name` was given, or the usage error for a
+    /// switch given a value.
+    fn try_has_flag(&self, name: &str) -> Result<bool, String> {
+        if let Some(value) = self.values.get(name) {
+            return Err(format!("--{name} takes no value, got `{value}`"));
+        }
+        Ok(self.flags.iter().any(|f| f == name))
     }
 }
 
@@ -188,7 +229,7 @@ impl RunScale {
     }
 
     fn try_from_args(args: &Args) -> Result<Self, String> {
-        let (repetitions, stream_len, optwin_w_max) = if args.has_flag("full") {
+        let (repetitions, stream_len, optwin_w_max) = if args.try_has_flag("full")? {
             (30, None, 25_000)
         } else {
             (5, Some(20_000), 4_000)
@@ -272,6 +313,17 @@ mod tests {
         assert!(err.starts_with("invalid --stream-len `4k`"), "{err}");
         let err = RunScale::try_from_args(&args_of(&["--shards", "two"])).unwrap_err();
         assert!(err.contains("--shards"), "{err}");
+        // A switch given a value, and a value flag given none.
+        let err = RunScale::try_from_args(&args_of(&["--full", "1"])).unwrap_err();
+        assert_eq!(err, "--full takes no value, got `1`");
+        let args = args_of(&["--json", "--full"]);
+        assert_eq!(
+            args.try_get("json"),
+            Err("--json needs a value".to_string())
+        );
+        assert_eq!(args.try_has_flag("full"), Ok(true));
+        let err = RunScale::try_from_args(&args_of(&["--stream-len"])).unwrap_err();
+        assert_eq!(err, "--stream-len needs a value");
     }
 
     #[test]
@@ -285,11 +337,22 @@ mod tests {
             args.check_declared(&[RunScale::FLAGS, &["zipf", "stream_len"]]),
             Ok(())
         );
+        // A positional argument is named too, ahead of the flags.
+        let args = args_of(&["sudden-binary", "--repetitions", "1", "--zipf"]);
+        let err = args.check_declared(&[RunScale::FLAGS]).unwrap_err();
+        assert!(
+            err.starts_with("unexpected argument `sudden-binary`"),
+            "{err}"
+        );
         // Every flag the run scale reads is declared by its list, so a
-        // binary passing it accepts each of them.
+        // binary passing it accepts each of them (the `--full` switch bare,
+        // the rest with a value).
         let every: Vec<String> = RunScale::FLAGS
             .iter()
-            .flat_map(|flag| [format!("--{flag}"), "1".to_string()])
+            .flat_map(|&flag| {
+                let value = (flag != "full").then(|| "1".to_string());
+                std::iter::once(format!("--{flag}")).chain(value)
+            })
             .collect();
         let args = Args::parse(every);
         assert_eq!(args.check_declared(&[RunScale::FLAGS]), Ok(()));

@@ -30,9 +30,9 @@
 //! bit-exactness, snapshot/restore exactness (nested child state, with the
 //! dormant-confirmer flag persisted as a `null` child), and
 //! capacity-counting [`DriftDetector::mem_footprint`] — so they ride the
-//! engine's ingestion, hibernation, checkpoint and migration machinery
-//! unchanged. They are built declaratively through the
-//! [`DetectorSpec`] grammar's nested forms (see [`crate::spec`]):
+//! engine's ingestion, hibernation and checkpoint machinery unchanged. They
+//! are built declaratively through the [`DetectorSpec`] grammar's nested
+//! forms (see [`crate::spec`]):
 //!
 //! ```text
 //! cascade:guard=ddm,confirm=optwin:delta=0.01

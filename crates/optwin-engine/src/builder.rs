@@ -8,7 +8,7 @@ use optwin_baselines::DetectorSpec;
 
 use crate::checkpoint::{self, CheckpointConfig, CheckpointPolicy, RecoveredLog, ReplayOp};
 use crate::error::EngineError;
-use crate::handle::{spawn_engine, EngineHandle, StreamState};
+use crate::handle::{shard_of, spawn_engine, EngineHandle, StreamState};
 use crate::hibernate::{DetectorSlot, HibernatedDetector, HibernationPolicy};
 use crate::persist::EngineSnapshot;
 use crate::sink::EventSink;
@@ -230,11 +230,9 @@ impl EngineBuilder {
     /// restoring, or configure a default spec, which rebuilds every
     /// spec-less entry. The serialized state is restored into the fresh
     /// detector, so the new engine makes identical subsequent decisions to
-    /// the snapshotted one. The snapshot's shard count and warning policy are
-    /// provenance, not constraints — this builder's settings win. Streams
-    /// with a recorded shard placement (wire format v3) re-pin to
-    /// `recorded_shard % shards`, reproducing a rebalanced routing table;
-    /// older snapshots re-pin by `id % shards`.
+    /// the snapshotted one. The snapshot's shard count, warning policy and
+    /// per-stream shards are provenance, not constraints — this builder's
+    /// settings win, and every stream lands on `id % shards`.
     pub fn restore(mut self, snapshot: EngineSnapshot) -> Self {
         self.restore = Some(snapshot);
         self
@@ -299,25 +297,15 @@ impl EngineBuilder {
 
         let mut initial: Vec<HashMap<u64, StreamState>> =
             (0..self.shards).map(|_| HashMap::new()).collect();
-        let shard_of = |stream: u64| (stream % self.shards as u64) as usize;
-        // Duplicate ids can no longer be caught by per-shard map collisions
-        // alone: two occurrences of one id may target *different* shards
-        // (a restored placement vs. the modulo default).
-        let mut seen = std::collections::HashSet::new();
 
         if let Some(snapshot) = self.restore {
             snapshot.check_version()?;
             for entry in snapshot.streams {
                 let stream = entry.stream;
-                if !seen.insert(stream) {
+                let shard = &mut initial[shard_of(stream, self.shards)];
+                if shard.contains_key(&stream) {
                     return Err(EngineError::DuplicateStream(stream));
                 }
-                // v3 placement-preserving entry: land on the recorded shard
-                // (folded into the new shard count); older entries fall back
-                // to the modulo default.
-                let target = entry
-                    .shard
-                    .map_or_else(|| shard_of(stream), |shard| shard % self.shards);
                 // A v1 entry embeds no spec: the default spec rebuilds it.
                 let Some(spec) = entry.spec.or_else(|| self.default_spec.clone()) else {
                     return Err(EngineError::InvalidSnapshot(format!(
@@ -365,7 +353,7 @@ impl EngineBuilder {
                 };
                 let mut state = StreamState::new(slot, spec);
                 state.restore_position(entry.seq, entry.detector_seconds);
-                initial[target].insert(stream, state);
+                shard.insert(stream, state);
             }
         }
 
@@ -373,11 +361,11 @@ impl EngineBuilder {
             let detector = spec
                 .build()
                 .map_err(|e| EngineError::InvalidSpec(format!("stream {stream}: {e}")))?;
-            if !seen.insert(stream) {
+            let shard = &mut initial[shard_of(stream, self.shards)];
+            if shard.contains_key(&stream) {
                 return Err(EngineError::DuplicateStream(stream));
             }
-            initial[shard_of(stream)]
-                .insert(stream, StreamState::new(DetectorSlot::Live(detector), spec));
+            shard.insert(stream, StreamState::new(DetectorSlot::Live(detector), spec));
         }
 
         let checkpoint = match self.checkpoint {
@@ -436,7 +424,7 @@ impl EngineBuilder {
         // recovery consumed. A fresh directory gets its generation-0 base
         // the same way.
         if checkpointing {
-            handle.run_checkpoint(true, false)?;
+            handle.run_checkpoint(true)?;
         }
         Ok(handle)
     }

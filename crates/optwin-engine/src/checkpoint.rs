@@ -6,8 +6,8 @@
 //! million-stream scale, where almost every stream is cold between any two
 //! barriers. The checkpoint subsystem makes durability **incremental**:
 //!
-//! * Shard workers track a *dirty* bit per stream (set by ingestion,
-//!   hibernation and migration; cleared at capture). A checkpoint writes a
+//! * Shard workers track a *dirty* bit per stream (set by ingestion and
+//!   hibernation; cleared at capture). A checkpoint writes a
 //!   **delta overlay** holding only the dirty streams' full
 //!   `{spec, seq, state, shard, hibernated}` entries — the same
 //!   [`StreamStateSnapshot`] the v4 format uses, so a delta of a 1 %-active
@@ -622,8 +622,7 @@ fn merge_overlays(dir: &Path, manifest: &Manifest) -> Result<EngineSnapshot, Eng
 /// Loads everything recovery needs: the merged checkpoint state plus the
 /// WAL tail (segments past the manifest generation, in generation-then-
 /// shard order — per-stream record order is preserved because a stream
-/// lives on one shard within a generation window; checkpoints are barriers
-/// at every migration).
+/// lives on one shard for the life of its engine).
 pub(crate) fn load_recovery(dir: &Path) -> Result<(EngineSnapshot, RecoveredLog), EngineError> {
     let manifest = read_manifest(dir)?;
     let snapshot = merge_overlays(dir, &manifest)?;

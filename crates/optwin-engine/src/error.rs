@@ -90,8 +90,7 @@ impl std::error::Error for EngineError {}
 pub struct StreamSnapshot {
     /// The stream id.
     pub stream: u64,
-    /// The shard the stream currently lives on (may change across
-    /// [`crate::EngineHandle::rebalance`] calls).
+    /// The shard the stream lives on: `id % shards`.
     pub shard: usize,
     /// Elements ingested so far.
     pub elements: u64,

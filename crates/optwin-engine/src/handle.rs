@@ -19,10 +19,15 @@
 //! processed and the sinks have been flushed.
 //!
 //! Every control operation — flush, registration, the statistics queries,
-//! snapshots, checkpoints and rebalance migrations — is one primitive: a
-//! closure shipped to each target worker as [`ShardMsg::Barrier`], run there
-//! with `&mut` access to the [`Worker`], and answered over a reply channel
-//! (see `EngineHandle::barrier`).
+//! snapshots and checkpoints — is one primitive: a closure shipped to each
+//! target worker as [`ShardMsg::Barrier`], run there with `&mut` access to
+//! the [`Worker`], and answered over a reply channel (see
+//! `EngineHandle::barrier`).
+//!
+//! A stream lives on shard `id % shards` for the whole life of its engine:
+//! each detector decides from its own stream's values in order, so no
+//! placement could change a detection, and the handle needs no routing
+//! state.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -35,7 +40,6 @@ use std::time::Instant;
 
 use optwin_baselines::DetectorSpec;
 use optwin_core::{DriftDetector, DriftStatus};
-use parking_lot::RwLock;
 
 use crate::checkpoint::{
     CheckpointConfig, CheckpointReport, CheckpointState, Durability, WalWriter,
@@ -44,7 +48,6 @@ use crate::error::{EngineError, StreamSnapshot};
 use crate::event::DriftEvent;
 use crate::hibernate::{DetectorSlot, HibernatedDetector, HibernationPolicy};
 use crate::persist::{EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
-use crate::router::RouterTable;
 use crate::sink::EventSink;
 
 /// Decay factor of the per-shard batch-latency EWMA: each new batch
@@ -57,16 +60,13 @@ const BATCH_EWMA_ALPHA: f64 = 0.2;
 pub struct ShardLoad {
     /// The shard index.
     pub shard: usize,
-    /// Streams currently placed on this shard.
+    /// Streams on this shard.
     pub streams: usize,
-    /// Lifetime records of the streams **currently placed** on this shard
-    /// (migrated streams carry their history with them) — the
-    /// placement-attributed load [`EngineStats::imbalance`] and
-    /// [`EngineHandle::rebalance`] act on.
+    /// Lifetime records of the streams on this shard, restored history
+    /// included — the load [`EngineStats::imbalance`] compares.
     pub stream_records: u64,
-    /// Lifetime records this *worker* has processed (history stays with the
-    /// worker that did the work, so this diverges from `stream_records`
-    /// after a migration).
+    /// Records this worker has processed since the engine started (unlike
+    /// `stream_records`, it leaves out the history of restored streams).
     pub records: u64,
     /// Records currently sitting in this shard's queue (instantaneous
     /// occupancy at the time of the query).
@@ -105,20 +105,17 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Load-imbalance ratio across shards: the hottest shard's
-    /// placement-attributed record count ([`ShardLoad::stream_records`])
-    /// over the mean (1.0 = perfectly balanced; 1.0 for an engine that has
-    /// ingested nothing). Drops back toward 1.0 after a successful
-    /// rebalance, since moved streams take their history with them.
+    /// Load-imbalance ratio across shards: the hottest shard's lifetime
+    /// record count ([`ShardLoad::stream_records`]) over the mean (1.0 =
+    /// perfectly balanced; 1.0 for an engine that has ingested nothing).
     #[must_use]
     pub fn imbalance(&self) -> f64 {
-        imbalance(
-            &self
-                .shards
-                .iter()
-                .map(|s| s.stream_records)
-                .collect::<Vec<_>>(),
-        )
+        let loads = self.shards.iter().map(|s| s.stream_records);
+        let total: u64 = loads.clone().sum();
+        match loads.max() {
+            Some(max) if total > 0 => max as f64 * self.shards.len() as f64 / total as f64,
+            _ => 1.0,
+        }
     }
 
     /// Resident detector bytes across all shards (live footprints plus
@@ -200,55 +197,6 @@ impl fmt::Display for EngineStats {
     }
 }
 
-/// `max / mean` of a load vector (1.0 when the total load is zero).
-fn imbalance(loads: &[u64]) -> f64 {
-    let total: u64 = loads.iter().sum();
-    match loads.iter().max() {
-        Some(&max) if total > 0 => max as f64 * loads.len() as f64 / total as f64,
-        _ => 1.0,
-    }
-}
-
-/// What a [`EngineHandle::rebalance`] call did.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RebalanceReport {
-    /// Streams considered.
-    pub streams: usize,
-    /// Streams actually migrated to a different shard.
-    pub moved: usize,
-    /// Per-shard lifetime records of the streams under the old placement.
-    pub load_before: Vec<u64>,
-    /// Per-shard lifetime records of the streams under the new placement.
-    pub load_after: Vec<u64>,
-}
-
-impl RebalanceReport {
-    /// `max / mean` shard load before the rebalance (1.0 = balanced).
-    #[must_use]
-    pub fn imbalance_before(&self) -> f64 {
-        imbalance(&self.load_before)
-    }
-
-    /// `max / mean` shard load after the rebalance.
-    #[must_use]
-    pub fn imbalance_after(&self) -> f64 {
-        imbalance(&self.load_after)
-    }
-}
-
-impl fmt::Display for RebalanceReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "rebalance: moved {}/{} streams, imbalance {:.2} -> {:.2}",
-            self.moved,
-            self.streams,
-            self.imbalance_before(),
-            self.imbalance_after()
-        )
-    }
-}
-
 /// Messages a worker accepts over its FIFO channel. Barriers ride the same
 /// queue as records, so each one runs only after every record enqueued
 /// before it has been processed.
@@ -325,13 +273,11 @@ pub(crate) struct StreamState {
     /// Consecutive flush barriers at which `seq` had not moved.
     idle_flushes: u32,
     /// `true` when this stream's persisted entry changed since the last
-    /// checkpoint capture: set at creation, after every ingested batch,
+    /// checkpoint capture: set at creation, after every ingested batch, and
     /// when the hibernation sweep compresses the stream (the entry's
     /// `hibernated` flag and state layout change even though the logical
-    /// detector state does not), and when a migration installs the stream
-    /// on a new shard (the entry's `shard` changes). Cleared only by
-    /// checkpoint capture — the delta overlay holds exactly the streams
-    /// with this bit set.
+    /// detector state does not). Cleared only by checkpoint capture — the
+    /// delta overlay holds exactly the streams with this bit set.
     dirty: bool,
 }
 
@@ -404,8 +350,7 @@ struct Worker {
     batch_order: Vec<u64>,
     /// Event staging buffer, reused across batches.
     events: Vec<DriftEvent>,
-    /// Lifetime records ingested by this worker (migrated streams keep their
-    /// own counters; this one follows the *worker*).
+    /// Records ingested by this worker since the engine started.
     records: u64,
     /// Batch partitions processed (0 ⇔ the EWMA below is unseeded).
     batches: u64,
@@ -644,30 +589,6 @@ impl Worker {
         Ok(entries)
     }
 
-    /// Removes the named streams and hands their state back — the outbound
-    /// half of a migration.
-    fn extract(&mut self, streams: Vec<u64>) -> Vec<(u64, StreamState)> {
-        streams
-            .into_iter()
-            .filter_map(|stream| Some((stream, self.streams.remove(&stream)?)))
-            .collect()
-    }
-
-    /// Adopts migrated streams — the inbound half of a migration.
-    fn install(&mut self, states: Vec<(u64, StreamState)>) {
-        for (stream, mut state) in states {
-            debug_assert!(
-                !self.streams.contains_key(&stream),
-                "migration target already owns stream {stream}"
-            );
-            // A migrated stream's persisted `shard` field changed, so the
-            // next delta checkpoint must re-capture it here (the source
-            // shard no longer owns it at all).
-            state.dirty = true;
-            self.streams.insert(stream, state);
-        }
-    }
-
     /// The hibernation sweep, run at every flush barrier (before sinks
     /// flush): advances each stream's idleness counter and compresses the
     /// ones that crossed [`HibernationPolicy::cold_after_flushes`]. With
@@ -807,9 +728,6 @@ impl Drop for WorkerGuard {
 /// State shared by every clone of an [`EngineHandle`].
 struct HandleShared {
     queue: Arc<QueueState>,
-    /// The stream → shard routing table. Read-locked by every send path,
-    /// write-locked by [`EngineHandle::rebalance`] (see [`crate::router`]).
-    router: RwLock<RouterTable>,
     /// Worker join handles, taken by the first successful
     /// [`EngineHandle::shutdown`].
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -860,11 +778,16 @@ impl std::fmt::Debug for EngineHandle {
     }
 }
 
+/// The shard that owns `stream` for the whole life of an engine with
+/// `shards` shards.
+pub(crate) fn shard_of(stream: u64, shards: usize) -> usize {
+    (stream % shards as u64) as usize
+}
+
 /// Spawns the shard workers and assembles the handle. Called by
-/// [`crate::EngineBuilder::build`] after validation. `initial_streams` is
-/// the per-shard placement of restored and pre-registered streams; it seeds
-/// the routing table, so non-modulo placements (a restored v3 snapshot)
-/// stick.
+/// [`crate::EngineBuilder::build`] after validation. `initial_streams[i]`
+/// holds the restored and pre-registered streams of shard `i`, each placed
+/// by [`shard_of`].
 pub(crate) fn spawn_engine(
     emit_warnings: bool,
     queue_capacity: usize,
@@ -882,13 +805,6 @@ pub(crate) fn spawn_engine(
         poisoned: AtomicBool::new(false),
         error: Mutex::new(None),
     });
-    let router = RouterTable::new(
-        shards,
-        initial_streams
-            .iter()
-            .enumerate()
-            .flat_map(|(shard, streams)| streams.keys().map(move |&stream| (stream, shard))),
-    );
 
     let mut senders = Vec::with_capacity(shards);
     let mut workers = Vec::with_capacity(shards);
@@ -931,7 +847,6 @@ pub(crate) fn spawn_engine(
         senders,
         shared: Arc::new(HandleShared {
             queue,
-            router: RwLock::new(router),
             workers: Mutex::new(workers),
             emit_warnings,
             queue_capacity,
@@ -951,24 +866,6 @@ impl EngineHandle {
     #[must_use]
     pub fn queue_capacity(&self) -> usize {
         self.shared.queue_capacity
-    }
-
-    /// The shard records for `stream` currently route to — the routing
-    /// table's answer, whether the stream is registered or not (unknown ids
-    /// report the shard they *would* land on). The modulo default applies
-    /// unless a restore or a [`EngineHandle::rebalance`] pinned the stream
-    /// elsewhere.
-    #[must_use]
-    pub fn shard_of(&self, stream: u64) -> usize {
-        self.shared.router.read().shard_of(stream)
-    }
-
-    /// Number of streams currently routed away from their `id % shards`
-    /// default (0 until a rebalance or a placement-preserving restore moves
-    /// one).
-    #[must_use]
-    pub fn rerouted_streams(&self) -> usize {
-        self.shared.router.read().pin_count()
     }
 
     /// Enqueues a batch of `(stream id, value)` records and returns
@@ -993,13 +890,9 @@ impl EngineHandle {
             return Ok(());
         }
         let nshards = self.senders.len();
-        // The router read lock is held across partitioning *and* the sends
-        // below: a concurrent rebalance (write lock) can therefore never
-        // observe — or invalidate — a half-enqueued batch.
-        let router = self.shared.router.read();
         let mut parts: Vec<Vec<(u64, f64)>> = vec![Vec::new(); nshards];
         for &record in records {
-            parts[router.shard_of(record.0)].push(record);
+            parts[shard_of(record.0, nshards)].push(record);
         }
 
         let queue = &self.shared.queue;
@@ -1048,18 +941,16 @@ impl EngineHandle {
     ///
     /// Returns [`EngineError::InvalidSpec`] when the spec's parameters are
     /// out of range, [`EngineError::DuplicateStream`] if the id is already
-    /// registered (the stream keeps its original detector), or
-    /// [`EngineError::ChannelClosed`] when the engine has shut down.
+    /// registered (the stream keeps its original detector),
+    /// [`EngineError::ChannelClosed`] when the engine has shut down, or
+    /// [`EngineError::Poisoned`] after a worker panic.
     pub fn register_stream_spec(&self, stream: u64, spec: DetectorSpec) -> Result<(), EngineError> {
         let detector = spec
             .build()
             .map_err(|e| EngineError::InvalidSpec(e.to_string()))?;
-        // Route-and-send under the router read lock so a concurrent
-        // rebalance cannot move the stream between lookup and enqueue.
-        let router = self.shared.router.read();
-        let shard = router.shard_of(stream);
         let register = move |worker: &mut Worker| worker.register(stream, detector, spec);
-        self.barrier(router, [(shard, register)])?.remove(0)
+        self.barrier([(shard_of(stream, self.num_shards()), register)])?
+            .remove(0)
     }
 
     /// The [`DetectorSpec`] a live stream is running, so operators can
@@ -1068,7 +959,8 @@ impl EngineHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::ChannelClosed`] when the engine has shut down.
+    /// Returns [`EngineError::ChannelClosed`] when the engine has shut down,
+    /// or [`EngineError::Poisoned`] after a worker panic.
     pub fn stream_spec(&self, stream: u64) -> Result<Option<DetectorSpec>, EngineError> {
         Ok(self.stream_stats(stream)?.map(|s| s.spec))
     }
@@ -1086,7 +978,7 @@ impl EngineHandle {
     /// ingestion error does not skip the checkpoint cadence; a failed
     /// automatic checkpoint is returned in its place.
     pub fn flush(&self) -> Result<(), EngineError> {
-        self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
+        self.barrier_all(|worker: &mut Worker| {
             // Flush barriers double as the hibernation sweep points: a
             // batch never ends mid-flush, so every stream's staging buffer
             // is empty here.
@@ -1107,7 +999,7 @@ impl EngineHandle {
                 state.policy.every_flushes > 0 && state.flushes_since >= state.policy.every_flushes
             };
             if due {
-                self.run_checkpoint(false, false)?;
+                self.run_checkpoint(false)?;
             }
         }
         ingest_error.map_or(Ok(()), Err)
@@ -1117,18 +1009,13 @@ impl EngineHandle {
     /// every record already queued there — and returns the replies in list
     /// order once every target worker has run its closure.
     ///
-    /// `router` is the caller's router guard. It is held while the closures
-    /// are enqueued, so no rebalance can cut between routing and sending,
-    /// and dropped before the replies are awaited; pass a reference (or
-    /// `None` when the caller already holds the lock) to keep holding it.
-    ///
     /// # Errors
     ///
-    /// When a target worker has exited: [`EngineError::Poisoned`] if a
-    /// worker died by panic, [`EngineError::ChannelClosed`] otherwise.
-    fn barrier<G, R, F>(
+    /// [`EngineError::Poisoned`] once any worker has died by panic, even
+    /// when every target worker is alive (as [`EngineHandle::submit`]), and
+    /// [`EngineError::ChannelClosed`] when a target worker has shut down.
+    fn barrier<R, F>(
         &self,
-        router: G,
         ops: impl IntoIterator<Item = (usize, F)>,
     ) -> Result<Vec<R>, EngineError>
     where
@@ -1136,6 +1023,9 @@ impl EngineHandle {
         F: FnOnce(&mut Worker) -> R + Send + 'static,
     {
         let queue = &self.shared.queue;
+        if queue.poisoned.load(Ordering::SeqCst) {
+            return Err(EngineError::Poisoned);
+        }
         let mut replies = Vec::new();
         for (shard, op) in ops {
             let (reply, response) = channel();
@@ -1146,7 +1036,6 @@ impl EngineHandle {
                 .map_err(|_| queue.worker_gone())?;
             replies.push(response);
         }
-        drop(router);
         replies
             .into_iter()
             .map(|response| response.recv().map_err(|_| queue.worker_gone()))
@@ -1154,20 +1043,20 @@ impl EngineHandle {
     }
 
     /// [`EngineHandle::barrier`] with the same closure on every shard.
-    fn barrier_all<G, R, F>(&self, router: G, op: F) -> Result<Vec<R>, EngineError>
+    fn barrier_all<R, F>(&self, op: F) -> Result<Vec<R>, EngineError>
     where
         R: Send + 'static,
         F: FnOnce(&mut Worker) -> R + Clone + Send + 'static,
     {
         let ops = (0..self.senders.len()).map(|shard| (shard, op.clone()));
-        self.barrier(router, ops)
+        self.barrier(ops)
     }
 
     /// A barrier with no work of its own: returns the first ingestion error
     /// recorded since the last [`EngineHandle::take_error`], once every
     /// record queued before the call has been processed.
     pub(crate) fn settle(&self) -> Result<(), EngineError> {
-        self.barrier_all(self.shared.router.read(), |_: &mut Worker| {})?;
+        self.barrier_all(|_: &mut Worker| {})?;
         self.take_error().map_or(Ok(()), Err)
     }
 
@@ -1186,9 +1075,10 @@ impl EngineHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::ChannelClosed`] when the engine has shut down.
+    /// Returns [`EngineError::ChannelClosed`] when the engine has shut down,
+    /// or [`EngineError::Poisoned`] after a worker panic.
     pub fn stream_snapshots(&self) -> Result<Vec<StreamSnapshot>, EngineError> {
-        let shards = self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
+        let shards = self.barrier_all(|worker: &mut Worker| {
             worker
                 .streams
                 .iter()
@@ -1204,33 +1094,31 @@ impl EngineHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::ChannelClosed`] when the engine has shut down.
+    /// Returns [`EngineError::ChannelClosed`] when the engine has shut down,
+    /// or [`EngineError::Poisoned`] after a worker panic.
     pub fn stream_stats(&self, stream: u64) -> Result<Option<StreamSnapshot>, EngineError> {
-        let router = self.shared.router.read();
-        let shard = router.shard_of(stream);
         let lookup = move |worker: &mut Worker| {
             let state = worker.streams.get(&stream)?;
             Some(worker.stream_snapshot(stream, state))
         };
-        Ok(self.barrier(router, [(shard, lookup)])?.remove(0))
+        Ok(self
+            .barrier([(shard_of(stream, self.num_shards()), lookup)])?
+            .remove(0))
     }
 
     /// Aggregate lifetime counters across all streams, including the
     /// per-shard load breakdown (records ingested, instantaneous queue
-    /// occupancy, batch-latency EWMA, memory) — the observability surface
-    /// behind [`EngineHandle::rebalance`]. Each worker sums its own streams,
-    /// so the handle merges one value per shard; per-stream counts are in
-    /// [`EngineHandle::stream_snapshots`]. `Display` renders it as a compact
-    /// table for CLI dumps.
+    /// occupancy, batch-latency EWMA, memory). Each worker sums its own
+    /// streams, so the handle merges one value per shard; per-stream counts
+    /// are in [`EngineHandle::stream_snapshots`]. `Display` renders it as a
+    /// compact table for CLI dumps.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::ChannelClosed`] when the engine has shut down,
     /// or [`EngineError::Poisoned`] after a worker panic.
     pub fn stats(&self) -> Result<EngineStats, EngineError> {
-        let loads = self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
-            worker.load()
-        })?;
+        let loads = self.barrier_all(|worker: &mut Worker| worker.load())?;
         let depths = self
             .shared
             .queue
@@ -1246,159 +1134,6 @@ impl EngineHandle {
             stats.shards.push(load);
         }
         Ok(stats)
-    }
-
-    /// Recomputes the stream placement from each stream's lifetime records
-    /// and migrates the moved streams' state between shard workers —
-    /// detector, spec, `seq` counter, lifetime stats — atomically with
-    /// respect to every other handle operation.
-    ///
-    /// The plan is greedy bin-packing (longest-processing-time): streams
-    /// sorted by lifetime records (ties by id) are assigned one by one to
-    /// the least-loaded shard. The call acts as its own barrier —
-    /// the migration messages ride the same FIFO queues as records, and the
-    /// router's write lock excludes concurrent submits — so per-stream
-    /// record order, and therefore every future [`DriftEvent`] and its
-    /// `seq`, is exactly what it would have been without the rebalance.
-    /// Moving a stream moves its *future* work only; per-shard lifetime
-    /// `records` counters stay with the workers that did the work.
-    ///
-    /// Returns a [`RebalanceReport`] with the move count and the before /
-    /// after load vectors. When the greedy plan matches the current
-    /// placement the call is a cheap no-op (`moved == 0`, no messages
-    /// beyond the load query).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::ChannelClosed`] when the engine has shut
-    /// down.
-    pub fn rebalance(&self) -> Result<RebalanceReport, EngineError> {
-        let nshards = self.senders.len();
-        let mut router = self.shared.router.write();
-
-        // Load query under the write lock: the answer reflects exactly the
-        // records that will have been processed before the migration cut.
-        let shards = self.barrier_all(&router, |worker: &mut Worker| {
-            worker
-                .streams
-                .iter()
-                .map(|(&stream, state)| (stream, state.seq))
-                .collect::<Vec<_>>()
-        })?;
-        // (stream, current shard, lifetime records)
-        let mut streams: Vec<(u64, usize, u64)> = Vec::new();
-        for (shard, loads) in shards.into_iter().enumerate() {
-            streams.extend(
-                loads
-                    .into_iter()
-                    .map(|(stream, load)| (stream, shard, load)),
-            );
-        }
-
-        let mut load_before = vec![0; nshards];
-        for &(_, shard, load) in &streams {
-            load_before[shard] += load;
-        }
-
-        // Greedy LPT: heaviest stream first onto the least-loaded shard
-        // (ties by lowest shard index). Deterministic for a given load
-        // vector. Streams with **no observed load stay put** — packing them
-        // by LPT would dump every zero onto one shard (adding 0 never
-        // advances the minimum), and there is no evidence to justify moving
-        // them anyway.
-        streams.sort_unstable_by_key(|&(stream, _, load)| (std::cmp::Reverse(load), stream));
-        let mut load_after = vec![0; nshards];
-        let mut assignment: Vec<(u64, usize)> = Vec::with_capacity(streams.len());
-        let mut moves: Vec<(u64, usize, usize)> = Vec::new(); // (stream, from, to)
-        for &(stream, current, load) in &streams {
-            let target = if load > 0 {
-                load_after
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &shard_load)| shard_load)
-                    .map_or(0, |(i, _)| i)
-            } else {
-                current
-            };
-            load_after[target] += load;
-            assignment.push((stream, target));
-            if target != current {
-                moves.push((stream, current, target));
-            }
-        }
-
-        // LPT from scratch is not monotone against an arbitrary existing
-        // placement (e.g. loads {3,3}|{2,2,2} re-pack to {3,2,2}|{3,2}): a
-        // plan that does not *strictly* lower the hottest shard is
-        // discarded and the current placement kept — so rebalance never
-        // makes things worse and repeated calls cannot thrash.
-        if !moves.is_empty() && load_after.iter().max() >= load_before.iter().max() {
-            moves.clear();
-            assignment.clear();
-            assignment.extend(
-                streams
-                    .iter()
-                    .map(|&(stream, current, _)| (stream, current)),
-            );
-            load_after.clone_from(&load_before);
-        }
-
-        let report = RebalanceReport {
-            streams: streams.len(),
-            moved: moves.len(),
-            load_before,
-            load_after,
-        };
-        if moves.is_empty() {
-            return Ok(report);
-        }
-
-        // Extract every moved stream from its source shard (a per-shard
-        // barrier: all previously routed records are already processed when
-        // it runs)...
-        let mut outgoing: Vec<Vec<u64>> = vec![Vec::new(); nshards];
-        for &(stream, from, _) in &moves {
-            outgoing[from].push(stream);
-        }
-        let extract = outgoing
-            .into_iter()
-            .enumerate()
-            .filter(|(_, streams)| !streams.is_empty())
-            .map(|(shard, streams)| (shard, move |worker: &mut Worker| worker.extract(streams)));
-        let mut extracted: HashMap<u64, StreamState> = self
-            .barrier(&router, extract)?
-            .into_iter()
-            .flatten()
-            .collect();
-
-        // ... and install it on its destination.
-        let mut incoming: Vec<Vec<(u64, StreamState)>> = (0..nshards).map(|_| Vec::new()).collect();
-        for &(stream, _, to) in &moves {
-            if let Some(state) = extracted.remove(&stream) {
-                incoming[to].push((stream, state));
-            }
-        }
-        let install = incoming
-            .into_iter()
-            .enumerate()
-            .filter(|(_, states)| !states.is_empty())
-            .map(|(shard, states)| (shard, move |worker: &mut Worker| worker.install(states)));
-        self.barrier(&router, install)?;
-
-        // Only now does the routing table flip: every record submitted
-        // after the write lock releases follows the new placement.
-        router.repin(assignment);
-
-        // A migration changes stream → shard ownership, which the WAL
-        // cannot express (segments are per-shard and replay in shard
-        // order). Cutting a checkpoint at the migration barrier — while
-        // the router write lock still excludes new records — keeps
-        // recovery exact: everything before the move is covered by the
-        // checkpoint, everything after logs under the new owner.
-        if self.shared.checkpoint.is_some() {
-            self.run_checkpoint(false, true)?;
-        }
-        Ok(report)
     }
 
     /// Cuts a checkpoint **now**, as a barrier: everything submitted by
@@ -1419,24 +1154,18 @@ impl EngineHandle {
     /// engine has shut down, or [`EngineError::Poisoned`] after a worker
     /// panic.
     pub fn checkpoint(&self) -> Result<CheckpointReport, EngineError> {
-        self.run_checkpoint(false, false)
+        self.run_checkpoint(false)
     }
 
     /// The checkpoint cycle shared by [`EngineHandle::checkpoint`], the
-    /// flush cadence and the rebalance hook. `router_locked` is `true` when
-    /// the caller already holds the router write lock (rebalance) —
-    /// `std::sync::RwLock` is not reentrant.
+    /// flush cadence and the build's initial full checkpoint.
     ///
     /// Write ordering is the crash-safety contract: delta/base file first,
     /// manifest (the commit point) second, garbage collection last — and
     /// every file lands via write-to-temp + rename. A crash between any
     /// two steps leaves the previous manifest authoritative and the WAL
     /// segments it needs intact.
-    pub(crate) fn run_checkpoint(
-        &self,
-        force_full: bool,
-        router_locked: bool,
-    ) -> Result<CheckpointReport, EngineError> {
+    pub(crate) fn run_checkpoint(&self, force_full: bool) -> Result<CheckpointReport, EngineError> {
         let Some(state_mutex) = &self.shared.checkpoint else {
             return Err(EngineError::Checkpoint(
                 "engine was built without a checkpoint directory \
@@ -1450,12 +1179,9 @@ impl EngineHandle {
 
         // The capture barrier: every worker finalizes its WAL segment,
         // rotates to generation + 1 and returns its (dirty or full) entry
-        // set. Holding the checkpoint lock serializes concurrent cuts;
-        // the router read lock keeps the shard set stable underneath.
-        let router = (!router_locked).then(|| self.shared.router.read());
-        let captures = self.barrier_all(router, move |worker: &mut Worker| {
-            worker.checkpoint_capture(generation, full)
-        });
+        // set. Holding the checkpoint lock serializes concurrent cuts.
+        let captures = self
+            .barrier_all(move |worker: &mut Worker| worker.checkpoint_capture(generation, full));
         // Past the barrier, shards have already cleared dirty bits; any
         // failure before the manifest lands marks the state degraded so the
         // next checkpoint writes a full base instead of a (possibly
@@ -1490,8 +1216,8 @@ impl EngineHandle {
     /// [`crate::EngineBuilder::restore`], which needs no configuration: the
     /// snapshot embeds `{spec, state}` per stream (see
     /// [`EngineSnapshot::is_self_describing`]). Each entry also records the
-    /// stream's **shard placement**, so a restore reproduces a rebalanced
-    /// (tuned) routing table instead of resetting to modulo.
+    /// stream's shard, as provenance: a restore places every stream on
+    /// `id % shards` of the restoring engine.
     ///
     /// Always writes wire format v4: detector windows and bucket rows are
     /// embedded as base64 binary blobs (bit-packed / fixed-point-delta /
@@ -1505,9 +1231,7 @@ impl EngineHandle {
     /// Returns [`EngineError::ChannelClosed`] when the engine has shut
     /// down, or [`EngineError::Poisoned`] after a worker panic.
     pub fn snapshot(&self) -> Result<EngineSnapshot, EngineError> {
-        let shards = self.barrier_all(self.shared.router.read(), |worker: &mut Worker| {
-            worker.snapshot(|_| true)
-        })?;
+        let shards = self.barrier_all(|worker: &mut Worker| worker.snapshot(|_| true))?;
         let mut streams: Vec<StreamStateSnapshot> = shards.into_iter().flatten().collect();
         streams.sort_unstable_by_key(|s| s.stream);
         Ok(EngineSnapshot {
@@ -1537,14 +1261,9 @@ impl EngineHandle {
     /// Returns [`EngineError::Poisoned`] when a worker thread panicked, or
     /// the first pending ingestion error (as [`EngineHandle::flush`]).
     pub fn shutdown(&self) -> Result<(), EngineError> {
-        {
-            // Taken so a shutdown cannot cut a concurrent migration in
-            // half (the write lock is held across extract + install).
-            let _router = self.shared.router.read();
-            for sender in &self.senders {
-                // A closed channel means the worker is already gone — fine.
-                let _ = sender.send(ShardMsg::Shutdown);
-            }
+        for sender in &self.senders {
+            // A closed channel means the worker is already gone — fine.
+            let _ = sender.send(ShardMsg::Shutdown);
         }
         let workers: Vec<JoinHandle<()>> = {
             let mut guard = self

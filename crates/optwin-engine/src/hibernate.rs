@@ -25,11 +25,10 @@
 //! Every stream can hibernate: each carries the [`DetectorSpec`] its
 //! detector is rebuilt from, and every detector snapshots its state.
 //! Hibernated streams stay first-class: they
-//! migrate across shards during [`crate::EngineHandle::rebalance`] (the
-//! blob moves instead of the detector), appear in queries and stats with a
-//! `hibernated` flag, and persist inside engine snapshots *without being
-//! woken* — their blob is embedded verbatim, and a restoring builder with
-//! hibernation configured re-creates them still asleep.
+//! appear in queries and stats with a `hibernated` flag, and persist inside
+//! engine snapshots *without being woken* — their blob is embedded
+//! verbatim, and a restoring builder with hibernation configured re-creates
+//! them still asleep.
 //!
 //! The tier composes with the [`crate::checkpoint`] durability subsystem
 //! (wire v5) through the per-stream dirty bit: falling asleep is a state

@@ -8,12 +8,12 @@
 //!   [`optwin_baselines::DetectorSpec`] for unknown stream ids
 //!   ([`EngineBuilder::default_spec`]), warning policy, event sinks and
 //!   queue capacity, then spawns **one long-lived worker thread per
-//!   shard**. Each stream is owned by exactly one shard at a time —
-//!   `id % shards` unless a restore or a rebalance placed it elsewhere — so
-//!   per-stream order is preserved with no locking. Heterogeneous fleets
-//!   mix specs per stream via [`EngineBuilder::stream_spec`] /
-//!   [`EngineHandle::register_stream_spec`], and
-//!   [`EngineHandle::stream_spec`] reports what a live stream is running.
+//!   shard**. Each stream is owned by shard `id % shards` for the life of
+//!   the engine, so per-stream order is preserved with no locking.
+//!   Heterogeneous fleets mix specs per stream via
+//!   [`EngineBuilder::stream_spec`] / [`EngineHandle::register_stream_spec`],
+//!   and [`EngineHandle::stream_spec`] reports what a live stream is
+//!   running.
 //! * [`EngineHandle`] — cheaply cloneable and thread-safe — is the front
 //!   door: [`EngineHandle::submit`] partitions a `(stream id, value)` record
 //!   batch onto bounded per-shard queues and **returns immediately**,
@@ -24,22 +24,17 @@
 //!   (collect and drain in-process), [`JsonLinesSink`] (serialize to a
 //!   writer/file), [`CallbackSink`] (invoke a closure) — or any custom
 //!   implementation.
-//! * Stream placement is a first-class **routing table**: streams route to
-//!   `id % shards` by default, and [`EngineHandle::rebalance`] recomputes
-//!   the placement from each stream's lifetime records, migrating each
-//!   moved stream's state between workers at a barrier — event streams and
-//!   per-stream `seq` stay bit-exact. [`EngineHandle::stats`] exposes the
-//!   per-shard load (records, queue occupancy, batch-latency EWMA) behind
-//!   the decision, each shard summing its own streams;
-//!   [`EngineHandle::stream_snapshots`] is the per-stream view.
+//! * [`EngineHandle::stats`] exposes the per-shard load (records, queue
+//!   occupancy, batch-latency EWMA, memory), each shard summing its own
+//!   streams; [`EngineHandle::stream_snapshots`] is the per-stream view.
 //! * [`EngineHandle::snapshot`] serializes every stream's detector state
 //!   into an [`EngineSnapshot`]; [`EngineBuilder::restore`] rebuilds a
 //!   fresh engine that makes **identical subsequent decisions**, so a
 //!   restarted process resumes mid-stream. Snapshots embed
 //!   `{spec, state, shard}` per stream (wire format v4, windows as compact
-//!   binary blobs) and restore with **no caller-side configuration**,
-//!   reproducing a rebalanced placement; every detector kind serializes
-//!   its state bit-exactly. v1–v3 snapshots still load.
+//!   binary blobs) and restore with **no caller-side configuration**; every
+//!   detector kind serializes its state bit-exactly. v1–v3 snapshots still
+//!   load.
 //! * Whole fleets load from config files: [`FleetConfig`] parses a JSON
 //!   map of `stream id → spec string`, and [`EngineBuilder::stream_spec`]
 //!   registers each entry.
@@ -115,7 +110,6 @@ mod fleet;
 mod handle;
 pub mod hibernate;
 mod persist;
-mod router;
 mod sink;
 
 pub use builder::{default_shards, EngineBuilder, DEFAULT_QUEUE_CAPACITY};
@@ -126,7 +120,7 @@ pub use checkpoint::{
 pub use error::{EngineError, StreamSnapshot};
 pub use event::DriftEvent;
 pub use fleet::FleetConfig;
-pub use handle::{EngineHandle, EngineStats, RebalanceReport, ShardLoad};
+pub use handle::{EngineHandle, EngineStats, ShardLoad};
 pub use hibernate::HibernationPolicy;
 pub use persist::{EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
 pub use sink::{CallbackSink, EventSink, JsonLinesSink, MemorySink};

@@ -25,17 +25,13 @@
 //! the restoring builder's default spec, or through specs the caller fills
 //! into each [`StreamStateSnapshot::spec`] before restoring.
 //!
-//! # Wire format v3: placement-preserving streams
+//! # Wire format v3: the shard recorded as provenance
 //!
 //! Since format version 3 every stream entry additionally records the
-//! **shard** it lived on (`{spec, state, shard}`), so a restore reproduces
-//! a placement tuned by [`crate::EngineHandle::rebalance`] instead of
-//! resetting it to modulo. The restoring builder seeds its routing table
-//! with `persisted_shard % shards` per stream — exact when the new engine
-//! has at least as many shards as the old one, a deterministic fold
-//! otherwise — and streams with no recorded shard (v1/v2 snapshots) fall
-//! back to the `id % shards` default, so older snapshots keep loading
-//! unchanged.
+//! **shard** it lived on (`{spec, state, shard}`). Like the snapshot's
+//! shard count, it is provenance: the restoring builder places every
+//! stream on `id % shards`, whatever the entry records, and entries
+//! without one (v1/v2 snapshots) load the same way.
 //!
 //! # Wire format v4: compact binary window payloads
 //!
@@ -77,12 +73,12 @@
 //! hibernated}` entries, reusing this module's serialization verbatim), and
 //! per-shard write-ahead-log segments covering the records since the last
 //! barrier. Shard workers track a per-stream **dirty bit** — set on
-//! creation, after every ingested batch, on hibernation transitions and on
-//! migration, cleared only when a checkpoint captures the stream — which is
-//! what makes the overlays sparse. Recovery merges base → overlays → WAL
-//! tail through the ordinary restore path of this module, so everything
-//! above about bit-exactness, self-describing restore, placement and
-//! hibernated entries applies to recovered fleets unchanged.
+//! creation, after every ingested batch and on hibernation transitions,
+//! cleared only when a checkpoint captures the stream — which is what
+//! makes the overlays sparse. Recovery merges base → overlays → WAL tail
+//! through the ordinary restore path of this module, so everything above
+//! about bit-exactness, self-describing restore, placement and hibernated
+//! entries applies to recovered fleets unchanged.
 
 use optwin_baselines::DetectorSpec;
 use serde::{Deserialize, Serialize};
@@ -97,9 +93,9 @@ use crate::error::EngineError;
 /// * **v2** — adds the per-stream `spec`, making snapshots
 ///   self-describing. v1 snapshots still parse and restore (through a
 ///   default spec or caller-filled specs).
-/// * **v3** — adds the optional per-stream `shard`, making restore
-///   placement-preserving (a rebalanced routing table survives a restart).
-///   v1/v2 snapshots still parse and restore, defaulting to `id % shards`.
+/// * **v3** — adds the optional per-stream `shard`, recorded as
+///   provenance (restores place every stream on `id % shards`). v1/v2
+///   snapshots still parse and restore.
 /// * **v4** — detector states embed window/bucket payloads as compact
 ///   binary blobs instead of JSON number arrays. The only layout written
 ///   since the v1–v3 JSON-array writer was retired; v1–v3 snapshots still
@@ -131,8 +127,8 @@ pub struct StreamStateSnapshot {
     /// spec ([`crate::EngineBuilder::restore`]).
     pub spec: Option<DetectorSpec>,
     /// The shard the stream lived on when the snapshot was taken (`None`
-    /// for v1/v2 snapshots). Restores re-pin the stream to
-    /// `shard % new_shard_count`.
+    /// for v1/v2 snapshots). Provenance only: a restore places the stream
+    /// on `id % shards` of the restoring engine.
     pub shard: Option<usize>,
     /// The detector state from
     /// [`optwin_core::DriftDetector::snapshot_state`].
@@ -242,14 +238,6 @@ impl EngineSnapshot {
         self.streams.iter().all(|s| s.spec.is_some())
     }
 
-    /// `true` when every stream records its shard placement (wire format
-    /// v3), i.e. a restore reproduces the producing engine's routing table
-    /// instead of re-pinning by `id % shards`.
-    #[must_use]
-    pub fn records_placement(&self) -> bool {
-        self.streams.iter().all(|s| s.shard.is_some())
-    }
-
     /// Serializes the snapshot to compact JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -353,7 +341,6 @@ mod tests {
         assert_eq!(snapshot.streams[0].spec, None);
         assert_eq!(snapshot.streams[0].shard, None);
         assert!(!snapshot.is_self_describing());
-        assert!(!snapshot.records_placement());
     }
 
     #[test]
@@ -368,7 +355,6 @@ mod tests {
         assert_eq!(snapshot.version, 2);
         assert!(snapshot.is_self_describing());
         assert_eq!(snapshot.streams[0].shard, None);
-        assert!(!snapshot.records_placement());
     }
 
     #[test]
@@ -389,11 +375,10 @@ mod tests {
     }
 
     #[test]
-    fn self_describing_and_placement_detection() {
+    fn self_describing_detection() {
         let mut snapshot = sample();
         snapshot.streams.truncate(1);
         assert!(snapshot.is_self_describing());
-        assert!(snapshot.records_placement());
     }
 
     #[test]

@@ -32,12 +32,11 @@ use crate::event::DriftEvent;
 /// A consumer of [`DriftEvent`]s, shared by all engine worker threads.
 ///
 /// Implementations must **not call back into the emitting engine's own
-/// [`crate::EngineHandle`]** (submit, flush, stats, rebalance, …) from
+/// [`crate::EngineHandle`]** (submit, flush, stats, …) from
 /// [`EventSink::emit`] or [`EventSink::flush`]: sinks run inline on the
-/// worker threads, and a concurrent [`crate::EngineHandle::rebalance`]
-/// excludes every handle operation while it waits for those same workers —
-/// a reentrant call can deadlock the engine. Forward events to *another*
-/// engine, a channel, or a buffer instead.
+/// worker threads, and a barrier — or a submit into a full queue — sent
+/// from a worker would wait on that worker itself, deadlocking the engine.
+/// Forward events to *another* engine, a channel, or a buffer instead.
 pub trait EventSink: Send + Sync {
     /// Consumes one event. Called by engine workers as soon as a detector
     /// fires; implementations must not block for long.

@@ -9,7 +9,7 @@
 //! |--------|----------|
 //! | [`core`] | the OPTWIN detector, the batch-first [`core::DriftDetector`] trait, optimal-cut tables and their process-wide registry |
 //! | [`baselines`] | ADWIN, DDM, EDDM, STEPD, ECDD, Page–Hinkley, KSWIN |
-//! | [`engine`] | the service-style multi-stream engine: [`engine::EngineBuilder`] → worker threads + [`engine::EngineHandle`], pluggable [`engine::EventSink`]s, snapshot/restore, load-aware rebalancing, hibernation and checkpoints |
+//! | [`engine`] | the service-style multi-stream engine: [`engine::EngineBuilder`] → worker threads + [`engine::EngineHandle`], pluggable [`engine::EventSink`]s, snapshot/restore, per-shard load stats, hibernation and checkpoints |
 //! | [`stream`] | STAGGER, AGRAWAL and RandomRBF generators, multi-concept drift composition, error streams |
 //! | [`learners`] | Naive Bayes, MLP, adaptive wrappers |
 //! | [`eval`] | drift metrics, experiment runners for every table/figure |
@@ -70,7 +70,7 @@ pub use optwin_core::{
 pub use optwin_engine::{
     load_checkpoint_dir, CallbackSink, CheckpointPolicy, CheckpointReport, DriftEvent,
     EngineBuilder, EngineHandle, EngineSnapshot, EngineStats, EventSink, FleetConfig,
-    HibernationPolicy, JsonLinesSink, MemorySink, RebalanceReport, ShardLoad,
+    HibernationPolicy, JsonLinesSink, MemorySink, ShardLoad,
 };
 pub use optwin_eval::{
     default_lineup, paper_lineup, run_driftbench, run_table1, DriftbenchCell, DriftbenchConfig,

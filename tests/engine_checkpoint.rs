@@ -271,8 +271,9 @@ impl EventSink for PoisonPill {
     }
 }
 
-/// A shard worker dies by panic in the middle of a batch; `flush`, `submit`
-/// and `shutdown` report [`EngineError::Poisoned`]; the directory recovers
+/// A shard worker dies by panic in the middle of a batch; `flush`,
+/// `submit`, the queries, registration and `shutdown` report
+/// [`EngineError::Poisoned`]; the directory recovers
 /// bit-exactly — including the dead worker's streams, whose fatal batch
 /// was write-ahead logged before they saw it.
 #[test]
@@ -334,6 +335,12 @@ fn poisoned_worker_recovery_is_bit_exact() {
     assert_eq!(handle.flush(), Err(EngineError::Poisoned));
     // Ingestion names the same cause as the barriers, and enqueues nothing.
     assert_eq!(handle.submit(&[(0, 0.5)]), Err(EngineError::Poisoned));
+    // So do the queries and registration, whichever shard they reach.
+    assert_eq!(handle.stream_snapshots(), Err(EngineError::Poisoned));
+    assert_eq!(
+        handle.register_stream_spec(PILL + 1, spec_of(0)),
+        Err(EngineError::Poisoned)
+    );
     assert_eq!(handle.shutdown(), Err(EngineError::Poisoned));
 
     // Recovery needs no configuration: every stream, the one registered at

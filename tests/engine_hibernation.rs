@@ -5,8 +5,8 @@
 //! going cold, compressing to blobs, waking on their next record, possibly
 //! several times — must emit *byte-identical* events (and `seq` numbers,
 //! and final state snapshots) to the same fleet with hibernation disabled.
-//! Everything else (stats accounting, persistence of sleeping fleets,
-//! migration of sleeping streams across shards) layers on top of that.
+//! Everything else (stats accounting, persistence of sleeping fleets)
+//! layers on top of that.
 
 use std::sync::Arc;
 
@@ -222,7 +222,10 @@ fn hibernation_frees_memory_and_stats_account_for_it() {
             snapshot.stream
         );
         assert!(snapshot.mem_bytes > 0);
-        assert_eq!(handle.shard_of(snapshot.stream), snapshot.shard);
+        assert_eq!(
+            snapshot.shard,
+            snapshot.stream as usize % handle.num_shards()
+        );
     }
     let rendered = cold.to_string();
     assert!(
@@ -402,44 +405,4 @@ fn memory_audit_table() {
         );
         handle.shutdown().expect("shutdown");
     }
-}
-
-#[test]
-fn hibernated_streams_migrate_across_shards_intact() {
-    let (handle, sink) = build_fleet(Some(HibernationPolicy::cold_after_flushes(1)));
-    let (reference, ref_sink) = build_fleet(None);
-
-    // Skewed load: streams on shard 0 (ids ≡ 0 mod 4) do 10× the work.
-    let feed = |h: &optwin::EngineHandle, lo: u64, hi: u64| {
-        let mut records = Vec::new();
-        for stream in 0..24u64 {
-            let n = if stream % 4 == 0 { 400 } else { 40 };
-            for i in lo * n..hi * n {
-                records.push((stream, element(stream, i, n)));
-            }
-        }
-        h.submit(&records).expect("submit");
-        h.flush().expect("flush");
-    };
-    feed(&handle, 0, 1);
-    feed(&reference, 0, 1);
-
-    // Everything asleep, then rebalance: blobs — not detectors — migrate.
-    handle.flush().expect("flush");
-    assert_eq!(handle.stats().expect("stats").hibernated_streams(), 24);
-    let report = handle.rebalance().expect("rebalance");
-    assert!(report.moved > 0, "skewed load should trigger moves");
-    let stats = handle.stats().expect("stats");
-    assert_eq!(
-        stats.hibernated_streams(),
-        24,
-        "migration must not wake sleeping streams"
-    );
-
-    // The migrated sleepers wake on their new shards with intact state.
-    feed(&handle, 1, 2);
-    feed(&reference, 1, 2);
-    handle.shutdown().expect("shutdown");
-    reference.shutdown().expect("shutdown");
-    assert_eq!(sorted(sink.drain()), sorted(ref_sink.drain()));
 }

@@ -1,18 +1,18 @@
-//! End-to-end tests of dynamic stream routing: load-aware rebalancing,
-//! observable per-shard load, and the placement-preserving v3 snapshot
-//! format — run through the public facade exactly as a downstream user
-//! would.
+//! End-to-end tests of stream placement and per-shard load, run through
+//! the public facade exactly as a downstream user would.
 //!
+//! Every stream lives on shard `id % shards` for the life of its engine.
 //! The headline properties:
 //!
-//! * **Rebalance equivalence** — migrating streams between shards at flush
-//!   barriers produces bit-exact `DriftEvent` streams (same events, same
-//!   per-stream `seq`) versus a never-rebalanced run, on a skewed (Zipf-ish)
-//!   workload and under proptest-generated interleavings of submits,
-//!   registrations, rebalances and flushes against a 1-shard reference.
-//! * **Placement persistence** — a v3 snapshot records the rebalanced
-//!   placement and a restore reproduces it; v2/v1 snapshots still load,
-//!   defaulting to `id % shards`.
+//! * **Shard-count equivalence** — proptest-generated interleavings of
+//!   submits, registrations and flushes on a sharded engine yield exactly
+//!   the events (same per-stream `seq`) of a 1-shard reference.
+//! * **Restores place by id** — the `shard` a snapshot entry records is
+//!   provenance: a restore at any shard count puts every stream on
+//!   `id % shards`, and v2 snapshots, which record none, load the same way.
+//! * **Observable load** — `stats()` reports per-shard records, queue
+//!   occupancy and batch EWMA, and a fleet config file builds a running
+//!   engine.
 
 use std::sync::Arc;
 
@@ -95,97 +95,11 @@ fn skewed_engine(shards: usize) -> (EngineHandle, Arc<MemorySink>) {
     (handle, sink)
 }
 
-/// The skewed-load acceptance test: rebalancing mid-run (at flush
-/// barriers) moves streams, reduces the record-load imbalance, and changes
-/// **nothing** about the emitted events.
-#[test]
-fn skewed_load_rebalance_is_bit_exact_and_balances() {
-    let shards = test_shards();
+const CUT: usize = 3_200;
 
-    // Never-rebalanced reference.
-    let (reference, reference_sink) = skewed_engine(shards);
-    reference
-        .submit(&skewed_chunk(0, SKEW_TOTAL))
-        .expect("engine running");
-    reference.flush().expect("no ingestion errors");
-    let reference_events = canonical(reference_sink.drain());
-    let reference_stats = reference.stats().expect("engine running");
-    let reference_records = stream_records(&reference);
-    reference.shutdown().expect("clean shutdown");
-
-    // Rebalanced run: four segments, a rebalance at each boundary.
-    let (rebalanced, rebalanced_sink) = skewed_engine(shards);
-    let mut moved_total = 0;
-    for (from, to) in [
-        (0, 1_500),
-        (1_500, 3_000),
-        (3_000, 4_500),
-        (4_500, SKEW_TOTAL),
-    ] {
-        rebalanced
-            .submit(&skewed_chunk(from, to))
-            .expect("engine running");
-        rebalanced.flush().expect("no ingestion errors");
-        let report = rebalanced.rebalance().expect("engine running");
-        assert_eq!(report.streams, SKEW_STREAMS as usize);
-        moved_total += report.moved;
-        if shards > 1 {
-            // The greedy plan can never be worse than what it replaces.
-            assert!(
-                report.load_after.iter().max() <= report.load_before.iter().max(),
-                "{report}"
-            );
-        }
-    }
-    let rebalanced_events = canonical(rebalanced_sink.drain());
-    let rebalanced_stats = rebalanced.stats().expect("engine running");
-    let rebalanced_records = stream_records(&rebalanced);
-
-    if shards > 1 {
-        assert!(
-            moved_total > 0,
-            "Zipf skew over modulo placement must trigger migrations"
-        );
-        assert!(
-            rebalanced.rerouted_streams() > 0,
-            "moved streams must be pinned in the routing table"
-        );
-        // The routing table keeps answering for every stream, moved or not.
-        for stream in 0..SKEW_STREAMS {
-            let stats = rebalanced
-                .stream_stats(stream)
-                .expect("engine running")
-                .expect("stream registered");
-            assert_eq!(stats.shard, rebalanced.shard_of(stream));
-        }
-        // Record-load balance improved over the static placement.
-        assert!(
-            rebalanced_stats.imbalance() <= reference_stats.imbalance() + 1e-9,
-            "imbalance {:.3} (rebalanced) vs {:.3} (static)",
-            rebalanced_stats.imbalance(),
-            reference_stats.imbalance()
-        );
-    }
-    rebalanced.shutdown().expect("clean shutdown");
-
-    // The core contract: not a single event differs.
-    assert!(
-        !reference_events.is_empty(),
-        "workload should produce drift events"
-    );
-    assert_eq!(rebalanced_events, reference_events);
-    // Per-stream element counts agree too.
-    assert_eq!(rebalanced_records, reference_records);
-}
-
-/// A v3 snapshot taken after a rebalance records the tuned placement, and a
-/// restore reproduces it — along with bit-exact remaining events.
-#[test]
-fn v3_snapshot_round_trips_rebalanced_placement() {
-    const CUT: usize = 3_200;
-    let shards = test_shards();
-
-    // Uninterrupted, never-rebalanced reference.
+/// The events of an uninterrupted run, plus the events and the snapshot of
+/// a run stopped at `CUT`.
+fn run_to_cut(shards: usize) -> (Vec<DriftEvent>, Vec<DriftEvent>, EngineSnapshot) {
     let (reference, reference_sink) = skewed_engine(shards);
     reference
         .submit(&skewed_chunk(0, SKEW_TOTAL))
@@ -194,112 +108,95 @@ fn v3_snapshot_round_trips_rebalanced_placement() {
     let reference_events = canonical(reference_sink.drain());
     reference.shutdown().expect("clean shutdown");
 
-    // Original: feed to CUT, rebalance, snapshot, tear down.
     let (original, original_sink) = skewed_engine(shards);
     original
         .submit(&skewed_chunk(0, CUT))
         .expect("engine running");
     original.flush().expect("no ingestion errors");
-    original.rebalance().expect("engine running");
-    let placement: Vec<usize> = (0..SKEW_STREAMS).map(|s| original.shard_of(s)).collect();
-    let rerouted = original.rerouted_streams();
     let early_events = canonical(original_sink.drain());
     let snapshot = original.snapshot().expect("snapshot-capable");
     original.shutdown().expect("clean shutdown");
-    assert!(snapshot.is_self_describing());
-    assert!(snapshot.records_placement());
-    for entry in &snapshot.streams {
-        assert_eq!(entry.shard, Some(placement[entry.stream as usize]));
-    }
+    (reference_events, early_events, snapshot)
+}
 
-    // Restore through JSON into the same shard count: placement survives.
-    let snapshot = EngineSnapshot::from_json(&snapshot.to_json()).expect("well-formed JSON");
-    let restored_sink = Arc::new(MemorySink::new());
+/// Restores `snapshot` into a fresh engine with `shards` shards and feeds
+/// it the rest of the workload. Returns each stream's `(id, shard)` after
+/// the restore, and the events of the rest.
+fn resume(snapshot: EngineSnapshot, shards: usize) -> (Vec<(u64, usize)>, Vec<DriftEvent>) {
+    let sink = Arc::new(MemorySink::new());
     let restored = EngineBuilder::new()
         .shards(shards)
-        .sink(Arc::clone(&restored_sink) as Arc<dyn EventSink>)
+        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
         .restore(snapshot)
         .build()
         .expect("self-describing snapshot needs no configuration");
-    let restored_placement: Vec<usize> = (0..SKEW_STREAMS).map(|s| restored.shard_of(s)).collect();
-    assert_eq!(
-        restored_placement, placement,
-        "placement must survive restore"
-    );
-    assert_eq!(restored.rerouted_streams(), rerouted);
-    for stream in 0..SKEW_STREAMS {
-        let stats = restored
-            .stream_stats(stream)
-            .expect("engine running")
-            .expect("restored");
-        assert_eq!(stats.shard, placement[stream as usize]);
-    }
-
-    // ... and the remaining events are exactly the reference's.
+    let placement = restored
+        .stream_snapshots()
+        .expect("engine running")
+        .into_iter()
+        .map(|s| (s.stream, s.shard))
+        .collect();
     restored
         .submit(&skewed_chunk(CUT, SKEW_TOTAL))
         .expect("engine running");
     restored.flush().expect("no ingestion errors");
-    let late_events = canonical(restored_sink.drain());
     restored.shutdown().expect("clean shutdown");
-    let mut stitched = early_events;
-    stitched.extend(late_events);
-    assert_eq!(canonical(stitched), reference_events);
+    (placement, canonical(sink.drain()))
 }
 
-/// v2 snapshots (no `shard` entries) still restore — placement falls back
-/// to the `id % shards` default, decisions stay bit-exact.
+/// Every stream on `id % shards`.
+fn modulo_placement(shards: usize) -> Vec<(u64, usize)> {
+    (0..SKEW_STREAMS)
+        .map(|stream| (stream, stream as usize % shards))
+        .collect()
+}
+
+/// The `shard` a snapshot entry records does not move its stream: with
+/// every entry's shard rotated away from `id % shards`, a restore at the
+/// recorded shard count and at one more still puts each stream on
+/// `id % shards`, and the stitched events equal an uninterrupted run's.
+#[test]
+fn recorded_shards_do_not_move_restored_streams() {
+    let shards = test_shards();
+    let (reference_events, early_events, mut snapshot) = run_to_cut(shards);
+    for entry in &mut snapshot.streams {
+        let stream = entry.stream as usize;
+        assert_eq!(entry.shard, Some(stream % shards), "the writer records it");
+        entry.shard = Some((stream + 1) % shards);
+    }
+    let snapshot = EngineSnapshot::from_json(&snapshot.to_json()).expect("well-formed JSON");
+
+    for restore_shards in [shards, shards + 1] {
+        let (placement, late_events) = resume(snapshot.clone(), restore_shards);
+        assert_eq!(placement, modulo_placement(restore_shards));
+        let mut stitched = early_events.clone();
+        stitched.extend(late_events);
+        assert_eq!(
+            canonical(stitched),
+            reference_events,
+            "restored at {restore_shards} shards"
+        );
+    }
+}
+
+/// v2 snapshots (no `shard` entries) still restore, onto `id % shards`,
+/// and decisions stay bit-exact.
 #[test]
 fn v2_snapshots_restore_with_modulo_placement() {
-    const CUT: usize = 3_200;
     let shards = test_shards();
+    let (reference_events, early_events, mut v2) = run_to_cut(shards);
 
-    let (reference, reference_sink) = skewed_engine(shards);
-    reference
-        .submit(&skewed_chunk(0, SKEW_TOTAL))
-        .expect("engine running");
-    reference.flush().expect("no ingestion errors");
-    let reference_events = canonical(reference_sink.drain());
-    reference.shutdown().expect("clean shutdown");
-
-    let (original, original_sink) = skewed_engine(shards);
-    original
-        .submit(&skewed_chunk(0, CUT))
-        .expect("engine running");
-    original.flush().expect("no ingestion errors");
-    original.rebalance().expect("engine running");
-    let early_events = canonical(original_sink.drain());
-    let snapshot = original.snapshot().expect("snapshot-capable");
-    original.shutdown().expect("clean shutdown");
-
-    // Downgrade to wire format v2: strip the placement entries.
-    let mut v2 = snapshot;
+    // Downgrade to wire format v2: strip the shard entries.
     v2.version = 2;
     for stream in &mut v2.streams {
         stream.shard = None;
     }
     let v2 = EngineSnapshot::from_json(&v2.to_json()).expect("v2 parses");
     assert_eq!(v2.version, 2);
-    assert!(!v2.records_placement());
+    assert!(v2.streams.iter().all(|entry| entry.shard.is_none()));
 
-    let restored_sink = Arc::new(MemorySink::new());
-    let restored = EngineBuilder::new()
-        .shards(shards)
-        .sink(Arc::clone(&restored_sink) as Arc<dyn EventSink>)
-        .restore(v2)
-        .build()
-        .expect("v2 snapshots still restore");
-    // No placement info ⇒ everything on its modulo shard, no pins.
-    assert_eq!(restored.rerouted_streams(), 0);
-    for stream in 0..SKEW_STREAMS {
-        assert_eq!(restored.shard_of(stream), (stream as usize) % shards);
-    }
-    restored
-        .submit(&skewed_chunk(CUT, SKEW_TOTAL))
-        .expect("engine running");
-    restored.flush().expect("no ingestion errors");
-    let late_events = canonical(restored_sink.drain());
-    restored.shutdown().expect("clean shutdown");
+    let (placement, late_events) = resume(v2, shards);
+    assert_eq!(placement, modulo_placement(shards));
     let mut stitched = early_events;
     stitched.extend(late_events);
     assert_eq!(canonical(stitched), reference_events);
@@ -432,8 +329,6 @@ mod churn_property {
         /// Register a stream id declaratively (may collide — both engines
         /// must agree on the outcome).
         Register(u64),
-        /// Rebalance.
-        Rebalance,
         /// Flush barrier.
         Flush,
     }
@@ -462,7 +357,6 @@ mod churn_property {
             prop_oneof![
                 (0u64..1_000).prop_map(Op::Submit),
                 (0u64..12).prop_map(Op::Register),
-                (0u8..2).prop_map(|_| Op::Rebalance),
                 (0u8..2).prop_map(|_| Op::Flush),
             ],
             2..24,
@@ -490,9 +384,6 @@ mod churn_property {
                         .expect("valid spec");
                     register_outcomes.push(handle.register_stream_spec(*stream, kswin).is_ok());
                 }
-                Op::Rebalance => {
-                    handle.rebalance().expect("engine running");
-                }
                 Op::Flush => handle.flush().expect("no ingestion errors"),
             }
         }
@@ -510,9 +401,9 @@ mod churn_property {
     }
 
     proptest! {
-        /// Any interleaving of submits / registrations / rebalances /
-        /// flushes on a sharded engine yields exactly the event sequence of
-        /// a 1-shard reference engine running the same ops.
+        /// Any interleaving of submits / registrations / flushes on a
+        /// sharded engine yields exactly the event sequence of a 1-shard
+        /// reference engine running the same ops.
         #[test]
         fn churn_matches_single_shard_reference(
             ops in arb_ops(),

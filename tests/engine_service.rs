@@ -757,8 +757,8 @@ fn heterogeneous_spec_fleet_restores_without_any_factory() {
     assert_eq!(snapshot.stream_count(), STREAMS as usize);
     assert!(snapshot.is_self_describing());
     assert!(
-        snapshot.records_placement(),
-        "v3 snapshots record placement"
+        snapshot.streams.iter().all(|entry| entry.shard.is_some()),
+        "the writer records each stream's shard"
     );
 
     // Restore through JSON into a differently-sharded engine with NO

@@ -303,7 +303,10 @@ fn golden_corpus_restores_bit_exact() {
         assert_eq!(snapshot.version, version, "fixture v{version} self-reports");
         assert_eq!(snapshot.stream_count(), STREAMS as usize);
         assert_eq!(snapshot.is_self_describing(), version >= 2);
-        assert_eq!(snapshot.records_placement(), version >= 3);
+        assert_eq!(
+            snapshot.streams.iter().all(|entry| entry.shard.is_some()),
+            version >= 3
+        );
 
         // v1 predates embedded specs: the caller fills in the fleet's.
         for entry in &mut snapshot.streams {
