@@ -75,9 +75,9 @@ fn bench_cut_tables(c: &mut Criterion) {
     group.finish();
 
     // What a plain engine user waits for in a fresh process: from an empty
-    // process-wide registry, build a 2-shard engine with the paper-default
-    // OPTWIN spec (`build` fills its 25k table), feed one stream 1 000
-    // records, flush and shut down.
+    // process-wide registry, build a 2-shard engine with one stream on the
+    // paper-default OPTWIN spec (`build` fills its 25k table), feed it
+    // 1 000 records, flush and shut down.
     let mut group = c.benchmark_group("cold_start");
     group.sample_size(10);
     let spec: DetectorSpec = "optwin".parse().expect("valid spec");
@@ -89,7 +89,7 @@ fn bench_cut_tables(c: &mut Criterion) {
             CutTableRegistry::global().clear();
             let engine = EngineBuilder::new()
                 .shards(2)
-                .default_spec(spec.clone())
+                .stream_spec(0, spec.clone())
                 .build()
                 .expect("valid engine");
             engine.submit(&records).expect("engine running");

@@ -53,10 +53,12 @@ fn unit(i: u64) -> f64 {
 /// `w_max = 25_000`, fed `elements` binary error indicators each.
 fn filled_fleet(streams: u64, elements: usize) -> EngineHandle {
     let spec: DetectorSpec = "optwin:rho=0.5,w_max=25000".parse().expect("valid spec");
-    let handle = EngineBuilder::new()
+    let handle = (0..streams)
+        .fold(EngineBuilder::new(), |builder, stream| {
+            builder.stream_spec(stream, spec.clone())
+        })
         .shards(4)
         .queue_capacity(256 * 1_024)
-        .default_spec(spec)
         .build()
         .expect("valid engine");
     let mut records = Vec::with_capacity(streams as usize * 500);

@@ -75,17 +75,6 @@ pub fn field<T: serde::Deserialize>(
     T::from_value(value).map_err(|e| invalid(format!("field `{name}`: {e}")))
 }
 
-/// [`field`] for a `usize` stored as `u64` on the wire.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidSnapshot`] when the field is missing, not an
-/// integer, or out of range for `usize`.
-pub fn usize_field(state: &serde::Value, name: &'static str) -> Result<usize, CoreError> {
-    usize::try_from(field::<u64>(state, name)?)
-        .map_err(|_| invalid(format!("field `{name}` out of range for usize")))
-}
-
 /// A scalar `f64` as a snapshot value: a JSON number when finite, a
 /// one-element raw-`f64` blob otherwise — JSON has no NaN or ±inf, and the
 /// `null` its writer emits would make the snapshot unreadable.
@@ -855,7 +844,6 @@ mod tests {
     fn field_lookup_and_errors() {
         let s = state();
         assert_eq!(field::<u64>(&s, "count").unwrap(), 7);
-        assert_eq!(usize_field(&s, "count").unwrap(), 7);
         assert_eq!(float_field(&s, "mean").unwrap(), 0.25);
         // Saturated accumulators restore verbatim: non-finite is a
         // reachable live state, not corruption.

@@ -25,24 +25,23 @@ pub fn default_shards() -> usize {
     std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
 }
 
-/// Builder for a running engine: shard count, default [`DetectorSpec`],
-/// warning policy, event sinks, queue capacity and an optional snapshot to
-/// restore.
+/// Builder for a running engine: shard count, the streams and their
+/// [`DetectorSpec`]s, warning policy, event sinks, queue capacity and an
+/// optional snapshot to restore.
 ///
 /// [`EngineBuilder::build`] spawns one long-lived worker thread per shard
-/// and returns the cheaply-cloneable [`EngineHandle`] front door. Every
-/// detector enters the engine as a [`DetectorSpec`] —
-/// [`EngineBuilder::default_spec`] for homogeneous fleets,
-/// [`EngineBuilder::stream_spec`] / [`EngineHandle::register_stream_spec`]
-/// for heterogeneous ones — which makes every stream introspectable and
-/// every snapshot self-describing. See the crate docs for a complete
-/// example.
+/// and returns the cheaply-cloneable [`EngineHandle`] front door. A stream
+/// enters the engine only by registration — [`EngineBuilder::stream_spec`],
+/// [`EngineHandle::register_stream_spec`] or a restored snapshot entry —
+/// always as a [`DetectorSpec`], which makes every stream introspectable
+/// and every snapshot self-describing. Records for any other stream id are
+/// dropped and reported as [`EngineError::UnknownStream`]. See the crate
+/// docs for a complete example.
 #[must_use]
 pub struct EngineBuilder {
     shards: usize,
     emit_warnings: bool,
     queue_capacity: usize,
-    default_spec: Option<DetectorSpec>,
     sinks: Vec<Arc<dyn EventSink>>,
     restore: Option<EngineSnapshot>,
     streams: Vec<(u64, DetectorSpec)>,
@@ -63,7 +62,6 @@ impl std::fmt::Debug for EngineBuilder {
             .field("shards", &self.shards)
             .field("emit_warnings", &self.emit_warnings)
             .field("queue_capacity", &self.queue_capacity)
-            .field("default_spec", &self.default_spec)
             .field("sinks", &self.sinks.len())
             .field(
                 "restore_streams",
@@ -76,14 +74,13 @@ impl std::fmt::Debug for EngineBuilder {
 
 impl EngineBuilder {
     /// Starts a builder with the default configuration: one shard per
-    /// available CPU core, warnings disabled, no sinks, no default detector,
-    /// and a [`DEFAULT_QUEUE_CAPACITY`]-record queue per shard.
+    /// available CPU core, warnings disabled, no sinks, no streams, and a
+    /// [`DEFAULT_QUEUE_CAPACITY`]-record queue per shard.
     pub fn new() -> Self {
         Self {
             shards: default_shards(),
             emit_warnings: false,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            default_spec: None,
             sinks: Vec::new(),
             restore: None,
             streams: Vec::new(),
@@ -134,16 +131,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Installs the default [`DetectorSpec`]: unknown stream ids
-    /// auto-register on first sight with `spec.build()`, recording the spec
-    /// so the stream is introspectable ([`EngineHandle::stream_spec`]) and
-    /// snapshots of it are self-describing. The spec is validated at
-    /// [`EngineBuilder::build`]. Replaces any previously installed default.
-    pub fn default_spec(mut self, spec: DetectorSpec) -> Self {
-        self.default_spec = Some(spec);
-        self
-    }
-
     /// Adds an event sink. May be called repeatedly; every worker emits each
     /// event into every sink, in the order they were added.
     pub fn sink(mut self, sink: Arc<dyn EventSink>) -> Self {
@@ -157,8 +144,7 @@ impl EngineBuilder {
     /// are assembled from configuration — different specs for different
     /// stream ids (a [`crate::FleetConfig`] file's entries, for instance).
     /// Streams can also be registered later via
-    /// [`EngineHandle::register_stream_spec`] or auto-registered by the
-    /// default spec.
+    /// [`EngineHandle::register_stream_spec`].
     pub fn stream_spec(mut self, stream: u64, spec: DetectorSpec) -> Self {
         self.streams.push((stream, spec));
         self
@@ -193,14 +179,13 @@ impl EngineBuilder {
     /// preceding [`EngineBuilder::checkpoint`] call for the same directory,
     /// or the default [`CheckpointPolicy`].
     ///
-    /// The log holds every [`EngineHandle::register_stream_spec`] call, but
-    /// not the default spec's auto-registrations: a stream first seen after
-    /// the last checkpoint comes back through its replayed records, so this
-    /// builder must carry the same [`EngineBuilder::default_spec`]. Without
-    /// it, `build` fails with [`EngineError::UnknownStream`] and leaves the
-    /// directory as it was, so a retry with the spec still recovers.
-    /// Records an engine dropped as [`EngineError::UnknownStream`] are not
-    /// logged, so they never fail a recovery.
+    /// The directory is all a recovery needs: the log holds every
+    /// [`EngineHandle::register_stream_spec`] call, and every other stream
+    /// is in the checkpoint. Records an engine dropped as
+    /// [`EngineError::UnknownStream`] are not logged, so they never fail a
+    /// recovery. When the replay fails anyway (a persisted state that does
+    /// not restore, say), `build` returns its error and leaves the
+    /// directory as it was.
     ///
     /// Replaces any [`EngineBuilder::restore`] snapshot.
     ///
@@ -227,8 +212,7 @@ impl EngineBuilder {
     /// built. Each stream is rebuilt from the [`DetectorSpec`] its entry
     /// embeds (wire format v2+) — no configuration required. A v1 entry
     /// embeds none: fill its [`crate::StreamStateSnapshot::spec`] before
-    /// restoring, or configure a default spec, which rebuilds every
-    /// spec-less entry. The serialized state is restored into the fresh
+    /// restoring. The serialized state is restored into the fresh
     /// detector, so the new engine makes identical subsequent decisions to
     /// the snapshotted one. The snapshot's shard count, warning policy and
     /// per-stream shards are provenance, not constraints — this builder's
@@ -244,29 +228,28 @@ impl EngineBuilder {
     ///
     /// Every OPTWIN cut table a spec here can reach is complete before the
     /// workers start: pre-registered and restored streams build their
-    /// detectors now, and the default spec and streams restored asleep have
-    /// their tables filled through [`DetectorSpec::warm_cut_tables`].
+    /// detectors now, and streams restored asleep have their tables filled
+    /// through [`DetectorSpec::warm_cut_tables`].
     ///
     /// # Errors
     ///
     /// * [`EngineError::ZeroShards`] / [`EngineError::ZeroQueueCapacity`]
     ///   for degenerate parameters,
-    /// * [`EngineError::InvalidSpec`] when the default spec or a
-    ///   [`EngineBuilder::stream_spec`] spec fails validation,
+    /// * [`EngineError::InvalidSpec`] when a [`EngineBuilder::stream_spec`]
+    ///   spec fails validation,
     /// * [`EngineError::InvalidSnapshot`] when a snapshot stream has no
-    ///   embedded spec and no default spec is configured, the snapshot's
-    ///   version is unsupported, a detector name does not match what the
-    ///   spec builds, or a detector rejects its serialized state,
+    ///   spec, the snapshot's version is unsupported, a detector name does
+    ///   not match what the spec builds, or a detector rejects its
+    ///   serialized state,
     /// * [`EngineError::DuplicateStream`] when a stream id is pre-registered
     ///   (or restored) twice,
     /// * [`EngineError::Checkpoint`] when the checkpoint directory cannot be
     ///   created, or already holds a checkpoint this builder does not
     ///   recover,
     /// * the first error the recovery replay hit (such as
-    ///   [`EngineError::UnknownStream`] for records of a default-spec stream
-    ///   recovered without that default spec). Nothing in the directory
-    ///   changes then, so a retry with the right configuration still
-    ///   recovers every record.
+    ///   [`EngineError::Hibernation`] for a stream recovered asleep whose
+    ///   state does not restore when its logged records wake it). Nothing
+    ///   in the directory changes then.
     pub fn build(self) -> Result<EngineHandle, EngineError> {
         if self.shards == 0 {
             return Err(EngineError::ZeroShards);
@@ -287,14 +270,6 @@ impl EngineBuilder {
                 )));
             }
         }
-        // Streams the default spec auto-registers build their detectors on
-        // the shard workers, so its cut tables are filled here instead.
-        if let Some(spec) = &self.default_spec {
-            spec.validate()
-                .and_then(|()| spec.warm_cut_tables())
-                .map_err(|e| EngineError::InvalidSpec(e.to_string()))?;
-        }
-
         let mut initial: Vec<HashMap<u64, StreamState>> =
             (0..self.shards).map(|_| HashMap::new()).collect();
 
@@ -306,11 +281,11 @@ impl EngineBuilder {
                 if shard.contains_key(&stream) {
                     return Err(EngineError::DuplicateStream(stream));
                 }
-                // A v1 entry embeds no spec: the default spec rebuilds it.
-                let Some(spec) = entry.spec.or_else(|| self.default_spec.clone()) else {
+                // A v1 entry embeds no spec: the caller fills it in.
+                let Some(spec) = entry.spec else {
                     return Err(EngineError::InvalidSnapshot(format!(
-                        "stream {stream} has no embedded detector spec; restoring it \
-                         requires a default spec"
+                        "stream {stream} has no detector spec; fill its `spec` \
+                         before restoring"
                     )));
                 };
                 if spec.detector_name() != entry.detector {
@@ -388,7 +363,6 @@ impl EngineBuilder {
         let handle = spawn_engine(
             self.emit_warnings,
             self.queue_capacity,
-            self.default_spec,
             self.sinks,
             initial,
             self.hibernation,

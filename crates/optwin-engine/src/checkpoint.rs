@@ -461,9 +461,8 @@ impl WalWriter {
 pub(crate) enum ReplayOp {
     /// A record batch, in its original submission order.
     Records(Vec<(u64, f64)>),
-    /// A [`crate::EngineHandle::register_stream_spec`] registration. The
-    /// default spec's auto-registrations are not logged: their streams come
-    /// back through the replayed records.
+    /// A [`crate::EngineHandle::register_stream_spec`] registration, the
+    /// only way a stream enters a running engine.
     Register(u64, DetectorSpec),
 }
 

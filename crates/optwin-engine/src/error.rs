@@ -7,8 +7,8 @@ use std::fmt;
 pub enum EngineError {
     /// A stream id was registered twice.
     DuplicateStream(u64),
-    /// A record referenced a stream that is not registered and the engine
-    /// has no default spec.
+    /// A record referenced a stream that is not registered; the record was
+    /// dropped.
     UnknownStream(u64),
     /// An engine was configured with zero shards.
     ZeroShards,
@@ -50,10 +50,9 @@ impl fmt::Display for EngineError {
             EngineError::DuplicateStream(id) => {
                 write!(f, "stream {id} is already registered")
             }
-            EngineError::UnknownStream(id) => write!(
-                f,
-                "stream {id} is not registered and the engine has no default spec"
-            ),
+            EngineError::UnknownStream(id) => {
+                write!(f, "stream {id} is not registered; its records were dropped")
+            }
             EngineError::ZeroShards => write!(f, "engine needs at least one shard"),
             EngineError::ZeroQueueCapacity => {
                 write!(f, "engine queue capacity must be at least one record")
@@ -121,7 +120,7 @@ mod tests {
     fn error_display_messages() {
         let cases: Vec<(EngineError, &str)> = vec![
             (EngineError::DuplicateStream(7), "already registered"),
-            (EngineError::UnknownStream(9), "no default spec"),
+            (EngineError::UnknownStream(9), "not registered"),
             (EngineError::ZeroShards, "at least one shard"),
             (EngineError::ZeroQueueCapacity, "at least one record"),
             (EngineError::ChannelClosed, "shut down"),

@@ -226,8 +226,8 @@ struct QueueState {
     /// Set when a worker exits by panic.
     poisoned: AtomicBool,
     /// The first ingestion-time error recorded by a worker since the last
-    /// [`EngineHandle::take_error`] (e.g. an unknown stream with no
-    /// default spec), surfaced by [`EngineHandle::flush`]. Later errors are
+    /// [`EngineHandle::take_error`] (e.g. a record for an unregistered
+    /// stream), surfaced by [`EngineHandle::flush`]. Later errors are
     /// dropped, so a flood of bad records cannot grow memory.
     error: Mutex<Option<EngineError>>,
 }
@@ -256,9 +256,9 @@ pub(crate) struct StreamState {
     /// The detector — resident, or compressed to a hibernated blob.
     pub(crate) slot: DetectorSlot,
     /// The spec the stream's detector was built from. Recorded so operators
-    /// can introspect live streams ([`EngineHandle::stream_spec`]),
-    /// snapshots are self-describing, and a sleeping stream's detector can
-    /// be rebuilt on its next record.
+    /// can introspect live streams ([`StreamSnapshot::spec`]), snapshots
+    /// are self-describing, and a sleeping stream's detector can be rebuilt
+    /// on its next record.
     pub(crate) spec: DetectorSpec,
     /// Elements ingested for this stream so far (the next element's sequence
     /// number).
@@ -339,9 +339,8 @@ impl StreamState {
 }
 
 /// A shard worker: a disjoint set of streams processed sequentially on one
-/// thread, plus the sinks, default spec, warning flag and queue ledger the
-/// records path reads. Barrier closures receive `&mut Worker` on the worker
-/// thread.
+/// thread, plus the sinks, warning flag and queue ledger the records path
+/// reads. Barrier closures receive `&mut Worker` on the worker thread.
 struct Worker {
     /// This shard's index (for [`StreamSnapshot::shard`]).
     shard_index: usize,
@@ -374,43 +373,23 @@ struct Worker {
     /// (the error surfaces at the next flush; durability degrades to the
     /// last checkpoint until a new one rotates segments successfully).
     wal: Option<WalWriter>,
-    default_spec: Option<DetectorSpec>,
     sinks: Vec<Arc<dyn EventSink>>,
     emit_warnings: bool,
     queue: Arc<QueueState>,
 }
 
 impl Worker {
-    /// Stages `records` on their streams, creating unknown streams from the
-    /// default spec (or recording [`EngineError::UnknownStream`] and
-    /// skipping the record when there is none). Returns whether every
-    /// record was staged.
+    /// Stages `records` on their streams. A record for an unregistered
+    /// stream is skipped and recorded as [`EngineError::UnknownStream`].
+    /// Returns whether every record was staged.
     fn stage(&mut self, records: &[(u64, f64)]) -> bool {
         self.batch_order.clear();
         let mut all_staged = true;
         for &(stream, value) in records {
-            let state = match self.streams.entry(stream) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => match &self.default_spec {
-                    Some(spec) => match spec.build() {
-                        Ok(detector) => {
-                            e.insert(StreamState::new(DetectorSlot::Live(detector), spec.clone()))
-                        }
-                        Err(error) => {
-                            // Unreachable for a builder-validated spec, but a
-                            // worker must never panic over it.
-                            self.queue
-                                .record_error(EngineError::InvalidSpec(error.to_string()));
-                            all_staged = false;
-                            continue;
-                        }
-                    },
-                    None => {
-                        self.queue.record_error(EngineError::UnknownStream(stream));
-                        all_staged = false;
-                        continue;
-                    }
-                },
+            let Some(state) = self.streams.get_mut(&stream) else {
+                self.queue.record_error(EngineError::UnknownStream(stream));
+                all_staged = false;
+                continue;
             };
             if state.staged.is_empty() {
                 self.batch_order.push(stream);
@@ -791,7 +770,6 @@ pub(crate) fn shard_of(stream: u64, shards: usize) -> usize {
 pub(crate) fn spawn_engine(
     emit_warnings: bool,
     queue_capacity: usize,
-    default_spec: Option<DetectorSpec>,
     sinks: Vec<Arc<dyn EventSink>>,
     initial_streams: Vec<HashMap<u64, StreamState>>,
     hibernation: Option<HibernationPolicy>,
@@ -830,7 +808,6 @@ pub(crate) fn spawn_engine(
                 .map(|c| c.policy.durability)
                 .unwrap_or_default(),
             wal: None,
-            default_spec: default_spec.clone(),
             sinks: sinks.clone(),
             emit_warnings,
             queue: Arc::clone(&queue),
@@ -862,12 +839,6 @@ impl EngineHandle {
         self.senders.len()
     }
 
-    /// Per-shard queue capacity, in records.
-    #[must_use]
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.queue_capacity
-    }
-
     /// Enqueues a batch of `(stream id, value)` records and returns
     /// immediately; the shard workers process them asynchronously and push
     /// any detections into the sinks.
@@ -881,10 +852,10 @@ impl EngineHandle {
     ///
     /// Returns [`EngineError::ChannelClosed`] after
     /// [`EngineHandle::shutdown`], or [`EngineError::Poisoned`] once a
-    /// worker has died by panic, as every barrier does. Records referencing
-    /// unknown streams are validated on the worker: with a default spec they
-    /// auto-register, without one the offending records are dropped and the
-    /// error surfaces at the next [`EngineHandle::flush`].
+    /// worker has died by panic, as every barrier does. Records for
+    /// unregistered streams are dropped on the worker, and the first one
+    /// surfaces as [`EngineError::UnknownStream`] at the next
+    /// [`EngineHandle::flush`].
     pub fn submit(&self, records: &[(u64, f64)]) -> Result<(), EngineError> {
         if records.is_empty() {
             return Ok(());
@@ -953,27 +924,15 @@ impl EngineHandle {
             .remove(0)
     }
 
-    /// The [`DetectorSpec`] a live stream is running, so operators can
-    /// introspect a fleet without bookkeeping on the side. Returns `None`
-    /// when the stream is not registered.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::ChannelClosed`] when the engine has shut down,
-    /// or [`EngineError::Poisoned`] after a worker panic.
-    pub fn stream_spec(&self, stream: u64) -> Result<Option<DetectorSpec>, EngineError> {
-        Ok(self.stream_stats(stream)?.map(|s| s.spec))
-    }
-
     /// Barrier: waits until every record submitted (by this thread) before
     /// this call has been processed and the sinks have been flushed.
     ///
     /// # Errors
     ///
     /// Returns the first ingestion error recorded since the last flush
-    /// (e.g. [`EngineError::UnknownStream`] for records dropped by an
-    /// engine without a default spec — only the first is kept, later ones
-    /// are discarded), [`EngineError::ChannelClosed`] when the engine has
+    /// (e.g. [`EngineError::UnknownStream`] for records of an unregistered
+    /// stream, which were dropped — only the first is kept, later ones are
+    /// discarded), [`EngineError::ChannelClosed`] when the engine has
     /// shut down, or [`EngineError::Poisoned`] after a worker panic. An
     /// ingestion error does not skip the checkpoint cadence; a failed
     /// automatic checkpoint is returned in its place.
@@ -1090,7 +1049,8 @@ impl EngineHandle {
         Ok(snapshots)
     }
 
-    /// Lifetime statistics for one stream, if registered.
+    /// Lifetime statistics for one stream, if registered — among them the
+    /// [`DetectorSpec`] it runs ([`StreamSnapshot::spec`]).
     ///
     /// # Errors
     ///

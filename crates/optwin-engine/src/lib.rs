@@ -4,16 +4,17 @@
 //! turns the batch-first [`DriftDetector`](optwin_core::DriftDetector)
 //! contract into a serving-scale runtime with a service-style front door:
 //!
-//! * [`EngineBuilder`] configures shard count, the default
-//!   [`optwin_baselines::DetectorSpec`] for unknown stream ids
-//!   ([`EngineBuilder::default_spec`]), warning policy, event sinks and
-//!   queue capacity, then spawns **one long-lived worker thread per
-//!   shard**. Each stream is owned by shard `id % shards` for the life of
-//!   the engine, so per-stream order is preserved with no locking.
-//!   Heterogeneous fleets mix specs per stream via
-//!   [`EngineBuilder::stream_spec`] / [`EngineHandle::register_stream_spec`],
-//!   and [`EngineHandle::stream_spec`] reports what a live stream is
-//!   running.
+//! * [`EngineBuilder`] configures shard count, the streams, warning
+//!   policy, event sinks and queue capacity, then spawns **one long-lived
+//!   worker thread per shard**. Each stream is owned by shard
+//!   `id % shards` for the life of the engine, so per-stream order is
+//!   preserved with no locking. A stream enters the engine only by
+//!   registration, with the [`optwin_baselines::DetectorSpec`] its detector
+//!   is built from: [`EngineBuilder::stream_spec`],
+//!   [`EngineHandle::register_stream_spec`] or a restored snapshot entry.
+//!   Records for any other id are dropped and reported as
+//!   [`EngineError::UnknownStream`], so no record creates engine state.
+//!   [`EngineHandle::stream_stats`] reports what a live stream is running.
 //! * [`EngineHandle`] — cheaply cloneable and thread-safe — is the front
 //!   door: [`EngineHandle::submit`] partitions a `(stream id, value)` record
 //!   batch onto bounded per-shard queues and **returns immediately**,
@@ -67,14 +68,17 @@
 //! use std::sync::Arc;
 //! use optwin_engine::{EngineBuilder, MemorySink};
 //!
-//! // Detections land in a shared sink; detectors are built from the
-//! // default spec on first sight of a stream id (one shared cut table
-//! // across all of them).
+//! // Detections land in a shared sink; each of the 8 streams is registered
+//! // with the same spec (its detectors share one cut table).
 //! let sink = Arc::new(MemorySink::new());
-//! let handle = EngineBuilder::new()
+//! let spec: optwin_baselines::DetectorSpec =
+//!     "optwin:rho=1.0,w_max=500".parse().expect("valid spec");
+//! let handle = (0..8u64)
+//!     .fold(EngineBuilder::new(), |builder, stream| {
+//!         builder.stream_spec(stream, spec.clone())
+//!     })
 //!     .shards(4)
 //!     .queue_capacity(8_192)
-//!     .default_spec("optwin:rho=1.0,w_max=500".parse().expect("valid spec"))
 //!     .sink(Arc::clone(&sink) as Arc<dyn optwin_engine::EventSink>)
 //!     .build()
 //!     .expect("valid engine");

@@ -14,16 +14,15 @@
 //!
 //! Since format version 2 every stream records the
 //! [`optwin_baselines::DetectorSpec`] its detector was built from (the
-//! builder's [`crate::EngineBuilder::default_spec`] /
-//! [`crate::EngineBuilder::stream_spec`] or the handle's
+//! builder's [`crate::EngineBuilder::stream_spec`] or the handle's
 //! [`crate::EngineHandle::register_stream_spec`]) in the snapshot as
 //! `{spec, state}`. Restoring such a snapshot needs **no caller-side
 //! configuration at all**: the builder reconstructs each detector from its
 //! embedded spec and restores the serialized state into it.
 //!
 //! Version-1 snapshots carry no `spec` entries. They keep loading through
-//! the restoring builder's default spec, or through specs the caller fills
-//! into each [`StreamStateSnapshot::spec`] before restoring.
+//! specs the caller fills into each [`StreamStateSnapshot::spec`] before
+//! restoring.
 //!
 //! # Wire format v3: the shard recorded as provenance
 //!
@@ -88,11 +87,11 @@ use crate::error::EngineError;
 /// Serialization format version of every [`EngineSnapshot`] this crate
 /// writes; [`crate::EngineBuilder::restore`] reads v1–v4.
 ///
-/// * **v1** — per-stream `{seq, detector, state}`; restore needs a default
-///   spec or caller-filled specs.
+/// * **v1** — per-stream `{seq, detector, state}`; restore needs
+///   caller-filled specs.
 /// * **v2** — adds the per-stream `spec`, making snapshots
-///   self-describing. v1 snapshots still parse and restore (through a
-///   default spec or caller-filled specs).
+///   self-describing. v1 snapshots still parse and restore (through
+///   caller-filled specs).
 /// * **v3** — adds the optional per-stream `shard`, recorded as
 ///   provenance (restores place every stream on `id % shards`). v1/v2
 ///   snapshots still parse and restore.
@@ -232,7 +231,7 @@ impl EngineSnapshot {
     }
 
     /// `true` when every stream embeds its [`DetectorSpec`], i.e. the
-    /// snapshot restores with no default spec configured.
+    /// snapshot restores with no caller-filled specs.
     #[must_use]
     pub fn is_self_describing(&self) -> bool {
         self.streams.iter().all(|s| s.spec.is_some())

@@ -96,9 +96,11 @@ mod tests {
     #[test]
     fn engine_reexports_are_usable() {
         let sink = std::sync::Arc::new(MemorySink::new());
+        let adwin: DetectorSpec = "adwin".parse().unwrap();
         let handle: EngineHandle = EngineBuilder::new()
             .shards(2)
-            .default_spec("adwin".parse().unwrap())
+            .stream_spec(1, adwin.clone())
+            .stream_spec(2, adwin)
             .sink(sink.clone())
             .build()
             .unwrap();

@@ -14,14 +14,14 @@ fn spec(text: &str) -> DetectorSpec {
 fn engine_build_fills_every_reachable_cut_table() {
     let registry = CutTableRegistry::global();
 
-    // A default OPTWIN spec: its streams would auto-register on a worker.
+    // A pre-registered OPTWIN stream.
     let before = registry.len();
     let engine = EngineBuilder::new()
         .shards(2)
-        .default_spec(spec("optwin:rho=0.6,w_max=800"))
+        .stream_spec(3, spec("optwin:rho=0.6,w_max=800"))
         .build()
         .expect("valid engine");
-    assert_eq!(registry.len(), before + 1, "default OPTWIN spec");
+    assert_eq!(registry.len(), before + 1, "pre-registered OPTWIN stream");
     engine.shutdown().expect("clean shutdown");
 
     // A cascade whose dormant confirmer is OPTWIN: a guard escalation would
@@ -29,9 +29,10 @@ fn engine_build_fills_every_reachable_cut_table() {
     let before = registry.len();
     let engine = EngineBuilder::new()
         .shards(2)
-        .default_spec(spec(
-            "cascade:guard=page_hinkley,confirm=[optwin:rho=0.7,w_max=800]",
-        ))
+        .stream_spec(
+            5,
+            spec("cascade:guard=page_hinkley,confirm=[optwin:rho=0.7,w_max=800]"),
+        )
         .build()
         .expect("valid engine");
     assert_eq!(registry.len(), before + 1, "cascade confirmer");

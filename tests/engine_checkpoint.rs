@@ -376,8 +376,8 @@ fn poisoned_worker_recovery_is_bit_exact() {
 
 /// A registration that only the write-ahead log holds — made after the
 /// build's initial checkpoint, with no checkpoint after it — survives a
-/// crash: recovery with no default spec brings the stream back with its
-/// spec, and it resumes bit-exactly.
+/// crash: recovery from the directory alone brings the stream back with
+/// its spec, and it resumes bit-exactly.
 #[test]
 fn wal_only_registration_survives_a_crash() {
     const LATE: u64 = 100;
@@ -424,7 +424,10 @@ fn wal_only_registration_survives_a_crash() {
         .build()
         .expect("valid engine");
     assert_eq!(
-        recovered.stream_spec(LATE).expect("engine running"),
+        recovered
+            .stream_stats(LATE)
+            .expect("engine running")
+            .map(|s| s.spec),
         Some(spec)
     );
     feed(&recovered, CRASH, TOTAL);
@@ -1145,14 +1148,18 @@ fn dir_contents(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
-/// A recovery without the default spec that auto-registered a stream after
-/// the last checkpoint fails on the replay, before the build's initial
-/// checkpoint can prune the log: the directory keeps every byte, and a
-/// retry with the spec recovers the stream bit-exactly.
+/// A recovery whose replay fails returns the error before the build's
+/// initial checkpoint can prune the log, so every file keeps its bytes. The
+/// trigger is a sleeping stream in a delta overlay whose state restores
+/// asleep but not awake: the logged records wake it during the replay.
+/// With the overlay mended, the same directory recovers bit-exactly.
 #[test]
 fn failed_recovery_leaves_the_directory_intact() {
     const LATE: u64 = 42;
-    /// Records of the late stream that only the write-ahead log holds.
+    /// Records of the late stream that the delta overlay covers.
+    const OVERLAID: usize = 300;
+    /// Records of the late stream up to the crash; those past `OVERLAID`
+    /// only the write-ahead log holds.
     const LOGGED: usize = 500;
     let ddm: DetectorSpec = "ddm".parse().expect("valid spec");
     let feed = |handle: &EngineHandle, from: usize, to: usize| {
@@ -1164,7 +1171,7 @@ fn failed_recovery_leaves_the_directory_intact() {
         let sink = Arc::new(MemorySink::new());
         let handle = EngineBuilder::new()
             .shards(4)
-            .default_spec(ddm.clone())
+            .stream_spec(LATE, ddm.clone())
             .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
             .build()
             .expect("valid engine");
@@ -1178,24 +1185,48 @@ fn failed_recovery_leaves_the_directory_intact() {
     let dir = scratch_dir("failed-recovery");
     let handle = EngineBuilder::new()
         .shards(4)
-        .default_spec(ddm.clone())
+        .stream_spec(LATE, ddm)
+        .hibernation(HibernationPolicy::cold_after_flushes(0))
         .checkpoint(&dir, CheckpointPolicy::every_flushes(0))
         .build()
         .expect("valid engine");
-    feed(&handle, 0, LOGGED);
+    feed(&handle, 0, OVERLAID);
+    // The forced sweep puts the stream to sleep, so the overlay holds its
+    // sleeping entry.
+    handle.flush().expect("no ingestion errors");
+    let report = handle.checkpoint().expect("writable directory");
+    assert!(!report.full && report.streams == 1, "{report}");
+    feed(&handle, OVERLAID, LOGGED);
     // The stats barrier proves the worker logged the records; no
     // checkpoint follows.
     let _ = handle.stats().expect("engine running");
     handle.shutdown().expect("clean shutdown");
+
+    // A state version no DDM reads: the entry still restores asleep.
+    let overlay = dir.join(format!("delta-{}.json", report.generation));
+    let intact = std::fs::read_to_string(&overlay).expect("readable overlay");
+    assert!(intact.contains(r#""hibernated":true"#), "{intact}");
+    let broken = intact.replacen(r#""state":{"version":1,"#, r#""state":{"version":99,"#, 1);
+    assert_ne!(broken, intact, "the overlay holds the stream's state");
+    std::fs::write(&overlay, broken).expect("writable overlay");
     let before = dir_contents(&dir);
 
-    let error = EngineBuilder::new()
-        .shards(4)
-        .recover_from_dir(&dir)
-        .expect("recoverable directory")
-        .build()
-        .expect_err("the replayed stream needs the default spec");
-    assert_eq!(error, EngineError::UnknownStream(LATE));
+    let recover = || {
+        let sink = Arc::new(MemorySink::new());
+        EngineBuilder::new()
+            .shards(4)
+            .hibernation(HibernationPolicy::default())
+            .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
+            .recover_from_dir(&dir)
+            .expect("recoverable directory")
+            .build()
+            .map(|handle| (handle, sink))
+    };
+    match recover() {
+        Err(EngineError::Hibernation { stream, .. }) => assert_eq!(stream, LATE),
+        Err(other) => panic!("expected a Hibernation error, got {other}"),
+        Ok(_) => panic!("the replay must fail to wake the stream"),
+    }
     let after = dir_contents(&dir);
     let names = |files: &[(String, Vec<u8>)]| -> Vec<String> {
         files.iter().map(|(name, _)| name.clone()).collect()
@@ -1210,15 +1241,8 @@ fn failed_recovery_leaves_the_directory_intact() {
         "a failed recovery must leave every file's bytes unchanged"
     );
 
-    let sink = Arc::new(MemorySink::new());
-    let recovered = EngineBuilder::new()
-        .shards(4)
-        .default_spec(ddm)
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
-        .recover_from_dir(&dir)
-        .expect("recoverable directory")
-        .build()
-        .expect("the default spec brings the stream back");
+    std::fs::write(&overlay, intact).expect("writable overlay");
+    let (recovered, sink) = recover().expect("the mended directory recovers");
     assert_eq!(
         recovered
             .stream_stats(LATE)
@@ -1231,16 +1255,20 @@ fn failed_recovery_leaves_the_directory_intact() {
     let events = canonical(sink.drain());
     recovered.shutdown().expect("clean shutdown");
     assert!(!events.is_empty(), "the late stream must drift");
+    let expected: Vec<DriftEvent> = reference
+        .into_iter()
+        .filter(|e| e.seq as usize >= OVERLAID)
+        .collect();
     assert_eq!(
-        events, reference,
-        "the retried recovery must resume bit-exactly"
+        events, expected,
+        "the mended recovery must resume bit-exactly"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Records an engine without a default spec drops as unknown stay out of
-/// the write-ahead log: the engine reported them once, and a recovery with
-/// the same configuration must not fail on them again. The unknown
+/// Records for an unregistered stream, which the engine drops, stay out of
+/// the write-ahead log: the engine reported them once, and a recovery must
+/// not fail on them again. The unknown
 /// stream's records share a batch, and a shard, with registered streams
 /// whose records must still replay bit-exactly.
 #[test]
@@ -1263,14 +1291,14 @@ fn dropped_unknown_records_do_not_fail_recovery() {
     assert_eq!(
         recover_and_finish(&dir, CRASH),
         reference_events_from(COVERED),
-        "a recovery with the original configuration must resume bit-exactly"
+        "a recovery from the directory must resume bit-exactly"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A flush that returns an ingestion error still counts toward the
-/// checkpoint cadence. With no default spec, every flush below carries a
-/// record for an unknown stream and returns `UnknownStream`; each must
+/// checkpoint cadence. Every flush below carries a record for an
+/// unregistered stream and returns `UnknownStream`; each must
 /// still cut its checkpoint, so the log stays bounded, and a crash after
 /// them must recover bit-exactly.
 #[test]

@@ -83,12 +83,15 @@ fn stream_records(handle: &EngineHandle) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// An engine running one OPTWIN spec on each of the skewed streams.
 fn skewed_engine(shards: usize) -> (EngineHandle, Arc<MemorySink>) {
     let sink = Arc::new(MemorySink::new());
     let spec: DetectorSpec = "optwin:rho=0.5,w_max=400".parse().expect("valid spec");
-    let handle = EngineBuilder::new()
+    let handle = (0..SKEW_STREAMS)
+        .fold(EngineBuilder::new(), |builder, stream| {
+            builder.stream_spec(stream, spec.clone())
+        })
         .shards(shards)
-        .default_spec(spec)
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
         .build()
         .expect("valid engine");
@@ -247,6 +250,12 @@ fn stats_expose_per_shard_load_and_render() {
     handle.shutdown().expect("clean shutdown");
 }
 
+/// The spec a configured stream runs.
+fn configured_spec(handle: &EngineHandle, stream: u64) -> DetectorSpec {
+    let stats = handle.stream_stats(stream).expect("engine running");
+    stats.expect("configured").spec
+}
+
 /// A builder registering each stream of a parsed fleet config.
 fn fleet_builder(fleet: FleetConfig) -> EngineBuilder {
     fleet
@@ -274,14 +283,7 @@ fn fleet_config_builds_a_running_engine() {
     .expect("valid engine");
     let stats = handle.stats().expect("engine running");
     assert_eq!(stats.streams, 6);
-    assert_eq!(
-        handle
-            .stream_spec(1)
-            .expect("engine running")
-            .expect("configured")
-            .id(),
-        "adwin"
-    );
+    assert_eq!(configured_spec(&handle, 1).id(), "adwin");
     handle
         .submit(&[(0, 0.1), (3, 0.2)])
         .expect("engine running");
@@ -304,14 +306,7 @@ fn fleet_config_builds_a_running_engine() {
             .shards(1)
             .build()
             .expect("valid engine");
-    assert_eq!(
-        inline
-            .stream_spec(9)
-            .expect("engine running")
-            .expect("configured")
-            .id(),
-        "ddm"
-    );
+    assert_eq!(configured_spec(&inline, 9).id(), "ddm");
     inline.shutdown().expect("clean shutdown");
 }
 
@@ -324,10 +319,11 @@ mod churn_property {
     enum Op {
         /// Submit a deterministic batch derived from the seed (records over
         /// streams 0..8, 60 % of traffic on streams 0–1, mean flipping with
-        /// the seed so ADWIN actually fires).
+        /// the seed so ADWIN actually fires). Streams of the batch not yet
+        /// registered are first registered with the ADWIN spec.
         Submit(u64),
-        /// Register a stream id declaratively (may collide — both engines
-        /// must agree on the outcome).
+        /// Register a stream id with the KSWIN spec (may collide — both
+        /// engines must agree on the outcome).
         Register(u64),
         /// Flush barrier.
         Flush,
@@ -367,22 +363,32 @@ mod churn_property {
     /// returns `(events, per-stream (id, elements, drifts))`.
     fn run(ops: &[Op], shards: usize) -> (Vec<DriftEvent>, Vec<(u64, u64, u64)>) {
         let sink = Arc::new(MemorySink::new());
-        let spec: DetectorSpec = "adwin:delta=0.3,clock=4".parse().expect("valid spec");
+        let adwin: DetectorSpec = "adwin:delta=0.3,clock=4".parse().expect("valid spec");
+        let kswin: DetectorSpec = "kswin:window_size=60,stat_size=12"
+            .parse()
+            .expect("valid spec");
         let handle = EngineBuilder::new()
             .shards(shards)
-            .default_spec(spec)
             .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
             .build()
             .expect("valid engine");
-        let mut register_outcomes = Vec::new();
+        let mut registered = std::collections::HashSet::new();
         for op in ops {
             match op {
-                Op::Submit(seed) => handle.submit(&batch_for(*seed)).expect("engine running"),
+                Op::Submit(seed) => {
+                    let batch = batch_for(*seed);
+                    for &(stream, _) in &batch {
+                        if registered.insert(stream) {
+                            handle
+                                .register_stream_spec(stream, adwin.clone())
+                                .expect("fresh id");
+                        }
+                    }
+                    handle.submit(&batch).expect("engine running");
+                }
                 Op::Register(stream) => {
-                    let kswin: DetectorSpec = "kswin:window_size=60,stat_size=12"
-                        .parse()
-                        .expect("valid spec");
-                    register_outcomes.push(handle.register_stream_spec(*stream, kswin).is_ok());
+                    let fresh = handle.register_stream_spec(*stream, kswin.clone()).is_ok();
+                    assert_eq!(fresh, registered.insert(*stream), "stream {stream}");
                 }
                 Op::Flush => handle.flush().expect("no ingestion errors"),
             }

@@ -175,18 +175,21 @@ fn optwin_spec(w_max: usize) -> DetectorSpec {
         .expect("valid spec")
 }
 
-/// Builds an OPTWIN-backed service engine (unknown ids auto-register from
-/// the default spec) and returns its handle and sink.
+/// Builds a service engine that runs the OPTWIN spec on `streams`, plus
+/// the streams `restore` brings back, and returns its handle and sink.
 fn optwin_engine(
     shards: usize,
     w_max: usize,
+    streams: std::ops::Range<u64>,
     restore: Option<EngineSnapshot>,
 ) -> (EngineHandle, Arc<MemorySink>) {
     let sink = Arc::new(MemorySink::new());
-    let mut builder = EngineBuilder::new()
-        .shards(shards)
-        .default_spec(optwin_spec(w_max))
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
+    let mut builder = streams.fold(
+        EngineBuilder::new()
+            .shards(shards)
+            .sink(Arc::clone(&sink) as Arc<dyn EventSink>),
+        |builder, stream| builder.stream_spec(stream, optwin_spec(w_max)),
+    );
     if let Some(snapshot) = restore {
         builder = builder.restore(snapshot);
     }
@@ -229,13 +232,13 @@ fn snapshot_restore_produces_identical_remaining_events() {
     let feed = |handle: &EngineHandle, from, to| feed_losses(handle, STREAMS, from, to);
 
     // Uninterrupted reference.
-    let (reference, reference_sink) = optwin_engine(test_shards(), 800, None);
+    let (reference, reference_sink) = optwin_engine(test_shards(), 800, 0..STREAMS, None);
     feed(&reference, 0, TOTAL);
     let reference_events = canonical(reference_sink.drain());
     reference.shutdown().expect("clean shutdown");
 
     // Interrupted run: feed to CUT, snapshot, tear the engine down.
-    let (original, original_sink) = optwin_engine(test_shards(), 800, None);
+    let (original, original_sink) = optwin_engine(test_shards(), 800, 0..STREAMS, None);
     feed(&original, 0, CUT);
     let early_events = canonical(original_sink.drain());
     let snapshot = original.snapshot().expect("OPTWIN supports snapshots");
@@ -245,7 +248,7 @@ fn snapshot_restore_produces_identical_remaining_events() {
     // Restore through the JSON wire format into a *differently sharded*
     // fresh engine and feed the remainder.
     let snapshot = EngineSnapshot::from_json(&snapshot.to_json()).expect("well-formed JSON");
-    let (restored, restored_sink) = optwin_engine(7, 800, Some(snapshot));
+    let (restored, restored_sink) = optwin_engine(7, 800, 0..0, Some(snapshot));
     let stats = restored.stats().expect("engine running");
     assert_eq!(stats.streams, STREAMS as usize);
     assert_eq!(stats.elements, STREAMS * CUT as u64);
@@ -270,39 +273,12 @@ fn snapshot_restore_produces_identical_remaining_events() {
     );
 }
 
-/// Unknown streams auto-register through the default spec on the submit
-/// path; without one the records are dropped and the error surfaces at
-/// flush.
+/// Records for unregistered streams are dropped on the submit path, the
+/// rest are ingested, and flush reports the first unknown id. A flood of
+/// distinct unknown ids creates no engine state.
 #[test]
 fn unknown_stream_handling_on_the_submit_path() {
-    // With a default spec: auto-registration on first sight.
-    let (handle, _sink) = optwin_engine(3, 200, None);
-    handle
-        .submit(&[(10, 0.1), (11, 0.2), (10, 0.3)])
-        .expect("engine running");
-    handle.flush().expect("no errors with a default spec");
-    let stats = handle.stats().expect("engine running");
-    assert_eq!(stats.streams, 2);
-    assert_eq!(stats.elements, 3);
-    assert_eq!(
-        handle
-            .stream_stats(10)
-            .expect("engine running")
-            .expect("registered")
-            .elements,
-        2
-    );
-    handle.shutdown().expect("clean shutdown");
-
-    // Without a default spec: the offending records are dropped, the rest
-    // are ingested, and flush reports the error.
-    let sink = Arc::new(MemorySink::new());
-    let handle = EngineBuilder::new()
-        .shards(2)
-        .stream_spec(1, optwin_spec(200))
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
-        .build()
-        .expect("valid engine");
+    let (handle, _sink) = optwin_engine(2, 200, 1..2, None);
     handle
         .submit(&[(1, 0.1), (99, 0.5), (1, 0.2)])
         .expect("submit itself succeeds");
@@ -310,9 +286,25 @@ fn unknown_stream_handling_on_the_submit_path() {
         handle.flush().expect_err("unknown stream must surface"),
         EngineError::UnknownStream(99)
     );
-    let stats = handle.stats().expect("engine running");
-    assert_eq!(stats.streams, 1);
-    assert_eq!(stats.elements, 2, "known-stream records are still ingested");
+    let before = handle.stats().expect("engine running");
+    assert_eq!(before.streams, 1);
+    assert_eq!(
+        before.elements, 2,
+        "known-stream records are still ingested"
+    );
+
+    // 10 000 distinct unknown ids over every shard. The stats barrier
+    // (which takes no error) makes the first id's error the pending one, so
+    // flush reports it whichever shard drops a later id first.
+    let flood: Vec<(u64, f64)> = (1_000..11_000).map(|stream| (stream, 0.5)).collect();
+    handle.submit(&flood[..1]).expect("engine running");
+    handle.stats().expect("engine running");
+    handle.submit(&flood[1..]).expect("engine running");
+    assert_eq!(handle.flush(), Err(EngineError::UnknownStream(1_000)));
+    let after = handle.stats().expect("engine running");
+    assert_eq!(after.streams, before.streams, "no record creates a stream");
+    assert_eq!(after.elements, before.elements);
+    assert_eq!(after.resident_bytes(), before.resident_bytes());
     handle.shutdown().expect("no pending errors left");
 }
 
@@ -348,7 +340,7 @@ fn duplicate_streams_are_rejected_everywhere() {
     handle.shutdown().expect("clean shutdown");
 
     // Restore-level: a snapshot colliding with a pre-registered stream.
-    let (donor, _sink) = optwin_engine(2, 100, None);
+    let (donor, _sink) = optwin_engine(2, 100, 5..6, None);
     donor.submit(&[(5, 0.1)]).expect("engine running");
     donor.flush().expect("no errors");
     let snapshot = donor.snapshot().expect("snapshot-capable");
@@ -362,7 +354,17 @@ fn duplicate_streams_are_rejected_everywhere() {
     assert_eq!(err, EngineError::DuplicateStream(5));
 }
 
-/// Builder validation and restore preconditions.
+/// An ADWIN spec whose `delta` is out of range.
+fn degenerate_adwin() -> DetectorSpec {
+    DetectorSpec::Adwin {
+        config: optwin::baselines::AdwinConfig {
+            delta: 0.0,
+            ..optwin::baselines::AdwinConfig::default()
+        },
+    }
+}
+
+/// Builder validation: degenerate parameters and stream specs.
 #[test]
 fn builder_rejects_degenerate_configurations() {
     assert_eq!(
@@ -379,31 +381,12 @@ fn builder_rejects_degenerate_configurations() {
             .expect_err("no capacity"),
         EngineError::ZeroQueueCapacity
     );
-    // A spec-less (v1-style) entry without a default spec is refused.
-    let (donor, _sink) = optwin_engine(2, 100, None);
-    donor.submit(&[(1, 0.5)]).expect("engine running");
-    donor.flush().expect("no errors");
-    let mut snapshot = donor.snapshot().expect("snapshot-capable");
-    donor.shutdown().expect("clean shutdown");
-    for entry in &mut snapshot.streams {
-        entry.spec = None;
-    }
     let err = EngineBuilder::new()
-        .shards(2)
-        .restore(snapshot.clone())
+        .shards(1)
+        .stream_spec(0, degenerate_adwin())
         .build()
-        .expect_err("a spec-less restore requires a default spec");
-    assert!(matches!(err, EngineError::InvalidSnapshot(_)));
-    assert!(err.to_string().contains("default spec"), "{err}");
-    // A default spec building a *different* detector kind is refused by
-    // name.
-    let err = EngineBuilder::new()
-        .shards(2)
-        .default_spec("adwin".parse().expect("valid spec"))
-        .restore(snapshot)
-        .build()
-        .expect_err("detector kind mismatch");
-    assert!(err.to_string().contains("OPTWIN"));
+        .expect_err("invalid stream spec");
+    assert!(matches!(err, EngineError::InvalidSpec(_)));
 }
 
 /// A sink whose first `flush` parks its worker inside the flush barrier
@@ -502,7 +485,7 @@ fn submit_backpressure_and_shutdown_errors() {
 /// Clones of one handle feed the same engine; per-stream totals add up.
 #[test]
 fn handle_clones_feed_the_same_engine_from_multiple_threads() {
-    let (handle, sink) = optwin_engine(4, 200, None);
+    let (handle, sink) = optwin_engine(4, 200, 100..104, None);
     let threads: Vec<_> = (0..4u64)
         .map(|t| {
             let handle = handle.clone();
@@ -533,8 +516,7 @@ fn handle_clones_feed_the_same_engine_from_multiple_threads() {
     assert!(sink.drain().iter().all(|e| (100..104).contains(&e.stream)));
 }
 
-/// An engine with `streams` registered by the `ddm` spec and no default
-/// spec.
+/// An engine with `streams` registered by the `ddm` spec.
 fn ddm_engine(streams: &[u64], emit_warnings: bool) -> (EngineHandle, Arc<MemorySink>) {
     let sink = Arc::new(MemorySink::new());
     let handle = EngineBuilder::new()
@@ -639,8 +621,8 @@ fn warnings_are_opt_in() {
     assert_eq!(seqs(&chatty, false), warnings);
 }
 
-/// Without a default spec, records for an unknown stream are an error that
-/// ingests nothing for that stream; registering it makes it known.
+/// Records for an unregistered stream are an error that ingests nothing
+/// for that stream; registering it makes it known.
 #[test]
 fn unknown_stream_without_factory_is_an_error() {
     let (handle, _sink) = ddm_engine(&[], false);
@@ -664,6 +646,12 @@ fn unknown_stream_without_factory_is_an_error() {
     handle.flush().expect("known stream");
     assert_eq!(handle.stats().expect("engine running").elements, 1);
     handle.shutdown().expect("clean shutdown");
+}
+
+/// The spec a live stream runs, or `None` when it is not registered.
+fn spec_now(handle: &EngineHandle, stream: u64) -> Option<DetectorSpec> {
+    let stats = handle.stream_stats(stream).expect("engine running");
+    stats.map(|s| s.spec)
 }
 
 /// The heterogeneous-fleet spec for a stream: all 8 detector kinds, tiled
@@ -700,9 +688,9 @@ fn spec_element(stream: u64, i: usize) -> f64 {
 /// The tentpole acceptance test: a heterogeneous fleet covering **all 8
 /// detector kinds** is assembled purely from specs, snapshotted mid-stream
 /// through `EngineHandle::snapshot()`, and restored through
-/// `EngineBuilder::restore()` with **no default spec and no registration
-/// calls** — the v2 snapshot is self-describing — after which the restored
-/// engine produces bit-exact identical remaining events.
+/// `EngineBuilder::restore()` with **no registration calls** — the v2
+/// snapshot is self-describing — after which the restored engine produces
+/// bit-exact identical remaining events.
 #[test]
 fn heterogeneous_spec_fleet_restores_without_any_factory() {
     const STREAMS: u64 = 16; // two streams per detector kind
@@ -745,7 +733,7 @@ fn heterogeneous_spec_fleet_restores_without_any_factory() {
     let (original, original_sink) = build(test_shards());
     for stream in 0..STREAMS {
         assert_eq!(
-            original.stream_spec(stream).expect("engine running"),
+            spec_now(&original, stream),
             Some(spec_of(stream)),
             "stream {stream} spec introspection"
         );
@@ -762,7 +750,7 @@ fn heterogeneous_spec_fleet_restores_without_any_factory() {
     );
 
     // Restore through JSON into a differently-sharded engine with NO
-    // default spec and NO stream registration of any kind.
+    // stream registration of any kind.
     let snapshot = EngineSnapshot::from_json(&snapshot.to_json()).expect("well-formed JSON");
     let restored_sink = Arc::new(MemorySink::new());
     let restored = EngineBuilder::new()
@@ -773,10 +761,7 @@ fn heterogeneous_spec_fleet_restores_without_any_factory() {
         .expect("self-describing snapshot needs no configuration");
     // The restored fleet is still introspectable — specs survived the trip.
     for stream in 0..STREAMS {
-        assert_eq!(
-            restored.stream_spec(stream).expect("engine running"),
-            Some(spec_of(stream))
-        );
+        assert_eq!(spec_now(&restored, stream), Some(spec_of(stream)));
     }
     feed(&restored, CUT, TOTAL);
     let late_events = canonical(restored_sink.drain());
@@ -805,35 +790,37 @@ fn heterogeneous_spec_fleet_restores_without_any_factory() {
     );
 }
 
-/// Spec-less entries (a v1 snapshot) also restore declaratively, through
-/// the builder's default spec, and resume with the events of an
-/// uninterrupted run; a default spec that builds another detector kind is
-/// refused, naming the stream.
+/// Spec-less entries (a v1 snapshot) restore once the caller fills in
+/// each entry's spec, and resume with the events of an uninterrupted run.
+/// An entry left without a spec, or given one that builds another detector
+/// kind, is refused with an error naming the stream.
 #[test]
-fn spec_less_snapshots_restore_through_the_default_spec() {
+fn spec_less_snapshots_restore_through_caller_filled_specs() {
     const STREAMS: u64 = 12;
     const TOTAL: usize = 6_000;
     const CUT: usize = 4_500; // past some per-stream drift points, before others
     let spec: DetectorSpec = "optwin:w_max=800".parse().expect("valid spec");
-    let build = |spec: &DetectorSpec, restore: Option<EngineSnapshot>| {
+    let build = |restore: Option<EngineSnapshot>| {
         let sink = Arc::new(MemorySink::new());
-        let mut builder = EngineBuilder::new()
+        let builder = EngineBuilder::new()
             .shards(test_shards())
-            .default_spec(spec.clone())
             .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
-        if let Some(snapshot) = restore {
-            builder = builder.restore(snapshot);
-        }
+        let builder = match restore {
+            Some(snapshot) => builder.restore(snapshot),
+            None => (0..STREAMS).fold(builder, |builder, stream| {
+                builder.stream_spec(stream, spec.clone())
+            }),
+        };
         builder.build().map(|handle| (handle, sink))
     };
     let feed = |handle: &EngineHandle, from, to| feed_losses(handle, STREAMS, from, to);
 
-    let (reference, reference_sink) = build(&spec, None).expect("valid engine");
+    let (reference, reference_sink) = build(None).expect("valid engine");
     feed(&reference, 0, TOTAL);
     let reference_events = canonical(reference_sink.drain());
     reference.shutdown().expect("clean shutdown");
 
-    let (original, original_sink) = build(&spec, None).expect("valid engine");
+    let (original, original_sink) = build(None).expect("valid engine");
     feed(&original, 0, CUT);
     let early_events = canonical(original_sink.drain());
     let snapshot = original.snapshot().expect("OPTWIN supports snapshots");
@@ -851,13 +838,17 @@ fn spec_less_snapshots_restore_through_the_default_spec() {
     let v1 = EngineSnapshot::from_json(&downgraded.to_json()).expect("v1 parses");
     assert_eq!(v1.version, 1);
     assert!(v1.streams.iter().all(|s| s.spec.is_none()));
+    let filled = |spec: &DetectorSpec| {
+        let mut snapshot = v1.clone();
+        for entry in &mut snapshot.streams {
+            entry.spec = Some(spec.clone());
+        }
+        snapshot
+    };
 
     let (restored, restored_sink) =
-        build(&spec, Some(v1.clone())).expect("the default spec rebuilds spec-less entries");
-    assert_eq!(
-        restored.stream_spec(0).expect("engine running"),
-        Some(spec.clone())
-    );
+        build(Some(filled(&spec))).expect("caller-filled specs rebuild spec-less entries");
+    assert_eq!(spec_now(&restored, 0), Some(spec.clone()));
     feed(&restored, CUT, TOTAL);
     let late_events = canonical(restored_sink.drain());
     restored.shutdown().expect("clean shutdown");
@@ -867,7 +858,7 @@ fn spec_less_snapshots_restore_through_the_default_spec() {
     assert_eq!(
         canonical(stitched),
         reference_events,
-        "a default-spec restore must resume with identical decisions"
+        "a caller-filled restore must resume with identical decisions"
     );
     assert!(
         reference_events.iter().any(|e| (e.seq as usize) < CUT)
@@ -875,82 +866,61 @@ fn spec_less_snapshots_restore_through_the_default_spec() {
         "test workload should drift on both sides of the cut"
     );
 
-    // A default spec that builds another detector kind is refused.
-    let adwin: DetectorSpec = "adwin".parse().expect("valid spec");
+    // An entry left without a spec, or with one that builds another
+    // detector kind, is refused, naming the stream.
     let first = v1.streams[0].stream;
-    match build(&adwin, Some(v1)) {
-        Err(EngineError::InvalidSnapshot(message)) => {
-            assert!(
-                message.starts_with(&format!("stream {first}:")),
-                "{message}"
-            );
-            assert!(message.contains("ADWIN"), "{message}");
+    let mut missing = filled(&spec);
+    missing.streams[0].spec = None;
+    let adwin: DetectorSpec = "adwin".parse().expect("valid spec");
+    for (snapshot, reason) in [(missing, "no detector spec"), (filled(&adwin), "ADWIN")] {
+        match build(Some(snapshot)) {
+            Err(EngineError::InvalidSnapshot(message)) => {
+                assert!(message.starts_with(&format!("stream {first}")), "{message}");
+                assert!(message.contains(reason), "{message}");
+            }
+            Err(other) => panic!("expected InvalidSnapshot, got {other}"),
+            Ok(_) => panic!("stream {first} must be refused ({reason})"),
         }
-        Err(other) => panic!("expected InvalidSnapshot, got {other}"),
-        Ok(_) => panic!("an ADWIN default spec must not restore OPTWIN state"),
     }
 }
 
-/// A default spec auto-registers unknown streams (recording the spec), and
-/// `register_stream_spec` validates before it registers.
+/// Registration records the spec on the stream, at build time and at run
+/// time, and `register_stream_spec` validates before it registers.
 #[test]
-fn default_spec_and_register_stream_spec() {
+fn register_stream_spec_validates_and_records_the_spec() {
     let spec: DetectorSpec = "adwin:delta=0.01".parse().expect("valid spec");
-    let sink = Arc::new(MemorySink::new());
     let handle = EngineBuilder::new()
         .shards(2)
-        .default_spec(spec.clone())
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
+        .stream_spec(7, spec.clone())
         .build()
         .expect("valid engine");
-
-    // Auto-registration on first sight records the default spec.
     handle
-        .submit(&[(7, 0.0), (8, 1.0)])
+        .submit(&[(7, 0.0), (7, 1.0)])
         .expect("engine running");
     handle.flush().expect("no errors");
-    assert_eq!(handle.stream_spec(7).expect("running"), Some(spec.clone()));
     let stats = handle
         .stream_stats(7)
         .expect("running")
         .expect("registered");
     assert_eq!(stats.detector, "ADWIN");
     assert_eq!(stats.spec, spec);
+    assert_eq!(stats.elements, 2);
 
-    // Declarative runtime registration with a different spec.
+    // Runtime registration with a different spec.
     let kswin: DetectorSpec = "kswin:window_size=90,stat_size=20".parse().expect("valid");
     handle
         .register_stream_spec(42, kswin.clone())
         .expect("valid spec registers");
-    assert_eq!(handle.stream_spec(42).expect("running"), Some(kswin));
+    assert_eq!(spec_now(&handle, 42), Some(kswin));
     // Unknown streams report None.
-    assert_eq!(handle.stream_spec(999).expect("running"), None);
+    assert_eq!(spec_now(&handle, 999), None);
 
     // An invalid spec is rejected before anything is registered.
-    let bad = DetectorSpec::Adwin {
-        config: optwin::baselines::AdwinConfig {
-            delta: 0.0,
-            ..optwin::baselines::AdwinConfig::default()
-        },
-    };
     assert!(matches!(
-        handle.register_stream_spec(43, bad),
+        handle.register_stream_spec(43, degenerate_adwin()),
         Err(EngineError::InvalidSpec(_))
     ));
-    assert_eq!(handle.stream_spec(43).expect("running"), None);
-
-    // A degenerate default spec is rejected at build time.
-    let err = EngineBuilder::new()
-        .shards(1)
-        .default_spec(DetectorSpec::Adwin {
-            config: optwin::baselines::AdwinConfig {
-                delta: 0.0,
-                ..optwin::baselines::AdwinConfig::default()
-            },
-        })
-        .build()
-        .expect_err("invalid default spec");
-    assert!(matches!(err, EngineError::InvalidSpec(_)));
+    assert_eq!(spec_now(&handle, 43), None);
     handle.shutdown().expect("clean shutdown");
 }
 
@@ -975,7 +945,7 @@ mod snapshot_property {
     }
 
     /// An 8-kind fleet engine: freshly spec-registered, or restored from a
-    /// snapshot with no default spec (the snapshot is self-describing).
+    /// snapshot alone (the snapshot is self-describing).
     fn fleet_engine(
         shards: usize,
         restore: Option<EngineSnapshot>,
