@@ -12,6 +12,7 @@
 
 #![deny(missing_docs)]
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -85,6 +86,13 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     /// Converts `self` into a value tree.
     fn to_value(&self) -> Value;
+
+    /// The value tree a serializer emits: [`Serialize::to_value`] for every
+    /// type but a [`Value`], which lends itself, so emitting a tree never
+    /// copies it.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Types that can be reconstructed from a [`Value`] tree.
@@ -211,6 +219,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -282,6 +294,10 @@ impl<V: Serialize> Serialize for HashMap<String, V> {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 

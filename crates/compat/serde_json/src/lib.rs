@@ -1,12 +1,14 @@
 //! Minimal, offline stand-in for the [`serde_json`] API subset this
-//! workspace uses: [`to_string`], [`to_string_pretty`] and [`from_str`],
-//! operating through the workspace `serde` shim's [`serde::Value`] tree.
+//! workspace uses: [`to_string`], [`to_string_pretty`], [`to_writer`] and
+//! [`from_str`], operating through the workspace `serde` shim's
+//! [`serde::Value`] tree.
 //!
 //! [`serde_json`]: https://crates.io/crates/serde_json
 
 #![deny(missing_docs)]
 
 use std::fmt;
+use std::io::{self, Write};
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -38,106 +40,146 @@ impl From<serde::DeError> for Error {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Whether any of the eight bytes of `word` must be escaped inside a JSON
+/// string literal: one below 0x20, a `"` or a `\`. Word-at-a-time tests
+/// from "Bit Twiddling Hacks": `below(w, n)` is non-zero iff a byte of `w`
+/// is below `n` (for `n` ≤ 128), so `below(w ^ pattern, 1)` finds a byte
+/// equal to the pattern's.
+fn word_needs_escape(word: u64) -> bool {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & HIGH;
+    let quote = word ^ (ONES * u64::from(b'"'));
+    let backslash = word ^ (ONES * u64::from(b'\\'));
+    below(word, 0x20) | below(quote, 1) | below(backslash, 1) != 0
 }
 
-fn write_float(out: &mut String, x: f64) {
+/// Writes `s` as a JSON string literal. Runs of bytes that need no escape
+/// are written whole, eight bytes tested at a time (base64 blobs are long
+/// runs); only `"`, `\` and control characters are escaped, every other
+/// byte (multi-byte UTF-8 included) passes through.
+fn escape_into<W: Write + ?Sized>(out: &mut W, s: &str) -> io::Result<()> {
+    let bytes = s.as_bytes();
+    out.write_all(b"\"")?;
+    let (mut run, mut at) = (0, 0);
+    while at < bytes.len() {
+        if let Some(word) = bytes.get(at..at + 8) {
+            if !word_needs_escape(u64::from_le_bytes(word.try_into().expect("8 bytes"))) {
+                at += 8;
+                continue;
+            }
+        }
+        let byte = bytes[at];
+        at += 1;
+        let escape: &[u8] = match byte {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => b"",
+            _ => continue,
+        };
+        out.write_all(&bytes[run..at - 1])?;
+        run = at;
+        if escape.is_empty() {
+            write!(out, "\\u{byte:04x}")?;
+        } else {
+            out.write_all(escape)?;
+        }
+    }
+    out.write_all(&bytes[run..])?;
+    out.write_all(b"\"")
+}
+
+fn write_float<W: Write + ?Sized>(out: &mut W, x: f64) -> io::Result<()> {
     if !x.is_finite() {
         // JSON has no NaN/Infinity; mirror the common lossy convention.
-        out.push_str("null");
+        out.write_all(b"null")
     } else if x == x.trunc() && x.abs() < 1e15 {
         // Keep integral floats readable and round-trippable.
-        out.push_str(&format!("{x:.1}"));
+        write!(out, "{x:.1}")
     } else {
         // Rust's shortest round-trip formatting.
-        out.push_str(&format!("{x}"));
+        write!(out, "{x}")
     }
 }
 
-fn emit(value: &Value, out: &mut String, pretty: bool, indent: usize) {
-    let pad = |out: &mut String, level: usize| {
+/// Writes `value` as JSON straight into `out`: numbers are formatted and
+/// strings escaped in place, with no temporary `String`.
+fn emit<W: Write + ?Sized>(
+    value: &Value,
+    out: &mut W,
+    pretty: bool,
+    indent: usize,
+) -> io::Result<()> {
+    let pad = |out: &mut W, level: usize| -> io::Result<()> {
         if pretty {
-            out.push('\n');
+            out.write_all(b"\n")?;
             for _ in 0..level {
-                out.push_str("  ");
+                out.write_all(b"  ")?;
             }
         }
+        Ok(())
     };
     match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
+        Value::Null => out.write_all(b"null"),
+        Value::Bool(b) => out.write_all(if *b { b"true" } else { b"false" }),
+        Value::Int(i) => write!(out, "{i}"),
+        Value::UInt(u) => write!(out, "{u}"),
         Value::Float(x) => write_float(out, *x),
         Value::Str(s) => escape_into(out, s),
         Value::Array(items) => {
             if items.is_empty() {
-                out.push_str("[]");
-                return;
+                return out.write_all(b"[]");
             }
-            out.push('[');
+            out.write_all(b"[")?;
             for (k, item) in items.iter().enumerate() {
                 if k > 0 {
-                    out.push(',');
-                    if !pretty {
-                        // compact arrays have no extra whitespace
-                    }
+                    out.write_all(b",")?;
                 }
-                pad(out, indent + 1);
-                emit(item, out, pretty, indent + 1);
+                pad(out, indent + 1)?;
+                emit(item, out, pretty, indent + 1)?;
             }
-            pad(out, indent);
-            out.push(']');
+            pad(out, indent)?;
+            out.write_all(b"]")
         }
         Value::Object(fields) => {
             if fields.is_empty() {
-                out.push_str("{}");
-                return;
+                return out.write_all(b"{}");
             }
-            out.push('{');
+            out.write_all(b"{")?;
             for (k, (key, item)) in fields.iter().enumerate() {
                 if k > 0 {
-                    out.push(',');
+                    out.write_all(b",")?;
                 }
-                pad(out, indent + 1);
-                escape_into(out, key);
-                out.push(':');
-                if pretty {
-                    out.push(' ');
-                }
-                emit(item, out, pretty, indent + 1);
+                pad(out, indent + 1)?;
+                escape_into(out, key)?;
+                out.write_all(if pretty { b": " } else { b":" })?;
+                emit(item, out, pretty, indent + 1)?;
             }
-            pad(out, indent);
-            out.push('}');
+            pad(out, indent)?;
+            out.write_all(b"}")
         }
     }
 }
 
-/// Serialises `value` to compact JSON.
+/// Emits `value` into a fresh string.
+fn emit_to_string(value: &Value, pretty: bool) -> String {
+    let mut out = Vec::new();
+    emit(value, &mut out, pretty, 0).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the emitter writes UTF-8")
+}
+
+/// Serialises `value` to compact JSON. A [`Value`] is emitted in place,
+/// without a copy of the tree.
 ///
 /// # Errors
 ///
 /// Infallible for the value-tree model; the `Result` mirrors the upstream
 /// signature.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    emit(&value.to_value(), &mut out, false, 0);
-    Ok(out)
+    Ok(emit_to_string(&value.as_value(), false))
 }
 
 /// Serialises `value` to human-readable, two-space-indented JSON.
@@ -147,9 +189,18 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 /// Infallible for the value-tree model; the `Result` mirrors the upstream
 /// signature.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    emit(&value.to_value(), &mut out, true, 0);
-    Ok(out)
+    Ok(emit_to_string(&value.as_value(), true))
+}
+
+/// Serialises `value` as compact JSON straight into `writer` (a
+/// `&mut Vec<u8>` appends to the vector). A [`Value`] is emitted in place,
+/// without a copy of the tree.
+///
+/// # Errors
+///
+/// Returns [`Error`] when the writer fails.
+pub fn to_writer<W: Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> Result<(), Error> {
+    emit(&value.as_value(), &mut writer, false, 0).map_err(|e| Error::new(e.to_string()))
 }
 
 struct Parser<'a> {
@@ -395,6 +446,88 @@ mod tests {
         assert_eq!(from_str::<f64>("1.5").unwrap(), 1.5);
         assert_eq!(from_str::<String>("\"a\\\"b\"").unwrap(), "a\"b");
         assert_eq!(from_str::<Option<f64>>("null").unwrap(), None);
+    }
+
+    #[test]
+    fn numbers_are_written_in_place() {
+        assert_eq!(to_string(&-5i64).unwrap(), "-5");
+        assert_eq!(to_string(&u64::MAX).unwrap(), "18446744073709551615");
+        assert_eq!(to_string(&-0.5f64).unwrap(), "-0.5");
+        assert_eq!(to_string(&1e15f64).unwrap(), "1000000000000000");
+        assert_eq!(to_string(&1e300f64).unwrap(), format!("{}", 1e300f64));
+        assert_eq!(to_string(&f64::NAN).unwrap(), "null");
+    }
+
+    #[test]
+    fn escapes_only_quotes_backslashes_and_control_characters() {
+        let text = "a\"b\\c\nd\re\tf\u{1}g\u{1f}\u{7f}é€😀/";
+        let json = to_string(text).unwrap();
+        assert_eq!(
+            json,
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001f\u{7f}é€😀/\""
+        );
+        assert_eq!(from_str::<String>(&json).unwrap(), text);
+    }
+
+    /// The escaper against a byte-by-byte reference, with every byte class
+    /// at every offset of a word.
+    #[test]
+    fn escaping_matches_a_char_by_char_reference() {
+        fn reference(s: &str) -> String {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let specials = [
+            "\"", "\\", "\n", "\u{0}", "\u{1f}", " ", "\u{7f}", "é", "😀", "!", "~",
+        ];
+        for special in specials {
+            for offset in 0..20 {
+                for tail in [0, 1, 7, 8, 9, 17] {
+                    let text = format!("{}{special}{}", "x".repeat(offset), "y".repeat(tail));
+                    assert_eq!(
+                        to_string(text.as_str()).unwrap(),
+                        reference(&text),
+                        "{text:?}"
+                    );
+                }
+            }
+        }
+        let all: String = (0u32..0x300).filter_map(char::from_u32).collect();
+        assert_eq!(to_string(all.as_str()).unwrap(), reference(&all));
+    }
+
+    #[test]
+    fn a_value_tree_is_emitted_without_a_copy() {
+        let tree = serde::Value::Array(vec![serde::Value::Str("x".into())]);
+        assert!(matches!(tree.as_value(), std::borrow::Cow::Borrowed(_)));
+        let by_ref: &serde::Value = &tree;
+        assert!(matches!(
+            Serialize::as_value(&by_ref),
+            std::borrow::Cow::Borrowed(_)
+        ));
+        assert_eq!(to_string(&tree).unwrap(), "[\"x\"]");
+    }
+
+    #[test]
+    fn to_writer_appends_what_to_string_returns() {
+        let text = "a blob of more than sixteen bytes, then \"quotes\"\u{0}";
+        let mut out = b"prefix:".to_vec();
+        to_writer(&mut out, text).unwrap();
+        to_writer(&mut out, &2.5f64).unwrap();
+        let expected = format!("prefix:{}2.5", to_string(text).unwrap());
+        assert_eq!(String::from_utf8(out).unwrap(), expected);
     }
 
     #[test]

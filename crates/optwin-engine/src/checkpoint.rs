@@ -53,13 +53,17 @@
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use optwin_baselines::DetectorSpec;
 use optwin_core::snapshot as codec;
 use serde::{Deserialize, Serialize};
 
 use crate::error::EngineError;
-use crate::persist::{EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
+use crate::persist::{
+    snapshot_json, write_streams, EncodedEntries, EngineSnapshot, StreamStateSnapshot,
+    ENGINE_SNAPSHOT_VERSION,
+};
 
 /// Wire format version of a checkpoint directory (manifest + base + delta
 /// overlays + WAL segments). v5 is a *directory* format: its base and the
@@ -183,7 +187,7 @@ impl Default for CheckpointPolicy {
     }
 }
 
-/// What one checkpoint did, returned by
+/// What one checkpoint did and where its time went, returned by
 /// [`crate::EngineHandle::checkpoint`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointReport {
@@ -202,19 +206,33 @@ pub struct CheckpointReport {
     /// Cumulative bytes of the delta chain after this checkpoint (0 right
     /// after a compaction).
     pub delta_chain_bytes: u64,
+    /// The capture barrier: every shard worker rotating its WAL segment and
+    /// encoding its entries, from the first barrier message sent to the
+    /// last reply.
+    pub capture: Duration,
+    /// Merging the shards' entries by stream id and writing the base or
+    /// delta file.
+    pub write: Duration,
+    /// Writing the manifest (the commit point) and collecting garbage.
+    pub manifest: Duration,
 }
 
 impl std::fmt::Display for CheckpointReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ms = |stage: Duration| stage.as_secs_f64() * 1e3;
         write!(
             f,
-            "checkpoint #{} ({}): {} streams, {} bytes (chain {} / base {})",
+            "checkpoint #{} ({}): {} streams, {} bytes (chain {} / base {}) · \
+             capture {:.2}ms · write {:.2}ms · manifest {:.2}ms",
             self.generation,
             if self.full { "base" } else { "delta" },
             self.streams,
             self.bytes,
             self.delta_chain_bytes,
-            self.base_bytes
+            self.base_bytes,
+            ms(self.capture),
+            ms(self.write),
+            ms(self.manifest)
         )
     }
 }
@@ -241,8 +259,9 @@ pub(crate) struct Manifest {
     pub(crate) deltas: Vec<String>,
 }
 
-/// One delta overlay: the dirty streams' full snapshot entries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One delta overlay: the dirty streams' full snapshot entries, as
+/// recovery reads it ([`delta_json`] writes it).
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub(crate) struct DeltaSnapshot {
     /// Always [`CHECKPOINT_WIRE_VERSION`].
     pub(crate) version: u64,
@@ -252,6 +271,15 @@ pub(crate) struct DeltaSnapshot {
     /// by stream id. Each replaces (or introduces) its stream wholesale
     /// when the overlay is applied.
     pub(crate) streams: Vec<StreamStateSnapshot>,
+}
+
+/// The JSON text of the delta overlay checkpoint `generation` writes: the
+/// entries of `runs`, merged by stream id.
+pub(crate) fn delta_json(generation: u64, runs: &[EncodedEntries]) -> Vec<u8> {
+    let mut out =
+        format!(r#"{{"version":{CHECKPOINT_WIRE_VERSION},"generation":{generation},"#).into_bytes();
+    write_streams(&mut out, runs);
+    out
 }
 
 /// Filename of the base snapshot written by checkpoint `generation`.
@@ -289,7 +317,7 @@ fn io_err(action: &str, path: &Path, error: &io::Error) -> EngineError {
 /// survives power loss, not just process death.
 pub(crate) fn write_atomic_durable(
     path: &Path,
-    contents: &str,
+    contents: &[u8],
     durability: Durability,
 ) -> Result<(), EngineError> {
     let tmp = path.with_extension("tmp");
@@ -299,7 +327,7 @@ pub(crate) fn write_atomic_durable(
         }
         Durability::Fsync => {
             let mut file = File::create(&tmp).map_err(|e| io_err("creating", &tmp, &e))?;
-            file.write_all(contents.as_bytes())
+            file.write_all(contents)
                 .map_err(|e| io_err("writing", &tmp, &e))?;
             sync_file(&file, &tmp)?;
         }
@@ -740,44 +768,36 @@ impl CheckpointState {
         }
     }
 
-    /// The handle side of a checkpoint, after the workers captured their
-    /// entries: writes the base or delta file, then the manifest (the
-    /// commit point), advances the generation counters, and garbage-
-    /// collects — in that order, so a crash between any two steps leaves
-    /// the previous manifest authoritative with its WAL segments intact.
+    /// The handle side of a checkpoint, after the workers encoded their
+    /// entries (`runs`, one per shard, in `capture` time): merges them into
+    /// the base or delta file and writes it, then the manifest (the commit
+    /// point), advances the generation counters, and garbage-collects — in
+    /// that order, so a crash between any two steps leaves the previous
+    /// manifest authoritative with its WAL segments intact.
     pub(crate) fn commit(
         &mut self,
         generation: u64,
         full: bool,
-        streams: Vec<StreamStateSnapshot>,
+        runs: &[EncodedEntries],
         shards: usize,
         emit_warnings: bool,
+        capture: Duration,
     ) -> Result<CheckpointReport, EngineError> {
-        let entry_count = streams.len();
+        let started = Instant::now();
         let (name, contents) = if full {
-            let snapshot = EngineSnapshot {
-                version: ENGINE_SNAPSHOT_VERSION,
-                shards,
-                emit_warnings,
-                streams,
-            };
-            (base_file_name(generation), snapshot.to_json())
-        } else {
-            let delta = DeltaSnapshot {
-                version: CHECKPOINT_WIRE_VERSION,
-                generation,
-                streams,
-            };
             (
-                delta_file_name(generation),
-                serde_json::to_string(&delta).expect("value-tree serialization is infallible"),
+                base_file_name(generation),
+                snapshot_json(ENGINE_SNAPSHOT_VERSION, shards, emit_warnings, runs),
             )
+        } else {
+            (delta_file_name(generation), delta_json(generation, runs))
         };
         let bytes = contents.len() as u64;
         // Under `Fsync`, the base/delta file (and its directory entry) is
         // durable *before* the manifest rename publishes it — a manifest
         // must never outlive the files it names.
         write_atomic_durable(&self.dir.join(&name), &contents, self.policy.durability)?;
+        let written = Instant::now();
         if full {
             self.base_file = Some(name);
             self.base_bytes = bytes;
@@ -790,7 +810,9 @@ impl CheckpointState {
         let manifest = self.manifest(generation, shards);
         write_atomic_durable(
             &self.dir.join(MANIFEST_FILE),
-            &serde_json::to_string(&manifest).expect("value-tree serialization is infallible"),
+            serde_json::to_string(&manifest)
+                .expect("value-tree serialization is infallible")
+                .as_bytes(),
             self.policy.durability,
         )?;
         self.next_generation = generation + 1;
@@ -800,10 +822,13 @@ impl CheckpointState {
         Ok(CheckpointReport {
             generation,
             full,
-            streams: entry_count,
+            streams: runs.iter().map(EncodedEntries::len).sum(),
             bytes,
             base_bytes: self.base_bytes,
             delta_chain_bytes: self.delta_bytes,
+            capture,
+            write: written - started,
+            manifest: written.elapsed(),
         })
     }
 
@@ -898,6 +923,31 @@ mod tests {
         assert_eq!(parse_wal_segment_name("wal-3.log"), None);
     }
 
+    /// Pins the delta writer's bytes: every overlay of the checked-in v5
+    /// fixture reprints unchanged, outer layout included.
+    #[test]
+    fn golden_v5_deltas_reprint_byte_for_byte() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/snapshots/v5");
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .expect("v5 fixture present")
+            .map(|entry| entry.expect("readable entry").file_name())
+            .filter_map(|name| name.into_string().ok())
+            .filter(|name| name.starts_with("delta-"))
+            .collect();
+        names.sort();
+        assert_eq!(names.len(), 4, "{names:?}");
+        for name in names {
+            let text = fs::read_to_string(dir.join(&name)).expect("readable overlay");
+            let delta: DeltaSnapshot = serde_json::from_str(&text).expect("overlay parses");
+            let mut entries = EncodedEntries::default();
+            for stream in &delta.streams {
+                entries.push(&stream.entry());
+            }
+            let reprinted = delta_json(delta.generation, &[entries]);
+            assert!(reprinted == text.as_bytes(), "{name} reprints differently");
+        }
+    }
+
     #[test]
     fn manifest_round_trips_and_rejects_future_versions() {
         let dir = std::env::temp_dir().join(format!(
@@ -915,7 +965,7 @@ mod tests {
         };
         write_atomic_durable(
             &dir.join(MANIFEST_FILE),
-            &serde_json::to_string(&manifest).unwrap(),
+            serde_json::to_string(&manifest).unwrap().as_bytes(),
             Durability::PageCache,
         )
         .unwrap();
@@ -925,7 +975,7 @@ mod tests {
         future.version = CHECKPOINT_WIRE_VERSION + 1;
         write_atomic_durable(
             &dir.join(MANIFEST_FILE),
-            &serde_json::to_string(&future).unwrap(),
+            serde_json::to_string(&future).unwrap().as_bytes(),
             Durability::PageCache,
         )
         .unwrap();

@@ -47,7 +47,9 @@ use crate::checkpoint::{
 use crate::error::{EngineError, StreamSnapshot};
 use crate::event::DriftEvent;
 use crate::hibernate::{DetectorSlot, HibernatedDetector, HibernationPolicy};
-use crate::persist::{EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
+use crate::persist::{
+    EncodedEntries, EngineSnapshot, EntryRef, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION,
+};
 use crate::sink::EventSink;
 
 /// Decay factor of the per-shard batch-latency EWMA: each new batch
@@ -65,9 +67,16 @@ pub struct ShardLoad {
     /// Lifetime records of the streams on this shard, restored history
     /// included — the load [`EngineStats::imbalance`] compares.
     pub stream_records: u64,
-    /// Records this worker has processed since the engine started (unlike
-    /// `stream_records`, it leaves out the history of restored streams).
+    /// Records this worker has dequeued since the engine started, dropped
+    /// ones included (unlike `stream_records`, it leaves out the history of
+    /// restored streams).
     pub records: u64,
+    /// Records this worker dropped since the engine started: records of an
+    /// unregistered stream ([`EngineError::UnknownStream`]) and of a
+    /// sleeping stream whose state did not wake
+    /// ([`EngineError::Hibernation`]). No detector saw them and the
+    /// write-ahead log does not hold them.
+    pub dropped: u64,
     /// Records currently sitting in this shard's queue (instantaneous
     /// occupancy at the time of the query).
     pub queue_depth: usize,
@@ -180,12 +189,13 @@ impl fmt::Display for EngineStats {
         for shard in &self.shards {
             writeln!(
                 f,
-                "  shard {}: {} streams · {} records · {} processed · queue {} · \
-                 batch EWMA {:.3}ms · mem {} ({} hibernated, {} blobs)",
+                "  shard {}: {} streams · {} records · {} processed ({} dropped) · \
+                 queue {} · batch EWMA {:.3}ms · mem {} ({} hibernated, {} blobs)",
                 shard.shard,
                 shard.streams,
                 shard.stream_records,
                 shard.records,
+                shard.dropped,
                 shard.queue_depth,
                 shard.batch_ewma_seconds * 1e3,
                 fmt_bytes(shard.resident_bytes),
@@ -349,8 +359,10 @@ struct Worker {
     batch_order: Vec<u64>,
     /// Event staging buffer, reused across batches.
     events: Vec<DriftEvent>,
-    /// Records ingested by this worker since the engine started.
+    /// Records dequeued by this worker since the engine started.
     records: u64,
+    /// Records this worker dropped: unknown stream or failed wake.
+    dropped: u64,
     /// Batch partitions processed (0 ⇔ the EWMA below is unseeded).
     batches: u64,
     /// EWMA of the wall-clock seconds spent processing one batch partition
@@ -379,24 +391,44 @@ struct Worker {
 }
 
 impl Worker {
-    /// Stages `records` on their streams. A record for an unregistered
-    /// stream is skipped and recorded as [`EngineError::UnknownStream`].
-    /// Returns whether every record was staged.
+    /// Stages `records` on their streams and wakes the sleepers among
+    /// them, dropping the records of an unregistered stream
+    /// ([`EngineError::UnknownStream`]) and of a sleeper whose state does
+    /// not wake ([`EngineError::Hibernation`]; its blob stays intact and
+    /// its next batch retries). Returns whether every record was kept.
     fn stage(&mut self, records: &[(u64, f64)]) -> bool {
+        let dropped_before = self.dropped;
         self.batch_order.clear();
-        let mut all_staged = true;
+        let mut unwoken = Vec::new();
         for &(stream, value) in records {
             let Some(state) = self.streams.get_mut(&stream) else {
                 self.queue.record_error(EngineError::UnknownStream(stream));
-                all_staged = false;
+                self.dropped += 1;
                 continue;
             };
             if state.staged.is_empty() {
+                // Wake before the batch is logged, so that a stream that
+                // cannot wake drops its records here and the log never
+                // holds them.
+                if state.slot.is_hibernated() {
+                    match state.rehydrate(stream) {
+                        Ok(()) => self.rehydrations += 1,
+                        Err(error) => {
+                            self.queue.record_error(error);
+                            unwoken.push(stream);
+                        }
+                    }
+                }
                 self.batch_order.push(stream);
             }
             state.staged.push(value);
         }
-        all_staged
+        for stream in unwoken {
+            let state = self.streams.get_mut(&stream).expect("staged above");
+            self.dropped += state.staged.len() as u64;
+            state.staged.clear();
+        }
+        self.dropped == dropped_before
     }
 
     /// Runs every staged stream's detector through its batch path and
@@ -406,18 +438,9 @@ impl Worker {
         self.events.clear();
         for &stream in &self.batch_order {
             let state = self.streams.get_mut(&stream).expect("staged above");
-            if state.slot.is_hibernated() {
-                if let Err(error) = state.rehydrate(stream) {
-                    // Keep the blob intact and drop this batch's records for
-                    // the stream; the next batch retries the wake.
-                    self.queue.record_error(error);
-                    state.staged.clear();
-                    continue;
-                }
-                self.rehydrations += 1;
-            }
             let DetectorSlot::Live(detector) = &mut state.slot else {
-                unreachable!("rehydrated above");
+                // A sleeper that did not wake: `stage` dropped its records.
+                continue;
             };
             let started = Instant::now();
             let outcome = detector.add_batch(&state.staged);
@@ -485,6 +508,7 @@ impl Worker {
             shard: self.shard_index,
             streams: self.streams.len(),
             records: self.records,
+            dropped: self.dropped,
             batch_ewma_seconds: self.batch_ewma_seconds,
             rehydrations: self.rehydrations,
             ..ShardLoad::default()
@@ -500,42 +524,37 @@ impl Worker {
         (load, drifts)
     }
 
-    /// Serializes one stream's persisted entry. A sleeping stream embeds
-    /// its blob verbatim — snapshotting a mostly-cold fleet never
+    /// Every stream's persisted entry, in id order. A sleeping stream
+    /// embeds a copy of its blob — snapshotting a mostly-cold fleet never
     /// materializes its detectors; the blob holds the same wire-v4 state
     /// the live detector would write.
-    fn snapshot_entry(&self, stream: u64) -> StreamStateSnapshot {
-        let state = &self.streams[&stream];
-        StreamStateSnapshot {
-            stream,
-            seq: state.seq,
-            detector: state.slot.name().to_string(),
-            detector_seconds: state.seconds,
-            spec: Some(state.spec.clone()),
-            shard: Some(self.shard_index),
-            state: state.slot.state_value(),
-            hibernated: state.slot.is_hibernated(),
-        }
-    }
-
-    /// Serializes the entries of the streams `keep` selects, in id order.
-    fn snapshot(&self, keep: impl Fn(&StreamState) -> bool) -> Vec<StreamStateSnapshot> {
-        let mut ids: Vec<u64> = self
-            .streams
-            .iter()
-            .filter(|(_, state)| keep(state))
-            .map(|(&id, _)| id)
-            .collect();
+    fn snapshot(&self) -> Vec<StreamStateSnapshot> {
+        let mut ids: Vec<u64> = self.streams.keys().copied().collect();
         ids.sort_unstable();
         ids.into_iter()
-            .map(|stream| self.snapshot_entry(stream))
+            .map(|stream| {
+                let state = &self.streams[&stream];
+                StreamStateSnapshot {
+                    stream,
+                    seq: state.seq,
+                    detector: state.slot.name().to_string(),
+                    detector_seconds: state.seconds,
+                    spec: Some(state.spec.clone()),
+                    shard: Some(self.shard_index),
+                    state: state.slot.state_value().into_owned(),
+                    hibernated: state.slot.is_hibernated(),
+                }
+            })
             .collect()
     }
 
     /// The worker half of a checkpoint barrier: finalizes the current WAL
-    /// segment, rotates to the segment of `generation + 1`, and captures
-    /// the dirty streams' entries (all streams when `full`), clearing their
-    /// dirty bits.
+    /// segment, rotates to the segment of `generation + 1`, and encodes the
+    /// dirty streams' entries (all streams when `full`) as JSON text in id
+    /// order, clearing their dirty bits. The entries are written as
+    /// [`EngineHandle::snapshot`] captures them, but straight from the
+    /// stream: a sleeper's blob is borrowed, not copied, and every shard
+    /// encodes its own streams in parallel.
     ///
     /// Ordering matters for crash safety: the rotation happens *before*
     /// the capture, so if the handle side fails or crashes before the
@@ -546,7 +565,7 @@ impl Worker {
         &mut self,
         generation: u64,
         full: bool,
-    ) -> Result<Vec<StreamStateSnapshot>, EngineError> {
+    ) -> Result<EncodedEntries, EngineError> {
         if let Some(wal) = self.wal.take() {
             wal.finish()?;
         }
@@ -558,12 +577,28 @@ impl Worker {
                 self.wal_durability,
             )?);
         }
-        let entries = self.snapshot(|state| full || state.dirty);
-        for entry in &entries {
-            self.streams
-                .get_mut(&entry.stream)
-                .expect("listed above")
-                .dirty = false;
+        let shard = self.shard_index;
+        let mut captured: Vec<(u64, &mut StreamState)> = self
+            .streams
+            .iter_mut()
+            .filter(|(_, state)| full || state.dirty)
+            .map(|(&stream, state)| (stream, state))
+            .collect();
+        captured.sort_unstable_by_key(|&(stream, _)| stream);
+        let mut entries = EncodedEntries::default();
+        for (stream, state) in captured {
+            state.dirty = false;
+            let tree = state.slot.state_value();
+            entries.push(&EntryRef {
+                stream,
+                seq: state.seq,
+                detector: state.slot.name(),
+                detector_seconds: state.seconds,
+                spec: Some(&state.spec),
+                shard: Some(shard),
+                state: &tree,
+                hibernated: state.slot.is_hibernated(),
+            });
         }
         Ok(entries)
     }
@@ -621,7 +656,7 @@ impl Worker {
                     let mut seconds = started.elapsed().as_secs_f64();
                     // Log-then-apply: the batch lands in the write-ahead log
                     // before any detector sees it, so a crash mid-batch
-                    // replays it in full. Records no stream took stay out:
+                    // replays it in full. Records `stage` dropped stay out:
                     // they changed nothing, and replaying them would fail
                     // every recovery with the error they already raised. A
                     // WAL I/O failure degrades durability rather than
@@ -633,12 +668,16 @@ impl Worker {
                             wal.append_records(&records)
                         } else {
                             let streams = &self.streams;
-                            let staged: Vec<(u64, f64)> = records
+                            let kept: Vec<(u64, f64)> = records
                                 .iter()
-                                .filter(|(stream, _)| streams.contains_key(stream))
+                                .filter(|(stream, _)| {
+                                    streams
+                                        .get(stream)
+                                        .is_some_and(|state| !state.staged.is_empty())
+                                })
                                 .copied()
                                 .collect();
-                            wal.append_records(&staged)
+                            wal.append_records(&kept)
                         };
                         if let Err(error) = logged {
                             self.queue.record_error(error);
@@ -794,6 +833,7 @@ pub(crate) fn spawn_engine(
             batch_order: Vec::new(),
             events: Vec::new(),
             records: 0,
+            dropped: 0,
             batches: 0,
             batch_ewma_seconds: 0.0,
             hibernation,
@@ -1138,10 +1178,12 @@ impl EngineHandle {
         let generation = state.next_generation;
 
         // The capture barrier: every worker finalizes its WAL segment,
-        // rotates to generation + 1 and returns its (dirty or full) entry
+        // rotates to generation + 1 and encodes its (dirty or full) entry
         // set. Holding the checkpoint lock serializes concurrent cuts.
+        let started = Instant::now();
         let captures = self
             .barrier_all(move |worker: &mut Worker| worker.checkpoint_capture(generation, full));
+        let capture = started.elapsed();
         // Past the barrier, shards have already cleared dirty bits; any
         // failure before the manifest lands marks the state degraded so the
         // next checkpoint writes a full base instead of a (possibly
@@ -1150,17 +1192,14 @@ impl EngineHandle {
         // it: reusing this one would re-create, and so truncate, the
         // segments holding every record logged since.
         let result = captures.and_then(|captures| {
-            let mut streams: Vec<StreamStateSnapshot> = Vec::new();
-            for capture in captures {
-                streams.extend(capture?);
-            }
-            streams.sort_unstable_by_key(|entry| entry.stream);
+            let runs = captures.into_iter().collect::<Result<Vec<_>, _>>()?;
             state.commit(
                 generation,
                 full,
-                streams,
+                &runs,
                 self.senders.len(),
                 self.shared.emit_warnings,
+                capture,
             )
         });
         if result.is_err() {
@@ -1191,7 +1230,7 @@ impl EngineHandle {
     /// Returns [`EngineError::ChannelClosed`] when the engine has shut
     /// down, or [`EngineError::Poisoned`] after a worker panic.
     pub fn snapshot(&self) -> Result<EngineSnapshot, EngineError> {
-        let shards = self.barrier_all(|worker: &mut Worker| worker.snapshot(|_| true))?;
+        let shards = self.barrier_all(|worker: &mut Worker| worker.snapshot())?;
         let mut streams: Vec<StreamStateSnapshot> = shards.into_iter().flatten().collect();
         streams.sort_unstable_by_key(|s| s.stream);
         Ok(EngineSnapshot {

@@ -39,6 +39,8 @@
 //! *asleep*, blobs verbatim, with rehydration deferred exactly as a plain
 //! snapshot restore would.
 
+use std::borrow::Cow;
+
 use optwin_baselines::DetectorSpec;
 use optwin_core::DriftDetector;
 
@@ -216,13 +218,13 @@ impl DetectorSlot {
         }
     }
 
-    /// The detector's wire-v4 state value. A sleeper returns its blob —
-    /// how a sleeping stream embeds itself in an engine snapshot without
-    /// waking.
-    pub(crate) fn state_value(&self) -> serde::Value {
+    /// The detector's wire-v4 state value. A sleeper lends its blob — how a
+    /// sleeping stream embeds itself in an engine snapshot or checkpoint
+    /// without waking.
+    pub(crate) fn state_value(&self) -> Cow<'_, serde::Value> {
         match self {
-            DetectorSlot::Live(d) => d.snapshot_state(),
-            DetectorSlot::Hibernated(h) => h.blob.clone(),
+            DetectorSlot::Live(d) => Cow::Owned(d.snapshot_state()),
+            DetectorSlot::Hibernated(h) => Cow::Borrowed(&h.blob),
         }
     }
 

@@ -69,9 +69,14 @@
 //! stream encoding. A checkpoint **directory** (wire v5) holds a full v4
 //! [`EngineSnapshot`] as its base, delta overlays listing only the streams
 //! each barrier found dirty (same per-stream `{spec, seq, state, shard,
-//! hibernated}` entries, reusing this module's serialization verbatim), and
+//! hibernated}` entries, written by this module's one entry writer), and
 //! per-shard write-ahead-log segments covering the records since the last
-//! barrier. Shard workers track a per-stream **dirty bit** — set on
+//! barrier. Each shard worker encodes its own streams' entries to JSON text
+//! inside the checkpoint barrier, straight from the stream (a sleeper's
+//! blob is borrowed, not copied), and the handle only merges the shards'
+//! runs by stream id into the file, so a checkpoint base is byte for byte
+//! what [`EngineSnapshot::to_json`] writes for the same streams. Shard
+//! workers track a per-stream **dirty bit** — set on
 //! creation, after every ingested batch and on hibernation transitions,
 //! cleared only when a checkpoint captures the stream — which is what
 //! makes the overlays sparse. Recovery merges base → overlays → WAL tail
@@ -80,7 +85,7 @@
 //! entries applies to recovered fleets unchanged.
 
 use optwin_baselines::DetectorSpec;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 use crate::error::EngineError;
 
@@ -122,8 +127,8 @@ pub struct StreamStateSnapshot {
     pub detector_seconds: f64,
     /// The spec the stream's detector was built from. Every writer fills
     /// it; it is `None` only in a parsed v1 snapshot, which predates specs.
-    /// Fill it before restoring such an entry, or restore through a default
-    /// spec ([`crate::EngineBuilder::restore`]).
+    /// Fill it before restoring such an entry
+    /// ([`crate::EngineBuilder::restore`]).
     pub spec: Option<DetectorSpec>,
     /// The shard the stream lived on when the snapshot was taken (`None`
     /// for v1/v2 snapshots). Provenance only: a restore places the stream
@@ -144,28 +149,138 @@ pub struct StreamStateSnapshot {
     pub hibernated: bool,
 }
 
-// Hand-written (rather than derived) so that the `hibernated` marker is
-// omitted when false: an all-awake snapshot must stay byte-identical to the
-// pre-hibernation wire output (golden fixtures and the size guard pin this).
-impl Serialize for StreamStateSnapshot {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("stream".to_string(), self.stream.to_value()),
-            ("seq".to_string(), self.seq.to_value()),
-            ("detector".to_string(), self.detector.to_value()),
-            (
-                "detector_seconds".to_string(),
-                self.detector_seconds.to_value(),
-            ),
-            ("spec".to_string(), self.spec.to_value()),
-            ("shard".to_string(), self.shard.to_value()),
-            ("state".to_string(), self.state.to_value()),
-        ];
-        if self.hibernated {
-            fields.push(("hibernated".to_string(), serde::Value::Bool(true)));
+impl StreamStateSnapshot {
+    /// The entry as the writer reads it.
+    pub(crate) fn entry(&self) -> EntryRef<'_> {
+        EntryRef {
+            stream: self.stream,
+            seq: self.seq,
+            detector: &self.detector,
+            detector_seconds: self.detector_seconds,
+            spec: self.spec.as_ref(),
+            shard: self.shard,
+            state: &self.state,
+            hibernated: self.hibernated,
         }
-        serde::Value::Object(fields)
     }
+}
+
+/// One stream's persisted fields, borrowed from wherever they live: a
+/// [`StreamStateSnapshot`], or a shard worker's stream with its live
+/// detector's fresh state tree or its sleeper's blob. Every snapshot
+/// document (a snapshot's JSON, a checkpoint base, a delta overlay) writes
+/// its entries from these, through [`EncodedEntries::push`].
+pub(crate) struct EntryRef<'a> {
+    pub(crate) stream: u64,
+    pub(crate) seq: u64,
+    pub(crate) detector: &'a str,
+    pub(crate) detector_seconds: f64,
+    pub(crate) spec: Option<&'a DetectorSpec>,
+    pub(crate) shard: Option<usize>,
+    pub(crate) state: &'a serde::Value,
+    pub(crate) hibernated: bool,
+}
+
+/// Stream entries encoded as JSON text, each tagged with its stream id:
+/// one shard worker's part of a checkpoint, or a whole snapshot's entries.
+#[derive(Default)]
+pub(crate) struct EncodedEntries {
+    text: Vec<u8>,
+    /// `(stream, end of its entry in text)`, in the order pushed.
+    ends: Vec<(u64, usize)>,
+}
+
+impl EncodedEntries {
+    /// Appends the entry's JSON object: `stream`, `seq`, `detector`,
+    /// `detector_seconds`, `spec`, `shard` and `state`, in that order, each
+    /// through `serde_json` (the state tree in place, not copied), then
+    /// `"hibernated":true` for a sleeping stream only. The marker is
+    /// omitted when false so that an all-awake snapshot stays
+    /// byte-identical to the pre-hibernation wire output (the golden
+    /// fixtures and the size guard pin this).
+    pub(crate) fn push(&mut self, entry: &EntryRef<'_>) {
+        let fields: [(&str, &dyn serde::Serialize); 7] = [
+            ("stream", &entry.stream),
+            ("seq", &entry.seq),
+            ("detector", &entry.detector),
+            ("detector_seconds", &entry.detector_seconds),
+            ("spec", &entry.spec),
+            ("shard", &entry.shard),
+            ("state", entry.state),
+        ];
+        let out = &mut self.text;
+        for (k, (key, value)) in fields.into_iter().enumerate() {
+            out.extend_from_slice(if k == 0 { b"{\"" } else { b",\"" });
+            out.extend_from_slice(key.as_bytes());
+            out.extend_from_slice(b"\":");
+            serde_json::to_writer(&mut *out, value).expect("writing to a Vec cannot fail");
+        }
+        if entry.hibernated {
+            out.extend_from_slice(br#","hibernated":true"#);
+        }
+        out.push(b'}');
+        self.ends.push((entry.stream, out.len()));
+    }
+
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `(stream, entry text)` in the order pushed.
+    fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        let mut start = 0;
+        self.ends.iter().map(move |&(stream, end)| {
+            let text = &self.text[start..end];
+            start = end;
+            (stream, text)
+        })
+    }
+}
+
+/// Closes a snapshot document whose header `out` holds: the `streams`
+/// array of every run's entries, merged by stream id (each run in id order,
+/// as a shard worker encodes it; a single run keeps its own order), then
+/// the closing brace.
+pub(crate) fn write_streams(out: &mut Vec<u8>, runs: &[EncodedEntries]) {
+    out.reserve(
+        runs.iter()
+            .map(|run| run.text.len() + run.len())
+            .sum::<usize>()
+            + 16,
+    );
+    out.extend_from_slice(br#""streams":["#);
+    let mut heads: Vec<_> = runs.iter().map(|run| run.iter().peekable()).collect();
+    let mut first = true;
+    while let Some(head) = heads
+        .iter_mut()
+        .filter_map(|head| Some((head.peek()?.0, head)))
+        .min_by_key(|&(stream, _)| stream)
+        .map(|(_, head)| head)
+    {
+        let (_, text) = head.next().expect("peeked above");
+        if !first {
+            out.push(b',');
+        }
+        first = false;
+        out.extend_from_slice(text);
+    }
+    out.extend_from_slice(b"]}");
+}
+
+/// The JSON text of a snapshot document (wire v1–v4 layout): what
+/// [`EngineSnapshot::to_json`] returns and a checkpoint base holds.
+pub(crate) fn snapshot_json(
+    version: u64,
+    shards: usize,
+    emit_warnings: bool,
+    runs: &[EncodedEntries],
+) -> Vec<u8> {
+    let mut out =
+        format!(r#"{{"version":{version},"shards":{shards},"emit_warnings":{emit_warnings},"#)
+            .into_bytes();
+    write_streams(&mut out, runs);
+    out
 }
 
 // Hand-written (rather than derived) so that the `spec` and `shard` entries
@@ -208,7 +323,7 @@ impl Deserialize for StreamStateSnapshot {
 }
 
 /// A point-in-time capture of every stream in an engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct EngineSnapshot {
     /// Format version (parsed snapshots may be any supported version up to
     /// [`ENGINE_SNAPSHOT_VERSION`]).
@@ -237,10 +352,21 @@ impl EngineSnapshot {
         self.streams.iter().all(|s| s.spec.is_some())
     }
 
-    /// Serializes the snapshot to compact JSON.
+    /// Serializes the snapshot to compact JSON, entries in the order of
+    /// [`EngineSnapshot::streams`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("value-tree serialization is infallible")
+        let mut entries = EncodedEntries::default();
+        for stream in &self.streams {
+            entries.push(&stream.entry());
+        }
+        let json = snapshot_json(
+            self.version,
+            self.shards,
+            self.emit_warnings,
+            std::slice::from_ref(&entries),
+        );
+        String::from_utf8(json).expect("JSON text is UTF-8")
     }
 
     /// Parses a snapshot previously produced by [`EngineSnapshot::to_json`]

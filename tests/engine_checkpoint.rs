@@ -1266,6 +1266,98 @@ fn failed_recovery_leaves_the_directory_intact() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A sleeper whose persisted state does not wake drops its records on the
+/// live engine, and the write-ahead log never holds them: the healthy
+/// streams' records in the same batch are logged, so a recovery from the
+/// directory succeeds with the broken stream back asleep and every healthy
+/// stream resumes bit-exactly.
+#[test]
+fn records_of_a_failed_wake_stay_out_of_the_log() {
+    /// The DDM stream whose state gets a `version` no DDM reads.
+    const BROKEN: u64 = 2;
+    let dir = scratch_dir("failed-wake");
+    let (donor, _sink) = build_fleet(None, Some(HibernationPolicy::cold_after_flushes(0)));
+    feed_flushing(&donor, 0, COVERED);
+    let mut snapshot = donor.snapshot().expect("snapshot-capable");
+    donor.shutdown().expect("clean shutdown");
+    assert!(snapshot.streams.iter().all(|s| s.hibernated));
+    let entry = snapshot
+        .streams
+        .iter_mut()
+        .find(|s| s.stream == BROKEN)
+        .expect("the DDM stream is captured");
+    let serde::Value::Object(fields) = &mut entry.state else {
+        panic!("a DDM state is an object");
+    };
+    fields
+        .iter_mut()
+        .find(|(key, _)| key == "version")
+        .expect("a versioned state")
+        .1 = serde::Value::Int(99);
+
+    let builder = || {
+        EngineBuilder::new()
+            .shards(4)
+            .hibernation(HibernationPolicy::default())
+            .checkpoint(&dir, CheckpointPolicy::every_flushes(0))
+    };
+    let handle = builder()
+        .restore(snapshot)
+        .build()
+        .expect("the broken entry restores asleep");
+    let mut records = Vec::new();
+    for i in COVERED..CRASH {
+        records.extend((0..STREAMS).map(|stream| (stream, element(stream, i))));
+    }
+    handle.submit(&records).expect("engine running");
+    match handle.flush() {
+        Err(EngineError::Hibernation { stream, .. }) => assert_eq!(stream, BROKEN),
+        other => panic!("expected a Hibernation error, got {other:?}"),
+    }
+    let dropped = |handle: &EngineHandle| -> u64 {
+        let stats = handle.stats().expect("engine running");
+        stats.shards.iter().map(|shard| shard.dropped).sum()
+    };
+    assert_eq!(dropped(&handle), (CRASH - COVERED) as u64);
+    // Stopped without a checkpoint: the log alone carries `COVERED..CRASH`.
+    handle.shutdown().expect("clean shutdown");
+
+    let sink = Arc::new(MemorySink::new());
+    let recovered = builder()
+        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
+        .recover_from_dir(&dir)
+        .expect("recoverable directory")
+        .build()
+        .expect("the log holds no record of the failed wake");
+    assert_eq!(dropped(&recovered), 0, "the replay drops nothing");
+    let broken = recovered
+        .stream_stats(BROKEN)
+        .expect("engine running")
+        .expect("the broken stream is recovered");
+    assert!(broken.hibernated);
+    assert_eq!(broken.elements, COVERED as u64);
+    for start in (CRASH..TOTAL).step_by(250) {
+        records.clear();
+        for stream in (0..STREAMS).filter(|&stream| stream != BROKEN) {
+            records.extend((start..start + 250).map(|i| (stream, element(stream, i))));
+        }
+        recovered.submit(&records).expect("engine running");
+        recovered.flush().expect("no ingestion errors");
+    }
+    let events = canonical(sink.drain());
+    recovered.shutdown().expect("clean shutdown");
+    let expected: Vec<DriftEvent> = reference_events_from(COVERED)
+        .into_iter()
+        .filter(|e| e.stream != BROKEN)
+        .collect();
+    assert!(!expected.is_empty(), "the healthy streams must drift");
+    assert_eq!(
+        events, expected,
+        "every healthy stream must resume bit-exactly"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Records for an unregistered stream, which the engine drops, stay out of
 /// the write-ahead log: the engine reported them once, and a recovery must
 /// not fail on them again. The unknown

@@ -19,7 +19,7 @@ use std::time::Duration;
 use optwin::engine::EngineError;
 use optwin::{
     paper_lineup, DetectorSpec, DriftDetector, DriftEvent, EngineBuilder, EngineHandle,
-    EngineSnapshot, EventSink, MemorySink,
+    EngineSnapshot, EngineStats, EventSink, MemorySink,
 };
 
 /// Deterministic pseudo-random jitter in [-0.5, 0.5) (SplitMix64).
@@ -292,6 +292,8 @@ fn unknown_stream_handling_on_the_submit_path() {
         before.elements, 2,
         "known-stream records are still ingested"
     );
+    let dropped = |stats: &EngineStats| -> u64 { stats.shards.iter().map(|s| s.dropped).sum() };
+    assert_eq!(dropped(&before), 1, "the unknown record is counted");
 
     // 10 000 distinct unknown ids over every shard. The stats barrier
     // (which takes no error) makes the first id's error the pending one, so
@@ -305,6 +307,8 @@ fn unknown_stream_handling_on_the_submit_path() {
     assert_eq!(after.streams, before.streams, "no record creates a stream");
     assert_eq!(after.elements, before.elements);
     assert_eq!(after.resident_bytes(), before.resident_bytes());
+    assert_eq!(dropped(&after) - dropped(&before), 10_000);
+    assert!(after.to_string().contains("(5000 dropped)"), "{after}");
     handle.shutdown().expect("no pending errors left");
 }
 

@@ -622,6 +622,89 @@ fn live_writer_reproduces_golden_v4_entries() {
     assert_eq!(entry_keys(&live), entry_keys(&golden));
 }
 
+/// Pins the writer's bytes, outer layout included (the entry-level pins
+/// above compare parsed entries and cannot see it): every checked-in v4
+/// document and the v5 fixture's base reprint unchanged through
+/// `from_json` → `to_json`.
+#[test]
+fn golden_documents_reprint_byte_for_byte() {
+    for path in [
+        fixture_path(4),
+        hibernated_fixture_path(),
+        fixtures_dir().join("v4-cascade.json"),
+        v5_fixture_dir().join("base-0.json"),
+    ] {
+        let text = std::fs::read_to_string(&path).expect("fixture present");
+        let reprinted = EngineSnapshot::from_json(&text)
+            .expect("fixture parses")
+            .to_json();
+        assert!(reprinted == text, "{} reprints differently", path.display());
+    }
+}
+
+/// A checkpoint's full base is the snapshot document byte for byte: the
+/// entries the shard workers encode, merged by stream id, equal
+/// `snapshot().to_json()` taken at the barrier just before, for live and
+/// sleeping streams of all 8 kinds plus a live and a sleeping cascade.
+#[test]
+fn checkpoint_base_equals_the_snapshot_json() {
+    let dir = std::env::temp_dir().join(format!("optwin-base-bytes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cascade: DetectorSpec = "cascade:guard=page_hinkley,confirm=adwin,replay=512"
+        .parse()
+        .expect("valid composite spec");
+    // Streams 0..8 stay awake, 8..16 fall asleep; likewise the cascades
+    // 16 and 17.
+    let specs: Vec<(u64, DetectorSpec)> = (0..2 * STREAMS)
+        .map(|stream| (stream, spec_of(stream)))
+        .chain([(16, cascade.clone()), (17, cascade)])
+        .collect();
+    let mut builder = EngineBuilder::new()
+        .shards(4)
+        .hibernation(HibernationPolicy::cold_after_flushes(1))
+        .checkpoint(&dir, CheckpointPolicy::every_flushes(0).compact_ratio(0.0));
+    for (stream, spec) in &specs {
+        builder = builder.stream_spec(*stream, spec.clone());
+    }
+    let handle = builder.build().expect("valid engine");
+    let feed = |streams: &[u64], from: usize, to: usize| {
+        let records: Vec<(u64, f64)> = streams
+            .iter()
+            .flat_map(|&stream| (from..to).map(move |i| (stream, element(stream, i))))
+            .collect();
+        handle.submit(&records).expect("engine running");
+        handle.flush().expect("no ingestion errors");
+    };
+    let all: Vec<u64> = specs.iter().map(|&(stream, _)| stream).collect();
+    let awake: Vec<u64> = all
+        .iter()
+        .copied()
+        .filter(|&stream| stream < STREAMS || stream == 16)
+        .collect();
+    feed(&all, 0, 700);
+    // The second flush finds the other streams idle and puts them to sleep.
+    feed(&awake, 700, 900);
+    assert_eq!(
+        handle.stats().expect("engine running").hibernated_streams(),
+        all.len() - awake.len()
+    );
+    // Compact ratio 0: a delta first, then every checkpoint is a base.
+    assert!(!handle.checkpoint().expect("writable directory").full);
+    let snapshot = handle.snapshot().expect("snapshot-capable");
+    let base = handle.checkpoint().expect("writable directory");
+    handle.shutdown().expect("clean shutdown");
+    assert!(base.full, "{base}");
+    assert_eq!(base.streams, all.len());
+    let text = std::fs::read_to_string(dir.join(format!("base-{}.json", base.generation)))
+        .expect("the base is on disk");
+    assert_eq!(base.bytes, text.len() as u64);
+    assert!(
+        text == snapshot.to_json(),
+        "the checkpoint base differs from the snapshot's JSON"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Corruption fuzzing at the engine level
 // ---------------------------------------------------------------------------
