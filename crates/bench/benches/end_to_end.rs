@@ -12,8 +12,9 @@ fn bench_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_cell");
     group.sample_size(10);
 
-    // Pre-generate the stream once; the benchmark measures detector +
-    // scoring cost, which is what varies between detectors.
+    // Pre-generate the stream once; each iteration is one job of the
+    // Table 1 grid runner (build the detector from its spec, feed the run,
+    // score it), which is what varies between detectors.
     let (errors, schedule) = Table1Experiment::SuddenBinary.build_error_sequence(1, 20_000);
     let lineup = paper_lineup(4_000);
     for label in ["OPTWIN rho=0.5", "ADWIN", "DDM"] {

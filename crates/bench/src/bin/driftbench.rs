@@ -2,7 +2,7 @@
 //! plus representative cascade/ensemble composites, across the full
 //! adversarial scenario catalogue (abrupt, gradual, recurring concepts, slow
 //! ramps, seasonal oscillation, variance-only drift, heavy-tailed noise),
-//! each seeded run one stream of the sharded engine.
+//! each seeded run fed straight to a detector of its own.
 //!
 //! ```text
 //! cargo run --release -p optwin-bench --bin driftbench                  # quick grid
@@ -58,7 +58,6 @@ fn main() {
         "stream-len",
         "optwin-w-max",
         "seed",
-        "shards",
         "scenario",
         "detector",
         "json",
@@ -73,9 +72,6 @@ fn main() {
 
     let mut config = DriftbenchConfig::full(seeds, stream_len, optwin_w_max);
     config.base_seed = args.get_parsed("seed", config.base_seed);
-    if args.get("shards").is_some() {
-        config.shards = Some(args.get_parsed("shards", 0));
-    }
 
     if let Some(name) = args.get("scenario") {
         if name != "all" {

@@ -57,13 +57,13 @@ fn main() {
         seed: args.get_parsed("seed", 17),
         ..NnPipelineConfig::default()
     };
+    let w_max = args.get_parsed("optwin-w-max", if full { 25_000usize } else { 4_000 });
     println!(
         "Figure 5 reproduction — {} batches of {} instances, {} label-swap drifts, seed {}",
         config.total_batches, config.batch_size, config.n_drifts, config.seed
     );
     println!();
 
-    let w_max = args.get_parsed("optwin-w-max", if full { 25_000usize } else { 4_000 });
     let mut outcomes = Vec::new();
 
     for rho in [0.1, 0.5] {

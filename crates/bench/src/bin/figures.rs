@@ -96,7 +96,8 @@ fn run_nu_curves(scale: &optwin_bench::RunScale) {
 }
 
 fn main() {
-    let args = Args::from_env(&[RunScale::FLAGS, &["figure"]]);
+    // One seeded run per figure: every run-scale flag but `--repetitions`.
+    let args = Args::from_env(&[&["full", "stream-len", "optwin-w-max", "seed"], &["figure"]]);
     let scale = RunScale::from_args(&args);
     match args.get("figure") {
         Some("2") => run_figure(Table1Experiment::SuddenBinary, &scale),

@@ -33,7 +33,6 @@ fn main() {
             scale.repetitions,
             scale.stream_len,
             scale.seed,
-            scale.shards,
         );
         for row in rows {
             f1_per_detector

@@ -2,10 +2,9 @@
 //! statistics (delay, FP, precision, recall, F1) for every detector over the
 //! seven synthetic experiment configurations.
 //!
-//! The grid runs on the service-style engine: every `detector × repetition`
-//! run is one engine stream, fed in order through `EngineHandle::submit`
-//! onto the shard workers, and the detections are read back from a
-//! `MemorySink` after one final flush (`optwin_eval::run_table1`).
+//! Every `detector × repetition` run feeds its error sequence straight to a
+//! detector of its own, the runs spread over the available cores
+//! (`optwin_eval::run_table1`).
 //!
 //! ```text
 //! cargo run --release -p optwin-bench --bin table1                 # quick run
@@ -89,16 +88,13 @@ fn main() {
 
     println!(
         "Table 1 reproduction — {} repetition(s) per experiment, seed {}, \
-         OPTWIN w_max {}, stream length {}, pipelined engine shards {}",
+         OPTWIN w_max {}, stream length {}",
         scale.repetitions,
         scale.seed,
         scale.optwin_w_max,
         scale
             .stream_len
             .map_or_else(|| "paper default".to_string(), |l| l.to_string()),
-        scale
-            .shards
-            .map_or_else(|| "auto".to_string(), |s| s.to_string()),
     );
     println!();
 
@@ -137,7 +133,6 @@ fn main() {
             scale.repetitions,
             scale.stream_len,
             scale.seed,
-            scale.shards,
         );
         if rows.is_empty() {
             println!("skipping {} — {skip_reason}\n", experiment.label());

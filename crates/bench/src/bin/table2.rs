@@ -16,7 +16,11 @@ use optwin_eval::paper_lineup;
 use optwin_eval::report::{render_table2, to_json};
 
 fn main() {
-    let args = Args::from_env(&[RunScale::FLAGS, &["realworld", "synthetic", "json"]]);
+    // One seeded stream per column: every run-scale flag but `--repetitions`.
+    let args = Args::from_env(&[
+        &["full", "stream-len", "optwin-w-max", "seed"],
+        &["realworld", "synthetic", "json"],
+    ]);
     let scale = RunScale::from_args(&args);
     // Read before the run, so a `--json` missing its path fails at once.
     let json_path = args.get("json");

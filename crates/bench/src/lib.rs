@@ -20,11 +20,13 @@
 //! `table1`, `table2`, `figures` and `significance` share the [`RunScale`]
 //! flags ([`RunScale::FLAGS`]: `--repetitions`, `--stream-len`, `--seed`, …)
 //! so that quick smoke runs and full paper-scale runs (`--full`) use the
-//! same code path. Each binary declares the flags it reads: an undeclared
-//! flag, an argument that is neither a flag nor a flag's value, a switch
-//! given a value, a value flag given none, a flag value that does not
-//! parse, or a zero count is a usage error, and the binary names the
-//! argument and exits with status 2.
+//! same code path; `table2` and `figures` run one seeded stream per column
+//! or figure, so they declare all of them but `--repetitions`. Each binary
+//! declares the flags it reads: an undeclared flag, an argument that is
+//! neither a flag nor a flag's value, a switch given a value, a value flag
+//! given none, a flag value that does not parse, a zero count, or an
+//! `--optwin-w-max` that OPTWIN refuses is a usage error, and the binary
+//! names the argument and exits with status 2.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -33,9 +35,16 @@ use std::collections::HashMap;
 use std::fmt::Display;
 use std::str::FromStr;
 
+use optwin_core::OptwinConfig;
+
 /// Count flags for which zero is meaningless: a run needs at least one
 /// repetition (or seed) and a non-empty stream.
 const NONZERO_FLAGS: [&str; 3] = ["repetitions", "seeds", "stream-len"];
+
+/// The flag that caps OPTWIN's window. Its value must be a `w_max` OPTWIN
+/// accepts at its default settings: at least `w_min` (30), at most
+/// [`optwin_core::MAX_WINDOW`].
+const WINDOW_FLAG: &str = "optwin-w-max";
 
 /// Prints a usage error and exits with status 2.
 fn usage_error(message: &str) -> ! {
@@ -140,9 +149,9 @@ impl Args {
     }
 
     /// Returns `--name` parsed as the requested type, or `default` when the
-    /// flag is absent. A value that does not parse, or a zero `--repetitions`,
-    /// `--seeds` or `--stream-len`, is a usage error: the process prints the
-    /// flag and exits with status 2.
+    /// flag is absent. A value that does not parse, a zero `--repetitions`,
+    /// `--seeds` or `--stream-len`, or an `--optwin-w-max` OPTWIN refuses is
+    /// a usage error: the process prints the flag and exits with status 2.
     #[must_use]
     pub fn get_parsed<T>(&self, name: &str, default: T) -> T
     where
@@ -155,7 +164,7 @@ impl Args {
     }
 
     /// `--name` parsed as `T` (`None` when absent), or the usage error for
-    /// an unparsable value or a zero count.
+    /// an unparsable value, a zero count or a window OPTWIN refuses.
     fn try_parsed<T>(&self, name: &str) -> Result<Option<T>, String>
     where
         T: FromStr + Default + PartialEq,
@@ -169,6 +178,17 @@ impl Args {
             .map_err(|e| format!("invalid --{name} `{text}`: {e}"))?;
         if NONZERO_FLAGS.contains(&name) && value == T::default() {
             return Err(format!("--{name} must be at least 1"));
+        }
+        if name == WINDOW_FLAG {
+            // Every reader asks for this flag as a `usize`, so `text`, which
+            // parsed as `T` above, parses as one.
+            let config = OptwinConfig {
+                w_max: text.parse().unwrap_or_default(),
+                ..OptwinConfig::default()
+            };
+            config
+                .validate()
+                .map_err(|e| format!("invalid --{name} `{text}`: {e}"))?;
         }
         Ok(Some(value))
     }
@@ -202,21 +222,12 @@ pub struct RunScale {
     pub optwin_w_max: usize,
     /// Base random seed.
     pub seed: u64,
-    /// Engine shard count for the parallel runners (`None` = one shard per
-    /// available CPU core).
-    pub shards: Option<usize>,
 }
 
 impl RunScale {
     /// The flags [`RunScale::from_args`] reads.
-    pub const FLAGS: &'static [&'static str] = &[
-        "full",
-        "repetitions",
-        "stream-len",
-        "optwin-w-max",
-        "seed",
-        "shards",
-    ];
+    pub const FLAGS: &'static [&'static str] =
+        &["full", "repetitions", "stream-len", "optwin-w-max", "seed"];
 
     /// Derives the run scale from parsed arguments. Without `--full` the
     /// defaults are sized for a quick (< 1 min) laptop run; with `--full` the
@@ -239,7 +250,6 @@ impl RunScale {
             stream_len: args.try_parsed("stream-len")?.or(stream_len),
             optwin_w_max: args.try_parsed("optwin-w-max")?.unwrap_or(optwin_w_max),
             seed: args.try_parsed("seed")?.unwrap_or(20_240_614),
-            shards: args.try_parsed("shards")?,
         })
     }
 }
@@ -270,7 +280,6 @@ mod tests {
         assert_eq!(scale.repetitions, 5);
         assert_eq!(scale.stream_len, Some(20_000));
         assert_eq!(scale.optwin_w_max, 4_000);
-        assert_eq!(scale.shards, None);
     }
 
     #[test]
@@ -291,13 +300,10 @@ mod tests {
             "1000",
             "--optwin-w-max",
             "500",
-            "--shards",
-            "8",
         ]));
         assert_eq!(scale.repetitions, 3);
         assert_eq!(scale.stream_len, Some(1_000));
         assert_eq!(scale.optwin_w_max, 500);
-        assert_eq!(scale.shards, Some(8));
     }
 
     #[test]
@@ -311,8 +317,8 @@ mod tests {
         assert!(err.contains("--repetitions"), "{err}");
         let err = RunScale::try_from_args(&args_of(&["--stream-len", "4k"])).unwrap_err();
         assert!(err.starts_with("invalid --stream-len `4k`"), "{err}");
-        let err = RunScale::try_from_args(&args_of(&["--shards", "two"])).unwrap_err();
-        assert!(err.contains("--shards"), "{err}");
+        let err = RunScale::try_from_args(&args_of(&["--seed", "two"])).unwrap_err();
+        assert!(err.starts_with("invalid --seed `two`"), "{err}");
         // A switch given a value, and a value flag given none.
         let err = RunScale::try_from_args(&args_of(&["--full", "1"])).unwrap_err();
         assert_eq!(err, "--full takes no value, got `1`");
@@ -346,11 +352,11 @@ mod tests {
         );
         // Every flag the run scale reads is declared by its list, so a
         // binary passing it accepts each of them (the `--full` switch bare,
-        // the rest with a value).
+        // the rest with a value valid for all of them).
         let every: Vec<String> = RunScale::FLAGS
             .iter()
             .flat_map(|&flag| {
-                let value = (flag != "full").then(|| "1".to_string());
+                let value = (flag != "full").then(|| "100".to_string());
                 std::iter::once(format!("--{flag}")).chain(value)
             })
             .collect();
@@ -372,9 +378,30 @@ mod tests {
             let err = RunScale::try_from_args(&args_of(&[flag, "0"])).unwrap_err();
             assert_eq!(err, format!("{flag} must be at least 1"));
         }
-        // Zero stays valid where it means something: a seed, or the
-        // clamped shard count.
-        let scale = RunScale::try_from_args(&args_of(&["--seed", "0", "--shards", "0"])).unwrap();
-        assert_eq!((scale.seed, scale.shards), (0, Some(0)));
+        // Zero stays valid where it means something: a seed.
+        let scale = RunScale::try_from_args(&args_of(&["--seed", "0"])).unwrap();
+        assert_eq!(scale.seed, 0);
+    }
+
+    #[test]
+    fn windows_optwin_refuses_are_usage_errors() {
+        for (w_max, reason) in [
+            ("10", "must be at least w_min (30), got 10"),
+            ("200000000", "must be at most"),
+        ] {
+            let err = RunScale::try_from_args(&args_of(&["--optwin-w-max", w_max])).unwrap_err();
+            assert!(
+                err.starts_with(&format!("invalid --optwin-w-max `{w_max}`: ")),
+                "{err}"
+            );
+            assert!(err.contains(reason), "{err}");
+            // Binaries that read the flag themselves get the same check.
+            let args = args_of(&["--optwin-w-max", w_max]);
+            assert_eq!(args.try_parsed::<usize>("optwin-w-max"), Err(err));
+        }
+        for w_max in [30, optwin_core::MAX_WINDOW] {
+            let args = args_of(&["--optwin-w-max", &w_max.to_string()]);
+            assert_eq!(RunScale::try_from_args(&args).unwrap().optwin_w_max, w_max);
+        }
     }
 }

@@ -4,10 +4,8 @@
 //! This module widens the evaluation to the full
 //! [`ScenarioKind`] catalogue — including the
 //! adversarial workloads where the *correct* behaviour is to stay silent
-//! (seasonal oscillation, heavy-tailed noise) — and runs every scenario ×
-//! detector × seed cell as one stream of the sharded engine, submitted
-//! through [`EngineHandle::submit`](optwin_engine::EngineHandle::submit) like
-//! any production record.
+//! (seasonal oscillation, heavy-tailed noise) — and feeds every scenario ×
+//! detector × seed run straight to a detector built from the cell's spec.
 //!
 //! The output is a [`DriftbenchReport`]: one [`DriftbenchCell`] per
 //! applicable (scenario, detector) pair carrying micro-averaged
@@ -21,28 +19,22 @@
 //! [`DetectorSpec::binary_only`]) are skipped on the real-valued scenarios
 //! (`variance`, `heavy-tail`), mirroring how Table 1 restricts them to the
 //! binary error streams. Table 1 ([`run_table1`](crate::run_table1)) runs
-//! through the same engine → submit → flush → score loop.
+//! on the same grid runner.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::num::NonZeroUsize;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
 use optwin_baselines::DetectorSpec;
-use optwin_engine::{default_shards, EngineBuilder, EventSink, MemorySink};
 use optwin_stream::{DriftSchedule, GeneratedScenario, ScenarioKind};
 
-use crate::metrics::{score_detections, AggregateMetrics, DetectionOutcome};
-
-/// Elements staged per engine queue slot before backpressure kicks in.
-const GRID_QUEUE_CAPACITY: usize = 256 * 1_024;
-
-/// Records per `submit` call: a run's values go to the engine in chunks of
-/// this size.
-const GRID_CHUNK: usize = 4_096;
+use crate::experiment::{run_detector_on_sequence, DetectionRun};
+use crate::metrics::{AggregateMetrics, DetectionOutcome};
 
 /// Configuration of one driftbench run: which scenarios, which detectors,
-/// how many seeded repetitions of which length, and on how many shards.
+/// and how many seeded repetitions of which length.
 #[derive(Debug, Clone)]
 pub struct DriftbenchConfig {
     /// Scenarios to run (usually [`ScenarioKind::all`]).
@@ -55,9 +47,6 @@ pub struct DriftbenchConfig {
     pub stream_len: usize,
     /// Base RNG seed; repetition `r` uses `base_seed + r`.
     pub base_seed: u64,
-    /// Engine shard count (`None` → one per CPU core, clamped to the stream
-    /// count).
-    pub shards: Option<usize>,
 }
 
 impl DriftbenchConfig {
@@ -71,7 +60,6 @@ impl DriftbenchConfig {
             seeds,
             stream_len,
             base_seed: 1_000,
-            shards: None,
         }
     }
 }
@@ -161,16 +149,16 @@ impl DriftbenchReport {
     }
 }
 
-/// Runs the scenario × detector × seed grid through the sharded engine.
+/// Runs the scenario × detector × seed grid.
 ///
-/// Every applicable cell becomes `seeds` engine streams (detectors skip
-/// scenarios they cannot read — see [`DetectorSpec::binary_only`]); all
-/// streams are pre-registered declaratively, fed one after another, flushed
-/// once, and scored with [`score_detections`] against each scenario's
-/// ground-truth schedule. A detection depends only on its own stream's
-/// values in order, so the scores are those of a detector fed each run
-/// directly. The whole pipeline is seeded, so repeated calls with the same
-/// config return bit-identical reports.
+/// Every applicable cell runs once per seed (detectors skip scenarios they
+/// cannot read — see [`DetectorSpec::binary_only`]): each run feeds its
+/// sequence straight to a detector built from the cell's spec and scores the
+/// detections with [`score_detections`](crate::score_detections) against
+/// the scenario's ground-truth schedule. The runs spread over the available
+/// cores, but a detection depends only on its own run's values in order and
+/// the whole pipeline is seeded, so repeated calls with the same config
+/// return bit-identical reports.
 ///
 /// # Panics
 ///
@@ -219,7 +207,7 @@ pub fn run_driftbench(config: &DriftbenchConfig) -> DriftbenchReport {
         .iter()
         .map(|&(s, d)| (&config.detectors[d].1, &runs[s][..]))
         .collect();
-    let scores = run_grid(&grid, config.shards);
+    let scores = run_grid(&grid);
 
     // Aggregate every cell over its seeds, and accumulate the per-detector
     // roll-up alongside.
@@ -280,88 +268,61 @@ pub(crate) struct CellScore {
     pub(crate) detector_seconds: f64,
 }
 
-/// The engine → submit → flush → score loop behind both grid runners
+/// The build → feed → score loop behind both grid runners
 /// ([`run_driftbench`] and [`run_table1`](crate::run_table1)).
 ///
-/// Every `(spec, runs)` cell becomes one engine stream per run, numbered in
-/// cell-major order so consecutive ids spread round-robin over the shard
-/// workers. All streams are registered up front; each run's values are then
-/// submitted in order, run after run, in chunks of `GRID_CHUNK` records,
-/// while the shard queues keep every worker busy. One flush drains the
-/// queues, and each run's detections are scored against its schedule.
-/// `shards` is clamped to the stream count (`None` = one shard per CPU
-/// core).
-pub(crate) fn run_grid(
-    cells: &[(&DetectorSpec, &[Run<'_>])],
-    shards: Option<usize>,
-) -> Vec<CellScore> {
-    let n_streams: usize = cells.iter().map(|(_, runs)| runs.len()).sum();
-    let shards = shards
-        .unwrap_or_else(default_shards)
-        .clamp(1, n_streams.max(1));
-
-    let sink = Arc::new(MemorySink::new());
-    let mut builder = EngineBuilder::new()
-        .shards(shards)
-        .queue_capacity(GRID_QUEUE_CAPACITY)
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
-    let mut sources: Vec<&[f64]> = Vec::with_capacity(n_streams);
-    for &(spec, runs) in cells {
-        for &(values, _) in runs {
-            builder = builder.stream_spec(sources.len() as u64, spec.clone());
-            sources.push(values);
-        }
-    }
-    let handle = builder
-        .build()
-        .expect("specs are valid and stream ids unique by construction");
-
-    // `submit` returns once the records are queued, so one flush barrier
-    // drains everything before the sink is read back.
-    let mut records: Vec<(u64, f64)> = Vec::with_capacity(GRID_CHUNK);
-    for (id, values) in (0u64..).zip(&sources) {
-        for chunk in values.chunks(GRID_CHUNK) {
-            records.clear();
-            records.extend(chunk.iter().map(|&v| (id, v)));
-            handle.submit(&records).expect("engine running");
-        }
-    }
-    handle.flush().expect("all streams registered");
-
-    // The sink preserves per-stream emission order (increasing seq), so
-    // grouping by stream yields sorted detection lists.
-    let mut detections: HashMap<u64, Vec<usize>> = HashMap::new();
-    for event in sink.drain() {
-        detections
-            .entry(event.stream)
-            .or_default()
-            .push(event.seq as usize);
-    }
-    let seconds: HashMap<u64, f64> = handle
-        .stream_snapshots()
-        .expect("engine running")
-        .into_iter()
-        .map(|s| (s.stream, s.detector_seconds))
+/// Every run of every `(spec, runs)` cell is one job: a detector built from
+/// the cell's spec is fed the run's values by [`run_detector_on_sequence`]
+/// and scored against the run's schedule. One scoped thread per available
+/// core (never more threads than jobs) takes job indices from a shared
+/// counter; the results come back by index and are summed per cell, so a
+/// cell's score does not depend on which thread ran which of its runs.
+///
+/// # Panics
+///
+/// Panics if a spec fails to build; a panic on a worker thread is re-raised
+/// on the caller.
+pub(crate) fn run_grid(cells: &[(&DetectorSpec, &[Run<'_>])]) -> Vec<CellScore> {
+    let jobs: Vec<(&DetectorSpec, Run<'_>)> = cells
+        .iter()
+        .flat_map(|&(spec, runs)| runs.iter().map(move |&run| (spec, run)))
         .collect();
-    handle.shutdown().expect("clean shutdown");
+    // The counter publishes nothing but indices into the read-only `jobs`,
+    // so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let threads = std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(jobs.len());
+    let mut done: Vec<(usize, DetectionRun)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    std::iter::from_fn(|| {
+                        let job = next.fetch_add(1, Ordering::Relaxed);
+                        let &(spec, (values, schedule)) = jobs.get(job)?;
+                        let mut detector = spec.build().expect("grid specs are valid");
+                        let run = run_detector_on_sequence(detector.as_mut(), values, schedule);
+                        Some((job, run))
+                    })
+                    .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| worker.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(job, _)| job);
 
-    let mut id = 0u64;
+    let mut done = done.into_iter().map(|(_, run)| run);
     cells
         .iter()
         .map(|&(_, runs)| {
-            let mut detector_seconds = 0.0;
-            let outcomes = runs
-                .iter()
-                .map(|&(_, schedule)| {
-                    let run = detections.remove(&id).unwrap_or_default();
-                    detector_seconds += seconds.get(&id).copied().unwrap_or(0.0);
-                    id += 1;
-                    score_detections(schedule, &run)
-                })
-                .collect();
+            let runs: Vec<DetectionRun> = done.by_ref().take(runs.len()).collect();
             CellScore {
-                outcomes,
-                detector_seconds,
+                detector_seconds: runs.iter().map(|run| run.detector_seconds).sum(),
+                outcomes: runs.into_iter().map(|run| run.outcome).collect(),
             }
         })
         .collect()
@@ -374,7 +335,6 @@ fn fp_per_10k(false_positives: usize, elements: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run_detector_on_sequence;
 
     fn small_config() -> DriftbenchConfig {
         DriftbenchConfig {
@@ -386,7 +346,6 @@ mod tests {
             seeds: 2,
             stream_len: 3_000,
             base_seed: 7,
-            shards: Some(2),
         }
     }
 
@@ -447,6 +406,19 @@ mod tests {
                 cell.detector
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "grid specs are valid")]
+    fn a_worker_panic_is_re_raised_on_the_caller() {
+        // Built directly, so no parser rejects the window below `w_min`.
+        let config = optwin_core::OptwinConfig {
+            w_max: 10,
+            ..optwin_core::OptwinConfig::default()
+        };
+        let run = ScenarioKind::AbruptMeanShift.generate(1_000, 1);
+        let runs = [(&run.values[..], &run.schedule)];
+        let _ = run_grid(&[(&DetectorSpec::Optwin { config }, &runs[..])]);
     }
 
     #[test]

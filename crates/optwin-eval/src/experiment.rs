@@ -298,18 +298,18 @@ pub struct Table1Aggregate {
 /// same sequences (as in MOA). Binary-only detectors
 /// ([`DetectorSpec::binary_only`]) are skipped on the non-binary
 /// experiments, as in the paper. `stream_len` overrides the experiment's
-/// default length (`None` = paper scale); `shards` picks the engine shard
-/// count (`None` = one per CPU core).
+/// default length (`None` = paper scale).
 ///
-/// Each (detector, repetition) run is one engine stream, submitted in order
-/// and scored after one flush — the loop
-/// [`run_driftbench`](crate::run_driftbench) uses. Results are identical
-/// for every shard count.
+/// Each (detector, repetition) run feeds its sequence straight to a detector
+/// built from the row's spec, on the grid runner
+/// [`run_driftbench`](crate::run_driftbench) uses: the runs spread over the
+/// available cores, and each scores exactly what
+/// [`run_detector_on_sequence`] returns for it.
 ///
 /// # Panics
 ///
-/// Panics if `repetitions` is zero, if a spec fails validation, or if the
-/// engine shuts down mid-run (a detector panicked on a worker thread).
+/// Panics if `repetitions` is zero, if a spec fails validation, or if a
+/// detector panics (the panic is re-raised on the caller).
 #[must_use]
 pub fn run_table1(
     experiment: Table1Experiment,
@@ -317,7 +317,6 @@ pub fn run_table1(
     repetitions: usize,
     stream_len: Option<usize>,
     base_seed: u64,
-    shards: Option<usize>,
 ) -> Vec<Table1Aggregate> {
     assert!(repetitions > 0, "need at least one repetition");
     let stream_len = stream_len.unwrap_or_else(|| experiment.default_stream_len());
@@ -337,7 +336,7 @@ pub fn run_table1(
         .iter()
         .map(|(_, spec)| (spec, &runs[..]))
         .collect();
-    let scores = run_grid(&cells, shards);
+    let scores = run_grid(&cells);
 
     applicable
         .into_iter()
@@ -450,32 +449,10 @@ mod tests {
     }
 
     #[test]
-    fn grid_is_deterministic_across_shard_counts() {
-        let run = |shards: Option<usize>| {
-            run_table1(
-                Table1Experiment::SuddenBinary,
-                &paper_lineup(800),
-                2,
-                Some(4_000),
-                7,
-                shards,
-            )
-        };
-        let sequential = run(Some(1));
-        for other in [run(Some(4)), run(None)] {
-            assert_eq!(other.len(), sequential.len());
-            for (a, b) in sequential.iter().zip(&other) {
-                assert_eq!(a.detector, b.detector);
-                assert_eq!(a.metrics, b.metrics, "{}", a.detector);
-            }
-        }
-    }
-
-    #[test]
     fn grid_scores_equal_a_direct_detector_feed() {
         let experiment = Table1Experiment::GradualBinary;
         let lineup = paper_lineup(800);
-        let rows = run_table1(experiment, &lineup, 2, Some(4_000), 7, Some(2));
+        let rows = run_table1(experiment, &lineup, 2, Some(4_000), 7);
         assert_eq!(rows.len(), lineup.len());
         for ((label, spec), row) in lineup.iter().zip(&rows) {
             assert_eq!(&row.detector, label);
@@ -505,7 +482,6 @@ mod tests {
             1,
             Some(2_000),
             5,
-            Some(2),
         );
         assert_eq!(rows.len(), 1, "binary-only DDM skipped");
         assert_eq!(rows[0].detector, "adwin");
@@ -514,14 +490,7 @@ mod tests {
     #[test]
     fn small_scale_table1_grid_runs() {
         let lineup = paper_lineup(1_000);
-        let rows = run_table1(
-            Table1Experiment::SuddenBinary,
-            &lineup,
-            2,
-            Some(5_000),
-            42,
-            None,
-        );
+        let rows = run_table1(Table1Experiment::SuddenBinary, &lineup, 2, Some(5_000), 42);
         // All eight detectors apply to the binary experiment.
         assert_eq!(rows.len(), 8);
         for row in &rows {
@@ -541,14 +510,13 @@ mod tests {
             optwin.metrics.recall
         );
         // A one-entry line-up reproduces its row of the full line-up: every
-        // run is an isolated engine stream.
+        // run has a detector of its own.
         let alone = run_table1(
             Table1Experiment::SuddenBinary,
             &lineup[6..7],
             2,
             Some(5_000),
             42,
-            Some(2),
         );
         assert_eq!(alone.len(), 1);
         assert_eq!(alone[0].metrics, optwin.metrics);

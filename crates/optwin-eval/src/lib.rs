@@ -20,9 +20,10 @@
 //!   records used by the benchmark binaries.
 //! * [`driftbench`] — the adversarial scenario grid: every detector spec
 //!   kind plus composite cascades/ensembles across the full
-//!   [`optwin_stream::ScenarioKind`] catalogue, fed through the sharded
-//!   engine and scored into a JSON-serialisable quality report. Its
-//!   engine → submit → flush → score loop also runs Table 1.
+//!   [`optwin_stream::ScenarioKind`] catalogue, each seeded run fed straight
+//!   to its own detector and scored into a JSON-serialisable quality report.
+//!   Its grid runner (one detector per run, the runs spread over the
+//!   available cores) also runs Table 1.
 //!
 //! ```
 //! use optwin_eval::metrics::score_detections;

@@ -84,8 +84,8 @@ impl DetectionOutcome {
 
 /// Scores a list of detection indices against the ground-truth schedule.
 ///
-/// `detections` may arrive in any order (e.g. merged from multiple engine
-/// shards or sinks): the scorer sorts a copy internally, so the outcome is
+/// `detections` may arrive in any order (e.g. merged from several sinks or
+/// detectors): the scorer sorts a copy internally, so the outcome is
 /// invariant under permutation of the input. For gradual schedules a
 /// detection inside the transition window — from
 /// [`DriftSchedule::transition_start`] up to the next drift's transition
@@ -322,7 +322,7 @@ mod tests {
 
     #[test]
     fn scoring_is_permutation_invariant() {
-        // Detections merged from multiple engine shards/sinks arrive in
+        // Detections merged from several sinks or detectors arrive in
         // arbitrary order; the outcome must not depend on list order. The
         // old scorer credited whichever detection appeared first in *list*
         // order as the TP, corrupting the delay and the FP split.

@@ -40,9 +40,7 @@ use optwin::{run_driftbench, DriftSchedule, DriftbenchConfig, DriftbenchReport, 
 /// catalogue, 2 seeds × 8 000 elements (the full-scale numbers live in the
 /// `driftbench` binary, not in CI).
 fn golden_config() -> DriftbenchConfig {
-    let mut config = DriftbenchConfig::full(2, 8_000, 1_000);
-    config.shards = Some(2);
-    config
+    DriftbenchConfig::full(2, 8_000, 1_000)
 }
 
 fn fixture_path() -> PathBuf {

@@ -3,9 +3,6 @@
 //! by `render_table1` and pinned byte-for-byte against
 //! `tests/fixtures/table1/golden.txt`.
 //!
-//! The grid is deterministic and identical for every shard count, so the
-//! test renders it at 1 and at 2 shards and both must equal the fixture.
-//!
 //! Regenerate the fixture (only after a deliberate change to detection
 //! results) with:
 //!
@@ -35,18 +32,11 @@ fn fixture_path() -> PathBuf {
     repo_path(&["tests", "fixtures", "table1", "golden.txt"])
 }
 
-/// Renders the whole golden grid at the given shard count: one table per
-/// experiment for the paper line-up, then the example fleet.
-fn render_grid(shards: usize) -> String {
+/// Renders the whole golden grid: one table per experiment for the paper
+/// line-up, then the example fleet.
+fn render_grid() -> String {
     let run = |experiment, detectors: &[(String, _)]| {
-        let rows = run_table1(
-            experiment,
-            detectors,
-            REPETITIONS,
-            Some(STREAM_LEN),
-            SEED,
-            Some(shards),
-        );
+        let rows = run_table1(experiment, detectors, REPETITIONS, Some(STREAM_LEN), SEED);
         render_table1(&rows)
     };
     let lineup = paper_lineup(OPTWIN_W_MAX);
@@ -75,19 +65,14 @@ fn load_golden() -> String {
 }
 
 #[test]
-fn table1_matches_golden_at_one_shard() {
-    assert_eq!(render_grid(1), load_golden());
-}
-
-#[test]
-fn table1_matches_golden_at_two_shards() {
-    assert_eq!(render_grid(2), load_golden());
+fn table1_matches_golden() {
+    assert_eq!(render_grid(), load_golden());
 }
 
 #[test]
 #[ignore = "regenerates tests/fixtures/table1/golden.txt; run only after a deliberate change to detection results"]
 fn regenerate_table1_golden() {
     std::fs::create_dir_all(fixture_path().parent().unwrap()).expect("fixture dir");
-    std::fs::write(fixture_path(), render_grid(1)).expect("fixture written");
+    std::fs::write(fixture_path(), render_grid()).expect("fixture written");
     println!("regenerated {}", fixture_path().display());
 }
